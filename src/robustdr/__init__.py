@@ -18,14 +18,15 @@ from .corpus import (
     tokenize,
 )
 from .encoder import EmbeddingMatrix, Featurizer, Params, encode, score
-from .errors import ConfigError, CorpusFormatError, InvariantError, OracleConvergenceError
-from .idro import GroupState, alpha_weights, idro_loss, omega_oracle, omega_update, r_matrix
+from .errors import BlobFileError, ConfigError, CorpusFormatError, InvariantError
+from .idro import GroupState, alpha_weights, idro_loss, omega_update_masked, r_matrix
 from .losses import Triplet, coco_loss, retrieval_loss
 from .trainer import Finetuner, RunConfig, pretrain_coco
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlobFileError",
     "ConfigError",
     "Corpus",
     "CorpusFormatError",
@@ -35,7 +36,6 @@ __all__ = [
     "Finetuner",
     "GroupState",
     "InvariantError",
-    "OracleConvergenceError",
     "Params",
     "QrelSet",
     "Query",
@@ -49,8 +49,7 @@ __all__ = [
     "load_corpus",
     "load_qrels",
     "load_queries",
-    "omega_oracle",
-    "omega_update",
+    "omega_update_masked",
     "pretrain_coco",
     "r_matrix",
     "retrieval_loss",

@@ -17,10 +17,12 @@ import sys
 import time
 from pathlib import Path
 
-from . import clustering, diagnostics, retrieval_eval, textstats, trainer
+import numpy as np
+
+from . import blobfile, clustering, diagnostics, retrieval_eval, textstats, trainer
 from .corpus import load_corpus, load_qrels, load_queries
-from .encoder import Featurizer, load_checkpoint, save_checkpoint
-from .errors import ConfigError, CorpusFormatError, InvariantError, OracleConvergenceError
+from .encoder import Featurizer, Params, load_checkpoint, save_checkpoint
+from .errors import ConfigError, CorpusFormatError, InvariantError
 from .trainer import Finetuner, RunConfig
 
 logger = logging.getLogger("robustdr")
@@ -44,9 +46,17 @@ def _out_dir(args) -> Path:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    with blobfile.atomic_open(path, "w") as fh:
+        fh.write(text)
+
+
+def _load_task(args):
+    """Corpus, queries and qrels named by the flags; the qrels may name only known ids."""
+    corpus = load_corpus(_require_file(Path(args.corpus)))
+    queries = load_queries(_require_file(Path(args.queries)))
+    qrels = load_qrels(_require_file(Path(args.qrels)))
+    qrels.validate_against(queries, corpus)
+    return corpus, queries, qrels
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -127,8 +137,6 @@ def cmd_pretrain(args) -> int:
 
 def _load_encoder_for_config(args, config: RunConfig):
     """Initial parameters: from --checkpoint when given, else seeded random."""
-    from .encoder import Params
-
     if getattr(args, "checkpoint", None):
         params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
         config = config.replace(
@@ -162,9 +170,7 @@ def cmd_finetune(args) -> int:
         "embed_dim": args.embed_dim,
     }
     config = _load_config(args, overrides)
-    corpus = load_corpus(_require_file(Path(args.corpus)))
-    queries = load_queries(_require_file(Path(args.queries)))
-    qrels = load_qrels(_require_file(Path(args.qrels)))
+    corpus, queries, qrels = _load_task(args)
     params, config = _load_encoder_for_config(args, config)
 
     out = _out_dir(args)
@@ -195,12 +201,8 @@ def cmd_finetune(args) -> int:
 def cmd_mine(args) -> int:
     config = _load_config(args, {"seed": args.seed})
     params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
-    corpus = load_corpus(_require_file(Path(args.corpus)))
-    queries = load_queries(_require_file(Path(args.queries)))
-    qrels = load_qrels(_require_file(Path(args.qrels)))
+    corpus, queries, qrels = _load_task(args)
     featurizer = Featurizer(header["feature_dim"], header["hash_seed"])
-    import numpy as np
-
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pools, n_fallback = trainer.mine_negatives(
         params, featurizer, queries, corpus, qrels, args.k, rng
@@ -216,9 +218,7 @@ def cmd_mine(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args, {"seed": args.seed})
     params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
-    corpus = load_corpus(_require_file(Path(args.corpus)))
-    queries = load_queries(_require_file(Path(args.queries)))
-    qrels = load_qrels(_require_file(Path(args.qrels)))
+    corpus, queries, qrels = _load_task(args)
     featurizer = Featurizer(header["feature_dim"], header["hash_seed"])
     record, rankings = retrieval_eval.evaluate(params, featurizer, corpus, queries, qrels)
     out = _out_dir(args)
@@ -250,10 +250,6 @@ def cmd_diagnose(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="run seed")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted for interface compatibility; results never depend on it",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +347,7 @@ def main(argv=None) -> int:
     except CorpusFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (InvariantError, OracleConvergenceError) as exc:
+    except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

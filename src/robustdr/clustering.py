@@ -8,12 +8,12 @@ A flag switches to raw-Euclidean K-Means for sensitivity checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import blobfile
 from .encoder import EmbeddingMatrix
 from .errors import InvariantError
 
@@ -153,37 +153,39 @@ def assign(model: ClusterModel, embeddings: EmbeddingMatrix) -> dict[str, int]:
     return {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
 
 
+CLUSTER_FIELDS = {"n_clusters": int, "width": int, "normalized": bool,
+                  "objective": (int, float), "assignment": dict}
+
+
+def cluster_fields(model: ClusterModel) -> dict:
+    """The header fields of a cluster model; its centroids form the one block."""
+    return {"n_clusters": model.n_clusters, "width": int(model.centroids.shape[1]),
+            "normalized": model.normalized, "objective": model.objective,
+            "assignment": model.assignment}
+
+
+def centroid_length(fields: dict) -> int:
+    """Centroid block length for checked `CLUSTER_FIELDS`; ValueError if they clash."""
+    k = fields["n_clusters"]
+    if k < 1 or fields["width"] < 1:
+        raise ValueError("n_clusters and width must be >= 1")
+    if not all(type(c) is int and 0 <= c < k for c in fields["assignment"].values()):
+        raise ValueError(f"assignment names a cluster outside [0, {k})")
+    return k * fields["width"]
+
+
+def cluster_model_from(fields: dict, centroids: np.ndarray) -> ClusterModel:
+    k = fields["n_clusters"]
+    return ClusterModel(k, centroids.reshape(k, fields["width"]), dict(fields["assignment"]),
+                        float(fields["objective"]), fields["normalized"])
+
+
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
-    """One JSON header line, then the raw little-endian float64 centroid block."""
-    header = {
-        "format": CLUSTER_FORMAT,
-        "version": CLUSTER_VERSION,
-        "n_clusters": model.n_clusters,
-        "width": int(model.centroids.shape[1]),
-        "normalized": model.normalized,
-        "objective": model.objective,
-        "assignment": model.assignment,
-    }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(model.centroids, dtype="<f8").tobytes())
-    tmp.replace(path)
+    blobfile.write(path, CLUSTER_FORMAT, CLUSTER_VERSION, cluster_fields(model), [model.centroids])
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
-    with Path(path).open("rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        blob = fh.read()
-    if header.get("format") != CLUSTER_FORMAT:
-        raise ValueError(f"{path}: not a {CLUSTER_FORMAT} file")
-    centroids = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    centroids = centroids.reshape(header["n_clusters"], header["width"])
-    return ClusterModel(
-        n_clusters=header["n_clusters"],
-        centroids=centroids,
-        assignment={k: int(v) for k, v in header["assignment"].items()},
-        objective=float(header["objective"]),
-        normalized=bool(header["normalized"]),
+    fields, (centroids,) = blobfile.read(
+        path, CLUSTER_FORMAT, CLUSTER_VERSION, CLUSTER_FIELDS, lambda h: [centroid_length(h)]
     )
+    return cluster_model_from(fields, centroids)

@@ -10,13 +10,13 @@ machinery.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import blobfile
 from .errors import InvariantError
 
 CHECKPOINT_FORMAT = "robustdr-encoder"
@@ -90,12 +90,10 @@ class Params:
         hidden: bool = False,
         flat: np.ndarray | None = None,
     ):
-        if feature_dim < 1 or embed_dim < 1:
-            raise ValueError("dimensions must be >= 1")
+        n = self.n_params(feature_dim, embed_dim, hidden)
         self.feature_dim = feature_dim
         self.embed_dim = embed_dim
         self.hidden = hidden
-        n = self.n_params(feature_dim, embed_dim, hidden)
         if flat is None:
             flat = np.zeros(n, dtype=np.float64)
         else:
@@ -111,6 +109,8 @@ class Params:
 
     @staticmethod
     def n_params(feature_dim: int, embed_dim: int, hidden: bool) -> int:
+        if feature_dim < 1 or embed_dim < 1:
+            raise ValueError("dimensions must be >= 1")
         return embed_dim * feature_dim + (embed_dim * embed_dim if hidden else 0)
 
     @classmethod
@@ -221,40 +221,28 @@ def embed_items(params: Params, featurizer: Featurizer, items: Iterable) -> Embe
     )
 
 
+_CHECKPOINT_FIELDS = {"feature_dim": int, "embed_dim": int, "hidden": bool, "hash_seed": int,
+                      "dtype": str, "n_params": int}
+
+
 def save_checkpoint(params: Params, path: str | Path, hash_seed: int = 0) -> None:
-    """Write a checkpoint: one JSON header line, then raw little-endian float64 weights."""
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "feature_dim": params.feature_dim,
-        "embed_dim": params.embed_dim,
-        "hidden": params.hidden,
-        "hash_seed": hash_seed,
-        "dtype": "<f8",
-        "n_params": len(params),
-    }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
-    tmp.replace(path)
+    """Write a checkpoint (see `blobfile`): the encoder's shape, then its flat weights."""
+    fields = {"feature_dim": params.feature_dim, "embed_dim": params.embed_dim,
+              "hidden": params.hidden, "hash_seed": hash_seed, "dtype": "<f8",
+              "n_params": len(params)}
+    blobfile.write(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, [params.flat])
+
+
+def _checkpoint_lengths(header: dict) -> list[int]:
+    n = Params.n_params(header["feature_dim"], header["embed_dim"], header["hidden"])
+    if header["dtype"] != "<f8" or header["n_params"] != n:
+        raise ValueError(f"dtype and n_params must be '<f8' and {n} for these dimensions")
+    return [n]
 
 
 def load_checkpoint(path: str | Path) -> tuple[Params, dict]:
     """Bit-exact reload of a checkpoint. Returns (params, header)."""
-    with Path(path).open("rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    if flat.shape[0] != header["n_params"]:
-        raise ValueError(f"{path}: checkpoint payload has wrong length")
-    params = Params(
-        header["feature_dim"], header["embed_dim"], header["hidden"], flat=flat
+    header, (flat,) = blobfile.read(
+        path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _CHECKPOINT_FIELDS, _checkpoint_lengths
     )
-    return params, header
+    return Params(header["feature_dim"], header["embed_dim"], header["hidden"], flat=flat), header

@@ -5,13 +5,13 @@ class CorpusFormatError(ValueError):
     """An input data file violates the expected layout."""
 
 
+class BlobFileError(ValueError):
+    """A checkpoint, cluster model or trainer state file is truncated, foreign or inconsistent."""
+
+
 class ConfigError(ValueError):
     """A run-configuration field is missing, malformed, or out of range."""
 
 
 class InvariantError(RuntimeError):
     """An internal numerical contract was violated (finiteness, simplex, monotonicity)."""
-
-
-class OracleConvergenceError(RuntimeError):
-    """A numerical reference optimizer failed to converge within its iteration cap."""

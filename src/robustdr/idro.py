@@ -8,19 +8,20 @@ driven by the loss/gradient similarity matrix
     r[i, j] = (loss_i * loss_j)**beta * dot(grad_i, grad_j)
 
 so clusters whose gradients agree with the others gain weight, anchored to the
-previous step by a KL term of strength ``tau``. An independent numerical
-minimizer of the underlying simplex objective validates the closed form. A
-baseline that simply upweights high-loss groups is also provided.
+previous step by a KL term of strength ``tau``. A baseline that simply
+upweights high-loss groups is also provided. Both updates touch only the
+clusters present in the batch and share one mass-preserving exponentiated
+step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvariantError, OracleConvergenceError
+from .errors import InvariantError
 
 _SIMPLEX_ATOL = 1e-9
 
@@ -56,125 +57,47 @@ def r_matrix(losses: np.ndarray, grads: np.ndarray, beta: float) -> np.ndarray:
     return np.outer(losses, losses) ** beta * (grads @ grads.T)
 
 
-def omega_update(omega_prev: np.ndarray, r: np.ndarray, tau: float) -> np.ndarray:
-    """Closed-form robust-weight update.
-
-    omega_i ~ omega_prev_i * exp(sum_j r[i, j] / tau), renormalized on the
-    simplex, computed with max-subtraction. tau = inf is the frozen limit.
-    """
-    omega_prev = np.asarray(omega_prev, dtype=np.float64)
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+def _exp_update(omega_prev: np.ndarray, z: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """omega_i ~ omega_prev_i * exp(z_i) over the present clusters, with max-subtraction,
+    rescaled to keep their total mass; absent clusters keep their weight exactly."""
     _check_simplex(omega_prev, "omega_prev")
-    if math.isinf(tau):
+    present = np.asarray(present, dtype=bool)
+    if not present.any():
         return omega_prev.copy()
-    z = r.sum(axis=1) / tau
-    z -= z.max()
+    idx = np.flatnonzero(present)
+    z = z[idx] - z[idx].max()
+    e = np.exp(z)
+    mass = omega_prev[idx].sum()
+    scale = mass / float((omega_prev[idx] * e).sum())
+    out = omega_prev.copy()
     # The 1e-300 floor keeps weights strictly positive under extreme
     # concentration; it is far below any tolerance used downstream.
-    w = np.maximum(omega_prev * np.exp(z), 1e-300)
-    return w / w.sum()
+    out[idx] = np.maximum(omega_prev[idx] * e * scale, 1e-300)
+    return out
 
 
 def omega_update_masked(
     omega_prev: np.ndarray, r: np.ndarray, tau: float, present: np.ndarray
 ) -> np.ndarray:
-    """Update only the clusters marked present, freezing the rest exactly.
-
-    The present coordinates are renormalized so their total mass is preserved,
-    which keeps the full vector on the simplex.
-    """
-    omega_prev = np.asarray(omega_prev, dtype=np.float64)
-    present = np.asarray(present, dtype=bool)
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    if math.isinf(tau) or not present.any():
-        return omega_prev.copy()
-    idx = np.flatnonzero(present)
-    z = r.sum(axis=1)[idx] / tau
-    z -= z.max()
-    e = np.exp(z)
-    mass = omega_prev[idx].sum()
-    scale = mass / float((omega_prev[idx] * e).sum())
-    out = omega_prev.copy()
-    out[idx] = np.maximum(omega_prev[idx] * e * scale, 1e-300)
-    return out
-
-
-def omega_oracle(
-    omega_prev: np.ndarray,
-    losses: np.ndarray,
-    grads: np.ndarray,
-    tau: float,
-    beta: float,
-    eta: float = 1.0,
-    tol: float = 1e-8,
-    max_iters: int = 10_000,
-) -> np.ndarray:
-    """Numerically minimize the robust-weight objective on the simplex.
-
-    Minimizes  -eta * sum_i omega_i * s_i  +  tau * KL(omega || omega_prev)
-    with s_i = sum_j r[i, j], via exponentiated-gradient descent, independent
-    of the closed form in `omega_update` (which it matches for eta = 1; other
-    eta values only rescale the effective tau).
-    """
+    """Closed-form robust-weight update, exponents sum_j r[i, j] / tau; tau = inf freezes."""
     omega_prev = np.asarray(omega_prev, dtype=np.float64)
     if not tau > 0:
         raise ValueError("tau must be > 0")
-    _check_simplex(omega_prev, "omega_prev")
-    k = omega_prev.shape[0]
-    if k == 1:
-        return np.ones(1)
     if math.isinf(tau):
+        _check_simplex(omega_prev, "omega_prev")
         return omega_prev.copy()
-
-    s = r_matrix(losses, grads, beta).sum(axis=1)
-    w = omega_prev.copy()
-    lr = 0.5 / tau
-    for _ in range(max_iters):
-        grad_obj = -eta * s + tau * (np.log(w / omega_prev) + 1.0)
-        z = -lr * grad_obj
-        z -= z.max()
-        w_new = w * np.exp(z)
-        w_new = np.maximum(w_new / w_new.sum(), 1e-300)
-        if float(np.max(np.abs(w_new - w))) < tol:
-            return w_new
-        w = w_new
-    raise OracleConvergenceError(
-        f"simplex minimization did not converge within {max_iters} iterations"
-    )
-
-
-def groupdro_update(
-    omega_prev: np.ndarray, losses: np.ndarray, step_size: float
-) -> np.ndarray:
-    """Baseline weighting: omega_i ~ omega_prev_i * exp(step_size * loss_i)."""
-    omega_prev = np.asarray(omega_prev, dtype=np.float64)
-    losses = np.asarray(losses, dtype=np.float64)
-    _check_simplex(omega_prev, "omega_prev")
-    z = step_size * losses
-    z = z - z.max()
-    w = np.maximum(omega_prev * np.exp(z), 1e-300)
-    return w / w.sum()
+    return _exp_update(omega_prev, np.asarray(r).sum(axis=1) / tau, present)
 
 
 def groupdro_update_masked(
     omega_prev: np.ndarray, losses: np.ndarray, step_size: float, present: np.ndarray
 ) -> np.ndarray:
-    """Baseline update restricted to present clusters; absent weights are frozen."""
-    omega_prev = np.asarray(omega_prev, dtype=np.float64)
-    present = np.asarray(present, dtype=bool)
-    if not present.any():
-        return omega_prev.copy()
-    idx = np.flatnonzero(present)
-    z = step_size * np.asarray(losses, dtype=np.float64)[idx]
-    z = z - z.max()
-    e = np.exp(z)
-    mass = omega_prev[idx].sum()
-    scale = mass / float((omega_prev[idx] * e).sum())
-    out = omega_prev.copy()
-    out[idx] = np.maximum(omega_prev[idx] * e * scale, 1e-300)
-    return out
+    """Baseline weighting that upweights high-loss clusters: exponents step_size * loss_i."""
+    return _exp_update(
+        np.asarray(omega_prev, dtype=np.float64),
+        step_size * np.asarray(losses, dtype=np.float64),
+        present,
+    )
 
 
 @dataclass
@@ -202,29 +125,6 @@ class GroupState:
             alpha=uniform.copy(),
             omega=uniform.copy(),
             step=0,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_clusters": self.n_clusters,
-            "beta": self.beta,
-            "tau": self.tau,
-            "losses": self.losses.tolist(),
-            "alpha": self.alpha.tolist(),
-            "omega": self.omega.tolist(),
-            "step": self.step,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupState":
-        return cls(
-            n_clusters=int(d["n_clusters"]),
-            beta=float(d["beta"]),
-            tau=float(d["tau"]),
-            losses=np.asarray(d["losses"], dtype=np.float64),
-            alpha=np.asarray(d["alpha"], dtype=np.float64),
-            omega=np.asarray(d["omega"], dtype=np.float64),
-            step=int(d["step"]),
         )
 
 

@@ -1,22 +1,20 @@
 """Exhaustive dense retrieval, BM25 lexical retrieval, and ranking metrics.
 
 Both retrieval paths rank by descending score with ties broken by
-lexicographic doc id. Dense search is exact top-k over all corpus rows; a
-second, heap-based selection path exists purely so the two implementations can
-be checked against each other.
+lexicographic doc id. Dense search is exact top-k over all corpus rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import blobfile
 from .corpus import Corpus, QrelSet, QuerySet
 from .encoder import EmbeddingMatrix, Featurizer, Params, embed_items
 from .errors import InvariantError
@@ -53,18 +51,6 @@ def search_dense(index: DenseIndex, query_emb: np.ndarray, k: int, query_id: str
     ids = index.embeddings.ids
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
     return RankedList(query_id, tuple((ids[i], float(scores[i])) for i in order))
-
-
-def search_dense_heap(
-    index: DenseIndex, query_emb: np.ndarray, k: int, query_id: str = ""
-) -> RankedList:
-    """Same contract as `search_dense`, selected with a bounded heap instead."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = index.embeddings.matrix @ np.asarray(query_emb, dtype=np.float64)
-    ids = index.embeddings.ids
-    top = heapq.nsmallest(k, range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return RankedList(query_id, tuple((ids[i], float(scores[i])) for i in top))
 
 
 class Bm25Index:
@@ -179,14 +165,14 @@ def rank_all(
     corpus: Corpus,
     queries: QuerySet,
     k: int,
-) -> list[RankedList]:
-    """Dense-rank every query against the full corpus."""
+) -> Iterator[RankedList]:
+    """Dense-rank every query against the full corpus, yielding one ranking at a time."""
     index = DenseIndex(embed_items(params, featurizer, corpus))
     query_emb = embed_items(params, featurizer, queries)
-    return [
+    return (
         search_dense(index, query_emb.matrix[i], k, query_id=qid)
         for i, qid in enumerate(query_emb.ids)
-    ]
+    )
 
 
 def evaluate(
@@ -229,7 +215,7 @@ def evaluate(
 
 def write_trec_run(rankings: Iterable[RankedList], path: str | Path, tag: str = "robustdr") -> None:
     """TREC run-file lines: `qid Q0 docid rank score tag`."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with blobfile.atomic_open(path, "w") as fh:
         for ranked in rankings:
             for rank, (doc_id, score) in enumerate(ranked.results, start=1):
                 fh.write(f"{ranked.query_id} Q0 {doc_id} {rank} {score!r} {tag}\n")

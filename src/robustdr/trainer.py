@@ -21,9 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import clustering, idro, losses, retrieval_eval
+from . import blobfile, clustering, idro, losses, retrieval_eval
 from .corpus import Corpus, QrelSet, QuerySet, sample_span_pair
-from .encoder import EmbeddingMatrix, Featurizer, Params, embed_items, encode_many
+from .encoder import EmbeddingMatrix, Featurizer, Params, encode_many
 from .errors import ConfigError
 from .idro import GroupState
 
@@ -38,7 +38,6 @@ _TAG_BATCH = 4
 WEIGHTINGS = ("idro", "groupdro", "uniform")
 OPTIMIZERS = ("adam", "sgd")
 STAGES = ("pretrain", "finetune")
-GRAD_SCOPES = ("all", "projection")
 
 
 @dataclass
@@ -71,7 +70,6 @@ class RunConfig:
     tau: float = 1.0
     groupdro_step_size: float = 0.1
     omega_carryover: bool = False
-    grad_scope: str = "all"
     in_batch_negatives: bool = False
     # optimizer
     optimizer: str = "adam"
@@ -91,8 +89,6 @@ class RunConfig:
             bad("weighting", f"must be one of {WEIGHTINGS}")
         if self.optimizer not in OPTIMIZERS:
             bad("optimizer", f"must be one of {OPTIMIZERS}")
-        if self.grad_scope not in GRAD_SCOPES:
-            bad("grad_scope", f"must be one of {GRAD_SCOPES}")
         for name in ("feature_dim", "embed_dim", "span_len", "batch_size",
                      "negatives_per_query", "mine_depth", "k_clusters", "kmeans_iters"):
             if int(getattr(self, name)) < 1:
@@ -168,21 +164,6 @@ class Optimizer:
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
         flat -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> dict:
-        state = {"kind": self.kind, "t": self.t}
-        if self.kind == "adam":
-            state["m"] = self.m
-            state["v"] = self.v
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["kind"] != self.kind:
-            raise ConfigError("optimizer: checkpoint was written by a different optimizer kind")
-        self.t = int(state["t"])
-        if self.kind == "adam":
-            self.m = np.asarray(state["m"], dtype=np.float64).copy()
-            self.v = np.asarray(state["v"], dtype=np.float64).copy()
 
 
 def scheduled_lr(base: float, step_idx: int, total_steps: int, warmup_frac: float) -> float:
@@ -287,6 +268,25 @@ def _fallback_pool(
     return [candidates[int(i)] for i in chosen]
 
 
+def _pools(
+    rankings: Iterable[tuple[str, retrieval_eval.RankedList]], corpus: Corpus, qrels: QrelSet,
+    k: int, rng: np.random.Generator | None, source: str,
+) -> tuple[dict[str, list[str]], int]:
+    """Pools from (query id, ranked list) pairs, with the fallback of `mine_negatives`."""
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0))
+    pools: dict[str, list[str]] = {}
+    n_fallback = 0
+    for qid, ranked in rankings:
+        pool = _filter_pool(ranked.doc_ids(), qid, qrels, k)
+        if not pool:
+            logger.warning("query %r: %s top-%d all positive; random negatives", qid, source, k)
+            pool = _fallback_pool(qid, corpus, qrels, k, rng)
+            n_fallback += 1
+        pools[qid] = pool
+    return pools, n_fallback
+
+
 def mine_negatives(
     params: Params,
     featurizer: Featurizer,
@@ -301,21 +301,8 @@ def mine_negatives(
     A query whose retrievals are all positives falls back to seeded random
     non-positive corpus documents (logged). Returns (pools, fallback count).
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
-    index = retrieval_eval.DenseIndex(embed_items(params, featurizer, corpus))
-    query_emb = embed_items(params, featurizer, queries)
-    pools: dict[str, list[str]] = {}
-    n_fallback = 0
-    for i, qid in enumerate(query_emb.ids):
-        ranked = retrieval_eval.search_dense(index, query_emb.matrix[i], k, query_id=qid)
-        pool = _filter_pool(ranked.doc_ids(), qid, qrels, k)
-        if not pool:
-            logger.warning("query %r: dense top-%d all positive; using random negatives", qid, k)
-            pool = _fallback_pool(qid, corpus, qrels, k, rng)
-            n_fallback += 1
-        pools[qid] = pool
-    return pools, n_fallback
+    rankings = retrieval_eval.rank_all(params, featurizer, corpus, queries, k)
+    return _pools(((r.query_id, r) for r in rankings), corpus, qrels, k, rng, "dense")
 
 
 def bm25_negative_pools(
@@ -327,23 +314,10 @@ def bm25_negative_pools(
     index: retrieval_eval.Bm25Index | None = None,
 ) -> tuple[dict[str, list[str]], int]:
     """Warmup pools: BM25 top-k minus judged positives, with the same fallback."""
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
     if index is None:
         index = retrieval_eval.Bm25Index(corpus)
-    pools: dict[str, list[str]] = {}
-    n_fallback = 0
-    for query in queries:
-        ranked = retrieval_eval.search_bm25(index, query.tokens, k)
-        pool = _filter_pool(ranked.doc_ids(), query.id, qrels, k)
-        if not pool:
-            logger.warning(
-                "query %r: no BM25 candidates beyond positives; using random negatives", query.id
-            )
-            pool = _fallback_pool(query.id, corpus, qrels, k, rng)
-            n_fallback += 1
-        pools[query.id] = pool
-    return pools, n_fallback
+    rankings = ((q.id, retrieval_eval.search_bm25(index, q.tokens, k)) for q in queries)
+    return _pools(rankings, corpus, qrels, k, rng, "BM25")
 
 
 @dataclass
@@ -367,20 +341,24 @@ class LogRow:
     total_loss: float
 
 
+STATE_FORMAT = "robustdr-trainer-state"
+STATE_VERSION = 2
+_STATE_FIELDS = {
+    "episodes_done": int, "global_step": int, "optimizer_kind": str, "optimizer_t": int,
+    "n_clusters": int, "cluster_model": (dict, type(None)), "blocks": list,
+}
+
 TRAINING_LOG_HEADER = "step\tepisode\tcluster\tloss\talpha\tomega\ttotal_loss"
 
 
 def write_training_log(rows: Iterable[LogRow], path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
+    with blobfile.atomic_open(path, "w") as fh:
         fh.write(TRAINING_LOG_HEADER + "\n")
         for r in rows:
             fh.write(
                 f"{r.step}\t{r.episode}\t{r.cluster}\t{r.loss!r}\t{r.alpha!r}"
                 f"\t{r.omega!r}\t{r.total_loss!r}\n"
             )
-    tmp.replace(path)
 
 
 @dataclass
@@ -396,8 +374,8 @@ class Finetuner:
     """Episode-based fine-tuning on labeled source data.
 
     State at an episode boundary (weights, optimizer moments, robust weights,
-    episode counter) fully determines the continuation, so saving and
-    reloading it resumes bit-identically.
+    cluster model, episode counter) fully determines the continuation, so
+    saving and reloading it resumes bit-identically.
     """
 
     def __init__(
@@ -440,18 +418,12 @@ class Finetuner:
         self.log_rows: list[LogRow] = []
         self.episode_records: list[EpisodeRecord] = []
         self.cluster_model: clustering.ClusterModel | None = None
-        self._w_size = config.embed_dim * config.feature_dim
 
     # -- episode machinery -------------------------------------------------
 
-    def _embed_queries(self) -> EmbeddingMatrix:
-        return EmbeddingMatrix(
-            ids=tuple(q.id for q in self.queries),
-            matrix=encode_many(self.params, self.query_fvs),
-        )
-
     def _refresh_clusters(self, episode: int) -> None:
-        emb = self._embed_queries()
+        ids = tuple(q.id for q in self.queries)
+        emb = EmbeddingMatrix(ids=ids, matrix=encode_many(self.params, self.query_fvs))
         k = min(self.config.k_clusters, len(self.queries))
         model = clustering.kmeans_fit(
             emb,
@@ -468,7 +440,6 @@ class Finetuner:
             self.group_state.omega = _carryover_omega(old_model, model, old_omega)
         self.group_state.step = self.global_step
         self.cluster_model = model
-        self.assignment = model.assignment
 
     def _refresh_negatives(self, episode: int) -> tuple[str, int]:
         rng = _derived_rng(self.config.seed, _TAG_MINE, episode)
@@ -507,7 +478,7 @@ class Finetuner:
             triplets.append(
                 losses.Triplet(self.query_fvs[int(qi)], self.doc_fvs[pos_id], negatives)
             )
-            clusters.append(self.assignment[query.id])
+            clusters.append(self.cluster_model.assignment[query.id])
         return triplets, np.array(clusters, dtype=np.int64)
 
     def _train_step(self, triplets, clusters, total_steps: int) -> float:
@@ -542,8 +513,7 @@ class Finetuner:
 
         omega_used = state.omega
         if cfg.weighting == "idro":
-            scope = slice(self._w_size, None) if (cfg.grad_scope == "projection" and cfg.hidden) else slice(None)
-            r_sub = idro.r_matrix(new_state.losses[present_list], grads[:, scope], cfg.beta)
+            r_sub = idro.r_matrix(new_state.losses[present_list], grads, cfg.beta)
             r_full = np.zeros((k, k))
             r_full[np.ix_(present_list, present_list)] = r_sub
             new_omega = idro.omega_update_masked(state.omega, r_full, cfg.tau, present)
@@ -613,56 +583,68 @@ class Finetuner:
     # -- persistence ---------------------------------------------------------
 
     def save_state(self, path: str | Path) -> None:
-        """Episode-boundary snapshot sufficient for bit-identical resumption.
+        """Episode-boundary snapshot for bit-identical resumption under the same config.
 
-        Format: one JSON header line, then the named little-endian float64
-        blocks back to back. Bytes are reproducible (no container timestamps).
+        A `blobfile` file; the header names its blocks. Bytes are reproducible.
         """
+        groups = self.group_state
+        model = self.cluster_model
         blocks = {"flat": self.params.flat}
         if self.optimizer.kind == "adam":
-            blocks["adam_m"] = self.optimizer.m
-            blocks["adam_v"] = self.optimizer.v
-        meta = {
-            "format": "robustdr-trainer-state",
-            "version": 1,
+            blocks.update(adam_m=self.optimizer.m, adam_v=self.optimizer.v)
+        blocks.update(losses=groups.losses, alpha=groups.alpha, omega=groups.omega)
+        if model is not None:
+            blocks["centroids"] = model.centroids
+        fields = {
             "episodes_done": self.episodes_done,
             "global_step": self.global_step,
-            "group_state": self.group_state.to_dict(),
-            "optimizer_t": self.optimizer.t,
             "optimizer_kind": self.optimizer.kind,
-            "blocks": [[name, int(arr.shape[0])] for name, arr in blocks.items()],
+            "optimizer_t": self.optimizer.t,
+            "n_clusters": groups.n_clusters,
+            "cluster_model": None if model is None else clustering.cluster_fields(model),
+            "blocks": [[name, int(arr.size)] for name, arr in blocks.items()],
         }
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("wb") as fh:
-            fh.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
-            for arr in blocks.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        tmp.replace(path)
+        blobfile.write(path, STATE_FORMAT, STATE_VERSION, fields, blocks.values())
+
+    def _state_lengths(self, meta: dict) -> list[int]:
+        """The blocks this run expects of a state file, checked against its header."""
+        if meta["optimizer_kind"] != self.optimizer.kind:
+            raise ConfigError("optimizer: state file was written by a different optimizer kind")
+        k, n, model = meta["n_clusters"], len(self.params), meta["cluster_model"]
+        if not 1 <= k <= self.config.k_clusters:
+            raise ValueError(f"{k} clusters, this run allows 1 to {self.config.k_clusters}")
+        expected = [["flat", n]]
+        if self.optimizer.kind == "adam":
+            expected += [["adam_m", n], ["adam_v", n]]
+        expected += [["losses", k], ["alpha", k], ["omega", k]]
+        if model is not None:
+            blobfile.check_fields(model, clustering.CLUSTER_FIELDS)
+            if model["n_clusters"] != k or model["width"] != self.params.embed_dim:
+                raise ValueError("the cluster model does not fit the clusters and encoder")
+            expected.append(["centroids", clustering.centroid_length(model)])
+        if meta["blocks"] != expected:
+            raise ValueError(f"blocks {meta['blocks']} do not match this run's {expected}")
+        return [length for _, length in expected]
 
     def load_state(self, path: str | Path) -> None:
-        with Path(path).open("rb") as fh:
-            meta = json.loads(fh.readline().decode("utf-8"))
-            blob = fh.read()
-        if meta.get("format") != "robustdr-trainer-state":
-            raise ValueError(f"{path}: not a trainer state file")
-        if meta.get("optimizer_kind") != self.optimizer.kind:
-            raise ConfigError("optimizer: state file was written by a different optimizer kind")
-        data = {}
-        offset = 0
-        for name, length in meta["blocks"]:
-            data[name] = np.frombuffer(blob, dtype="<f8", count=length, offset=offset).astype(
-                np.float64
-            )
-            offset += length * 8
-        self.params.flat[:] = data["flat"]
+        meta, arrays = blobfile.read(
+            path, STATE_FORMAT, STATE_VERSION, _STATE_FIELDS, self._state_lengths
+        )
+        blocks = {name: arr for (name, _), arr in zip(meta["blocks"], arrays)}
+        self.params.flat[:] = blocks["flat"]
         if self.optimizer.kind == "adam":
-            self.optimizer.m = data["adam_m"].copy()
-            self.optimizer.v = data["adam_v"].copy()
-        self.optimizer.t = int(meta["optimizer_t"])
-        self.group_state = GroupState.from_dict(meta["group_state"])
-        self.episodes_done = int(meta["episodes_done"])
-        self.global_step = int(meta["global_step"])
+            self.optimizer.m, self.optimizer.v = blocks["adam_m"], blocks["adam_v"]
+        self.optimizer.t = meta["optimizer_t"]
+        self.group_state = dataclasses.replace(
+            self.group_state, n_clusters=meta["n_clusters"], losses=blocks["losses"],
+            alpha=blocks["alpha"], omega=blocks["omega"], step=meta["global_step"],
+        )
+        model = meta["cluster_model"]
+        self.cluster_model = (
+            None if model is None else clustering.cluster_model_from(model, blocks["centroids"])
+        )
+        self.episodes_done = meta["episodes_done"]
+        self.global_step = meta["global_step"]
 
 
 def _carryover_omega(

@@ -250,6 +250,34 @@ class TestExitCodes:
         args[args.index("--corpus") + 1] = str(bad)
         assert main(args) == 3
 
+    def test_malformed_checkpoint_exits_3_naming_path(self, task_dir, tmp_path, capsys):
+        ckpt = tmp_path / "enc.ckpt"
+        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt, hash_seed=0)
+        full_header = ckpt.read_bytes().split(b"\n")[0] + b"\n"
+        for header in (b'{"format": "robustdr-encoder", "version": 1}\n', full_header):
+            ckpt.write_bytes(header)
+            code = main([
+                "evaluate",
+                "--checkpoint", str(ckpt),
+                "--corpus", str(task_dir / "corpus.jsonl"),
+                "--queries", str(task_dir / "queries.jsonl"),
+                "--qrels", str(task_dir / "qrels.tsv"),
+                "--out", str(tmp_path / "ev"),
+            ])
+            assert code == 3
+            assert str(ckpt) in capsys.readouterr().err
+
+    def test_dangling_qrels_exit_3_naming_doc(self, task_dir, tmp_path, capsys):
+        lines = (task_dir / "qrels.tsv").read_text().splitlines()
+        qid = lines[1].split("\t")[0]
+        kept = [line for line in lines if line.split("\t")[0] != qid]
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("\n".join(kept + [f"{qid}\tno-such-doc\t1"]) + "\n")
+        args = finetune_args(task_dir, tmp_path / "x")
+        args[args.index("--qrels") + 1] = str(qrels)
+        assert main(args) == 3
+        assert "no-such-doc" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, task_dir, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["finetune", "--nonsense", "1"])

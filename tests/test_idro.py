@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from robustdr.errors import OracleConvergenceError
 from robustdr.idro import (
     GroupState,
     alpha_weights,
     combine_cluster_grads,
-    groupdro_update,
     groupdro_update_masked,
     idro_loss,
-    omega_oracle,
-    omega_update,
     omega_update_masked,
     r_matrix,
 )
+from tests.oracles import OracleConvergenceError, omega_oracle
+
+
+def omega_update(omega_prev, r, tau):
+    """The masked update with every cluster present."""
+    return omega_update_masked(omega_prev, r, tau, np.ones(len(omega_prev), dtype=bool))
+
+
+def groupdro_update(omega_prev, losses, step_size):
+    """The masked baseline update with every cluster present."""
+    present = np.ones(len(omega_prev), dtype=bool)
+    return groupdro_update_masked(omega_prev, losses, step_size, present)
 
 
 def diag_r(s):

@@ -16,9 +16,9 @@ from robustdr.retrieval_eval import (
     recall_at_k,
     search_bm25,
     search_dense,
-    search_dense_heap,
     write_trec_run,
 )
+from tests.oracles import search_dense_heap
 
 
 def index_from(matrix, ids=None):

@@ -246,24 +246,27 @@ class TestFinetune:
         assert ft.cluster_model.assignment == expected.assignment
 
     def test_resume_is_bit_identical(self, tmp_path):
-        config = tiny_config(episodes=3)
         task = tiny_task()
+        for config in (
+            tiny_config(episodes=3),
+            tiny_config(episodes=3, omega_carryover=True, tau=0.05),
+        ):
+            straight = run_finetune(config, task)
 
-        straight = run_finetune(config, task)
+            params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+            ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
+            ft.run_episode()
+            ft.run_episode()
+            state_path = tmp_path / "state.bin"
+            ft.save_state(state_path)
 
-        params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-        ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
-        ft.run_episode()
-        ft.run_episode()
-        state_path = tmp_path / "state.bin"
-        ft.save_state(state_path)
-
-        fresh_params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-        resumed = Finetuner(config, fresh_params, task.corpus, task.queries, task.qrels)
-        resumed.load_state(state_path)
-        assert resumed.episodes_done == 2
-        result = resumed.run()
-        assert result.params.flat.tobytes() == straight.params.flat.tobytes()
+            fresh_params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+            resumed = Finetuner(config, fresh_params, task.corpus, task.queries, task.qrels)
+            resumed.load_state(state_path)
+            assert resumed.episodes_done == 2
+            result = resumed.run()
+            assert result.params.flat.tobytes() == straight.params.flat.tobytes(), config
+            assert result.group_state.omega.tobytes() == straight.group_state.omega.tobytes()
 
     def test_omega_carryover_flag(self):
         config = tiny_config(episodes=1, steps_per_episode=8, omega_carryover=True, tau=0.05)
