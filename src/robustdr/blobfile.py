@@ -7,9 +7,10 @@ blocks carry no lengths: a reader passes the lengths it expects, derived from
 what it already knows (encoder dimensions, cluster count times width, its own
 parameter count). `read` accepts only a JSON-object header with the expected
 format and version and every required field, and a payload exactly as long as
-the expected blocks; anything else raises `BlobFileError` naming the path,
-which the CLI reports as a data error (exit 3). Writers go through
-`atomic_open`, so a reader never sees a half-written file.
+the expected blocks, holding only finite values; anything else raises
+`BlobFileError` naming the path, which the CLI reports as a data error
+(exit 3). Writers go through `atomic_open`, so a reader never sees a
+half-written file.
 """
 
 from __future__ import annotations
@@ -78,7 +79,11 @@ def read(
     except ValueError as exc:
         raise BlobFileError(f"{path}: {exc}") from None
     offsets = np.cumsum([0] + sizes) * 8
-    return header, [
+    blocks = [
         np.frombuffer(payload, "<f8", n, int(start)).astype(np.float64)
         for n, start in zip(sizes, offsets)
     ]
+    for i, block in enumerate(blocks):
+        if not np.isfinite(block).all():
+            raise BlobFileError(f"{path}: block {i} holds a NaN or infinite value")
+    return header, blocks

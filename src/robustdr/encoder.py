@@ -3,8 +3,10 @@
 One weight set serves both the query and the document tower; the relevance
 score of a (query, document) pair is the plain dot product of their
 embeddings, with no normalization. Forward and backward passes are exact and
-hand-derived so per-group gradients stay available to the robust-weighting
-machinery.
+hand-derived. One backward kernel, `grouped_backward`, returns a batch's
+gradient per group of items (the robust weighting's clusters) on only the
+feature columns the batch touches, from one count matrix of the batch;
+`embedding_backward` is its one-group case scattered into a dense vector.
 """
 
 from __future__ import annotations
@@ -161,34 +163,79 @@ def score(params: Params, q_features: FeatureVector, d_features: FeatureVector) 
     return float(encode(params, q_features) @ encode(params, d_features))
 
 
+def _count_matrix(fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted columns the items touch, and the items' counts on them (items x columns)."""
+    indices = np.concatenate([fv.indices for fv in fvs] or [np.empty(0, dtype=np.int64)])
+    cols, where = np.unique(indices, return_inverse=True)
+    rows = np.repeat(np.arange(len(fvs)), [fv.indices.size for fv in fvs])
+    x = np.zeros((len(fvs), cols.size))
+    x[rows, where] = np.concatenate([fv.counts for fv in fvs] or [np.empty(0)])
+    return cols, x
+
+
+def grouped_backward(
+    params: Params,
+    fvs: Sequence[FeatureVector],
+    emb_grads: np.ndarray,
+    groups: np.ndarray,
+    n_groups: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group parameter gradients on the feature columns the items touch.
+
+    `emb_grads[i]` is d(loss)/d(embedding of fvs[i]) and `groups[i]` in
+    [0, n_groups) is item i's group. Returns (cols, rows): the sorted feature
+    columns any item touches, and row g = [vec dW[:, cols] | vec dH], the
+    gradient of group g's items (dH only with the hidden layer). Every other
+    column of dW is zero, so inner products and weighted sums of rows equal
+    those of the dense gradients.
+    """
+    emb_grads = np.asarray(emb_grads, dtype=np.float64)
+    if emb_grads.shape != (len(fvs), params.embed_dim):
+        raise ValueError("emb_grads must be (n_items, embed_dim)")
+    groups = np.asarray(groups)
+    if groups.shape != (len(fvs),):
+        raise ValueError("groups must hold one group per item")
+    for fv in fvs:
+        _check_features(params, fv)
+    cols, x = _count_matrix(fvs)
+    w_grads = emb_grads
+    if params.H is not None:
+        z = x @ params.W[:, cols].T
+        e = np.tanh(z @ params.H.T)
+        t = emb_grads * (1.0 - e * e)
+        w_grads = t @ params.H
+    w_size = params.embed_dim * cols.size
+    rows = np.zeros((n_groups, w_size + len(params) - params.embed_dim * params.feature_dim))
+    for g in range(n_groups):
+        members = groups == g
+        rows[g, :w_size] = (w_grads[members].T @ x[members]).ravel()
+        if params.H is not None:
+            rows[g, w_size:] = (t[members].T @ z[members]).ravel()
+    return cols, rows
+
+
+def scatter_grad(params: Params, cols: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The dense vector, aligned with ``params.flat``, of one `grouped_backward` row."""
+    grad = np.zeros_like(params.flat)
+    w_size = params.embed_dim * params.feature_dim
+    grad[:w_size].reshape(params.embed_dim, params.feature_dim)[:, cols] = (
+        row[: params.embed_dim * cols.size].reshape(params.embed_dim, cols.size)
+    )
+    grad[w_size:] = row[params.embed_dim * cols.size :]
+    return grad
+
+
 def embedding_backward(
     params: Params, fvs: Sequence[FeatureVector], emb_grads: np.ndarray
 ) -> np.ndarray:
     """Chain per-item embedding gradients back to a flat parameter gradient.
 
     `emb_grads[i]` is d(loss)/d(embedding of fvs[i]); items sharing buckets
-    accumulate. Returns a dense vector aligned with ``params.flat``.
+    accumulate. The one-group case of `grouped_backward`, returned as a dense
+    vector aligned with ``params.flat``.
     """
-    emb_grads = np.asarray(emb_grads, dtype=np.float64)
-    if emb_grads.shape != (len(fvs), params.embed_dim):
-        raise ValueError("emb_grads must be (n_items, embed_dim)")
-    grad = np.zeros_like(params.flat)
-    w_size = params.embed_dim * params.feature_dim
-    grad_w = grad[:w_size].reshape(params.embed_dim, params.feature_dim)
-    grad_h = None if params.H is None else grad[w_size:].reshape(params.embed_dim, params.embed_dim)
-    for fv, g_e in zip(fvs, emb_grads):
-        _check_features(params, fv)
-        if fv.indices.size == 0:
-            continue
-        if params.H is None:
-            grad_w[:, fv.indices] += np.outer(g_e, fv.counts)
-        else:
-            z = params.W[:, fv.indices] @ fv.counts
-            e = np.tanh(params.H @ z)
-            t = g_e * (1.0 - e * e)
-            grad_h += np.outer(t, z)
-            grad_w[:, fv.indices] += np.outer(params.H.T @ t, fv.counts)
-    return grad
+    cols, rows = grouped_backward(params, fvs, emb_grads, np.zeros(len(fvs), dtype=np.intp), 1)
+    return scatter_grad(params, cols, rows[0])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ previous step by a KL term of strength ``tau``. A baseline that simply
 upweights high-loss groups is also provided. Both updates touch only the
 clusters present in the batch and share one mass-preserving exponentiated
 step.
+
+The per-cluster gradients reach `r_matrix` and `combine_cluster_grads` as one
+row per present cluster restricted to the feature columns the batch touches
+(`encoder.grouped_backward`): the gradients are zero elsewhere, so their inner
+products and weighted sums are those of the dense gradients, at the size of
+the batch rather than of the encoder.
 """
 
 from __future__ import annotations
@@ -49,7 +55,10 @@ def alpha_weights(losses: np.ndarray, beta: float) -> np.ndarray:
 
 
 def r_matrix(losses: np.ndarray, grads: np.ndarray, beta: float) -> np.ndarray:
-    """Pairwise loss/gradient similarity: (loss_i*loss_j)**beta * dot(g_i, g_j)."""
+    """Pairwise loss/gradient similarity: (loss_i*loss_j)**beta * dot(g_i, g_j).
+
+    `grads` has one row per cluster, dense or on the batch's touched columns.
+    """
     losses = np.asarray(losses, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] != losses.shape[0]:
@@ -173,7 +182,8 @@ def combine_cluster_grads(
     """Gradient of the weighted scalar objective with the weights held fixed.
 
     Returns  sum_i alpha_i*omega_i*g_i / sum_i alpha_i*omega_i  over present
-    clusters.
+    clusters, in the layout of the rows of `grads` (dense, or on the batch's
+    touched columns for `encoder.scatter_grad`).
     """
     present = np.asarray(present, dtype=bool)
     idx = np.flatnonzero(present)

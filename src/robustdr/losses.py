@@ -42,18 +42,29 @@ def _retrieval(
     params: Params,
     batch: TripletBatch,
     in_batch_negatives: bool,
+    clusters: np.ndarray,
     with_grad: bool,
 ):
+    """Per-item losses and, with `with_grad`, each present cluster's gradient.
+
+    Each cluster is its own sub-batch: an item's in-batch negatives are the
+    positives of the other items of its cluster, and its gradient coefficients
+    are divided by its cluster's size. Row c of the gradients (clusters in
+    ascending id order) is thus the gradient of cluster c's mean loss, kept on
+    the feature columns the batch touches (see `encoder.grouped_backward`).
+    """
     n = len(batch)
-    if n == 0:
-        grad = np.zeros_like(params.flat) if with_grad else None
-        return 0.0, np.empty(0, dtype=np.float64), grad
+    present, group = np.unique(np.asarray(clusters, dtype=np.int64), return_inverse=True)
+    if group.shape != (n,):
+        raise ValueError("clusters must hold one cluster id per item")
+    members = [np.flatnonzero(group == g) for g in range(present.size)]
 
     fvs: list[FeatureVector] = []
+    slot_group: list[int] = []
     q_slots: list[int] = []
     p_slots: list[int] = []
     neg_slots: list[list[int]] = []
-    for item in batch:
+    for item, g in zip(batch, group):
         q_slots.append(len(fvs))
         fvs.append(item.query)
         p_slots.append(len(fvs))
@@ -63,6 +74,7 @@ def _retrieval(
             slots.append(len(fvs))
             fvs.append(neg)
         neg_slots.append(slots)
+        slot_group.extend([g] * (2 + len(slots)))
 
     emb = encoder.encode_many(params, fvs)
     emb_grads = np.zeros_like(emb) if with_grad else None
@@ -71,7 +83,7 @@ def _retrieval(
     for i in range(n):
         cand = [p_slots[i], *neg_slots[i]]
         if in_batch_negatives:
-            cand.extend(p_slots[j] for j in range(n) if j != i)
+            cand.extend(p_slots[j] for j in members[group[i]] if j != i)
         cand = np.array(cand, dtype=np.intp)
         scores = emb[cand] @ emb[q_slots[i]]
         if not np.all(np.isfinite(scores)):
@@ -83,14 +95,16 @@ def _retrieval(
         if with_grad:
             coeff = exps / denom
             coeff[0] -= 1.0
-            coeff /= n  # gradient of the batch mean
+            coeff /= members[group[i]].size  # gradient of the cluster mean
             emb_grads[q_slots[i]] += coeff @ emb[cand]
             emb_grads[cand] += np.outer(coeff, emb[q_slots[i]])
 
-    total = float(np.mean(per_item))
     if not with_grad:
-        return total, per_item, None
-    return total, per_item, encoder.embedding_backward(params, fvs, emb_grads)
+        return per_item, None, None
+    cols, rows = encoder.grouped_backward(
+        params, fvs, emb_grads, np.array(slot_group, dtype=np.intp), present.size
+    )
+    return per_item, cols, rows
 
 
 def retrieval_loss(
@@ -102,15 +116,37 @@ def retrieval_loss(
     `in_batch_negatives` the other items' positives join the denominator.
     Returns (mean loss, per-item losses).
     """
-    total, per_item, _ = _retrieval(params, batch, in_batch_negatives, with_grad=False)
-    return total, per_item
+    one_cluster = np.zeros(len(batch), dtype=np.int64)
+    per_item, _, _ = _retrieval(params, batch, in_batch_negatives, one_cluster, False)
+    return (float(np.mean(per_item)) if len(batch) else 0.0), per_item
 
 
 def retrieval_loss_grad(
     params: Params, batch: TripletBatch, in_batch_negatives: bool = False
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Like `retrieval_loss`, plus the exact gradient of the batch mean."""
-    return _retrieval(params, batch, in_batch_negatives, with_grad=True)
+    if not len(batch):
+        return 0.0, np.empty(0, dtype=np.float64), np.zeros_like(params.flat)
+    one_cluster = np.zeros(len(batch), dtype=np.int64)
+    per_item, cols, rows = _retrieval(params, batch, in_batch_negatives, one_cluster, True)
+    return float(np.mean(per_item)), per_item, encoder.scatter_grad(params, cols, rows[0])
+
+
+def retrieval_cluster_grads(
+    params: Params,
+    batch: TripletBatch,
+    clusters: np.ndarray,
+    in_batch_negatives: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-item losses and the gradient of each present cluster's mean loss.
+
+    ``clusters[i]`` is item i's cluster; each cluster is scored as its own
+    sub-batch, so in-batch negatives stay within it. Returns (per-item losses,
+    touched feature columns, one gradient row per present cluster in
+    ascending id order); `encoder.grouped_backward` gives the row layout and
+    `encoder.scatter_grad` the dense vector of a row.
+    """
+    return _retrieval(params, batch, in_batch_negatives, clusters, True)
 
 
 def _span_matrix(params: Params, batch: SpanPairBatch):

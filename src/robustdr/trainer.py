@@ -4,10 +4,13 @@ Stage one pretrains the encoder contrastively on span pairs drawn from one or
 more corpora. Stage two fine-tunes on labeled source data in episodes: each
 episode re-embeds the training queries, refreshes their K-Means clusters,
 refreshes the negative pools (lexical BM25 negatives for episode 1,
-self-mined dense negatives afterwards), then runs a minibatch loop where
-per-item losses are aggregated per cluster, reweighted by the configured
-strategy, applied as one parameter update, and followed by the robust-weight
-update. Every run is fully determined by (config, seed, data).
+self-mined dense negatives afterwards), then runs a minibatch loop. Each step
+is one forward and one backward over the whole batch, each cluster scored as
+its own sub-batch, giving per-item losses and one gradient row per present
+cluster on the feature columns the batch touches. The per-cluster losses and
+rows are reweighted by the configured strategy, combined into one row,
+scattered into a dense gradient for one parameter update, and followed by the
+robust-weight update. Every run is fully determined by (config, seed, data).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 
 from . import blobfile, clustering, idro, losses, retrieval_eval
 from .corpus import Corpus, QrelSet, QuerySet, sample_span_pair
-from .encoder import EmbeddingMatrix, Featurizer, Params, encode_many
-from .errors import ConfigError
+from .encoder import EmbeddingMatrix, Featurizer, Params, encode_many, scatter_grad
+from .errors import ConfigError, CorpusFormatError
 from .idro import GroupState
 
 logger = logging.getLogger(__name__)
@@ -159,11 +162,23 @@ class Optimizer:
         if self.kind == "sgd":
             flat -= lr * grad
             return
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        flat -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # In place with two temporaries, rounding as the textbook expression
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # flat -= lr*m_hat / (sqrt(v_hat) + eps).
+        tmp = np.multiply(grad, 1.0 - self.beta1)
+        self.m *= self.beta1
+        self.m += tmp
+        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        tmp *= grad
+        self.v *= self.beta2
+        self.v += tmp
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step = np.divide(self.m, 1.0 - self.beta1**self.t)
+        step *= lr
+        step /= tmp
+        flat -= step
 
 
 def scheduled_lr(base: float, step_idx: int, total_steps: int, warmup_frac: float) -> float:
@@ -403,6 +418,12 @@ class Finetuner:
                 logger.warning("query %r has no positive judgments; dropped", query.id)
         if not kept:
             raise ValueError("no training queries with positive judgments")
+        for query in kept:
+            for doc_id in qrels.positives(query.id):
+                if doc_id not in corpus:
+                    raise CorpusFormatError(
+                        f"query {query.id!r} has a positive {doc_id!r} missing from the corpus"
+                    )
         self.queries = kept
         self.query_fvs = [self.featurizer(q.tokens) for q in kept]
         self.positives = {q.id: qrels.positives(q.id) for q in kept}
@@ -486,18 +507,10 @@ class Finetuner:
         state = self.group_state
         k = state.n_clusters
 
-        present_list = sorted(set(int(c) for c in clusters))
-        item_losses = np.empty(len(triplets))
-        grads = np.empty((len(present_list), len(self.params)))
-        for row, c in enumerate(present_list):
-            positions = [i for i, ci in enumerate(clusters) if ci == c]
-            sub = [triplets[i] for i in positions]
-            _, per_item, grad_c = losses.retrieval_loss_grad(
-                self.params, sub, cfg.in_batch_negatives
-            )
-            item_losses[positions] = per_item
-            grads[row] = grad_c
-
+        present_list = np.unique(clusters)
+        item_losses, cols, grads = losses.retrieval_cluster_grads(
+            self.params, triplets, clusters, cfg.in_batch_negatives
+        )
         scalar, new_state = idro.idro_loss(item_losses, clusters, state)
         present = np.zeros(k, dtype=bool)
         present[present_list] = True
@@ -509,7 +522,7 @@ class Finetuner:
             np.ones(len(present_list), dtype=bool),
         )
         lr = scheduled_lr(cfg.learning_rate, self.global_step, total_steps, cfg.warmup_frac)
-        self.optimizer.step(self.params.flat, combined, lr)
+        self.optimizer.step(self.params.flat, scatter_grad(self.params, cols, combined), lr)
 
         omega_used = state.omega
         if cfg.weighting == "idro":
@@ -528,7 +541,7 @@ class Finetuner:
         self.group_state = new_state
 
         episode = self.episodes_done + 1
-        for c in present_list:
+        for c in present_list.tolist():
             self.log_rows.append(
                 LogRow(
                     step=self.global_step,

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from robustdr.encoder import encode_many
 from robustdr.idro import r_matrix
 from robustdr.retrieval_eval import DenseIndex, RankedList
 
@@ -68,3 +69,80 @@ def search_dense_heap(
     ids = index.embeddings.ids
     top = heapq.nsmallest(k, range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return RankedList(query_id, tuple((ids[i], float(scores[i])) for i in top))
+
+
+def dense_embedding_backward(params, fvs, emb_grads) -> np.ndarray:
+    """Item-by-item dense backward: one outer product per item into a P-long vector."""
+    grad = np.zeros_like(params.flat)
+    w_size = params.embed_dim * params.feature_dim
+    grad_w = grad[:w_size].reshape(params.embed_dim, params.feature_dim)
+    grad_h = None if params.H is None else grad[w_size:].reshape(params.embed_dim, params.embed_dim)
+    for fv, g_e in zip(fvs, emb_grads):
+        if fv.indices.size == 0:
+            continue
+        if params.H is None:
+            grad_w[:, fv.indices] += np.outer(g_e, fv.counts)
+        else:
+            z = params.W[:, fv.indices] @ fv.counts
+            e = np.tanh(params.H @ z)
+            t = g_e * (1.0 - e * e)
+            grad_h += np.outer(t, z)
+            grad_w[:, fv.indices] += np.outer(params.H.T @ t, fv.counts)
+    return grad
+
+
+def dense_retrieval_loss_grad(params, batch, in_batch_negatives=False):
+    """Per-item losses and the dense gradient of the batch mean, item by item."""
+    n = len(batch)
+    fvs, q_slots, cand_slots = [], [], []
+    for item in batch:
+        q_slots.append(len(fvs))
+        fvs.append(item.query)
+        cand_slots.append(list(range(len(fvs), len(fvs) + 1 + len(item.negatives))))
+        fvs.extend([item.positive, *item.negatives])
+    emb = encode_many(params, fvs)
+    emb_grads = np.zeros_like(emb)
+    per_item = np.empty(n)
+    for i in range(n):
+        cand = list(cand_slots[i])
+        if in_batch_negatives:
+            cand.extend(cand_slots[j][0] for j in range(n) if j != i)
+        scores = emb[cand] @ emb[q_slots[i]]
+        m = float(np.max(scores))
+        exps = np.exp(scores - m)
+        denom = float(np.sum(exps))
+        per_item[i] = m + np.log(denom) - scores[0]
+        coeff = exps / denom
+        coeff[0] -= 1.0
+        coeff /= n
+        emb_grads[q_slots[i]] += coeff @ emb[cand]
+        emb_grads[cand] += np.outer(coeff, emb[q_slots[i]])
+    return per_item, dense_embedding_backward(params, fvs, emb_grads)
+
+
+def per_cluster_reference(params, batch, clusters, in_batch_negatives=False):
+    """One dense loss and backward per present cluster, stacked K x P.
+
+    Returns (per-item losses, present cluster ids ascending, dense gradient
+    stack with one row per present cluster).
+    """
+    clusters = np.asarray(clusters)
+    present = sorted(set(int(c) for c in clusters))
+    item_losses = np.empty(len(batch))
+    grads = np.empty((len(present), len(params)))
+    for row, c in enumerate(present):
+        positions = [i for i, ci in enumerate(clusters) if ci == c]
+        per_item, grads[row] = dense_retrieval_loss_grad(
+            params, [batch[i] for i in positions], in_batch_negatives
+        )
+        item_losses[positions] = per_item
+    return item_losses, np.array(present), grads
+
+
+def adam_reference(flat, m, v, grad, lr, t, beta1, beta2, eps):
+    """The textbook Adam step t (1-based); returns new (flat, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return flat - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

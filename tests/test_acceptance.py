@@ -21,7 +21,7 @@ from robustdr import idro, losses
 from robustdr.clustering import kmeans_fit
 from robustdr.corpus import Query
 from robustdr.diagnostics import alignment, uniformity
-from robustdr.encoder import EmbeddingMatrix, Featurizer, Params
+from robustdr.encoder import EmbeddingMatrix, Featurizer, Params, scatter_grad
 from robustdr.retrieval_eval import Bm25Index, QrelSet, RankedList, ndcg_at_k, search_bm25
 from robustdr.textstats import classify_intent, intent_similarity, weighted_jaccard
 from tests.conftest import random_feature_vector
@@ -140,6 +140,13 @@ def test_criterion_2_gradient_exactness():
             )
             numeric = central_differences(params, composite)
             worst_idro = max(worst_idro, rel_err(analytic, numeric))
+
+            # the same composite from the one-pass per-cluster kernel
+            _, cols, rows = losses.retrieval_cluster_grads(params, batch, np.array([4, 4, 9]))
+            batched = scatter_grad(
+                params, cols, idro.combine_cluster_grads(rows, alpha, omega, np.ones(2, dtype=bool))
+            )
+            worst_idro = max(worst_idro, rel_err(batched, numeric))
 
         elapsed = time.monotonic() - start
         assert worst_retrieval < 1e-4, f"retrieval loss rel err {worst_retrieval:.2e}"

@@ -130,6 +130,17 @@ def test_missing_header_field(fmt, data):
     rejects(fmt, with_header(fmt, {k: v for k, v in fmt.header.items() if k != name}))
 
 
+@given(st.data())
+def test_non_finite_value_in_any_block(fmt, data):
+    slot = data.draw(st.integers(0, len(fmt.payload) // 8 - 1))
+    value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    payload = bytearray(fmt.payload)
+    payload[8 * slot : 8 * slot + 8] = np.array([value], dtype="<f8").tobytes()
+    fmt.probe.write_bytes(fmt.data[: len(fmt.data) - len(fmt.payload)] + bytes(payload))
+    with pytest.raises(BlobFileError, match=re.escape(str(fmt.probe)) + r": block \d+ "):
+        fmt.load(fmt.probe)
+
+
 @pytest.fixture(scope="module")
 def saved_state(tmp_path_factory):
     """A trainer state of `tiny_config` (512 x 8 encoder, 3 clusters) after one episode."""

@@ -267,6 +267,22 @@ class TestExitCodes:
             assert code == 3
             assert str(ckpt) in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_exits_3_naming_path(self, task_dir, tmp_path, capsys):
+        ckpt = tmp_path / "enc.ckpt"
+        params = Params.init_random(256, 8, seed=0)
+        params.flat[17] = np.nan
+        save_checkpoint(params, ckpt, hash_seed=0)
+        code = main([
+            "evaluate",
+            "--checkpoint", str(ckpt),
+            "--corpus", str(task_dir / "corpus.jsonl"),
+            "--queries", str(task_dir / "queries.jsonl"),
+            "--qrels", str(task_dir / "qrels.tsv"),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 3
+        assert str(ckpt) in capsys.readouterr().err
+
     def test_dangling_qrels_exit_3_naming_doc(self, task_dir, tmp_path, capsys):
         lines = (task_dir / "qrels.tsv").read_text().splitlines()
         qid = lines[1].split("\t")[0]

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from robustdr.encoder import Featurizer, Params, encode
+from robustdr.encoder import Featurizer, Params, encode, scatter_grad
 from robustdr.errors import InvariantError
+from robustdr.idro import combine_cluster_grads, r_matrix
 from robustdr.losses import (
     Triplet,
     coco_loss,
     coco_loss_grad,
     coco_top1_accuracy,
+    retrieval_cluster_grads,
     retrieval_loss,
     retrieval_loss_grad,
 )
 from tests.conftest import random_feature_vector
+from tests.oracles import dense_retrieval_loss_grad, per_cluster_reference
 
 
 def make_triplet(featurizer, rng, n_neg=2):
@@ -269,3 +272,71 @@ class TestGradients:
         doubled = batch + batch
         _, _, grad2 = retrieval_loss_grad(params, doubled)
         np.testing.assert_allclose(grad2, grad, atol=1e-12)
+
+
+def max_rel(a, b):
+    """Largest absolute difference relative to the largest magnitude of the reference."""
+    return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
+
+
+class TestClusterGrads:
+    """The one-pass per-cluster gradients against one dense loss+backward per cluster."""
+
+    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_matches_dense_per_cluster_reference(self, hidden, in_batch):
+        rng = np.random.Generator(np.random.PCG64(31 + 2 * hidden + in_batch))
+        featurizer = Featurizer(dim=64, seed=9)
+        docs = [random_feature_vector(featurizer, rng) for _ in range(12)]
+        for trial in range(10):
+            params = Params.init_random(64, 5, hidden=hidden, seed=trial)
+            k = trial % 5 + 1
+            ids = rng.choice(9, size=k, replace=False)
+            n = int(rng.integers(k, 13))
+            # documents drawn from a small pool, so they repeat within the batch
+            batch = [
+                Triplet(
+                    random_feature_vector(featurizer, rng),
+                    docs[int(rng.integers(len(docs)))],
+                    tuple(docs[int(j)] for j in rng.integers(len(docs), size=int(rng.integers(1, 4)))),
+                )
+                for _ in range(n)
+            ]
+            clusters = np.concatenate([ids, rng.choice(ids, size=n - k)])
+            rng.shuffle(clusters)
+
+            losses, cols, rows = retrieval_cluster_grads(params, batch, clusters, in_batch)
+            ref_losses, present, dense = per_cluster_reference(params, batch, clusters, in_batch)
+            assert losses.tobytes() == ref_losses.tobytes()
+            assert rows.shape[0] == present.size == k
+            # relative to the whole stack: a cluster whose terms cancel has a zero gradient
+            assert max_rel(np.array([scatter_grad(params, cols, row) for row in rows]), dense) < 1e-10
+
+            cluster_losses = rng.uniform(0.1, 2.0, size=k)
+            assert max_rel(r_matrix(cluster_losses, rows, 0.25),
+                           r_matrix(cluster_losses, dense, 0.25)) < 1e-10
+            alpha, omega = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+            mask = np.ones(k, dtype=bool)
+            combined = scatter_grad(params, cols, combine_cluster_grads(rows, alpha, omega, mask))
+            assert max_rel(combined, combine_cluster_grads(dense, alpha, omega, mask)) < 1e-10
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_one_cluster_is_retrieval_loss_grad(self, hidden, rng):
+        featurizer = Featurizer(dim=40, seed=2)
+        params = Params.init_random(40, 4, hidden=hidden, seed=8)
+        batch = [make_triplet(featurizer, rng) for _ in range(5)]
+        total, per_item, grad = retrieval_loss_grad(params, batch, in_batch_negatives=True)
+        ref_items, ref_grad = dense_retrieval_loss_grad(params, batch, in_batch_negatives=True)
+        assert per_item.tobytes() == ref_items.tobytes()
+        assert total == float(np.mean(ref_items))
+        assert max_rel(grad, ref_grad) < 1e-10
+
+    def test_in_batch_negatives_stay_within_cluster(self, small_encoder, rng):
+        params, featurizer = small_encoder
+        batch = [make_triplet(featurizer, rng) for _ in range(4)]
+        clusters = np.array([3, 1, 3, 1])
+        losses, _, _ = retrieval_cluster_grads(params, batch, clusters, in_batch_negatives=True)
+        for c in (1, 3):
+            members = np.flatnonzero(clusters == c)
+            _, alone = retrieval_loss(params, [batch[i] for i in members], True)
+            assert losses[members].tobytes() == alone.tobytes()

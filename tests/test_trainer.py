@@ -1,22 +1,27 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
+from robustdr import experiments
 from robustdr.encoder import Featurizer, Params
-from robustdr.errors import ConfigError
-from robustdr.synthetic import make_imbalanced_source
+from robustdr.errors import ConfigError, CorpusFormatError
+from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
 from robustdr.trainer import (
     Finetuner,
+    Optimizer,
     RunConfig,
     _derived_rng,
+    _TAG_BATCH,
     _TAG_KMEANS,
     mine_negatives,
     pretrain_coco,
     scheduled_lr,
 )
+from tests.oracles import adam_reference
 
 
 def tiny_task():
@@ -86,6 +91,43 @@ class TestRunConfig:
     def test_invalid_values_name_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value})
+
+
+class TestOptimizer:
+    def test_adam_bytes_equal_textbook_steps(self, tmp_path):
+        config = tiny_config(optimizer="adam")
+        rng = np.random.Generator(np.random.PCG64(3))
+        n = 1000
+        opt = Optimizer(config, n)
+        flat = rng.normal(size=n)
+        ref = (flat.copy(), np.zeros(n), np.zeros(n))
+        hp = (config.adam_beta1, config.adam_beta2, config.adam_eps)
+        for t in range(1, 5):
+            grad = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
+            lr = 0.05 / t
+            opt.step(flat, grad, lr)
+            ref = adam_reference(*ref, grad, lr, t, *hp)
+            assert flat.tobytes() == ref[0].tobytes()
+            assert opt.m.tobytes() == ref[1].tobytes()
+            assert opt.v.tobytes() == ref[2].tobytes()
+
+        # one more step, on moments reloaded from a trainer state
+        task = tiny_task()
+        writer = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
+                           task.queries, task.qrels)
+        writer.run_episode()
+        writer.save_state(tmp_path / "state.bin")
+        ft = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
+                       task.queries, task.qrels)
+        ft.load_state(tmp_path / "state.bin")
+        opt = ft.optimizer
+        grad = rng.normal(size=len(ft.params))
+        ref = adam_reference(ft.params.flat.copy(), opt.m.copy(), opt.v.copy(), grad, 0.01,
+                             opt.t + 1, *hp)
+        opt.step(ft.params.flat, grad, 0.01)
+        assert ft.params.flat.tobytes() == ref[0].tobytes()
+        assert opt.m.tobytes() == ref[1].tobytes()
+        assert opt.v.tobytes() == ref[2].tobytes()
 
 
 class TestScheduledLr:
@@ -219,6 +261,35 @@ class TestFinetune:
             ft = Finetuner(config, params, task.corpus, queries, task.qrels)
         assert all(q.id != "orphan" for q in ft.queries)
         assert any("orphan" in rec.message for rec in caplog.records)
+
+    def test_positive_missing_from_corpus_rejected_before_training(self):
+        task = tiny_task()
+        qid = next(q.id for q in task.queries if task.qrels.positives(q.id))
+        grades = {(q, d): g for q in task.qrels.query_ids if q != qid
+                  for d, g in task.qrels.judged(q).items()}
+        grades[(qid, "no-such-doc")] = 1
+        config = tiny_config()
+        params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+        with pytest.raises(CorpusFormatError, match="no-such-doc"):
+            Finetuner(config, params, task.corpus, task.queries, QrelSet(grades))
+
+    def test_default_size_step_peak_memory(self):
+        """One default-size step allocates a few parameter-sized vectors, not one per cluster."""
+        source, _ = make_two_domain_benchmark(seed=experiments._BENCHMARK_SEED)
+        config = RunConfig()
+        params = Params.init_random(config.feature_dim, config.embed_dim, seed=0)
+        ft = Finetuner(config, params, source.corpus, source.queries, source.qrels)
+        ft._refresh_clusters(1)
+        ft._refresh_negatives(1)
+        triplets, clusters = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
+        assert len(set(clusters.tolist())) > 6
+        tracemalloc.start()
+        try:
+            ft._train_step(triplets, clusters, total_steps=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(params) * 8
 
     def test_episode_boundary_cluster_contract(self):
         """Episode e's clusters are fit on embeddings from the params that ended e-1."""
