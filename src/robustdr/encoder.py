@@ -205,7 +205,8 @@ def grouped_backward(
         t = emb_grads * (1.0 - e * e)
         w_grads = t @ params.H
     w_size = params.embed_dim * cols.size
-    rows = np.zeros((n_groups, w_size + len(params) - params.embed_dim * params.feature_dim))
+    h_size = 0 if params.H is None else params.H.size
+    rows = np.zeros((n_groups, w_size + h_size))
     for g in range(n_groups):
         members = groups == g
         rows[g, :w_size] = (w_grads[members].T @ x[members]).ravel()

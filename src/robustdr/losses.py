@@ -45,14 +45,8 @@ def _retrieval(
     clusters: np.ndarray,
     with_grad: bool,
 ):
-    """Per-item losses and, with `with_grad`, each present cluster's gradient.
-
-    Each cluster is its own sub-batch: an item's in-batch negatives are the
-    positives of the other items of its cluster, and its gradient coefficients
-    are divided by its cluster's size. Row c of the gradients (clusters in
-    ascending id order) is thus the gradient of cluster c's mean loss, kept on
-    the feature columns the batch touches (see `encoder.grouped_backward`).
-    """
+    """Per-item losses and, with `with_grad`, per-cluster gradients; see
+    `retrieval_cluster_grads`."""
     n = len(batch)
     present, group = np.unique(np.asarray(clusters, dtype=np.int64), return_inverse=True)
     if group.shape != (n,):
@@ -140,11 +134,13 @@ def retrieval_cluster_grads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-item losses and the gradient of each present cluster's mean loss.
 
-    ``clusters[i]`` is item i's cluster; each cluster is scored as its own
-    sub-batch, so in-batch negatives stay within it. Returns (per-item losses,
-    touched feature columns, one gradient row per present cluster in
-    ascending id order); `encoder.grouped_backward` gives the row layout and
-    `encoder.scatter_grad` the dense vector of a row.
+    ``clusters[i]`` is item i's cluster. Each cluster is its own sub-batch: an
+    item's in-batch negatives are the positives of the other items of its
+    cluster, and its gradient coefficients are divided by its cluster's size.
+    Returns (per-item losses, the feature columns the batch touches, one
+    gradient row per present cluster in ascending id order); see
+    `encoder.grouped_backward` for the row layout and `encoder.scatter_grad`
+    for the dense vector of a row.
     """
     return _retrieval(params, batch, in_batch_negatives, clusters, True)
 

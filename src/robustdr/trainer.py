@@ -418,15 +418,15 @@ class Finetuner:
                 logger.warning("query %r has no positive judgments; dropped", query.id)
         if not kept:
             raise ValueError("no training queries with positive judgments")
-        for query in kept:
-            for doc_id in qrels.positives(query.id):
+        self.positives = {q.id: qrels.positives(q.id) for q in kept}
+        for qid, pos_ids in self.positives.items():
+            for doc_id in pos_ids:
                 if doc_id not in corpus:
                     raise CorpusFormatError(
-                        f"query {query.id!r} has a positive {doc_id!r} missing from the corpus"
+                        f"query {qid!r} has a positive {doc_id!r} missing from the corpus"
                     )
         self.queries = kept
         self.query_fvs = [self.featurizer(q.tokens) for q in kept]
-        self.positives = {q.id: qrels.positives(q.id) for q in kept}
         self.doc_fvs = {doc.id: self.featurizer(doc.tokens) for doc in corpus}
         self.bm25 = retrieval_eval.Bm25Index(corpus)
 

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr import experiments
+from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr.encoder import Featurizer, Params
 from robustdr.errors import ConfigError, CorpusFormatError
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
