@@ -152,9 +152,18 @@ def encode(params: Params, fv: FeatureVector) -> np.ndarray:
 
 
 def encode_many(params: Params, fvs: Sequence[FeatureVector]) -> np.ndarray:
+    """One `encode` row per feature vector.
+
+    A `FeatureVector` object that repeats in `fvs` is encoded once and its
+    row copied (keyed on object identity; `fvs` keeps the objects alive for
+    the call). `encode` is a pure function of (params, fv), so the rows equal
+    those of per-item `encode` bit for bit.
+    """
     out = np.empty((len(fvs), params.embed_dim), dtype=np.float64)
+    first: dict[int, int] = {}
     for i, fv in enumerate(fvs):
-        out[i] = encode(params, fv)
+        j = first.setdefault(id(fv), i)
+        out[i] = encode(params, fv) if j == i else out[j]
     return out
 
 

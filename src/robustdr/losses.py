@@ -33,11 +33,6 @@ TripletBatch = Sequence[Triplet]
 SpanPairBatch = Sequence[tuple[FeatureVector, FeatureVector]]
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    return m + float(np.log(np.sum(np.exp(values - m))))
-
-
 def _retrieval(
     params: Params,
     batch: TripletBatch,

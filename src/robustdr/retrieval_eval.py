@@ -1,7 +1,12 @@
 """Exhaustive dense retrieval, BM25 lexical retrieval, and ranking metrics.
 
 Both retrieval paths rank by descending score with ties broken by
-lexicographic doc id. Dense search is exact top-k over all corpus rows.
+lexicographic doc id, through one top-k selector (`_top_k`): a partition at
+the k-th best score keeps every row scoring at least that score, so ties at
+the boundary all survive; the survivors are ordered by score, then by the
+rank of their doc id among the ids sorted as Python strings (computed once
+per index), and the first k are kept. ``-0.0`` and ``0.0`` tie. Dense search
+is exact top-k over all corpus rows; BM25 ranks the rows any query token hits.
 """
 
 from __future__ import annotations
@@ -29,6 +34,26 @@ class RankedList:
         return tuple(doc_id for doc_id, _ in self.results)
 
 
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position when the ids are sorted as Python strings."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def _top_k(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best scores: score descending, then rank ascending."""
+    neg = -scores
+    rows = np.arange(neg.size)
+    if k < neg.size:
+        rows = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return rows[np.lexsort((rank[rows], neg[rows]))][:k]
+
+
+def _ranked(query_id: str, ids: Sequence[str], scores: np.ndarray, top: np.ndarray) -> RankedList:
+    return RankedList(query_id, tuple(zip([ids[i] for i in top.tolist()], scores[top].tolist())))
+
+
 class DenseIndex:
     """Immutable exhaustive index over corpus embeddings."""
 
@@ -36,6 +61,7 @@ class DenseIndex:
         if len(embeddings) == 0:
             raise ValueError("cannot build a dense index from zero embeddings")
         self.embeddings = embeddings
+        self.rank = _id_ranks(embeddings.ids)
 
     def __len__(self) -> int:
         return len(self.embeddings)
@@ -48,27 +74,38 @@ def search_dense(index: DenseIndex, query_emb: np.ndarray, k: int, query_id: str
     scores = index.embeddings.matrix @ np.asarray(query_emb, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise InvariantError("non-finite dense retrieval score")
-    ids = index.embeddings.ids
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
-    return RankedList(query_id, tuple((ids[i], float(scores[i])) for i in order))
+    return _ranked(query_id, index.embeddings.ids, scores, _top_k(scores, index.rank, k))
 
 
 class Bm25Index:
-    """Inverted lists token -> (row, term frequency), plus length statistics."""
+    """Array postings token -> (rows, term frequencies), plus length statistics.
+
+    Each token maps to the ascending rows of the documents holding it (intp)
+    and its term frequency in each (float64); a row appears at most once per
+    token.
+    """
 
     def __init__(self, corpus: Corpus):
         self.ids = tuple(doc.id for doc in corpus)
-        self.postings: dict[str, list[tuple[int, int]]] = {}
+        lists: dict[str, tuple[list[int], list[int]]] = {}
         self.doc_len = np.zeros(len(self.ids), dtype=np.float64)
         for row, doc in enumerate(corpus):
             self.doc_len[row] = len(doc.tokens)
             for token, tf in Counter(doc.tokens).items():
-                self.postings.setdefault(token, []).append((row, tf))
+                rows, tfs = lists.setdefault(token, ([], []))
+                rows.append(row)
+                tfs.append(tf)
+        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {
+            token: (np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.float64))
+            for token, (rows, tfs) in lists.items()
+        }
         self.n_docs = len(self.ids)
         self.avgdl = float(self.doc_len.mean()) if self.n_docs else 0.0
+        self.rank = _id_ranks(self.ids)
 
     def idf(self, token: str) -> float:
-        df = len(self.postings.get(token, ()))
+        posting = self.postings.get(token)
+        df = 0 if posting is None else posting[0].size
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
 
@@ -83,22 +120,23 @@ def search_bm25(
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). Only documents containing at
     least one query token are scored; an empty query yields an empty list.
+    Each distinct query token adds its term to its posting rows in one array
+    operation, in first-occurrence order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not query_tokens:
-        return RankedList("", ())
-    scores: dict[int, float] = {}
+    scores = np.zeros(index.n_docs)
+    hit = np.zeros(index.n_docs, dtype=bool)
     for token, qtf in Counter(query_tokens).items():
-        postings = index.postings.get(token)
-        if not postings:
+        posting = index.postings.get(token)
+        if posting is None:
             continue
-        idf = index.idf(token)
-        for row, tf in postings:
-            norm = k1 * (1.0 - b + b * index.doc_len[row] / index.avgdl)
-            scores[row] = scores.get(row, 0.0) + qtf * idf * tf * (k1 + 1.0) / (tf + norm)
-    order = sorted(scores, key=lambda row: (-scores[row], index.ids[row]))[:k]
-    return RankedList("", tuple((index.ids[row], scores[row]) for row in order))
+        rows, tf = posting
+        norm = k1 * (1.0 - b + b * index.doc_len[rows] / index.avgdl)
+        scores[rows] += qtf * index.idf(token) * tf * (k1 + 1.0) / (tf + norm)
+        hit[rows] = True
+    rows = np.flatnonzero(hit)
+    return _ranked("", index.ids, scores, rows[_top_k(scores[rows], index.rank[rows], k)])
 
 
 def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int = 10) -> float | None:

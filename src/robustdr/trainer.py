@@ -261,10 +261,10 @@ def _sample_pair_features(doc, span_len, featurizer, rng):
     return featurizer(pair[0]), featurizer(pair[1])
 
 
-def _filter_pool(ranked_ids: Iterable[str], qid: str, qrels: QrelSet, depth: int) -> list[str]:
+def _filter_pool(ranked_ids: Iterable[str], positives: set[str], depth: int) -> list[str]:
     pool = []
     for did in ranked_ids:
-        if qrels.grade(qid, did) <= 0:
+        if did not in positives:
             pool.append(did)
             if len(pool) >= depth:
                 break
@@ -272,9 +272,9 @@ def _filter_pool(ranked_ids: Iterable[str], qid: str, qrels: QrelSet, depth: int
 
 
 def _fallback_pool(
-    qid: str, corpus: Corpus, qrels: QrelSet, depth: int, rng: np.random.Generator
+    qid: str, positives: set[str], corpus: Corpus, depth: int, rng: np.random.Generator
 ) -> list[str]:
-    candidates = [did for did in corpus.ids if qrels.grade(qid, did) <= 0]
+    candidates = [did for did in corpus.ids if did not in positives]
     if not candidates:
         logger.warning("query %r: corpus has no non-positive documents; empty pool", qid)
         return []
@@ -293,10 +293,11 @@ def _pools(
     pools: dict[str, list[str]] = {}
     n_fallback = 0
     for qid, ranked in rankings:
-        pool = _filter_pool(ranked.doc_ids(), qid, qrels, k)
+        positives = set(qrels.positives(qid))
+        pool = _filter_pool(ranked.doc_ids(), positives, k)
         if not pool:
             logger.warning("query %r: %s top-%d all positive; random negatives", qid, source, k)
-            pool = _fallback_pool(qid, corpus, qrels, k, rng)
+            pool = _fallback_pool(qid, positives, corpus, k, rng)
             n_fallback += 1
         pools[qid] = pool
     return pools, n_fallback

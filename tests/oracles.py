@@ -2,6 +2,7 @@
 
 import heapq
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -69,6 +70,31 @@ def search_dense_heap(
     ids = index.embeddings.ids
     top = heapq.nsmallest(k, range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return RankedList(query_id, tuple((ids[i], float(scores[i])) for i in top))
+
+
+def search_bm25_reference(corpus, query_tokens, k, k1=0.9, b=0.4):
+    """Same contract as `search_bm25`, from dict postings of (row, tf) pairs scored one
+    posting at a time and a full sort; scores come back as numpy floats."""
+    ids = tuple(doc.id for doc in corpus)
+    postings: dict[str, list[tuple[int, int]]] = {}
+    doc_len = np.zeros(len(ids), dtype=np.float64)
+    for row, doc in enumerate(corpus):
+        doc_len[row] = len(doc.tokens)
+        for token, tf in Counter(doc.tokens).items():
+            postings.setdefault(token, []).append((row, tf))
+    avgdl = float(doc_len.mean()) if ids else 0.0
+    scores: dict[int, float] = {}
+    for token, qtf in Counter(query_tokens).items():
+        token_postings = postings.get(token)
+        if not token_postings:
+            continue
+        df = len(token_postings)
+        idf = math.log(1.0 + (len(ids) - df + 0.5) / (df + 0.5))
+        for row, tf in token_postings:
+            norm = k1 * (1.0 - b + b * doc_len[row] / avgdl)
+            scores[row] = scores.get(row, 0.0) + qtf * idf * tf * (k1 + 1.0) / (tf + norm)
+    order = sorted(scores, key=lambda row: (-scores[row], ids[row]))[:k]
+    return RankedList("", tuple((ids[row], scores[row]) for row in order))
 
 
 def dense_embedding_backward(params, fvs, emb_grads) -> np.ndarray:

@@ -256,6 +256,7 @@ def test_criterion_5_kmeans():
         assert agreement == 1.0
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_coco_experiment():
     """Pretraining on the corpora beats no pretraining on target nDCG@10,
     with non-overlapping min/max bands over 3 seeds."""
@@ -272,6 +273,7 @@ def test_criterion_6_directional_coco_experiment():
         assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_idro_experiment():
     """Weighting strategies on the 85/15 task, seed-mean qualitative ordering:
     groupdro lowest on the rare group, idro below uniform on the rare group,

@@ -72,6 +72,16 @@ class TestEncode:
                     expected = np.tanh(params.H @ expected)
                 np.testing.assert_allclose(encode(params, fv), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_encode_many_with_repeats_equals_per_item_encode(self, hidden, rng):
+        featurizer = Featurizer(dim=40, seed=2)
+        params = Params.init_random(40, 5, hidden=hidden, seed=9)
+        distinct = [random_feature_vector(featurizer, rng) for _ in range(6)]
+        fvs = [distinct[int(i)] for i in rng.integers(6, size=30)]
+        fvs += [featurizer(["tok1", "tok2"]), featurizer(["tok3"])]  # equal content, new objects
+        expected = np.stack([encode(params, fv) for fv in fvs])
+        assert encode_many(params, fvs).tobytes() == expected.tobytes()
+
     def test_homogeneous_in_w_linear_config(self, rng):
         featurizer = Featurizer(dim=30, seed=1)
         params = Params.init_random(30, 4, seed=4)

@@ -140,14 +140,12 @@ class TestRetrievalLoss:
             losses.append(retrieval_loss(params, [Triplet(q, pos, (neg,))])[0])
         assert losses[0] > losses[1] > losses[2]
 
-    def test_nan_scores_rejected(self):
-        featurizer = Featurizer(dim=4, seed=0)
-        flat = np.zeros(4)
-        flat[0] = np.nan
-        params = Params.__new__(Params)  # bypass the finite check to plant a NaN
-        object.__setattr__ if False else None
-        with pytest.raises(InvariantError):
-            Params(feature_dim=4, embed_dim=1, flat=flat)
+    def test_nan_scores_rejected(self, small_encoder, rng):
+        params, featurizer = small_encoder
+        batch = [make_triplet(featurizer, rng)]
+        params.W[:, batch[0].query.indices[0]] = np.nan  # planted after the finite check
+        with pytest.raises(InvariantError, match="non-finite relevance score"):
+            retrieval_loss(params, batch)
 
     def test_in_batch_negatives_add_terms(self, small_encoder, rng):
         params, featurizer = small_encoder

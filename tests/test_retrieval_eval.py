@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr.encoder import EmbeddingMatrix, Featurizer, Params
+from robustdr.errors import InvariantError
 from robustdr.retrieval_eval import (
     Bm25Index,
     DenseIndex,
     RankedList,
+    _id_ranks,
+    _top_k,
     evaluate,
     ndcg_at_k,
     recall_at_k,
@@ -18,13 +21,26 @@ from robustdr.retrieval_eval import (
     search_dense,
     write_trec_run,
 )
-from tests.oracles import search_dense_heap
+from tests.oracles import search_bm25_reference, search_dense_heap
+
+# Integer values and both signed zeros, so that scores tie, also across -0.0 and 0.0.
+TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
 
 
 def index_from(matrix, ids=None):
     matrix = np.asarray(matrix, dtype=np.float64)
     ids = ids or tuple(f"d{i}" for i in range(matrix.shape[0]))
     return DenseIndex(EmbeddingMatrix(ids=tuple(ids), matrix=matrix))
+
+
+def exact(results):
+    """(doc id, score bits) pairs: equal only when every score is bit-identical."""
+    return [(doc_id, float(score).hex()) for doc_id, score in results]
+
+
+def shuffled_ids(data, n):
+    """Ids d0..d(n-1) in a drawn row order; past d9 their string order is not numeric."""
+    return tuple(data.draw(st.permutations([f"d{i}" for i in range(n)])))
 
 
 class TestSearchDense:
@@ -53,6 +69,23 @@ class TestSearchDense:
         b = search_dense_heap(index, q, k)
         assert a.results == b.results
 
+    @given(st.data(), st.integers(min_value=1, max_value=14), st.integers(min_value=1, max_value=3))
+    def test_ties_and_signed_zeros_match_heap(self, data, n, width):
+        rows = st.lists(TIE_VALUES, min_size=width, max_size=width)
+        matrix = data.draw(st.lists(rows, min_size=n, max_size=n))
+        query = data.draw(rows)
+        index = index_from(matrix, shuffled_ids(data, n))
+        k = data.draw(st.integers(min_value=1, max_value=n + 2))
+        a = search_dense(index, np.array(query), k)
+        b = search_dense_heap(index, np.array(query), k)
+        assert exact(a.results) == exact(b.results)
+        assert all(type(score) is float for _, score in a.results)
+
+    def test_nan_query_rejected(self, rng):
+        index = index_from(rng.normal(size=(5, 3)))
+        with pytest.raises(InvariantError, match="non-finite"):
+            search_dense(index, np.array([0.5, np.nan, 1.0]), k=3)
+
     def test_scores_non_increasing(self, rng):
         index = index_from(rng.normal(size=(20, 4)))
         ranked = search_dense(index, rng.normal(size=4), k=20)
@@ -64,7 +97,30 @@ class TestSearchDense:
             DenseIndex(EmbeddingMatrix(ids=(), matrix=np.zeros((0, 3))))
 
 
+class TestTopK:
+    @given(st.data(), st.integers(min_value=1, max_value=14))
+    def test_matches_full_sort(self, data, n):
+        scores = np.array(data.draw(st.lists(TIE_VALUES, min_size=n, max_size=n)))
+        ids = shuffled_ids(data, n)
+        k = data.draw(st.integers(min_value=1, max_value=n + 2))
+        expected = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
+        assert _top_k(scores, _id_ranks(ids), k).tolist() == expected
+
+
 class TestBm25:
+    @given(st.data())
+    def test_matches_reference(self, data):
+        words = st.sampled_from(["ant", "bee", "cat", "dog", "eel"])
+        texts = data.draw(st.lists(st.lists(words, max_size=6), min_size=1, max_size=8))
+        texts += data.draw(st.lists(st.sampled_from(texts), max_size=4))  # duplicates tie
+        ids = shuffled_ids(data, len(texts))
+        corpus = Corpus([Document.from_fields(i, " ".join(t)) for i, t in zip(ids, texts)])
+        query = data.draw(st.lists(st.one_of(words, st.just("yak")), max_size=6))
+        k = data.draw(st.integers(min_value=1, max_value=len(texts) + 2))
+        ranked = search_bm25(Bm25Index(corpus), query, k)
+        assert exact(ranked.results) == exact(search_bm25_reference(corpus, query, k).results)
+        assert all(type(score) is float for _, score in ranked.results)
+
     def test_single_doc_positive_score(self):
         corpus = Corpus([Document.from_fields("d1", "hello world")])
         index = Bm25Index(corpus)
