@@ -19,7 +19,7 @@ from .corpus import (
 )
 from .encoder import EmbeddingMatrix, Featurizer, Params, encode, score
 from .errors import BlobFileError, ConfigError, CorpusFormatError, InvariantError
-from .idro import GroupState, alpha_weights, idro_loss, omega_update_masked, r_matrix
+from .idro import alpha_weights, idro_loss, omega_update, r_matrix
 from .losses import Triplet, coco_loss, retrieval_loss
 from .trainer import Finetuner, RunConfig, pretrain_coco
 
@@ -34,7 +34,6 @@ __all__ = [
     "EmbeddingMatrix",
     "Featurizer",
     "Finetuner",
-    "GroupState",
     "InvariantError",
     "Params",
     "QrelSet",
@@ -49,7 +48,7 @@ __all__ = [
     "load_corpus",
     "load_qrels",
     "load_queries",
-    "omega_update_masked",
+    "omega_update",
     "pretrain_coco",
     "r_matrix",
     "retrieval_loss",

@@ -10,7 +10,10 @@ its own sub-batch, giving per-item losses and one gradient row per present
 cluster on the feature columns the batch touches. The per-cluster losses and
 rows are reweighted by the configured strategy, combined into one row,
 scattered into a dense gradient for one parameter update, and followed by the
-robust-weight update. Every run is fully determined by (config, seed, data).
+robust-weight update over the present clusters. The robust weights ``omega``
+are the only weighting state carried between steps; each cluster refresh
+resets them to uniform or carries them over to the new clusters. Every run is
+fully determined by (config, seed, data).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from . import blobfile, clustering, idro, losses, retrieval_eval
 from .corpus import Corpus, QrelSet, QuerySet, sample_span_pair
 from .encoder import EmbeddingMatrix, Featurizer, Params, encode_many, scatter_grad
 from .errors import ConfigError, CorpusFormatError
-from .idro import GroupState
 
 logger = logging.getLogger(__name__)
 
@@ -358,7 +360,7 @@ class LogRow:
 
 
 STATE_FORMAT = "robustdr-trainer-state"
-STATE_VERSION = 2
+STATE_VERSION = 3
 _STATE_FIELDS = {
     "episodes_done": int, "global_step": int, "optimizer_kind": str, "optimizer_t": int,
     "n_clusters": int, "cluster_model": (dict, type(None)), "blocks": list,
@@ -382,14 +384,15 @@ class FinetuneResult:
     params: Params
     episodes: list[EpisodeRecord]
     log_rows: list[LogRow]
-    group_state: GroupState
+    omega: np.ndarray
     cluster_model: clustering.ClusterModel | None
 
 
 class Finetuner:
     """Episode-based fine-tuning on labeled source data.
 
-    State at an episode boundary (weights, optimizer moments, robust weights,
+    `omega` holds the robust weights, one per cluster of the current cluster
+    model. State at an episode boundary (weights, optimizer moments, `omega`,
     cluster model, episode counter) fully determines the continuation, so
     saving and reloading it resumes bit-identically.
     """
@@ -431,9 +434,7 @@ class Finetuner:
         self.doc_fvs = {doc.id: self.featurizer(doc.tokens) for doc in corpus}
         self.bm25 = retrieval_eval.Bm25Index(corpus)
 
-        # The uniform and groupdro strategies keep difficulty weights uniform.
-        state_beta = config.beta if config.weighting == "idro" else 0.0
-        self.group_state = GroupState.initial(config.k_clusters, state_beta, config.tau)
+        self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)
         self.optimizer = Optimizer(config, len(params))
         self.episodes_done = 0
         self.global_step = 0
@@ -454,13 +455,10 @@ class Finetuner:
             max_iters=self.config.kmeans_iters,
             normalize=self.config.kmeans_normalize,
         )
-        old_model = self.cluster_model
-        old_omega = self.group_state.omega
-        state_beta = self.group_state.beta
-        self.group_state = GroupState.initial(k, state_beta, self.config.tau)
-        if self.config.omega_carryover and old_model is not None:
-            self.group_state.omega = _carryover_omega(old_model, model, old_omega)
-        self.group_state.step = self.global_step
+        if self.config.omega_carryover and self.cluster_model is not None:
+            self.omega = _carryover_omega(self.cluster_model, model, self.omega)
+        else:
+            self.omega = np.full(k, 1.0 / k)
         self.cluster_model = model
 
     def _refresh_negatives(self, episode: int) -> tuple[str, int]:
@@ -505,52 +503,39 @@ class Finetuner:
 
     def _train_step(self, triplets, clusters, total_steps: int) -> float:
         cfg = self.config
-        state = self.group_state
-        k = state.n_clusters
+        # The uniform and groupdro strategies keep difficulty weights uniform.
+        beta = cfg.beta if cfg.weighting == "idro" else 0.0
 
-        present_list = np.unique(clusters)
         item_losses, cols, grads = losses.retrieval_cluster_grads(
             self.params, triplets, clusters, cfg.in_batch_negatives
         )
-        scalar, new_state = idro.idro_loss(item_losses, clusters, state)
-        present = np.zeros(k, dtype=bool)
-        present[present_list] = True
-
-        combined = idro.combine_cluster_grads(
-            grads,
-            new_state.alpha[present_list],
-            state.omega[present_list],
-            np.ones(len(present_list), dtype=bool),
+        scalar, present, cluster_losses, alpha = idro.idro_loss(
+            item_losses, clusters, self.omega, beta
         )
+        omega_used = self.omega[present]
+        combined = idro.combine_cluster_grads(grads, alpha, omega_used)
         lr = scheduled_lr(cfg.learning_rate, self.global_step, total_steps, cfg.warmup_frac)
         self.optimizer.step(self.params.flat, scatter_grad(self.params, cols, combined), lr)
 
-        omega_used = state.omega
         if cfg.weighting == "idro":
-            r_sub = idro.r_matrix(new_state.losses[present_list], grads, cfg.beta)
-            r_full = np.zeros((k, k))
-            r_full[np.ix_(present_list, present_list)] = r_sub
-            new_omega = idro.omega_update_masked(state.omega, r_full, cfg.tau, present)
+            r = idro.r_matrix(cluster_losses, grads, beta)
+            self.omega = idro.omega_update(self.omega, r, cfg.tau, present)
         elif cfg.weighting == "groupdro":
-            new_omega = idro.groupdro_update_masked(
-                state.omega, new_state.losses, cfg.groupdro_step_size, present
+            self.omega = idro.groupdro_update(
+                self.omega, cluster_losses, cfg.groupdro_step_size, present
             )
-        else:
-            new_omega = state.omega
-        new_state.omega = new_omega
-        new_state.step = self.global_step + 1
-        self.group_state = new_state
 
         episode = self.episodes_done + 1
-        for c in present_list.tolist():
+        for c, loss, a, w in zip(present.tolist(), cluster_losses.tolist(), alpha.tolist(),
+                                 omega_used.tolist()):
             self.log_rows.append(
                 LogRow(
                     step=self.global_step,
                     episode=episode,
                     cluster=c,
-                    loss=float(new_state.losses[c]),
-                    alpha=float(new_state.alpha[c]),
-                    omega=float(omega_used[c]),
+                    loss=loss,
+                    alpha=a,
+                    omega=w,
                     total_loss=scalar,
                 )
             )
@@ -590,7 +575,7 @@ class Finetuner:
             params=self.params,
             episodes=self.episode_records,
             log_rows=self.log_rows,
-            group_state=self.group_state,
+            omega=self.omega,
             cluster_model=self.cluster_model,
         )
 
@@ -601,12 +586,11 @@ class Finetuner:
 
         A `blobfile` file; the header names its blocks. Bytes are reproducible.
         """
-        groups = self.group_state
         model = self.cluster_model
         blocks = {"flat": self.params.flat}
         if self.optimizer.kind == "adam":
             blocks.update(adam_m=self.optimizer.m, adam_v=self.optimizer.v)
-        blocks.update(losses=groups.losses, alpha=groups.alpha, omega=groups.omega)
+        blocks["omega"] = self.omega
         if model is not None:
             blocks["centroids"] = model.centroids
         fields = {
@@ -614,7 +598,7 @@ class Finetuner:
             "global_step": self.global_step,
             "optimizer_kind": self.optimizer.kind,
             "optimizer_t": self.optimizer.t,
-            "n_clusters": groups.n_clusters,
+            "n_clusters": len(self.omega),
             "cluster_model": None if model is None else clustering.cluster_fields(model),
             "blocks": [[name, int(arr.size)] for name, arr in blocks.items()],
         }
@@ -630,7 +614,7 @@ class Finetuner:
         expected = [["flat", n]]
         if self.optimizer.kind == "adam":
             expected += [["adam_m", n], ["adam_v", n]]
-        expected += [["losses", k], ["alpha", k], ["omega", k]]
+        expected.append(["omega", k])
         if model is not None:
             blobfile.check_fields(model, clustering.CLUSTER_FIELDS)
             if model["n_clusters"] != k or model["width"] != self.params.embed_dim:
@@ -649,10 +633,7 @@ class Finetuner:
         if self.optimizer.kind == "adam":
             self.optimizer.m, self.optimizer.v = blocks["adam_m"], blocks["adam_v"]
         self.optimizer.t = meta["optimizer_t"]
-        self.group_state = dataclasses.replace(
-            self.group_state, n_clusters=meta["n_clusters"], losses=blocks["losses"],
-            alpha=blocks["alpha"], omega=blocks["omega"], step=meta["global_step"],
-        )
+        self.omega = blocks["omega"]
         model = meta["cluster_model"]
         self.cluster_model = (
             None if model is None else clustering.cluster_model_from(model, blocks["centroids"])

@@ -29,7 +29,7 @@ def omega_oracle(
 
     Minimizes  -eta * sum_i omega_i * s_i  +  tau * KL(omega || omega_prev)
     with s_i = sum_j r[i, j], via exponentiated-gradient descent, independent
-    of the closed form in `omega_update_masked` (which it matches for eta = 1;
+    of the closed form in `omega_update` (which it matches for eta = 1;
     other eta values only rescale the effective tau).
     """
     omega_prev = np.asarray(omega_prev, dtype=np.float64)

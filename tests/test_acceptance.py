@@ -72,9 +72,8 @@ def test_criterion_1_closed_form_omega_update():
                 omega_prev /= omega_prev.sum()
                 tau = float(rng.uniform(0.5, 5.0))
                 beta = float(rng.uniform(0.0, 1.0))
-                closed = idro.omega_update_masked(
-                    omega_prev, idro.r_matrix(cluster_losses, grads, beta), tau,
-                    np.ones(k, dtype=bool),
+                closed = idro.omega_update(
+                    omega_prev, idro.r_matrix(cluster_losses, grads, beta), tau, np.arange(k)
                 )
                 numeric = omega_oracle(
                     omega_prev, cluster_losses, grads, tau, beta, tol=1e-8
@@ -135,16 +134,14 @@ def test_criterion_2_gradient_exactness():
             grads = np.vstack(
                 [losses.retrieval_loss_grad(params, b)[2] for b in cluster_batches]
             )
-            analytic = idro.combine_cluster_grads(
-                grads, alpha, omega, np.ones(2, dtype=bool)
-            )
+            analytic = idro.combine_cluster_grads(grads, alpha, omega)
             numeric = central_differences(params, composite)
             worst_idro = max(worst_idro, rel_err(analytic, numeric))
 
             # the same composite from the one-pass per-cluster kernel
             _, cols, rows = losses.retrieval_cluster_grads(params, batch, np.array([4, 4, 9]))
             batched = scatter_grad(
-                params, cols, idro.combine_cluster_grads(rows, alpha, omega, np.ones(2, dtype=bool))
+                params, cols, idro.combine_cluster_grads(rows, alpha, omega)
             )
             worst_idro = max(worst_idro, rel_err(batched, numeric))
 
@@ -174,7 +171,7 @@ def test_criterion_3_degeneracy_reductions():
         assert degenerate.params.flat.tobytes() == uniform_k3.params.flat.tobytes()
 
         frozen = run_finetune(tiny_config(weighting="idro", k_clusters=3, tau=math.inf), task)
-        k = frozen.group_state.n_clusters
+        k = len(frozen.omega)
         assert all(row.omega == 1.0 / k for row in frozen.log_rows)
 
         beta0 = run_finetune(tiny_config(weighting="idro", k_clusters=3, beta=0.0), task)

@@ -3,27 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from robustdr.errors import InvariantError
 from robustdr.idro import (
-    GroupState,
     alpha_weights,
     combine_cluster_grads,
-    groupdro_update_masked,
+    groupdro_update,
     idro_loss,
-    omega_update_masked,
+    omega_update,
     r_matrix,
 )
 from tests.oracles import OracleConvergenceError, omega_oracle
 
 
-def omega_update(omega_prev, r, tau):
-    """The masked update with every cluster present."""
-    return omega_update_masked(omega_prev, r, tau, np.ones(len(omega_prev), dtype=bool))
+def omega_update_all(omega_prev, r, tau):
+    """The update with every cluster present."""
+    return omega_update(omega_prev, r, tau, np.arange(len(omega_prev)))
 
 
-def groupdro_update(omega_prev, losses, step_size):
-    """The masked baseline update with every cluster present."""
-    present = np.ones(len(omega_prev), dtype=bool)
-    return groupdro_update_masked(omega_prev, losses, step_size, present)
+def groupdro_update_all(omega_prev, losses, step_size):
+    """The baseline update with every cluster present."""
+    return groupdro_update(omega_prev, losses, step_size, np.arange(len(omega_prev)))
 
 
 def diag_r(s):
@@ -98,15 +97,15 @@ class TestRMatrix:
 class TestOmegaUpdate:
     def test_zero_r_keeps_omega(self):
         omega = np.array([0.5, 0.25, 0.25])
-        np.testing.assert_array_equal(omega_update(omega, np.zeros((3, 3)), 1.0), omega)
+        np.testing.assert_array_equal(omega_update_all(omega, np.zeros((3, 3)), 1.0), omega)
 
     def test_tau_infinite_freezes(self):
         omega = np.array([0.7, 0.3])
-        out = omega_update(omega, diag_r([5.0, -3.0]), math.inf)
+        out = omega_update_all(omega, diag_r([5.0, -3.0]), math.inf)
         np.testing.assert_array_equal(out, omega)
 
     def test_hand_value(self):
-        out = omega_update(np.array([0.5, 0.5]), diag_r([1.0, 0.0]), 1.0)
+        out = omega_update_all(np.array([0.5, 0.5]), diag_r([1.0, 0.0]), 1.0)
         e = math.e
         np.testing.assert_allclose(out, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
         assert out[0] == pytest.approx(0.731059, abs=1e-6)
@@ -115,38 +114,38 @@ class TestOmegaUpdate:
     def test_simplex_preserved(self, rng):
         for _ in range(50):
             losses, grads, omega_prev, tau, beta = random_instance(rng)
-            out = omega_update(omega_prev, r_matrix(losses, grads, beta), tau)
+            out = omega_update_all(omega_prev, r_matrix(losses, grads, beta), tau)
             assert np.all(out > 0)
             assert abs(out.sum() - 1.0) < 1e-12
 
     def test_shift_invariance_of_row_sums(self, rng):
         omega_prev = np.array([0.2, 0.3, 0.5])
         s = rng.normal(size=3)
-        base = omega_update(omega_prev, diag_r(s), 0.7)
-        shifted = omega_update(omega_prev, diag_r(s + 11.3), 0.7)
+        base = omega_update_all(omega_prev, diag_r(s), 0.7)
+        shifted = omega_update_all(omega_prev, diag_r(s + 11.3), 0.7)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_monotone_influence(self):
         omega_prev = np.full(4, 0.25)
         s = np.array([0.1, 0.2, 0.3, 0.4])
-        base = omega_update(omega_prev, diag_r(s), 1.0)
+        base = omega_update_all(omega_prev, diag_r(s), 1.0)
         s_up = s.copy()
         s_up[2] += 0.5
-        bumped = omega_update(omega_prev, diag_r(s_up), 1.0)
+        bumped = omega_update_all(omega_prev, diag_r(s_up), 1.0)
         assert bumped[2] > base[2]
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            omega_update(np.array([0.5, 0.5]), np.zeros((2, 2)), 0.0)
+            omega_update_all(np.array([0.5, 0.5]), np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError):
-            omega_update(np.array([0.9, 0.2]), np.zeros((2, 2)), 1.0)
+            omega_update_all(np.array([0.9, 0.2]), np.zeros((2, 2)), 1.0)
 
 
 class TestOmegaOracle:
     def test_matches_closed_form_on_random_instances(self, rng):
         for _ in range(30):
             losses, grads, omega_prev, tau, beta = random_instance(rng)
-            closed = omega_update(omega_prev, r_matrix(losses, grads, beta), tau)
+            closed = omega_update_all(omega_prev, r_matrix(losses, grads, beta), tau)
             numeric = omega_oracle(omega_prev, losses, grads, tau, beta, tol=1e-8)
             assert float(np.max(np.abs(closed - numeric))) < 1e-5
 
@@ -162,7 +161,7 @@ class TestOmegaOracle:
     def test_eta_rescales_tau(self, rng):
         losses, grads, omega_prev, tau, beta = random_instance(rng, k=3)
         doubled_eta = omega_oracle(omega_prev, losses, grads, tau, beta, eta=2.0)
-        halved_tau = omega_update(omega_prev, r_matrix(losses, grads, beta), tau / 2.0)
+        halved_tau = omega_update_all(omega_prev, r_matrix(losses, grads, beta), tau / 2.0)
         np.testing.assert_allclose(doubled_eta, halved_tau, atol=1e-6)
 
     def test_nonconvergence_flagged(self, rng):
@@ -174,14 +173,14 @@ class TestOmegaOracle:
 class TestGroupdroUpdate:
     def test_equal_losses_unchanged(self):
         omega = np.array([0.25, 0.75])
-        np.testing.assert_allclose(groupdro_update(omega, np.full(2, 1.3), 0.5), omega, atol=1e-15)
+        np.testing.assert_allclose(groupdro_update_all(omega, np.full(2, 1.3), 0.5), omega, atol=1e-15)
 
     def test_zero_step_unchanged(self):
         omega = np.array([0.4, 0.6])
-        np.testing.assert_allclose(groupdro_update(omega, np.array([9.0, 0.1]), 0.0), omega, atol=1e-15)
+        np.testing.assert_allclose(groupdro_update_all(omega, np.array([9.0, 0.1]), 0.0), omega, atol=1e-15)
 
     def test_hand_value(self):
-        out = groupdro_update(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0)
+        out = groupdro_update_all(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0)
         e = math.e
         np.testing.assert_allclose(out, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
@@ -191,19 +190,19 @@ class TestGroupdroUpdate:
             omega = rng.dirichlet(np.ones(k))
             omega = np.maximum(omega, 1e-9)
             omega /= omega.sum()
-            out = groupdro_update(omega, rng.uniform(0, 3, k), 0.7)
+            out = groupdro_update_all(omega, rng.uniform(0, 3, k), 0.7)
             assert np.all(out > 0)
             assert abs(out.sum() - 1.0) < 1e-12
 
 
 class TestMaskedUpdates:
+    """Updates over the present clusters: `r` and the losses are given over the ids in `present`."""
+
     def test_absent_clusters_frozen_exactly(self, rng):
         losses, grads, omega_prev, tau, beta = random_instance(rng, k=5)
-        grads[[1, 3]] = 0.0  # absent clusters carry zero gradient rows
-        losses = losses.copy()
-        present = np.array([True, False, True, False, True])
-        r = r_matrix(losses, grads, beta)
-        out = omega_update_masked(omega_prev, r, tau, present)
+        present = np.array([0, 2, 4])
+        r = r_matrix(losses[present], grads[present], beta)
+        out = omega_update(omega_prev, r, tau, present)
         assert out[1] == omega_prev[1]
         assert out[3] == omega_prev[3]
         assert abs(out.sum() - omega_prev.sum()) < 1e-12
@@ -211,67 +210,90 @@ class TestMaskedUpdates:
 
     def test_all_equal_exponents_bitwise_frozen(self):
         omega_prev = np.array([0.15, 0.25, 0.6])
-        present = np.array([True, True, False])
-        out = omega_update_masked(omega_prev, np.zeros((3, 3)), 2.0, present)
+        out = omega_update(omega_prev, np.zeros((2, 2)), 2.0, np.array([0, 1]))
         np.testing.assert_array_equal(out, omega_prev)
 
     def test_groupdro_masked_freezes_absent(self):
         omega_prev = np.array([0.2, 0.3, 0.5])
-        present = np.array([True, False, True])
-        out = groupdro_update_masked(omega_prev, np.array([2.0, 9.0, 0.5]), 1.0, present)
+        out = groupdro_update(omega_prev, np.array([2.0, 0.5]), 1.0, np.array([0, 2]))
         assert out[1] == omega_prev[1]
         assert out[0] > omega_prev[0] * 0.99  # high-loss present cluster gains within its mass
         assert abs(out.sum() - 1.0) < 1e-12
 
+    def test_omega_update_rejects_mask_and_bad_ids(self):
+        omega_prev = np.array([0.2, 0.3, 0.5])
+        # a leftover boolean mask would otherwise be read as the ids 0 and 1
+        for present in (np.array([True, False, True]), np.array([True, True]),
+                        np.array([0, 3]), np.array([-1, 2]), np.array([2, 0])):
+            for tau in (2.0, math.inf):
+                with pytest.raises(ValueError, match="present"):
+                    omega_update(omega_prev, np.ones((2, 2)), tau, present)
+
+    def test_groupdro_update_rejects_mask_and_bad_ids(self):
+        omega_prev = np.array([0.2, 0.3, 0.5])
+        for present in (np.array([True, False, True]), np.array([True, True]),
+                        np.array([0, 3]), np.array([-1, 2]), np.array([2, 0])):
+            with pytest.raises(ValueError, match="present"):
+                groupdro_update(omega_prev, np.array([2.0, 0.5]), 1.0, present)
+
 
 class TestIdroLoss:
     def test_k1_reduces_to_plain_mean(self):
-        state = GroupState.initial(1, beta=0.25, tau=1.0)
         item_losses = np.array([0.5, 1.5, 1.0])
-        scalar, new_state = idro_loss(item_losses, np.zeros(3, dtype=np.int64), state)
+        scalar, present, means, alpha = idro_loss(
+            item_losses, np.zeros(3, dtype=np.int64), np.ones(1), 0.25
+        )
         assert scalar == float(item_losses.mean())
-        assert new_state.alpha[0] == 1.0
+        np.testing.assert_array_equal(present, [0])
+        assert alpha[0] == 1.0
 
     def test_uniform_weights_mean_of_cluster_means(self):
-        state = GroupState.initial(2, beta=0.0, tau=1.0)
         item_losses = np.array([1.0, 3.0, 5.0])
         clusters = np.array([0, 0, 1])
-        scalar, _ = idro_loss(item_losses, clusters, state)
+        scalar, *_ = idro_loss(item_losses, clusters, np.full(2, 0.5), 0.0)
         assert scalar == pytest.approx((2.0 + 5.0) / 2.0, abs=1e-12)
 
     def test_hand_computed_weighting(self):
-        state = GroupState.initial(2, beta=0.25, tau=1.0)
-        state.omega = np.array([0.3, 0.7])
         item_losses = np.array([1.0, 3.0, 4.0])
         clusters = np.array([0, 0, 1])
-        scalar, new_state = idro_loss(item_losses, clusters, state)
+        scalar, present, means, alpha = idro_loss(item_losses, clusters, np.array([0.3, 0.7]), 0.25)
         l0, l1 = 2.0, 4.0
         a0 = l0**0.25 / (l0**0.25 + l1**0.25)
         a1 = l1**0.25 / (l0**0.25 + l1**0.25)
         expected = (a0 * 0.3 * l0 + a1 * 0.7 * l1) / (a0 * 0.3 + a1 * 0.7)
         assert scalar == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(new_state.losses, [l0, l1], atol=1e-15)
+        np.testing.assert_array_equal(present, [0, 1])
+        np.testing.assert_allclose(means, [l0, l1], atol=1e-15)
+        np.testing.assert_allclose(alpha, [a0, a1], rtol=1e-12)
 
-    def test_absent_cluster_keeps_previous_loss(self):
-        state = GroupState.initial(3, beta=0.25, tau=1.0)
-        state.losses = np.array([9.0, 9.0, 9.0])
-        scalar, new_state = idro_loss(np.array([1.0]), np.array([1]), state)
-        assert scalar == 1.0
-        np.testing.assert_array_equal(new_state.losses, [9.0, 1.0, 9.0])
+    def test_absent_clusters_take_no_part(self):
+        """Only the present clusters are returned, and the absent clusters'
+        weights do not change a bit of the result."""
+        item_losses = np.array([3.0, 1.0, 2.0, 5.0])
+        clusters = np.array([4, 1, 4, 1])
+        omega = np.array([0.05, 0.2, 0.3, 0.05, 0.4])
+        scalar, present, means, alpha = idro_loss(item_losses, clusters, omega, 0.25)
+        np.testing.assert_array_equal(present, [1, 4])
+        np.testing.assert_array_equal(means, [3.0, 2.5])
+        assert alpha.tobytes() == alpha_weights(means, 0.25).tobytes()
+        moved = np.array([0.3, 0.2, 0.02, 0.08, 0.4])  # same weights on clusters 1 and 4
+        again = idro_loss(item_losses, clusters, moved, 0.25)
+        assert again[0] == scalar
+        for got, want in zip(again[1:], (present, means, alpha)):
+            assert got.tobytes() == want.tobytes()
+        # the same items relabelled as the only clusters give the same scalar
+        compact, *_ = idro_loss(item_losses, np.array([1, 0, 1, 0]), omega[[1, 4]] / 0.6, 0.25)
+        assert compact == pytest.approx(scalar, rel=1e-12)
 
     def test_unknown_cluster_rejected(self):
-        from robustdr.errors import InvariantError
-
-        state = GroupState.initial(2, beta=0.25, tau=1.0)
         with pytest.raises(InvariantError):
-            idro_loss(np.array([1.0]), np.array([5]), state)
+            idro_loss(np.array([1.0]), np.array([5]), np.full(2, 0.5), 0.25)
 
     def test_batch_scale_independence(self):
         """The same cluster losses give the same scalar at any batch composition."""
-        state = GroupState.initial(2, beta=0.25, tau=1.0)
-        state.omega = np.array([0.6, 0.4])
-        skewed, _ = idro_loss(np.array([2.0, 2.0, 2.0, 4.0]), np.array([0, 0, 0, 1]), state)
-        balanced, _ = idro_loss(np.array([2.0, 4.0]), np.array([0, 1]), state)
+        omega = np.array([0.6, 0.4])
+        skewed, *_ = idro_loss(np.array([2.0, 2.0, 2.0, 4.0]), np.array([0, 0, 0, 1]), omega, 0.25)
+        balanced, *_ = idro_loss(np.array([2.0, 4.0]), np.array([0, 1]), omega, 0.25)
         assert skewed == pytest.approx(balanced, rel=1e-12)
 
 
@@ -280,15 +302,15 @@ class TestCombineClusterGrads:
         grads = rng.normal(size=(3, 7))
         alpha = np.array([0.2, 0.3, 0.5])
         omega = np.array([0.5, 0.25, 0.25])
-        present = np.array([True, False, True])
-        out = combine_cluster_grads(grads, alpha, omega, present)
+        present = np.array([0, 2])
+        out = combine_cluster_grads(grads[present], alpha[present], omega[present])
         w0, w2 = 0.2 * 0.5, 0.5 * 0.25
         expected = (w0 * grads[0] + w2 * grads[2]) / (w0 + w2)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_single_cluster_identity_bitwise(self, rng):
         grads = rng.normal(size=(1, 9))
-        out = combine_cluster_grads(grads, np.ones(1), np.ones(1), np.ones(1, dtype=bool))
+        out = combine_cluster_grads(grads, np.ones(1), np.ones(1))
         assert out.tobytes() == grads[0].tobytes()
 
 

@@ -314,9 +314,8 @@ class TestClusterGrads:
             assert max_rel(r_matrix(cluster_losses, rows, 0.25),
                            r_matrix(cluster_losses, dense, 0.25)) < 1e-10
             alpha, omega = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
-            mask = np.ones(k, dtype=bool)
-            combined = scatter_grad(params, cols, combine_cluster_grads(rows, alpha, omega, mask))
-            assert max_rel(combined, combine_cluster_grads(dense, alpha, omega, mask)) < 1e-10
+            combined = scatter_grad(params, cols, combine_cluster_grads(rows, alpha, omega))
+            assert max_rel(combined, combine_cluster_grads(dense, alpha, omega)) < 1e-10
 
     @pytest.mark.parametrize("hidden", [False, True])
     def test_one_cluster_is_retrieval_loss_grad(self, hidden, rng):

@@ -321,6 +321,7 @@ class TestFinetune:
         for config in (
             tiny_config(episodes=3),
             tiny_config(episodes=3, omega_carryover=True, tau=0.05),
+            tiny_config(episodes=3, weighting="groupdro", omega_carryover=True),
         ):
             straight = run_finetune(config, task)
 
@@ -337,7 +338,7 @@ class TestFinetune:
             assert resumed.episodes_done == 2
             result = resumed.run()
             assert result.params.flat.tobytes() == straight.params.flat.tobytes(), config
-            assert result.group_state.omega.tobytes() == straight.group_state.omega.tobytes()
+            assert result.omega.tobytes() == straight.omega.tobytes(), config
 
     def test_omega_carryover_flag(self):
         config = tiny_config(episodes=1, steps_per_episode=8, omega_carryover=True, tau=0.05)
@@ -345,11 +346,11 @@ class TestFinetune:
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
         ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
         ft.run_episode()
-        drifted = ft.group_state.omega.copy()
+        drifted = ft.omega.copy()
         ft._refresh_clusters(2)
-        k = ft.group_state.n_clusters
+        k = len(ft.omega)
         if not np.allclose(drifted, np.full_like(drifted, 1.0 / len(drifted))):
-            assert not np.allclose(ft.group_state.omega, np.full(k, 1.0 / k))
+            assert not np.allclose(ft.omega, np.full(k, 1.0 / k))
 
 
 class TestDegeneracyReductions:
@@ -371,7 +372,7 @@ class TestDegeneracyReductions:
 
     def test_tau_inf_freezes_omega_exactly(self):
         result = run_finetune(tiny_config(weighting="idro", tau=math.inf, k_clusters=3), tiny_task())
-        k = result.group_state.n_clusters
+        k = len(result.omega)
         for row in result.log_rows:
             assert row.omega == 1.0 / k
 
