@@ -9,15 +9,17 @@ pretrained arm's worst seed beats the scratch arm's best seed.
 
 import argparse
 import logging
+import sys
 
 from robustdr.experiments import run_coco_directional
 
 
-def main():
+def main(argv=None) -> int:
+    """Print each seed's values and the verdict; the exit code is 1 on FAIL."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR)
 
     results = []
@@ -30,7 +32,8 @@ def main():
     hi = max(r["without_coco"] for r in results)
     verdict = "PASS" if lo > hi else "FAIL"
     print(f"\nmin(with_pretrain)={lo:.4f}  max(from_scratch)={hi:.4f}  -> {verdict}")
+    return 0 if lo > hi else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,17 +11,19 @@ group.
 
 import argparse
 import logging
+import sys
 
 import numpy as np
 
 from robustdr.experiments import run_idro_directional
 
 
-def main():
+def main(argv=None) -> int:
+    """Print each seed's values and the verdict; the exit code is 1 on FAIL."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR)
 
     runs = []
@@ -50,7 +52,8 @@ def main():
         and means["groupdro"][1] > means["idro"][1]
     )
     print(f"-> {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,11 +27,16 @@ from .errors import BlobFileError, ConfigError
 
 @contextlib.contextmanager
 def atomic_open(path: str | Path, mode: str = "wb"):
-    """Open a temporary sibling of ``path``; rename it over ``path`` on success."""
+    """Open a temporary sibling of ``path``; rename it over ``path`` on success,
+    delete it if the body raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
-        yield fh
+    try:
+        with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     tmp.replace(path)
 
 

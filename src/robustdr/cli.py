@@ -68,7 +68,10 @@ def _load_config(args, overrides: dict) -> RunConfig:
     base: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        base = json.loads(_require_file(Path(config_path)).read_text(encoding="utf-8"))
+        try:
+            base = json.loads(_require_file(Path(config_path)).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"config: {config_path} is not valid JSON: {exc}") from None
         if not isinstance(base, dict):
             raise ConfigError("config: file must contain a JSON object")
         logger.info("config file %s: %s", config_path, json.dumps(base, sort_keys=True))
@@ -113,7 +116,6 @@ def cmd_analyze_shift(args) -> int:
 
 def cmd_pretrain(args) -> int:
     overrides = {
-        "stage": "pretrain",
         "seed": args.seed,
         "pretrain_epochs": args.epochs,
         "span_len": args.span_len,
@@ -154,7 +156,6 @@ def _load_encoder_for_config(args, config: RunConfig):
 
 def cmd_finetune(args) -> int:
     overrides = {
-        "stage": "finetune",
         "seed": args.seed,
         "weighting": args.weighting,
         "k_clusters": args.k,

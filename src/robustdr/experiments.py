@@ -28,7 +28,6 @@ _IMBALANCE_SEED = 2000
 
 def coco_experiment_config(seed: int) -> RunConfig:
     return RunConfig(
-        stage="finetune",
         seed=seed,
         hash_seed=0,
         feature_dim=4096,
@@ -74,7 +73,6 @@ def run_coco_directional(seed: int) -> dict:
 
 def idro_pretrain_config(seed: int) -> RunConfig:
     return RunConfig(
-        stage="pretrain",
         seed=seed,
         hash_seed=0,
         feature_dim=4096,
@@ -93,7 +91,6 @@ def idro_experiment_config(seed: int, weighting: str) -> RunConfig:
     # inner products of this model (~1e4 per row sum). Plain gradient descent
     # keeps per-group progress proportional to the weighted gradient mass.
     return RunConfig(
-        stage="finetune",
         seed=seed,
         hash_seed=0,
         feature_dim=4096,

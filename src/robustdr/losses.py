@@ -1,7 +1,29 @@
 """Training objectives: pairwise retrieval loss and span-pair contrastive loss.
 
-Both losses are computed from raw dot products of encoder embeddings, guarded
-by max-subtraction, and come with exact hand-derived parameter gradients.
+Both losses are a softmax cross-entropy of one anchor against one positive
+and a set of negatives (InfoNCE), computed from raw dot products of encoder
+embeddings, and come with exact hand-derived parameter gradients. Both gather
+their candidate scores into rows and call one row-wise kernel,
+`_softmax_xent`, which max-subtracts each row and returns the row losses and
+the softmax minus the one-hot of the positive; each loss then chains those
+coefficients back to the embeddings and parameters.
+
+The results equal, bit for bit, those of a loop with one 1-D softmax per item
+or per anchor (kept in the tests as the reference). That rests on these
+conditions, each checked against the loop on OpenBLAS:
+
+- a retrieval row's scores come from a stacked ``np.matmul`` of its candidate
+  embeddings with its query embedding, and a query's gradient from a stacked
+  ``np.matmul`` of its coefficients with the candidates (``np.einsum`` or
+  multiply-then-sum differ in the last bits);
+- row-wise ``max``, ``exp`` and ``sum`` run over C-contiguous rows holding
+  exactly the row's scores, so each row sum keeps the 1-D pairwise blocking:
+  a span-pair row drops the anchor's self-similarity rather than padding it;
+- each embedding slot sums its gradient terms in item order, through one
+  unbuffered ``np.add.at`` over all candidates, also when the items have
+  different candidate counts;
+- the span-pair anchor terms are summed one after another (``np.cumsum``):
+  ``np.sum`` is pairwise from 8 terms.
 """
 
 from __future__ import annotations
@@ -33,6 +55,23 @@ TripletBatch = Sequence[Triplet]
 SpanPairBatch = Sequence[tuple[FeatureVector, FeatureVector]]
 
 
+def _softmax_xent(scores: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax cross-entropy of each row's ``pos`` column against the rest.
+
+    Returns (row losses, softmax minus the one-hot of ``pos``), each row
+    max-subtracted; ``scores`` holds exactly the candidates (no padding).
+    """
+    if not np.all(np.isfinite(scores)):
+        raise InvariantError("non-finite relevance score in a contrastive loss")
+    rows = np.arange(scores.shape[0])
+    m = np.max(scores, axis=1)
+    exps = np.exp(scores - m[:, None])
+    denom = np.sum(exps, axis=1)
+    coeff = exps / denom[:, None]
+    coeff[rows, pos] -= 1.0
+    return m + np.log(denom) - scores[rows, pos], coeff
+
+
 def _retrieval(
     params: Params,
     batch: TripletBatch,
@@ -46,52 +85,41 @@ def _retrieval(
     present, group = np.unique(np.asarray(clusters, dtype=np.int64), return_inverse=True)
     if group.shape != (n,):
         raise ValueError("clusters must hold one cluster id per item")
-    members = [np.flatnonzero(group == g) for g in range(present.size)]
+    size = np.bincount(group)[group]
 
-    fvs: list[FeatureVector] = []
-    slot_group: list[int] = []
-    q_slots: list[int] = []
-    p_slots: list[int] = []
-    neg_slots: list[list[int]] = []
-    for item, g in zip(batch, group):
-        q_slots.append(len(fvs))
-        fvs.append(item.query)
-        p_slots.append(len(fvs))
-        fvs.append(item.positive)
-        slots = []
-        for neg in item.negatives:
-            slots.append(len(fvs))
-            fvs.append(neg)
-        neg_slots.append(slots)
-        slot_group.extend([g] * (2 + len(slots)))
+    # Slots [query, positive, negatives...] per item; the candidates are every
+    # non-query slot of the item, then the positives of its cluster mates.
+    fvs = [fv for item in batch for fv in (item.query, item.positive, *item.negatives)]
+    width = np.array([2 + len(item.negatives) for item in batch], dtype=np.intp)
+    q = np.cumsum(width) - width
+    slot, owner = np.setdiff1d(np.arange(len(fvs)), q), np.repeat(np.arange(n), width - 1)
+    if in_batch_negatives:
+        item, mate = np.nonzero((group[:, None] == group) & ~np.eye(n, dtype=bool))
+        slot, owner = np.concatenate([slot, q[mate] + 1]), np.concatenate([owner, item])
+    order = np.argsort(owner, kind="stable")
+    cand, count = slot[order], np.bincount(owner)
+    start = np.cumsum(count) - count
 
     emb = encoder.encode_many(params, fvs)
-    emb_grads = np.zeros_like(emb) if with_grad else None
-
-    per_item = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        cand = [p_slots[i], *neg_slots[i]]
-        if in_batch_negatives:
-            cand.extend(p_slots[j] for j in members[group[i]] if j != i)
-        cand = np.array(cand, dtype=np.intp)
-        scores = emb[cand] @ emb[q_slots[i]]
-        if not np.all(np.isfinite(scores)):
-            raise InvariantError("non-finite relevance score in retrieval loss")
-        m = float(np.max(scores))
-        exps = np.exp(scores - m)
-        denom = float(np.sum(exps))
-        per_item[i] = m + np.log(denom) - scores[0]
-        if with_grad:
-            coeff = exps / denom
-            coeff[0] -= 1.0
-            coeff /= members[group[i]].size  # gradient of the cluster mean
-            emb_grads[q_slots[i]] += coeff @ emb[cand]
-            emb_grads[cand] += np.outer(coeff, emb[q_slots[i]])
+    emb_grads = np.zeros_like(emb)
+    terms = np.empty((cand.size, emb.shape[1]))
+    per_item = np.empty(n)
+    for c in np.unique(count):
+        items = np.flatnonzero(count == c)
+        flat = start[items, None] + np.arange(c)
+        cand_emb, q_emb = emb[cand[flat]], emb[q[items]]
+        scores = np.matmul(cand_emb, q_emb[:, :, None])[:, :, 0]
+        per_item[items], coeff = _softmax_xent(scores, np.zeros(items.size, dtype=np.intp))
+        coeff /= size[items, None]  # gradient of the cluster mean
+        emb_grads[q[items]] += np.matmul(coeff[:, None, :], cand_emb)[:, 0]
+        terms[flat] = coeff[:, :, None] * q_emb[:, None, :]
 
     if not with_grad:
         return per_item, None, None
+    # One unbuffered add in item order: each slot sums its terms as the loop did.
+    np.add.at(emb_grads, cand, terms)
     cols, rows = encoder.grouped_backward(
-        params, fvs, emb_grads, np.array(slot_group, dtype=np.intp), present.size
+        params, fvs, emb_grads, np.repeat(group, width), present.size
     )
     return per_item, cols, rows
 
@@ -140,38 +168,22 @@ def retrieval_cluster_grads(
     return _retrieval(params, batch, in_batch_negatives, clusters, True)
 
 
-def _span_matrix(params: Params, batch: SpanPairBatch):
-    if len(batch) < 2:
+def _coco(params: Params, batch: SpanPairBatch, with_grad: bool):
+    n = len(batch)
+    if n < 2:
         raise ValueError("span-pair batches need n >= 2 so in-batch negatives exist")
     spans = [fv for pair in batch for fv in pair]
     emb = encoder.encode_many(params, spans)
-    sims = emb @ emb.T
-    if not np.all(np.isfinite(sims)):
-        raise InvariantError("non-finite similarity in span-pair loss")
-    return spans, emb, sims
-
-
-def _coco(params: Params, batch: SpanPairBatch, with_grad: bool):
-    spans, emb, sims = _span_matrix(params, batch)
-    n = len(batch)
-    total = 0.0
-    coeffs = np.zeros_like(sims) if with_grad else None
-    for a in range(2 * n):
-        partner = a ^ 1
-        row = np.delete(sims[a], a)
-        m = float(np.max(row))
-        exps = np.exp(row - m)
-        denom = float(np.sum(exps))
-        total += m + np.log(denom) - sims[a, partner]
-        if with_grad:
-            soft = exps / denom
-            coeffs[a, :a] = soft[:a]
-            coeffs[a, a + 1 :] = soft[a:]
-            coeffs[a, partner] -= 1.0
-    total /= n
+    # Row a holds span a's similarities to every other span, in `np.delete`
+    # order; dropping column a puts either span of pair p's partner in column 2p.
+    off = ~np.eye(2 * n, dtype=bool)
+    terms, coeff = _softmax_xent((emb @ emb.T)[off].reshape(2 * n, -1), np.arange(2 * n) & ~1)
+    # A sequential sum, as a running total: np.sum is pairwise from 8 terms.
+    total = np.cumsum(terms)[-1] / n
     if not with_grad:
         return total, None
-    coeffs /= n
+    coeffs = np.zeros((2 * n, 2 * n))
+    coeffs[off] = coeff.ravel() / n
     emb_grads = (coeffs + coeffs.T) @ emb
     return total, encoder.embedding_backward(params, spans, emb_grads)
 
@@ -191,16 +203,3 @@ def coco_loss(params: Params, batch: SpanPairBatch) -> float:
 def coco_loss_grad(params: Params, batch: SpanPairBatch) -> tuple[float, np.ndarray]:
     """Like `coco_loss`, plus the exact parameter gradient."""
     return _coco(params, batch, with_grad=True)
-
-
-def coco_top1_accuracy(params: Params, batch: SpanPairBatch) -> float:
-    """Fraction of anchors whose partner scores strictly above every other span."""
-    _, _, sims = _span_matrix(params, batch)
-    n2 = sims.shape[0]
-    hits = 0
-    for a in range(n2):
-        partner = a ^ 1
-        others = [sims[a, j] for j in range(n2) if j != a and j != partner]
-        if sims[a, partner] > max(others):
-            hits += 1
-    return hits / n2

@@ -42,14 +42,14 @@ _TAG_BATCH = 4
 
 WEIGHTINGS = ("idro", "groupdro", "uniform")
 OPTIMIZERS = ("adam", "sgd")
-STAGES = ("pretrain", "finetune")
+# The values each annotation admits; bool is an int but no int or float field takes one.
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass
 class RunConfig:
     """All run hyperparameters in one serializable record."""
 
-    stage: str = "finetune"
     seed: int = 0
     hash_seed: int = 0
     # encoder
@@ -88,18 +88,22 @@ class RunConfig:
         def bad(name, why):
             raise ConfigError(f"{name}: {why}")
 
-        if self.stage not in STAGES:
-            bad("stage", f"must be one of {STAGES}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, _FIELD_TYPES[field.type]) or (
+                isinstance(value, bool) and field.type != "bool"
+            ):
+                bad(field.name, f"must be a {field.type}, not {value!r}")
         if self.weighting not in WEIGHTINGS:
             bad("weighting", f"must be one of {WEIGHTINGS}")
         if self.optimizer not in OPTIMIZERS:
             bad("optimizer", f"must be one of {OPTIMIZERS}")
         for name in ("feature_dim", "embed_dim", "span_len", "batch_size",
                      "negatives_per_query", "mine_depth", "k_clusters", "kmeans_iters"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 bad(name, "must be >= 1")
         for name in ("pretrain_epochs", "episodes", "steps_per_episode"):
-            if int(getattr(self, name)) < 0:
+            if getattr(self, name) < 0:
                 bad(name, "must be >= 0")
         if not self.learning_rate > 0:
             bad("learning_rate", "must be > 0")

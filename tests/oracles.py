@@ -6,8 +6,11 @@ from collections import Counter
 
 import numpy as np
 
-from robustdr.encoder import encode_many
+from robustdr import encoder
+from robustdr.encoder import FeatureVector, Params, encode_many
+from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
+from robustdr.losses import SpanPairBatch, TripletBatch
 from robustdr.retrieval_eval import DenseIndex, RankedList
 
 
@@ -172,3 +175,116 @@ def adam_reference(flat, m, v, grad, lr, t, beta1, beta2, eps):
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return flat - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def loop_retrieval(
+    params: Params,
+    batch: TripletBatch,
+    in_batch_negatives: bool,
+    clusters: np.ndarray,
+    with_grad: bool,
+):
+    """`losses.retrieval_cluster_grads` (and, without `with_grad`, the per-item
+    losses alone) item by item: one Python loop with its own softmax per item."""
+    n = len(batch)
+    present, group = np.unique(np.asarray(clusters, dtype=np.int64), return_inverse=True)
+    if group.shape != (n,):
+        raise ValueError("clusters must hold one cluster id per item")
+    members = [np.flatnonzero(group == g) for g in range(present.size)]
+
+    fvs: list[FeatureVector] = []
+    slot_group: list[int] = []
+    q_slots: list[int] = []
+    p_slots: list[int] = []
+    neg_slots: list[list[int]] = []
+    for item, g in zip(batch, group):
+        q_slots.append(len(fvs))
+        fvs.append(item.query)
+        p_slots.append(len(fvs))
+        fvs.append(item.positive)
+        slots = []
+        for neg in item.negatives:
+            slots.append(len(fvs))
+            fvs.append(neg)
+        neg_slots.append(slots)
+        slot_group.extend([g] * (2 + len(slots)))
+
+    emb = encoder.encode_many(params, fvs)
+    emb_grads = np.zeros_like(emb) if with_grad else None
+
+    per_item = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        cand = [p_slots[i], *neg_slots[i]]
+        if in_batch_negatives:
+            cand.extend(p_slots[j] for j in members[group[i]] if j != i)
+        cand = np.array(cand, dtype=np.intp)
+        scores = emb[cand] @ emb[q_slots[i]]
+        if not np.all(np.isfinite(scores)):
+            raise InvariantError("non-finite relevance score in retrieval loss")
+        m = float(np.max(scores))
+        exps = np.exp(scores - m)
+        denom = float(np.sum(exps))
+        per_item[i] = m + np.log(denom) - scores[0]
+        if with_grad:
+            coeff = exps / denom
+            coeff[0] -= 1.0
+            coeff /= members[group[i]].size  # gradient of the cluster mean
+            emb_grads[q_slots[i]] += coeff @ emb[cand]
+            emb_grads[cand] += np.outer(coeff, emb[q_slots[i]])
+
+    if not with_grad:
+        return per_item, None, None
+    cols, rows = encoder.grouped_backward(
+        params, fvs, emb_grads, np.array(slot_group, dtype=np.intp), present.size
+    )
+    return per_item, cols, rows
+
+
+def span_matrix(params: Params, batch: SpanPairBatch):
+    if len(batch) < 2:
+        raise ValueError("span-pair batches need n >= 2 so in-batch negatives exist")
+    spans = [fv for pair in batch for fv in pair]
+    emb = encoder.encode_many(params, spans)
+    sims = emb @ emb.T
+    if not np.all(np.isfinite(sims)):
+        raise InvariantError("non-finite similarity in span-pair loss")
+    return spans, emb, sims
+
+
+def loop_coco(params: Params, batch: SpanPairBatch, with_grad: bool):
+    """`losses.coco_loss_grad` (with `with_grad`) anchor by anchor, with `np.delete`."""
+    spans, emb, sims = span_matrix(params, batch)
+    n = len(batch)
+    total = 0.0
+    coeffs = np.zeros_like(sims) if with_grad else None
+    for a in range(2 * n):
+        partner = a ^ 1
+        row = np.delete(sims[a], a)
+        m = float(np.max(row))
+        exps = np.exp(row - m)
+        denom = float(np.sum(exps))
+        total += m + np.log(denom) - sims[a, partner]
+        if with_grad:
+            soft = exps / denom
+            coeffs[a, :a] = soft[:a]
+            coeffs[a, a + 1 :] = soft[a:]
+            coeffs[a, partner] -= 1.0
+    total /= n
+    if not with_grad:
+        return total, None
+    coeffs /= n
+    emb_grads = (coeffs + coeffs.T) @ emb
+    return total, encoder.embedding_backward(params, spans, emb_grads)
+
+
+def coco_top1_accuracy(params: Params, batch: SpanPairBatch) -> float:
+    """Fraction of anchors whose partner scores strictly above every other span."""
+    _, _, sims = span_matrix(params, batch)
+    n2 = sims.shape[0]
+    hits = 0
+    for a in range(n2):
+        partner = a ^ 1
+        others = [sims[a, j] for j in range(n2) if j != a and j != partner]
+        if sims[a, partner] > max(others):
+            hits += 1
+    return hits / n2

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustdr import blobfile
 from robustdr.clustering import kmeans_fit, load_cluster_model, save_cluster_model
 from robustdr.encoder import EmbeddingMatrix, Params, load_checkpoint, save_checkpoint
 from robustdr.errors import BlobFileError
@@ -168,3 +169,18 @@ def test_trainer_state_blocks_must_match_params(
     )
     with pytest.raises(BlobFileError, match=re.escape(str(saved_state))):
         _finetuner(config, tiny_task()).load_state(saved_state)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_atomic_open_failed_write_leaves_nothing_behind(tmp_path, existing):
+    target = tmp_path / "x.tsv"
+    if existing:
+        target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        with blobfile.atomic_open(target, "w") as fh:
+            fh.write("new\n")
+            raise RuntimeError("writer failed")
+    assert not (tmp_path / "x.tsv.tmp").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["x.tsv"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"

@@ -243,6 +243,48 @@ class TestExitCodes:
         assert code == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("batch_size", "8"),
+            ("k_clusters", 2.5),
+            ("seed", 1.5),
+            ("learning_rate", "x"),
+            ("tau", None),
+            ("hidden", "no"),
+            ("hidden", 1),
+            ("feature_dim", True),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_2_naming_field(
+        self, task_dir, tmp_path, capsys, field, value
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        args = finetune_args(task_dir, tmp_path / "x", ("--config", str(config)))
+        # drop the flag that would override the file's value
+        flags = {"batch_size": "--batch-size", "k_clusters": "--k", "seed": "--seed",
+                 "feature_dim": "--feature-dim"}
+        if field in flags:
+            at = args.index(flags[field])
+            del args[at : at + 2]
+        code = main(args)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x" / "encoder.ckpt").exists()
+
+    def test_removed_stage_field_exits_2(self, task_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"stage": "finetune"}))
+        assert main(finetune_args(task_dir, tmp_path / "x", ("--config", str(config)))) == 2
+        assert "stage: unknown config field" in capsys.readouterr().err
+
+    def test_malformed_config_json_exits_2_naming_file(self, task_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 1,')
+        assert main(finetune_args(task_dir, tmp_path / "x", ("--config", str(config)))) == 2
+        assert str(config) in capsys.readouterr().err
+
     def test_malformed_corpus_exits_3(self, task_dir, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n")

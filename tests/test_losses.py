@@ -6,17 +6,23 @@ import pytest
 from robustdr.encoder import Featurizer, Params, encode, scatter_grad
 from robustdr.errors import InvariantError
 from robustdr.idro import combine_cluster_grads, r_matrix
+from robustdr import losses
 from robustdr.losses import (
     Triplet,
     coco_loss,
     coco_loss_grad,
-    coco_top1_accuracy,
     retrieval_cluster_grads,
     retrieval_loss,
     retrieval_loss_grad,
 )
 from tests.conftest import random_feature_vector
-from tests.oracles import dense_retrieval_loss_grad, per_cluster_reference
+from tests.oracles import (
+    coco_top1_accuracy,
+    dense_retrieval_loss_grad,
+    loop_coco,
+    loop_retrieval,
+    per_cluster_reference,
+)
 
 
 def make_triplet(featurizer, rng, n_neg=2):
@@ -337,3 +343,83 @@ class TestClusterGrads:
             members = np.flatnonzero(clusters == c)
             _, alone = retrieval_loss(params, [batch[i] for i in members], True)
             assert losses[members].tobytes() == alone.tobytes()
+
+
+def same_bytes(a, b):
+    """Equal dtype, shape and bytes, or both None."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstLoops:
+    """The array losses against the item-by-item and anchor-by-anchor loops, byte for byte."""
+
+    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("hidden", [False, True])
+    @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
+    def test_retrieval_matches_item_loop(self, embed_dim, hidden, in_batch):
+        rng = np.random.Generator(np.random.PCG64([embed_dim, hidden, in_batch]))
+        featurizer = Featurizer(dim=97, seed=embed_dim)
+        docs = [random_feature_vector(featurizer, rng) for _ in range(10)]
+        mixed_counts = 0
+        for trial in range(25):
+            params = Params.init_random(97, embed_dim, hidden=hidden, seed=trial)
+            n = int(rng.integers(1, 15))
+            # ragged 1-8 negatives drawn from a small pool, so objects repeat
+            batch = [
+                Triplet(
+                    random_feature_vector(featurizer, rng),
+                    docs[int(rng.integers(len(docs)))],
+                    tuple(docs[int(j)] for j in rng.integers(len(docs), size=int(rng.integers(1, 9)))),
+                )
+                for _ in range(n)
+            ]
+            clusters = rng.integers(5, 8, size=n)
+            for c in np.unique(clusters):
+                counts = {len(batch[i].negatives) for i in np.flatnonzero(clusters == c)}
+                mixed_counts += np.sum(clusters == c) >= 3 and len(counts) > 1
+            for with_grad in (False, True):
+                got = losses._retrieval(params, batch, in_batch, clusters, with_grad)
+                want = loop_retrieval(params, batch, in_batch, clusters, with_grad)
+                for name, a, b in zip(("losses", "cols", "rows"), got, want):
+                    assert same_bytes(a, b), (trial, with_grad, name)
+        # clusters of 3+ items with ragged negatives took part
+        assert mixed_counts >= 10
+
+    def test_retrieval_empty_batch_matches_item_loop(self, small_encoder):
+        params, _ = small_encoder
+        for with_grad in (False, True):
+            got = losses._retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
+            want = loop_retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
+            assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
+    def test_coco_matches_anchor_loop(self, embed_dim, hidden):
+        rng = np.random.Generator(np.random.PCG64([embed_dim, hidden, 7]))
+        featurizer = Featurizer(dim=97, seed=embed_dim)
+        docs = [random_feature_vector(featurizer, rng) for _ in range(10)]
+        # rows of 2n - 1 >= 8 terms and sums of 2n >= 16 anchor terms are
+        # where pairwise and sequential summation part
+        for trial, n in enumerate([2, 3, 4, 8, 9, 16, 33, 40, *rng.integers(2, 41, size=8)]):
+            params = Params.init_random(97, embed_dim, hidden=hidden, seed=trial)
+            batch = [
+                (random_feature_vector(featurizer, rng), docs[int(rng.integers(len(docs)))])
+                for _ in range(int(n))
+            ]
+            assert same_bytes(losses.coco_loss(params, batch), loop_coco(params, batch, False)[0])
+            total, grad = coco_loss_grad(params, batch)
+            ref_total, ref_grad = loop_coco(params, batch, True)
+            assert same_bytes(total, ref_total), trial
+            assert same_bytes(grad, ref_grad), trial
+
+    def test_coco_nan_similarity_rejected(self, small_encoder, rng):
+        params, featurizer = small_encoder
+        batch = [(random_feature_vector(featurizer, rng), random_feature_vector(featurizer, rng))
+                 for _ in range(3)]
+        params.W[:, batch[1][0].indices[0]] = np.nan
+        with pytest.raises(InvariantError, match="non-finite relevance score"):
+            coco_loss(params, batch)
+

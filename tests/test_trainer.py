@@ -38,7 +38,6 @@ def tiny_task():
 
 def tiny_config(**overrides):
     base = dict(
-        stage="finetune",
         seed=11,
         hash_seed=0,
         feature_dim=512,
@@ -91,6 +90,14 @@ class TestRunConfig:
     def test_invalid_values_name_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value})
+
+    def test_values_checked_against_annotations(self):
+        # an int is a float, but a bool is neither an int nor a float
+        assert tiny_config(learning_rate=1, tau=2).learning_rate == 1
+        for field, value in [("hidden", 0), ("batch_size", True), ("tau", False),
+                             ("weighting", None), ("seed", 3.0)]:
+            with pytest.raises(ConfigError, match=field):
+                tiny_config(**{field: value})
 
 
 class TestOptimizer:
@@ -151,17 +158,17 @@ class TestPretrain:
         )
 
     def test_zero_epochs_equals_init(self):
-        config = tiny_config(stage="pretrain", pretrain_epochs=0)
+        config = tiny_config(pretrain_epochs=0)
         result = pretrain_coco(config, [self.separable_corpus()])
         init = Params.init_random(config.feature_dim, config.embed_dim, config.hidden, seed=config.seed)
         assert result.params.flat.tobytes() == init.flat.tobytes()
 
     def test_separable_corpus_learns_partner_retrieval(self):
-        from robustdr.losses import coco_top1_accuracy
         from robustdr.trainer import _sample_pair_features
+        from tests.oracles import coco_top1_accuracy
 
         config = tiny_config(
-            stage="pretrain", pretrain_epochs=6, batch_size=8, learning_rate=0.2, span_len=3
+            pretrain_epochs=6, batch_size=8, learning_rate=0.2, span_len=3
         )
         corpus = self.separable_corpus()
         result = pretrain_coco(config, [corpus])
@@ -174,7 +181,7 @@ class TestPretrain:
         assert coco_top1_accuracy(result.params, batch) > 0.9
 
     def test_deterministic_given_seed(self):
-        config = tiny_config(stage="pretrain", pretrain_epochs=3)
+        config = tiny_config(pretrain_epochs=3)
         corpus = self.separable_corpus(n_docs=10)
         a = pretrain_coco(config, [corpus])
         b = pretrain_coco(config, [corpus])
@@ -182,7 +189,7 @@ class TestPretrain:
         assert a.params.flat.tobytes() == b.params.flat.tobytes()
 
     def test_no_eligible_documents(self):
-        config = tiny_config(stage="pretrain", span_len=50)
+        config = tiny_config(span_len=50)
         with pytest.raises(ValueError):
             pretrain_coco(config, [self.separable_corpus()])
 
