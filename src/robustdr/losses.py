@@ -116,7 +116,8 @@ def _retrieval(
 
     if not with_grad:
         return per_item, None, None
-    # One unbuffered add in item order: each slot sums its terms as the loop did.
+    # One unbuffered add over all candidates, so each slot sums its terms in item
+    # order also when the items have different candidate counts.
     np.add.at(emb_grads, cand, terms)
     cols, rows = encoder.grouped_backward(
         params, fvs, emb_grads, np.repeat(group, width), present.size

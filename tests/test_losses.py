@@ -6,9 +6,9 @@ import pytest
 from robustdr.encoder import Featurizer, Params, encode, scatter_grad
 from robustdr.errors import InvariantError
 from robustdr.idro import combine_cluster_grads, r_matrix
-from robustdr import losses
 from robustdr.losses import (
     Triplet,
+    _retrieval,
     coco_loss,
     coco_loss_grad,
     retrieval_cluster_grads,
@@ -381,7 +381,7 @@ class TestAgainstLoops:
                 counts = {len(batch[i].negatives) for i in np.flatnonzero(clusters == c)}
                 mixed_counts += np.sum(clusters == c) >= 3 and len(counts) > 1
             for with_grad in (False, True):
-                got = losses._retrieval(params, batch, in_batch, clusters, with_grad)
+                got = _retrieval(params, batch, in_batch, clusters, with_grad)
                 want = loop_retrieval(params, batch, in_batch, clusters, with_grad)
                 for name, a, b in zip(("losses", "cols", "rows"), got, want):
                     assert same_bytes(a, b), (trial, with_grad, name)
@@ -391,7 +391,7 @@ class TestAgainstLoops:
     def test_retrieval_empty_batch_matches_item_loop(self, small_encoder):
         params, _ = small_encoder
         for with_grad in (False, True):
-            got = losses._retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
+            got = _retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
             want = loop_retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
             assert all(same_bytes(a, b) for a, b in zip(got, want))
 
@@ -409,7 +409,7 @@ class TestAgainstLoops:
                 (random_feature_vector(featurizer, rng), docs[int(rng.integers(len(docs)))])
                 for _ in range(int(n))
             ]
-            assert same_bytes(losses.coco_loss(params, batch), loop_coco(params, batch, False)[0])
+            assert same_bytes(coco_loss(params, batch), loop_coco(params, batch, False)[0])
             total, grad = coco_loss_grad(params, batch)
             ref_total, ref_grad = loop_coco(params, batch, True)
             assert same_bytes(total, ref_total), trial
