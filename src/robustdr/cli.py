@@ -1,8 +1,19 @@
 """Command-line entry point for the full pipeline.
 
 Subcommands: analyze-shift, pretrain, finetune, mine, evaluate, diagnose.
-Every run writes a resolved-config JSON capturing the effective parameters,
-seeds and input paths (sufficient to reproduce the run exactly); wall-clock
+Every command resolves one `RunConfig` through the same layers, each
+overriding the one before:
+
+1. the `RunConfig` defaults;
+2. the JSON object of `--config`, where the command takes one;
+3. the flags, each named after the config field it sets (`--k` sets
+   `k_clusters` in finetune and `mine_depth` in mine);
+4. the header of `--checkpoint`, which fixes `feature_dim`, `embed_dim`,
+   `hidden` and `hash_seed`. A config-file or flag value that differs from the
+   checkpoint's is a config error naming the field.
+
+Every run writes that config, with the input paths, to resolved_config.json:
+the config the run used, sufficient to reproduce it exactly. Wall-clock
 timestamps live only in a run_meta.json sidecar so artifact bytes are
 reproducible. Exit codes: 0 success, 2 usage/config error, 3 data error,
 4 internal invariant violation.
@@ -11,6 +22,7 @@ reproducible. Exit codes: 0 success, 2 usage/config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -26,6 +38,10 @@ from .errors import ConfigError, CorpusFormatError, InvariantError
 from .trainer import Finetuner, RunConfig
 
 logger = logging.getLogger("robustdr")
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
+# The checkpoint header fields that fix the encoder's shape and hashing.
+_ENCODER_FIELDS = ("feature_dim", "embed_dim", "hidden", "hash_seed")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,24 +79,49 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_config(args, overrides: dict) -> RunConfig:
-    """Defaults <- config file <- CLI flags; both layers logged."""
-    base: dict = {}
+def _load_config(args, fixed: dict | None = None) -> RunConfig:
+    """Defaults <- config file <- flags <- `fixed`; every layer logged.
+
+    The flags are the `RunConfig` fields set on `args`. A config-file or flag
+    value that differs from a `fixed` one is a ConfigError naming the field.
+    """
+    effective: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            base = json.loads(_require_file(Path(config_path)).read_text(encoding="utf-8"))
+            effective = json.loads(_require_file(Path(config_path)).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"config: {config_path} is not valid JSON: {exc}") from None
-        if not isinstance(base, dict):
+        if not isinstance(effective, dict):
             raise ConfigError("config: file must contain a JSON object")
-        logger.info("config file %s: %s", config_path, json.dumps(base, sort_keys=True))
-    effective = dict(base)
-    applied = {k: v for k, v in overrides.items() if v is not None}
-    effective.update(applied)
-    if applied:
-        logger.info("CLI overrides: %s", json.dumps(applied, sort_keys=True, default=str))
-    return RunConfig.from_dict(effective)
+        logger.info("config file %s: %s", config_path, json.dumps(effective, sort_keys=True))
+    flags = {name: getattr(args, name) for name in _FIELDS
+             if getattr(args, name, None) is not None}
+    if flags:
+        logger.info("CLI overrides: %s", json.dumps(flags, sort_keys=True))
+    effective.update(flags)
+    config = RunConfig.from_dict(effective)
+    if fixed:
+        for name, value in fixed.items():
+            if name in effective and effective[name] != value:
+                raise ConfigError(f"{name}: {effective[name]!r} differs from the checkpoint's "
+                                  f"{value!r}")
+        logger.info("checkpoint fixes: %s", json.dumps(fixed, sort_keys=True))
+        config = config.replace(**fixed)
+    return config
+
+
+def _load_encoder(args) -> tuple[Params, Featurizer, RunConfig]:
+    """(params, featurizer, config): from --checkpoint when given, else seeded random."""
+    if args.checkpoint:
+        params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
+        config = _load_config(args, {name: header[name] for name in _ENCODER_FIELDS})
+    else:
+        config = _load_config(args)
+        params = Params.init_random(
+            config.feature_dim, config.embed_dim, config.hidden, seed=config.seed
+        )
+    return params, Featurizer(config.feature_dim, config.hash_seed), config
 
 
 def _record_run(out: Path, command: str, config: RunConfig, inputs: dict) -> None:
@@ -108,24 +149,13 @@ def cmd_analyze_shift(args) -> int:
     _atomic_write_text(
         out / "shift_report.tsv", report.TSV_HEADER + "\n" + report.tsv_row() + "\n"
     )
-    config = RunConfig.from_dict({"seed": args.seed} if args.seed is not None else {})
-    _record_run(out, "analyze-shift", config,
+    _record_run(out, "analyze-shift", _load_config(args),
                 {"source_dir": str(source_dir), "target_dir": str(target_dir)})
     return EXIT_OK
 
 
 def cmd_pretrain(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "pretrain_epochs": args.epochs,
-        "span_len": args.span_len,
-        "batch_size": args.batch_size,
-        "learning_rate": args.lr,
-        "feature_dim": args.feature_dim,
-        "embed_dim": args.embed_dim,
-        "hidden": args.hidden if args.hidden else None,
-    }
-    config = _load_config(args, overrides)
+    config = _load_config(args)
     corpora = [load_corpus(_require_file(Path(p))) for p in args.corpus]
     result = trainer.pretrain_coco(config, corpora)
     out = _out_dir(args)
@@ -137,42 +167,9 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _load_encoder_for_config(args, config: RunConfig):
-    """Initial parameters: from --checkpoint when given, else seeded random."""
-    if getattr(args, "checkpoint", None):
-        params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
-        config = config.replace(
-            feature_dim=header["feature_dim"],
-            embed_dim=header["embed_dim"],
-            hidden=header["hidden"],
-            hash_seed=header["hash_seed"],
-        )
-        return params, config
-    params = Params.init_random(
-        config.feature_dim, config.embed_dim, config.hidden, seed=config.seed
-    )
-    return params, config
-
-
 def cmd_finetune(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "weighting": args.weighting,
-        "k_clusters": args.k,
-        "beta": args.beta,
-        "tau": args.tau,
-        "episodes": args.episodes,
-        "steps_per_episode": args.steps,
-        "batch_size": args.batch_size,
-        "negatives_per_query": args.negatives,
-        "learning_rate": args.lr,
-        "optimizer": args.optimizer,
-        "feature_dim": args.feature_dim,
-        "embed_dim": args.embed_dim,
-    }
-    config = _load_config(args, overrides)
+    params, _, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
-    params, config = _load_encoder_for_config(args, config)
 
     out = _out_dir(args)
     finetuner = Finetuner(config, params, corpus, queries, qrels)
@@ -200,27 +197,23 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    config = _load_config(args, {"seed": args.seed})
-    params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
+    params, featurizer, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
-    featurizer = Featurizer(header["feature_dim"], header["hash_seed"])
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pools, n_fallback = trainer.mine_negatives(
-        params, featurizer, queries, corpus, qrels, args.k, rng
+        params, featurizer, queries, corpus, qrels, config.mine_depth, rng
     )
     out = _out_dir(args)
     _write_json(out / "negatives.json", {"pools": pools, "n_fallback": n_fallback})
     _record_run(out, "mine", config,
                 {"checkpoint": args.checkpoint, "corpus": args.corpus,
-                 "queries": args.queries, "qrels": args.qrels, "k": args.k})
+                 "queries": args.queries, "qrels": args.qrels})
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args, {"seed": args.seed})
-    params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
+    params, featurizer, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
-    featurizer = Featurizer(header["feature_dim"], header["hash_seed"])
     record, rankings = retrieval_eval.evaluate(params, featurizer, corpus, queries, qrels)
     out = _out_dir(args)
     _write_json(out / "metrics.json", record.to_dict())
@@ -233,10 +226,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_config(args, {"seed": args.seed, "span_len": args.span_len})
-    params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
+    params, featurizer, config = _load_encoder(args)
     corpus = load_corpus(_require_file(Path(args.corpus)))
-    featurizer = Featurizer(header["feature_dim"], header["hash_seed"])
     report = diagnostics.diagnostics_report(
         params, featurizer, corpus,
         n_pairs=args.pairs, span_len=config.span_len, seed=config.seed,
@@ -248,12 +239,8 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="run seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The flags that set a config field have that field as their `dest`."""
     parser = argparse.ArgumentParser(
         prog="robustdr",
         description="Span-contrastive pretraining, cluster-robust fine-tuning and "
@@ -261,74 +248,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze-shift", help="measure lexical/intent shift between two datasets")
+    def command(name, func, summary, configurable=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--out", required=True, help="output directory")
+        if configurable:
+            p.add_argument("--config", help="JSON config file")
+            p.add_argument("--seed", type=int, help="run seed")
+        return p
+
+    def task(p):
+        for flag in ("--corpus", "--queries", "--qrels"):
+            p.add_argument(flag, required=True)
+
+    p = command("analyze-shift", cmd_analyze_shift,
+                "measure lexical/intent shift between two datasets", configurable=False)
     p.add_argument("--source-dir", required=True)
     p.add_argument("--target-dir", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze_shift)
 
-    p = sub.add_parser("pretrain", help="span-contrastive pretraining on one or more corpora")
+    p = command("pretrain", cmd_pretrain, "span-contrastive pretraining on one or more corpora")
     p.add_argument("--corpus", action="append", required=True, help="corpus.jsonl (repeatable)")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--span-len", type=int, default=None, dest="span_len")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--feature-dim", type=int, default=None, dest="feature_dim")
-    p.add_argument("--embed-dim", type=int, default=None, dest="embed_dim")
-    p.add_argument("--hidden", action="store_true", default=False)
-    _add_common(p)
-    p.set_defaults(func=cmd_pretrain)
+    p.add_argument("--epochs", type=int, dest="pretrain_epochs")
+    p.add_argument("--span-len", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--feature-dim", type=int)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--hidden", action="store_true", default=None)
 
-    p = sub.add_parser("finetune", help="episode-based fine-tuning on labeled source data")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--checkpoint", default=None, help="initial encoder checkpoint")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--weighting", choices=trainer.WEIGHTINGS, default=None)
-    p.add_argument("--k", type=int, default=None, help="number of query clusters")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--negatives", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=trainer.OPTIMIZERS, default=None)
-    p.add_argument("--feature-dim", type=int, default=None, dest="feature_dim")
-    p.add_argument("--embed-dim", type=int, default=None, dest="embed_dim")
-    _add_common(p)
-    p.set_defaults(func=cmd_finetune)
+    p = command("finetune", cmd_finetune, "episode-based fine-tuning on labeled source data")
+    task(p)
+    p.add_argument("--checkpoint", help="initial encoder checkpoint")
+    p.add_argument("--weighting", choices=trainer.WEIGHTINGS)
+    p.add_argument("--k", type=int, dest="k_clusters", help="number of query clusters")
+    p.add_argument("--beta", type=float)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--steps", type=int, dest="steps_per_episode")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--negatives", type=int, dest="negatives_per_query")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--optimizer", choices=trainer.OPTIMIZERS)
+    p.add_argument("--feature-dim", type=int)
+    p.add_argument("--embed-dim", type=int)
 
-    p = sub.add_parser("mine", help="mine self-negative pools with a trained encoder")
+    p = command("mine", cmd_mine, "mine self-negative pools with a trained encoder")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--config", help="JSON config file")
-    _add_common(p)
-    p.set_defaults(func=cmd_mine)
+    task(p)
+    p.add_argument("--k", type=int, dest="mine_depth", help="pool depth per query")
 
-    p = sub.add_parser("evaluate", help="rank and score a task with a trained encoder")
+    p = command("evaluate", cmd_evaluate, "rank and score a task with a trained encoder",
+                configurable=False)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
+    task(p)
     p.add_argument("--tag", default="robustdr", help="TREC run tag")
-    p.add_argument("--config", help="JSON config file")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("diagnose", help="alignment/uniformity report for a corpus")
+    p = command("diagnose", cmd_diagnose, "alignment/uniformity report for a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--pairs", type=int, default=256)
-    p.add_argument("--span-len", type=int, default=None, dest="span_len")
-    p.add_argument("--config", help="JSON config file")
-    _add_common(p)
-    p.set_defaults(func=cmd_diagnose)
+    p.add_argument("--span-len", type=int)
 
     return parser
 

@@ -3,7 +3,8 @@
 Embeddings are L2-normalized before clustering by default (dot-product
 similarity is unbounded under centroid updates, so clustering runs as squared
 Euclidean on the unit sphere); retrieval scoring elsewhere stays unnormalized.
-A flag switches to raw-Euclidean K-Means for sensitivity checks.
+``kmeans_fit(normalize=False)`` runs raw-Euclidean K-Means instead, for
+sensitivity checks.
 """
 
 from __future__ import annotations

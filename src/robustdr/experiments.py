@@ -45,7 +45,6 @@ def coco_experiment_config(seed: int) -> RunConfig:
         beta=0.25,
         tau=5e5,
         learning_rate=0.1,
-        warmup_frac=0.1,
     ).validate()
 
 
@@ -81,7 +80,6 @@ def idro_pretrain_config(seed: int) -> RunConfig:
         pretrain_epochs=2,
         batch_size=32,
         learning_rate=0.1,
-        warmup_frac=0.1,
     ).validate()
 
 
@@ -110,7 +108,6 @@ def idro_experiment_config(seed: int, weighting: str) -> RunConfig:
         groupdro_step_size=0.2,
         optimizer="sgd",
         learning_rate=0.05,
-        warmup_frac=0.1,
     ).validate()
 
 

@@ -19,7 +19,6 @@ fully determined by (config, seed, data).
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +41,12 @@ _TAG_BATCH = 4
 
 WEIGHTINGS = ("idro", "groupdro", "uniform")
 OPTIMIZERS = ("adam", "sgd")
+# Adam's moment decay rates and denominator floor, at their usual values.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Share of all steps over which the learning rate warms up linearly.
+WARMUP_FRAC = 0.1
 # The values each annotation admits; bool is an int but no int or float field takes one.
 _FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
@@ -68,7 +73,6 @@ class RunConfig:
     # clustering
     k_clusters: int = 50
     kmeans_iters: int = 50
-    kmeans_normalize: bool = True
     # cluster weighting
     weighting: str = "idro"
     beta: float = 0.25
@@ -79,10 +83,6 @@ class RunConfig:
     # optimizer
     optimizer: str = "adam"
     learning_rate: float = 0.05
-    warmup_frac: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> "RunConfig":
         def bad(name, why):
@@ -113,13 +113,6 @@ class RunConfig:
             bad("tau", "must be > 0 (inf allowed)")
         if self.groupdro_step_size < 0:
             bad("groupdro_step_size", "must be >= 0")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            bad("warmup_frac", "must be in [0, 1)")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                bad(name, "must be in (0, 1)")
-        if not self.adam_eps > 0:
-            bad("adam_eps", "must be > 0")
         return self
 
     def to_dict(self) -> dict:
@@ -139,13 +132,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         return config.validate()
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
-
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes).validate()
 
@@ -155,9 +141,6 @@ class Optimizer:
 
     def __init__(self, config: RunConfig, n_params: int):
         self.kind = config.optimizer
-        self.beta1 = config.adam_beta1
-        self.beta2 = config.adam_beta2
-        self.eps = config.adam_eps
         self.t = 0
         if self.kind == "adam":
             self.m = np.zeros(n_params)
@@ -171,17 +154,17 @@ class Optimizer:
         # In place with two temporaries, rounding as the textbook expression
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
         # flat -= lr*m_hat / (sqrt(v_hat) + eps).
-        tmp = np.multiply(grad, 1.0 - self.beta1)
-        self.m *= self.beta1
+        tmp = np.multiply(grad, 1.0 - ADAM_BETA1)
+        self.m *= ADAM_BETA1
         self.m += tmp
-        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
         tmp *= grad
-        self.v *= self.beta2
+        self.v *= ADAM_BETA2
         self.v += tmp
-        np.divide(self.v, 1.0 - self.beta2**self.t, out=tmp)
+        np.divide(self.v, 1.0 - ADAM_BETA2**self.t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        step = np.divide(self.m, 1.0 - self.beta1**self.t)
+        tmp += ADAM_EPS
+        step = np.divide(self.m, 1.0 - ADAM_BETA1**self.t)
         step *= lr
         step /= tmp
         flat -= step
@@ -254,7 +237,7 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
                 pair = _sample_pair_features(docs[int(doc_idx)], config.span_len, featurizer, rng)
                 batch.append(pair)
             loss, grad = losses.coco_loss_grad(params, batch)
-            lr = scheduled_lr(config.learning_rate, step_idx, total_steps, config.warmup_frac)
+            lr = scheduled_lr(config.learning_rate, step_idx, total_steps, WARMUP_FRAC)
             optimizer.step(params.flat, grad, lr)
             losses_this_epoch.append(loss)
             step_idx += 1
@@ -364,9 +347,9 @@ class LogRow:
 
 
 STATE_FORMAT = "robustdr-trainer-state"
-STATE_VERSION = 3
+STATE_VERSION = 4
 _STATE_FIELDS = {
-    "episodes_done": int, "global_step": int, "optimizer_kind": str, "optimizer_t": int,
+    "episodes_done": int, "optimizer_kind": str, "optimizer_t": int,
     "n_clusters": int, "cluster_model": (dict, type(None)), "blocks": list,
 }
 
@@ -441,7 +424,6 @@ class Finetuner:
         self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)
         self.optimizer = Optimizer(config, len(params))
         self.episodes_done = 0
-        self.global_step = 0
         self.log_rows: list[LogRow] = []
         self.episode_records: list[EpisodeRecord] = []
         self.cluster_model: clustering.ClusterModel | None = None
@@ -457,7 +439,6 @@ class Finetuner:
             k,
             seed=int(_derived_rng(self.config.seed, _TAG_KMEANS, episode).integers(2**31)),
             max_iters=self.config.kmeans_iters,
-            normalize=self.config.kmeans_normalize,
         )
         if self.config.omega_carryover and self.cluster_model is not None:
             self.omega = _carryover_omega(self.cluster_model, model, self.omega)
@@ -507,6 +488,7 @@ class Finetuner:
 
     def _train_step(self, triplets, clusters, total_steps: int) -> float:
         cfg = self.config
+        step = self.optimizer.t
         # The uniform and groupdro strategies keep difficulty weights uniform.
         beta = cfg.beta if cfg.weighting == "idro" else 0.0
 
@@ -518,7 +500,7 @@ class Finetuner:
         )
         omega_used = self.omega[present]
         combined = idro.combine_cluster_grads(grads, alpha, omega_used)
-        lr = scheduled_lr(cfg.learning_rate, self.global_step, total_steps, cfg.warmup_frac)
+        lr = scheduled_lr(cfg.learning_rate, step, total_steps, WARMUP_FRAC)
         self.optimizer.step(self.params.flat, scatter_grad(self.params, cols, combined), lr)
 
         if cfg.weighting == "idro":
@@ -534,7 +516,7 @@ class Finetuner:
                                  omega_used.tolist()):
             self.log_rows.append(
                 LogRow(
-                    step=self.global_step,
+                    step=step,
                     episode=episode,
                     cluster=c,
                     loss=loss,
@@ -543,7 +525,6 @@ class Finetuner:
                     total_loss=scalar,
                 )
             )
-        self.global_step += 1
         return scalar
 
     def run_episode(self) -> EpisodeRecord:
@@ -599,7 +580,6 @@ class Finetuner:
             blocks["centroids"] = model.centroids
         fields = {
             "episodes_done": self.episodes_done,
-            "global_step": self.global_step,
             "optimizer_kind": self.optimizer.kind,
             "optimizer_t": self.optimizer.t,
             "n_clusters": len(self.omega),
@@ -643,7 +623,6 @@ class Finetuner:
             None if model is None else clustering.cluster_model_from(model, blocks["centroids"])
         )
         self.episodes_done = meta["episodes_done"]
-        self.global_step = meta["global_step"]
 
 
 def _carryover_omega(

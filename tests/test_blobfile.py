@@ -152,6 +152,17 @@ def saved_state(tmp_path_factory):
     return path
 
 
+def test_version_3_trainer_state_rejected(saved_state, tmp_path):
+    """Version 3 also carried a step counter; the optimizer's count is now the only one."""
+    header, _, payload = saved_state.read_bytes().partition(b"\n")
+    fields = json.loads(header)
+    old = {**fields, "version": 3, "global_step": fields["optimizer_t"]}
+    probe = tmp_path / "v3.bin"
+    probe.write_bytes(json.dumps(old).encode("utf-8") + b"\n" + payload)
+    with pytest.raises(BlobFileError, match=re.escape(str(probe)) + ".*version"):
+        _finetuner(tiny_config(), tiny_task()).load_state(probe)
+
+
 @settings(max_examples=30)
 @given(
     feature_dim=st.integers(1, 1024),

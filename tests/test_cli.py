@@ -237,6 +237,126 @@ class TestPipelineCommands:
         assert json.loads((out / "metrics.json").read_text())["ndcg@10"] == 1.0
 
 
+def task_flags(task_dir):
+    return [f"--{kind}={task_dir / name}" for kind, name in
+            (("corpus", "corpus.jsonl"), ("queries", "queries.jsonl"), ("qrels", "qrels.tsv"))]
+
+
+class TestConfigLayers:
+    """Defaults <- config file <- flags <- checkpoint, recorded as the run used it."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(Params.init_random(256, 8, hidden=True, seed=0), path, hash_seed=5)
+        return path
+
+    @pytest.mark.parametrize("command", ["evaluate", "mine", "diagnose"])
+    def test_record_holds_the_checkpoint_encoder(self, task_dir, tmp_path, ckpt, command):
+        out = tmp_path / command
+        inputs = ([f"--corpus={task_dir / 'corpus.jsonl'}", "--pairs=8", "--span-len=3"]
+                  if command == "diagnose" else task_flags(task_dir))
+        assert main([command, f"--checkpoint={ckpt}", *inputs, f"--out={out}"]) == 0
+        config = json.loads((out / "resolved_config.json").read_text())["config"]
+        assert {k: config[k] for k in ("feature_dim", "embed_dim", "hidden", "hash_seed")} == {
+            "feature_dim": 256, "embed_dim": 8, "hidden": True, "hash_seed": 5}
+
+    def test_finetune_from_checkpoint_takes_its_encoder(self, task_dir, tmp_path, ckpt):
+        out = tmp_path / "ft"
+        assert main(finetune_args(task_dir, out, ("--checkpoint", str(ckpt)))) == 0
+        config = json.loads((out / "resolved_config.json").read_text())["config"]
+        assert (config["hidden"], config["hash_seed"]) == (True, 5)
+
+    def test_flag_conflicting_with_checkpoint_exits_2(self, task_dir, tmp_path, ckpt, capsys):
+        args = finetune_args(task_dir, tmp_path / "x", ("--checkpoint", str(ckpt)))
+        args[args.index("--feature-dim") + 1] = "512"
+        assert main(args) == 2
+        assert "feature_dim" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "encoder.ckpt").exists()
+
+    def test_config_file_conflicting_with_checkpoint_exits_2(
+        self, task_dir, tmp_path, ckpt, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"feature_dim": 512}))
+        args = finetune_args(task_dir, tmp_path / "x",
+                             ("--checkpoint", str(ckpt), "--config", str(config)))
+        at = args.index("--feature-dim")
+        del args[at : at + 2]
+        assert main(args) == 2
+        assert "feature_dim" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "encoder.ckpt").exists()
+
+    def test_mine_honours_config_depth(self, task_dir, tmp_path, ckpt):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mine_depth": 3}))
+        out = tmp_path / "mine"
+        assert main(["mine", f"--checkpoint={ckpt}", *task_flags(task_dir),
+                     f"--config={config}", f"--out={out}"]) == 0
+        pools = json.loads((out / "negatives.json").read_text())["pools"]
+        assert max(len(pool) for pool in pools.values()) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--seed", "1"],
+        ["evaluate", "--config", "config.json"],
+        ["analyze-shift", "--seed", "1"],
+    ], ids=["evaluate-seed", "evaluate-config", "analyze-shift-seed"])
+    def test_inert_flags_removed(self, task_dir, tmp_path, ckpt, argv):
+        command, *flag = argv
+        inputs = ([f"--source-dir={task_dir}", f"--target-dir={task_dir}"]
+                  if command == "analyze-shift"
+                  else [f"--checkpoint={ckpt}", *task_flags(task_dir)])
+        with pytest.raises(SystemExit) as err:
+            main([command, *inputs, *flag, f"--out={tmp_path / 'x'}"])
+        assert err.value.code == 2
+
+
+class TestParser:
+    COMMAND_ARGS = {"out", "config", "corpus", "queries", "qrels", "checkpoint",
+                    "source_dir", "target_dir", "pairs", "tag"}
+    OPTIONS = {
+        "analyze-shift": ["--out", "--source-dir", "--target-dir"],
+        "pretrain": ["--batch-size", "--config", "--corpus", "--embed-dim", "--epochs",
+                     "--feature-dim", "--hidden", "--lr", "--out", "--seed", "--span-len"],
+        "finetune": ["--batch-size", "--beta", "--checkpoint", "--config", "--corpus",
+                     "--embed-dim", "--episodes", "--feature-dim", "--k", "--lr",
+                     "--negatives", "--optimizer", "--out", "--qrels", "--queries", "--seed",
+                     "--steps", "--tau", "--weighting"],
+        "mine": ["--checkpoint", "--config", "--corpus", "--k", "--out", "--qrels", "--queries",
+                 "--seed"],
+        "evaluate": ["--checkpoint", "--corpus", "--out", "--qrels", "--queries", "--tag"],
+        "diagnose": ["--checkpoint", "--config", "--corpus", "--out", "--pairs", "--seed",
+                     "--span-len"],
+    }
+
+    @staticmethod
+    def commands():
+        import argparse
+
+        from robustdr.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return {
+            name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()
+        }
+
+    def test_every_dest_is_a_config_field_or_a_command_argument(self):
+        from dataclasses import fields
+
+        from robustdr.trainer import RunConfig
+
+        allowed = {f.name for f in fields(RunConfig)} | self.COMMAND_ARGS
+        for name, actions in self.commands().items():
+            for action in actions:
+                assert action.dest in allowed, (name, action.option_strings, action.dest)
+
+    def test_option_strings_pinned(self):
+        got = {name: sorted(s for a in actions for s in a.option_strings)
+               for name, actions in self.commands().items()}
+        assert got == self.OPTIONS
+
+
 class TestExitCodes:
     def test_invalid_config_field_exits_2_naming_field(self, task_dir, tmp_path, capsys):
         code = main(finetune_args(task_dir, tmp_path / "x", ("--tau", "-1.0")))

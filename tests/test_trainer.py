@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import tracemalloc
@@ -11,6 +12,9 @@ from robustdr.encoder import Featurizer, Params
 from robustdr.errors import ConfigError, CorpusFormatError
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
 from robustdr.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Finetuner,
     Optimizer,
     RunConfig,
@@ -55,7 +59,6 @@ def tiny_config(**overrides):
         beta=0.25,
         tau=1.0,
         learning_rate=0.05,
-        warmup_frac=0.1,
     )
     base.update(overrides)
     return RunConfig(**base).validate()
@@ -69,7 +72,7 @@ def run_finetune(config, task, init_seed=5):
 class TestRunConfig:
     def test_json_roundtrip(self):
         config = tiny_config(tau=math.inf)
-        again = RunConfig.from_json(config.to_json())
+        again = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert again == config
 
     def test_unknown_field_named(self):
@@ -84,7 +87,6 @@ class TestRunConfig:
             ("beta", -1.0),
             ("tau", 0.0),
             ("batch_size", 0),
-            ("warmup_frac", 1.0),
         ],
     )
     def test_invalid_values_name_field(self, field, value):
@@ -108,7 +110,7 @@ class TestOptimizer:
         opt = Optimizer(config, n)
         flat = rng.normal(size=n)
         ref = (flat.copy(), np.zeros(n), np.zeros(n))
-        hp = (config.adam_beta1, config.adam_beta2, config.adam_eps)
+        hp = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
         for t in range(1, 5):
             grad = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
             lr = 0.05 / t
@@ -319,7 +321,6 @@ class TestFinetune:
             min(config.k_clusters, len(ft.queries)),
             seed=int(_derived_rng(config.seed, _TAG_KMEANS, 2).integers(2**31)),
             max_iters=config.kmeans_iters,
-            normalize=config.kmeans_normalize,
         )
         assert ft.cluster_model.assignment == expected.assignment
 
@@ -346,6 +347,7 @@ class TestFinetune:
             result = resumed.run()
             assert result.params.flat.tobytes() == straight.params.flat.tobytes(), config
             assert result.omega.tobytes() == straight.omega.tobytes(), config
+            assert result.log_rows == [r for r in straight.log_rows if r.episode == 3], config
 
     def test_omega_carryover_flag(self):
         config = tiny_config(episodes=1, steps_per_episode=8, omega_carryover=True, tau=0.05)
