@@ -39,10 +39,6 @@ from .trainer import Finetuner, RunConfig
 
 logger = logging.getLogger("robustdr")
 
-_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
-# The checkpoint header fields that fix the encoder's shape and hashing.
-_ENCODER_FIELDS = ("feature_dim", "embed_dim", "hidden", "hash_seed")
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -95,8 +91,8 @@ def _load_config(args, fixed: dict | None = None) -> RunConfig:
         if not isinstance(effective, dict):
             raise ConfigError("config: file must contain a JSON object")
         logger.info("config file %s: %s", config_path, json.dumps(effective, sort_keys=True))
-    flags = {name: getattr(args, name) for name in _FIELDS
-             if getattr(args, name, None) is not None}
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
     if flags:
         logger.info("CLI overrides: %s", json.dumps(flags, sort_keys=True))
     effective.update(flags)
@@ -115,7 +111,8 @@ def _load_encoder(args) -> tuple[Params, Featurizer, RunConfig]:
     """(params, featurizer, config): from --checkpoint when given, else seeded random."""
     if args.checkpoint:
         params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
-        config = _load_config(args, {name: header[name] for name in _ENCODER_FIELDS})
+        encoder = ("feature_dim", "embed_dim", "hidden", "hash_seed")
+        config = _load_config(args, {name: header[name] for name in encoder})
     else:
         config = _load_config(args)
         params = Params.init_random(

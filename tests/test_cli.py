@@ -251,21 +251,20 @@ class TestConfigLayers:
         save_checkpoint(Params.init_random(256, 8, hidden=True, seed=0), path, hash_seed=5)
         return path
 
-    @pytest.mark.parametrize("command", ["evaluate", "mine", "diagnose"])
+    @pytest.mark.parametrize("command", ["finetune", "evaluate", "mine", "diagnose"])
     def test_record_holds_the_checkpoint_encoder(self, task_dir, tmp_path, ckpt, command):
         out = tmp_path / command
-        inputs = ([f"--corpus={task_dir / 'corpus.jsonl'}", "--pairs=8", "--span-len=3"]
-                  if command == "diagnose" else task_flags(task_dir))
-        assert main([command, f"--checkpoint={ckpt}", *inputs, f"--out={out}"]) == 0
+        argv = [command, f"--checkpoint={ckpt}", f"--out={out}"]
+        if command == "finetune":  # its --feature-dim and --embed-dim agree with the checkpoint
+            argv = finetune_args(task_dir, out, ("--checkpoint", str(ckpt)))
+        elif command == "diagnose":
+            argv += [f"--corpus={task_dir / 'corpus.jsonl'}", "--pairs=8", "--span-len=3"]
+        else:
+            argv += task_flags(task_dir)
+        assert main(argv) == 0
         config = json.loads((out / "resolved_config.json").read_text())["config"]
         assert {k: config[k] for k in ("feature_dim", "embed_dim", "hidden", "hash_seed")} == {
             "feature_dim": 256, "embed_dim": 8, "hidden": True, "hash_seed": 5}
-
-    def test_finetune_from_checkpoint_takes_its_encoder(self, task_dir, tmp_path, ckpt):
-        out = tmp_path / "ft"
-        assert main(finetune_args(task_dir, out, ("--checkpoint", str(ckpt)))) == 0
-        config = json.loads((out / "resolved_config.json").read_text())["config"]
-        assert (config["hidden"], config["hash_seed"]) == (True, 5)
 
     def test_flag_conflicting_with_checkpoint_exits_2(self, task_dir, tmp_path, ckpt, capsys):
         args = finetune_args(task_dir, tmp_path / "x", ("--checkpoint", str(ckpt)))
