@@ -182,11 +182,14 @@ def _coco(params: Params, batch: SpanPairBatch, with_grad: bool):
     # A sequential sum, as a running total: np.sum is pairwise from 8 terms.
     total = np.cumsum(terms)[-1] / n
     if not with_grad:
-        return total, None
+        return total, None, None
     coeffs = np.zeros((2 * n, 2 * n))
     coeffs[off] = coeff.ravel() / n
     emb_grads = (coeffs + coeffs.T) @ emb
-    return total, encoder.embedding_backward(params, spans, emb_grads)
+    cols, rows = encoder.grouped_backward(
+        params, spans, emb_grads, np.zeros(2 * n, dtype=np.intp), 1
+    )
+    return total, cols, rows[0]
 
 
 def coco_loss(params: Params, batch: SpanPairBatch) -> float:
@@ -197,10 +200,17 @@ def coco_loss(params: Params, batch: SpanPairBatch) -> float:
     (partner included, anchor's own self-similarity excluded). The anchor
     terms are summed and divided by the number of pairs n.
     """
-    total, _ = _coco(params, batch, with_grad=False)
+    total, _, _ = _coco(params, batch, with_grad=False)
     return total
 
 
-def coco_loss_grad(params: Params, batch: SpanPairBatch) -> tuple[float, np.ndarray]:
-    """Like `coco_loss`, plus the exact parameter gradient."""
+def coco_loss_grad(
+    params: Params, batch: SpanPairBatch
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Like `coco_loss`, plus the exact parameter gradient on the columns the spans touch.
+
+    Returns (loss, cols, row): the one-group case of `encoder.grouped_backward`,
+    the sorted feature columns any span touches and the gradient row on them;
+    `encoder.scatter_grad` gives its dense vector.
+    """
     return _coco(params, batch, with_grad=True)

@@ -8,9 +8,9 @@ self-mined dense negatives afterwards), then runs a minibatch loop. Each step
 is one forward and one backward over the whole batch, each cluster scored as
 its own sub-batch, giving per-item losses and one gradient row per present
 cluster on the feature columns the batch touches. The per-cluster losses and
-rows are reweighted by the configured strategy, combined into one row,
-scattered into a dense gradient for one parameter update, and followed by the
-robust-weight update over the present clusters. The robust weights ``omega``
+rows are reweighted by the configured strategy and combined into one row on
+those columns, which the optimizer steps on directly; the robust-weight
+update over the present clusters follows. The robust weights ``omega``
 are the only weighting state carried between steps; each cluster refresh
 resets them to uniform or carries them over to the new clusters. Every run is
 fully determined by (config, seed, data).
@@ -28,8 +28,8 @@ import numpy as np
 
 from . import blobfile, clustering, idro, losses, retrieval_eval
 from .corpus import Corpus, QrelSet, QuerySet, sample_span_pair
-from .encoder import EmbeddingMatrix, Featurizer, Params, encode_many, scatter_grad
-from .errors import ConfigError, CorpusFormatError
+from .encoder import EmbeddingMatrix, Featurizer, Params, encode_many
+from .errors import BlobFileError, ConfigError, CorpusFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -137,37 +137,102 @@ class RunConfig:
 
 
 class Optimizer:
-    """Plain gradient descent or the adaptive-moment variant, on the flat vector."""
+    """Plain gradient descent or Adam, stepping on one `encoder.grouped_backward` row.
 
-    def __init__(self, config: RunConfig, n_params: int):
+    A step's gradient is ``(cols, row)``: ``row`` holds dW on the feature
+    columns ``cols`` and then dH; every other column of dW is zero. Gradient
+    descent moves only ``W[:, cols]`` and ``H``.
+
+    Adam keeps its moments over ``live``, the sorted feature columns that have
+    ever had a gradient (a set that only grows), plus all of ``H`` with the
+    hidden layer. Outside ``live`` the moments and the gradient are zero, so
+    the textbook step there is ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight
+    keeps its bytes. Inside, each entry goes through the textbook operations
+    in the textbook order, so ``flat`` and `dense_moments` equal those of
+    dense Adam on the scattered gradient bit for bit.
+    """
+
+    def __init__(self, config: RunConfig, params: Params):
         self.kind = config.optimizer
         self.t = 0
+        self.shape = (params.embed_dim, params.feature_dim)
         if self.kind == "adam":
-            self.m = np.zeros(n_params)
-            self.v = np.zeros(n_params)
+            h_size = 0 if params.H is None else params.H.size
+            self.live = np.empty(0, dtype=np.int64)
+            self.m_w, self.v_w = np.zeros((params.embed_dim, 0)), np.zeros((params.embed_dim, 0))
+            self.m_h, self.v_h = np.zeros(h_size), np.zeros(h_size)
 
-    def step(self, flat: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    def step(self, flat: np.ndarray, cols: np.ndarray, row: np.ndarray, lr: float) -> None:
         self.t += 1
+        e, d = self.shape
+        w = flat[: e * d].reshape(e, d)
+        grad_w = row[: e * cols.size].reshape(e, cols.size)
+        grad_h = row[e * cols.size :]
         if self.kind == "sgd":
-            flat -= lr * grad
+            w[:, cols] -= lr * grad_w
+            flat[e * d :] -= lr * grad_h
             return
-        # In place with two temporaries, rounding as the textbook expression
-        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
-        # flat -= lr*m_hat / (sqrt(v_hat) + eps).
+        at = np.searchsorted(self.live, cols)
+        new = at == self.live.size
+        new[~new] = self.live[at[~new]] != cols[~new]
+        if new.any():
+            self.live = np.insert(self.live, at[new], cols[new])
+            self.m_w = np.insert(self.m_w, at[new], 0.0, axis=1)
+            self.v_w = np.insert(self.v_w, at[new], 0.0, axis=1)
+            at = np.searchsorted(self.live, cols)
+        grad = np.zeros_like(self.m_w)
+        grad[:, at] = grad_w
+        live_w = w[:, self.live]
+        live_w -= self._adam_step(self.m_w, self.v_w, grad, lr)
+        w[:, self.live] = live_w
+        flat[e * d :] -= self._adam_step(self.m_h, self.v_h, grad_h, lr)
+
+    def _adam_step(
+        self, m: np.ndarray, v: np.ndarray, grad: np.ndarray, lr: float
+    ) -> np.ndarray:
+        """Update ``m`` and ``v`` in place; return the step to subtract from the weights.
+
+        Two temporaries, rounding as the textbook expression
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;  step = lr*m_hat / (sqrt(v_hat) + eps).
+        """
         tmp = np.multiply(grad, 1.0 - ADAM_BETA1)
-        self.m *= ADAM_BETA1
-        self.m += tmp
+        m *= ADAM_BETA1
+        m += tmp
         np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
         tmp *= grad
-        self.v *= ADAM_BETA2
-        self.v += tmp
-        np.divide(self.v, 1.0 - ADAM_BETA2**self.t, out=tmp)
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(v, 1.0 - ADAM_BETA2**self.t, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        step = np.divide(self.m, 1.0 - ADAM_BETA1**self.t)
+        step = np.divide(m, 1.0 - ADAM_BETA1**self.t)
         step *= lr
         step /= tmp
-        flat -= step
+        return step
+
+    def dense_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adam's ``m`` and ``v`` as vectors aligned with ``params.flat``."""
+        e, d = self.shape
+        out = []
+        for block_w, block_h in ((self.m_w, self.m_h), (self.v_w, self.v_h)):
+            dense = np.zeros(e * d + block_h.size)
+            dense[: e * d].reshape(e, d)[:, self.live] = block_w
+            dense[e * d :] = block_h
+            out.append(dense)
+        return out[0], out[1]
+
+    def load_moments(self, m: np.ndarray, v: np.ndarray) -> None:
+        """Adopt dense moments; ``live`` becomes the columns where ``m`` or ``v`` is nonzero.
+
+        Zeros are found by their bits, so a column holding -0.0 stays live and
+        `dense_moments` gives back the same bytes.
+        """
+        e, d = self.shape
+        m_w, v_w = m[: e * d].reshape(e, d), v[: e * d].reshape(e, d)
+        nonzero = (m_w.view(np.int64) | v_w.view(np.int64)) != 0
+        self.live = np.flatnonzero(nonzero.any(axis=0))
+        self.m_w, self.v_w = m_w[:, self.live], v_w[:, self.live]
+        self.m_h, self.v_h = m[e * d :].copy(), v[e * d :].copy()
 
 
 def scheduled_lr(base: float, step_idx: int, total_steps: int, warmup_frac: float) -> float:
@@ -215,7 +280,7 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
     params = Params.init_random(
         config.feature_dim, config.embed_dim, config.hidden, seed=config.seed
     )
-    optimizer = Optimizer(config, len(params))
+    optimizer = Optimizer(config, params)
 
     n = len(docs)
     full, rem = divmod(n, config.batch_size)
@@ -236,9 +301,9 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
             for doc_idx in chunk:
                 pair = _sample_pair_features(docs[int(doc_idx)], config.span_len, featurizer, rng)
                 batch.append(pair)
-            loss, grad = losses.coco_loss_grad(params, batch)
+            loss, cols, row = losses.coco_loss_grad(params, batch)
             lr = scheduled_lr(config.learning_rate, step_idx, total_steps, WARMUP_FRAC)
-            optimizer.step(params.flat, grad, lr)
+            optimizer.step(params.flat, cols, row, lr)
             losses_this_epoch.append(loss)
             step_idx += 1
         epoch_losses.append(float(np.mean(losses_this_epoch)))
@@ -393,8 +458,9 @@ class Finetuner:
         qrels: QrelSet,
     ):
         config.validate()
-        if params.feature_dim != config.feature_dim or params.embed_dim != config.embed_dim:
-            raise ConfigError("feature_dim/embed_dim: checkpoint does not match config")
+        for name in ("feature_dim", "embed_dim", "hidden"):
+            if getattr(params, name) != getattr(config, name):
+                raise ConfigError(f"{name}: the encoder does not match the config")
         self.config = config
         self.params = params
         self.corpus = corpus
@@ -422,7 +488,7 @@ class Finetuner:
         self.bm25 = retrieval_eval.Bm25Index(corpus)
 
         self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)
-        self.optimizer = Optimizer(config, len(params))
+        self.optimizer = Optimizer(config, params)
         self.episodes_done = 0
         self.log_rows: list[LogRow] = []
         self.episode_records: list[EpisodeRecord] = []
@@ -501,7 +567,7 @@ class Finetuner:
         omega_used = self.omega[present]
         combined = idro.combine_cluster_grads(grads, alpha, omega_used)
         lr = scheduled_lr(cfg.learning_rate, step, total_steps, WARMUP_FRAC)
-        self.optimizer.step(self.params.flat, scatter_grad(self.params, cols, combined), lr)
+        self.optimizer.step(self.params.flat, cols, combined, lr)
 
         if cfg.weighting == "idro":
             r = idro.r_matrix(cluster_losses, grads, beta)
@@ -574,7 +640,7 @@ class Finetuner:
         model = self.cluster_model
         blocks = {"flat": self.params.flat}
         if self.optimizer.kind == "adam":
-            blocks.update(adam_m=self.optimizer.m, adam_v=self.optimizer.v)
+            blocks["adam_m"], blocks["adam_v"] = self.optimizer.dense_moments()
         blocks["omega"] = self.omega
         if model is not None:
             blocks["centroids"] = model.centroids
@@ -592,6 +658,8 @@ class Finetuner:
         """The blocks this run expects of a state file, checked against its header."""
         if meta["optimizer_kind"] != self.optimizer.kind:
             raise ConfigError("optimizer: state file was written by a different optimizer kind")
+        if meta["optimizer_t"] < 0:
+            raise ValueError(f"optimizer_t is {meta['optimizer_t']}, not >= 0")
         k, n, model = meta["n_clusters"], len(self.params), meta["cluster_model"]
         if not 1 <= k <= self.config.k_clusters:
             raise ValueError(f"{k} clusters, this run allows 1 to {self.config.k_clusters}")
@@ -613,9 +681,11 @@ class Finetuner:
             path, STATE_FORMAT, STATE_VERSION, _STATE_FIELDS, self._state_lengths
         )
         blocks = {name: arr for (name, _), arr in zip(meta["blocks"], arrays)}
+        if self.optimizer.kind == "adam" and np.any(blocks["adam_v"] < 0):
+            raise BlobFileError(f"{path}: block adam_v holds a negative second moment")
         self.params.flat[:] = blocks["flat"]
         if self.optimizer.kind == "adam":
-            self.optimizer.m, self.optimizer.v = blocks["adam_m"], blocks["adam_v"]
+            self.optimizer.load_moments(blocks["adam_m"], blocks["adam_v"])
         self.optimizer.t = meta["optimizer_t"]
         self.omega = blocks["omega"]
         model = meta["cluster_model"]

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 
-from robustdr import encoder
+from robustdr import encoder, trainer
 from robustdr.encoder import FeatureVector, Params, encode_many
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
@@ -175,6 +175,25 @@ def adam_reference(flat, m, v, grad, lr, t, beta1, beta2, eps):
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return flat - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+class DenseOptimizer:
+    """`trainer.Optimizer` on dense vectors: each step scatters its row into a
+    gradient as long as ``params.flat`` and takes the textbook step on every
+    parameter, with moments over all of them."""
+
+    def __init__(self, config, params: Params):
+        self.kind, self.t, self.params = config.optimizer, 0, params
+        self.m, self.v = np.zeros(len(params)), np.zeros(len(params))
+
+    def step(self, flat, cols, row, lr):
+        self.t += 1
+        grad = encoder.scatter_grad(self.params, cols, row)
+        if self.kind == "sgd":
+            flat -= lr * grad
+            return
+        hp = (trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS)
+        flat[:], self.m, self.v = adam_reference(flat, self.m, self.v, grad, lr, self.t, *hp)
 
 
 def loop_retrieval(

@@ -117,7 +117,8 @@ def test_criterion_2_gradient_exactness():
                 (random_feature_vector(featurizer, rng), random_feature_vector(featurizer, rng))
                 for _ in range(3)
             ]
-            _, analytic = losses.coco_loss_grad(params, pairs)
+            _, cols, row = losses.coco_loss_grad(params, pairs)
+            analytic = scatter_grad(params, cols, row)
             numeric = central_differences(params, lambda p: losses.coco_loss(p, pairs))
             worst_coco = max(worst_coco, rel_err(analytic, numeric))
 

@@ -163,6 +163,25 @@ def test_version_3_trainer_state_rejected(saved_state, tmp_path):
         _finetuner(tiny_config(), tiny_task()).load_state(probe)
 
 
+@pytest.mark.parametrize("name", ["adam_v", "optimizer_t"])
+def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, name):
+    """A negative second moment would reach a sqrt in the next step; a negative
+    step count, the bias correction."""
+    header, _, payload = saved_state.read_bytes().partition(b"\n")
+    fields = json.loads(header)
+    values = np.frombuffer(payload, "<f8").copy()
+    if name == "optimizer_t":
+        fields["optimizer_t"] = -1
+    else:
+        names = [block for block, _ in fields["blocks"]]
+        start = sum(n for _, n in fields["blocks"][: names.index(name)])
+        values[start + np.flatnonzero(values[start:] > 0)[0]] *= -1.0
+    probe = tmp_path / "negative.bin"
+    probe.write_bytes(json.dumps(fields).encode("utf-8") + b"\n" + values.tobytes())
+    with pytest.raises(BlobFileError, match=re.escape(str(probe)) + f".*{name}"):
+        _finetuner(tiny_config(), tiny_task()).load_state(probe)
+
+
 @settings(max_examples=30)
 @given(
     feature_dim=st.integers(1, 1024),

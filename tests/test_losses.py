@@ -263,7 +263,8 @@ class TestGradients:
             (random_feature_vector(featurizer, rng), random_feature_vector(featurizer, rng))
             for _ in range(3)
         ]
-        _, analytic = coco_loss_grad(params, batch)
+        _, cols, row = coco_loss_grad(params, batch)
+        analytic = scatter_grad(params, cols, row)
         numeric = central_differences(params, lambda p: coco_loss(p, batch))
         assert relative_error(analytic, numeric) < 1e-4
 
@@ -410,7 +411,8 @@ class TestAgainstLoops:
                 for _ in range(int(n))
             ]
             assert same_bytes(coco_loss(params, batch), loop_coco(params, batch, False)[0])
-            total, grad = coco_loss_grad(params, batch)
+            total, cols, row = coco_loss_grad(params, batch)
+            grad = scatter_grad(params, cols, row)
             ref_total, ref_grad = loop_coco(params, batch, True)
             assert same_bytes(total, ref_total), trial
             assert same_bytes(grad, ref_grad), trial

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robustdr import experiments
+from robustdr import experiments, trainer
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
-from robustdr.encoder import Featurizer, Params
+from robustdr.encoder import Featurizer, Params, scatter_grad
 from robustdr.errors import ConfigError, CorpusFormatError
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
 from robustdr.trainer import (
@@ -25,7 +25,7 @@ from robustdr.trainer import (
     pretrain_coco,
     scheduled_lr,
 )
-from tests.oracles import adam_reference
+from tests.oracles import DenseOptimizer, adam_reference
 
 
 def tiny_task():
@@ -102,41 +102,101 @@ class TestRunConfig:
                 tiny_config(**{field: value})
 
 
+def growing_steps(params, rng, n_steps):
+    """(cols, row) steps on 40 random columns of a vocabulary that grows each step
+    but never reaches the top half of the columns; the first step touches none."""
+    vocab = params.feature_dim // 2
+    for t in range(n_steps):
+        cols = np.sort(rng.choice(vocab * t // n_steps, size=40 if t else 0, replace=False))
+        size = params.embed_dim * cols.size + (0 if params.H is None else params.H.size)
+        yield cols, rng.normal(size=size) * 10.0 ** rng.uniform(-6, 2, size=size)
+
+
 class TestOptimizer:
     def test_adam_bytes_equal_textbook_steps(self, tmp_path):
-        config = tiny_config(optimizer="adam")
-        rng = np.random.Generator(np.random.PCG64(3))
-        n = 1000
-        opt = Optimizer(config, n)
-        flat = rng.normal(size=n)
-        ref = (flat.copy(), np.zeros(n), np.zeros(n))
-        hp = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-        for t in range(1, 5):
-            grad = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
-            lr = 0.05 / t
-            opt.step(flat, grad, lr)
-            ref = adam_reference(*ref, grad, lr, t, *hp)
-            assert flat.tobytes() == ref[0].tobytes()
-            assert opt.m.tobytes() == ref[1].tobytes()
-            assert opt.v.tobytes() == ref[2].tobytes()
+        for hidden in (False, True):
+            tmp = tmp_path / f"hidden-{hidden}"
+            tmp.mkdir()
+            config = tiny_config(optimizer="adam", hidden=hidden)
+            rng = np.random.Generator(np.random.PCG64(3))
+            params = Params.init_random(512, 8, hidden, seed=3)
+            init = params.copy()
+            opt = Optimizer(config, params)
+            ref = (params.flat.copy(), np.zeros(len(params)), np.zeros(len(params)))
+            hp = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            touched = set()
+            for t, (cols, row) in enumerate(growing_steps(params, rng, 6), start=1):
+                lr = 0.05 / t
+                opt.step(params.flat, cols, row, lr)
+                ref = adam_reference(*ref, scatter_grad(params, cols, row), lr, t, *hp)
+                touched.update(cols.tolist())
+                m, v = opt.dense_moments()
+                assert params.flat.tobytes() == ref[0].tobytes()
+                assert m.tobytes() == ref[1].tobytes()
+                assert v.tobytes() == ref[2].tobytes()
+            assert opt.live.tolist() == sorted(touched)
+            never = np.setdiff1d(np.arange(512), opt.live)
+            assert never.size > 256
+            assert params.W[:, never].tobytes() == init.W[:, never].tobytes()
 
-        # one more step, on moments reloaded from a trainer state
-        task = tiny_task()
-        writer = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
+            # one more step, on moments reloaded from a trainer state
+            task = tiny_task()
+            writer = Finetuner(config, Params.init_random(512, 8, hidden, seed=5), task.corpus,
+                               task.queries, task.qrels)
+            writer.run_episode()
+            writer.save_state(tmp / "state.bin")
+            ft = Finetuner(config, Params.init_random(512, 8, hidden, seed=5), task.corpus,
                            task.queries, task.qrels)
-        writer.run_episode()
-        writer.save_state(tmp_path / "state.bin")
-        ft = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
-                       task.queries, task.qrels)
-        ft.load_state(tmp_path / "state.bin")
-        opt = ft.optimizer
-        grad = rng.normal(size=len(ft.params))
-        ref = adam_reference(ft.params.flat.copy(), opt.m.copy(), opt.v.copy(), grad, 0.01,
-                             opt.t + 1, *hp)
-        opt.step(ft.params.flat, grad, 0.01)
-        assert ft.params.flat.tobytes() == ref[0].tobytes()
-        assert opt.m.tobytes() == ref[1].tobytes()
-        assert opt.v.tobytes() == ref[2].tobytes()
+            ft.load_state(tmp / "state.bin")
+            opt = ft.optimizer
+            assert opt.live.tolist() == writer.optimizer.live.tolist()
+            ft.save_state(tmp / "again.bin")
+            assert (tmp / "again.bin").read_bytes() == (tmp / "state.bin").read_bytes()
+            cols, row = list(growing_steps(ft.params, rng, 2))[-1]
+            m, v = opt.dense_moments()
+            ref = adam_reference(ft.params.flat.copy(), m, v, scatter_grad(ft.params, cols, row),
+                                 0.01, opt.t + 1, *hp)
+            opt.step(ft.params.flat, cols, row, 0.01)
+            m, v = opt.dense_moments()
+            assert ft.params.flat.tobytes() == ref[0].tobytes()
+            assert m.tobytes() == ref[1].tobytes()
+            assert v.tobytes() == ref[2].tobytes()
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_sgd_bytes_equal_dense_steps(self, hidden):
+        rng = np.random.Generator(np.random.PCG64(4))
+        params = Params.init_random(512, 8, hidden, seed=3)
+        opt = Optimizer(tiny_config(optimizer="sgd", hidden=hidden), params)
+        ref = params.flat.copy()
+        for t, (cols, row) in enumerate(growing_steps(params, rng, 6), start=1):
+            lr = 0.05 / t
+            opt.step(params.flat, cols, row, lr)
+            ref -= lr * scatter_grad(params, cols, row)
+            assert params.flat.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(weighting="idro"), dict(weighting="groupdro"), dict(weighting="uniform"),
+        dict(weighting="idro", hidden=True), dict(weighting="groupdro", hidden=True),
+        dict(weighting="uniform", hidden=True),
+        dict(weighting="groupdro", hidden=True, optimizer="sgd", omega_carryover=True),
+    ], ids=lambda o: "-".join(str(v) for v in o.values()))
+    def test_finetune_equals_dense_optimizer(self, monkeypatch, overrides):
+        config, task = tiny_config(**overrides), tiny_task()
+        live = run_finetune(config, task)
+        monkeypatch.setattr(trainer, "Optimizer", DenseOptimizer)
+        dense = run_finetune(config, task)
+        assert live.params.flat.tobytes() == dense.params.flat.tobytes()
+        assert live.log_rows == dense.log_rows
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_pretrain_equals_dense_optimizer(self, monkeypatch, hidden):
+        config = tiny_config(hidden=hidden, pretrain_epochs=3)
+        corpus = TestPretrain().separable_corpus(n_docs=20)
+        live = pretrain_coco(config, [corpus])
+        monkeypatch.setattr(trainer, "Optimizer", DenseOptimizer)
+        dense = pretrain_coco(config, [corpus])
+        assert live.params.flat.tobytes() == dense.params.flat.tobytes()
+        assert live.epoch_losses == dense.epoch_losses
 
 
 class TestScheduledLr:
@@ -271,6 +331,13 @@ class TestFinetune:
         assert all(q.id != "orphan" for q in ft.queries)
         assert any("orphan" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_hidden_mismatch_rejected(self, hidden):
+        task, config = tiny_task(), tiny_config(hidden=hidden)
+        params = Params.init_random(config.feature_dim, config.embed_dim, not hidden, seed=5)
+        with pytest.raises(ConfigError, match="hidden"):
+            Finetuner(config, params, task.corpus, task.queries, task.qrels)
+
     def test_positive_missing_from_corpus_rejected_before_training(self):
         task = tiny_task()
         qid = next(q.id for q in task.queries if task.qrels.positives(q.id))
@@ -283,7 +350,8 @@ class TestFinetune:
             Finetuner(config, params, task.corpus, task.queries, QrelSet(grades))
 
     def test_default_size_step_peak_memory(self):
-        """One default-size step allocates a few parameter-sized vectors, not one per cluster."""
+        """One default-size step allocates no parameter-sized vector: the gradient
+        stays on the touched columns and Adam works on the live ones."""
         source, _ = make_two_domain_benchmark(seed=experiments._BENCHMARK_SEED)
         config = RunConfig()
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=0)
@@ -298,7 +366,7 @@ class TestFinetune:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * len(params) * 8
+        assert peak < 2 * len(params) * 8
 
     def test_episode_boundary_cluster_contract(self):
         """Episode e's clusters are fit on embeddings from the params that ended e-1."""
