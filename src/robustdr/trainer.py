@@ -148,8 +148,8 @@ class Optimizer:
     hidden layer. Outside ``live`` the moments and the gradient are zero, so
     the textbook step there is ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight
     keeps its bytes. Inside, each entry goes through the textbook operations
-    in the textbook order, so ``flat`` and `dense_moments` equal those of
-    dense Adam on the scattered gradient bit for bit.
+    in the textbook order, so ``flat`` and the moments equal those of dense
+    Adam on the scattered gradient bit for bit.
     """
 
     def __init__(self, config: RunConfig, params: Params):
@@ -209,30 +209,6 @@ class Optimizer:
         step *= lr
         step /= tmp
         return step
-
-    def dense_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adam's ``m`` and ``v`` as vectors aligned with ``params.flat``."""
-        e, d = self.shape
-        out = []
-        for block_w, block_h in ((self.m_w, self.m_h), (self.v_w, self.v_h)):
-            dense = np.zeros(e * d + block_h.size)
-            dense[: e * d].reshape(e, d)[:, self.live] = block_w
-            dense[e * d :] = block_h
-            out.append(dense)
-        return out[0], out[1]
-
-    def load_moments(self, m: np.ndarray, v: np.ndarray) -> None:
-        """Adopt dense moments; ``live`` becomes the columns where ``m`` or ``v`` is nonzero.
-
-        Zeros are found by their bits, so a column holding -0.0 stays live and
-        `dense_moments` gives back the same bytes.
-        """
-        e, d = self.shape
-        m_w, v_w = m[: e * d].reshape(e, d), v[: e * d].reshape(e, d)
-        nonzero = (m_w.view(np.int64) | v_w.view(np.int64)) != 0
-        self.live = np.flatnonzero(nonzero.any(axis=0))
-        self.m_w, self.v_w = m_w[:, self.live], v_w[:, self.live]
-        self.m_h, self.v_h = m[e * d :].copy(), v[e * d :].copy()
 
 
 def scheduled_lr(base: float, step_idx: int, total_steps: int, warmup_frac: float) -> float:
@@ -412,9 +388,9 @@ class LogRow:
 
 
 STATE_FORMAT = "robustdr-trainer-state"
-STATE_VERSION = 4
+STATE_VERSION = 5
 _STATE_FIELDS = {
-    "episodes_done": int, "optimizer_kind": str, "optimizer_t": int,
+    "episodes_done": int, "optimizer_kind": str, "optimizer_t": int, "n_live": int,
     "n_clusters": int, "cluster_model": (dict, type(None)), "blocks": list,
 }
 
@@ -444,9 +420,11 @@ class Finetuner:
     """Episode-based fine-tuning on labeled source data.
 
     `omega` holds the robust weights, one per cluster of the current cluster
-    model. State at an episode boundary (weights, optimizer moments, `omega`,
-    cluster model, episode counter) fully determines the continuation, so
-    saving and reloading it resumes bit-identically.
+    model. State at an episode boundary fully determines the continuation, so
+    saving and reloading it resumes bit-identically. That state is the
+    weights, the optimizer's step count, Adam's live columns with its moments
+    over them (and over ``H`` with the hidden layer), `omega`, the cluster
+    model and the episode counter.
     """
 
     def __init__(
@@ -636,18 +614,27 @@ class Finetuner:
         """Episode-boundary snapshot for bit-identical resumption under the same config.
 
         A `blobfile` file; the header names its blocks. Bytes are reproducible.
+        The blocks are ``flat``; with Adam, ``live`` (its L ascending column
+        ids, exact as float64), ``adam_m`` and ``adam_v`` (E x L each, over
+        those columns) and, with the hidden layer, ``adam_m_h`` and
+        ``adam_v_h``; then ``omega`` and the ``centroids`` of the cluster
+        model. Each block is written from the array that holds it, without a
+        dense or joined copy.
         """
-        model = self.cluster_model
+        model, opt = self.cluster_model, self.optimizer
         blocks = {"flat": self.params.flat}
-        if self.optimizer.kind == "adam":
-            blocks["adam_m"], blocks["adam_v"] = self.optimizer.dense_moments()
+        if opt.kind == "adam":
+            blocks.update(live=opt.live, adam_m=opt.m_w, adam_v=opt.v_w)
+            if opt.m_h.size:
+                blocks.update(adam_m_h=opt.m_h, adam_v_h=opt.v_h)
         blocks["omega"] = self.omega
         if model is not None:
             blocks["centroids"] = model.centroids
         fields = {
             "episodes_done": self.episodes_done,
-            "optimizer_kind": self.optimizer.kind,
-            "optimizer_t": self.optimizer.t,
+            "optimizer_kind": opt.kind,
+            "optimizer_t": opt.t,
+            "n_live": int(opt.live.size) if opt.kind == "adam" else 0,
             "n_clusters": len(self.omega),
             "cluster_model": None if model is None else clustering.cluster_fields(model),
             "blocks": [[name, int(arr.size)] for name, arr in blocks.items()],
@@ -660,12 +647,19 @@ class Finetuner:
             raise ConfigError("optimizer: state file was written by a different optimizer kind")
         if meta["optimizer_t"] < 0:
             raise ValueError(f"optimizer_t is {meta['optimizer_t']}, not >= 0")
+        adam = self.optimizer.kind == "adam"
+        n_live, most_live = meta["n_live"], self.params.feature_dim if adam else 0
+        if not 0 <= n_live <= most_live:
+            raise ValueError(f"n_live is {n_live}, this run allows 0 to {most_live} live columns")
         k, n, model = meta["n_clusters"], len(self.params), meta["cluster_model"]
         if not 1 <= k <= self.config.k_clusters:
             raise ValueError(f"{k} clusters, this run allows 1 to {self.config.k_clusters}")
         expected = [["flat", n]]
-        if self.optimizer.kind == "adam":
-            expected += [["adam_m", n], ["adam_v", n]]
+        if adam:
+            moments = self.params.embed_dim * n_live
+            expected += [["live", n_live], ["adam_m", moments], ["adam_v", moments]]
+            if self.params.H is not None:
+                expected += [["adam_m_h", self.params.H.size], ["adam_v_h", self.params.H.size]]
         expected.append(["omega", k])
         if model is not None:
             blobfile.check_fields(model, clustering.CLUSTER_FIELDS)
@@ -677,21 +671,43 @@ class Finetuner:
         return [length for _, length in expected]
 
     def load_state(self, path: str | Path) -> None:
+        """Adopt a `save_state` file, all or nothing: every check runs before any
+        state changes, so a rejected file leaves this `Finetuner` as it was."""
         meta, arrays = blobfile.read(
             path, STATE_FORMAT, STATE_VERSION, _STATE_FIELDS, self._state_lengths
         )
         blocks = {name: arr for (name, _), arr in zip(meta["blocks"], arrays)}
-        if self.optimizer.kind == "adam" and np.any(blocks["adam_v"] < 0):
-            raise BlobFileError(f"{path}: block adam_v holds a negative second moment")
-        self.params.flat[:] = blocks["flat"]
-        if self.optimizer.kind == "adam":
-            self.optimizer.load_moments(blocks["adam_m"], blocks["adam_v"])
-        self.optimizer.t = meta["optimizer_t"]
-        self.omega = blocks["omega"]
+        opt = self.optimizer
+        if opt.kind == "adam":
+            live = blocks["live"]
+            if live.size and not (
+                live[0] >= 0 and live[-1] < self.params.feature_dim
+                and np.all(np.diff(live) > 0) and np.all(live == np.floor(live))
+            ):
+                raise BlobFileError(
+                    f"{path}: block live is not ascending column ids "
+                    f"in [0, {self.params.feature_dim})"
+                )
+            for name in ("adam_v", "adam_v_h"):
+                if name in blocks and np.any(blocks[name] < 0):
+                    raise BlobFileError(f"{path}: block {name} holds a negative second moment")
+        omega = blocks["omega"]
+        if np.any(omega <= 0.0) or abs(float(omega.sum()) - 1.0) > idro._SIMPLEX_ATOL:
+            raise BlobFileError(f"{path}: block omega is not positive with sum 1")
         model = meta["cluster_model"]
-        self.cluster_model = (
-            None if model is None else clustering.cluster_model_from(model, blocks["centroids"])
-        )
+        if model is not None:
+            model = clustering.cluster_model_from(model, blocks["centroids"])
+
+        self.params.flat[:] = blocks["flat"]
+        if opt.kind == "adam":
+            opt.live = blocks["live"].astype(np.int64)
+            opt.m_w = blocks["adam_m"].reshape(self.params.embed_dim, -1)
+            opt.v_w = blocks["adam_v"].reshape(self.params.embed_dim, -1)
+            if "adam_m_h" in blocks:
+                opt.m_h, opt.v_h = blocks["adam_m_h"], blocks["adam_v_h"]
+        opt.t = meta["optimizer_t"]
+        self.omega = omega
+        self.cluster_model = model
         self.episodes_done = meta["episodes_done"]
 
 

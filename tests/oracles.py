@@ -177,6 +177,20 @@ def adam_reference(flat, m, v, grad, lr, t, beta1, beta2, eps):
     return flat - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
+def dense_moments(opt) -> tuple[np.ndarray, np.ndarray]:
+    """Adam's ``m`` and ``v`` of a `trainer.Optimizer` as vectors aligned with
+    ``params.flat``: ``m_w``/``v_w`` scattered to the ``live`` columns, zero
+    elsewhere, then ``m_h``/``v_h``."""
+    e, d = opt.shape
+    out = []
+    for block_w, block_h in ((opt.m_w, opt.m_h), (opt.v_w, opt.v_h)):
+        dense = np.zeros(e * d + block_h.size)
+        dense[: e * d].reshape(e, d)[:, opt.live] = block_w
+        dense[e * d :] = block_h
+        out.append(dense)
+    return out[0], out[1]
+
+
 class DenseOptimizer:
     """`trainer.Optimizer` on dense vectors: each step scatters its row into a
     gradient as long as ``params.flat`` and takes the textbook step on every

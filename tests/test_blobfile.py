@@ -152,34 +152,113 @@ def saved_state(tmp_path_factory):
     return path
 
 
-def test_version_3_trainer_state_rejected(saved_state, tmp_path):
-    """Version 3 also carried a step counter; the optimizer's count is now the only one."""
-    header, _, payload = saved_state.read_bytes().partition(b"\n")
+def _state_blocks(path):
+    """(header fields, named blocks) of a trainer state file."""
+    header, _, payload = path.read_bytes().partition(b"\n")
     fields = json.loads(header)
-    old = {**fields, "version": 3, "global_step": fields["optimizer_t"]}
-    probe = tmp_path / "v3.bin"
-    probe.write_bytes(json.dumps(old).encode("utf-8") + b"\n" + payload)
+    values = np.frombuffer(payload, "<f8")
+    ends = np.cumsum([n for _, n in fields["blocks"]])
+    return fields, dict(zip([name for name, _ in fields["blocks"]], np.split(values, ends[:-1])))
+
+
+def _write_state(path, fields, blocks):
+    fields = {**fields, "blocks": [[name, int(arr.size)] for name, arr in blocks.items()]}
+    blobfile.write(path, fields.pop("format"), fields.pop("version"), fields, blocks.values())
+
+
+def _dense_moments_v4(fields, blocks):
+    """A version-4 state: Adam's moments dense over ``flat``, no ``live`` block."""
+    fields = {k: v for k, v in fields.items() if k != "n_live"}
+    live = blocks["live"].astype(np.int64)
+    dense = {}
+    for name in ("adam_m", "adam_v"):
+        full = np.zeros((8, 512))
+        full[:, live] = blocks[name].reshape(8, -1)
+        dense[name] = full.ravel()
+    return fields, {"flat": blocks["flat"], **dense, "omega": blocks["omega"],
+                    "centroids": blocks["centroids"]}
+
+
+@pytest.mark.parametrize("version", [3, 4])
+def test_old_trainer_state_version_rejected(saved_state, tmp_path, version):
+    """Version 3 also carried a step counter; version 4 held Adam's moments dense."""
+    fields, blocks = _dense_moments_v4(*_state_blocks(saved_state))
+    if version == 3:
+        fields["global_step"] = fields["optimizer_t"]
+    fields["version"] = version
+    probe = tmp_path / f"v{version}.bin"
+    _write_state(probe, fields, blocks)
     with pytest.raises(BlobFileError, match=re.escape(str(probe)) + ".*version"):
         _finetuner(tiny_config(), tiny_task()).load_state(probe)
 
 
-@pytest.mark.parametrize("name", ["adam_v", "optimizer_t"])
+def _negated_first_positive(arr):
+    arr = arr.copy()
+    arr[np.flatnonzero(arr > 0)[0]] *= -1.0
+    return arr
+
+
+_NOT_ASCENDING_IDS = "block live is not ascending column ids"
+# name: (the blocks it replaces, given the valid blocks; the error it must raise)
+_CORRUPTIONS = {
+    "adam_v": (lambda b: {"adam_v": _negated_first_positive(b["adam_v"])},
+               "block adam_v holds a negative second moment"),
+    "live-unsorted": (lambda b: {"live": np.append(b["live"][1::-1], b["live"][2:])},
+                      _NOT_ASCENDING_IDS),
+    "live-duplicated": (lambda b: {"live": np.append(b["live"][0], b["live"][:-1])},
+                        _NOT_ASCENDING_IDS),
+    "live-non-integer": (lambda b: {"live": np.append(b["live"][0] + 0.5, b["live"][1:])},
+                         _NOT_ASCENDING_IDS),
+    "live-out-of-range": (lambda b: {"live": np.append(b["live"][:-1], 512.0)},
+                          _NOT_ASCENDING_IDS),
+    "live-negative": (lambda b: {"live": np.append(-1.0, b["live"][1:])}, _NOT_ASCENDING_IDS),
+    "live-longer-than-feature_dim": (
+        lambda b: {"live": np.arange(513.0), "adam_m": np.zeros(8 * 513),
+                   "adam_v": np.zeros(8 * 513)},
+        "n_live is 513",
+    ),
+    "omega-negative": (lambda b: {"omega": np.array([-0.5, 1.0, 0.5])},
+                       "block omega is not positive with sum 1"),
+    "omega-sum-not-1": (lambda b: {"omega": np.array([0.5, 0.5, 0.5])},
+                        "block omega is not positive with sum 1"),
+}
+
+
+@pytest.mark.parametrize("name", [*_CORRUPTIONS, "optimizer_t"])
 def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, name):
     """A negative second moment would reach a sqrt in the next step; a negative
-    step count, the bias correction."""
-    header, _, payload = saved_state.read_bytes().partition(b"\n")
-    fields = json.loads(header)
-    values = np.frombuffer(payload, "<f8").copy()
+    step count, the bias correction. A ``live`` block must hold ascending column
+    ids of the encoder, and ``omega`` must be a probability vector. A rejected
+    file changes nothing in the loading `Finetuner`."""
+    fields, blocks = _state_blocks(saved_state)
     if name == "optimizer_t":
-        fields["optimizer_t"] = -1
+        fields["optimizer_t"], message = -1, "optimizer_t is -1"
     else:
-        names = [block for block, _ in fields["blocks"]]
-        start = sum(n for _, n in fields["blocks"][: names.index(name)])
-        values[start + np.flatnonzero(values[start:] > 0)[0]] *= -1.0
-    probe = tmp_path / "negative.bin"
-    probe.write_bytes(json.dumps(fields).encode("utf-8") + b"\n" + values.tobytes())
-    with pytest.raises(BlobFileError, match=re.escape(str(probe)) + f".*{name}"):
-        _finetuner(tiny_config(), tiny_task()).load_state(probe)
+        edit, message = _CORRUPTIONS[name]
+        blocks.update(edit(blocks))
+        fields["n_live"] = blocks["live"].size
+    probe = tmp_path / "corrupt.bin"
+    _write_state(probe, fields, blocks)
+    loader = _finetuner(tiny_config(), tiny_task())
+    before = (loader.params.flat.tobytes(), loader.optimizer.t, loader.omega.tobytes())
+    with pytest.raises(BlobFileError, match=re.escape(f"{probe}: {message}")):
+        loader.load_state(probe)
+    assert (loader.params.flat.tobytes(), loader.optimizer.t, loader.omega.tobytes()) == before
+    assert loader.optimizer.live.size == 0 and loader.cluster_model is None
+
+
+def test_trainer_state_payload_holds_only_live_moments(tmp_path):
+    """Adam's moments take 8 bytes per live column and row, not per parameter."""
+    config = tiny_config(feature_dim=4096, hidden=True)
+    writer = _finetuner(config, tiny_task())
+    writer.run_episode()
+    writer.save_state(tmp_path / "state.bin")
+    _, _, payload = (tmp_path / "state.bin").read_bytes().partition(b"\n")
+    params, live = writer.params, writer.optimizer.live.size
+    k, w = writer.cluster_model.centroids.shape
+    moments = params.embed_dim * live + params.H.size
+    assert 0 < live < config.feature_dim
+    assert len(payload) == 8 * (len(params) + live + 2 * moments + k + k * w)
 
 
 @settings(max_examples=30)

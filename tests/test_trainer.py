@@ -25,7 +25,7 @@ from robustdr.trainer import (
     pretrain_coco,
     scheduled_lr,
 )
-from tests.oracles import DenseOptimizer, adam_reference
+from tests.oracles import DenseOptimizer, adam_reference, dense_moments
 
 
 def tiny_task():
@@ -130,7 +130,7 @@ class TestOptimizer:
                 opt.step(params.flat, cols, row, lr)
                 ref = adam_reference(*ref, scatter_grad(params, cols, row), lr, t, *hp)
                 touched.update(cols.tolist())
-                m, v = opt.dense_moments()
+                m, v = dense_moments(opt)
                 assert params.flat.tobytes() == ref[0].tobytes()
                 assert m.tobytes() == ref[1].tobytes()
                 assert v.tobytes() == ref[2].tobytes()
@@ -153,11 +153,11 @@ class TestOptimizer:
             ft.save_state(tmp / "again.bin")
             assert (tmp / "again.bin").read_bytes() == (tmp / "state.bin").read_bytes()
             cols, row = list(growing_steps(ft.params, rng, 2))[-1]
-            m, v = opt.dense_moments()
+            m, v = dense_moments(opt)
             ref = adam_reference(ft.params.flat.copy(), m, v, scatter_grad(ft.params, cols, row),
                                  0.01, opt.t + 1, *hp)
             opt.step(ft.params.flat, cols, row, 0.01)
-            m, v = opt.dense_moments()
+            m, v = dense_moments(opt)
             assert ft.params.flat.tobytes() == ref[0].tobytes()
             assert m.tobytes() == ref[1].tobytes()
             assert v.tobytes() == ref[2].tobytes()
@@ -398,17 +398,23 @@ class TestFinetune:
             tiny_config(episodes=3),
             tiny_config(episodes=3, omega_carryover=True, tau=0.05),
             tiny_config(episodes=3, weighting="groupdro", omega_carryover=True),
+            tiny_config(episodes=3, hidden=True),
+            tiny_config(episodes=3, weighting="uniform", hidden=True),
+            tiny_config(episodes=3, weighting="uniform", optimizer="sgd"),
+            tiny_config(episodes=3, weighting="idro", hidden=True, optimizer="sgd"),
         ):
             straight = run_finetune(config, task)
 
-            params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+            params = Params.init_random(config.feature_dim, config.embed_dim, config.hidden, seed=5)
             ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
             ft.run_episode()
             ft.run_episode()
             state_path = tmp_path / "state.bin"
             ft.save_state(state_path)
 
-            fresh_params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+            fresh_params = Params.init_random(
+                config.feature_dim, config.embed_dim, config.hidden, seed=5
+            )
             resumed = Finetuner(config, fresh_params, task.corpus, task.queries, task.qrels)
             resumed.load_state(state_path)
             assert resumed.episodes_done == 2
