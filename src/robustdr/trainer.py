@@ -700,7 +700,7 @@ class Finetuner:
 
         self.params.flat[:] = blocks["flat"]
         if opt.kind == "adam":
-            opt.live = blocks["live"].astype(np.int64)
+            opt.live = live.astype(np.int64)
             opt.m_w = blocks["adam_m"].reshape(self.params.embed_dim, -1)
             opt.v_w = blocks["adam_v"].reshape(self.params.embed_dim, -1)
             if "adam_m_h" in blocks:

@@ -7,6 +7,7 @@ raw KeyError or a silently wrong object.
 
 import json
 import re
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -167,7 +168,8 @@ def _write_state(path, fields, blocks):
 
 
 def _dense_moments_v4(fields, blocks):
-    """A version-4 state: Adam's moments dense over ``flat``, no ``live`` block."""
+    """A version-4 state of the 8 x 512 encoder: Adam's moments dense over
+    ``flat``, no ``live`` block."""
     fields = {k: v for k, v in fields.items() if k != "n_live"}
     live = blocks["live"].astype(np.int64)
     dense = {}
@@ -199,44 +201,44 @@ def _negated_first_positive(arr):
 
 
 _NOT_ASCENDING_IDS = "block live is not ascending column ids"
-# name: (the blocks it replaces, given the valid blocks; the error it must raise)
+# name: (an edit of the valid header fields and blocks, the error it must raise)
 _CORRUPTIONS = {
-    "adam_v": (lambda b: {"adam_v": _negated_first_positive(b["adam_v"])},
+    "adam_v": (lambda f, b: b.update(adam_v=_negated_first_positive(b["adam_v"])),
                "block adam_v holds a negative second moment"),
-    "live-unsorted": (lambda b: {"live": np.append(b["live"][1::-1], b["live"][2:])},
+    "optimizer_t": (lambda f, b: f.update(optimizer_t=-1), "optimizer_t is -1"),
+    "live-unsorted": (lambda f, b: b.update(live=np.append(b["live"][1::-1], b["live"][2:])),
                       _NOT_ASCENDING_IDS),
-    "live-duplicated": (lambda b: {"live": np.append(b["live"][0], b["live"][:-1])},
+    "live-duplicated": (lambda f, b: b.update(live=np.append(b["live"][0], b["live"][:-1])),
                         _NOT_ASCENDING_IDS),
-    "live-non-integer": (lambda b: {"live": np.append(b["live"][0] + 0.5, b["live"][1:])},
+    "live-non-integer": (lambda f, b: b.update(live=np.append(b["live"][0] + 0.5,
+                                                               b["live"][1:])),
                          _NOT_ASCENDING_IDS),
-    "live-out-of-range": (lambda b: {"live": np.append(b["live"][:-1], 512.0)},
+    "live-out-of-range": (lambda f, b: b.update(live=np.append(b["live"][:-1], 512.0)),
                           _NOT_ASCENDING_IDS),
-    "live-negative": (lambda b: {"live": np.append(-1.0, b["live"][1:])}, _NOT_ASCENDING_IDS),
+    "live-negative": (lambda f, b: b.update(live=np.append(-1.0, b["live"][1:])),
+                      _NOT_ASCENDING_IDS),
     "live-longer-than-feature_dim": (
-        lambda b: {"live": np.arange(513.0), "adam_m": np.zeros(8 * 513),
-                   "adam_v": np.zeros(8 * 513)},
+        lambda f, b: b.update(live=np.arange(513.0), adam_m=np.zeros(8 * 513),
+                              adam_v=np.zeros(8 * 513)),
         "n_live is 513",
     ),
-    "omega-negative": (lambda b: {"omega": np.array([-0.5, 1.0, 0.5])},
+    "omega-negative": (lambda f, b: b.update(omega=np.array([-0.5, 1.0, 0.5])),
                        "block omega is not positive with sum 1"),
-    "omega-sum-not-1": (lambda b: {"omega": np.array([0.5, 0.5, 0.5])},
+    "omega-sum-not-1": (lambda f, b: b.update(omega=np.array([0.5, 0.5, 0.5])),
                         "block omega is not positive with sum 1"),
 }
 
 
-@pytest.mark.parametrize("name", [*_CORRUPTIONS, "optimizer_t"])
+@pytest.mark.parametrize("name", _CORRUPTIONS)
 def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, name):
     """A negative second moment would reach a sqrt in the next step; a negative
     step count, the bias correction. A ``live`` block must hold ascending column
     ids of the encoder, and ``omega`` must be a probability vector. A rejected
     file changes nothing in the loading `Finetuner`."""
     fields, blocks = _state_blocks(saved_state)
-    if name == "optimizer_t":
-        fields["optimizer_t"], message = -1, "optimizer_t is -1"
-    else:
-        edit, message = _CORRUPTIONS[name]
-        blocks.update(edit(blocks))
-        fields["n_live"] = blocks["live"].size
+    edit, message = _CORRUPTIONS[name]
+    edit(fields, blocks)
+    fields["n_live"] = blocks["live"].size
     probe = tmp_path / "corrupt.bin"
     _write_state(probe, fields, blocks)
     loader = _finetuner(tiny_config(), tiny_task())
@@ -248,11 +250,18 @@ def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, 
 
 
 def test_trainer_state_payload_holds_only_live_moments(tmp_path):
-    """Adam's moments take 8 bytes per live column and row, not per parameter."""
+    """Adam's moments take 8 bytes per live column and row, not per parameter,
+    and saving allocates less than one parameter vector."""
     config = tiny_config(feature_dim=4096, hidden=True)
     writer = _finetuner(config, tiny_task())
     writer.run_episode()
-    writer.save_state(tmp_path / "state.bin")
+    tracemalloc.start()
+    try:
+        writer.save_state(tmp_path / "state.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(writer.params)
     _, _, payload = (tmp_path / "state.bin").read_bytes().partition(b"\n")
     params, live = writer.params, writer.optimizer.live.size
     k, w = writer.cluster_model.centroids.shape
