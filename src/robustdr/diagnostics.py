@@ -68,13 +68,12 @@ def diagnostics_report(
     eligible = [doc for doc in corpus if len(doc.tokens) >= 2 * span_len]
     if not eligible:
         raise ValueError("no documents long enough to sample span pairs")
-    firsts = []
-    seconds = []
+    pairs = []
     for _ in range(n_pairs):
         doc = eligible[int(rng.integers(len(eligible)))]
-        pair = sample_span_pair(doc, span_len, rng)
-        firsts.append(featurizer(pair[0]))
-        seconds.append(featurizer(pair[1]))
+        pairs.append(sample_span_pair(doc, span_len, rng))
+    firsts = featurizer.many(first for first, _ in pairs)
+    seconds = featurizer.many(second for _, second in pairs)
     emb_first = encode_many(params, firsts)
     emb_second = encode_many(params, seconds)
     points = np.vstack([emb_first, emb_second])

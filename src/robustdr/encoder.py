@@ -35,7 +35,14 @@ class FeatureVector:
 
 
 class Featurizer:
-    """Deterministic seeded hashing of tokens into `dim` count buckets."""
+    """Deterministic seeded hashing of tokens into `dim` count buckets.
+
+    `many` featurizes a list of token lists at once: one cached bucket lookup
+    per token, one sort of the (item, bucket) keys, then one slice per item.
+    Calling the featurizer on one token list is its one-item case. Counts are
+    small integers, so they are exact in float64 and equal to a per-token
+    tally bit for bit.
+    """
 
     def __init__(self, dim: int, seed: int = 0):
         if dim < 1:
@@ -56,22 +63,29 @@ class Featurizer:
         return idx
 
     def __call__(self, tokens: Iterable[str]) -> FeatureVector:
-        counts: dict[int, float] = {}
-        for token in tokens:
-            idx = self.bucket(token)
-            counts[idx] = counts.get(idx, 0.0) + 1.0
-        if not counts:
-            return FeatureVector(
-                indices=np.empty(0, dtype=np.int64),
-                counts=np.empty(0, dtype=np.float64),
-                dim=self.dim,
-            )
-        order = sorted(counts)
-        return FeatureVector(
-            indices=np.array(order, dtype=np.int64),
-            counts=np.array([counts[i] for i in order], dtype=np.float64),
-            dim=self.dim,
-        )
+        return self.many([tokens])[0]
+
+    def many(self, token_lists: Iterable[Iterable[str]]) -> list[FeatureVector]:
+        """One `FeatureVector` per token list, in order."""
+        tokens: list[str] = []
+        lengths: list[int] = []
+        for item in token_lists:
+            start = len(tokens)
+            tokens.extend(item)
+            lengths.append(len(tokens) - start)
+        for token in set(tokens).difference(self._cache):
+            self.bucket(token)
+        buckets = np.fromiter(map(self._cache.__getitem__, tokens), np.int64, len(tokens))
+        items = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        keys, counts = np.unique(items * self.dim + buckets, return_counts=True)
+        owner = keys // self.dim
+        indices = keys - owner * self.dim
+        counts = counts.astype(np.float64)
+        bounds = np.searchsorted(owner, np.arange(len(lengths) + 1)).tolist()
+        return [
+            FeatureVector(indices=indices[a:b], counts=counts[a:b], dim=self.dim)
+            for a, b in zip(bounds, bounds[1:])
+        ]
 
 
 class Params:
@@ -272,7 +286,7 @@ class EmbeddingMatrix:
 def embed_items(params: Params, featurizer: Featurizer, items: Iterable) -> EmbeddingMatrix:
     """Embed anything carrying ``.id`` and ``.tokens`` (documents or queries)."""
     items = list(items)
-    fvs = [featurizer(item.tokens) for item in items]
+    fvs = featurizer.many(item.tokens for item in items)
     return EmbeddingMatrix(
         ids=tuple(item.id for item in items), matrix=encode_many(params, fvs)
     )

@@ -126,27 +126,32 @@ def _fixed_eval_batch(task, featurizer, n_negatives=8):
     against random documents.
     """
     index = retrieval_eval.Bm25Index(task.corpus)
-    doc_fvs = {doc.id: featurizer(doc.tokens) for doc in task.corpus}
+    queries = list(task.queries)
+    doc_fvs = dict(zip(index.ids, featurizer.many(doc.tokens for doc in task.corpus)))
+    query_fvs = featurizer.many(query.tokens for query in queries)
+    qids = [query.id for query in queries]
+    rankings = (
+        ranked
+        for picks in retrieval_eval.block_picks(index, [q.tokens for q in queries], k=50)
+        for ranked in retrieval_eval.ranked_lists(qids, index.ids, picks)
+    )
     first_doc_of_topic = {}
     for doc in task.corpus:
         topic = doc.id.rsplit("-", 1)[0]
         first_doc_of_topic.setdefault(topic, doc.id)
     items = []
-    qids = []
-    for query in task.queries:
+    for query, query_fv, ranking in zip(queries, query_fvs, rankings):
         positives = task.qrels.positives(query.id)
         own_topic = query.id.rsplit("-", 1)[0]
         distractors = [d for t, d in first_doc_of_topic.items() if t != own_topic]
-        ranked = retrieval_eval.search_bm25(index, query.tokens, k=50)
-        bm25_pool = [d for d in ranked.doc_ids() if task.qrels.grade(query.id, d) <= 0]
+        bm25_pool = [d for d in ranking.doc_ids() if task.qrels.grade(query.id, d) <= 0]
         pool: list[str] = []
         for a, b in zip(distractors, bm25_pool + [None] * len(distractors)):
             pool.append(a)
             if b is not None and b not in pool:
                 pool.append(b)
         negs = tuple(doc_fvs[d] for d in pool[:n_negatives])
-        items.append(losses.Triplet(featurizer(query.tokens), doc_fvs[positives[0]], negs))
-        qids.append(query.id)
+        items.append(losses.Triplet(query_fv, doc_fvs[positives[0]], negs))
     return items, qids
 
 

@@ -1,21 +1,34 @@
 """Exhaustive dense retrieval, BM25 lexical retrieval, and ranking metrics.
 
-Both retrieval paths rank by descending score with ties broken by
-lexicographic doc id, through one top-k selector (`_top_k`): a partition at
-the k-th best score keeps every row scoring at least that score, so ties at
-the boundary all survive; the survivors are ordered by score, then by the
-rank of their doc id among the ids sorted as Python strings (computed once
-per index), and the first k are kept. ``-0.0`` and ``0.0`` tie. Dense search
-is exact top-k over all corpus rows; BM25 ranks the rows any query token hits.
+Both retrieval paths score a block of queries at once (`block_picks`): the
+index's ``negated_scores`` fill a (queries x docs) matrix of at most `_BLOCK`
+rows, and one row-wise selector, `_top_k`, picks every row's top k. Ranking
+is by descending score with ties broken by lexicographic doc id: a partition
+at each row's k-th best score keeps every doc scoring at least that score, so
+ties at the boundary all survive; the survivors are ordered by score, then by
+doc id as a Python string (each index sorts its ids once), and the first k
+are kept. ``-0.0`` and ``0.0`` tie. The selector works on negated scores, and
+a doc whose negated score is
+``+inf`` is never selected.
+
+Dense search is exact top-k over all corpus rows. A block's scores are one
+GEMV per query, not one GEMM for the block: a GEMM sums the dot products in
+another order and changes the last bits. BM25 ranks only the docs some query
+token hits; the others get ``+inf``. A block's BM25 scores add each query's
+distinct-token terms in first-occurrence order, each term rounded as
+``qtf * idf * tf * (k1 + 1) / (tf + norm)`` from the left. `search_dense` and
+`search_bm25` are the one-query cases of these block paths, so each query's
+scores and ranking are the same in a block as alone, bit for bit. The block
+size bounds the memory of a pass over many queries to a few block-sized
+arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +36,12 @@ from . import blobfile
 from .corpus import Corpus, QrelSet, QuerySet
 from .encoder import EmbeddingMatrix, Featurizer, Params, embed_items
 from .errors import InvariantError
+
+# BM25's term-frequency saturation and length normalization.
+BM25_K1 = 0.9
+BM25_B = 0.4
+# Queries scored per block.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -34,24 +53,70 @@ class RankedList:
         return tuple(doc_id for doc_id, _ in self.results)
 
 
-def _id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each row's position when the ids are sorted as Python strings."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
+class Picks(NamedTuple):
+    """The top k of a block of queries: query ``start + i`` picks the docs at
+    rows ``cols[bounds[i]:bounds[i + 1]]``, best first, scoring ``scores``."""
+
+    start: int
+    bounds: np.ndarray
+    cols: np.ndarray
+    scores: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """The block row (query) of each pick."""
+        return np.repeat(np.arange(self.bounds.size - 1), np.diff(self.bounds))
 
 
-def _top_k(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k best scores: score descending, then rank ascending."""
-    neg = -scores
-    rows = np.arange(neg.size)
-    if k < neg.size:
-        rows = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-    return rows[np.lexsort((rank[rows], neg[rows]))][:k]
+def _id_order(ids: Sequence[str]) -> np.ndarray:
+    """The rows in the order of their ids sorted as Python strings."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
-def _ranked(query_id: str, ids: Sequence[str], scores: np.ndarray, top: np.ndarray) -> RankedList:
-    return RankedList(query_id, tuple(zip([ids[i] for i in top.tolist()], scores[top].tolist())))
+def _top_k(neg: np.ndarray, order: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k best docs of a block of negated scores, skipping ``+inf``.
+
+    ``order`` lists the docs by id. Returns (rows, cols), sorted by row, then
+    negated score ascending, then id, with at most k picks per row.
+    """
+    n_rows, n = neg.shape
+    neg = neg[:, order]  # docs in id order, so that a stable sort breaks ties by id
+    keep = neg < np.inf
+    if k < n:
+        keep &= neg <= np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    flat = np.flatnonzero(keep)
+    rows = flat // n
+    counts = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    # Each row's candidates, left-aligned in id order and padded with +inf.
+    padded = np.full((n_rows, counts.max(initial=0)), np.inf)
+    padded[rows, np.arange(flat.size) - starts[rows]] = neg.ravel()[flat]
+    best = np.argsort(padded, axis=1, kind="stable")[:, :k]
+    picked = np.take_along_axis(padded, best, axis=1) < np.inf
+    rows = np.nonzero(picked)[0]
+    return rows, order[flat[starts[rows] + best[picked]] % n]
+
+
+def block_picks(index: DenseIndex | Bm25Index, queries: Sequence, k: int) -> Iterator[Picks]:
+    """The `Picks` of each block of `_BLOCK` queries, scored by ``index.negated_scores``:
+    query embeddings for a `DenseIndex`, token lists for a `Bm25Index`."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    for start in range(0, len(queries), _BLOCK):
+        neg = index.negated_scores(queries[start : start + _BLOCK])
+        rows, cols = _top_k(neg, index.order, k)
+        bounds = np.searchsorted(rows, np.arange(neg.shape[0] + 1))
+        yield Picks(start, bounds, cols, -neg[rows, cols])
+
+
+def ranked_lists(
+    query_ids: Sequence[str], doc_ids: Sequence[str], picks: Picks
+) -> Iterator[RankedList]:
+    """One `RankedList` per query of a block, made as it is consumed."""
+    bounds = picks.bounds.tolist()
+    for i, qid in enumerate(query_ids[picks.start : picks.start + len(bounds) - 1]):
+        top = picks.cols[bounds[i] : bounds[i + 1]].tolist()
+        scores = picks.scores[bounds[i] : bounds[i + 1]].tolist()
+        yield RankedList(qid, tuple(zip([doc_ids[c] for c in top], scores)))
 
 
 class DenseIndex:
@@ -61,82 +126,101 @@ class DenseIndex:
         if len(embeddings) == 0:
             raise ValueError("cannot build a dense index from zero embeddings")
         self.embeddings = embeddings
-        self.rank = _id_ranks(embeddings.ids)
+        self.order = _id_order(embeddings.ids)
 
     def __len__(self) -> int:
         return len(self.embeddings)
 
+    def negated_scores(self, query_embs: np.ndarray) -> np.ndarray:
+        """Negated dot products of a block of query embeddings, one GEMV per query."""
+        neg = np.empty((len(query_embs), len(self)))
+        for i, query_emb in enumerate(query_embs):
+            neg[i] = self.embeddings.matrix @ query_emb
+        if not np.all(np.isfinite(neg)):
+            raise InvariantError("non-finite dense retrieval score")
+        return np.negative(neg, out=neg)
+
 
 def search_dense(index: DenseIndex, query_emb: np.ndarray, k: int, query_id: str = "") -> RankedList:
     """Exact top-k by dot product via a full scan."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = index.embeddings.matrix @ np.asarray(query_emb, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise InvariantError("non-finite dense retrieval score")
-    return _ranked(query_id, index.embeddings.ids, scores, _top_k(scores, index.rank, k))
+    query_embs = np.asarray(query_emb, dtype=np.float64)[None, :]
+    picks = next(block_picks(index, query_embs, k))
+    return next(ranked_lists((query_id,), index.embeddings.ids, picks))
 
 
 class Bm25Index:
-    """Array postings token -> (rows, term frequencies), plus length statistics.
+    """Flat array postings plus per-document length norms.
 
-    Each token maps to the ascending rows of the documents holding it (intp)
-    and its term frequency in each (float64); a row appears at most once per
-    token.
+    Token ``t`` (its id is ``vocab[token]``) occurs in the documents at rows
+    ``rows[offsets[t]:offsets[t + 1]]``, ascending, with term frequencies
+    ``tf`` (float64) at the same positions; ``df[t]`` counts those rows and
+    ``idf[t] = ln(1 + (N - df + 0.5) / (df + 0.5))``. ``norm`` holds each
+    document's ``k1 * (1 - b + b * len / avgdl)``.
     """
 
     def __init__(self, corpus: Corpus):
         self.ids = tuple(doc.id for doc in corpus)
-        lists: dict[str, tuple[list[int], list[int]]] = {}
-        self.doc_len = np.zeros(len(self.ids), dtype=np.float64)
-        for row, doc in enumerate(corpus):
-            self.doc_len[row] = len(doc.tokens)
-            for token, tf in Counter(doc.tokens).items():
-                rows, tfs = lists.setdefault(token, ([], []))
-                rows.append(row)
-                tfs.append(tf)
-        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {
-            token: (np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.float64))
-            for token, (rows, tfs) in lists.items()
-        }
         self.n_docs = len(self.ids)
+        self.vocab: dict[str, int] = {}
+        n = self.n_docs
+        ids = [self.vocab.setdefault(t, len(self.vocab)) for doc in corpus for t in doc.tokens]
+        lengths = [len(doc.tokens) for doc in corpus]
+        self.doc_len = np.array(lengths, dtype=np.float64)
+        docs = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        keys, tf = np.unique(np.array(ids, dtype=np.int64) * n + docs, return_counts=True)
+        token, rows = np.divmod(keys, n)
+        self.rows = rows.astype(np.intp)
+        self.tf = tf.astype(np.float64)
+        self.offsets = np.searchsorted(token, np.arange(len(self.vocab) + 1))
+        self.df = np.diff(self.offsets)
+        # math.log, not np.log: the two may differ in the last bit.
+        self.idf = np.array([math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                             for df in self.df.tolist()])
         self.avgdl = float(self.doc_len.mean()) if self.n_docs else 0.0
-        self.rank = _id_ranks(self.ids)
+        # With every document empty no posting exists, and no norm is read.
+        self.norm = (
+            BM25_K1 * (1.0 - BM25_B + BM25_B * self.doc_len / self.avgdl)
+            if self.avgdl else np.zeros(self.n_docs)
+        )
+        self.order = _id_order(self.ids)
 
-    def idf(self, token: str) -> float:
-        posting = self.postings.get(token)
-        df = 0 if posting is None else posting[0].size
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+    def negated_scores(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """Negated BM25 scores of a block of queries; ``+inf`` where no query token hits."""
+        n_tokens = len(self.vocab)
+        ids = np.array([self.vocab.get(t, -1) for tokens in token_lists for t in tokens],
+                       dtype=np.int64)
+        owner = np.repeat(np.arange(len(token_lists)), [len(tokens) for tokens in token_lists])
+        known = ids >= 0
+        # Each query's distinct tokens in first-occurrence order, as `Counter` keeps them.
+        keys, first, qtf = np.unique(owner[known] * n_tokens + ids[known],
+                                     return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        query, token = np.divmod(keys[by_first], n_tokens)
+        qtf = qtf[by_first]
+        df = self.df[token]
+        term = np.repeat(np.arange(token.size), df)
+        at = np.arange(term.size) + np.repeat(self.offsets[token] - (np.cumsum(df) - df), df)
+        rows, tf = self.rows[at], self.tf[at]
+        weight = qtf * self.idf[token]
+        scores = weight[term] * tf * (BM25_K1 + 1.0) / (tf + self.norm[rows])
+        at = (query[term], rows)
+        neg = np.zeros((len(token_lists), self.n_docs))
+        np.add.at(neg, at, scores)  # unbuffered, in order: each query's tokens in turn
+        hit = np.zeros(neg.shape, dtype=bool)
+        hit[at] = True
+        np.negative(neg, out=neg)
+        neg[~hit] = np.inf
+        return neg
 
 
-def search_bm25(
-    index: Bm25Index,
-    query_tokens: Sequence[str],
-    k: int,
-    k1: float = 0.9,
-    b: float = 0.4,
-) -> RankedList:
+def search_bm25(index: Bm25Index, query_tokens: Sequence[str], k: int) -> RankedList:
     """Standard BM25 over matching documents; repeated query terms add proportionally.
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). Only documents containing at
     least one query token are scored; an empty query yields an empty list.
-    Each distinct query token adds its term to its posting rows in one array
-    operation, in first-occurrence order.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = np.zeros(index.n_docs)
-    hit = np.zeros(index.n_docs, dtype=bool)
-    for token, qtf in Counter(query_tokens).items():
-        posting = index.postings.get(token)
-        if posting is None:
-            continue
-        rows, tf = posting
-        norm = k1 * (1.0 - b + b * index.doc_len[rows] / index.avgdl)
-        scores[rows] += qtf * index.idf(token) * tf * (k1 + 1.0) / (tf + norm)
-        hit[rows] = True
-    rows = np.flatnonzero(hit)
-    return _ranked("", index.ids, scores, rows[_top_k(scores[rows], index.rank[rows], k)])
+    picks = next(block_picks(index, [query_tokens], k))
+    return next(ranked_lists(("",), index.ids, picks))
 
 
 def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int = 10) -> float | None:
@@ -204,12 +288,16 @@ def rank_all(
     queries: QuerySet,
     k: int,
 ) -> Iterator[RankedList]:
-    """Dense-rank every query against the full corpus, yielding one ranking at a time."""
+    """Dense-rank every query against the full corpus, yielding one ranking at a time.
+
+    Scores are computed one block of queries at a time, as the rankings are consumed.
+    """
     index = DenseIndex(embed_items(params, featurizer, corpus))
     query_emb = embed_items(params, featurizer, queries)
     return (
-        search_dense(index, query_emb.matrix[i], k, query_id=qid)
-        for i, qid in enumerate(query_emb.ids)
+        ranked
+        for picks in block_picks(index, query_emb.matrix, k)
+        for ranked in ranked_lists(query_emb.ids, index.embeddings.ids, picks)
     )
 
 

@@ -1,18 +1,23 @@
 """Two-stage training orchestration.
 
 Stage one pretrains the encoder contrastively on span pairs drawn from one or
-more corpora. Stage two fine-tunes on labeled source data in episodes: each
+more corpora; each batch draws its span pairs first, then featurizes them in
+one call. Stage two fine-tunes on labeled source data in episodes: each
 episode re-embeds the training queries, refreshes their K-Means clusters,
 refreshes the negative pools (lexical BM25 negatives for episode 1,
-self-mined dense negatives afterwards), then runs a minibatch loop. Each step
-is one forward and one backward over the whole batch, each cluster scored as
-its own sub-batch, giving per-item losses and one gradient row per present
-cluster on the feature columns the batch touches. The per-cluster losses and
-rows are reweighted by the configured strategy and combined into one row on
-those columns, which the optimizer steps on directly; the robust-weight
-update over the present clusters follows. The robust weights ``omega``
-are the only weighting state carried between steps; each cluster refresh
-resets them to uniform or carries them over to the new clusters. Every run is
+self-mined dense negatives afterwards), then runs a minibatch loop. A pool
+refresh works on a block of queries at a time: it takes each query's top k
+from `retrieval_eval`'s block selector, then drops the query's judged
+positives through one mask per block, so a pool is the top k minus the
+positives, never refilled from below rank k. Each step is one forward and one
+backward over the whole batch, each cluster scored as its own sub-batch,
+giving per-item losses and one gradient row per present cluster on the
+feature columns the batch touches. The per-cluster losses and rows are
+reweighted by the configured strategy and combined into one row on those
+columns, which the optimizer steps on directly; the robust-weight update over
+the present clusters follows. The robust weights ``omega`` are the only
+weighting state carried between steps; each cluster refresh resets them to
+uniform or carries them over to the new clusters. Every run is
 fully determined by (config, seed, data).
 """
 
@@ -28,7 +33,14 @@ import numpy as np
 
 from . import blobfile, clustering, idro, losses, retrieval_eval
 from .corpus import Corpus, QrelSet, QuerySet, sample_span_pair
-from .encoder import EmbeddingMatrix, Featurizer, Params, encode_many
+from .encoder import (
+    EmbeddingMatrix,
+    FeatureVector,
+    Featurizer,
+    Params,
+    embed_items,
+    encode_many,
+)
 from .errors import BlobFileError, ConfigError, CorpusFormatError
 
 logger = logging.getLogger(__name__)
@@ -273,10 +285,8 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
             chunk = order[start : start + config.batch_size]
             if chunk.shape[0] < 2:
                 break
-            batch = []
-            for doc_idx in chunk:
-                pair = _sample_pair_features(docs[int(doc_idx)], config.span_len, featurizer, rng)
-                batch.append(pair)
+            batch = _span_pair_batch([docs[int(i)] for i in chunk], config.span_len,
+                                     featurizer, rng)
             loss, cols, row = losses.coco_loss_grad(params, batch)
             lr = scheduled_lr(config.learning_rate, step_idx, total_steps, WARMUP_FRAC)
             optimizer.step(params.flat, cols, row, lr)
@@ -286,19 +296,13 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
     return PretrainResult(params=params, epoch_losses=epoch_losses, n_documents=n)
 
 
-def _sample_pair_features(doc, span_len, featurizer, rng):
-    pair = sample_span_pair(doc, span_len, rng)
-    return featurizer(pair[0]), featurizer(pair[1])
-
-
-def _filter_pool(ranked_ids: Iterable[str], positives: set[str], depth: int) -> list[str]:
-    pool = []
-    for did in ranked_ids:
-        if did not in positives:
-            pool.append(did)
-            if len(pool) >= depth:
-                break
-    return pool
+def _span_pair_batch(
+    docs: Sequence, span_len: int, featurizer: Featurizer, rng: np.random.Generator
+) -> list[tuple[FeatureVector, FeatureVector]]:
+    """One span pair per document, drawn in order, then featurized in one call."""
+    spans = [span for doc in docs for span in sample_span_pair(doc, span_len, rng)]
+    fvs = featurizer.many(spans)
+    return list(zip(fvs[0::2], fvs[1::2]))
 
 
 def _fallback_pool(
@@ -313,23 +317,39 @@ def _fallback_pool(
     return [candidates[int(i)] for i in chosen]
 
 
-def _pools(
-    rankings: Iterable[tuple[str, retrieval_eval.RankedList]], corpus: Corpus, qrels: QrelSet,
-    k: int, rng: np.random.Generator | None, source: str,
+def _negative_pools(
+    query_ids: Sequence[str], doc_ids: Sequence[str], blocks: Iterable[retrieval_eval.Picks],
+    corpus: Corpus, qrels: QrelSet, k: int, rng: np.random.Generator | None, source: str,
 ) -> tuple[dict[str, list[str]], int]:
-    """Pools from (query id, ranked list) pairs, with the fallback of `mine_negatives`."""
+    """Each query's top k minus its judged positives, one block of queries at a time.
+
+    A query whose top k are all positives falls back to seeded random
+    non-positive corpus documents (logged), drawn from ``rng`` in query order.
+    """
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
+    row_of = {doc_id: row for row, doc_id in enumerate(doc_ids)}
+    names = np.array(doc_ids, dtype=object)
     pools: dict[str, list[str]] = {}
     n_fallback = 0
-    for qid, ranked in rankings:
-        positives = set(qrels.positives(qid))
-        pool = _filter_pool(ranked.doc_ids(), positives, k)
-        if not pool:
-            logger.warning("query %r: %s top-%d all positive; random negatives", qid, source, k)
-            pool = _fallback_pool(qid, positives, corpus, k, rng)
-            n_fallback += 1
-        pools[qid] = pool
+    for picks in blocks:
+        block = query_ids[picks.start : picks.start + picks.bounds.size - 1]
+        positives = [set(qrels.positives(qid)) for qid in block]
+        mask = np.zeros((len(block), len(doc_ids)), dtype=bool)
+        mask.ravel()[[i * mask.shape[1] + row_of[d]
+                      for i, pos in enumerate(positives) for d in pos if d in row_of]] = True
+        rows = picks.rows()
+        kept = ~mask[rows, picks.cols]
+        pooled = names[picks.cols[kept]].tolist()
+        bounds = np.searchsorted(rows[kept], np.arange(len(block) + 1)).tolist()
+        for i, qid in enumerate(block):
+            pool = pooled[bounds[i] : bounds[i + 1]]
+            if not pool:
+                logger.warning("query %r: %s top-%d all positive; random negatives",
+                               qid, source, k)
+                pool = _fallback_pool(qid, positives[i], corpus, k, rng)
+                n_fallback += 1
+            pools[qid] = pool
     return pools, n_fallback
 
 
@@ -347,8 +367,11 @@ def mine_negatives(
     A query whose retrievals are all positives falls back to seeded random
     non-positive corpus documents (logged). Returns (pools, fallback count).
     """
-    rankings = retrieval_eval.rank_all(params, featurizer, corpus, queries, k)
-    return _pools(((r.query_id, r) for r in rankings), corpus, qrels, k, rng, "dense")
+    index = retrieval_eval.DenseIndex(embed_items(params, featurizer, corpus))
+    query_emb = embed_items(params, featurizer, queries)
+    blocks = retrieval_eval.block_picks(index, query_emb.matrix, k)
+    return _negative_pools(query_emb.ids, index.embeddings.ids, blocks, corpus, qrels, k, rng,
+                           "dense")
 
 
 def bm25_negative_pools(
@@ -362,8 +385,10 @@ def bm25_negative_pools(
     """Warmup pools: BM25 top-k minus judged positives, with the same fallback."""
     if index is None:
         index = retrieval_eval.Bm25Index(corpus)
-    rankings = ((q.id, retrieval_eval.search_bm25(index, q.tokens, k)) for q in queries)
-    return _pools(rankings, corpus, qrels, k, rng, "BM25")
+    queries = list(queries)
+    blocks = retrieval_eval.block_picks(index, [q.tokens for q in queries], k)
+    return _negative_pools([q.id for q in queries], index.ids, blocks, corpus, qrels, k, rng,
+                           "BM25")
 
 
 @dataclass
@@ -461,8 +486,8 @@ class Finetuner:
                         f"query {qid!r} has a positive {doc_id!r} missing from the corpus"
                     )
         self.queries = kept
-        self.query_fvs = [self.featurizer(q.tokens) for q in kept]
-        self.doc_fvs = {doc.id: self.featurizer(doc.tokens) for doc in corpus}
+        self.query_fvs = self.featurizer.many(q.tokens for q in kept)
+        self.doc_fvs = dict(zip(corpus.ids, self.featurizer.many(doc.tokens for doc in corpus)))
         self.bm25 = retrieval_eval.Bm25Index(corpus)
 
         self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)

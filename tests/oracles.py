@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 
 from robustdr import encoder, trainer
-from robustdr.encoder import FeatureVector, Params, encode_many
+from robustdr.encoder import FeatureVector, Params, embed_items, encode_many
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import SpanPairBatch, TripletBatch
@@ -98,6 +98,64 @@ def search_bm25_reference(corpus, query_tokens, k, k1=0.9, b=0.4):
             scores[row] = scores.get(row, 0.0) + qtf * idf * tf * (k1 + 1.0) / (tf + norm)
     order = sorted(scores, key=lambda row: (-scores[row], ids[row]))[:k]
     return RankedList("", tuple((ids[row], scores[row]) for row in order))
+
+
+def featurize_reference(featurizer, tokens) -> FeatureVector:
+    """`Featurizer.__call__` one token at a time: a dict tally of float counts, then a sort."""
+    counts: dict[int, float] = {}
+    for token in tokens:
+        idx = featurizer.bucket(token)
+        counts[idx] = counts.get(idx, 0.0) + 1.0
+    order = sorted(counts)
+    return FeatureVector(
+        indices=np.array(order, dtype=np.int64),
+        counts=np.array([counts[i] for i in order], dtype=np.float64),
+        dim=featurizer.dim,
+    )
+
+
+def _filter_pool(ranked_ids, positives, depth):
+    pool = []
+    for did in ranked_ids:
+        if did not in positives:
+            pool.append(did)
+            if len(pool) >= depth:
+                break
+    return pool
+
+
+def pools_reference(rankings, corpus, qrels, k, rng, source):
+    """Negative pools one query at a time from (query id, ranked list) pairs, with the
+    fallback of `trainer.mine_negatives`."""
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0))
+    pools: dict[str, list[str]] = {}
+    n_fallback = 0
+    for qid, ranked in rankings:
+        positives = set(qrels.positives(qid))
+        pool = _filter_pool(ranked.doc_ids(), positives, k)
+        if not pool:
+            trainer.logger.warning("query %r: %s top-%d all positive; random negatives",
+                                   qid, source, k)
+            pool = trainer._fallback_pool(qid, positives, corpus, k, rng)
+            n_fallback += 1
+        pools[qid] = pool
+    return pools, n_fallback
+
+
+def bm25_pools_reference(queries, corpus, qrels, k, rng=None):
+    """`trainer.bm25_negative_pools` from per-query `search_bm25_reference` rankings."""
+    rankings = ((q.id, search_bm25_reference(corpus, q.tokens, k)) for q in queries)
+    return pools_reference(rankings, corpus, qrels, k, rng, "BM25")
+
+
+def mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng=None):
+    """`trainer.mine_negatives` from per-query `search_dense_heap` rankings."""
+    index = DenseIndex(embed_items(params, featurizer, corpus))
+    query_emb = embed_items(params, featurizer, queries)
+    rankings = ((qid, search_dense_heap(index, emb, k)) for qid, emb in
+                zip(query_emb.ids, query_emb.matrix))
+    return pools_reference(rankings, corpus, qrels, k, rng, "dense")
 
 
 def dense_embedding_backward(params, fvs, emb_grads) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from robustdr.encoder import (
     EmbeddingMatrix,
@@ -14,6 +16,7 @@ from robustdr.encoder import (
 )
 from robustdr.errors import InvariantError
 from tests.conftest import random_feature_vector
+from tests.oracles import featurize_reference
 
 
 def dense_vector(fv):
@@ -37,6 +40,26 @@ class TestFeaturizer:
         b = Featurizer(dim=1024, seed=5)(["alpha", "beta", "gamma"])
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.counts, b.counts)
+
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "é", "f g"]), max_size=7),
+                 max_size=6),
+        st.integers(min_value=1, max_value=3) | st.just(4096),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_many_matches_per_token_reference(self, token_lists, dim, seed):
+        """Empty lists, bucket collisions at dim 1-3, and a cold then a warm cache."""
+        featurizer = Featurizer(dim=dim, seed=seed)
+        for _ in range(2):
+            got = featurizer.many(iter(token_lists))
+            assert len(got) == len(token_lists)
+            for fv, tokens in zip(got, token_lists):
+                expected = featurize_reference(Featurizer(dim=dim, seed=seed), tokens)
+                for candidate in (fv, featurizer(iter(tokens))):
+                    assert candidate.dim == dim
+                    for name in ("indices", "counts"):
+                        a, b = getattr(candidate, name), getattr(expected, name)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_seed_changes_buckets(self):
         tokens = [f"tok{i}" for i in range(64)]

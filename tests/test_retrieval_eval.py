@@ -1,9 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from robustdr import retrieval_eval
 
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr.encoder import EmbeddingMatrix, Featurizer, Params
@@ -12,10 +16,13 @@ from robustdr.retrieval_eval import (
     Bm25Index,
     DenseIndex,
     RankedList,
-    _id_ranks,
+    _id_order,
     _top_k,
+    block_picks,
     evaluate,
     ndcg_at_k,
+    rank_all,
+    ranked_lists,
     recall_at_k,
     search_bm25,
     search_dense,
@@ -41,6 +48,21 @@ def exact(results):
 def shuffled_ids(data, n):
     """Ids d0..d(n-1) in a drawn row order; past d9 their string order is not numeric."""
     return tuple(data.draw(st.permutations([f"d{i}" for i in range(n)])))
+
+
+def typed(results):
+    """`exact` plus each score's type: a block must hand back Python floats."""
+    return [(doc_id, float(score).hex(), type(score)) for doc_id, score in results]
+
+
+def block_rankings(picks_of, query_ids, doc_ids, block):
+    """Every query's ranking through the block path, with `block` queries per block."""
+    with mock.patch.object(retrieval_eval, "_BLOCK", block):
+        blocks = list(picks_of())
+    for picks in blocks:
+        assert picks.cols.dtype == np.intp and picks.scores.dtype == np.float64
+    assert [p.start for p in blocks] == list(range(0, len(query_ids), block))
+    return [r for picks in blocks for r in ranked_lists(query_ids, doc_ids, picks)]
 
 
 class TestSearchDense:
@@ -97,6 +119,75 @@ class TestSearchDense:
             DenseIndex(EmbeddingMatrix(ids=(), matrix=np.zeros((0, 3))))
 
 
+class TestBlocks:
+    """The block paths against the one-query references, for every query of a block."""
+
+    @given(st.data())
+    def test_bm25_blocks_match_reference(self, data):
+        words = st.sampled_from(["ant", "bee", "cat", "dog", "eel"])
+        texts = data.draw(st.lists(st.lists(words, max_size=6), min_size=1, max_size=8))
+        texts += data.draw(st.lists(st.sampled_from(texts), max_size=4))  # duplicates tie
+        ids = shuffled_ids(data, len(texts))
+        corpus = Corpus([Document.from_fields(i, " ".join(t)) for i, t in zip(ids, texts)])
+        # repeated, unknown ("yak") and empty queries, and queries no doc matches
+        queries = data.draw(st.lists(st.lists(st.one_of(words, st.just("yak")), max_size=6),
+                                     min_size=1, max_size=9))
+        k = data.draw(st.integers(min_value=1, max_value=len(texts) + 2))
+        block = data.draw(st.integers(min_value=1, max_value=4))
+        index = Bm25Index(corpus)
+        qids = tuple(f"q{i}" for i in range(len(queries)))
+        got = block_rankings(lambda: block_picks(index, queries, k), qids, index.ids, block)
+        assert [r.query_id for r in got] == list(qids)
+        for ranked, query in zip(got, queries):
+            assert typed(ranked.results) == typed(
+                [(d, float(s)) for d, s in search_bm25_reference(corpus, query, k).results])
+
+    @given(st.data(), st.integers(min_value=1, max_value=14), st.integers(min_value=1, max_value=3))
+    def test_dense_blocks_match_heap(self, data, n, width):
+        rows = st.lists(TIE_VALUES, min_size=width, max_size=width)
+        matrix = data.draw(st.lists(rows, min_size=n, max_size=n))
+        queries = np.array(data.draw(st.lists(rows, min_size=1, max_size=9)))
+        index = index_from(matrix, shuffled_ids(data, n))
+        k = data.draw(st.integers(min_value=1, max_value=n + 2))
+        block = data.draw(st.integers(min_value=1, max_value=4))
+        qids = tuple(f"q{i}" for i in range(len(queries)))
+        got = block_rankings(lambda: block_picks(index, queries, k), qids,
+                             index.embeddings.ids, block)
+        for ranked, qid, query in zip(got, qids, queries):
+            expected = search_dense_heap(index, query, k, query_id=qid)
+            assert ranked.query_id == qid
+            assert typed(ranked.results) == typed(expected.results)
+
+    def test_non_finite_score_in_a_later_block_rejected(self):
+        index = index_from(np.eye(3))
+        queries = np.ones((3, 3))
+        queries[-1, 1] = np.nan
+        with mock.patch.object(retrieval_eval, "_BLOCK", 2):
+            blocks = block_picks(index, queries, k=2)
+            next(blocks)
+            with pytest.raises(InvariantError, match="non-finite"):
+                next(blocks)
+
+    def test_rank_all_stays_lazy(self):
+        """Ranking Q queries one at a time allocates less than one Q x N float64
+        matrix, though a list of the rankings would take about three times as much."""
+        n_docs, n_queries, k = 400, 1024, 100
+        corpus = Corpus([Document.from_fields(f"d{i}", f"w{i % 97} w{i % 89}")
+                         for i in range(n_docs)])
+        queries = QuerySet([Query.from_fields(f"q{i}", f"w{i % 97} w{i % 7}")
+                            for i in range(n_queries)])
+        params = Params.init_random(512, 4, seed=0)
+        featurizer = Featurizer(512, 0)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in rank_all(params, featurizer, corpus, queries, k))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == n_queries
+        assert peak < n_queries * n_docs * 8
+
+
 class TestTopK:
     @given(st.data(), st.integers(min_value=1, max_value=14))
     def test_matches_full_sort(self, data, n):
@@ -104,7 +195,9 @@ class TestTopK:
         ids = shuffled_ids(data, n)
         k = data.draw(st.integers(min_value=1, max_value=n + 2))
         expected = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
-        assert _top_k(scores, _id_ranks(ids), k).tolist() == expected
+        rows, cols = _top_k(-scores[None, :], _id_order(ids), k)
+        assert cols.tolist() == expected
+        assert rows.tolist() == [0] * len(expected)
 
 
 class TestBm25:
@@ -120,6 +213,28 @@ class TestBm25:
         ranked = search_bm25(Bm25Index(corpus), query, k)
         assert exact(ranked.results) == exact(search_bm25_reference(corpus, query, k).results)
         assert all(type(score) is float for _, score in ranked.results)
+
+    @pytest.mark.parametrize("n_filler", range(5))
+    def test_repeated_terms_match_reference(self, n_filler):
+        """Every (query tf, doc tf) pair up to 6, over a few document frequencies,
+        each term rounded as in the reference."""
+        texts = [" ".join(["cat"] * tf + ["ant"] * (tf % 3)) for tf in range(1, 7)]
+        texts += ["bee ant"] * n_filler
+        corpus = Corpus([Document.from_fields(f"d{i}", t) for i, t in enumerate(texts)])
+        queries = [["cat"] * qtf + ["ant"] * (qtf % 3) for qtf in range(1, 7)]
+        index = Bm25Index(corpus)
+        qids = tuple(f"q{i}" for i in range(len(queries)))
+        got = block_rankings(lambda: block_picks(index, queries, len(corpus)), qids, index.ids,
+                             retrieval_eval._BLOCK)
+        for ranked, query in zip(got, queries):
+            expected = search_bm25_reference(corpus, query, len(corpus))
+            assert exact(ranked.results) == exact(expected.results)
+
+    def test_all_documents_empty(self):
+        corpus = Corpus([Document.from_fields("d1", ""), Document.from_fields("d2", "")])
+        index = Bm25Index(corpus)  # avgdl is 0: no warning, which the suite turns into errors
+        assert index.avgdl == 0.0
+        assert search_bm25(index, ["cat"], k=2).results == ()
 
     def test_single_doc_positive_score(self):
         corpus = Corpus([Document.from_fields("d1", "hello world")])

@@ -2,11 +2,14 @@ import json
 import logging
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from robustdr import experiments, trainer
+from robustdr import experiments, retrieval_eval, trainer
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr.encoder import Featurizer, Params, scatter_grad
 from robustdr.errors import ConfigError, CorpusFormatError
@@ -21,11 +24,18 @@ from robustdr.trainer import (
     _derived_rng,
     _TAG_BATCH,
     _TAG_KMEANS,
+    bm25_negative_pools,
     mine_negatives,
     pretrain_coco,
     scheduled_lr,
 )
-from tests.oracles import DenseOptimizer, adam_reference, dense_moments
+from tests.oracles import (
+    DenseOptimizer,
+    adam_reference,
+    bm25_pools_reference,
+    dense_moments,
+    mined_pools_reference,
+)
 
 
 def tiny_task():
@@ -226,7 +236,7 @@ class TestPretrain:
         assert result.params.flat.tobytes() == init.flat.tobytes()
 
     def test_separable_corpus_learns_partner_retrieval(self):
-        from robustdr.trainer import _sample_pair_features
+        from robustdr.trainer import _span_pair_batch
         from tests.oracles import coco_top1_accuracy
 
         config = tiny_config(
@@ -239,7 +249,7 @@ class TestPretrain:
         assert losses[2] < losses[1]
         featurizer = Featurizer(config.feature_dim, config.hash_seed)
         rng = np.random.Generator(np.random.PCG64(99))
-        batch = [_sample_pair_features(doc, 3, featurizer, rng) for doc in list(corpus)[:12]]
+        batch = _span_pair_batch(list(corpus)[:12], 3, featurizer, rng)
         assert coco_top1_accuracy(result.params, batch) > 0.9
 
     def test_deterministic_given_seed(self):
@@ -297,6 +307,92 @@ class TestMineNegatives:
         assert n_fallback == 1
         assert pools["q"] == []
         assert any("random negatives" in rec.message for rec in caplog.records)
+
+
+def pool_task(data):
+    """A tie-heavy corpus, queries and qrels; some queries have every doc positive."""
+    words = st.sampled_from(["ant", "bee", "cat", "dog", "eel"])
+    texts = data.draw(st.lists(st.lists(words, max_size=5), min_size=1, max_size=7))
+    texts += data.draw(st.lists(st.sampled_from(texts), max_size=3))
+    ids = data.draw(st.permutations([f"d{i}" for i in range(len(texts))]))
+    corpus = Corpus([Document.from_fields(i, " ".join(t)) for i, t in zip(ids, texts)])
+    n_queries = data.draw(st.integers(min_value=1, max_value=9))
+    queries = QuerySet([
+        Query.from_fields(f"q{i}", " ".join(data.draw(st.lists(
+            st.one_of(words, st.just("yak")), max_size=5))))
+        for i in range(n_queries)
+    ])
+    grades = {}
+    for q in range(n_queries):
+        positives = ids if data.draw(st.booleans()) else data.draw(
+            st.lists(st.sampled_from(ids), max_size=3))
+        grades.update({(f"q{q}", d): 1 for d in positives})
+    k = data.draw(st.integers(min_value=1, max_value=len(texts) + 2))
+    block = data.draw(st.integers(min_value=1, max_value=4))
+    return corpus, queries, QrelSet(grades), k, block
+
+
+class TestNegativePools:
+    """Both pool functions against the per-query reference loop, fallback included."""
+
+    @given(st.data())
+    def test_bm25_pools_match_reference(self, data):
+        corpus, queries, qrels, k, block = pool_task(data)
+        rng_a, rng_b = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+        with mock.patch.object(retrieval_eval, "_BLOCK", block):
+            got = bm25_negative_pools(queries, corpus, qrels, k, rng_a)
+        assert got == bm25_pools_reference(queries, corpus, qrels, k, rng_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @given(st.data())
+    def test_mined_pools_match_reference(self, data):
+        corpus, queries, qrels, k, block = pool_task(data)
+        featurizer = Featurizer(dim=data.draw(st.integers(min_value=1, max_value=6)), seed=0)
+        # Small integer weights, so that scores tie, also across -0.0 and 0.0.
+        weights = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                                     min_size=2 * featurizer.dim, max_size=2 * featurizer.dim))
+        params = Params(featurizer.dim, 2, flat=np.array(weights))
+        rng_a, rng_b = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+        with mock.patch.object(retrieval_eval, "_BLOCK", block):
+            got = mine_negatives(params, featurizer, queries, corpus, qrels, k, rng_a)
+        assert got == mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_fallback_warns_in_query_order(self, caplog):
+        corpus = Corpus([Document.from_fields("a", "apple"), Document.from_fields("b", "pear")])
+        queries = QuerySet([Query.from_fields(q, "apple") for q in ("q2", "q1", "q3")])
+        qrels = QrelSet({("q2", "a"): 1, ("q1", "a"): 1, ("q3", "b"): 1})
+        with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
+            pools, n_fallback = bm25_negative_pools(queries, corpus, qrels, k=1)
+        assert n_fallback == 2
+        assert pools == {"q2": ["b"], "q1": ["b"], "q3": ["a"]}
+        warned = [rec.getMessage() for rec in caplog.records if "random negatives" in rec.message]
+        assert warned == [f"query {q!r}: BM25 top-1 all positive; random negatives"
+                          for q in ("q2", "q1")]
+
+    @pytest.mark.parametrize("mined", [False, True])
+    def test_peak_allocation_below_one_score_matrix(self, mined):
+        """Pools over Q queries and N docs allocate less than one Q x N float64 matrix."""
+        n_docs, n_queries = 400, 1024
+        corpus = Corpus([Document.from_fields(f"d{i}", f"w{i % 97} w{i % 89}")
+                         for i in range(n_docs)])
+        queries = QuerySet([Query.from_fields(f"q{i}", f"w{i % 97} w{i % 7}")
+                            for i in range(n_queries)])
+        qrels = QrelSet({(f"q{i}", f"d{i % n_docs}"): 1 for i in range(n_queries)})
+        index = retrieval_eval.Bm25Index(corpus)
+        params = Params.init_random(512, 4, seed=0)
+        featurizer = Featurizer(512, 0)
+        tracemalloc.start()
+        try:
+            if mined:
+                pools, _ = mine_negatives(params, featurizer, queries, corpus, qrels, k=30)
+            else:
+                pools, _ = bm25_negative_pools(queries, corpus, qrels, 30, index=index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pools) == n_queries
+        assert peak < n_queries * n_docs * 8
 
 
 class TestFinetune:
