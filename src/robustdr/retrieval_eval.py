@@ -8,8 +8,7 @@ at each row's k-th best score keeps every doc scoring at least that score, so
 ties at the boundary all survive; the survivors are ordered by score, then by
 doc id as a Python string (each index sorts its ids once), and the first k
 are kept. ``-0.0`` and ``0.0`` tie. The selector works on negated scores, and
-a doc whose negated score is
-``+inf`` is never selected.
+a doc whose negated score is ``+inf`` is never selected.
 
 Dense search is exact top-k over all corpus rows. A block's scores are one
 GEMV per query, not one GEMM for the block: a GEMM sums the dot products in
