@@ -49,10 +49,16 @@ def write(path: str | Path, fmt: str, version: int, fields: dict, blocks: Iterab
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
+def _is(value, kind) -> bool:
+    """isinstance, except that a bool is an int only where ``kind`` names bool."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
 def check_fields(header: dict, fields: dict) -> None:
     """ValueError unless each named field is present with its type (or tuple of types)."""
     for name, kind in fields.items():
-        if name not in header or not isinstance(header[name], kind):
+        if name not in header or not _is(header[name], kind):
             raise ValueError(f"header field {name!r} is missing or has the wrong type")
 
 
@@ -73,7 +79,7 @@ def read(
             raise ValueError("the first line is not a JSON object")
         if header.get("format") != fmt:
             raise ValueError(f"not a {fmt} file")
-        if header.get("version") != version:
+        if not _is(header.get("version"), int) or header["version"] != version:
             raise ValueError(f"unsupported {fmt} version {header.get('version')!r}")
         check_fields(header, fields)
         sizes = lengths(header)

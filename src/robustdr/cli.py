@@ -8,9 +8,9 @@ overriding the one before:
 2. the JSON object of `--config`, where the command takes one;
 3. the flags, each named after the config field it sets (`--k` sets
    `k_clusters` in finetune and `mine_depth` in mine);
-4. the header of `--checkpoint`, which fixes `feature_dim`, `embed_dim`,
-   `hidden` and `hash_seed`. A config-file or flag value that differs from the
-   checkpoint's is a config error naming the field.
+4. the header of `--checkpoint`, which fixes `feature_dim`, `embed_dim` and
+   `hash_seed`. A config-file or flag value that differs from the checkpoint's
+   is a config error naming the field.
 
 Every run writes that config, with the input paths, to resolved_config.json:
 the config the run used, sufficient to reproduce it exactly. Wall-clock
@@ -111,13 +111,11 @@ def _load_encoder(args) -> tuple[Params, Featurizer, RunConfig]:
     """(params, featurizer, config): from --checkpoint when given, else seeded random."""
     if args.checkpoint:
         params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
-        encoder = ("feature_dim", "embed_dim", "hidden", "hash_seed")
+        encoder = ("feature_dim", "embed_dim", "hash_seed")
         config = _load_config(args, {name: header[name] for name in encoder})
     else:
         config = _load_config(args)
-        params = Params.init_random(
-            config.feature_dim, config.embed_dim, config.hidden, seed=config.seed
-        )
+        params = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
     return params, Featurizer(config.feature_dim, config.hash_seed), config
 
 
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--feature-dim", type=int)
     p.add_argument("--embed-dim", type=int)
-    p.add_argument("--hidden", action="store_true", default=None)
 
     p = command("finetune", cmd_finetune, "episode-based fine-tuning on labeled source data")
     task(p)

@@ -1,11 +1,12 @@
 """Desk-scale dual encoder: hashed lexical features -> dense embedding.
 
-One weight set serves both the query and the document tower; the relevance
-score of a (query, document) pair is the plain dot product of their
-embeddings, with no normalization. Forward and backward passes are exact and
-hand-derived. One backward kernel, `grouped_backward`, returns a batch's
-gradient per group of items (the robust weighting's clusters) on only the
-feature columns the batch touches, from one count matrix of the batch;
+One weight set serves both the query and the document tower: the embedding
+of a text is the linear projection W x of its hashed feature counts x, and
+the relevance score of a (query, document) pair is the plain dot product of
+their embeddings, with no normalization. Forward and backward passes are
+exact and hand-derived. One backward kernel, `grouped_backward`, returns a
+batch's gradient per group of items (the robust weighting's clusters) on only
+the feature columns the batch touches, from one count matrix of the batch;
 `embedding_backward` is its one-group case scattered into a dense vector.
 """
 
@@ -92,24 +93,16 @@ class Params:
     """Encoder weights, shared by both towers.
 
     The flat float64 vector is the single source of truth; ``W`` (projection,
-    E x D) and ``H`` (optional hidden layer, E x E, applied as tanh(H @ (W @ x)))
-    are reshaped views into it, so in-place updates on ``flat`` are visible
-    everywhere.
+    E x D) is a reshaped view into it, so in-place updates on ``flat`` are
+    visible everywhere.
     """
 
-    __slots__ = ("feature_dim", "embed_dim", "hidden", "flat", "W", "H")
+    __slots__ = ("feature_dim", "embed_dim", "flat", "W")
 
-    def __init__(
-        self,
-        feature_dim: int,
-        embed_dim: int,
-        hidden: bool = False,
-        flat: np.ndarray | None = None,
-    ):
-        n = self.n_params(feature_dim, embed_dim, hidden)
+    def __init__(self, feature_dim: int, embed_dim: int, flat: np.ndarray | None = None):
+        n = self.n_params(feature_dim, embed_dim)
         self.feature_dim = feature_dim
         self.embed_dim = embed_dim
-        self.hidden = hidden
         if flat is None:
             flat = np.zeros(n, dtype=np.float64)
         else:
@@ -119,31 +112,23 @@ class Params:
         if not np.all(np.isfinite(flat)):
             raise InvariantError("encoder parameters must be finite")
         self.flat = flat
-        w_size = embed_dim * feature_dim
-        self.W = self.flat[:w_size].reshape(embed_dim, feature_dim)
-        self.H = self.flat[w_size:].reshape(embed_dim, embed_dim) if hidden else None
+        self.W = self.flat.reshape(embed_dim, feature_dim)
 
     @staticmethod
-    def n_params(feature_dim: int, embed_dim: int, hidden: bool) -> int:
+    def n_params(feature_dim: int, embed_dim: int) -> int:
         if feature_dim < 1 or embed_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        return embed_dim * feature_dim + (embed_dim * embed_dim if hidden else 0)
+        return embed_dim * feature_dim
 
     @classmethod
-    def init_random(
-        cls, feature_dim: int, embed_dim: int, hidden: bool = False, seed: int = 0
-    ) -> "Params":
-        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
+    def init_random(cls, feature_dim: int, embed_dim: int, seed: int = 0) -> "Params":
+        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
         rng = np.random.Generator(np.random.PCG64(seed))
         w = rng.uniform(-1.0, 1.0, size=embed_dim * feature_dim) / np.sqrt(feature_dim)
-        parts = [w]
-        if hidden:
-            h = rng.uniform(-1.0, 1.0, size=embed_dim * embed_dim) / np.sqrt(embed_dim)
-            parts.append(h)
-        return cls(feature_dim, embed_dim, hidden, flat=np.concatenate(parts))
+        return cls(feature_dim, embed_dim, flat=w)
 
     def copy(self) -> "Params":
-        return Params(self.feature_dim, self.embed_dim, self.hidden, flat=self.flat.copy())
+        return Params(self.feature_dim, self.embed_dim, flat=self.flat.copy())
 
     def __len__(self) -> int:
         return self.flat.shape[0]
@@ -157,12 +142,9 @@ def _check_features(params: Params, fv: FeatureVector) -> None:
 
 
 def encode(params: Params, fv: FeatureVector) -> np.ndarray:
-    """Embed one feature vector: W @ x, then tanh(H @ .) when the hidden layer is on."""
+    """Embed one feature vector: W @ x."""
     _check_features(params, fv)
-    z = params.W[:, fv.indices] @ fv.counts
-    if params.H is None:
-        return z
-    return np.tanh(params.H @ z)
+    return params.W[:, fv.indices] @ fv.counts
 
 
 def encode_many(params: Params, fvs: Sequence[FeatureVector]) -> np.ndarray:
@@ -207,10 +189,9 @@ def grouped_backward(
 
     `emb_grads[i]` is d(loss)/d(embedding of fvs[i]) and `groups[i]` in
     [0, n_groups) is item i's group. Returns (cols, rows): the sorted feature
-    columns any item touches, and row g = [vec dW[:, cols] | vec dH], the
-    gradient of group g's items (dH only with the hidden layer). Every other
-    column of dW is zero, so inner products and weighted sums of rows equal
-    those of the dense gradients.
+    columns any item touches, and row g = vec dW[:, cols], the gradient of
+    group g's items. Every other column of dW is zero, so inner products and
+    weighted sums of rows equal those of the dense gradients.
     """
     emb_grads = np.asarray(emb_grads, dtype=np.float64)
     if emb_grads.shape != (len(fvs), params.embed_dim):
@@ -221,31 +202,19 @@ def grouped_backward(
     for fv in fvs:
         _check_features(params, fv)
     cols, x = _count_matrix(fvs)
-    w_grads = emb_grads
-    if params.H is not None:
-        z = x @ params.W[:, cols].T
-        e = np.tanh(z @ params.H.T)
-        t = emb_grads * (1.0 - e * e)
-        w_grads = t @ params.H
-    w_size = params.embed_dim * cols.size
-    h_size = 0 if params.H is None else params.H.size
-    rows = np.zeros((n_groups, w_size + h_size))
+    rows = np.zeros((n_groups, params.embed_dim * cols.size))
     for g in range(n_groups):
         members = groups == g
-        rows[g, :w_size] = (w_grads[members].T @ x[members]).ravel()
-        if params.H is not None:
-            rows[g, w_size:] = (t[members].T @ z[members]).ravel()
+        rows[g] = (emb_grads[members].T @ x[members]).ravel()
     return cols, rows
 
 
 def scatter_grad(params: Params, cols: np.ndarray, row: np.ndarray) -> np.ndarray:
     """The dense vector, aligned with ``params.flat``, of one `grouped_backward` row."""
     grad = np.zeros_like(params.flat)
-    w_size = params.embed_dim * params.feature_dim
-    grad[:w_size].reshape(params.embed_dim, params.feature_dim)[:, cols] = (
-        row[: params.embed_dim * cols.size].reshape(params.embed_dim, cols.size)
+    grad.reshape(params.embed_dim, params.feature_dim)[:, cols] = row.reshape(
+        params.embed_dim, cols.size
     )
-    grad[w_size:] = row[params.embed_dim * cols.size :]
     return grad
 
 
@@ -297,15 +266,20 @@ _CHECKPOINT_FIELDS = {"feature_dim": int, "embed_dim": int, "hidden": bool, "has
 
 
 def save_checkpoint(params: Params, path: str | Path, hash_seed: int = 0) -> None:
-    """Write a checkpoint (see `blobfile`): the encoder's shape, then its flat weights."""
+    """Write a checkpoint (see `blobfile`): the encoder's shape, then its flat weights.
+
+    The format's ``hidden`` header field is always false; a true one is rejected.
+    """
     fields = {"feature_dim": params.feature_dim, "embed_dim": params.embed_dim,
-              "hidden": params.hidden, "hash_seed": hash_seed, "dtype": "<f8",
+              "hidden": False, "hash_seed": hash_seed, "dtype": "<f8",
               "n_params": len(params)}
     blobfile.write(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, [params.flat])
 
 
 def _checkpoint_lengths(header: dict) -> list[int]:
-    n = Params.n_params(header["feature_dim"], header["embed_dim"], header["hidden"])
+    if header["hidden"]:
+        raise ValueError("a checkpoint with a hidden layer is not supported")
+    n = Params.n_params(header["feature_dim"], header["embed_dim"])
     if header["dtype"] != "<f8" or header["n_params"] != n:
         raise ValueError(f"dtype and n_params must be '<f8' and {n} for these dimensions")
     return [n]
@@ -316,4 +290,4 @@ def load_checkpoint(path: str | Path) -> tuple[Params, dict]:
     header, (flat,) = blobfile.read(
         path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _CHECKPOINT_FIELDS, _checkpoint_lengths
     )
-    return Params(header["feature_dim"], header["embed_dim"], header["hidden"], flat=flat), header
+    return Params(header["feature_dim"], header["embed_dim"], flat=flat), header

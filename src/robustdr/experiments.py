@@ -55,9 +55,7 @@ def run_coco_directional(seed: int) -> dict:
     featurizer = Featurizer(config.feature_dim, config.hash_seed)
 
     pretrained = trainer.pretrain_coco(config, [source.corpus, target.corpus]).params
-    scratch = Params.init_random(
-        config.feature_dim, config.embed_dim, config.hidden, seed=config.seed
-    )
+    scratch = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
 
     results = {}
     for label, init in (("with_coco", pretrained), ("without_coco", scratch)):

@@ -8,9 +8,14 @@ Two generators:
 * a single-domain source task with an 85/15 majority/minority query imbalance,
   for comparing cluster-weighting strategies.
 
-Documents of a topic draw from that topic's vocabulary; queries of a topic do
-too, and every same-topic document is judged relevant, so topical association
-(not exact token overlap) is the dominant relevance signal.
+Documents of a topic draw from that topic's vocabulary, mixed with shared
+function words, and every same-topic document is judged relevant to each
+query of the topic. In the two-domain benchmark a query draws its topic words
+from its documents' vocabulary, so exact token overlap alone identifies its
+topic and lexical search (BM25) ranks its relevant documents first. In the
+imbalanced task a query draws its topic words from a vocabulary of its own,
+disjoint from every document token, plus one word of its topic's documents,
+so relevance is learned mainly from the labels.
 """
 
 from __future__ import annotations

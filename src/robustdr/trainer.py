@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -72,7 +73,6 @@ class RunConfig:
     # encoder
     feature_dim: int = 2**15
     embed_dim: int = 64
-    hidden: bool = False
     # contrastive pretraining
     span_len: int = 8
     pretrain_epochs: int = 4
@@ -117,6 +117,9 @@ class RunConfig:
         for name in ("pretrain_epochs", "episodes", "steps_per_episode"):
             if getattr(self, name) < 0:
                 bad(name, "must be >= 0")
+        for name in ("learning_rate", "beta", "groupdro_step_size"):
+            if not abs(getattr(self, name)) <= sys.float_info.max:
+                bad(name, f"must be finite, not {getattr(self, name)!r}")
         if not self.learning_rate > 0:
             bad("learning_rate", "must be > 0")
         if self.beta < 0:
@@ -152,16 +155,16 @@ class Optimizer:
     """Plain gradient descent or Adam, stepping on one `encoder.grouped_backward` row.
 
     A step's gradient is ``(cols, row)``: ``row`` holds dW on the feature
-    columns ``cols`` and then dH; every other column of dW is zero. Gradient
-    descent moves only ``W[:, cols]`` and ``H``.
+    columns ``cols``; every other column of dW is zero. Gradient descent
+    moves only ``W[:, cols]``.
 
     Adam keeps its moments over ``live``, the sorted feature columns that have
-    ever had a gradient (a set that only grows), plus all of ``H`` with the
-    hidden layer. Outside ``live`` the moments and the gradient are zero, so
-    the textbook step there is ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight
-    keeps its bytes. Inside, each entry goes through the textbook operations
-    in the textbook order, so ``flat`` and the moments equal those of dense
-    Adam on the scattered gradient bit for bit.
+    ever had a gradient (a set that only grows). Outside ``live`` the moments
+    and the gradient are zero, so the textbook step there is
+    ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight keeps its bytes. Inside,
+    each entry goes through the textbook operations in the textbook order, so
+    ``flat`` and the moments equal those of dense Adam on the scattered
+    gradient bit for bit.
     """
 
     def __init__(self, config: RunConfig, params: Params):
@@ -169,20 +172,15 @@ class Optimizer:
         self.t = 0
         self.shape = (params.embed_dim, params.feature_dim)
         if self.kind == "adam":
-            h_size = 0 if params.H is None else params.H.size
             self.live = np.empty(0, dtype=np.int64)
             self.m_w, self.v_w = np.zeros((params.embed_dim, 0)), np.zeros((params.embed_dim, 0))
-            self.m_h, self.v_h = np.zeros(h_size), np.zeros(h_size)
 
     def step(self, flat: np.ndarray, cols: np.ndarray, row: np.ndarray, lr: float) -> None:
         self.t += 1
-        e, d = self.shape
-        w = flat[: e * d].reshape(e, d)
-        grad_w = row[: e * cols.size].reshape(e, cols.size)
-        grad_h = row[e * cols.size :]
+        w = flat.reshape(self.shape)
+        grad_w = row.reshape(self.shape[0], cols.size)
         if self.kind == "sgd":
             w[:, cols] -= lr * grad_w
-            flat[e * d :] -= lr * grad_h
             return
         at = np.searchsorted(self.live, cols)
         new = at == self.live.size
@@ -197,7 +195,6 @@ class Optimizer:
         live_w = w[:, self.live]
         live_w -= self._adam_step(self.m_w, self.v_w, grad, lr)
         w[:, self.live] = live_w
-        flat[e * d :] -= self._adam_step(self.m_h, self.v_h, grad_h, lr)
 
     def _adam_step(
         self, m: np.ndarray, v: np.ndarray, grad: np.ndarray, lr: float
@@ -265,9 +262,7 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
             "pretraining needs at least two documents long enough for two disjoint spans"
         )
     featurizer = Featurizer(config.feature_dim, config.hash_seed)
-    params = Params.init_random(
-        config.feature_dim, config.embed_dim, config.hidden, seed=config.seed
-    )
+    params = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
     optimizer = Optimizer(config, params)
 
     n = len(docs)
@@ -448,8 +443,7 @@ class Finetuner:
     model. State at an episode boundary fully determines the continuation, so
     saving and reloading it resumes bit-identically. That state is the
     weights, the optimizer's step count, Adam's live columns with its moments
-    over them (and over ``H`` with the hidden layer), `omega`, the cluster
-    model and the episode counter.
+    over them, `omega`, the cluster model and the episode counter.
     """
 
     def __init__(
@@ -461,7 +455,7 @@ class Finetuner:
         qrels: QrelSet,
     ):
         config.validate()
-        for name in ("feature_dim", "embed_dim", "hidden"):
+        for name in ("feature_dim", "embed_dim"):
             if getattr(params, name) != getattr(config, name):
                 raise ConfigError(f"{name}: the encoder does not match the config")
         self.config = config
@@ -641,8 +635,7 @@ class Finetuner:
         A `blobfile` file; the header names its blocks. Bytes are reproducible.
         The blocks are ``flat``; with Adam, ``live`` (its L ascending column
         ids, exact as float64), ``adam_m`` and ``adam_v`` (E x L each, over
-        those columns) and, with the hidden layer, ``adam_m_h`` and
-        ``adam_v_h``; then ``omega`` and the ``centroids`` of the cluster
+        those columns); then ``omega`` and the ``centroids`` of the cluster
         model. Each block is written from the array that holds it, without a
         dense or joined copy.
         """
@@ -650,8 +643,6 @@ class Finetuner:
         blocks = {"flat": self.params.flat}
         if opt.kind == "adam":
             blocks.update(live=opt.live, adam_m=opt.m_w, adam_v=opt.v_w)
-            if opt.m_h.size:
-                blocks.update(adam_m_h=opt.m_h, adam_v_h=opt.v_h)
         blocks["omega"] = self.omega
         if model is not None:
             blocks["centroids"] = model.centroids
@@ -672,6 +663,9 @@ class Finetuner:
             raise ConfigError("optimizer: state file was written by a different optimizer kind")
         if meta["optimizer_t"] < 0:
             raise ValueError(f"optimizer_t is {meta['optimizer_t']}, not >= 0")
+        if not 0 <= meta["episodes_done"] <= self.config.episodes:
+            raise ValueError(f"episodes_done is {meta['episodes_done']}, this run allows "
+                             f"0 to {self.config.episodes}")
         adam = self.optimizer.kind == "adam"
         n_live, most_live = meta["n_live"], self.params.feature_dim if adam else 0
         if not 0 <= n_live <= most_live:
@@ -683,8 +677,6 @@ class Finetuner:
         if adam:
             moments = self.params.embed_dim * n_live
             expected += [["live", n_live], ["adam_m", moments], ["adam_v", moments]]
-            if self.params.H is not None:
-                expected += [["adam_m_h", self.params.H.size], ["adam_v_h", self.params.H.size]]
         expected.append(["omega", k])
         if model is not None:
             blobfile.check_fields(model, clustering.CLUSTER_FIELDS)
@@ -713,9 +705,8 @@ class Finetuner:
                     f"{path}: block live is not ascending column ids "
                     f"in [0, {self.params.feature_dim})"
                 )
-            for name in ("adam_v", "adam_v_h"):
-                if name in blocks and np.any(blocks[name] < 0):
-                    raise BlobFileError(f"{path}: block {name} holds a negative second moment")
+            if np.any(blocks["adam_v"] < 0):
+                raise BlobFileError(f"{path}: block adam_v holds a negative second moment")
         omega = blocks["omega"]
         if np.any(omega <= 0.0) or abs(float(omega.sum()) - 1.0) > idro._SIMPLEX_ATOL:
             raise BlobFileError(f"{path}: block omega is not positive with sum 1")
@@ -728,8 +719,6 @@ class Finetuner:
             opt.live = live.astype(np.int64)
             opt.m_w = blocks["adam_m"].reshape(self.params.embed_dim, -1)
             opt.v_w = blocks["adam_v"].reshape(self.params.embed_dim, -1)
-            if "adam_m_h" in blocks:
-                opt.m_h, opt.v_h = blocks["adam_m_h"], blocks["adam_v_h"]
         opt.t = meta["optimizer_t"]
         self.omega = omega
         self.cluster_model = model

@@ -53,5 +53,5 @@ def random_feature_vector(featurizer: Featurizer, rng, n_tokens=6):
 def small_encoder():
     """A small random encoder plus its featurizer, for loss/gradient tests."""
     featurizer = Featurizer(dim=48, seed=7)
-    params = Params.init_random(feature_dim=48, embed_dim=6, hidden=False, seed=3)
+    params = Params.init_random(feature_dim=48, embed_dim=6, seed=3)
     return params, featurizer

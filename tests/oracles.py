@@ -161,20 +161,10 @@ def mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng=Non
 def dense_embedding_backward(params, fvs, emb_grads) -> np.ndarray:
     """Item-by-item dense backward: one outer product per item into a P-long vector."""
     grad = np.zeros_like(params.flat)
-    w_size = params.embed_dim * params.feature_dim
-    grad_w = grad[:w_size].reshape(params.embed_dim, params.feature_dim)
-    grad_h = None if params.H is None else grad[w_size:].reshape(params.embed_dim, params.embed_dim)
+    grad_w = grad.reshape(params.embed_dim, params.feature_dim)
     for fv, g_e in zip(fvs, emb_grads):
-        if fv.indices.size == 0:
-            continue
-        if params.H is None:
+        if fv.indices.size:
             grad_w[:, fv.indices] += np.outer(g_e, fv.counts)
-        else:
-            z = params.W[:, fv.indices] @ fv.counts
-            e = np.tanh(params.H @ z)
-            t = g_e * (1.0 - e * e)
-            grad_h += np.outer(t, z)
-            grad_w[:, fv.indices] += np.outer(params.H.T @ t, fv.counts)
     return grad
 
 
@@ -238,14 +228,12 @@ def adam_reference(flat, m, v, grad, lr, t, beta1, beta2, eps):
 def dense_moments(opt) -> tuple[np.ndarray, np.ndarray]:
     """Adam's ``m`` and ``v`` of a `trainer.Optimizer` as vectors aligned with
     ``params.flat``: ``m_w``/``v_w`` scattered to the ``live`` columns, zero
-    elsewhere, then ``m_h``/``v_h``."""
-    e, d = opt.shape
+    elsewhere."""
     out = []
-    for block_w, block_h in ((opt.m_w, opt.m_h), (opt.v_w, opt.v_h)):
-        dense = np.zeros(e * d + block_h.size)
-        dense[: e * d].reshape(e, d)[:, opt.live] = block_w
-        dense[e * d :] = block_h
-        out.append(dense)
+    for block in (opt.m_w, opt.v_w):
+        dense = np.zeros(opt.shape)
+        dense[:, opt.live] = block
+        out.append(dense.ravel())
     return out[0], out[1]
 
 

@@ -45,8 +45,8 @@ def central_differences(params, value_fn, step=1e-5):
         up[j] += step
         down = params.flat.copy()
         down[j] -= step
-        p_up = Params(params.feature_dim, params.embed_dim, params.hidden, flat=up)
-        p_down = Params(params.feature_dim, params.embed_dim, params.hidden, flat=down)
+        p_up = Params(params.feature_dim, params.embed_dim, flat=up)
+        p_down = Params(params.feature_dim, params.embed_dim, flat=down)
         grad[j] = (value_fn(p_up) - value_fn(p_down)) / (2 * step)
     return grad
 
@@ -95,8 +95,9 @@ def test_criterion_2_gradient_exactness():
 
         worst_retrieval = worst_coco = worst_idro = 0.0
         for i in range(20):
-            hidden = i % 2 == 1
-            params = Params.init_random(14, 3, hidden=hidden, seed=100 + i)
+            params = Params.init_random(14, 3, seed=100 + i)
+            # odd trials score each item against the batch's other positives too
+            in_batch = i % 2 == 1
 
             batch = [
                 losses.Triplet(
@@ -109,8 +110,10 @@ def test_criterion_2_gradient_exactness():
                 )
                 for _ in range(3)
             ]
-            _, _, analytic = losses.retrieval_loss_grad(params, batch)
-            numeric = central_differences(params, lambda p: losses.retrieval_loss(p, batch)[0])
+            _, _, analytic = losses.retrieval_loss_grad(params, batch, in_batch)
+            numeric = central_differences(
+                params, lambda p: losses.retrieval_loss(p, batch, in_batch)[0]
+            )
             worst_retrieval = max(worst_retrieval, rel_err(analytic, numeric))
 
             pairs = [
@@ -129,18 +132,20 @@ def test_criterion_2_gradient_exactness():
             weights = alpha * omega
 
             def composite(p):
-                vals = [losses.retrieval_loss(p, b)[0] for b in cluster_batches]
+                vals = [losses.retrieval_loss(p, b, in_batch)[0] for b in cluster_batches]
                 return float((weights * vals).sum() / weights.sum())
 
             grads = np.vstack(
-                [losses.retrieval_loss_grad(params, b)[2] for b in cluster_batches]
+                [losses.retrieval_loss_grad(params, b, in_batch)[2] for b in cluster_batches]
             )
             analytic = idro.combine_cluster_grads(grads, alpha, omega)
             numeric = central_differences(params, composite)
             worst_idro = max(worst_idro, rel_err(analytic, numeric))
 
             # the same composite from the one-pass per-cluster kernel
-            _, cols, rows = losses.retrieval_cluster_grads(params, batch, np.array([4, 4, 9]))
+            _, cols, rows = losses.retrieval_cluster_grads(
+                params, batch, np.array([4, 4, 9]), in_batch
+            )
             batched = scatter_grad(
                 params, cols, idro.combine_cluster_grads(rows, alpha, omega)
             )

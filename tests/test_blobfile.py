@@ -39,12 +39,12 @@ class Format:
 
 
 def _finetuner(config, task):
-    params = Params.init_random(config.feature_dim, config.embed_dim, config.hidden, seed=5)
+    params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
     return Finetuner(config, params, task.corpus, task.queries, task.qrels)
 
 
 def _checkpoint(path):
-    save_checkpoint(Params.init_random(20, 4, hidden=True, seed=6), path, hash_seed=3)
+    save_checkpoint(Params.init_random(20, 4, seed=6), path, hash_seed=3)
     return load_checkpoint
 
 
@@ -124,6 +124,14 @@ def test_unsupported_version(fmt, value):
     if value == fmt.header["version"]:
         return
     rejects(fmt, with_header(fmt, {**fmt.header, "version": value}))
+
+
+def test_bool_in_integer_field(fmt):
+    """JSON true is no integer: not as the version, not in any integer header field."""
+    names = [k for k, v in fmt.header.items() if type(v) is int]
+    assert "version" in names and len(names) >= 3
+    for name in names:
+        rejects(fmt, with_header(fmt, {**fmt.header, name: True}))
 
 
 @given(st.data())
@@ -226,6 +234,12 @@ _CORRUPTIONS = {
                        "block omega is not positive with sum 1"),
     "omega-sum-not-1": (lambda f, b: b.update(omega=np.array([0.5, 0.5, 0.5])),
                         "block omega is not positive with sum 1"),
+    # tiny_config runs 2 episodes
+    "episodes_done-negative": (lambda f, b: f.update(episodes_done=-1), "episodes_done is -1"),
+    "episodes_done-past-episodes": (lambda f, b: f.update(episodes_done=3),
+                                    "episodes_done is 3"),
+    "episodes_done-bool": (lambda f, b: f.update(episodes_done=True),
+                           "header field 'episodes_done' is missing or has the wrong type"),
 }
 
 
@@ -233,8 +247,9 @@ _CORRUPTIONS = {
 def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, name):
     """A negative second moment would reach a sqrt in the next step; a negative
     step count, the bias correction. A ``live`` block must hold ascending column
-    ids of the encoder, and ``omega`` must be a probability vector. A rejected
-    file changes nothing in the loading `Finetuner`."""
+    ids of the encoder, ``omega`` must be a probability vector, and the episode
+    counter an integer from 0 to the run's episodes. A rejected file changes
+    nothing in the loading `Finetuner`."""
     fields, blocks = _state_blocks(saved_state)
     edit, message = _CORRUPTIONS[name]
     edit(fields, blocks)
@@ -252,7 +267,7 @@ def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, 
 def test_trainer_state_payload_holds_only_live_moments(tmp_path):
     """Adam's moments take 8 bytes per live column and row, not per parameter,
     and saving allocates less than one parameter vector."""
-    config = tiny_config(feature_dim=4096, hidden=True)
+    config = tiny_config(feature_dim=4096)
     writer = _finetuner(config, tiny_task())
     writer.run_episode()
     tracemalloc.start()
@@ -265,7 +280,7 @@ def test_trainer_state_payload_holds_only_live_moments(tmp_path):
     _, _, payload = (tmp_path / "state.bin").read_bytes().partition(b"\n")
     params, live = writer.params, writer.optimizer.live.size
     k, w = writer.cluster_model.centroids.shape
-    moments = params.embed_dim * live + params.H.size
+    moments = params.embed_dim * live
     assert 0 < live < config.feature_dim
     assert len(payload) == 8 * (len(params) + live + 2 * moments + k + k * w)
 
@@ -274,19 +289,27 @@ def test_trainer_state_payload_holds_only_live_moments(tmp_path):
 @given(
     feature_dim=st.integers(1, 1024),
     embed_dim=st.integers(1, 12),
-    hidden=st.booleans(),
     k_clusters=st.integers(1, 5),
 )
-def test_trainer_state_blocks_must_match_params(
-    saved_state, feature_dim, embed_dim, hidden, k_clusters
-):
-    if (feature_dim, embed_dim, hidden) == (512, 8, False) and k_clusters >= 3:
+def test_trainer_state_blocks_must_match_params(saved_state, feature_dim, embed_dim, k_clusters):
+    if (feature_dim, embed_dim) == (512, 8) and k_clusters >= 3:
         return  # the run that wrote the file
-    config = tiny_config(
-        feature_dim=feature_dim, embed_dim=embed_dim, hidden=hidden, k_clusters=k_clusters
-    )
+    config = tiny_config(feature_dim=feature_dim, embed_dim=embed_dim, k_clusters=k_clusters)
     with pytest.raises(BlobFileError, match=re.escape(str(saved_state))):
         _finetuner(config, tiny_task()).load_state(saved_state)
+
+
+def test_trainer_state_of_hidden_layer_rejected(saved_state, tmp_path):
+    """A state written with the removed hidden layer carried Adam's moments of
+    its E x E matrix in two more blocks; the block list no longer matches."""
+    fields, blocks = _state_blocks(saved_state)
+    at = list(blocks).index("adam_v") + 1
+    items = list(blocks.items())
+    items[at:at] = [("adam_m_h", np.zeros(64)), ("adam_v_h", np.ones(64))]
+    probe = tmp_path / "hidden.bin"
+    _write_state(probe, fields, dict(items))
+    with pytest.raises(BlobFileError, match=re.escape(str(probe)) + ".*adam_m_h"):
+        _finetuner(tiny_config(), tiny_task()).load_state(probe)
 
 
 @pytest.mark.parametrize("existing", [False, True])

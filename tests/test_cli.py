@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from robustdr import blobfile
 from robustdr.cli import main
 from robustdr.corpus import save_corpus, save_queries
-from robustdr.encoder import Featurizer, Params, save_checkpoint
+from robustdr.encoder import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
+    Featurizer,
+    Params,
+    save_checkpoint,
+)
 from robustdr.synthetic import make_imbalanced_source, write_task_dir
 
 
@@ -157,9 +164,7 @@ class TestPipelineCommands:
         config = RunConfig.from_dict(
             json.loads((out / "resolved_config.json").read_text())["config"]
         )
-        params = Params.init_random(
-            config.feature_dim, config.embed_dim, config.hidden, seed=config.seed
-        )
+        params = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
         control = Finetuner(
             config,
             params,
@@ -248,7 +253,7 @@ class TestConfigLayers:
     @pytest.fixture
     def ckpt(self, tmp_path):
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(Params.init_random(256, 8, hidden=True, seed=0), path, hash_seed=5)
+        save_checkpoint(Params.init_random(256, 8, seed=0), path, hash_seed=5)
         return path
 
     @pytest.mark.parametrize("command", ["finetune", "evaluate", "mine", "diagnose"])
@@ -263,8 +268,9 @@ class TestConfigLayers:
             argv += task_flags(task_dir)
         assert main(argv) == 0
         config = json.loads((out / "resolved_config.json").read_text())["config"]
-        assert {k: config[k] for k in ("feature_dim", "embed_dim", "hidden", "hash_seed")} == {
-            "feature_dim": 256, "embed_dim": 8, "hidden": True, "hash_seed": 5}
+        assert {k: config[k] for k in ("feature_dim", "embed_dim", "hash_seed")} == {
+            "feature_dim": 256, "embed_dim": 8, "hash_seed": 5}
+        assert "hidden" not in config
 
     def test_flag_conflicting_with_checkpoint_exits_2(self, task_dir, tmp_path, ckpt, capsys):
         args = finetune_args(task_dir, tmp_path / "x", ("--checkpoint", str(ckpt)))
@@ -316,7 +322,7 @@ class TestParser:
     OPTIONS = {
         "analyze-shift": ["--out", "--source-dir", "--target-dir"],
         "pretrain": ["--batch-size", "--config", "--corpus", "--embed-dim", "--epochs",
-                     "--feature-dim", "--hidden", "--lr", "--out", "--seed", "--span-len"],
+                     "--feature-dim", "--lr", "--out", "--seed", "--span-len"],
         "finetune": ["--batch-size", "--beta", "--checkpoint", "--config", "--corpus",
                      "--embed-dim", "--episodes", "--feature-dim", "--k", "--lr",
                      "--negatives", "--optimizer", "--out", "--qrels", "--queries", "--seed",
@@ -370,8 +376,8 @@ class TestExitCodes:
             ("seed", 1.5),
             ("learning_rate", "x"),
             ("tau", None),
-            ("hidden", "no"),
-            ("hidden", 1),
+            ("omega_carryover", "no"),
+            ("omega_carryover", 1),
             ("feature_dim", True),
         ],
     )
@@ -390,6 +396,18 @@ class TestExitCodes:
         code = main(args)
         assert code == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "x" / "encoder.ckpt").exists()
+
+    def test_removed_hidden_field_exits_2(self, task_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hidden": False}))
+        assert main(finetune_args(task_dir, tmp_path / "x", ("--config", str(config)))) == 2
+        assert "hidden: unknown config field" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "encoder.ckpt").exists()
+
+    def test_infinite_learning_rate_exits_2(self, task_dir, tmp_path, capsys):
+        assert main(finetune_args(task_dir, tmp_path / "x", ("--lr", "inf"))) == 2
+        assert "learning_rate: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x" / "encoder.ckpt").exists()
 
     def test_removed_stage_field_exits_2(self, task_dir, tmp_path, capsys):
@@ -443,6 +461,24 @@ class TestExitCodes:
         ])
         assert code == 3
         assert str(ckpt) in capsys.readouterr().err
+
+    def test_hidden_layer_checkpoint_exits_3_naming_path(self, task_dir, tmp_path, capsys):
+        ckpt = tmp_path / "enc.ckpt"
+        fields = {"feature_dim": 256, "embed_dim": 8, "hidden": True, "hash_seed": 0,
+                  "dtype": "<f8", "n_params": 256 * 8 + 8 * 8}
+        blobfile.write(ckpt, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields,
+                       [np.zeros(fields["n_params"])])
+        code = main([
+            "evaluate",
+            "--checkpoint", str(ckpt),
+            "--corpus", str(task_dir / "corpus.jsonl"),
+            "--queries", str(task_dir / "queries.jsonl"),
+            "--qrels", str(task_dir / "qrels.tsv"),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "hidden layer" in err
 
     def test_dangling_qrels_exit_3_naming_doc(self, task_dir, tmp_path, capsys):
         lines = (task_dir / "qrels.tsv").read_text().splitlines()

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from robustdr import blobfile
 from robustdr.encoder import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
     EmbeddingMatrix,
     Featurizer,
     Params,
@@ -14,7 +19,7 @@ from robustdr.encoder import (
     save_checkpoint,
     score,
 )
-from robustdr.errors import InvariantError
+from robustdr.errors import BlobFileError, InvariantError
 from tests.conftest import random_feature_vector
 from tests.oracles import featurize_reference
 
@@ -85,20 +90,14 @@ class TestEncode:
     def test_matches_independent_matrix_multiply(self, rng):
         """Oracle: dense matrix product reimplementation, to 1e-12."""
         featurizer = Featurizer(dim=40, seed=2)
-        for hidden in (False, True):
-            params = Params.init_random(40, 5, hidden=hidden, seed=9)
-            for _ in range(20):
-                fv = random_feature_vector(featurizer, rng)
-                x = dense_vector(fv)
-                expected = params.W @ x
-                if hidden:
-                    expected = np.tanh(params.H @ expected)
-                np.testing.assert_allclose(encode(params, fv), expected, atol=1e-12)
+        params = Params.init_random(40, 5, seed=9)
+        for _ in range(20):
+            fv = random_feature_vector(featurizer, rng)
+            np.testing.assert_allclose(encode(params, fv), params.W @ dense_vector(fv), atol=1e-12)
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_encode_many_with_repeats_equals_per_item_encode(self, hidden, rng):
+    def test_encode_many_with_repeats_equals_per_item_encode(self, rng):
         featurizer = Featurizer(dim=40, seed=2)
-        params = Params.init_random(40, 5, hidden=hidden, seed=9)
+        params = Params.init_random(40, 5, seed=9)
         distinct = [random_feature_vector(featurizer, rng) for _ in range(6)]
         fvs = [distinct[int(i)] for i in rng.integers(6, size=30)]
         fvs += [featurizer(["tok1", "tok2"]), featurizer(["tok3"])]  # equal content, new objects
@@ -154,7 +153,7 @@ class TestEmbeddingBackward:
         """Numeric gradient of sum_i weights_i . encode(fvs_i)."""
 
         def value(flat):
-            p = Params(params.feature_dim, params.embed_dim, params.hidden, flat=flat)
+            p = Params(params.feature_dim, params.embed_dim, flat=flat)
             return sum(float(w @ encode(p, fv)) for w, fv in zip(weights, fvs))
 
         grad = np.zeros_like(params.flat)
@@ -166,10 +165,9 @@ class TestEmbeddingBackward:
             grad[j] = (value(up) - value(down)) / (2 * step)
         return grad
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_matches_finite_differences(self, hidden, rng):
+    def test_matches_finite_differences(self, rng):
         featurizer = Featurizer(dim=10, seed=3)
-        params = Params.init_random(10, 3, hidden=hidden, seed=11)
+        params = Params.init_random(10, 3, seed=11)
         fvs = [random_feature_vector(featurizer, rng) for _ in range(4)]
         weights = [rng.normal(size=3) for _ in fvs]
         analytic = embedding_backward(params, fvs, np.vstack(weights))
@@ -193,16 +191,28 @@ class TestEmbeddingMatrix:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_bit_exact_roundtrip(self, hidden, tmp_path):
-        params = Params.init_random(20, 4, hidden=hidden, seed=6)
+    def test_bit_exact_roundtrip(self, tmp_path):
+        params = Params.init_random(20, 4, seed=6)
         path = tmp_path / "enc.ckpt"
         save_checkpoint(params, path, hash_seed=42)
         loaded, header = load_checkpoint(path)
         assert header["hash_seed"] == 42
-        assert loaded.hidden == hidden
         np.testing.assert_array_equal(loaded.flat, params.flat)
         assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_hidden_layer_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(Params.init_random(20, 4, seed=6), path)
+        header = path.read_bytes().split(b"\n", 1)[0]
+        assert header == (b'{"dtype": "<f8", "embed_dim": 4, "feature_dim": 20, "format": '
+                          b'"robustdr-encoder", "hash_seed": 0, "hidden": false, '
+                          b'"n_params": 80, "version": 1}')
+        # a checkpoint of the removed hidden layer: W, then an E x E matrix
+        fields = {"feature_dim": 20, "embed_dim": 4, "hidden": True, "hash_seed": 0,
+                  "dtype": "<f8", "n_params": 96}
+        blobfile.write(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, [np.zeros(96)])
+        with pytest.raises(BlobFileError, match=re.escape(str(path)) + ".*hidden layer"):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.ckpt"

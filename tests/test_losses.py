@@ -65,8 +65,8 @@ def central_differences(params, value_fn, step=1e-5):
         up[j] += step
         down = params.flat.copy()
         down[j] -= step
-        p_up = Params(params.feature_dim, params.embed_dim, params.hidden, flat=up)
-        p_down = Params(params.feature_dim, params.embed_dim, params.hidden, flat=down)
+        p_up = Params(params.feature_dim, params.embed_dim, flat=up)
+        p_down = Params(params.feature_dim, params.embed_dim, flat=down)
         grad[j] = (value_fn(p_up) - value_fn(p_down)) / (2 * step)
     return grad
 
@@ -246,19 +246,18 @@ class TestCocoLoss:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_retrieval_gradient_matches_central_differences(self, hidden, rng):
+    @pytest.mark.parametrize("in_batch", [False, True])
+    def test_retrieval_gradient_matches_central_differences(self, in_batch, rng):
         featurizer = Featurizer(dim=12, seed=3)
-        params = Params.init_random(12, 3, hidden=hidden, seed=21)
+        params = Params.init_random(12, 3, seed=21)
         batch = [make_triplet(featurizer, rng) for _ in range(3)]
-        _, _, analytic = retrieval_loss_grad(params, batch)
-        numeric = central_differences(params, lambda p: retrieval_loss(p, batch)[0])
+        _, _, analytic = retrieval_loss_grad(params, batch, in_batch)
+        numeric = central_differences(params, lambda p: retrieval_loss(p, batch, in_batch)[0])
         assert relative_error(analytic, numeric) < 1e-4
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_coco_gradient_matches_central_differences(self, hidden, rng):
+    def test_coco_gradient_matches_central_differences(self, rng):
         featurizer = Featurizer(dim=12, seed=4)
-        params = Params.init_random(12, 3, hidden=hidden, seed=22)
+        params = Params.init_random(12, 3, seed=22)
         batch = [
             (random_feature_vector(featurizer, rng), random_feature_vector(featurizer, rng))
             for _ in range(3)
@@ -288,13 +287,12 @@ class TestClusterGrads:
     """The one-pass per-cluster gradients against one dense loss+backward per cluster."""
 
     @pytest.mark.parametrize("in_batch", [False, True])
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_matches_dense_per_cluster_reference(self, hidden, in_batch):
-        rng = np.random.Generator(np.random.PCG64(31 + 2 * hidden + in_batch))
+    def test_matches_dense_per_cluster_reference(self, in_batch):
+        rng = np.random.Generator(np.random.PCG64(31 + in_batch))
         featurizer = Featurizer(dim=64, seed=9)
         docs = [random_feature_vector(featurizer, rng) for _ in range(12)]
         for trial in range(10):
-            params = Params.init_random(64, 5, hidden=hidden, seed=trial)
+            params = Params.init_random(64, 5, seed=trial)
             k = trial % 5 + 1
             ids = rng.choice(9, size=k, replace=False)
             n = int(rng.integers(k, 13))
@@ -324,10 +322,9 @@ class TestClusterGrads:
             combined = scatter_grad(params, cols, combine_cluster_grads(rows, alpha, omega))
             assert max_rel(combined, combine_cluster_grads(dense, alpha, omega)) < 1e-10
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_one_cluster_is_retrieval_loss_grad(self, hidden, rng):
+    def test_one_cluster_is_retrieval_loss_grad(self, rng):
         featurizer = Featurizer(dim=40, seed=2)
-        params = Params.init_random(40, 4, hidden=hidden, seed=8)
+        params = Params.init_random(40, 4, seed=8)
         batch = [make_triplet(featurizer, rng) for _ in range(5)]
         total, per_item, grad = retrieval_loss_grad(params, batch, in_batch_negatives=True)
         ref_items, ref_grad = dense_retrieval_loss_grad(params, batch, in_batch_negatives=True)
@@ -358,15 +355,14 @@ class TestAgainstLoops:
     """The array losses against the item-by-item and anchor-by-anchor loops, byte for byte."""
 
     @pytest.mark.parametrize("in_batch", [False, True])
-    @pytest.mark.parametrize("hidden", [False, True])
     @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
-    def test_retrieval_matches_item_loop(self, embed_dim, hidden, in_batch):
-        rng = np.random.Generator(np.random.PCG64([embed_dim, hidden, in_batch]))
+    def test_retrieval_matches_item_loop(self, embed_dim, in_batch):
+        rng = np.random.Generator(np.random.PCG64([embed_dim, 0, in_batch]))
         featurizer = Featurizer(dim=97, seed=embed_dim)
         docs = [random_feature_vector(featurizer, rng) for _ in range(10)]
         mixed_counts = 0
         for trial in range(25):
-            params = Params.init_random(97, embed_dim, hidden=hidden, seed=trial)
+            params = Params.init_random(97, embed_dim, seed=trial)
             n = int(rng.integers(1, 15))
             # ragged 1-8 negatives drawn from a small pool, so objects repeat
             batch = [
@@ -396,16 +392,15 @@ class TestAgainstLoops:
             want = loop_retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
             assert all(same_bytes(a, b) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("hidden", [False, True])
     @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
-    def test_coco_matches_anchor_loop(self, embed_dim, hidden):
-        rng = np.random.Generator(np.random.PCG64([embed_dim, hidden, 7]))
+    def test_coco_matches_anchor_loop(self, embed_dim):
+        rng = np.random.Generator(np.random.PCG64([embed_dim, 0, 7]))
         featurizer = Featurizer(dim=97, seed=embed_dim)
         docs = [random_feature_vector(featurizer, rng) for _ in range(10)]
         # rows of 2n - 1 >= 8 terms and sums of 2n >= 16 anchor terms are
         # where pairwise and sequential summation part
         for trial, n in enumerate([2, 3, 4, 8, 9, 16, 33, 40, *rng.integers(2, 41, size=8)]):
-            params = Params.init_random(97, embed_dim, hidden=hidden, seed=trial)
+            params = Params.init_random(97, embed_dim, seed=trial)
             batch = [
                 (random_feature_vector(featurizer, rng), docs[int(rng.integers(len(docs)))])
                 for _ in range(int(n))

@@ -75,7 +75,7 @@ def tiny_config(**overrides):
 
 
 def run_finetune(config, task, init_seed=5):
-    params = Params.init_random(config.feature_dim, config.embed_dim, config.hidden, seed=init_seed)
+    params = Params.init_random(config.feature_dim, config.embed_dim, seed=init_seed)
     return Finetuner(config, params, task.corpus, task.queries, task.qrels).run()
 
 
@@ -97,6 +97,12 @@ class TestRunConfig:
             ("beta", -1.0),
             ("tau", 0.0),
             ("batch_size", 0),
+            ("learning_rate", math.inf),
+            ("beta", math.inf),
+            ("beta", math.nan),
+            ("groupdro_step_size", math.inf),
+            # an integer beyond float64, as a JSON literal can give
+            pytest.param("learning_rate", 10**400, id="learning_rate-huge-int"),
         ],
     )
     def test_invalid_values_name_field(self, field, value):
@@ -106,7 +112,7 @@ class TestRunConfig:
     def test_values_checked_against_annotations(self):
         # an int is a float, but a bool is neither an int nor a float
         assert tiny_config(learning_rate=1, tau=2).learning_rate == 1
-        for field, value in [("hidden", 0), ("batch_size", True), ("tau", False),
+        for field, value in [("omega_carryover", 0), ("batch_size", True), ("tau", False),
                              ("weighting", None), ("seed", 3.0)]:
             with pytest.raises(ConfigError, match=field):
                 tiny_config(**{field: value})
@@ -118,65 +124,61 @@ def growing_steps(params, rng, n_steps):
     vocab = params.feature_dim // 2
     for t in range(n_steps):
         cols = np.sort(rng.choice(vocab * t // n_steps, size=40 if t else 0, replace=False))
-        size = params.embed_dim * cols.size + (0 if params.H is None else params.H.size)
+        size = params.embed_dim * cols.size
         yield cols, rng.normal(size=size) * 10.0 ** rng.uniform(-6, 2, size=size)
 
 
 class TestOptimizer:
     def test_adam_bytes_equal_textbook_steps(self, tmp_path):
-        for hidden in (False, True):
-            tmp = tmp_path / f"hidden-{hidden}"
-            tmp.mkdir()
-            config = tiny_config(optimizer="adam", hidden=hidden)
-            rng = np.random.Generator(np.random.PCG64(3))
-            params = Params.init_random(512, 8, hidden, seed=3)
-            init = params.copy()
-            opt = Optimizer(config, params)
-            ref = (params.flat.copy(), np.zeros(len(params)), np.zeros(len(params)))
-            hp = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-            touched = set()
-            for t, (cols, row) in enumerate(growing_steps(params, rng, 6), start=1):
-                lr = 0.05 / t
-                opt.step(params.flat, cols, row, lr)
-                ref = adam_reference(*ref, scatter_grad(params, cols, row), lr, t, *hp)
-                touched.update(cols.tolist())
-                m, v = dense_moments(opt)
-                assert params.flat.tobytes() == ref[0].tobytes()
-                assert m.tobytes() == ref[1].tobytes()
-                assert v.tobytes() == ref[2].tobytes()
-            assert opt.live.tolist() == sorted(touched)
-            never = np.setdiff1d(np.arange(512), opt.live)
-            assert never.size > 256
-            assert params.W[:, never].tobytes() == init.W[:, never].tobytes()
-
-            # one more step, on moments reloaded from a trainer state
-            task = tiny_task()
-            writer = Finetuner(config, Params.init_random(512, 8, hidden, seed=5), task.corpus,
-                               task.queries, task.qrels)
-            writer.run_episode()
-            writer.save_state(tmp / "state.bin")
-            ft = Finetuner(config, Params.init_random(512, 8, hidden, seed=5), task.corpus,
-                           task.queries, task.qrels)
-            ft.load_state(tmp / "state.bin")
-            opt = ft.optimizer
-            assert opt.live.tolist() == writer.optimizer.live.tolist()
-            ft.save_state(tmp / "again.bin")
-            assert (tmp / "again.bin").read_bytes() == (tmp / "state.bin").read_bytes()
-            cols, row = list(growing_steps(ft.params, rng, 2))[-1]
+        config = tiny_config(optimizer="adam")
+        rng = np.random.Generator(np.random.PCG64(3))
+        params = Params.init_random(512, 8, seed=3)
+        init = params.copy()
+        opt = Optimizer(config, params)
+        ref = (params.flat.copy(), np.zeros(len(params)), np.zeros(len(params)))
+        hp = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        touched = set()
+        for t, (cols, row) in enumerate(growing_steps(params, rng, 6), start=1):
+            lr = 0.05 / t
+            opt.step(params.flat, cols, row, lr)
+            ref = adam_reference(*ref, scatter_grad(params, cols, row), lr, t, *hp)
+            touched.update(cols.tolist())
             m, v = dense_moments(opt)
-            ref = adam_reference(ft.params.flat.copy(), m, v, scatter_grad(ft.params, cols, row),
-                                 0.01, opt.t + 1, *hp)
-            opt.step(ft.params.flat, cols, row, 0.01)
-            m, v = dense_moments(opt)
-            assert ft.params.flat.tobytes() == ref[0].tobytes()
+            assert params.flat.tobytes() == ref[0].tobytes()
             assert m.tobytes() == ref[1].tobytes()
             assert v.tobytes() == ref[2].tobytes()
+        assert opt.live.tolist() == sorted(touched)
+        never = np.setdiff1d(np.arange(512), opt.live)
+        assert never.size > 256
+        assert params.W[:, never].tobytes() == init.W[:, never].tobytes()
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_sgd_bytes_equal_dense_steps(self, hidden):
+        # one more step, on moments reloaded from a trainer state
+        task = tiny_task()
+        writer = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
+                           task.queries, task.qrels)
+        writer.run_episode()
+        writer.save_state(tmp_path / "state.bin")
+        ft = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
+                       task.queries, task.qrels)
+        ft.load_state(tmp_path / "state.bin")
+        opt = ft.optimizer
+        assert opt.live.tolist() == writer.optimizer.live.tolist()
+        ft.save_state(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "state.bin").read_bytes()
+        cols, row = list(growing_steps(ft.params, rng, 2))[-1]
+        m, v = dense_moments(opt)
+        ref = adam_reference(ft.params.flat.copy(), m, v, scatter_grad(ft.params, cols, row),
+                             0.01, opt.t + 1, *hp)
+        opt.step(ft.params.flat, cols, row, 0.01)
+        m, v = dense_moments(opt)
+        assert ft.params.flat.tobytes() == ref[0].tobytes()
+        assert m.tobytes() == ref[1].tobytes()
+        assert v.tobytes() == ref[2].tobytes()
+
+    def test_sgd_bytes_equal_dense_steps(self):
         rng = np.random.Generator(np.random.PCG64(4))
-        params = Params.init_random(512, 8, hidden, seed=3)
-        opt = Optimizer(tiny_config(optimizer="sgd", hidden=hidden), params)
+        params = Params.init_random(512, 8, seed=3)
+        opt = Optimizer(tiny_config(optimizer="sgd"), params)
         ref = params.flat.copy()
         for t, (cols, row) in enumerate(growing_steps(params, rng, 6), start=1):
             lr = 0.05 / t
@@ -186,9 +188,11 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("overrides", [
         dict(weighting="idro"), dict(weighting="groupdro"), dict(weighting="uniform"),
-        dict(weighting="idro", hidden=True), dict(weighting="groupdro", hidden=True),
-        dict(weighting="uniform", hidden=True),
-        dict(weighting="groupdro", hidden=True, optimizer="sgd", omega_carryover=True),
+        dict(weighting="idro", in_batch_negatives=True),
+        dict(weighting="groupdro", in_batch_negatives=True),
+        dict(weighting="uniform", in_batch_negatives=True),
+        dict(weighting="groupdro", in_batch_negatives=True, optimizer="sgd",
+             omega_carryover=True),
     ], ids=lambda o: "-".join(str(v) for v in o.values()))
     def test_finetune_equals_dense_optimizer(self, monkeypatch, overrides):
         config, task = tiny_config(**overrides), tiny_task()
@@ -198,9 +202,8 @@ class TestOptimizer:
         assert live.params.flat.tobytes() == dense.params.flat.tobytes()
         assert live.log_rows == dense.log_rows
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_pretrain_equals_dense_optimizer(self, monkeypatch, hidden):
-        config = tiny_config(hidden=hidden, pretrain_epochs=3)
+    def test_pretrain_equals_dense_optimizer(self, monkeypatch):
+        config = tiny_config(pretrain_epochs=3)
         corpus = TestPretrain().separable_corpus(n_docs=20)
         live = pretrain_coco(config, [corpus])
         monkeypatch.setattr(trainer, "Optimizer", DenseOptimizer)
@@ -232,7 +235,7 @@ class TestPretrain:
     def test_zero_epochs_equals_init(self):
         config = tiny_config(pretrain_epochs=0)
         result = pretrain_coco(config, [self.separable_corpus()])
-        init = Params.init_random(config.feature_dim, config.embed_dim, config.hidden, seed=config.seed)
+        init = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
         assert result.params.flat.tobytes() == init.flat.tobytes()
 
     def test_separable_corpus_learns_partner_retrieval(self):
@@ -427,12 +430,14 @@ class TestFinetune:
         assert all(q.id != "orphan" for q in ft.queries)
         assert any("orphan" in rec.message for rec in caplog.records)
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_hidden_mismatch_rejected(self, hidden):
-        task, config = tiny_task(), tiny_config(hidden=hidden)
-        params = Params.init_random(config.feature_dim, config.embed_dim, not hidden, seed=5)
-        with pytest.raises(ConfigError, match="hidden"):
-            Finetuner(config, params, task.corpus, task.queries, task.qrels)
+    @pytest.mark.parametrize("field", ["feature_dim", "embed_dim"])
+    def test_encoder_shape_mismatch_rejected(self, field):
+        task, config = tiny_task(), tiny_config()
+        shape = {"feature_dim": config.feature_dim, "embed_dim": config.embed_dim}
+        shape[field] += 1
+        with pytest.raises(ConfigError, match=field):
+            Finetuner(config, Params.init_random(**shape, seed=5), task.corpus, task.queries,
+                      task.qrels)
 
     def test_positive_missing_from_corpus_rejected_before_training(self):
         task = tiny_task()
@@ -494,23 +499,19 @@ class TestFinetune:
             tiny_config(episodes=3),
             tiny_config(episodes=3, omega_carryover=True, tau=0.05),
             tiny_config(episodes=3, weighting="groupdro", omega_carryover=True),
-            tiny_config(episodes=3, hidden=True),
-            tiny_config(episodes=3, weighting="uniform", hidden=True),
             tiny_config(episodes=3, weighting="uniform", optimizer="sgd"),
-            tiny_config(episodes=3, weighting="idro", hidden=True, optimizer="sgd"),
+            tiny_config(episodes=3, weighting="idro", optimizer="sgd"),
         ):
             straight = run_finetune(config, task)
 
-            params = Params.init_random(config.feature_dim, config.embed_dim, config.hidden, seed=5)
+            params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
             ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
             ft.run_episode()
             ft.run_episode()
             state_path = tmp_path / "state.bin"
             ft.save_state(state_path)
 
-            fresh_params = Params.init_random(
-                config.feature_dim, config.embed_dim, config.hidden, seed=5
-            )
+            fresh_params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
             resumed = Finetuner(config, fresh_params, task.corpus, task.queries, task.qrels)
             resumed.load_state(state_path)
             assert resumed.episodes_done == 2
