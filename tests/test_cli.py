@@ -378,6 +378,9 @@ class TestExitCodes:
             ("tau", None),
             ("omega_carryover", "no"),
             ("omega_carryover", 1),
+            # the removed hidden-layer switch: any value is an unknown field
+            ("hidden", "no"),
+            ("hidden", 1),
             ("feature_dim", True),
         ],
     )

@@ -95,12 +95,16 @@ class TestEncode:
             fv = random_feature_vector(featurizer, rng)
             np.testing.assert_allclose(encode(params, fv), params.W @ dense_vector(fv), atol=1e-12)
 
-    def test_encode_many_with_repeats_equals_per_item_encode(self, rng):
+    @pytest.mark.parametrize("with_empty", [False, True])
+    def test_encode_many_with_repeats_equals_per_item_encode(self, with_empty, rng):
         featurizer = Featurizer(dim=40, seed=2)
         params = Params.init_random(40, 5, seed=9)
         distinct = [random_feature_vector(featurizer, rng) for _ in range(6)]
         fvs = [distinct[int(i)] for i in rng.integers(6, size=30)]
         fvs += [featurizer(["tok1", "tok2"]), featurizer(["tok3"])]  # equal content, new objects
+        if with_empty:  # token-free texts, one of them repeated, among the rest
+            empty = featurizer([])
+            fvs = [empty, *fvs[:10], featurizer([]), *fvs[10:], empty]
         expected = np.stack([encode(params, fv) for fv in fvs])
         assert encode_many(params, fvs).tobytes() == expected.tobytes()
 
@@ -165,10 +169,13 @@ class TestEmbeddingBackward:
             grad[j] = (value(up) - value(down)) / (2 * step)
         return grad
 
-    def test_matches_finite_differences(self, rng):
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_matches_finite_differences(self, repeats, rng):
         featurizer = Featurizer(dim=10, seed=3)
         params = Params.init_random(10, 3, seed=11)
         fvs = [random_feature_vector(featurizer, rng) for _ in range(4)]
+        if repeats:  # the same objects again, with their own weights
+            fvs += [fvs[2], fvs[0], fvs[2]]
         weights = [rng.normal(size=3) for _ in fvs]
         analytic = embedding_backward(params, fvs, np.vstack(weights))
         numeric = self.finite_difference(params, fvs, weights)
@@ -191,8 +198,12 @@ class TestEmbeddingMatrix:
 
 
 class TestCheckpoint:
-    def test_bit_exact_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("edge_values", [False, True])
+    def test_bit_exact_roundtrip(self, edge_values, tmp_path):
         params = Params.init_random(20, 4, seed=6)
+        if edge_values:  # signed zero, subnormals and the float64 extremes
+            params.flat[:6] = [-0.0, 5e-324, -2.2250738585072014e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
         path = tmp_path / "enc.ckpt"
         save_checkpoint(params, path, hash_seed=42)
         loaded, header = load_checkpoint(path)

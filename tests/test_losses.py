@@ -255,13 +255,17 @@ class TestGradients:
         numeric = central_differences(params, lambda p: retrieval_loss(p, batch, in_batch)[0])
         assert relative_error(analytic, numeric) < 1e-4
 
-    def test_coco_gradient_matches_central_differences(self, rng):
+    @pytest.mark.parametrize("shared_docs", [False, True])
+    def test_coco_gradient_matches_central_differences(self, shared_docs, rng):
         featurizer = Featurizer(dim=12, seed=4)
         params = Params.init_random(12, 3, seed=22)
         batch = [
             (random_feature_vector(featurizer, rng), random_feature_vector(featurizer, rng))
             for _ in range(3)
         ]
+        if shared_docs:  # a later pair reuses an earlier pair's objects
+            batch.append((random_feature_vector(featurizer, rng), batch[0][1]))
+            batch.append((batch[1][0], random_feature_vector(featurizer, rng)))
         _, cols, row = coco_loss_grad(params, batch)
         analytic = scatter_grad(params, cols, row)
         numeric = central_differences(params, lambda p: coco_loss(p, batch))
@@ -283,12 +287,27 @@ def max_rel(a, b):
     return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
 
 
+def draw_doc(featurizer, rng, pool, fresh):
+    """A new random document vector, or an object drawn from ``pool``."""
+    if fresh:
+        return random_feature_vector(featurizer, rng)
+    return pool[int(rng.integers(len(pool)))]
+
+
+def draw_docs(featurizer, rng, pool, size, fresh):
+    """``size`` new random document vectors, or ``size`` objects drawn from ``pool``."""
+    if fresh:
+        return tuple(random_feature_vector(featurizer, rng) for _ in range(size))
+    return tuple(pool[int(j)] for j in rng.integers(len(pool), size=size))
+
+
 class TestClusterGrads:
     """The one-pass per-cluster gradients against one dense loss+backward per cluster."""
 
     @pytest.mark.parametrize("in_batch", [False, True])
-    def test_matches_dense_per_cluster_reference(self, in_batch):
-        rng = np.random.Generator(np.random.PCG64(31 + in_batch))
+    @pytest.mark.parametrize("fresh_docs", [False, True])
+    def test_matches_dense_per_cluster_reference(self, fresh_docs, in_batch):
+        rng = np.random.Generator(np.random.PCG64(31 + 2 * fresh_docs + in_batch))
         featurizer = Featurizer(dim=64, seed=9)
         docs = [random_feature_vector(featurizer, rng) for _ in range(12)]
         for trial in range(10):
@@ -296,12 +315,13 @@ class TestClusterGrads:
             k = trial % 5 + 1
             ids = rng.choice(9, size=k, replace=False)
             n = int(rng.integers(k, 13))
-            # documents drawn from a small pool, so they repeat within the batch
+            # documents drawn from a small pool, so they repeat within the batch,
+            # or with fresh_docs each a new vector
             batch = [
                 Triplet(
                     random_feature_vector(featurizer, rng),
-                    docs[int(rng.integers(len(docs)))],
-                    tuple(docs[int(j)] for j in rng.integers(len(docs), size=int(rng.integers(1, 4)))),
+                    draw_doc(featurizer, rng, docs, fresh_docs),
+                    draw_docs(featurizer, rng, docs, int(rng.integers(1, 4)), fresh_docs),
                 )
                 for _ in range(n)
             ]
@@ -322,10 +342,13 @@ class TestClusterGrads:
             combined = scatter_grad(params, cols, combine_cluster_grads(rows, alpha, omega))
             assert max_rel(combined, combine_cluster_grads(dense, alpha, omega)) < 1e-10
 
-    def test_one_cluster_is_retrieval_loss_grad(self, rng):
+    @pytest.mark.parametrize("shared_docs", [False, True])
+    def test_one_cluster_is_retrieval_loss_grad(self, shared_docs, rng):
         featurizer = Featurizer(dim=40, seed=2)
         params = Params.init_random(40, 4, seed=8)
         batch = [make_triplet(featurizer, rng) for _ in range(5)]
+        if shared_docs:  # one item's positive is another's negative, and a query repeats
+            batch.append(Triplet(batch[0].query, batch[1].negatives[0], (batch[2].positive,)))
         total, per_item, grad = retrieval_loss_grad(params, batch, in_batch_negatives=True)
         ref_items, ref_grad = dense_retrieval_loss_grad(params, batch, in_batch_negatives=True)
         assert per_item.tobytes() == ref_items.tobytes()
@@ -355,21 +378,23 @@ class TestAgainstLoops:
     """The array losses against the item-by-item and anchor-by-anchor loops, byte for byte."""
 
     @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("fresh_docs", [False, True])
     @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
-    def test_retrieval_matches_item_loop(self, embed_dim, in_batch):
-        rng = np.random.Generator(np.random.PCG64([embed_dim, 0, in_batch]))
+    def test_retrieval_matches_item_loop(self, embed_dim, fresh_docs, in_batch):
+        rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, in_batch]))
         featurizer = Featurizer(dim=97, seed=embed_dim)
         docs = [random_feature_vector(featurizer, rng) for _ in range(10)]
         mixed_counts = 0
         for trial in range(25):
             params = Params.init_random(97, embed_dim, seed=trial)
             n = int(rng.integers(1, 15))
-            # ragged 1-8 negatives drawn from a small pool, so objects repeat
+            # ragged 1-8 negatives drawn from a small pool, so objects repeat,
+            # or with fresh_docs each a new vector
             batch = [
                 Triplet(
                     random_feature_vector(featurizer, rng),
-                    docs[int(rng.integers(len(docs)))],
-                    tuple(docs[int(j)] for j in rng.integers(len(docs), size=int(rng.integers(1, 9)))),
+                    draw_doc(featurizer, rng, docs, fresh_docs),
+                    draw_docs(featurizer, rng, docs, int(rng.integers(1, 9)), fresh_docs),
                 )
                 for _ in range(n)
             ]
@@ -392,9 +417,10 @@ class TestAgainstLoops:
             want = loop_retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
             assert all(same_bytes(a, b) for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("fresh_docs", [False, True])
     @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
-    def test_coco_matches_anchor_loop(self, embed_dim):
-        rng = np.random.Generator(np.random.PCG64([embed_dim, 0, 7]))
+    def test_coco_matches_anchor_loop(self, embed_dim, fresh_docs):
+        rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, 7]))
         featurizer = Featurizer(dim=97, seed=embed_dim)
         docs = [random_feature_vector(featurizer, rng) for _ in range(10)]
         # rows of 2n - 1 >= 8 terms and sums of 2n >= 16 anchor terms are
@@ -402,7 +428,7 @@ class TestAgainstLoops:
         for trial, n in enumerate([2, 3, 4, 8, 9, 16, 33, 40, *rng.integers(2, 41, size=8)]):
             params = Params.init_random(97, embed_dim, seed=trial)
             batch = [
-                (random_feature_vector(featurizer, rng), docs[int(rng.integers(len(docs)))])
+                (random_feature_vector(featurizer, rng), draw_doc(featurizer, rng, docs, fresh_docs))
                 for _ in range(int(n))
             ]
             assert same_bytes(coco_loss(params, batch), loop_coco(params, batch, False)[0])

@@ -175,12 +175,16 @@ class TestOptimizer:
         assert m.tobytes() == ref[1].tobytes()
         assert v.tobytes() == ref[2].tobytes()
 
-    def test_sgd_bytes_equal_dense_steps(self):
+    @pytest.mark.parametrize("every_column", [False, True])
+    def test_sgd_bytes_equal_dense_steps(self, every_column):
         rng = np.random.Generator(np.random.PCG64(4))
         params = Params.init_random(512, 8, seed=3)
         opt = Optimizer(tiny_config(optimizer="sgd"), params)
         ref = params.flat.copy()
-        for t, (cols, row) in enumerate(growing_steps(params, rng, 6), start=1):
+        steps = list(growing_steps(params, rng, 6))
+        if every_column:  # then rows over every column, so the live set spans the width
+            steps += [(np.arange(512), rng.normal(size=8 * 512)) for _ in range(2)]
+        for t, (cols, row) in enumerate(steps, start=1):
             lr = 0.05 / t
             opt.step(params.flat, cols, row, lr)
             ref -= lr * scatter_grad(params, cols, row)
@@ -202,8 +206,9 @@ class TestOptimizer:
         assert live.params.flat.tobytes() == dense.params.flat.tobytes()
         assert live.log_rows == dense.log_rows
 
-    def test_pretrain_equals_dense_optimizer(self, monkeypatch):
-        config = tiny_config(pretrain_epochs=3)
+    @pytest.mark.parametrize("sgd", [False, True])
+    def test_pretrain_equals_dense_optimizer(self, monkeypatch, sgd):
+        config = tiny_config(pretrain_epochs=3, optimizer="sgd" if sgd else "adam")
         corpus = TestPretrain().separable_corpus(n_docs=20)
         live = pretrain_coco(config, [corpus])
         monkeypatch.setattr(trainer, "Optimizer", DenseOptimizer)
