@@ -17,6 +17,15 @@ the config the run used, sufficient to reproduce it exactly. Wall-clock
 timestamps live only in a run_meta.json sidecar so artifact bytes are
 reproducible. Exit codes: 0 success, 2 usage/config error, 3 data error,
 4 internal invariant violation.
+
+A finetune run directory holds each weight vector once. After episode n of N
+it holds the episode's cluster model, clusters_ep<n>.bin, and its weights: the
+checkpoint encoder_ep<n>.ckpt for n < N, and encoder.ckpt, the name every
+downstream command reads, for n = N (with no episodes, encoder.ckpt holds the
+initial weights). trainer_state.bin, rewritten each episode, holds the rest of
+the resumable state and names the checkpoint it pairs with, with a digest of
+its weights (`Finetuner.save_state`). training_log.tsv, rewritten each
+episode, and episodes.tsv hold the per-step and per-episode logs.
 """
 
 from __future__ import annotations
@@ -169,15 +178,13 @@ def cmd_finetune(args) -> int:
     out = _out_dir(args)
     finetuner = Finetuner(config, params, corpus, queries, qrels)
     while finetuner.episodes_done < config.episodes:
-        record = finetuner.run_episode()
-        episode = record.index
-        save_checkpoint(
-            finetuner.params, out / f"encoder_ep{episode}.ckpt", hash_seed=config.hash_seed
-        )
-        finetuner.save_state(out / "trainer_state.bin")
+        episode = finetuner.run_episode().index
+        weights = "encoder.ckpt" if episode == config.episodes else f"encoder_ep{episode}.ckpt"
+        finetuner.save_state(out / "trainer_state.bin", out / weights)
         clustering.save_cluster_model(finetuner.cluster_model, out / f"clusters_ep{episode}.bin")
         trainer.write_training_log(finetuner.log_rows, out / "training_log.tsv")
-    save_checkpoint(finetuner.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
+    if config.episodes == 0:
+        save_checkpoint(finetuner.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
     lines = ["episode\tnegative_source\tkmeans_objective\tmean_loss\tn_steps\tn_fallback"]
     for ep in finetuner.episode_records:
         lines.append(

@@ -60,9 +60,9 @@ def run_coco_directional(seed: int) -> dict:
     results = {}
     for label, init in (("with_coco", pretrained), ("without_coco", scratch)):
         ft = Finetuner(config, init.copy(), source.corpus, source.queries, source.qrels)
-        final = ft.run().params
+        ft.run()
         record, _ = retrieval_eval.evaluate(
-            final, featurizer, target.corpus, target.queries, target.qrels
+            ft.params, featurizer, target.corpus, target.queries, target.qrels
         )
         results[label] = record.ndcg_at_10
     return results
@@ -175,6 +175,6 @@ def run_idro_directional(seed: int) -> dict[str, GroupLosses]:
     for weighting in ("idro", "groupdro", "uniform"):
         config = idro_experiment_config(seed, weighting)
         ft = Finetuner(config, pretrained.copy(), task.corpus, task.queries, task.qrels)
-        final = ft.run().params
-        results[weighting] = _group_losses(final, eval_items, eval_qids, groups)
+        ft.run()
+        results[weighting] = _group_losses(ft.params, eval_items, eval_qids, groups)
     return results

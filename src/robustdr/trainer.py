@@ -24,6 +24,7 @@ fully determined by (config, seed, data).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,8 @@ from .encoder import (
     Params,
     embed_items,
     encode_many,
+    load_checkpoint,
+    save_checkpoint,
 )
 from .errors import BlobFileError, ConfigError, CorpusFormatError
 
@@ -126,6 +129,10 @@ class RunConfig:
             bad("beta", "must be >= 0")
         if not self.tau > 0:
             bad("tau", "must be > 0 (inf allowed)")
+        try:
+            float(self.tau)
+        except OverflowError:
+            bad("tau", "is an integer too large for a float")
         if self.groupdro_step_size < 0:
             bad("groupdro_step_size", "must be >= 0")
         return self
@@ -241,7 +248,6 @@ def _derived_rng(seed: int, tag: int, index: int) -> np.random.Generator:
 class PretrainResult:
     params: Params
     epoch_losses: list[float]
-    n_documents: int
 
 
 def _eligible_docs(corpora: Iterable[Corpus], span_len: int) -> list:
@@ -288,7 +294,7 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
             losses_this_epoch.append(loss)
             step_idx += 1
         epoch_losses.append(float(np.mean(losses_this_epoch)))
-    return PretrainResult(params=params, epoch_losses=epoch_losses, n_documents=n)
+    return PretrainResult(params=params, epoch_losses=epoch_losses)
 
 
 def _span_pair_batch(
@@ -408,10 +414,11 @@ class LogRow:
 
 
 STATE_FORMAT = "robustdr-trainer-state"
-STATE_VERSION = 5
+STATE_VERSION = 6
 _STATE_FIELDS = {
     "episodes_done": int, "optimizer_kind": str, "optimizer_t": int, "n_live": int,
     "n_clusters": int, "cluster_model": (dict, type(None)), "blocks": list,
+    "checkpoint": str, "weights_sha256": str,
 }
 
 TRAINING_LOG_HEADER = "step\tepisode\tcluster\tloss\talpha\tomega\ttotal_loss"
@@ -427,23 +434,15 @@ def write_training_log(rows: Iterable[LogRow], path: str | Path) -> None:
             )
 
 
-@dataclass
-class FinetuneResult:
-    params: Params
-    episodes: list[EpisodeRecord]
-    log_rows: list[LogRow]
-    omega: np.ndarray
-    cluster_model: clustering.ClusterModel | None
-
-
 class Finetuner:
     """Episode-based fine-tuning on labeled source data.
 
     `omega` holds the robust weights, one per cluster of the current cluster
     model. State at an episode boundary fully determines the continuation, so
     saving and reloading it resumes bit-identically. That state is the
-    weights, the optimizer's step count, Adam's live columns with its moments
-    over them, `omega`, the cluster model and the episode counter.
+    weights, kept in an encoder checkpoint, and the trainer state paired with
+    it: the optimizer's step count, Adam's live columns with its moments over
+    them, `omega`, the cluster model and the episode counter.
     """
 
     def __init__(
@@ -616,31 +615,34 @@ class Finetuner:
         self.episodes_done = episode
         return record
 
-    def run(self) -> FinetuneResult:
+    def run(self) -> None:
+        """Run the remaining episodes; the results are this object's attributes."""
         while self.episodes_done < self.config.episodes:
             self.run_episode()
-        return FinetuneResult(
-            params=self.params,
-            episodes=self.episode_records,
-            log_rows=self.log_rows,
-            omega=self.omega,
-            cluster_model=self.cluster_model,
-        )
 
     # -- persistence ---------------------------------------------------------
 
-    def save_state(self, path: str | Path) -> None:
+    def save_state(self, path: str | Path, checkpoint: str | Path) -> None:
         """Episode-boundary snapshot for bit-identical resumption under the same config.
 
-        A `blobfile` file; the header names its blocks. Bytes are reproducible.
-        The blocks are ``flat``; with Adam, ``live`` (its L ascending column
-        ids, exact as float64), ``adam_m`` and ``adam_v`` (E x L each, over
-        those columns); then ``omega`` and the ``centroids`` of the cluster
-        model. Each block is written from the array that holds it, without a
-        dense or joined copy.
+        The weights go to ``checkpoint``, an encoder checkpoint in the
+        directory of ``path``, and the rest of the state to ``path``, a
+        `blobfile` file whose header names its blocks. The header also names
+        the checkpoint by its file name and holds ``weights_sha256``, the
+        SHA-256 of the weights, so `load_state` finds the pair and can tell a
+        checkpoint of other weights. The blocks are, with Adam, ``live`` (its
+        L ascending column ids, exact as float64), ``adam_m`` and ``adam_v``
+        (E x L each, over those columns); then ``omega`` and the
+        ``centroids`` of the cluster model. Each block is written from the
+        array that holds it, without a dense or joined copy. Bytes are
+        reproducible.
         """
+        path, checkpoint = Path(path), Path(checkpoint)
+        if checkpoint.resolve().parent != path.resolve().parent:
+            raise ValueError(f"{checkpoint}: the checkpoint must sit next to the state {path}")
+        save_checkpoint(self.params, checkpoint, hash_seed=self.config.hash_seed)
         model, opt = self.cluster_model, self.optimizer
-        blocks = {"flat": self.params.flat}
+        blocks = {}
         if opt.kind == "adam":
             blocks.update(live=opt.live, adam_m=opt.m_w, adam_v=opt.v_w)
         blocks["omega"] = self.omega
@@ -654,6 +656,8 @@ class Finetuner:
             "n_clusters": len(self.omega),
             "cluster_model": None if model is None else clustering.cluster_fields(model),
             "blocks": [[name, int(arr.size)] for name, arr in blocks.items()],
+            "checkpoint": checkpoint.name,
+            "weights_sha256": _weights_sha256(self.params.flat),
         }
         blobfile.write(path, STATE_FORMAT, STATE_VERSION, fields, blocks.values())
 
@@ -666,14 +670,17 @@ class Finetuner:
         if not 0 <= meta["episodes_done"] <= self.config.episodes:
             raise ValueError(f"episodes_done is {meta['episodes_done']}, this run allows "
                              f"0 to {self.config.episodes}")
+        name = meta["checkpoint"]
+        if name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"checkpoint {name!r} is not a bare file name")
         adam = self.optimizer.kind == "adam"
         n_live, most_live = meta["n_live"], self.params.feature_dim if adam else 0
         if not 0 <= n_live <= most_live:
             raise ValueError(f"n_live is {n_live}, this run allows 0 to {most_live} live columns")
-        k, n, model = meta["n_clusters"], len(self.params), meta["cluster_model"]
+        k, model = meta["n_clusters"], meta["cluster_model"]
         if not 1 <= k <= self.config.k_clusters:
             raise ValueError(f"{k} clusters, this run allows 1 to {self.config.k_clusters}")
-        expected = [["flat", n]]
+        expected = []
         if adam:
             moments = self.params.embed_dim * n_live
             expected += [["live", n_live], ["adam_m", moments], ["adam_v", moments]]
@@ -687,9 +694,31 @@ class Finetuner:
             raise ValueError(f"blocks {meta['blocks']} do not match this run's {expected}")
         return [length for _, length in expected]
 
+    def _paired_weights(self, path: Path, meta: dict) -> np.ndarray:
+        """The weights of the checkpoint a state names, checked against this run and
+        the state's digest; a BlobFileError naming both files otherwise."""
+        checkpoint = path.parent / meta["checkpoint"]
+        prefix = f"{path}: paired checkpoint"
+        if not checkpoint.is_file():
+            raise BlobFileError(f"{prefix} {checkpoint} is missing")
+        try:
+            params, header = load_checkpoint(checkpoint)
+        except BlobFileError as exc:
+            raise BlobFileError(f"{prefix} {exc}") from None
+        for name in ("feature_dim", "embed_dim", "hash_seed"):
+            if header[name] != getattr(self.config, name):
+                raise BlobFileError(f"{prefix} {checkpoint} has {name} {header[name]}, "
+                                    f"this run {getattr(self.config, name)}")
+        if _weights_sha256(params.flat) != meta["weights_sha256"]:
+            raise BlobFileError(f"{prefix} {checkpoint} holds other weights than the state's "
+                                f"weights_sha256")
+        return params.flat
+
     def load_state(self, path: str | Path) -> None:
-        """Adopt a `save_state` file, all or nothing: every check runs before any
-        state changes, so a rejected file leaves this `Finetuner` as it was."""
+        """Adopt a `save_state` file and its paired checkpoint, all or nothing: every
+        check of both files runs before any state changes, so a rejected pair
+        leaves this `Finetuner` as it was."""
+        path = Path(path)
         meta, arrays = blobfile.read(
             path, STATE_FORMAT, STATE_VERSION, _STATE_FIELDS, self._state_lengths
         )
@@ -713,8 +742,9 @@ class Finetuner:
         model = meta["cluster_model"]
         if model is not None:
             model = clustering.cluster_model_from(model, blocks["centroids"])
+        flat = self._paired_weights(path, meta)
 
-        self.params.flat[:] = blocks["flat"]
+        self.params.flat[:] = flat
         if opt.kind == "adam":
             opt.live = live.astype(np.int64)
             opt.m_w = blocks["adam_m"].reshape(self.params.embed_dim, -1)
@@ -723,6 +753,11 @@ class Finetuner:
         self.omega = omega
         self.cluster_model = model
         self.episodes_done = meta["episodes_done"]
+
+
+def _weights_sha256(flat: np.ndarray) -> str:
+    """Hex SHA-256 of a weight vector's float64 bytes, hashed in place without a copy."""
+    return hashlib.sha256(memoryview(flat)).hexdigest()
 
 
 def _carryover_omega(

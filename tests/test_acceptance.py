@@ -365,7 +365,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
             Params.init_random(config.feature_dim, config.embed_dim, seed=5),
             mini_task.corpus, mini_task.queries, mini_task.qrels,
         )
-        result = straight.run()
+        straight.run()
 
         partial = Finetuner(
             config,
@@ -375,15 +375,15 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         partial.run_episode()
         partial.run_episode()
         state_path = tmp_path / "mid.bin"
-        partial.save_state(state_path)
+        partial.save_state(state_path, tmp_path / "mid.ckpt")
         resumed = Finetuner(
             config,
             Params.init_random(config.feature_dim, config.embed_dim, seed=5),
             mini_task.corpus, mini_task.queries, mini_task.qrels,
         )
         resumed.load_state(state_path)
-        continued = resumed.run()
+        resumed.run()
         doc_fvs = [resumed.featurizer(d.tokens) for d in mini_task.corpus]
-        emb_straight = encode_many(result.params, doc_fvs)
-        emb_resumed = encode_many(continued.params, doc_fvs)
+        emb_straight = encode_many(straight.params, doc_fvs)
+        emb_resumed = encode_many(resumed.params, doc_fvs)
         assert emb_straight.tobytes() == emb_resumed.tobytes()

@@ -7,6 +7,7 @@ raw KeyError or a silently wrong object.
 
 import json
 import re
+import shutil
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +61,7 @@ def _trainer_state(path):
     config, task = tiny_config(), tiny_task()
     writer = _finetuner(config, task)
     writer.run_episode()
-    writer.save_state(path)
+    writer.save_state(path, path.with_name("valid.ckpt"))
     return _finetuner(config, task).load_state
 
 
@@ -153,11 +154,12 @@ def test_non_finite_value_in_any_block(fmt, data):
 
 @pytest.fixture(scope="module")
 def saved_state(tmp_path_factory):
-    """A trainer state of `tiny_config` (512 x 8 encoder, 3 clusters) after one episode."""
+    """A trainer state of `tiny_config` (512 x 8 encoder, 3 clusters) after one episode,
+    paired with the checkpoint state.ckpt beside it."""
     path = tmp_path_factory.mktemp("state") / "state.bin"
     writer = _finetuner(tiny_config(), tiny_task())
     writer.run_episode()
-    writer.save_state(path)
+    writer.save_state(path, path.with_name("state.ckpt"))
     return path
 
 
@@ -175,6 +177,15 @@ def _write_state(path, fields, blocks):
     blobfile.write(path, fields.pop("format"), fields.pop("version"), fields, blocks.values())
 
 
+def _weights_in_state_v5(path):
+    """A version-5 state of the 8 x 512 encoder: the weights in a leading ``flat``
+    block, no paired checkpoint."""
+    fields, blocks = _state_blocks(path)
+    flat, _ = load_checkpoint(path.with_name(fields.pop("checkpoint")))
+    del fields["weights_sha256"]
+    return fields, {"flat": flat.flat, **blocks}
+
+
 def _dense_moments_v4(fields, blocks):
     """A version-4 state of the 8 x 512 encoder: Adam's moments dense over
     ``flat``, no ``live`` block."""
@@ -189,10 +200,13 @@ def _dense_moments_v4(fields, blocks):
                     "centroids": blocks["centroids"]}
 
 
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [3, 4, 5])
 def test_old_trainer_state_version_rejected(saved_state, tmp_path, version):
-    """Version 3 also carried a step counter; version 4 held Adam's moments dense."""
-    fields, blocks = _dense_moments_v4(*_state_blocks(saved_state))
+    """Version 3 also carried a step counter; version 4 held Adam's moments dense;
+    version 5 held the weights, a second copy of those in the episode's checkpoint."""
+    fields, blocks = _weights_in_state_v5(saved_state)
+    if version <= 4:
+        fields, blocks = _dense_moments_v4(fields, blocks)
     if version == 3:
         fields["global_step"] = fields["optimizer_t"]
     fields["version"] = version
@@ -208,38 +222,70 @@ def _negated_first_positive(arr):
     return arr
 
 
+def _resaved(d, name, params, hash_seed=0):
+    """The file name of ``params`` saved as a checkpoint in directory ``d``."""
+    save_checkpoint(params, d / name, hash_seed=hash_seed)
+    return name
+
+
 _NOT_ASCENDING_IDS = "block live is not ascending column ids"
-# name: (an edit of the valid header fields and blocks, the error it must raise)
+_PAIRED = "paired checkpoint {dir}/"
+# name: (an edit of the valid header fields and blocks, which may write files in
+# the probe's directory d, where the valid paired checkpoint lies; the error it
+# must raise, with {dir} standing for d)
 _CORRUPTIONS = {
-    "adam_v": (lambda f, b: b.update(adam_v=_negated_first_positive(b["adam_v"])),
+    "adam_v": (lambda f, b, d: b.update(adam_v=_negated_first_positive(b["adam_v"])),
                "block adam_v holds a negative second moment"),
-    "optimizer_t": (lambda f, b: f.update(optimizer_t=-1), "optimizer_t is -1"),
-    "live-unsorted": (lambda f, b: b.update(live=np.append(b["live"][1::-1], b["live"][2:])),
+    "optimizer_t": (lambda f, b, d: f.update(optimizer_t=-1), "optimizer_t is -1"),
+    "live-unsorted": (lambda f, b, d: b.update(live=np.append(b["live"][1::-1], b["live"][2:])),
                       _NOT_ASCENDING_IDS),
-    "live-duplicated": (lambda f, b: b.update(live=np.append(b["live"][0], b["live"][:-1])),
+    "live-duplicated": (lambda f, b, d: b.update(live=np.append(b["live"][0], b["live"][:-1])),
                         _NOT_ASCENDING_IDS),
-    "live-non-integer": (lambda f, b: b.update(live=np.append(b["live"][0] + 0.5,
+    "live-non-integer": (lambda f, b, d: b.update(live=np.append(b["live"][0] + 0.5,
                                                                b["live"][1:])),
                          _NOT_ASCENDING_IDS),
-    "live-out-of-range": (lambda f, b: b.update(live=np.append(b["live"][:-1], 512.0)),
+    "live-out-of-range": (lambda f, b, d: b.update(live=np.append(b["live"][:-1], 512.0)),
                           _NOT_ASCENDING_IDS),
-    "live-negative": (lambda f, b: b.update(live=np.append(-1.0, b["live"][1:])),
+    "live-negative": (lambda f, b, d: b.update(live=np.append(-1.0, b["live"][1:])),
                       _NOT_ASCENDING_IDS),
     "live-longer-than-feature_dim": (
-        lambda f, b: b.update(live=np.arange(513.0), adam_m=np.zeros(8 * 513),
+        lambda f, b, d: b.update(live=np.arange(513.0), adam_m=np.zeros(8 * 513),
                               adam_v=np.zeros(8 * 513)),
         "n_live is 513",
     ),
-    "omega-negative": (lambda f, b: b.update(omega=np.array([-0.5, 1.0, 0.5])),
+    "omega-negative": (lambda f, b, d: b.update(omega=np.array([-0.5, 1.0, 0.5])),
                        "block omega is not positive with sum 1"),
-    "omega-sum-not-1": (lambda f, b: b.update(omega=np.array([0.5, 0.5, 0.5])),
+    "omega-sum-not-1": (lambda f, b, d: b.update(omega=np.array([0.5, 0.5, 0.5])),
                         "block omega is not positive with sum 1"),
     # tiny_config runs 2 episodes
-    "episodes_done-negative": (lambda f, b: f.update(episodes_done=-1), "episodes_done is -1"),
-    "episodes_done-past-episodes": (lambda f, b: f.update(episodes_done=3),
+    "episodes_done-negative": (lambda f, b, d: f.update(episodes_done=-1), "episodes_done is -1"),
+    "episodes_done-past-episodes": (lambda f, b, d: f.update(episodes_done=3),
                                     "episodes_done is 3"),
-    "episodes_done-bool": (lambda f, b: f.update(episodes_done=True),
+    "episodes_done-bool": (lambda f, b, d: f.update(episodes_done=True),
                            "header field 'episodes_done' is missing or has the wrong type"),
+    "checkpoint-missing": (lambda f, b, d: f.update(checkpoint="missing.ckpt"),
+                           _PAIRED + "missing.ckpt is missing"),
+    "checkpoint-other-weights": (
+        lambda f, b, d: f.update(checkpoint=_resaved(d, "other.ckpt",
+                                                     Params.init_random(512, 8, seed=9))),
+        _PAIRED + "other.ckpt holds other weights than the state's weights_sha256",
+    ),
+    "checkpoint-other-shape": (
+        lambda f, b, d: f.update(checkpoint=_resaved(d, "other.ckpt",
+                                                     Params.init_random(256, 8, seed=9))),
+        _PAIRED + "other.ckpt has feature_dim 256, this run 512",
+    ),
+    "checkpoint-other-hash_seed": (  # the same weights
+        lambda f, b, d: f.update(checkpoint=_resaved(
+            d, "other.ckpt", load_checkpoint(d / f["checkpoint"])[0], hash_seed=1)),
+        _PAIRED + "other.ckpt has hash_seed 1, this run 0",
+    ),
+    "checkpoint-parent-dir": (lambda f, b, d: f.update(checkpoint="../x.ckpt"),
+                              "checkpoint '../x.ckpt' is not a bare file name"),
+    "checkpoint-absolute": (lambda f, b, d: f.update(checkpoint=str(d / f["checkpoint"])),
+                            "checkpoint '{dir}/state.ckpt' is not a bare file name"),
+    "checkpoint-not-a-string": (lambda f, b, d: f.update(checkpoint=7),
+                                "header field 'checkpoint' is missing or has the wrong type"),
 }
 
 
@@ -248,16 +294,20 @@ def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, 
     """A negative second moment would reach a sqrt in the next step; a negative
     step count, the bias correction. A ``live`` block must hold ascending column
     ids of the encoder, ``omega`` must be a probability vector, and the episode
-    counter an integer from 0 to the run's episodes. A rejected file changes
-    nothing in the loading `Finetuner`."""
+    counter an integer from 0 to the run's episodes. The paired checkpoint must
+    be a file beside the state, of this run's encoder and of the weights the
+    state's digest names. A rejected file changes nothing in the loading
+    `Finetuner`."""
     fields, blocks = _state_blocks(saved_state)
+    shutil.copy(saved_state.with_name(fields["checkpoint"]), tmp_path)
     edit, message = _CORRUPTIONS[name]
-    edit(fields, blocks)
+    edit(fields, blocks, tmp_path)
     fields["n_live"] = blocks["live"].size
     probe = tmp_path / "corrupt.bin"
     _write_state(probe, fields, blocks)
     loader = _finetuner(tiny_config(), tiny_task())
     before = (loader.params.flat.tobytes(), loader.optimizer.t, loader.omega.tobytes())
+    message = message.format(dir=tmp_path)
     with pytest.raises(BlobFileError, match=re.escape(f"{probe}: {message}")):
         loader.load_state(probe)
     assert (loader.params.flat.tobytes(), loader.optimizer.t, loader.omega.tobytes()) == before
@@ -265,14 +315,15 @@ def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, 
 
 
 def test_trainer_state_payload_holds_only_live_moments(tmp_path):
-    """Adam's moments take 8 bytes per live column and row, not per parameter,
-    and saving allocates less than one parameter vector."""
+    """The state holds no weights, and Adam's moments take 8 bytes per live column
+    and row, not per parameter; the weights are stored once, in the paired
+    checkpoint. Saving both allocates less than one parameter vector."""
     config = tiny_config(feature_dim=4096)
     writer = _finetuner(config, tiny_task())
     writer.run_episode()
     tracemalloc.start()
     try:
-        writer.save_state(tmp_path / "state.bin")
+        writer.save_state(tmp_path / "state.bin", tmp_path / "state.ckpt")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,7 +333,18 @@ def test_trainer_state_payload_holds_only_live_moments(tmp_path):
     k, w = writer.cluster_model.centroids.shape
     moments = params.embed_dim * live
     assert 0 < live < config.feature_dim
-    assert len(payload) == 8 * (len(params) + live + 2 * moments + k + k * w)
+    assert len(payload) == 8 * (live + 2 * moments + k + k * w)
+    _, _, weights = (tmp_path / "state.ckpt").read_bytes().partition(b"\n")
+    assert weights == params.flat.tobytes()
+
+
+def test_state_checkpoint_elsewhere_rejected(tmp_path):
+    """The state names its checkpoint by file name, so the pair shares a directory."""
+    writer = _finetuner(tiny_config(), tiny_task())
+    (tmp_path / "other").mkdir()
+    with pytest.raises(ValueError, match="must sit next to the state"):
+        writer.save_state(tmp_path / "state.bin", tmp_path / "other" / "state.ckpt")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["other"]
 
 
 @settings(max_examples=30)

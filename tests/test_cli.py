@@ -13,6 +13,7 @@ from robustdr.encoder import (
     Params,
     save_checkpoint,
 )
+from robustdr.trainer import STATE_VERSION
 from robustdr.synthetic import make_imbalanced_source, write_task_dir
 
 
@@ -129,12 +130,16 @@ class TestPipelineCommands:
         assert len(log) == 3
 
     def test_finetune_then_evaluate(self, task_dir, tmp_path):
+        """Two episodes write one checkpoint each: the last one is encoder.ckpt, and the
+        trainer state pairs with it."""
         ft_out = tmp_path / "ft"
         assert main(finetune_args(task_dir, ft_out)) == 0
-        assert (ft_out / "encoder.ckpt").exists()
-        assert (ft_out / "trainer_state.bin").exists()
-        assert (ft_out / "training_log.tsv").exists()
-        assert (ft_out / "clusters_ep2.bin").exists()
+        assert sorted(p.name for p in ft_out.iterdir()) == [
+            "clusters_ep1.bin", "clusters_ep2.bin", "encoder.ckpt", "encoder_ep1.ckpt",
+            "episodes.tsv", "resolved_config.json", "run_meta.json", "trainer_state.bin",
+            "training_log.tsv"]
+        state = json.loads((ft_out / "trainer_state.bin").read_bytes().partition(b"\n")[0])
+        assert (state["version"], state["checkpoint"]) == (STATE_VERSION, "encoder.ckpt")
 
         ev_out = tmp_path / "ev"
         code = main([
@@ -171,8 +176,21 @@ class TestPipelineCommands:
             load_corpus(task_dir / "corpus.jsonl"),
             load_queries(task_dir / "queries.jsonl"),
             load_qrels(task_dir / "qrels.tsv"),
-        ).run()
+        )
+        control.run()
         assert control.params.flat.tobytes() == cli_params.flat.tobytes()
+
+    def test_zero_episodes_write_the_initial_encoder(self, task_dir, tmp_path):
+        """With no episode there is no trainer state; encoder.ckpt holds the seeded
+        initial weights."""
+        args = finetune_args(task_dir, tmp_path / "ft")
+        args[args.index("--episodes") + 1] = "0"
+        assert main(args) == 0
+        save_checkpoint(Params.init_random(256, 8, seed=7), tmp_path / "init.ckpt", hash_seed=0)
+        assert (tmp_path / "ft" / "encoder.ckpt").read_bytes() == (
+            tmp_path / "init.ckpt").read_bytes()
+        assert sorted(p.name for p in (tmp_path / "ft").iterdir()) == [
+            "encoder.ckpt", "episodes.tsv", "resolved_config.json", "run_meta.json"]
 
     def test_mine_writes_pools(self, task_dir, tmp_path):
         ckpt = tmp_path / "enc.ckpt"
@@ -382,6 +400,8 @@ class TestExitCodes:
             ("hidden", "no"),
             ("hidden", 1),
             ("feature_dim", True),
+            # an integer beyond float64, as a JSON literal can give
+            pytest.param("tau", 10**400, id="tau-huge-int"),
         ],
     )
     def test_config_value_of_wrong_type_exits_2_naming_field(

@@ -75,8 +75,11 @@ def tiny_config(**overrides):
 
 
 def run_finetune(config, task, init_seed=5):
+    """A `Finetuner` after all its episodes."""
     params = Params.init_random(config.feature_dim, config.embed_dim, seed=init_seed)
-    return Finetuner(config, params, task.corpus, task.queries, task.qrels).run()
+    ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
+    ft.run()
+    return ft
 
 
 class TestRunConfig:
@@ -103,6 +106,7 @@ class TestRunConfig:
             ("groupdro_step_size", math.inf),
             # an integer beyond float64, as a JSON literal can give
             pytest.param("learning_rate", 10**400, id="learning_rate-huge-int"),
+            pytest.param("tau", 10**400, id="tau-huge-int"),
         ],
     )
     def test_invalid_values_name_field(self, field, value):
@@ -157,14 +161,16 @@ class TestOptimizer:
         writer = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
                            task.queries, task.qrels)
         writer.run_episode()
-        writer.save_state(tmp_path / "state.bin")
+        writer.save_state(tmp_path / "state.bin", tmp_path / "state.ckpt")
         ft = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
                        task.queries, task.qrels)
         ft.load_state(tmp_path / "state.bin")
         opt = ft.optimizer
         assert opt.live.tolist() == writer.optimizer.live.tolist()
-        ft.save_state(tmp_path / "again.bin")
-        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "state.bin").read_bytes()
+        (tmp_path / "again").mkdir()
+        ft.save_state(tmp_path / "again" / "state.bin", tmp_path / "again" / "state.ckpt")
+        for name in ("state.bin", "state.ckpt"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
         cols, row = list(growing_steps(ft.params, rng, 2))[-1]
         m, v = dense_moments(opt)
         ref = adam_reference(ft.params.flat.copy(), m, v, scatter_grad(ft.params, cols, row),
@@ -406,8 +412,8 @@ class TestNegativePools:
 class TestFinetune:
     def test_runs_episodes_with_correct_negative_sources(self):
         result = run_finetune(tiny_config(episodes=3), tiny_task())
-        assert [ep.negative_source for ep in result.episodes] == ["bm25", "self", "self"]
-        assert result.episodes[0].index == 1
+        assert [ep.negative_source for ep in result.episode_records] == ["bm25", "self", "self"]
+        assert result.episode_records[0].index == 1
         assert len(result.log_rows) > 0
 
     def test_training_loss_trends_down(self):
@@ -514,16 +520,16 @@ class TestFinetune:
             ft.run_episode()
             ft.run_episode()
             state_path = tmp_path / "state.bin"
-            ft.save_state(state_path)
+            ft.save_state(state_path, tmp_path / "encoder_ep2.ckpt")
 
             fresh_params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
             resumed = Finetuner(config, fresh_params, task.corpus, task.queries, task.qrels)
             resumed.load_state(state_path)
             assert resumed.episodes_done == 2
-            result = resumed.run()
-            assert result.params.flat.tobytes() == straight.params.flat.tobytes(), config
-            assert result.omega.tobytes() == straight.omega.tobytes(), config
-            assert result.log_rows == [r for r in straight.log_rows if r.episode == 3], config
+            resumed.run()
+            assert resumed.params.flat.tobytes() == straight.params.flat.tobytes(), config
+            assert resumed.omega.tobytes() == straight.omega.tobytes(), config
+            assert resumed.log_rows == [r for r in straight.log_rows if r.episode == 3], config
 
     def test_omega_carryover_flag(self):
         config = tiny_config(episodes=1, steps_per_episode=8, omega_carryover=True, tau=0.05)
