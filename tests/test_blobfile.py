@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustdr import blobfile
@@ -242,7 +242,7 @@ _CORRUPTIONS = {
     "live-duplicated": (lambda f, b, d: b.update(live=np.append(b["live"][0], b["live"][:-1])),
                         _NOT_ASCENDING_IDS),
     "live-non-integer": (lambda f, b, d: b.update(live=np.append(b["live"][0] + 0.5,
-                                                               b["live"][1:])),
+                                                                  b["live"][1:])),
                          _NOT_ASCENDING_IDS),
     "live-out-of-range": (lambda f, b, d: b.update(live=np.append(b["live"][:-1], 512.0)),
                           _NOT_ASCENDING_IDS),
@@ -250,7 +250,7 @@ _CORRUPTIONS = {
                       _NOT_ASCENDING_IDS),
     "live-longer-than-feature_dim": (
         lambda f, b, d: b.update(live=np.arange(513.0), adam_m=np.zeros(8 * 513),
-                              adam_v=np.zeros(8 * 513)),
+                                 adam_v=np.zeros(8 * 513)),
         "n_live is 513",
     ),
     "omega-negative": (lambda f, b, d: b.update(omega=np.array([-0.5, 1.0, 0.5])),
@@ -353,6 +353,9 @@ def test_state_checkpoint_elsewhere_rejected(tmp_path):
     embed_dim=st.integers(1, 12),
     k_clusters=st.integers(1, 5),
 )
+# Only the feature count differs: every block of the weight-free state fits,
+# and the paired checkpoint's shape is what tells.
+@example(feature_dim=1024, embed_dim=8, k_clusters=3)
 def test_trainer_state_blocks_must_match_params(saved_state, feature_dim, embed_dim, k_clusters):
     if (feature_dim, embed_dim) == (512, 8) and k_clusters >= 3:
         return  # the run that wrote the file
