@@ -9,16 +9,19 @@ parameter count). `read` accepts only a JSON-object header with the expected
 format and version and every required field, and a payload exactly as long as
 the expected blocks, holding only finite values; anything else raises
 `BlobFileError` naming the path, which the CLI reports as a data error
-(exit 3). Writers go through `atomic_open`, so a reader never sees a
-half-written file.
+(exit 3). The payload's size is checked before it is read, and it is read into
+one array whose blocks are views. Writers go through `atomic_open`, so a
+reader never sees a half-written file; `write_table` writes the tab-separated
+text artifacts the same way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +52,16 @@ def write(path: str | Path, fmt: str, version: int, fields: dict, blocks: Iterab
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
+def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a tab-separated table: the column names, then one line per row. A float
+    is written as its repr, which reads back to the same float; any other value as
+    its str."""
+    with atomic_open(path, "w") as fh:
+        fh.write("\t".join(columns) + "\n")
+        for row in rows:
+            fh.write("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def _is(value, kind) -> bool:
     """isinstance, except that a bool is an int only where ``kind`` names bool."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
@@ -69,31 +82,32 @@ def read(
     block lengths, raising ValueError or (passed through) ConfigError on a mismatch."""
     with Path(path).open("rb") as fh:
         line = fh.readline()
-        payload = fh.read()
-    try:
         try:
-            header = json.loads(line)
-        except ValueError:
-            header = None
-        if not isinstance(header, dict):
-            raise ValueError("the first line is not a JSON object")
-        if header.get("format") != fmt:
-            raise ValueError(f"not a {fmt} file")
-        if not _is(header.get("version"), int) or header["version"] != version:
-            raise ValueError(f"unsupported {fmt} version {header.get('version')!r}")
-        check_fields(header, fields)
-        sizes = lengths(header)
-        if len(payload) != 8 * sum(sizes):
-            raise ValueError(f"payload is {len(payload)} bytes, not {8 * sum(sizes)}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise BlobFileError(f"{path}: {exc}") from None
-    offsets = np.cumsum([0] + sizes) * 8
-    blocks = [
-        np.frombuffer(payload, "<f8", n, int(start)).astype(np.float64)
-        for n, start in zip(sizes, offsets)
-    ]
+            try:
+                header = json.loads(line)
+            except ValueError:
+                header = None
+            if not isinstance(header, dict):
+                raise ValueError("the first line is not a JSON object")
+            if header.get("format") != fmt:
+                raise ValueError(f"not a {fmt} file")
+            if not _is(header.get("version"), int) or header["version"] != version:
+                raise ValueError(f"unsupported {fmt} version {header.get('version')!r}")
+            check_fields(header, fields)
+            sizes = lengths(header)
+            # Sized from the file before allocating, so a header cannot force a large array.
+            n_bytes = os.fstat(fh.fileno()).st_size - len(line)
+            if n_bytes != 8 * sum(sizes):
+                raise ValueError(f"payload is {n_bytes} bytes, not {8 * sum(sizes)}")
+            values = np.empty(sum(sizes), dtype="<f8")
+            if fh.readinto(values) != values.nbytes:
+                raise ValueError("payload ended early")
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise BlobFileError(f"{path}: {exc}") from None
+    ends = np.cumsum([0] + sizes)
+    blocks = [values[start:end] for start, end in zip(ends[:-1], ends[1:])]
     for i, block in enumerate(blocks):
         if not np.isfinite(block).all():
             raise BlobFileError(f"{path}: block {i} holds a NaN or infinite value")

@@ -23,9 +23,11 @@ it holds the episode's cluster model, clusters_ep<n>.bin, and its weights: the
 checkpoint encoder_ep<n>.ckpt for n < N, and encoder.ckpt, the name every
 downstream command reads, for n = N (with no episodes, encoder.ckpt holds the
 initial weights). trainer_state.bin, rewritten each episode, holds the rest of
-the resumable state and names the checkpoint it pairs with, with a digest of
-its weights (`Finetuner.save_state`). training_log.tsv, rewritten each
-episode, and episodes.tsv hold the per-step and per-episode logs.
+the resumable state: the optimizer's step count and moments and the episode
+counter (a resumed episode refits its clusters). It names the checkpoint it
+pairs with and holds a digest of its weights (`Finetuner.save_state`).
+training_log.tsv, rewritten each episode, and episodes.tsv hold the per-step
+and per-episode logs.
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    with blobfile.atomic_open(path, "w") as fh:
-        fh.write(text)
-
-
 def _load_task(args):
     """Corpus, queries and qrels named by the flags; the qrels may name only known ids."""
     corpus = load_corpus(_require_file(Path(args.corpus)))
@@ -81,7 +78,14 @@ def _load_task(args):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with blobfile.atomic_open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_record(stem: Path, record: dict) -> None:
+    """The record as <stem>.json and as the one-row table <stem>.tsv."""
+    _write_json(stem.with_name(stem.name + ".json"), record)
+    blobfile.write_table(stem.with_name(stem.name + ".tsv"), list(record), [record.values()])
 
 
 def _load_config(args, fixed: dict | None = None) -> RunConfig:
@@ -149,10 +153,7 @@ def cmd_analyze_shift(args) -> int:
         datasets["target"][0], datasets["target"][1],
     )
     out = _out_dir(args)
-    _write_json(out / "shift_report.json", report.to_dict())
-    _atomic_write_text(
-        out / "shift_report.tsv", report.TSV_HEADER + "\n" + report.tsv_row() + "\n"
-    )
+    _write_record(out / "shift_report", dataclasses.asdict(report))
     _record_run(out, "analyze-shift", _load_config(args),
                 {"source_dir": str(source_dir), "target_dir": str(target_dir)})
     return EXIT_OK
@@ -164,9 +165,8 @@ def cmd_pretrain(args) -> int:
     result = trainer.pretrain_coco(config, corpora)
     out = _out_dir(args)
     save_checkpoint(result.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
-    lines = ["epoch\tmean_loss"]
-    lines += [f"{i}\t{loss!r}" for i, loss in enumerate(result.epoch_losses, start=1)]
-    _atomic_write_text(out / "pretrain_log.tsv", "\n".join(lines) + "\n")
+    blobfile.write_table(out / "pretrain_log.tsv", ["epoch", "mean_loss"],
+                         enumerate(result.epoch_losses, start=1))
     _record_run(out, "pretrain", config, {"corpus": list(args.corpus)})
     return EXIT_OK
 
@@ -185,13 +185,11 @@ def cmd_finetune(args) -> int:
         trainer.write_training_log(finetuner.log_rows, out / "training_log.tsv")
     if config.episodes == 0:
         save_checkpoint(finetuner.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
-    lines = ["episode\tnegative_source\tkmeans_objective\tmean_loss\tn_steps\tn_fallback"]
-    for ep in finetuner.episode_records:
-        lines.append(
-            f"{ep.index}\t{ep.negative_source}\t{ep.kmeans_objective!r}"
-            f"\t{ep.mean_loss!r}\t{ep.n_steps}\t{ep.n_fallback}"
-        )
-    _atomic_write_text(out / "episodes.tsv", "\n".join(lines) + "\n")
+    blobfile.write_table(
+        out / "episodes.tsv",
+        ["episode", "negative_source", "kmeans_objective", "mean_loss", "n_steps", "n_fallback"],
+        map(dataclasses.astuple, finetuner.episode_records),
+    )
     _record_run(out, "finetune", config,
                 {"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
                  "checkpoint": args.checkpoint})
@@ -218,8 +216,7 @@ def cmd_evaluate(args) -> int:
     corpus, queries, qrels = _load_task(args)
     record, rankings = retrieval_eval.evaluate(params, featurizer, corpus, queries, qrels)
     out = _out_dir(args)
-    _write_json(out / "metrics.json", record.to_dict())
-    _atomic_write_text(out / "metrics.tsv", record.TSV_HEADER + "\n" + record.tsv_row() + "\n")
+    _write_record(out / "metrics", record.to_dict())
     retrieval_eval.write_trec_run(rankings, out / "run.trec", tag=args.tag)
     _record_run(out, "evaluate", config,
                 {"checkpoint": args.checkpoint, "corpus": args.corpus,

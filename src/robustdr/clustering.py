@@ -154,39 +154,29 @@ def assign(model: ClusterModel, embeddings: EmbeddingMatrix) -> dict[str, int]:
     return {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
 
 
-CLUSTER_FIELDS = {"n_clusters": int, "width": int, "normalized": bool,
-                  "objective": (int, float), "assignment": dict}
-
-
-def cluster_fields(model: ClusterModel) -> dict:
-    """The header fields of a cluster model; its centroids form the one block."""
-    return {"n_clusters": model.n_clusters, "width": int(model.centroids.shape[1]),
-            "normalized": model.normalized, "objective": model.objective,
-            "assignment": model.assignment}
-
-
-def centroid_length(fields: dict) -> int:
-    """Centroid block length for checked `CLUSTER_FIELDS`; ValueError if they clash."""
-    k = fields["n_clusters"]
-    if k < 1 or fields["width"] < 1:
-        raise ValueError("n_clusters and width must be >= 1")
-    if not all(type(c) is int and 0 <= c < k for c in fields["assignment"].values()):
-        raise ValueError(f"assignment names a cluster outside [0, {k})")
-    return k * fields["width"]
-
-
-def cluster_model_from(fields: dict, centroids: np.ndarray) -> ClusterModel:
-    k = fields["n_clusters"]
-    return ClusterModel(k, centroids.reshape(k, fields["width"]), dict(fields["assignment"]),
-                        float(fields["objective"]), fields["normalized"])
-
-
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
-    blobfile.write(path, CLUSTER_FORMAT, CLUSTER_VERSION, cluster_fields(model), [model.centroids])
+    """Write the model's scalars and assignment in the header, its centroids as the one block."""
+    fields = {"n_clusters": model.n_clusters, "width": int(model.centroids.shape[1]),
+              "normalized": model.normalized, "objective": model.objective,
+              "assignment": model.assignment}
+    blobfile.write(path, CLUSTER_FORMAT, CLUSTER_VERSION, fields, [model.centroids])
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
+    def centroid_length(fields: dict) -> list[int]:
+        k = fields["n_clusters"]
+        if k < 1 or fields["width"] < 1:
+            raise ValueError("n_clusters and width must be >= 1")
+        if not all(type(c) is int and 0 <= c < k for c in fields["assignment"].values()):
+            raise ValueError(f"assignment names a cluster outside [0, {k})")
+        return [k * fields["width"]]
+
     fields, (centroids,) = blobfile.read(
-        path, CLUSTER_FORMAT, CLUSTER_VERSION, CLUSTER_FIELDS, lambda h: [centroid_length(h)]
+        path, CLUSTER_FORMAT, CLUSTER_VERSION,
+        {"n_clusters": int, "width": int, "normalized": bool, "objective": (int, float),
+         "assignment": dict},
+        centroid_length,
     )
-    return cluster_model_from(fields, centroids)
+    k = fields["n_clusters"]
+    return ClusterModel(k, centroids.reshape(k, fields["width"]), fields["assignment"],
+                        float(fields["objective"]), fields["normalized"])

@@ -16,9 +16,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .blobfile import atomic_open
 from .errors import CorpusFormatError
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+_SCORE_RE = re.compile(r"-?[0-9]+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -126,10 +128,10 @@ def load_corpus(path: str | Path) -> Corpus:
     for lineno, obj in _iter_jsonl(path):
         doc_id = _require(obj, "_id", path, lineno)
         text = _require(obj, "text", path, lineno)
-        title = obj.get("title") or None
+        title = obj.get("title")
         if title is not None and not isinstance(title, str):
             raise CorpusFormatError(f"{path}: line {lineno}: field 'title' must be a string")
-        docs.append(Document.from_fields(doc_id, text, title))
+        docs.append(Document.from_fields(doc_id, text, title or None))
     return Corpus(docs)
 
 
@@ -145,7 +147,7 @@ def load_queries(path: str | Path) -> QuerySet:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus back to JSONL; round-trips ids and token streams."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         for doc in corpus:
             obj = {"_id": doc.id, "text": doc.text}
             if doc.title is not None:
@@ -154,7 +156,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def save_queries(queries: QuerySet, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         for query in queries:
             fh.write(json.dumps({"_id": query.id, "text": query.text}, sort_keys=True) + "\n")
 
@@ -198,7 +200,12 @@ class QrelSet:
 
 
 def load_qrels(path: str | Path) -> QrelSet:
-    """Load TSV qrels. A first line whose third column is literally 'score' is a header."""
+    """Load TSV qrels. A first line whose third column is literally 'score' is a header.
+
+    Every other score is ASCII decimal digits with an optional minus sign (then
+    rejected as negative); whitespace around it, such as a CRLF line's CR, is
+    ignored, as ``int`` ignores it.
+    """
     path = Path(path)
     grades: dict[tuple[str, str], int] = {}
     with path.open("r", encoding="utf-8") as fh:
@@ -212,12 +219,11 @@ def load_qrels(path: str | Path) -> QrelSet:
             qid, did, score = parts[0], parts[1], parts[2]
             if lineno == 1 and score.strip().lower() == "score":
                 continue
-            try:
-                grade = int(score)
-            except ValueError:
+            if not _SCORE_RE.fullmatch(score.strip()):
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: relevance score {score!r} is not an integer"
-                ) from None
+                )
+            grade = int(score)
             if grade < 0:
                 raise CorpusFormatError(f"{path}: line {lineno}: negative relevance score")
             grades[(qid, did)] = grade

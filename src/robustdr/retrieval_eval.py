@@ -262,14 +262,6 @@ class MetricsRecord:
     n_evaluated: int
     n_skipped: int
 
-    TSV_HEADER = "ndcg@10\trecall@10\trecall@100\tn_evaluated\tn_skipped"
-
-    def tsv_row(self) -> str:
-        return (
-            f"{self.ndcg_at_10!r}\t{self.recall_at_10!r}\t{self.recall_at_100!r}"
-            f"\t{self.n_evaluated}\t{self.n_skipped}"
-        )
-
     def to_dict(self) -> dict:
         return {
             "ndcg@10": self.ndcg_at_10,

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blobfile
 from .corpus import Corpus, Document, QrelSet, Query, QuerySet, save_corpus, save_queries
 
 
@@ -202,8 +203,7 @@ def write_task_dir(bundle: TaskBundle, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(bundle.corpus, out / "corpus.jsonl")
     save_queries(bundle.queries, out / "queries.jsonl")
-    with (out / "qrels.tsv").open("w", encoding="utf-8") as fh:
-        fh.write("query-id\tcorpus-id\tscore\n")
-        for qid in bundle.qrels.query_ids:
-            for did, grade in bundle.qrels.judged(qid).items():
-                fh.write(f"{qid}\t{did}\t{grade}\n")
+    qrels = bundle.qrels
+    blobfile.write_table(out / "qrels.tsv", ["query-id", "corpus-id", "score"],
+                         [(qid, did, grade) for qid in qrels.query_ids
+                          for did, grade in qrels.judged(qid).items()])

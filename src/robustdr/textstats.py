@@ -96,28 +96,6 @@ class ShiftReport:
     source_queries: int
     target_queries: int
 
-    TSV_HEADER = (
-        "doc_lexical_similarity\tquery_intent_similarity"
-        "\tsource_docs\ttarget_docs\tsource_queries\ttarget_queries"
-    )
-
-    def tsv_row(self) -> str:
-        return (
-            f"{self.doc_lexical_similarity!r}\t{self.query_intent_similarity!r}"
-            f"\t{self.source_docs}\t{self.target_docs}"
-            f"\t{self.source_queries}\t{self.target_queries}"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "doc_lexical_similarity": self.doc_lexical_similarity,
-            "query_intent_similarity": self.query_intent_similarity,
-            "source_docs": self.source_docs,
-            "target_docs": self.target_docs,
-            "source_queries": self.source_queries,
-            "target_queries": self.target_queries,
-        }
-
 
 def shift_report(
     source_corpus: Corpus,

@@ -17,8 +17,7 @@ reweighted by the configured strategy and combined into one row on those
 columns, which the optimizer steps on directly; the robust-weight update over
 the present clusters follows. The robust weights ``omega`` are the only
 weighting state carried between steps; each cluster refresh resets them to
-uniform or carries them over to the new clusters. Every run is
-fully determined by (config, seed, data).
+uniform. Every run is fully determined by (config, seed, data).
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ class RunConfig:
     beta: float = 0.25
     tau: float = 1.0
     groupdro_step_size: float = 0.1
-    omega_carryover: bool = False
     in_batch_negatives: bool = False
     # optimizer
     optimizer: str = "adam"
@@ -258,8 +256,14 @@ def _eligible_docs(corpora: Iterable[Corpus], span_len: int) -> list:
 
 
 def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResult:
-    """Contrastive span-pair pretraining over the union of the given corpora."""
+    """Contrastive span-pair pretraining over the union of the given corpora.
+
+    Each span pair's negatives are the other pairs of its batch, so a batch needs
+    at least two documents: a ``batch_size`` below 2 is a ConfigError.
+    """
     config.validate()
+    if config.batch_size < 2:
+        raise ConfigError("batch_size: span-pair pretraining needs at least 2 per batch")
     if not corpora:
         raise ValueError("pretraining needs at least one corpus")
     docs = _eligible_docs(corpora, config.span_len)
@@ -284,8 +288,6 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
         losses_this_epoch: list[float] = []
         for start in range(0, batches_per_epoch * config.batch_size, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            if chunk.shape[0] < 2:
-                break
             batch = _span_pair_batch([docs[int(i)] for i in chunk], config.span_len,
                                      featurizer, rng)
             loss, cols, row = losses.coco_loss_grad(params, batch)
@@ -414,24 +416,17 @@ class LogRow:
 
 
 STATE_FORMAT = "robustdr-trainer-state"
-STATE_VERSION = 6
+STATE_VERSION = 7
 _STATE_FIELDS = {
     "episodes_done": int, "optimizer_kind": str, "optimizer_t": int, "n_live": int,
-    "n_clusters": int, "cluster_model": (dict, type(None)), "blocks": list,
-    "checkpoint": str, "weights_sha256": str,
+    "blocks": list, "checkpoint": str, "weights_sha256": str,
 }
-
-TRAINING_LOG_HEADER = "step\tepisode\tcluster\tloss\talpha\tomega\ttotal_loss"
 
 
 def write_training_log(rows: Iterable[LogRow], path: str | Path) -> None:
-    with blobfile.atomic_open(path, "w") as fh:
-        fh.write(TRAINING_LOG_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.step}\t{r.episode}\t{r.cluster}\t{r.loss!r}\t{r.alpha!r}"
-                f"\t{r.omega!r}\t{r.total_loss!r}\n"
-            )
+    """One line per log row, its fields in `LogRow` order under their names."""
+    blobfile.write_table(path, [f.name for f in dataclasses.fields(LogRow)],
+                         map(dataclasses.astuple, rows))
 
 
 class Finetuner:
@@ -442,7 +437,8 @@ class Finetuner:
     saving and reloading it resumes bit-identically. That state is the
     weights, kept in an encoder checkpoint, and the trainer state paired with
     it: the optimizer's step count, Adam's live columns with its moments over
-    them, `omega`, the cluster model and the episode counter.
+    them, and the episode counter. The next episode refits the clusters from
+    the weights and resets `omega` to uniform, so neither is saved.
     """
 
     def __init__(
@@ -496,17 +492,13 @@ class Finetuner:
         ids = tuple(q.id for q in self.queries)
         emb = EmbeddingMatrix(ids=ids, matrix=encode_many(self.params, self.query_fvs))
         k = min(self.config.k_clusters, len(self.queries))
-        model = clustering.kmeans_fit(
+        self.cluster_model = clustering.kmeans_fit(
             emb,
             k,
             seed=int(_derived_rng(self.config.seed, _TAG_KMEANS, episode).integers(2**31)),
             max_iters=self.config.kmeans_iters,
         )
-        if self.config.omega_carryover and self.cluster_model is not None:
-            self.omega = _carryover_omega(self.cluster_model, model, self.omega)
-        else:
-            self.omega = np.full(k, 1.0 / k)
-        self.cluster_model = model
+        self.omega = np.full(k, 1.0 / k)
 
     def _refresh_negatives(self, episode: int) -> tuple[str, int]:
         rng = _derived_rng(self.config.seed, _TAG_MINE, episode)
@@ -630,31 +622,25 @@ class Finetuner:
         `blobfile` file whose header names its blocks. The header also names
         the checkpoint by its file name and holds ``weights_sha256``, the
         SHA-256 of the weights, so `load_state` finds the pair and can tell a
-        checkpoint of other weights. The blocks are, with Adam, ``live`` (its
-        L ascending column ids, exact as float64), ``adam_m`` and ``adam_v``
-        (E x L each, over those columns); then ``omega`` and the
-        ``centroids`` of the cluster model. Each block is written from the
-        array that holds it, without a dense or joined copy. Bytes are
-        reproducible.
+        checkpoint of other weights. With Adam the blocks are ``live`` (its L
+        ascending column ids, exact as float64), ``adam_m`` and ``adam_v``
+        (E x L each, over those columns); with gradient descent there are
+        none. Each block is written from the array that holds it, without a
+        dense or joined copy. Bytes are reproducible.
         """
         path, checkpoint = Path(path), Path(checkpoint)
         if checkpoint.resolve().parent != path.resolve().parent:
             raise ValueError(f"{checkpoint}: the checkpoint must sit next to the state {path}")
         save_checkpoint(self.params, checkpoint, hash_seed=self.config.hash_seed)
-        model, opt = self.cluster_model, self.optimizer
+        opt = self.optimizer
         blocks = {}
         if opt.kind == "adam":
             blocks.update(live=opt.live, adam_m=opt.m_w, adam_v=opt.v_w)
-        blocks["omega"] = self.omega
-        if model is not None:
-            blocks["centroids"] = model.centroids
         fields = {
             "episodes_done": self.episodes_done,
             "optimizer_kind": opt.kind,
             "optimizer_t": opt.t,
             "n_live": int(opt.live.size) if opt.kind == "adam" else 0,
-            "n_clusters": len(self.omega),
-            "cluster_model": None if model is None else clustering.cluster_fields(model),
             "blocks": [[name, int(arr.size)] for name, arr in blocks.items()],
             "checkpoint": checkpoint.name,
             "weights_sha256": _weights_sha256(self.params.flat),
@@ -677,19 +663,10 @@ class Finetuner:
         n_live, most_live = meta["n_live"], self.params.feature_dim if adam else 0
         if not 0 <= n_live <= most_live:
             raise ValueError(f"n_live is {n_live}, this run allows 0 to {most_live} live columns")
-        k, model = meta["n_clusters"], meta["cluster_model"]
-        if not 1 <= k <= self.config.k_clusters:
-            raise ValueError(f"{k} clusters, this run allows 1 to {self.config.k_clusters}")
         expected = []
         if adam:
             moments = self.params.embed_dim * n_live
             expected += [["live", n_live], ["adam_m", moments], ["adam_v", moments]]
-        expected.append(["omega", k])
-        if model is not None:
-            blobfile.check_fields(model, clustering.CLUSTER_FIELDS)
-            if model["n_clusters"] != k or model["width"] != self.params.embed_dim:
-                raise ValueError("the cluster model does not fit the clusters and encoder")
-            expected.append(["centroids", clustering.centroid_length(model)])
         if meta["blocks"] != expected:
             raise ValueError(f"blocks {meta['blocks']} do not match this run's {expected}")
         return [length for _, length in expected]
@@ -736,12 +713,6 @@ class Finetuner:
                 )
             if np.any(blocks["adam_v"] < 0):
                 raise BlobFileError(f"{path}: block adam_v holds a negative second moment")
-        omega = blocks["omega"]
-        if np.any(omega <= 0.0) or abs(float(omega.sum()) - 1.0) > idro._SIMPLEX_ATOL:
-            raise BlobFileError(f"{path}: block omega is not positive with sum 1")
-        model = meta["cluster_model"]
-        if model is not None:
-            model = clustering.cluster_model_from(model, blocks["centroids"])
         flat = self._paired_weights(path, meta)
 
         self.params.flat[:] = flat
@@ -750,27 +721,9 @@ class Finetuner:
             opt.m_w = blocks["adam_m"].reshape(self.params.embed_dim, -1)
             opt.v_w = blocks["adam_v"].reshape(self.params.embed_dim, -1)
         opt.t = meta["optimizer_t"]
-        self.omega = omega
-        self.cluster_model = model
         self.episodes_done = meta["episodes_done"]
 
 
 def _weights_sha256(flat: np.ndarray) -> str:
     """Hex SHA-256 of a weight vector's float64 bytes, hashed in place without a copy."""
     return hashlib.sha256(memoryview(flat)).hexdigest()
-
-
-def _carryover_omega(
-    old_model: clustering.ClusterModel,
-    new_model: clustering.ClusterModel,
-    old_omega: np.ndarray,
-) -> np.ndarray:
-    """Transfer robust weights across a cluster refit by nearest-centroid match."""
-    d = (
-        np.sum(new_model.centroids**2, axis=1)[:, None]
-        - 2.0 * new_model.centroids @ old_model.centroids.T
-        + np.sum(old_model.centroids**2, axis=1)[None, :]
-    )
-    nearest = np.argmin(d, axis=1)
-    w = np.maximum(old_omega[nearest], 1e-300)
-    return w / w.sum()

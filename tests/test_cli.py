@@ -129,6 +129,15 @@ class TestPipelineCommands:
         assert log[0] == "epoch\tmean_loss"
         assert len(log) == 3
 
+    def test_pretrain_batch_of_one_exits_2(self, task_dir, tmp_path, capsys):
+        out = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(task_dir / "corpus.jsonl"), "--out", str(out),
+                     "--span-len", "3", "--batch-size", "1", "--feature-dim", "256",
+                     "--embed-dim", "8"])
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not (out / "encoder.ckpt").exists()
+
     def test_finetune_then_evaluate(self, task_dir, tmp_path):
         """Two episodes write one checkpoint each: the last one is encoder.ckpt, and the
         trainer state pairs with it."""
@@ -394,9 +403,11 @@ class TestExitCodes:
             ("seed", 1.5),
             ("learning_rate", "x"),
             ("tau", None),
+            ("in_batch_negatives", "no"),
+            ("in_batch_negatives", 1),
+            # the removed carryover and hidden-layer switches: any value is an unknown field
             ("omega_carryover", "no"),
             ("omega_carryover", 1),
-            # the removed hidden-layer switch: any value is an unknown field
             ("hidden", "no"),
             ("hidden", 1),
             ("feature_dim", True),

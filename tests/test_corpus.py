@@ -50,6 +50,15 @@ class TestLoadCorpus:
         write_lines(path, ['{"_id":"d1","title":"Zz","text":"A b"}'])
         assert load_corpus(path)["d1"].tokens == ("zz", "a", "b")
 
+    @pytest.mark.parametrize("title", ["0", "false", "[]", "{}", "5"])
+    def test_non_string_title_rejected(self, tmp_path, title):
+        """A falsy title is no string either; only a string or null is a title."""
+        path = tmp_path / "corpus.jsonl"
+        write_lines(path, ['{"_id":"d0","title":null,"text":"a"}',
+                           '{"_id":"d1","title":%s,"text":"a"}' % title])
+        with pytest.raises(CorpusFormatError, match="line 2: field 'title' must be a string"):
+            load_corpus(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("", encoding="utf-8")
@@ -123,10 +132,16 @@ class TestLoadQrels:
         assert len(qrels) == 1
 
     def test_non_integer_score(self, tmp_path):
+        """Only ASCII digits with an optional minus sign: not int()'s underscores,
+        plus sign or other scripts' digits."""
         path = tmp_path / "qrels.tsv"
-        write_lines(path, ["q1\td1\ttwo"])
-        with pytest.raises(CorpusFormatError, match="not an integer"):
-            load_qrels(path)
+        for score in ("two", "1_0", "+1", "1.0", "\u0661", ""):
+            write_lines(path, ["q1\td0\t1", f"q1\td1\t{score}"])
+            with pytest.raises(CorpusFormatError, match="line 2: relevance score .* is not an "
+                                                        "integer"):
+                load_qrels(path)
+        write_lines(path, ["q1\td1\t 2\r"])  # a CRLF line's CR, as int() reads it
+        assert load_qrels(path).grade("q1", "d1") == 2
 
     def test_validate_against_flags_dangling(self, tmp_path, tiny_corpus, tiny_queries):
         path = tmp_path / "qrels.tsv"

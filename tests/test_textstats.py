@@ -1,9 +1,11 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from robustdr import blobfile
 from robustdr.corpus import Query
 from robustdr.textstats import (
     INTENT_CATEGORIES,
@@ -131,8 +133,13 @@ class TestShiftReport:
             intent_similarity(hist_a, hist_b), abs=1e-15
         )
 
-    def test_report_serializes(self, tiny_corpus, tiny_queries):
+    def test_report_serializes(self, tiny_corpus, tiny_queries, tmp_path):
+        """The report's fields as one table row, each value read back exactly: the
+        floats are Python floats, whose repr is their text."""
         report = shift_report(tiny_corpus, tiny_queries, tiny_corpus, tiny_queries)
-        d = report.to_dict()
+        d = dataclasses.asdict(report)
         assert set(d) >= {"doc_lexical_similarity", "query_intent_similarity"}
-        assert len(report.tsv_row().split("\t")) == len(report.TSV_HEADER.split("\t"))
+        blobfile.write_table(tmp_path / "report.tsv", list(d), [d.values()])
+        header, row = (tmp_path / "report.tsv").read_text().splitlines()
+        assert header.split("\t") == list(d)
+        assert [float(v) for v in row.split("\t")] == list(d.values())

@@ -116,10 +116,14 @@ class TestRunConfig:
     def test_values_checked_against_annotations(self):
         # an int is a float, but a bool is neither an int nor a float
         assert tiny_config(learning_rate=1, tau=2).learning_rate == 1
-        for field, value in [("omega_carryover", 0), ("batch_size", True), ("tau", False),
+        for field, value in [("in_batch_negatives", 0), ("batch_size", True), ("tau", False),
                              ("weighting", None), ("seed", 3.0)]:
             with pytest.raises(ConfigError, match=field):
                 tiny_config(**{field: value})
+        # the removed carryover switch: any value is an unknown field
+        for value in (0, False):
+            with pytest.raises(ConfigError, match="omega_carryover: unknown config field"):
+                RunConfig.from_dict({"omega_carryover": value})
 
 
 def growing_steps(params, rng, n_steps):
@@ -201,8 +205,7 @@ class TestOptimizer:
         dict(weighting="idro", in_batch_negatives=True),
         dict(weighting="groupdro", in_batch_negatives=True),
         dict(weighting="uniform", in_batch_negatives=True),
-        dict(weighting="groupdro", in_batch_negatives=True, optimizer="sgd",
-             omega_carryover=True),
+        dict(weighting="groupdro", in_batch_negatives=True, optimizer="sgd"),
     ], ids=lambda o: "-".join(str(v) for v in o.values()))
     def test_finetune_equals_dense_optimizer(self, monkeypatch, overrides):
         config, task = tiny_config(**overrides), tiny_task()
@@ -273,6 +276,14 @@ class TestPretrain:
         b = pretrain_coco(config, [corpus])
         assert a.epoch_losses == b.epoch_losses
         assert a.params.flat.tobytes() == b.params.flat.tobytes()
+
+    def test_batch_of_one_rejected(self):
+        """A span pair's negatives are the other pairs of its batch, so a batch of one
+        trains nothing; fine-tuning still takes one."""
+        with pytest.raises(ConfigError, match="batch_size"):
+            pretrain_coco(tiny_config(batch_size=1), [self.separable_corpus()])
+        config = tiny_config(batch_size=1)
+        assert [ep.n_steps for ep in run_finetune(config, tiny_task()).episode_records] == [4, 4]
 
     def test_no_eligible_documents(self):
         config = tiny_config(span_len=50)
@@ -508,8 +519,8 @@ class TestFinetune:
         task = tiny_task()
         for config in (
             tiny_config(episodes=3),
-            tiny_config(episodes=3, omega_carryover=True, tau=0.05),
-            tiny_config(episodes=3, weighting="groupdro", omega_carryover=True),
+            tiny_config(episodes=3, tau=0.05),
+            tiny_config(episodes=3, weighting="groupdro"),
             tiny_config(episodes=3, weighting="uniform", optimizer="sgd"),
             tiny_config(episodes=3, weighting="idro", optimizer="sgd"),
         ):
@@ -530,18 +541,6 @@ class TestFinetune:
             assert resumed.params.flat.tobytes() == straight.params.flat.tobytes(), config
             assert resumed.omega.tobytes() == straight.omega.tobytes(), config
             assert resumed.log_rows == [r for r in straight.log_rows if r.episode == 3], config
-
-    def test_omega_carryover_flag(self):
-        config = tiny_config(episodes=1, steps_per_episode=8, omega_carryover=True, tau=0.05)
-        task = tiny_task()
-        params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-        ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
-        ft.run_episode()
-        drifted = ft.omega.copy()
-        ft._refresh_clusters(2)
-        k = len(ft.omega)
-        if not np.allclose(drifted, np.full_like(drifted, 1.0 / len(drifted))):
-            assert not np.allclose(ft.omega, np.full(k, 1.0 / k))
 
 
 class TestDegeneracyReductions:
