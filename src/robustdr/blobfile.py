@@ -9,8 +9,9 @@ parameter count). `read` accepts only a JSON-object header with the expected
 format and version and every required field, and a payload exactly as long as
 the expected blocks, holding only finite values; anything else raises
 `BlobFileError` naming the path, which the CLI reports as a data error
-(exit 3). The payload's size is checked before it is read, and it is read into
-one array whose blocks are views. Writers go through `atomic_open`, so a
+(exit 3). A file whose first byte is not ``{`` is rejected before its header
+line is read. The payload's size is checked before it is read, and it is read
+into one array whose blocks are views. Writers go through `atomic_open`, so a
 reader never sees a half-written file; `write_table` writes the tab-separated
 text artifacts the same way.
 """
@@ -81,7 +82,9 @@ def read(
     """Checked read; returns (header, float64 blocks). ``lengths(header)`` gives the
     block lengths, raising ValueError or (passed through) ConfigError on a mismatch."""
     with Path(path).open("rb") as fh:
-        line = fh.readline()
+        # Every header starts with "{"; a file that does not is rejected before its
+        # first line, which may be as long as the file, is read.
+        line = fh.readline() if fh.peek(1)[:1] == b"{" else b""
         try:
             try:
                 header = json.loads(line)

@@ -4,16 +4,31 @@ One weight set serves both the query and the document tower: the embedding
 of a text is the linear projection W x of its hashed feature counts x, and
 the relevance score of a (query, document) pair is the plain dot product of
 their embeddings, with no normalization. Forward and backward passes are
-exact and hand-derived. One backward kernel, `grouped_backward`, returns a
-batch's gradient per group of items (the robust weighting's clusters) on only
-the feature columns the batch touches, from one count matrix of the batch;
-`embedding_backward` is its one-group case scattered into a dense vector.
+exact and hand-derived. One forward kernel, `encode_many`, embeds a list of
+feature vectors; `encode` is its one-item case. One backward kernel,
+`grouped_backward`, returns a batch's gradient per group of items (the robust
+weighting's clusters) on only the feature columns the batch touches, from one
+count matrix of the batch; `embedding_backward` is its one-group case
+scattered into a dense vector.
+
+Both kernels equal, bit for bit, a loop with one ``W[:, fv.indices] @
+fv.counts`` per item and one masked copy of each group's rows per group (kept
+in the tests as the reference). That rests on two layout conditions, each
+checked against the loop on OpenBLAS:
+
+- each item's gathered E x n weight block stays F-ordered, as
+  ``W[:, fv.indices]`` is, so a stacked ``np.matmul`` makes the same BLAS gemv
+  call per item (a C-ordered stacked gather differs in the last bits);
+- each group's rows of the count matrix and of the embedding gradients are
+  contiguous and keep the items' order, so each group is the same gemm on the
+  same operands as a masked copy.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,6 +39,9 @@ from .errors import InvariantError
 
 CHECKPOINT_FORMAT = "robustdr-encoder"
 CHECKPOINT_VERSION = 1
+
+# The most items one stacked product of `encode_many` gathers weights for.
+_ROWS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,48 +152,67 @@ class Params:
         return self.flat.shape[0]
 
 
-def _check_features(params: Params, fv: FeatureVector) -> None:
-    if fv.dim != params.feature_dim:
-        raise ValueError(
-            f"feature dim {fv.dim} does not match encoder feature dim {params.feature_dim}"
-        )
-
-
 def encode(params: Params, fv: FeatureVector) -> np.ndarray:
-    """Embed one feature vector: W @ x."""
-    _check_features(params, fv)
-    return params.W[:, fv.indices] @ fv.counts
+    """Embed one feature vector: W @ x. The one-item case of `encode_many`."""
+    return encode_many(params, [fv])[0]
 
 
 def encode_many(params: Params, fvs: Sequence[FeatureVector]) -> np.ndarray:
-    """One `encode` row per feature vector.
+    """One embedding row W @ x per feature vector.
 
     A `FeatureVector` object that repeats in `fvs` is encoded once and its
     row copied (keyed on object identity; `fvs` keeps the objects alive for
-    the call). `encode` is a pure function of (params, fv), so the rows equal
-    those of per-item `encode` bit for bit.
+    the call). The distinct items are sorted stably by their count of nonzeros
+    n, and each run of at most `_ROWS` items with the same n is one stacked
+    ``np.matmul`` of their gathered E x n weight blocks with their counts.
     """
-    out = np.empty((len(fvs), params.embed_dim), dtype=np.float64)
-    first: dict[int, int] = {}
-    for i, fv in enumerate(fvs):
-        j = first.setdefault(id(fv), i)
-        out[i] = encode(params, fv) if j == i else out[j]
-    return out
+    distinct = {id(fv): fv for fv in fvs}
+    idx, counts, nnz = _stack(params, list(distinct.values()))
+    start = np.cumsum(nnz) - nnz
+    order = np.argsort(nnz, kind="stable")
+    nnz = nnz[order]
+    first = np.cumsum(nnz) - nnz
+    # The indices and counts of the sorted items, back to back.
+    pos = np.repeat(start[order] - first, nnz) + np.arange(idx.size)
+    idx, counts = idx[pos], counts[pos]
+    emb = np.empty((len(distinct), params.embed_dim), dtype=np.float64)
+    w_t = params.W.T
+    cuts = np.unique(np.concatenate([np.flatnonzero(np.diff(nnz)) + 1,
+                                     np.arange(0, len(distinct) + 1, _ROWS), [len(distinct)]]))
+    for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
+        n = int(nnz[a])
+        span = slice(first[a], first[a] + (b - a) * n)
+        # Rows of W.T gathered as (items, n, E), C-ordered, so each item's E x n
+        # block of the transpose is F-ordered like W[:, fv.indices], and np.matmul
+        # runs the same BLAS gemv per item as W[:, fv.indices] @ fv.counts.
+        blocks = w_t[idx[span]].reshape(b - a, n, params.embed_dim).transpose(0, 2, 1)
+        emb[a:b] = np.matmul(blocks, counts[span].reshape(b - a, n, 1))[..., 0]
+    rank = np.empty(len(distinct), dtype=np.intp)
+    rank[order] = np.arange(len(distinct))
+    slot = dict(zip(distinct, rank.tolist()))
+    return emb[np.fromiter(map(slot.__getitem__, map(id, fvs)), np.intp, len(fvs))]
 
 
 def score(params: Params, q_features: FeatureVector, d_features: FeatureVector) -> float:
     """Relevance score: dot product of the two embeddings."""
-    return float(encode(params, q_features) @ encode(params, d_features))
+    q_emb, d_emb = encode_many(params, [q_features, d_features])
+    return float(q_emb @ d_emb)
 
 
-def _count_matrix(fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted columns the items touch, and the items' counts on them (items x columns)."""
-    indices = np.concatenate([fv.indices for fv in fvs] or [np.empty(0, dtype=np.int64)])
-    cols, where = np.unique(indices, return_inverse=True)
-    rows = np.repeat(np.arange(len(fvs)), [fv.indices.size for fv in fvs])
-    x = np.zeros((len(fvs), cols.size))
-    x[rows, where] = np.concatenate([fv.counts for fv in fvs] or [np.empty(0)])
-    return cols, x
+def _stack(params: Params, fvs: list[FeatureVector]):
+    """The items' indices and counts, each concatenated in item order, and each
+    item's count of nonzeros; ValueError unless every item has the encoder's
+    feature dimension."""
+    other = set(map(attrgetter("dim"), fvs)) - {params.feature_dim}
+    if other:
+        raise ValueError(
+            f"feature dim {min(other)} does not match encoder feature dim {params.feature_dim}"
+        )
+    indices = list(map(attrgetter("indices"), fvs))
+    idx = np.concatenate(indices or [np.empty(0, dtype=np.intp)])
+    counts = np.concatenate(list(map(attrgetter("counts"), fvs)) or [np.empty(0)],
+                            dtype=np.float64)
+    return idx, counts, np.fromiter(map(len, indices), np.intp, len(indices))
 
 
 def grouped_backward(
@@ -192,6 +229,10 @@ def grouped_backward(
     columns any item touches, and row g = vec dW[:, cols], the gradient of
     group g's items. Every other column of dW is zero, so inner products and
     weighted sums of rows equal those of the dense gradients.
+
+    The items' count matrix is built with its rows sorted stably by group, so
+    each group's gradient is one product of contiguous slices, its items in
+    their original order.
     """
     emb_grads = np.asarray(emb_grads, dtype=np.float64)
     if emb_grads.shape != (len(fvs), params.embed_dim):
@@ -199,13 +240,22 @@ def grouped_backward(
     groups = np.asarray(groups)
     if groups.shape != (len(fvs),):
         raise ValueError("groups must hold one group per item")
-    for fv in fvs:
-        _check_features(params, fv)
-    cols, x = _count_matrix(fvs)
+    idx, counts, nnz = _stack(params, list(fvs))
+    mark = np.zeros(params.feature_dim, dtype=bool)
+    mark[idx] = True
+    cols = np.flatnonzero(mark)
+    where = np.cumsum(mark)[idx] - 1
+    order = np.argsort(groups, kind="stable")
+    rank = np.empty(len(fvs), dtype=np.intp)
+    rank[order] = np.arange(len(fvs))
+    x = np.zeros((len(fvs), cols.size))
+    x[np.repeat(rank, nnz), where] = counts
+    eg = emb_grads[order]
+    bounds = np.searchsorted(groups[order], np.arange(n_groups + 1)).tolist()
     rows = np.zeros((n_groups, params.embed_dim * cols.size))
-    for g in range(n_groups):
-        members = groups == g
-        rows[g] = (emb_grads[members].T @ x[members]).ravel()
+    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a < b:
+            rows[g] = (eg[a:b].T @ x[a:b]).ravel()
     return cols, rows
 
 

@@ -23,7 +23,11 @@ conditions, each checked against the loop on OpenBLAS:
   unbuffered ``np.add.at`` over all candidates, also when the items have
   different candidate counts;
 - the span-pair anchor terms are summed one after another (``np.cumsum``):
-  ``np.sum`` is pairwise from 8 terms.
+  ``np.sum`` is pairwise from 8 terms;
+- the embeddings and the per-group backward come from `encoder.encode_many`
+  and `encoder.grouped_backward`, which keep each item's gathered weight block
+  F-ordered and each group's rows contiguous and in item order (see
+  `encoder`).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 
 from robustdr import encoder, trainer
-from robustdr.encoder import FeatureVector, Params, embed_items, encode_many
+from robustdr.encoder import FeatureVector, Params, embed_items
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import SpanPairBatch, TripletBatch
@@ -158,6 +158,38 @@ def mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng=Non
     return pools_reference(rankings, corpus, qrels, k, rng, "dense")
 
 
+def encode_item(params: Params, fv: FeatureVector) -> np.ndarray:
+    """`encoder.encode` on its own: the gathered E x n weight block times the counts."""
+    if fv.dim != params.feature_dim:
+        raise ValueError("feature dim does not match the encoder")
+    return params.W[:, fv.indices] @ fv.counts
+
+
+def encode_loop(params: Params, fvs) -> np.ndarray:
+    """`encoder.encode_many` one `encode_item` per feature vector, repeats included."""
+    out = np.empty((len(fvs), params.embed_dim), dtype=np.float64)
+    for i, fv in enumerate(fvs):
+        out[i] = encode_item(params, fv)
+    return out
+
+
+def grouped_backward_loop(params: Params, fvs, emb_grads, groups, n_groups):
+    """`encoder.grouped_backward` from an unsorted count matrix and one boolean mask
+    and one copy of each group's rows per group."""
+    emb_grads = np.asarray(emb_grads, dtype=np.float64)
+    groups = np.asarray(groups)
+    indices = np.concatenate([fv.indices for fv in fvs] or [np.empty(0, dtype=np.int64)])
+    cols, where = np.unique(indices, return_inverse=True)
+    items = np.repeat(np.arange(len(fvs)), [fv.indices.size for fv in fvs])
+    x = np.zeros((len(fvs), cols.size))
+    x[items, where] = np.concatenate([fv.counts for fv in fvs] or [np.empty(0)])
+    rows = np.zeros((n_groups, params.embed_dim * cols.size))
+    for g in range(n_groups):
+        members = groups == g
+        rows[g] = (emb_grads[members].T @ x[members]).ravel()
+    return cols, rows
+
+
 def dense_embedding_backward(params, fvs, emb_grads) -> np.ndarray:
     """Item-by-item dense backward: one outer product per item into a P-long vector."""
     grad = np.zeros_like(params.flat)
@@ -177,7 +209,7 @@ def dense_retrieval_loss_grad(params, batch, in_batch_negatives=False):
         fvs.append(item.query)
         cand_slots.append(list(range(len(fvs), len(fvs) + 1 + len(item.negatives))))
         fvs.extend([item.positive, *item.negatives])
-    emb = encode_many(params, fvs)
+    emb = encode_loop(params, fvs)
     emb_grads = np.zeros_like(emb)
     per_item = np.empty(n)
     for i in range(n):
@@ -264,7 +296,8 @@ def loop_retrieval(
     with_grad: bool,
 ):
     """`losses.retrieval_cluster_grads` (and, without `with_grad`, the per-item
-    losses alone) item by item: one Python loop with its own softmax per item."""
+    losses alone) item by item: one Python loop with its own softmax per item,
+    on `encode_loop` embeddings and a `grouped_backward_loop` backward."""
     n = len(batch)
     present, group = np.unique(np.asarray(clusters, dtype=np.int64), return_inverse=True)
     if group.shape != (n,):
@@ -288,7 +321,7 @@ def loop_retrieval(
         neg_slots.append(slots)
         slot_group.extend([g] * (2 + len(slots)))
 
-    emb = encoder.encode_many(params, fvs)
+    emb = encode_loop(params, fvs)
     emb_grads = np.zeros_like(emb) if with_grad else None
 
     per_item = np.empty(n, dtype=np.float64)
@@ -313,7 +346,7 @@ def loop_retrieval(
 
     if not with_grad:
         return per_item, None, None
-    cols, rows = encoder.grouped_backward(
+    cols, rows = grouped_backward_loop(
         params, fvs, emb_grads, np.array(slot_group, dtype=np.intp), present.size
     )
     return per_item, cols, rows
@@ -323,7 +356,7 @@ def span_matrix(params: Params, batch: SpanPairBatch):
     if len(batch) < 2:
         raise ValueError("span-pair batches need n >= 2 so in-batch negatives exist")
     spans = [fv for pair in batch for fv in pair]
-    emb = encoder.encode_many(params, spans)
+    emb = encode_loop(params, spans)
     sims = emb @ emb.T
     if not np.all(np.isfinite(sims)):
         raise InvariantError("non-finite similarity in span-pair loss")
@@ -331,7 +364,8 @@ def span_matrix(params: Params, batch: SpanPairBatch):
 
 
 def loop_coco(params: Params, batch: SpanPairBatch, with_grad: bool):
-    """`losses.coco_loss_grad` (with `with_grad`) anchor by anchor, with `np.delete`."""
+    """`losses.coco_loss_grad` (with `with_grad`) anchor by anchor, with `np.delete`,
+    on `encode_loop` embeddings and a `grouped_backward_loop` backward."""
     spans, emb, sims = span_matrix(params, batch)
     n = len(batch)
     total = 0.0
@@ -353,7 +387,8 @@ def loop_coco(params: Params, batch: SpanPairBatch, with_grad: bool):
         return total, None
     coeffs /= n
     emb_grads = (coeffs + coeffs.T) @ emb
-    return total, encoder.embedding_backward(params, spans, emb_grads)
+    cols, rows = grouped_backward_loop(params, spans, emb_grads, np.zeros(len(spans), np.intp), 1)
+    return total, encoder.scatter_grad(params, cols, rows[0])
 
 
 def coco_top1_accuracy(params: Params, batch: SpanPairBatch) -> float:

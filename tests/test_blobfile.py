@@ -412,6 +412,21 @@ def test_read_holds_the_payload_once(tmp_path):
     assert peak < 1.25 * 8 * len(params)
 
 
+def test_header_without_brace_rejected_before_reading_the_line(tmp_path):
+    """A 32-MiB file with no newline is rejected from its first byte, not read whole."""
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(b"x" * (32 << 20))
+    tracemalloc.start()
+    try:
+        message = f"{path}: the first line is not a JSON object"
+        with pytest.raises(BlobFileError, match=re.escape(message)):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_atomic_open_failed_write_leaves_nothing_behind(tmp_path, existing):
     target = tmp_path / "x.tsv"

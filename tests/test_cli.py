@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from robustdr import blobfile
+import robustdr
+from robustdr import blobfile, experiments
 from robustdr.cli import main
 from robustdr.corpus import save_corpus, save_queries
 from robustdr.encoder import (
@@ -14,7 +18,7 @@ from robustdr.encoder import (
     save_checkpoint,
 )
 from robustdr.trainer import STATE_VERSION
-from robustdr.synthetic import make_imbalanced_source, write_task_dir
+from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark, write_task_dir
 
 
 @pytest.fixture(scope="module")
@@ -543,3 +547,36 @@ class TestIdempotence:
         # timestamps only in the sidecar
         meta_a = json.loads((out_a / "run_meta.json").read_text())
         assert "timestamp" in meta_a
+
+
+class TestBlasThreads:
+    def test_finetune_and_evaluate_bytes_equal_across_blas_thread_counts(self, tmp_path):
+        """A default-config 2 x 3-step fine-tune and an evaluate, each in a fresh
+        process with one and with two BLAS threads, write the same bytes."""
+        source, target = make_two_domain_benchmark(seed=experiments._BENCHMARK_SEED)
+        write_task_dir(source, tmp_path / "source")
+        write_task_dir(target, tmp_path / "target")
+        src = os.path.dirname(os.path.dirname(robustdr.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def task(side):
+            return [f"--{kind}={tmp_path / side / name}" for kind, name in
+                    (("corpus", "corpus.jsonl"), ("queries", "queries.jsonl"),
+                     ("qrels", "qrels.tsv"))]
+
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            out = tmp_path / f"threads{threads}"
+            for args in (["finetune", *task("source"), "--episodes=2", "--steps=3",
+                          f"--out={out / 'ft'}"],
+                         ["evaluate", f"--checkpoint={out / 'ft' / 'encoder.ckpt'}",
+                          *task("target"), f"--out={out / 'ev'}"]):
+                proc = subprocess.run([sys.executable, "-m", "robustdr.cli", *args],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("ft/encoder.ckpt",
+                                                                   "ev/run.trec")])
+        assert outputs[0][0] == outputs[1][0], "encoder.ckpt differs"
+        assert outputs[0][1] == outputs[1][1], "run.trec differs"

@@ -1,27 +1,30 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robustdr import blobfile
+from robustdr import blobfile, encoder
 from robustdr.encoder import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
     EmbeddingMatrix,
     Featurizer,
+    FeatureVector,
     Params,
     embedding_backward,
     encode,
     encode_many,
+    grouped_backward,
     load_checkpoint,
     save_checkpoint,
     score,
 )
 from robustdr.errors import BlobFileError, InvariantError
 from tests.conftest import random_feature_vector
-from tests.oracles import featurize_reference
+from tests.oracles import encode_item, encode_loop, featurize_reference, grouped_backward_loop
 
 
 def dense_vector(fv):
@@ -105,7 +108,7 @@ class TestEncode:
         if with_empty:  # token-free texts, one of them repeated, among the rest
             empty = featurizer([])
             fvs = [empty, *fvs[:10], featurizer([]), *fvs[10:], empty]
-        expected = np.stack([encode(params, fv) for fv in fvs])
+        expected = np.stack([encode_item(params, fv) for fv in fvs])
         assert encode_many(params, fvs).tobytes() == expected.tobytes()
 
     def test_homogeneous_in_w_linear_config(self, rng):
@@ -120,6 +123,78 @@ class TestEncode:
         fv = Featurizer(dim=16, seed=0)(["a"])
         with pytest.raises(ValueError):
             encode(params, fv)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def feature_batches(draw):
+    """An encoder and a list of feature vectors with 0-6 nonzeros each: new ones,
+    repeated objects and new objects equal to earlier ones. Each counts array is
+    a slice of its own buffer at one of the 8 float offsets of a 64-byte line."""
+    dim = draw(st.integers(1, 40))
+    embed_dim = draw(st.sampled_from([1, 2, 3, 6, 48, 64]))
+    params = Params.init_random(dim, embed_dim, seed=draw(st.integers(0, 2**16)))
+    offset = draw(st.integers(0, 7))
+    counts = st.integers(1, 4).map(float) | st.floats(0.25, 8.0)
+    fvs: list[FeatureVector] = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["new", "repeat", "equal"])) if fvs else "new"
+        if kind == "repeat":
+            fvs.append(draw(st.sampled_from(fvs)))
+            continue
+        if kind == "equal":
+            old = draw(st.sampled_from(fvs))
+            indices, values = old.indices.copy(), old.counts.tolist()
+        else:
+            nnz = draw(st.integers(0, min(dim, 6)))
+            indices = np.array(sorted(draw(st.sets(st.integers(0, dim - 1), min_size=nnz,
+                                                   max_size=nnz))), dtype=np.int64)
+            values = draw(st.lists(counts, min_size=nnz, max_size=nnz))
+        buffer = np.zeros(offset + len(values))
+        buffer[offset:] = values
+        fvs.append(FeatureVector(indices=indices, counts=buffer[offset:], dim=dim))
+    return params, fvs
+
+
+class TestKernelsAgainstOracles:
+    """`encode_many` and `grouped_backward` byte for byte against the per-item
+    encode and the per-group mask-and-copy backward of `tests.oracles`."""
+
+    @given(feature_batches(), st.sampled_from([1, 2, 3, encoder._ROWS]))
+    def test_encode_many_bytes_equal_item_loop(self, batch, rows_cap):
+        params, fvs = batch
+        with mock.patch.object(encoder, "_ROWS", rows_cap):  # classes above the cap
+            got = encode_many(params, fvs)
+        assert same_bytes(got, encode_loop(params, fvs))
+        for fv in fvs:
+            assert same_bytes(encode(params, fv), encode_item(params, fv))
+        if len(fvs) >= 2:
+            want = float(encode_item(params, fvs[0]) @ encode_item(params, fvs[1]))
+            assert np.float64(score(params, fvs[0], fvs[1])).tobytes() == np.float64(want).tobytes()
+
+    def test_encode_many_class_above_the_row_cap(self, rng):
+        params = Params.init_random(500, 64, seed=2)
+        fvs = [FeatureVector(np.sort(rng.choice(500, 3, replace=False)),
+                             rng.integers(1, 4, size=3).astype(np.float64), 500)
+               for _ in range(2 * encoder._ROWS + 3)]
+        assert same_bytes(encode_many(params, fvs), encode_loop(params, fvs))
+
+    @given(feature_batches(), st.data())
+    def test_grouped_backward_bytes_equal_mask_loop(self, batch, data):
+        """Unsorted groups, empty groups, and groups above the largest id present."""
+        params, fvs = batch
+        n_groups = data.draw(st.integers(1, 5))
+        groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1), min_size=len(fvs),
+                                             max_size=len(fvs))), dtype=np.intp)
+        n_groups += data.draw(st.integers(0, 2))
+        rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**16))))
+        emb_grads = rng.normal(size=(len(fvs), params.embed_dim))
+        got = grouped_backward(params, fvs, emb_grads, groups, n_groups)
+        want = grouped_backward_loop(params, fvs, emb_grads, groups, n_groups)
+        assert all(same_bytes(a, b) for a, b in zip(got, want))
 
 
 class TestScore:

@@ -375,11 +375,12 @@ def same_bytes(a, b):
 
 
 class TestAgainstLoops:
-    """The array losses against the item-by-item and anchor-by-anchor loops, byte for byte."""
+    """The array losses against the item-by-item and anchor-by-anchor loops, byte for
+    byte; the loops encode item by item and backpropagate group by group."""
 
     @pytest.mark.parametrize("in_batch", [False, True])
     @pytest.mark.parametrize("fresh_docs", [False, True])
-    @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
+    @pytest.mark.parametrize("embed_dim", [1, 3, 6, 48, 64])
     def test_retrieval_matches_item_loop(self, embed_dim, fresh_docs, in_batch):
         rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, in_batch]))
         featurizer = Featurizer(dim=97, seed=embed_dim)
@@ -407,6 +408,8 @@ class TestAgainstLoops:
                 want = loop_retrieval(params, batch, in_batch, clusters, with_grad)
                 for name, a, b in zip(("losses", "cols", "rows"), got, want):
                     assert same_bytes(a, b), (trial, with_grad, name)
+            got = retrieval_cluster_grads(params, batch, clusters, in_batch)
+            assert all(same_bytes(a, b) for a, b in zip(got, want)), trial
         # clusters of 3+ items with ragged negatives took part
         assert mixed_counts >= 10
 
@@ -418,7 +421,7 @@ class TestAgainstLoops:
             assert all(same_bytes(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("fresh_docs", [False, True])
-    @pytest.mark.parametrize("embed_dim", [3, 6, 48, 64])
+    @pytest.mark.parametrize("embed_dim", [1, 3, 6, 48, 64])
     def test_coco_matches_anchor_loop(self, embed_dim, fresh_docs):
         rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, 7]))
         featurizer = Featurizer(dim=97, seed=embed_dim)
