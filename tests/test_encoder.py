@@ -133,7 +133,7 @@ def same_bytes(a, b):
 def feature_batches(draw):
     """An encoder and a list of feature vectors with 0-6 nonzeros each: new ones,
     repeated objects and new objects equal to earlier ones. Each counts array is
-    a slice of its own buffer at one of the 8 float offsets of a 64-byte line."""
+    a slice of its own buffer, 0-7 floats in, so its address varies over 64 bytes."""
     dim = draw(st.integers(1, 40))
     embed_dim = draw(st.sampled_from([1, 2, 3, 6, 48, 64]))
     params = Params.init_random(dim, embed_dim, seed=draw(st.integers(0, 2**16)))
@@ -172,8 +172,8 @@ class TestKernelsAgainstOracles:
         for fv in fvs:
             assert same_bytes(encode(params, fv), encode_item(params, fv))
         if len(fvs) >= 2:
-            want = float(encode_item(params, fvs[0]) @ encode_item(params, fvs[1]))
-            assert np.float64(score(params, fvs[0], fvs[1])).tobytes() == np.float64(want).tobytes()
+            got = np.float64(score(params, fvs[0], fvs[1]))
+            assert same_bytes(got, encode_item(params, fvs[0]) @ encode_item(params, fvs[1]))
 
     def test_encode_many_class_above_the_row_cap(self, rng):
         params = Params.init_random(500, 64, seed=2)
