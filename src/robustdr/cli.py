@@ -200,11 +200,10 @@ def cmd_mine(args) -> int:
     params, featurizer, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    pools, n_fallback = trainer.mine_negatives(
-        params, featurizer, queries, corpus, qrels, config.mine_depth, rng
-    )
+    store = trainer.FeatureStore(featurizer, queries, corpus, qrels)
+    pools, n_fallback = trainer.mine_negatives(params, store, config.mine_depth, rng)
     out = _out_dir(args)
-    _write_json(out / "negatives.json", {"pools": pools, "n_fallback": n_fallback})
+    _write_json(out / "negatives.json", {"pools": store.pool_ids(pools), "n_fallback": n_fallback})
     _record_run(out, "mine", config,
                 {"checkpoint": args.checkpoint, "corpus": args.corpus,
                  "queries": args.queries, "qrels": args.qrels})

@@ -170,6 +170,10 @@ class QrelSet:
             if grade < 0:
                 raise CorpusFormatError(f"negative relevance grade for ({qid!r}, {did!r})")
             self._by_query.setdefault(qid, {})[did] = int(grade)
+        self._positives = {
+            qid: tuple(did for did, g in docs.items() if g > 0)
+            for qid, docs in self._by_query.items()
+        }
 
     def __len__(self) -> int:
         return sum(len(docs) for docs in self._by_query.values())
@@ -185,9 +189,9 @@ class QrelSet:
         """Judged documents for a query, in file order."""
         return dict(self._by_query.get(query_id, {}))
 
-    def positives(self, query_id: str) -> list[str]:
-        """Doc ids with grade > 0 for a query, in file order."""
-        return [did for did, g in self._by_query.get(query_id, {}).items() if g > 0]
+    def positives(self, query_id: str) -> tuple[str, ...]:
+        """Doc ids with grade > 0 for a query, in file order; computed once, at load."""
+        return self._positives.get(query_id, ())
 
     def validate_against(self, queries: QuerySet, corpus: Corpus) -> None:
         """Flag judgments that reference unknown query or document ids."""

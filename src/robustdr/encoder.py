@@ -4,24 +4,35 @@ One weight set serves both the query and the document tower: the embedding
 of a text is the linear projection W x of its hashed feature counts x, and
 the relevance score of a (query, document) pair is the plain dot product of
 their embeddings, with no normalization. Forward and backward passes are
-exact and hand-derived. One forward kernel, `encode_many`, embeds a list of
-feature vectors; `encode` is its one-item case. One backward kernel,
-`grouped_backward`, returns a batch's gradient per group of items (the robust
-weighting's clusters) on only the feature columns the batch touches, from one
-count matrix of the batch; `embedding_backward` is its one-group case
-scattered into a dense vector.
+exact and hand-derived.
+
+Texts are featurized into a `FeatureBlock`, one CSR block of feature ids and
+counts with a row per text, and the kernels work on `FeatureRows`, a block
+and the row id of each item; a row may repeat. One forward kernel,
+`encode_many`, embeds the items, each distinct row once; `encode` is its
+one-item case. One backward kernel, `grouped_backward`, returns the items'
+gradient per group of items (the robust weighting's clusters) on only the
+feature columns the items touch, from one count matrix; `embedding_backward`
+is its one-group case scattered into a dense vector. A list of
+`FeatureVector` objects is the edge form of the same items: the kernels stack
+it once into a block, one row per distinct object, and run the same code.
 
 Both kernels equal, bit for bit, a loop with one ``W[:, fv.indices] @
 fv.counts`` per item and one masked copy of each group's rows per group (kept
-in the tests as the reference). That rests on two layout conditions, each
-checked against the loop on OpenBLAS:
+in the tests as the reference), whichever rows a batch names and however
+often. That rests on these layout conditions, each checked against the loop
+on OpenBLAS:
 
+- each kernel gathers its rows' ids and counts from the block into fresh
+  arrays in one fancy index, so an item's values do not depend on where its
+  row sits in the block;
 - each item's gathered E x n weight block stays F-ordered, as
-  ``W[:, fv.indices]`` is, so a stacked ``np.matmul`` makes the same BLAS gemv
-  call per item (a C-ordered stacked gather differs in the last bits);
+  ``W[:, fv.indices]`` is, so a stacked ``np.matmul`` over a run of at most
+  `_ROWS` distinct rows with the same count of nonzeros n makes the same BLAS
+  gemv call per item (a C-ordered stacked gather differs in the last bits);
 - each group's rows of the count matrix and of the embedding gradients are
-  contiguous and keep the items' order, so each group is the same gemm on the
-  same operands as a masked copy.
+  contiguous and keep the items' order (a stable sort by group), so each
+  group is the same gemm on the same operands as a masked copy.
 """
 
 from __future__ import annotations
@@ -53,14 +64,86 @@ class FeatureVector:
     dim: int
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureBlock:
+    """Feature vectors stacked as one CSR block, one row per text.
+
+    Row r's sorted unique feature ids in [0, dim) are
+    ``indices[bounds[r]:bounds[r + 1]]``, and its counts sit at the same
+    positions of ``counts`` (float64).
+    """
+
+    indices: np.ndarray
+    counts: np.ndarray
+    bounds: np.ndarray
+    dim: int
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def vectors(self) -> list[FeatureVector]:
+        """One `FeatureVector` per row, viewing the block's arrays."""
+        bounds = self.bounds.tolist()
+        return [
+            FeatureVector(indices=self.indices[a:b], counts=self.counts[a:b], dim=self.dim)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The feature ids and counts of ``rows``, back to back in the order of
+        ``rows`` (gathered into fresh arrays), and each row's count of nonzeros."""
+        start = self.bounds[rows]
+        nnz = self.bounds[rows + 1] - start
+        first = np.cumsum(nnz) - nnz
+        pos = np.repeat(start - first, nnz) + np.arange(int(nnz.sum()))
+        return self.indices[pos], self.counts[pos], nnz
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureRows:
+    """The items of a kernel call as rows of one `FeatureBlock`: item i is row
+    ``rows[i]``. A row may repeat; ``len`` counts items, repeats included."""
+
+    block: FeatureBlock
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    @classmethod
+    def of(cls, fvs: Sequence[FeatureVector], dim: int) -> "FeatureRows":
+        """A list of feature vectors stacked once: one row per distinct object
+        (keyed on identity), in order of first appearance; ValueError unless
+        every vector has dimension ``dim``."""
+        other = set(map(attrgetter("dim"), fvs)) - {dim}
+        if other:
+            raise ValueError(f"feature dim {min(other)} does not match encoder feature dim {dim}")
+        distinct = {id(fv): fv for fv in fvs}
+        row_of = {key: row for row, key in enumerate(distinct)}
+        vectors = list(distinct.values())
+        indices = list(map(attrgetter("indices"), vectors))
+        bounds = np.zeros(len(vectors) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, indices), np.intp, len(indices)), out=bounds[1:])
+        block = FeatureBlock(
+            indices=np.concatenate(indices or [np.empty(0, dtype=np.intp)]),
+            counts=np.concatenate(list(map(attrgetter("counts"), vectors)) or [np.empty(0)],
+                                  dtype=np.float64),
+            bounds=bounds,
+            dim=dim,
+        )
+        rows = np.fromiter(map(row_of.__getitem__, map(id, fvs)), np.intp, len(fvs))
+        return cls(block, rows)
+
+
 class Featurizer:
     """Deterministic seeded hashing of tokens into `dim` count buckets.
 
-    `many` featurizes a list of token lists at once: one cached bucket lookup
-    per token, one sort of the (item, bucket) keys, then one slice per item.
-    Calling the featurizer on one token list is its one-item case. Counts are
-    small integers, so they are exact in float64 and equal to a per-token
-    tally bit for bit.
+    `block` featurizes a list of token lists at once into one `FeatureBlock`:
+    one cached bucket lookup per token, one sort of the (item, bucket) keys.
+    `many` returns its rows as `FeatureVector` views, and calling the
+    featurizer on one token list is the one-item case. Counts are small
+    integers, so they are exact in float64 and equal to a per-token tally bit
+    for bit.
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -86,6 +169,10 @@ class Featurizer:
 
     def many(self, token_lists: Iterable[Iterable[str]]) -> list[FeatureVector]:
         """One `FeatureVector` per token list, in order."""
+        return self.block(token_lists).vectors()
+
+    def block(self, token_lists: Iterable[Iterable[str]]) -> FeatureBlock:
+        """One `FeatureBlock` row per token list, in order."""
         tokens: list[str] = []
         lengths: list[int] = []
         for item in token_lists:
@@ -99,12 +186,8 @@ class Featurizer:
         keys, counts = np.unique(items * self.dim + buckets, return_counts=True)
         owner = keys // self.dim
         indices = keys - owner * self.dim
-        counts = counts.astype(np.float64)
-        bounds = np.searchsorted(owner, np.arange(len(lengths) + 1)).tolist()
-        return [
-            FeatureVector(indices=indices[a:b], counts=counts[a:b], dim=self.dim)
-            for a, b in zip(bounds, bounds[1:])
-        ]
+        bounds = np.searchsorted(owner, np.arange(len(lengths) + 1))
+        return FeatureBlock(indices, counts.astype(np.float64), bounds, self.dim)
 
 
 class Params:
@@ -157,28 +240,25 @@ def encode(params: Params, fv: FeatureVector) -> np.ndarray:
     return encode_many(params, [fv])[0]
 
 
-def encode_many(params: Params, fvs: Sequence[FeatureVector]) -> np.ndarray:
-    """One embedding row W @ x per feature vector.
+def encode_many(params: Params, items: FeatureRows | Sequence[FeatureVector]) -> np.ndarray:
+    """One embedding row W @ x per item, for a `FeatureRows` or a list of feature vectors.
 
-    A `FeatureVector` object that repeats in `fvs` is encoded once and its
-    row copied (keyed on object identity; `fvs` keeps the objects alive for
-    the call). The distinct items are sorted stably by their count of nonzeros
-    n, and each run of at most `_ROWS` items with the same n is one stacked
-    ``np.matmul`` of their gathered E x n weight blocks with their counts.
+    Each distinct row is encoded once and its embedding copied to every item
+    that names it. The distinct rows are sorted stably by their count of
+    nonzeros n, and each run of at most `_ROWS` rows with the same n is one
+    stacked ``np.matmul`` of their gathered E x n weight blocks with their
+    counts.
     """
-    distinct = {id(fv): fv for fv in fvs}
-    idx, counts, nnz = _stack(params, list(distinct.values()))
-    start = np.cumsum(nnz) - nnz
-    order = np.argsort(nnz, kind="stable")
-    nnz = nnz[order]
+    items = _as_rows(params, items)
+    distinct, inverse = np.unique(items.rows, return_inverse=True)
+    bounds = items.block.bounds
+    order = np.argsort(bounds[distinct + 1] - bounds[distinct], kind="stable")
+    idx, counts, nnz = items.block.entries(distinct[order])
     first = np.cumsum(nnz) - nnz
-    # The indices and counts of the sorted items, back to back.
-    pos = np.repeat(start[order] - first, nnz) + np.arange(idx.size)
-    idx, counts = idx[pos], counts[pos]
-    emb = np.empty((len(distinct), params.embed_dim), dtype=np.float64)
+    emb = np.empty((distinct.size, params.embed_dim), dtype=np.float64)
     w_t = params.W.T
     cuts = np.unique(np.concatenate([np.flatnonzero(np.diff(nnz)) + 1,
-                                     np.arange(0, len(distinct) + 1, _ROWS), [len(distinct)]]))
+                                     np.arange(0, distinct.size + 1, _ROWS), [distinct.size]]))
     for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
         n = int(nnz[a])
         span = slice(first[a], first[a] + (b - a) * n)
@@ -187,10 +267,9 @@ def encode_many(params: Params, fvs: Sequence[FeatureVector]) -> np.ndarray:
         # runs the same BLAS gemv per item as W[:, fv.indices] @ fv.counts.
         blocks = w_t[idx[span]].reshape(b - a, n, params.embed_dim).transpose(0, 2, 1)
         emb[a:b] = np.matmul(blocks, counts[span].reshape(b - a, n, 1))[..., 0]
-    rank = np.empty(len(distinct), dtype=np.intp)
-    rank[order] = np.arange(len(distinct))
-    slot = dict(zip(distinct, rank.tolist()))
-    return emb[np.fromiter(map(slot.__getitem__, map(id, fvs)), np.intp, len(fvs))]
+    rank = np.empty(distinct.size, dtype=np.intp)
+    rank[order] = np.arange(distinct.size)
+    return emb[rank[inverse]]
 
 
 def score(params: Params, q_features: FeatureVector, d_features: FeatureVector) -> float:
@@ -199,57 +278,52 @@ def score(params: Params, q_features: FeatureVector, d_features: FeatureVector) 
     return float(q_emb @ d_emb)
 
 
-def _stack(params: Params, fvs: list[FeatureVector]):
-    """The items' indices and counts, each concatenated in item order, and each
-    item's count of nonzeros; ValueError unless every item has the encoder's
-    feature dimension."""
-    other = set(map(attrgetter("dim"), fvs)) - {params.feature_dim}
-    if other:
-        raise ValueError(
-            f"feature dim {min(other)} does not match encoder feature dim {params.feature_dim}"
-        )
-    indices = list(map(attrgetter("indices"), fvs))
-    idx = np.concatenate(indices or [np.empty(0, dtype=np.intp)])
-    counts = np.concatenate(list(map(attrgetter("counts"), fvs)) or [np.empty(0)],
-                            dtype=np.float64)
-    return idx, counts, np.fromiter(map(len, indices), np.intp, len(indices))
+def _as_rows(params: Params, items: FeatureRows | Sequence[FeatureVector]) -> FeatureRows:
+    """The kernels' items as a `FeatureRows`, a list of feature vectors stacked once;
+    ValueError unless the features have the encoder's dimension."""
+    if not isinstance(items, FeatureRows):
+        return FeatureRows.of(items, params.feature_dim)
+    if items.block.dim != params.feature_dim:
+        raise ValueError(f"feature dim {items.block.dim} does not match encoder feature dim "
+                         f"{params.feature_dim}")
+    return items
 
 
 def grouped_backward(
     params: Params,
-    fvs: Sequence[FeatureVector],
+    items: FeatureRows | Sequence[FeatureVector],
     emb_grads: np.ndarray,
     groups: np.ndarray,
     n_groups: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group parameter gradients on the feature columns the items touch.
 
-    `emb_grads[i]` is d(loss)/d(embedding of fvs[i]) and `groups[i]` in
+    `emb_grads[i]` is d(loss)/d(embedding of item i) and `groups[i]` in
     [0, n_groups) is item i's group. Returns (cols, rows): the sorted feature
     columns any item touches, and row g = vec dW[:, cols], the gradient of
     group g's items. Every other column of dW is zero, so inner products and
     weighted sums of rows equal those of the dense gradients.
 
-    The items' count matrix is built with its rows sorted stably by group, so
-    each group's gradient is one product of contiguous slices, its items in
-    their original order.
+    The items are sorted stably by group and their rows gathered in that
+    order, so the count matrix holds each group's items contiguously in their
+    original order, and each group's gradient is one product of slices.
     """
+    items = _as_rows(params, items)
+    n = len(items)
     emb_grads = np.asarray(emb_grads, dtype=np.float64)
-    if emb_grads.shape != (len(fvs), params.embed_dim):
+    if emb_grads.shape != (n, params.embed_dim):
         raise ValueError("emb_grads must be (n_items, embed_dim)")
     groups = np.asarray(groups)
-    if groups.shape != (len(fvs),):
+    if groups.shape != (n,):
         raise ValueError("groups must hold one group per item")
-    idx, counts, nnz = _stack(params, list(fvs))
+    order = np.argsort(groups, kind="stable")
+    idx, counts, nnz = items.block.entries(items.rows[order])
     mark = np.zeros(params.feature_dim, dtype=bool)
     mark[idx] = True
     cols = np.flatnonzero(mark)
     where = np.cumsum(mark)[idx] - 1
-    order = np.argsort(groups, kind="stable")
-    rank = np.empty(len(fvs), dtype=np.intp)
-    rank[order] = np.arange(len(fvs))
-    x = np.zeros((len(fvs), cols.size))
-    x[np.repeat(rank, nnz), where] = counts
+    x = np.zeros((n, cols.size))
+    x[np.repeat(np.arange(n), nnz), where] = counts
     eg = emb_grads[order]
     bounds = np.searchsorted(groups[order], np.arange(n_groups + 1)).tolist()
     rows = np.zeros((n_groups, params.embed_dim * cols.size))
@@ -305,9 +379,10 @@ class EmbeddingMatrix:
 def embed_items(params: Params, featurizer: Featurizer, items: Iterable) -> EmbeddingMatrix:
     """Embed anything carrying ``.id`` and ``.tokens`` (documents or queries)."""
     items = list(items)
-    fvs = featurizer.many(item.tokens for item in items)
+    block = featurizer.block(item.tokens for item in items)
     return EmbeddingMatrix(
-        ids=tuple(item.id for item in items), matrix=encode_many(params, fvs)
+        ids=tuple(item.id for item in items),
+        matrix=encode_many(params, FeatureRows(block, np.arange(len(block)))),
     )
 
 

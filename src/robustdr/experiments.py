@@ -137,14 +137,22 @@ def _fixed_eval_batch(task, featurizer, n_negatives=8):
     for doc in task.corpus:
         topic = doc.id.rsplit("-", 1)[0]
         first_doc_of_topic.setdefault(topic, doc.id)
+    distractors_of: dict[str, list[str]] = {}
     items = []
     for query, query_fv, ranking in zip(queries, query_fvs, rankings):
         positives = task.qrels.positives(query.id)
         own_topic = query.id.rsplit("-", 1)[0]
-        distractors = [d for t, d in first_doc_of_topic.items() if t != own_topic]
-        bm25_pool = [d for d in ranking.doc_ids() if task.qrels.grade(query.id, d) <= 0]
+        distractors = distractors_of.get(own_topic)
+        if distractors is None:
+            distractors = distractors_of[own_topic] = [
+                d for t, d in first_doc_of_topic.items() if t != own_topic
+            ]
+        judged_positive = set(positives)
+        bm25_pool = [d for d in ranking.doc_ids() if d not in judged_positive]
         pool: list[str] = []
         for a, b in zip(distractors, bm25_pool + [None] * len(distractors)):
+            if len(pool) >= n_negatives:
+                break
             pool.append(a)
             if b is not None and b not in pool:
                 pool.append(b)

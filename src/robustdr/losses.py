@@ -28,6 +28,15 @@ conditions, each checked against the loop on OpenBLAS:
   and `encoder.grouped_backward`, which keep each item's gathered weight block
   F-ordered and each group's rows contiguous and in item order (see
   `encoder`).
+
+A retrieval batch comes in one of two forms that run the same code. The
+trainer's is a `TripletRows`: a feature block and an (items, 2 + negatives)
+array of its row ids, each row of the array one item's query, positive and
+negatives; the kernels gather from the block directly and encode each
+distinct row once. A list of `Triplet` objects (tests, evaluation batches) is
+stacked once into a block, one row per distinct feature vector object, and
+may give its items different numbers of negatives. Either way both kernels
+take the same `encoder.FeatureRows` of the batch's slots.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from . import encoder
-from .encoder import FeatureVector, Params
+from .encoder import FeatureBlock, FeatureRows, FeatureVector, Params
 from .errors import InvariantError
 
 
@@ -55,7 +64,24 @@ class Triplet:
             raise ValueError("a triplet needs at least one negative")
 
 
-TripletBatch = Sequence[Triplet]
+@dataclass(frozen=True, eq=False)
+class TripletRows:
+    """A batch of retrieval items as rows of one feature block: row i of
+    ``rows``, an (items, 2 + negatives) array, lists item i's query, positive
+    and negatives (at least one)."""
+
+    block: FeatureBlock
+    rows: np.ndarray
+
+    def __post_init__(self):
+        if self.rows.ndim != 2 or self.rows.shape[1] < 3:
+            raise ValueError("a triplet row needs a query, a positive and at least one negative")
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+
+TripletBatch = Sequence[Triplet] | TripletRows
 SpanPairBatch = Sequence[tuple[FeatureVector, FeatureVector]]
 
 
@@ -93,10 +119,17 @@ def _retrieval(
 
     # Slots [query, positive, negatives...] per item; the candidates are every
     # non-query slot of the item, then the positives of its cluster mates.
-    fvs = [fv for item in batch for fv in (item.query, item.positive, *item.negatives)]
-    width = np.array([2 + len(item.negatives) for item in batch], dtype=np.intp)
+    if isinstance(batch, TripletRows):
+        slots = FeatureRows(batch.block, batch.rows.ravel())
+        width = np.full(n, batch.rows.shape[1], dtype=np.intp)
+    else:
+        fvs = [fv for item in batch for fv in (item.query, item.positive, *item.negatives)]
+        slots = FeatureRows.of(fvs, params.feature_dim)
+        width = np.array([2 + len(item.negatives) for item in batch], dtype=np.intp)
     q = np.cumsum(width) - width
-    slot, owner = np.setdiff1d(np.arange(len(fvs)), q), np.repeat(np.arange(n), width - 1)
+    candidate = np.ones(len(slots), dtype=bool)
+    candidate[q] = False
+    slot, owner = np.flatnonzero(candidate), np.repeat(np.arange(n), width - 1)
     if in_batch_negatives:
         item, mate = np.nonzero((group[:, None] == group) & ~np.eye(n, dtype=bool))
         slot, owner = np.concatenate([slot, q[mate] + 1]), np.concatenate([owner, item])
@@ -104,7 +137,7 @@ def _retrieval(
     cand, count = slot[order], np.bincount(owner)
     start = np.cumsum(count) - count
 
-    emb = encoder.encode_many(params, fvs)
+    emb = encoder.encode_many(params, slots)
     emb_grads = np.zeros_like(emb)
     terms = np.empty((cand.size, emb.shape[1]))
     per_item = np.empty(n)
@@ -124,7 +157,7 @@ def _retrieval(
     # order also when the items have different candidate counts.
     np.add.at(emb_grads, cand, terms)
     cols, rows = encoder.grouped_backward(
-        params, fvs, emb_grads, np.repeat(group, width), present.size
+        params, slots, emb_grads, np.repeat(group, width), present.size
     )
     return per_item, cols, rows
 
@@ -177,7 +210,7 @@ def _coco(params: Params, batch: SpanPairBatch, with_grad: bool):
     n = len(batch)
     if n < 2:
         raise ValueError("span-pair batches need n >= 2 so in-batch negatives exist")
-    spans = [fv for pair in batch for fv in pair]
+    spans = FeatureRows.of([fv for pair in batch for fv in pair], params.feature_dim)
     emb = encoder.encode_many(params, spans)
     # Row a holds span a's similarities to every other span, in `np.delete`
     # order; dropping column a puts either span of pair p's partner in column 2p.

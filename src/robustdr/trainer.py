@@ -2,28 +2,33 @@
 
 Stage one pretrains the encoder contrastively on span pairs drawn from one or
 more corpora; each batch draws its span pairs first, then featurizes them in
-one call. Stage two fine-tunes on labeled source data in episodes: each
-episode re-embeds the training queries, refreshes their K-Means clusters,
-refreshes the negative pools (lexical BM25 negatives for episode 1,
-self-mined dense negatives afterwards), then runs a minibatch loop. A pool
-refresh works on a block of queries at a time: it takes each query's top k
-from `retrieval_eval`'s block selector, then drops the query's judged
-positives through one mask per block, so a pool is the top k minus the
-positives, never refilled from below rank k. Each step is one forward and one
-backward over the whole batch, each cluster scored as its own sub-batch,
-giving per-item losses and one gradient row per present cluster on the
-feature columns the batch touches. The per-cluster losses and rows are
-reweighted by the configured strategy and combined into one row on those
-columns, which the optimizer steps on directly; the robust-weight update over
-the present clusters follows. The robust weights ``omega`` are the only
-weighting state carried between steps; each cluster refresh resets them to
-uniform. Every run is fully determined by (config, seed, data).
+one call. Stage two fine-tunes on labeled source data in episodes. Its texts
+are featurized once, into a `FeatureStore`: one feature block over the
+training queries, then the corpus documents. From then on the fine-tuner
+works in row ids: positives and negative pools are arrays of document
+positions, and a batch is an array of store rows. Each episode re-embeds the
+training queries from their rows, refreshes their K-Means clusters, refreshes
+the negative pools (lexical BM25 negatives for episode 1, self-mined dense
+negatives afterwards), then runs a minibatch loop. A pool refresh works on a
+block of queries at a time: it takes each query's top k from
+`retrieval_eval`'s block selector, then drops the query's judged positives
+through one mask per block, so a pool is the top k minus the positives, never
+refilled from below rank k. Each step is one forward and one backward over
+the whole batch, each cluster scored as its own sub-batch, giving per-item
+losses and one gradient row per present cluster on the feature columns the
+batch touches. The per-cluster losses and rows are reweighted by the
+configured strategy and combined into one row on those columns, which the
+optimizer steps on directly; the robust-weight update over the present
+clusters follows. The robust weights ``omega`` are the only weighting state
+carried between steps; each cluster refresh resets them to uniform.
+Every run is fully determined by (config, seed, data).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import logging
 import sys
 from dataclasses import dataclass
@@ -33,13 +38,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import blobfile, clustering, idro, losses, retrieval_eval
-from .corpus import Corpus, QrelSet, QuerySet, sample_span_pair
+from .corpus import Corpus, QrelSet, Query, QuerySet, sample_span_pair
 from .encoder import (
     EmbeddingMatrix,
+    FeatureRows,
     FeatureVector,
     Featurizer,
     Params,
-    embed_items,
     encode_many,
     load_checkpoint,
     save_checkpoint,
@@ -308,22 +313,63 @@ def _span_pair_batch(
     return list(zip(fvs[0::2], fvs[1::2]))
 
 
+class FeatureStore:
+    """A task's texts featurized once, as rows of one `encoder.FeatureBlock`.
+
+    Query i of ``queries`` is row i and document j of ``corpus`` (corpus
+    order) is row ``n_queries + j``. ``positives[i]`` holds query i's judged
+    positives as document positions j, in qrels file order; a positive that
+    is not in the corpus is a CorpusFormatError. The negative pools of
+    `mine_negatives` and `bm25_negative_pools` are document positions too,
+    one array per query.
+    """
+
+    def __init__(self, featurizer: Featurizer, queries: Iterable[Query], corpus: Corpus,
+                 qrels: QrelSet):
+        self.queries = list(queries)
+        self.corpus = corpus
+        self.n_queries = len(self.queries)
+        self.block = featurizer.block(itertools.chain(
+            (query.tokens for query in self.queries), (doc.tokens for doc in corpus)))
+        position = {doc_id: j for j, doc_id in enumerate(corpus.ids)}
+        self.positives: list[np.ndarray] = []
+        for query in self.queries:
+            pos_ids = qrels.positives(query.id)
+            missing = [doc_id for doc_id in pos_ids if doc_id not in position]
+            if missing:
+                raise CorpusFormatError(
+                    f"query {query.id!r} has a positive {missing[0]!r} missing from the corpus"
+                )
+            self.positives.append(np.array([position[d] for d in pos_ids], dtype=np.intp))
+
+    def query_rows(self) -> FeatureRows:
+        return FeatureRows(self.block, np.arange(self.n_queries))
+
+    def doc_rows(self) -> FeatureRows:
+        return FeatureRows(self.block, np.arange(self.n_queries, len(self.block)))
+
+    def pool_ids(self, pools: Sequence[np.ndarray]) -> dict[str, list[str]]:
+        """Pools of document positions as document ids, keyed by query id."""
+        doc_ids = self.corpus.ids
+        return {query.id: [doc_ids[j] for j in pool.tolist()]
+                for query, pool in zip(self.queries, pools)}
+
+
 def _fallback_pool(
-    qid: str, positives: set[str], corpus: Corpus, depth: int, rng: np.random.Generator
-) -> list[str]:
-    candidates = [did for did in corpus.ids if did not in positives]
-    if not candidates:
+    qid: str, positives: np.ndarray, n_docs: int, depth: int, rng: np.random.Generator
+) -> np.ndarray:
+    candidates = np.setdiff1d(np.arange(n_docs), positives)
+    if not candidates.size:
         logger.warning("query %r: corpus has no non-positive documents; empty pool", qid)
-        return []
-    take = min(depth, len(candidates))
-    chosen = rng.choice(len(candidates), size=take, replace=False)
-    return [candidates[int(i)] for i in chosen]
+        return candidates
+    take = min(depth, candidates.size)
+    return candidates[rng.choice(candidates.size, size=take, replace=False)]
 
 
 def _negative_pools(
-    query_ids: Sequence[str], doc_ids: Sequence[str], blocks: Iterable[retrieval_eval.Picks],
-    corpus: Corpus, qrels: QrelSet, k: int, rng: np.random.Generator | None, source: str,
-) -> tuple[dict[str, list[str]], int]:
+    store: FeatureStore, blocks: Iterable[retrieval_eval.Picks], k: int,
+    rng: np.random.Generator | None, source: str,
+) -> tuple[list[np.ndarray], int]:
     """Each query's top k minus its judged positives, one block of queries at a time.
 
     A query whose top k are all positives falls back to seeded random
@@ -331,67 +377,57 @@ def _negative_pools(
     """
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
-    row_of = {doc_id: row for row, doc_id in enumerate(doc_ids)}
-    names = np.array(doc_ids, dtype=object)
-    pools: dict[str, list[str]] = {}
-    n_fallback = 0
+    n_docs = len(store.corpus)
+    pools: list[np.ndarray] = []
     for picks in blocks:
-        block = query_ids[picks.start : picks.start + picks.bounds.size - 1]
-        positives = [set(qrels.positives(qid)) for qid in block]
-        mask = np.zeros((len(block), len(doc_ids)), dtype=bool)
-        mask.ravel()[[i * mask.shape[1] + row_of[d]
-                      for i, pos in enumerate(positives) for d in pos if d in row_of]] = True
+        m = picks.bounds.size - 1
+        positives = store.positives[picks.start : picks.start + m]
+        mask = np.zeros((m, n_docs), dtype=bool)
+        mask[np.repeat(np.arange(m), [pos.size for pos in positives]),
+             np.concatenate(positives)] = True
         rows = picks.rows()
         kept = ~mask[rows, picks.cols]
-        pooled = names[picks.cols[kept]].tolist()
-        bounds = np.searchsorted(rows[kept], np.arange(len(block) + 1)).tolist()
-        for i, qid in enumerate(block):
-            pool = pooled[bounds[i] : bounds[i + 1]]
-            if not pool:
-                logger.warning("query %r: %s top-%d all positive; random negatives",
-                               qid, source, k)
-                pool = _fallback_pool(qid, positives[i], corpus, k, rng)
-                n_fallback += 1
-            pools[qid] = pool
+        pooled = picks.cols[kept]
+        bounds = np.searchsorted(rows[kept], np.arange(m + 1)).tolist()
+        pools.extend(pooled[a:b] for a, b in zip(bounds, bounds[1:]))
+    n_fallback = 0
+    for i, pool in enumerate(pools):
+        if not pool.size:
+            qid = store.queries[i].id
+            logger.warning("query %r: %s top-%d all positive; random negatives", qid, source, k)
+            pools[i] = _fallback_pool(qid, store.positives[i], n_docs, k, rng)
+            n_fallback += 1
     return pools, n_fallback
 
 
 def mine_negatives(
-    params: Params,
-    featurizer: Featurizer,
-    queries: QuerySet,
-    corpus: Corpus,
-    qrels: QrelSet,
-    k: int,
-    rng: np.random.Generator | None = None,
-) -> tuple[dict[str, list[str]], int]:
+    params: Params, store: FeatureStore, k: int, rng: np.random.Generator | None = None
+) -> tuple[list[np.ndarray], int]:
     """Self-negative pools: top-k dense retrievals minus judged positives.
 
-    A query whose retrievals are all positives falls back to seeded random
-    non-positive corpus documents (logged). Returns (pools, fallback count).
+    The store's documents and queries are encoded from their stored rows. A
+    query whose retrievals are all positives falls back to seeded random
+    non-positive corpus documents (logged). Returns (one pool of document
+    positions per query, fallback count).
     """
-    index = retrieval_eval.DenseIndex(embed_items(params, featurizer, corpus))
-    query_emb = embed_items(params, featurizer, queries)
-    blocks = retrieval_eval.block_picks(index, query_emb.matrix, k)
-    return _negative_pools(query_emb.ids, index.embeddings.ids, blocks, corpus, qrels, k, rng,
-                           "dense")
+    index = retrieval_eval.DenseIndex(
+        EmbeddingMatrix(ids=store.corpus.ids, matrix=encode_many(params, store.doc_rows()))
+    )
+    blocks = retrieval_eval.block_picks(index, encode_many(params, store.query_rows()), k)
+    return _negative_pools(store, blocks, k, rng, "dense")
 
 
 def bm25_negative_pools(
-    queries: QuerySet,
-    corpus: Corpus,
-    qrels: QrelSet,
+    store: FeatureStore,
     k: int,
     rng: np.random.Generator | None = None,
     index: retrieval_eval.Bm25Index | None = None,
-) -> tuple[dict[str, list[str]], int]:
+) -> tuple[list[np.ndarray], int]:
     """Warmup pools: BM25 top-k minus judged positives, with the same fallback."""
     if index is None:
-        index = retrieval_eval.Bm25Index(corpus)
-    queries = list(queries)
-    blocks = retrieval_eval.block_picks(index, [q.tokens for q in queries], k)
-    return _negative_pools([q.id for q in queries], index.ids, blocks, corpus, qrels, k, rng,
-                           "BM25")
+        index = retrieval_eval.Bm25Index(store.corpus)
+    blocks = retrieval_eval.block_picks(index, [q.tokens for q in store.queries], k)
+    return _negative_pools(store, blocks, k, rng, "BM25")
 
 
 @dataclass
@@ -432,8 +468,10 @@ def write_training_log(rows: Iterable[LogRow], path: str | Path) -> None:
 class Finetuner:
     """Episode-based fine-tuning on labeled source data.
 
-    `omega` holds the robust weights, one per cluster of the current cluster
-    model. State at an episode boundary fully determines the continuation, so
+    The training queries (those with a positive judgment) and the corpus are
+    featurized once, into ``store``; positives, negative pools and batches
+    are row ids of it. `omega` holds the robust weights, one per cluster of
+    the current cluster model. State at an episode boundary fully determines the continuation, so
     saving and reloading it resumes bit-identically. That state is the
     weights, kept in an encoder checkpoint, and the trainer state paired with
     it: the optimizer's step count, Adam's live columns with its moments over
@@ -455,8 +493,6 @@ class Finetuner:
                 raise ConfigError(f"{name}: the encoder does not match the config")
         self.config = config
         self.params = params
-        self.corpus = corpus
-        self.qrels = qrels
         self.featurizer = Featurizer(config.feature_dim, config.hash_seed)
 
         kept = []
@@ -467,16 +503,8 @@ class Finetuner:
                 logger.warning("query %r has no positive judgments; dropped", query.id)
         if not kept:
             raise ValueError("no training queries with positive judgments")
-        self.positives = {q.id: qrels.positives(q.id) for q in kept}
-        for qid, pos_ids in self.positives.items():
-            for doc_id in pos_ids:
-                if doc_id not in corpus:
-                    raise CorpusFormatError(
-                        f"query {qid!r} has a positive {doc_id!r} missing from the corpus"
-                    )
-        self.queries = kept
-        self.query_fvs = self.featurizer.many(q.tokens for q in kept)
-        self.doc_fvs = dict(zip(corpus.ids, self.featurizer.many(doc.tokens for doc in corpus)))
+        self.store = FeatureStore(self.featurizer, kept, corpus, qrels)
+        self.queries = self.store.queries
         self.bm25 = retrieval_eval.Bm25Index(corpus)
 
         self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)
@@ -490,7 +518,7 @@ class Finetuner:
 
     def _refresh_clusters(self, episode: int) -> None:
         ids = tuple(q.id for q in self.queries)
-        emb = EmbeddingMatrix(ids=ids, matrix=encode_many(self.params, self.query_fvs))
+        emb = EmbeddingMatrix(ids=ids, matrix=encode_many(self.params, self.store.query_rows()))
         k = min(self.config.k_clusters, len(self.queries))
         self.cluster_model = clustering.kmeans_fit(
             emb,
@@ -498,56 +526,61 @@ class Finetuner:
             seed=int(_derived_rng(self.config.seed, _TAG_KMEANS, episode).integers(2**31)),
             max_iters=self.config.kmeans_iters,
         )
+        self.query_clusters = np.array([self.cluster_model.assignment[qid] for qid in ids],
+                                       dtype=np.int64)
         self.omega = np.full(k, 1.0 / k)
 
     def _refresh_negatives(self, episode: int) -> tuple[str, int]:
         rng = _derived_rng(self.config.seed, _TAG_MINE, episode)
-        queries = QuerySet(self.queries)
         if episode == 1:
             self.pools, n_fallback = bm25_negative_pools(
-                queries, self.corpus, self.qrels, self.config.mine_depth, rng, self.bm25
+                self.store, self.config.mine_depth, rng, self.bm25
             )
             return "bm25", n_fallback
         self.pools, n_fallback = mine_negatives(
-            self.params, self.featurizer, queries, self.corpus, self.qrels,
-            self.config.mine_depth, rng,
+            self.params, self.store, self.config.mine_depth, rng
         )
         return "self", n_fallback
 
-    def _build_batch(self, rng: np.random.Generator):
+    def _build_batch(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """An (items, 2 + negatives) array of store rows, each row one item's
+        query, positive and negatives, and the items' clusters.
+
+        Per chosen query it draws a positive, then (unless its pool is empty,
+        which skips the item) its negatives from its pool, with replacement
+        only when the pool is shorter than ``negatives_per_query``.
+        """
         cfg = self.config
         n = len(self.queries)
-        replace = cfg.batch_size > n
-        chosen = rng.choice(n, size=cfg.batch_size, replace=replace)
-        triplets: list[losses.Triplet] = []
-        clusters: list[int] = []
-        for qi in chosen:
-            query = self.queries[int(qi)]
-            pos_ids = self.positives[query.id]
-            pos_id = pos_ids[int(rng.integers(len(pos_ids)))]
-            pool = self.pools[query.id]
-            if not pool:
+        k = cfg.negatives_per_query
+        chosen = rng.choice(n, size=cfg.batch_size, replace=cfg.batch_size > n)
+        positives, pools = self.store.positives, self.pools
+        items, pos_rows, neg_rows = [], [], []
+        for qi in chosen.tolist():
+            pos = positives[qi]
+            drawn = pos[int(rng.integers(pos.size))]
+            pool = pools[qi]
+            if not pool.size:
                 continue  # corpus offers no negatives for this query
-            negs_idx = rng.choice(
-                len(pool),
-                size=cfg.negatives_per_query,
-                replace=len(pool) < cfg.negatives_per_query,
-            )
-            negatives = tuple(self.doc_fvs[pool[int(j)]] for j in negs_idx)
-            triplets.append(
-                losses.Triplet(self.query_fvs[int(qi)], self.doc_fvs[pos_id], negatives)
-            )
-            clusters.append(self.cluster_model.assignment[query.id])
-        return triplets, np.array(clusters, dtype=np.int64)
+            items.append(qi)
+            pos_rows.append(drawn)
+            neg_rows.append(pool[rng.choice(pool.size, size=k, replace=pool.size < k)])
+        rows = np.empty((len(items), 2 + k), dtype=np.intp)
+        rows[:, 0] = items
+        rows[:, 1] = pos_rows
+        rows[:, 2:] = np.reshape(neg_rows, (len(items), k))
+        rows[:, 1:] += self.store.n_queries  # document positions -> store rows
+        return rows, self.query_clusters[items]
 
-    def _train_step(self, triplets, clusters, total_steps: int) -> float:
+    def _train_step(self, rows: np.ndarray, clusters: np.ndarray, total_steps: int) -> float:
         cfg = self.config
         step = self.optimizer.t
         # The uniform and groupdro strategies keep difficulty weights uniform.
         beta = cfg.beta if cfg.weighting == "idro" else 0.0
 
         item_losses, cols, grads = losses.retrieval_cluster_grads(
-            self.params, triplets, clusters, cfg.in_batch_negatives
+            self.params, losses.TripletRows(self.store.block, rows), clusters,
+            cfg.in_batch_negatives,
         )
         scalar, present, cluster_losses, alpha = idro.idro_loss(
             item_losses, clusters, self.omega, beta
@@ -590,11 +623,11 @@ class Finetuner:
         total_steps = cfg.episodes * cfg.steps_per_episode
         step_losses: list[float] = []
         for _ in range(cfg.steps_per_episode):
-            triplets, clusters = self._build_batch(rng)
-            if not triplets:
+            rows, clusters = self._build_batch(rng)
+            if not len(rows):
                 logger.warning("episode %d: empty batch skipped", episode)
                 continue
-            step_losses.append(self._train_step(triplets, clusters, total_steps))
+            step_losses.append(self._train_step(rows, clusters, total_steps))
         record = EpisodeRecord(
             index=episode,
             negative_source=source,

@@ -6,8 +6,9 @@ from collections import Counter
 
 import numpy as np
 
-from robustdr import encoder, trainer
-from robustdr.encoder import FeatureVector, Params, embed_items
+from robustdr import clustering, encoder, idro, losses, retrieval_eval, trainer
+from robustdr.corpus import QuerySet
+from robustdr.encoder import EmbeddingMatrix, FeatureVector, Params, embed_items
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import SpanPairBatch, TripletBatch
@@ -124,9 +125,22 @@ def _filter_pool(ranked_ids, positives, depth):
     return pool
 
 
+def fallback_pool_reference(qid, positives, corpus, depth, rng):
+    """The fallback pool of `trainer.mine_negatives` over document ids: ``depth``
+    seeded random corpus documents (fewer if the corpus has fewer) outside the set
+    ``positives``."""
+    candidates = [did for did in corpus.ids if did not in positives]
+    if not candidates:
+        trainer.logger.warning("query %r: corpus has no non-positive documents; empty pool", qid)
+        return []
+    take = min(depth, len(candidates))
+    chosen = rng.choice(len(candidates), size=take, replace=False)
+    return [candidates[int(i)] for i in chosen]
+
+
 def pools_reference(rankings, corpus, qrels, k, rng, source):
     """Negative pools one query at a time from (query id, ranked list) pairs, with the
-    fallback of `trainer.mine_negatives`."""
+    fallback of `trainer.mine_negatives`, as lists of document ids keyed by query id."""
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     pools: dict[str, list[str]] = {}
@@ -137,7 +151,7 @@ def pools_reference(rankings, corpus, qrels, k, rng, source):
         if not pool:
             trainer.logger.warning("query %r: %s top-%d all positive; random negatives",
                                    qid, source, k)
-            pool = trainer._fallback_pool(qid, positives, corpus, k, rng)
+            pool = fallback_pool_reference(qid, positives, corpus, k, rng)
             n_fallback += 1
         pools[qid] = pool
     return pools, n_fallback
@@ -402,3 +416,115 @@ def coco_top1_accuracy(params: Params, batch: SpanPairBatch) -> float:
         if sims[a, partner] > max(others):
             hits += 1
     return hits / n2
+
+
+class ObjectFinetuner(trainer.Finetuner):
+    """`trainer.Finetuner` on feature vector objects, as it ran before its feature
+    store: a list of query vectors, a dict of document vectors, pools of document
+    ids from the per-query pool references, and `losses.Triplet` batches drawn with
+    the same random calls in the same order. Cluster refits encode item by item
+    (`encode_loop`) and each step's losses and cluster gradients come from
+    `loop_retrieval`; the episode loop, the optimizer and the weighting rules are
+    the package's."""
+
+    def __init__(self, config, params, corpus, queries, qrels):
+        super().__init__(config, params, corpus, queries, qrels)
+        self.corpus, self.qrels = corpus, qrels
+        self.positives = {q.id: list(qrels.positives(q.id)) for q in self.queries}
+        self.query_fvs = self.featurizer.many(q.tokens for q in self.queries)
+        self.doc_fvs = dict(zip(corpus.ids, self.featurizer.many(doc.tokens for doc in corpus)))
+
+    def _refresh_clusters(self, episode):
+        ids = tuple(q.id for q in self.queries)
+        emb = EmbeddingMatrix(ids=ids, matrix=encode_loop(self.params, self.query_fvs))
+        k = min(self.config.k_clusters, len(self.queries))
+        seed = int(trainer._derived_rng(self.config.seed, trainer._TAG_KMEANS, episode)
+                   .integers(2**31))
+        self.cluster_model = clustering.kmeans_fit(emb, k, seed=seed,
+                                                   max_iters=self.config.kmeans_iters)
+        self.omega = np.full(k, 1.0 / k)
+
+    def _refresh_negatives(self, episode):
+        rng = trainer._derived_rng(self.config.seed, trainer._TAG_MINE, episode)
+        queries, depth = QuerySet(self.queries), self.config.mine_depth
+        if episode == 1:
+            self.pools, n_fallback = bm25_pools_reference(queries, self.corpus, self.qrels,
+                                                          depth, rng)
+            return "bm25", n_fallback
+        self.pools, n_fallback = mined_pools_reference(self.params, self.featurizer, queries,
+                                                       self.corpus, self.qrels, depth, rng)
+        return "self", n_fallback
+
+    def _build_batch(self, rng):
+        cfg = self.config
+        n = len(self.queries)
+        replace = cfg.batch_size > n
+        chosen = rng.choice(n, size=cfg.batch_size, replace=replace)
+        triplets, clusters = [], []
+        for qi in chosen:
+            query = self.queries[int(qi)]
+            pos_ids = self.positives[query.id]
+            pos_id = pos_ids[int(rng.integers(len(pos_ids)))]
+            pool = self.pools[query.id]
+            if not pool:
+                continue
+            negs_idx = rng.choice(len(pool), size=cfg.negatives_per_query,
+                                  replace=len(pool) < cfg.negatives_per_query)
+            negatives = tuple(self.doc_fvs[pool[int(j)]] for j in negs_idx)
+            triplets.append(losses.Triplet(self.query_fvs[int(qi)], self.doc_fvs[pos_id],
+                                           negatives))
+            clusters.append(self.cluster_model.assignment[query.id])
+        return triplets, np.array(clusters, dtype=np.int64)
+
+    def _train_step(self, triplets, clusters, total_steps):
+        cfg = self.config
+        step = self.optimizer.t
+        beta = cfg.beta if cfg.weighting == "idro" else 0.0
+        item_losses, cols, grads = loop_retrieval(self.params, triplets, cfg.in_batch_negatives,
+                                                  clusters, True)
+        scalar, present, cluster_losses, alpha = idro.idro_loss(item_losses, clusters,
+                                                                self.omega, beta)
+        omega_used = self.omega[present]
+        combined = idro.combine_cluster_grads(grads, alpha, omega_used)
+        lr = trainer.scheduled_lr(cfg.learning_rate, step, total_steps, trainer.WARMUP_FRAC)
+        self.optimizer.step(self.params.flat, cols, combined, lr)
+        if cfg.weighting == "idro":
+            r = idro.r_matrix(cluster_losses, grads, beta)
+            self.omega = idro.omega_update(self.omega, r, cfg.tau, present)
+        elif cfg.weighting == "groupdro":
+            self.omega = idro.groupdro_update(self.omega, cluster_losses,
+                                              cfg.groupdro_step_size, present)
+        episode = self.episodes_done + 1
+        for c, loss, a, w in zip(present.tolist(), cluster_losses.tolist(), alpha.tolist(),
+                                 omega_used.tolist()):
+            self.log_rows.append(trainer.LogRow(step=step, episode=episode, cluster=c, loss=loss,
+                                                alpha=a, omega=w, total_loss=scalar))
+        return scalar
+
+
+def fixed_eval_batch_reference(task, featurizer, n_negatives=8):
+    """`experiments._fixed_eval_batch` with one `QrelSet.grade` call per BM25
+    candidate and the distractor list rebuilt per query."""
+    index = retrieval_eval.Bm25Index(task.corpus)
+    queries = list(task.queries)
+    doc_fvs = dict(zip(index.ids, featurizer.many(doc.tokens for doc in task.corpus)))
+    query_fvs = featurizer.many(query.tokens for query in queries)
+    qids = [query.id for query in queries]
+    first_doc_of_topic = {}
+    for doc in task.corpus:
+        first_doc_of_topic.setdefault(doc.id.rsplit("-", 1)[0], doc.id)
+    items = []
+    for query, query_fv in zip(queries, query_fvs):
+        ranking = retrieval_eval.search_bm25(index, query.tokens, k=50)
+        positives = task.qrels.positives(query.id)
+        own_topic = query.id.rsplit("-", 1)[0]
+        distractors = [d for t, d in first_doc_of_topic.items() if t != own_topic]
+        bm25_pool = [d for d in ranking.doc_ids() if task.qrels.grade(query.id, d) <= 0]
+        pool: list[str] = []
+        for a, b in zip(distractors, bm25_pool + [None] * len(distractors)):
+            pool.append(a)
+            if b is not None and b not in pool:
+                pool.append(b)
+        negs = tuple(doc_fvs[d] for d in pool[:n_negatives])
+        items.append(losses.Triplet(query_fv, doc_fvs[positives[0]], negs))
+    return items, qids

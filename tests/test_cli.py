@@ -9,7 +9,7 @@ import pytest
 import robustdr
 from robustdr import blobfile, experiments
 from robustdr.cli import main
-from robustdr.corpus import save_corpus, save_queries
+from robustdr.corpus import load_corpus, load_qrels, load_queries, save_corpus, save_queries
 from robustdr.encoder import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -19,6 +19,7 @@ from robustdr.encoder import (
 )
 from robustdr.trainer import STATE_VERSION
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark, write_task_dir
+from tests.oracles import mined_pools_reference
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,24 @@ class TestPipelineCommands:
         assert code == 0
         pools = json.loads((out / "negatives.json").read_text())["pools"]
         assert pools
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_mine_bytes_equal_per_query_reference(self, task_dir, tmp_path, k):
+        """negatives.json against per-query dense rankings and pools, fallbacks included."""
+        ckpt = tmp_path / "enc.ckpt"
+        params = Params.init_random(256, 8, seed=0)
+        save_checkpoint(params, ckpt, hash_seed=0)
+        out = tmp_path / "mine"
+        assert main(["mine", f"--checkpoint={ckpt}", *task_flags(task_dir), f"--k={k}",
+                     f"--out={out}", "--seed=1"]) == 0
+        pools, n_fallback = mined_pools_reference(
+            params, Featurizer(256, 0), load_queries(task_dir / "queries.jsonl"),
+            load_corpus(task_dir / "corpus.jsonl"), load_qrels(task_dir / "qrels.tsv"), k,
+            np.random.Generator(np.random.PCG64(1)),
+        )
+        assert n_fallback > 0
+        want = json.dumps({"pools": pools, "n_fallback": n_fallback}, sort_keys=True, indent=2)
+        assert (out / "negatives.json").read_bytes() == (want + "\n").encode("utf-8")
 
     def test_diagnose_writes_report(self, task_dir, tmp_path):
         ckpt = tmp_path / "enc.ckpt"

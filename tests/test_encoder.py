@@ -11,6 +11,8 @@ from robustdr.encoder import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
     EmbeddingMatrix,
+    FeatureBlock,
+    FeatureRows,
     Featurizer,
     FeatureVector,
     Params,
@@ -159,16 +161,32 @@ def feature_batches(draw):
     return params, fvs
 
 
+def block_rows(fvs, dim):
+    """The vectors as a `FeatureRows` of one block that holds each distinct object
+    once, after an unused row and in reverse order of first appearance, so an
+    item's row is not its list position."""
+    stored = [FeatureVector(np.array([dim - 1]), np.array([3.0]), dim),
+              *list({id(fv): fv for fv in fvs}.values())[::-1]]
+    bounds = np.concatenate([[0], np.cumsum([fv.indices.size for fv in stored])])
+    block = FeatureBlock(np.concatenate([fv.indices for fv in stored]),
+                         np.concatenate([fv.counts for fv in stored]), bounds, dim)
+    row_of = {id(fv): row for row, fv in enumerate(stored)}
+    return FeatureRows(block, np.array([row_of[id(fv)] for fv in fvs], dtype=np.intp))
+
+
 class TestKernelsAgainstOracles:
     """`encode_many` and `grouped_backward` byte for byte against the per-item
-    encode and the per-group mask-and-copy backward of `tests.oracles`."""
+    encode and the per-group mask-and-copy backward of `tests.oracles`, on a list
+    of feature vectors and on the same items as rows of a block."""
 
     @given(feature_batches(), st.sampled_from([1, 2, 3, encoder._ROWS]))
     def test_encode_many_bytes_equal_item_loop(self, batch, rows_cap):
         params, fvs = batch
         with mock.patch.object(encoder, "_ROWS", rows_cap):  # classes above the cap
             got = encode_many(params, fvs)
+            from_rows = encode_many(params, block_rows(fvs, params.feature_dim))
         assert same_bytes(got, encode_loop(params, fvs))
+        assert same_bytes(from_rows, got)
         for fv in fvs:
             assert same_bytes(encode(params, fv), encode_item(params, fv))
         if len(fvs) >= 2:
@@ -195,6 +213,17 @@ class TestKernelsAgainstOracles:
         got = grouped_backward(params, fvs, emb_grads, groups, n_groups)
         want = grouped_backward_loop(params, fvs, emb_grads, groups, n_groups)
         assert all(same_bytes(a, b) for a, b in zip(got, want))
+        from_rows = grouped_backward(params, block_rows(fvs, params.feature_dim), emb_grads,
+                                     groups, n_groups)
+        assert all(same_bytes(a, b) for a, b in zip(from_rows, want))
+
+    def test_block_of_another_dimension_rejected(self):
+        params = Params.init_random(32, 4, seed=0)
+        rows = FeatureRows(Featurizer(dim=16, seed=0).block([["a"]]), np.array([0, 0]))
+        for call in (lambda: encode_many(params, rows),
+                     lambda: grouped_backward(params, rows, np.zeros((2, 4)), np.zeros(2), 1)):
+            with pytest.raises(ValueError, match="feature dim 16 does not match"):
+                call()
 
 
 class TestScore:

@@ -8,6 +8,7 @@ from robustdr.errors import InvariantError
 from robustdr.idro import combine_cluster_grads, r_matrix
 from robustdr.losses import (
     Triplet,
+    TripletRows,
     _retrieval,
     coco_loss,
     coco_loss_grad,
@@ -412,6 +413,35 @@ class TestAgainstLoops:
             assert all(same_bytes(a, b) for a, b in zip(got, want)), trial
         # clusters of 3+ items with ragged negatives took part
         assert mixed_counts >= 10
+
+    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("embed_dim", [1, 6, 64])
+    def test_row_batch_matches_item_loop(self, embed_dim, in_batch):
+        """A `TripletRows` batch of a featurized block, queries and documents repeating
+        within a batch, against the item loop on the block's feature vectors."""
+        rng = np.random.Generator(np.random.PCG64([embed_dim, in_batch, 11]))
+        words = [f"w{i}" for i in range(40)]
+        texts = [rng.choice(words, size=int(rng.integers(0, 9))).tolist() for _ in range(30)]
+        block = Featurizer(dim=97, seed=embed_dim).block(texts)
+        vectors = block.vectors()
+        for trial in range(12):
+            params = Params.init_random(97, embed_dim, seed=trial)
+            n = int(rng.integers(1, 15))
+            rows = rng.integers(0, 8 if trial % 2 else 30, size=(n, 2 + int(rng.integers(1, 5))))
+            batch = TripletRows(block, rows)
+            triplets = [Triplet(vectors[q], vectors[p], tuple(vectors[d] for d in negs))
+                        for q, p, *negs in rows.tolist()]
+            clusters = rng.integers(5, 8, size=n)
+            for with_grad in (False, True):
+                got = _retrieval(params, batch, in_batch, clusters, with_grad)
+                want = loop_retrieval(params, triplets, in_batch, clusters, with_grad)
+                for name, a, b in zip(("losses", "cols", "rows"), got, want):
+                    assert same_bytes(a, b), (trial, with_grad, name)
+
+    def test_row_batch_needs_a_negative(self):
+        block = Featurizer(dim=8, seed=0).block([["a"], ["b"]])
+        with pytest.raises(ValueError, match="at least one negative"):
+            TripletRows(block, np.array([[0, 1]]))
 
     def test_retrieval_empty_batch_matches_item_loop(self, small_encoder):
         params, _ = small_encoder

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,9 @@ from robustdr.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    OPTIMIZERS,
+    WEIGHTINGS,
+    FeatureStore,
     Finetuner,
     Optimizer,
     RunConfig,
@@ -31,6 +35,7 @@ from robustdr.trainer import (
 )
 from tests.oracles import (
     DenseOptimizer,
+    ObjectFinetuner,
     adam_reference,
     bm25_pools_reference,
     dense_moments,
@@ -72,6 +77,20 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base).validate()
+
+
+def mined_ids(params, featurizer, queries, corpus, qrels, k, rng=None):
+    """`mine_negatives` on a store of the task, its pools as document ids."""
+    store = FeatureStore(featurizer, queries, corpus, qrels)
+    pools, n_fallback = mine_negatives(params, store, k, rng)
+    return store.pool_ids(pools), n_fallback
+
+
+def bm25_ids(queries, corpus, qrels, k, rng=None, index=None):
+    """`bm25_negative_pools` on a store of the task, its pools as document ids."""
+    store = FeatureStore(Featurizer(16, 0), queries, corpus, qrels)
+    pools, n_fallback = bm25_negative_pools(store, k, rng, index)
+    return store.pool_ids(pools), n_fallback
 
 
 def run_finetune(config, task, init_seed=5):
@@ -301,9 +320,8 @@ class TestMineNegatives:
         task = tiny_task()
         params = Params.init_random(512, 8, seed=0)
         featurizer = Featurizer(512, 0)
-        pools, _ = mine_negatives(
-            params, featurizer, task.queries, task.corpus, task.qrels, k=6, rng=rng
-        )
+        pools, _ = mined_ids(params, featurizer, task.queries, task.corpus, task.qrels, k=6,
+                             rng=rng)
         for qid, pool in pools.items():
             for did in pool:
                 assert task.qrels.grade(qid, did) == 0
@@ -318,7 +336,7 @@ class TestMineNegatives:
         )
         queries = QuerySet([Query.from_fields("q", "apple")])
         qrels = QrelSet({("q", "positive"): 1})
-        pools, n_fallback = mine_negatives(params, featurizer, queries, corpus, qrels, k=2)
+        pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=2)
         assert pools["q"] == ["distractor"]
         assert n_fallback == 0
 
@@ -328,7 +346,7 @@ class TestMineNegatives:
         queries = QuerySet([Query.from_fields("q", "apple")])
         qrels = QrelSet({("q", "only"): 1})
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
-            pools, n_fallback = mine_negatives(params, featurizer, queries, corpus, qrels, k=1)
+            pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=1)
         assert n_fallback == 1
         assert pools["q"] == []
         assert any("random negatives" in rec.message for rec in caplog.records)
@@ -365,7 +383,7 @@ class TestNegativePools:
         corpus, queries, qrels, k, block = pool_task(data)
         rng_a, rng_b = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
         with mock.patch.object(retrieval_eval, "_BLOCK", block):
-            got = bm25_negative_pools(queries, corpus, qrels, k, rng_a)
+            got = bm25_ids(queries, corpus, qrels, k, rng_a)
         assert got == bm25_pools_reference(queries, corpus, qrels, k, rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -379,7 +397,7 @@ class TestNegativePools:
         params = Params(featurizer.dim, 2, flat=np.array(weights))
         rng_a, rng_b = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
         with mock.patch.object(retrieval_eval, "_BLOCK", block):
-            got = mine_negatives(params, featurizer, queries, corpus, qrels, k, rng_a)
+            got = mined_ids(params, featurizer, queries, corpus, qrels, k, rng_a)
         assert got == mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -388,7 +406,7 @@ class TestNegativePools:
         queries = QuerySet([Query.from_fields(q, "apple") for q in ("q2", "q1", "q3")])
         qrels = QrelSet({("q2", "a"): 1, ("q1", "a"): 1, ("q3", "b"): 1})
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
-            pools, n_fallback = bm25_negative_pools(queries, corpus, qrels, k=1)
+            pools, n_fallback = bm25_ids(queries, corpus, qrels, k=1)
         assert n_fallback == 2
         assert pools == {"q2": ["b"], "q1": ["b"], "q3": ["a"]}
         warned = [rec.getMessage() for rec in caplog.records if "random negatives" in rec.message]
@@ -406,13 +424,13 @@ class TestNegativePools:
         qrels = QrelSet({(f"q{i}", f"d{i % n_docs}"): 1 for i in range(n_queries)})
         index = retrieval_eval.Bm25Index(corpus)
         params = Params.init_random(512, 4, seed=0)
-        featurizer = Featurizer(512, 0)
+        store = FeatureStore(Featurizer(512, 0), queries, corpus, qrels)
         tracemalloc.start()
         try:
             if mined:
-                pools, _ = mine_negatives(params, featurizer, queries, corpus, qrels, k=30)
+                pools, _ = mine_negatives(params, store, k=30)
             else:
-                pools, _ = bm25_negative_pools(queries, corpus, qrels, 30, index=index)
+                pools, _ = bm25_negative_pools(store, 30, index=index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -481,15 +499,49 @@ class TestFinetune:
         ft = Finetuner(config, params, source.corpus, source.queries, source.qrels)
         ft._refresh_clusters(1)
         ft._refresh_negatives(1)
-        triplets, clusters = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
+        rows, clusters = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
+        assert rows.shape == (config.batch_size, 2 + config.negatives_per_query)
         assert len(set(clusters.tolist())) > 6
         tracemalloc.start()
         try:
-            ft._train_step(triplets, clusters, total_steps=10)
+            ft._train_step(rows, clusters, total_steps=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * len(params) * 8
+
+    def test_features_held_once(self):
+        """The fine-tuner holds its texts' features once, in its store: beyond a BM25
+        index, its positives and one feature block of the same texts (with the
+        featurizer's token cache), it keeps under 32 KiB, where one feature vector
+        object per text would add about 250 bytes each."""
+        task, _ = make_imbalanced_source(seed=experiments._IMBALANCE_SEED)
+        config = experiments.idro_experiment_config(0, "idro")
+        params = Params.init_random(config.feature_dim, config.embed_dim, seed=0)
+
+        def held(make):
+            tracemalloc.start()
+            try:
+                made = make()
+                return made, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        ft, ft_bytes = held(lambda: Finetuner(config, params, task.corpus, task.queries,
+                                              task.qrels))
+        texts = [q.tokens for q in ft.queries] + [doc.tokens for doc in task.corpus]
+
+        def featurized():
+            featurizer = Featurizer(config.feature_dim, config.hash_seed)
+            return featurizer, featurizer.block(texts)
+
+        (_, block), block_bytes = held(featurized)
+        _, bm25_bytes = held(lambda: retrieval_eval.Bm25Index(task.corpus))
+        positives = sys.getsizeof(ft.store.positives) + sum(map(sys.getsizeof,
+                                                                ft.store.positives))
+        assert ft.store.block.indices.tobytes() == block.indices.tobytes()
+        assert len(texts) * 250 > 32 * 1024
+        assert ft_bytes - (block_bytes + bm25_bytes + positives) < 32 * 1024
 
     def test_episode_boundary_cluster_contract(self):
         """Episode e's clusters are fit on embeddings from the params that ended e-1."""
@@ -505,7 +557,7 @@ class TestFinetune:
         ft.run_episode()
         emb = EmbeddingMatrix(
             ids=tuple(q.id for q in ft.queries),
-            matrix=encode_many(frozen, ft.query_fvs),
+            matrix=encode_many(frozen, ft.featurizer.many(q.tokens for q in ft.queries)),
         )
         expected = kmeans_fit(
             emb,
@@ -541,6 +593,68 @@ class TestFinetune:
             assert resumed.params.flat.tobytes() == straight.params.flat.tobytes(), config
             assert resumed.omega.tobytes() == straight.omega.tobytes(), config
             assert resumed.log_rows == [r for r in straight.log_rows if r.episode == 3], config
+
+
+def edge_task():
+    """Six queries whose BM25 and dense top-1 hit ties; "qa", "qd" and "qe" rank a
+    positive first, "qall" has every document positive, and "qb" and "qc" keep one
+    negative."""
+    docs = {"a0": "apple pear", "a1": "apple kiwi", "b0": "plum fig", "b1": "plum lime",
+            "c0": "grape melon"}
+    queries = {"qa": ("apple", ["a0"]), "qb": ("plum", ["b1"]), "qall": ("melon", list(docs)),
+               "qc": ("grape fig", ["c0"]), "qd": ("kiwi lime", ["a1"]), "qe": ("pear", ["a0"])}
+    corpus = Corpus([Document.from_fields(d, text) for d, text in docs.items()])
+    query_set = QuerySet([Query.from_fields(q, text) for q, (text, _) in queries.items()])
+    qrels = QrelSet({(q, d): 1 for q, (_, pos) in queries.items() for d in pos})
+    return corpus, query_set, qrels
+
+
+class TestObjectReference:
+    """The row-batch fine-tuner byte for byte against the object-based one of
+    `tests.oracles`: its pools, batches and steps over feature vector objects."""
+
+    @staticmethod
+    def assert_same_run(config, corpus, queries, qrels):
+        runs = []
+        for cls in (Finetuner, ObjectFinetuner):
+            params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+            ft = cls(config, params, corpus, queries, qrels)
+            ft.run()
+            runs.append(ft)
+        got, want = runs
+        assert got.params.flat.tobytes() == want.params.flat.tobytes()
+        assert got.omega.tobytes() == want.omega.tobytes()
+        assert got.log_rows == want.log_rows
+        assert got.episode_records == want.episode_records
+        return got
+
+    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_matches_object_finetuner(self, weighting, optimizer, in_batch):
+        task = tiny_task()
+        config = tiny_config(episodes=3, weighting=weighting, optimizer=optimizer,
+                             in_batch_negatives=in_batch)
+        ft = self.assert_same_run(config, task.corpus, task.queries, task.qrels)
+        assert len(ft.log_rows) > 0
+
+    @pytest.mark.parametrize("in_batch", [False, True])
+    def test_edge_cases_match_object_finetuner(self, in_batch, caplog):
+        """A batch larger than the query set, pools shorter than the negatives
+        drawn, all-positive top-1s (fallback pools) and an empty pool (its items
+        skipped)."""
+        corpus, queries, qrels = edge_task()
+        config = tiny_config(episodes=3, batch_size=16, negatives_per_query=3, mine_depth=1,
+                             k_clusters=2, in_batch_negatives=in_batch)
+        with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
+            ft = self.assert_same_run(config, corpus, queries, qrels)
+        assert all(record.n_fallback >= 1 for record in ft.episode_records)
+        assert any("no non-positive documents" in rec.message for rec in caplog.records)
+        sizes = [pool.size for pool in ft.pools]
+        assert sizes[[q.id for q in ft.queries].index("qall")] == 0
+        assert any(0 < size < config.negatives_per_query for size in sizes)
+        rows, _ = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
+        assert 0 < len(rows) < config.batch_size
 
 
 class TestDegeneracyReductions:
