@@ -170,10 +170,7 @@ class QrelSet:
             if grade < 0:
                 raise CorpusFormatError(f"negative relevance grade for ({qid!r}, {did!r})")
             self._by_query.setdefault(qid, {})[did] = int(grade)
-        self._positives = {
-            qid: tuple(did for did, g in docs.items() if g > 0)
-            for qid, docs in self._by_query.items()
-        }
+        self._positives: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return sum(len(docs) for docs in self._by_query.values())
@@ -190,8 +187,14 @@ class QrelSet:
         return dict(self._by_query.get(query_id, {}))
 
     def positives(self, query_id: str) -> tuple[str, ...]:
-        """Doc ids with grade > 0 for a query, in file order; computed once, at load."""
-        return self._positives.get(query_id, ())
+        """Doc ids with grade > 0 for a query, in file order; computed on the first
+        call for the query, then kept."""
+        found = self._positives.get(query_id)
+        if found is None:
+            found = tuple(did for did, g in self._by_query.get(query_id, {}).items() if g > 0)
+            if query_id in self._by_query:
+                self._positives[query_id] = found
+        return found
 
     def validate_against(self, queries: QuerySet, corpus: Corpus) -> None:
         """Flag judgments that reference unknown query or document ids."""

@@ -143,6 +143,14 @@ class TestLoadQrels:
         write_lines(path, ["q1\td1\t 2\r"])  # a CRLF line's CR, as int() reads it
         assert load_qrels(path).grade("q1", "d1") == 2
 
+    def test_positives_in_file_order_computed_once(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        write_lines(path, ["q1\td3\t1", "q1\td1\t0", "q1\td2\t2", "q2\td1\t0"])
+        qrels = load_qrels(path)
+        assert qrels.positives("q1") == ("d3", "d2")
+        assert qrels.positives("q1") is qrels.positives("q1")
+        assert qrels.positives("q2") == () and qrels.positives("unknown") == ()
+
     def test_validate_against_flags_dangling(self, tmp_path, tiny_corpus, tiny_queries):
         path = tmp_path / "qrels.tsv"
         write_lines(path, ["q1\tmissing-doc\t1"])

@@ -518,6 +518,8 @@ class TestFinetune:
         task, _ = make_imbalanced_source(seed=experiments._IMBALANCE_SEED)
         config = experiments.idro_experiment_config(0, "idro")
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=0)
+        for query in task.queries:  # the qrels keep what they compute; it is not the trainer's
+            task.qrels.positives(query.id)
 
         def held(make):
             tracemalloc.start()
