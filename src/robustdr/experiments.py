@@ -14,6 +14,7 @@ Two runnable studies, shared by the acceptance suite and the scripts in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,15 @@ def _fixed_eval_batch(task, featurizer, n_negatives=8):
     Negatives interleave cross-topic distractors (first documents of the other
     topics, in corpus order) with BM25 candidates, so the measured loss tracks
     how precisely a query points at its own topic rather than how it fares
-    against random documents.
+    against random documents. Returns one `losses.TripletRows` over a block
+    featurized once (query i is row i, then the corpus documents in order)
+    and the query ids; ValueError unless every query gets ``n_negatives``.
     """
     index = retrieval_eval.Bm25Index(task.corpus)
     queries = list(task.queries)
-    doc_fvs = dict(zip(index.ids, featurizer.many(doc.tokens for doc in task.corpus)))
-    query_fvs = featurizer.many(query.tokens for query in queries)
+    block = featurizer.block(itertools.chain((query.tokens for query in queries),
+                                             (doc.tokens for doc in task.corpus)))
+    row_of = {doc_id: len(queries) + j for j, doc_id in enumerate(index.ids)}
     qids = [query.id for query in queries]
     rankings = (
         ranked
@@ -138,8 +142,8 @@ def _fixed_eval_batch(task, featurizer, n_negatives=8):
         topic = doc.id.rsplit("-", 1)[0]
         first_doc_of_topic.setdefault(topic, doc.id)
     distractors_of: dict[str, list[str]] = {}
-    items = []
-    for query, query_fv, ranking in zip(queries, query_fvs, rankings):
+    rows = np.empty((len(queries), 2 + n_negatives), dtype=np.intp)
+    for i, (query, ranking) in enumerate(zip(queries, rankings)):
         positives = task.qrels.positives(query.id)
         own_topic = query.id.rsplit("-", 1)[0]
         distractors = distractors_of.get(own_topic)
@@ -156,13 +160,15 @@ def _fixed_eval_batch(task, featurizer, n_negatives=8):
             pool.append(a)
             if b is not None and b not in pool:
                 pool.append(b)
-        negs = tuple(doc_fvs[d] for d in pool[:n_negatives])
-        items.append(losses.Triplet(query_fv, doc_fvs[positives[0]], negs))
-    return items, qids
+        if len(pool) < n_negatives:
+            raise ValueError(f"query {query.id!r}: {len(pool)} evaluation negatives, "
+                             f"not {n_negatives}")
+        rows[i] = [i, row_of[positives[0]], *map(row_of.__getitem__, pool[:n_negatives])]
+    return losses.TripletRows(block, rows), qids
 
 
-def _group_losses(params, items, qids, groups) -> GroupLosses:
-    _, per_item = losses.retrieval_loss(params, items)
+def _group_losses(params, batch, qids, groups) -> GroupLosses:
+    _, per_item = losses.retrieval_loss(params, batch)
     rare = [loss for loss, qid in zip(per_item, qids) if groups[qid] == "rare"]
     return GroupLosses(rare=float(np.mean(rare)), average=float(np.mean(per_item)))
 
@@ -177,12 +183,12 @@ def run_idro_directional(seed: int) -> dict[str, GroupLosses]:
     base = idro_experiment_config(seed, "idro")
     featurizer = Featurizer(base.feature_dim, base.hash_seed)
     pretrained = trainer.pretrain_coco(idro_pretrain_config(seed), [task.corpus]).params
-    eval_items, eval_qids = _fixed_eval_batch(task, featurizer)
+    eval_batch, eval_qids = _fixed_eval_batch(task, featurizer)
 
     results = {}
     for weighting in ("idro", "groupdro", "uniform"):
         config = idro_experiment_config(seed, weighting)
         ft = Finetuner(config, pretrained.copy(), task.corpus, task.queries, task.qrels)
         ft.run()
-        results[weighting] = _group_losses(ft.params, eval_items, eval_qids, groups)
+        results[weighting] = _group_losses(ft.params, eval_batch, eval_qids, groups)
     return results

@@ -5,8 +5,19 @@ more corpora; each batch draws its span pairs first, then featurizes them in
 one call. Stage two fine-tunes on labeled source data in episodes. Its texts
 are featurized once, into a `FeatureStore`: one feature block over the
 training queries, then the corpus documents. From then on the fine-tuner
-works in row ids: positives and negative pools are arrays of document
-positions, and a batch is an array of store rows. Each episode re-embeds the
+works in row ids: each query's positives, and each episode's negative pools,
+are lists of document positions held as one flat array plus bounds
+(`DocLists`), and a batch is an array of store rows. A batch's random draws
+are two generator calls: ``rng.choice`` for the queries, then one
+``rng.integers`` over every draw of every item (`_draw_picks`). That gives the
+picks, and leaves the generator as, one ``rng.integers`` and one ``rng.choice``
+per item would, bit for bit, by relying on how numpy draws: each bounded
+integer is a Lemire draw on the generator's 32-bit stream whose consumption
+depends on its bound alone, and a bound of 0 consumes nothing; ``choice``
+without replacement is Floyd's algorithm then a shuffle of the picks, or,
+for a population above 10,000 and a sample above 1/50 of it, a shuffle of
+the tail of a full permutation. `TestDrawPicks` in the tests checks that
+contract against the installed numpy. Each episode re-embeds the
 training queries from their rows, refreshes their K-Means clusters, refreshes
 the negative pools (lexical BM25 negatives for episode 1, self-mined dense
 negatives afterwards), then runs a minibatch loop. A pool refresh works on a
@@ -313,15 +324,43 @@ def _span_pair_batch(
     return list(zip(fvs[0::2], fvs[1::2]))
 
 
+@dataclass(frozen=True, eq=False)
+class DocLists:
+    """One list of document positions per query, held as one flat array: list
+    i is ``docs[bounds[i]:bounds[i + 1]]``. ``len`` counts the lists."""
+
+    docs: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.docs[self.bounds[i] : self.bounds[i + 1]]
+
+    def __iter__(self):
+        bounds = self.bounds.tolist()
+        return (self.docs[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+
+def _bounds(sizes: np.ndarray) -> np.ndarray:
+    bounds = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    return bounds
+
+
 class FeatureStore:
     """A task's texts featurized once, as rows of one `encoder.FeatureBlock`.
 
     Query i of ``queries`` is row i and document j of ``corpus`` (corpus
-    order) is row ``n_queries + j``. ``positives[i]`` holds query i's judged
+    order) is row ``n_queries + j``. ``positives`` lists each query's judged
     positives as document positions j, in qrels file order; a positive that
     is not in the corpus is a CorpusFormatError. The negative pools of
-    `mine_negatives` and `bm25_negative_pools` are document positions too,
-    one array per query.
+    `mine_negatives` and `bm25_negative_pools` are `DocLists` too, one list
+    per query.
     """
 
     def __init__(self, featurizer: Featurizer, queries: Iterable[Query], corpus: Corpus,
@@ -332,15 +371,18 @@ class FeatureStore:
         self.block = featurizer.block(itertools.chain(
             (query.tokens for query in self.queries), (doc.tokens for doc in corpus)))
         position = {doc_id: j for j, doc_id in enumerate(corpus.ids)}
-        self.positives: list[np.ndarray] = []
-        for query in self.queries:
-            pos_ids = qrels.positives(query.id)
-            missing = [doc_id for doc_id in pos_ids if doc_id not in position]
+        pos_ids = [qrels.positives(query.id) for query in self.queries]
+        for query, ids in zip(self.queries, pos_ids):
+            missing = [doc_id for doc_id in ids if doc_id not in position]
             if missing:
                 raise CorpusFormatError(
                     f"query {query.id!r} has a positive {missing[0]!r} missing from the corpus"
                 )
-            self.positives.append(np.array([position[d] for d in pos_ids], dtype=np.intp))
+        bounds = _bounds(np.fromiter(map(len, pos_ids), np.intp, self.n_queries))
+        self.positives = DocLists(
+            np.fromiter((position[d] for ids in pos_ids for d in ids), np.intp, bounds[-1]),
+            bounds,
+        )
 
     def query_rows(self) -> FeatureRows:
         return FeatureRows(self.block, np.arange(self.n_queries))
@@ -348,7 +390,7 @@ class FeatureStore:
     def doc_rows(self) -> FeatureRows:
         return FeatureRows(self.block, np.arange(self.n_queries, len(self.block)))
 
-    def pool_ids(self, pools: Sequence[np.ndarray]) -> dict[str, list[str]]:
+    def pool_ids(self, pools: DocLists) -> dict[str, list[str]]:
         """Pools of document positions as document ids, keyed by query id."""
         doc_ids = self.corpus.ids
         return {query.id: [doc_ids[j] for j in pool.tolist()]
@@ -369,7 +411,7 @@ def _fallback_pool(
 def _negative_pools(
     store: FeatureStore, blocks: Iterable[retrieval_eval.Picks], k: int,
     rng: np.random.Generator | None, source: str,
-) -> tuple[list[np.ndarray], int]:
+) -> tuple[DocLists, int]:
     """Each query's top k minus its judged positives, one block of queries at a time.
 
     A query whose top k are all positives falls back to seeded random
@@ -378,37 +420,43 @@ def _negative_pools(
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     n_docs = len(store.corpus)
-    pools: list[np.ndarray] = []
+    positives = store.positives
+    pooled, sizes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for picks in blocks:
         m = picks.bounds.size - 1
-        positives = store.positives[picks.start : picks.start + m]
+        pos_bounds = positives.bounds[picks.start : picks.start + m + 1]
         mask = np.zeros((m, n_docs), dtype=bool)
-        mask[np.repeat(np.arange(m), [pos.size for pos in positives]),
-             np.concatenate(positives)] = True
+        mask[np.repeat(np.arange(m), np.diff(pos_bounds)),
+             positives.docs[pos_bounds[0] : pos_bounds[-1]]] = True
         rows = picks.rows()
         kept = ~mask[rows, picks.cols]
-        pooled = picks.cols[kept]
-        bounds = np.searchsorted(rows[kept], np.arange(m + 1)).tolist()
-        pools.extend(pooled[a:b] for a, b in zip(bounds, bounds[1:]))
-    n_fallback = 0
-    for i, pool in enumerate(pools):
-        if not pool.size:
-            qid = store.queries[i].id
-            logger.warning("query %r: %s top-%d all positive; random negatives", qid, source, k)
-            pools[i] = _fallback_pool(qid, store.positives[i], n_docs, k, rng)
-            n_fallback += 1
-    return pools, n_fallback
+        pooled.append(picks.cols[kept])
+        sizes.append(np.bincount(rows[kept], minlength=m))
+    docs, sizes = np.concatenate(pooled), np.concatenate(sizes)
+    empty = np.flatnonzero(sizes == 0)
+    fallbacks = []
+    for i in empty.tolist():
+        qid = store.queries[i].id
+        logger.warning("query %r: %s top-%d all positive; random negatives", qid, source, k)
+        fallbacks.append(_fallback_pool(qid, positives[i], n_docs, k, rng))
+    if fallbacks:
+        fallback_sizes = [pool.size for pool in fallbacks]
+        starts = np.cumsum(sizes) - sizes
+        docs = np.insert(docs, np.repeat(starts[empty], fallback_sizes),
+                         np.concatenate(fallbacks))
+        sizes[empty] = fallback_sizes
+    return DocLists(docs, _bounds(sizes)), len(fallbacks)
 
 
 def mine_negatives(
     params: Params, store: FeatureStore, k: int, rng: np.random.Generator | None = None
-) -> tuple[list[np.ndarray], int]:
+) -> tuple[DocLists, int]:
     """Self-negative pools: top-k dense retrievals minus judged positives.
 
     The store's documents and queries are encoded from their stored rows. A
     query whose retrievals are all positives falls back to seeded random
-    non-positive corpus documents (logged). Returns (one pool of document
-    positions per query, fallback count).
+    non-positive corpus documents (logged). Returns (the pools, one list of
+    document positions per query, and the fallback count).
     """
     index = retrieval_eval.DenseIndex(
         EmbeddingMatrix(ids=store.corpus.ids, matrix=encode_many(params, store.doc_rows()))
@@ -422,12 +470,92 @@ def bm25_negative_pools(
     k: int,
     rng: np.random.Generator | None = None,
     index: retrieval_eval.Bm25Index | None = None,
-) -> tuple[list[np.ndarray], int]:
+) -> tuple[DocLists, int]:
     """Warmup pools: BM25 top-k minus judged positives, with the same fallback."""
     if index is None:
         index = retrieval_eval.Bm25Index(store.corpus)
     blocks = retrieval_eval.block_picks(index, [q.tokens for q in store.queries], k)
     return _negative_pools(store, blocks, k, rng, "BM25")
+
+
+# numpy's `Generator.choice` without replacement shuffles the tail of a full
+# permutation, not Floyd's algorithm, for a population above _TAIL_POPULATION
+# and a sample above 1/_TAIL_CUTOFF of it.
+_TAIL_POPULATION = 10000
+_TAIL_CUTOFF = 50
+
+
+def _draw_picks(
+    rng: np.random.Generator, n_pos: np.ndarray, n_pool: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch's picks from one ``rng.integers`` call, bit for bit those of a
+    per-item loop.
+
+    Item i picks a position below ``n_pos[i]`` (>= 1) and, unless its pool is
+    empty (``n_pool[i] == 0``), k positions below ``n_pool[i]``. Returns (one
+    positive pick per item, a (items with a pool, k) array of pool picks);
+    the picks, and ``rng``'s state after, equal those of
+    ``rng.integers(n_pos[i])`` then ``rng.choice(n_pool[i], k, replace=n_pool[i] < k)``
+    per item, in item order, skipping the ``choice`` of an empty pool.
+
+    Each of those calls is a sequence of numpy's bounded draws, and the
+    sequence's inclusive bounds depend on the sizes only: ``n_pos - 1`` for the
+    positive; ``L - 1`` k times for a pool of L < k (with replacement); for L >=
+    k, Floyd's algorithm, one draw below each ``j = L - k .. L - 1`` inclusive,
+    then a shuffle of its k picks, one draw below each ``i = k - 1 .. 1``; and
+    for numpy's tail branch, one draw below each ``i = L - 1 .. max(L - k, 1)``
+    while shuffling ``arange(L)``, whose last k entries are the picks. A draw
+    consumes the generator's 32-bit stream by its bound alone (Lemire's
+    method; a bound of 0 consumes nothing), so one ``rng.integers`` over all
+    the bounds, item after item, draws the same values. Floyd's repeat rule,
+    the shuffles' swaps and the tail shuffle then run on the drawn values.
+    """
+    n_pos, n_pool = np.asarray(n_pos, dtype=np.intp), np.asarray(n_pool, dtype=np.intp)
+    tail = (n_pool >= k) & (n_pool > _TAIL_POPULATION) & (k > n_pool // _TAIL_CUTOFF)
+    f = np.flatnonzero((n_pool >= k) & ~tail)
+    r = np.flatnonzero((n_pool > 0) & (n_pool < k))
+    t = np.flatnonzero(tail).tolist()
+    width = np.ones(n_pool.size, dtype=np.intp)  # each item's draws, positive included
+    width[f] += 2 * k - 1
+    width[r] += k
+    for i in t:
+        width[i] += n_pool[i] - max(n_pool[i] - k, 1)
+    start = np.cumsum(width) - width
+    bounds = np.empty(start[-1] + width[-1], dtype=np.int64)
+    bounds[start] = n_pos - 1
+    floyd_at = start[f, None] + 1 + np.arange(2 * k - 1)
+    j = n_pool[f, None] - k + np.arange(k)
+    bounds[floyd_at[:, :k]] = j
+    bounds[floyd_at[:, k:]] = np.arange(k - 1, 0, -1)
+    bounds[start[r, None] + 1 + np.arange(k)] = n_pool[r, None] - 1
+    for i in t:
+        bounds[start[i] + 1 : start[i] + width[i]] = np.arange(n_pool[i] - 1,
+                                                               n_pool[i] - width[i], -1)
+
+    drawn = rng.integers(0, bounds + 1)
+
+    neg = np.empty((n_pool.size, k), dtype=np.int64)
+    neg[r] = drawn[start[r, None] + 1 + np.arange(k)]
+    # Floyd: a draw that repeats an earlier pick of its item takes its j instead.
+    picks = drawn[floyd_at[:, :k]]
+    for c in range(1, k):
+        repeat = (picks[:, :c] == picks[:, c, None]).any(axis=1)
+        picks[:, c] = np.where(repeat, j[:, c], picks[:, c])
+    # Then the shuffle: draw c swaps pick k - 1 - c with the pick it names.
+    flat, first = picks.reshape(-1), np.arange(0, picks.size, k)
+    for c, swap in enumerate(drawn[floyd_at[:, k:]].T):
+        at, to = first + (k - 1 - c), first + swap
+        held = flat[to]
+        flat[to] = flat[at]
+        flat[at] = held
+    neg[f] = picks
+    for i in t:
+        perm = np.arange(n_pool[i])
+        for at, swap in zip(range(n_pool[i] - 1, 0, -1),
+                            drawn[start[i] + 1 : start[i] + width[i]].tolist()):
+            perm[at], perm[swap] = perm[swap], perm[at]
+        neg[i] = perm[n_pool[i] - k :]
+    return drawn[start], neg[n_pool > 0]
 
 
 @dataclass
@@ -548,27 +676,25 @@ class Finetuner:
 
         Per chosen query it draws a positive, then (unless its pool is empty,
         which skips the item) its negatives from its pool, with replacement
-        only when the pool is shorter than ``negatives_per_query``.
+        only when the pool is shorter than ``negatives_per_query``. The queries
+        come from one ``rng.choice`` and every item's draws from one
+        ``rng.integers`` (`_draw_picks`), which give the picks of, and leave
+        ``rng`` as, one ``rng.integers(pos.size)`` and one ``rng.choice(pool.size,
+        negatives_per_query, replace=pool.size < negatives_per_query)`` per item.
         """
         cfg = self.config
         n = len(self.queries)
-        k = cfg.negatives_per_query
         chosen = rng.choice(n, size=cfg.batch_size, replace=cfg.batch_size > n)
         positives, pools = self.store.positives, self.pools
-        items, pos_rows, neg_rows = [], [], []
-        for qi in chosen.tolist():
-            pos = positives[qi]
-            drawn = pos[int(rng.integers(pos.size))]
-            pool = pools[qi]
-            if not pool.size:
-                continue  # corpus offers no negatives for this query
-            items.append(qi)
-            pos_rows.append(drawn)
-            neg_rows.append(pool[rng.choice(pool.size, size=k, replace=pool.size < k)])
-        rows = np.empty((len(items), 2 + k), dtype=np.intp)
+        pool_sizes = pools.sizes()[chosen]
+        pos_picks, neg_picks = _draw_picks(rng, positives.sizes()[chosen], pool_sizes,
+                                           cfg.negatives_per_query)
+        has_pool = pool_sizes > 0
+        items = chosen[has_pool]
+        rows = np.empty((items.size, 2 + cfg.negatives_per_query), dtype=np.intp)
         rows[:, 0] = items
-        rows[:, 1] = pos_rows
-        rows[:, 2:] = np.reshape(neg_rows, (len(items), k))
+        rows[:, 1] = positives.docs[positives.bounds[items] + pos_picks[has_pool]]
+        rows[:, 2:] = pools.docs[pools.bounds[items, None] + neg_picks]
         rows[:, 1:] += self.store.n_queries  # document positions -> store rows
         return rows, self.query_clusters[items]
 

@@ -418,6 +418,19 @@ def coco_top1_accuracy(params: Params, batch: SpanPairBatch) -> float:
     return hits / n2
 
 
+def draw_picks_reference(rng, n_pos, n_pool, k):
+    """`trainer._draw_picks` one numpy call at a time: per item, ``rng.integers``
+    for the positive, then, unless the pool is empty, ``rng.choice`` for its k
+    negatives, with replacement only when the pool is shorter than k."""
+    pos_picks, neg_picks = [], []
+    for n_p, size in zip(np.asarray(n_pos).tolist(), np.asarray(n_pool).tolist()):
+        pos_picks.append(int(rng.integers(n_p)))
+        if size:
+            neg_picks.append(rng.choice(size, size=k, replace=size < k))
+    return (np.array(pos_picks, dtype=np.int64),
+            np.array(neg_picks, dtype=np.int64).reshape(len(neg_picks), k))
+
+
 class ObjectFinetuner(trainer.Finetuner):
     """`trainer.Finetuner` on feature vector objects, as it ran before its feature
     store: a list of query vectors, a dict of document vectors, pools of document

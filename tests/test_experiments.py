@@ -27,8 +27,9 @@ def judged_negatives(task):
 
 @pytest.mark.parametrize("source", ["imbalanced", "two-domain"])
 def test_fixed_eval_batch_bytes_equal_reference(source):
-    """The evaluation triplets and their group losses against the per-candidate
-    `grade` filter with the distractors rebuilt per query."""
+    """The evaluation batch's rows and their group losses against `losses.Triplet`
+    objects from the per-candidate `grade` filter with the distractors rebuilt
+    per query."""
     if source == "imbalanced":
         task, groups = make_imbalanced_source(seed=experiments._IMBALANCE_SEED)
     else:
@@ -36,19 +37,28 @@ def test_fixed_eval_batch_bytes_equal_reference(source):
         task = judged_negatives(task)
         groups = {q.id: "rare" if i % 5 == 0 else "major" for i, q in enumerate(task.queries)}
     dim = 4096
-    items, qids = experiments._fixed_eval_batch(task, Featurizer(dim, 0))
+    batch, qids = experiments._fixed_eval_batch(task, Featurizer(dim, 0))
     want_items, want_qids = fixed_eval_batch_reference(task, Featurizer(dim, 0))
-    assert qids == want_qids and len(items) == len(want_items)
-    for got, want in zip(items, want_items):
-        vectors = [(got.query, want.query), (got.positive, want.positive),
-                   *zip(got.negatives, want.negatives)]
-        assert len(got.negatives) == len(want.negatives)
+    assert qids == want_qids and len(batch) == len(want_items)
+    vectors = batch.block.vectors()
+    for row, want in zip(batch.rows.tolist(), want_items):
+        pairs = list(zip([vectors[r] for r in row],
+                         [want.query, want.positive, *want.negatives], strict=True))
         assert all(same_bytes(a.indices, b.indices) and same_bytes(a.counts, b.counts)
-                   for a, b in vectors)
+                   for a, b in pairs)
     params = Params.init_random(dim, 6, seed=0)
-    got = experiments._group_losses(params, items, qids, groups)
+    got = experiments._group_losses(params, batch, qids, groups)
     want = experiments._group_losses(params, want_items, want_qids, groups)
     assert (got.rare.hex(), got.average.hex()) == (want.rare.hex(), want.average.hex())
     if source == "two-domain":  # judged grade-0 candidates, which the filter keeps
         assert any(grade == 0 for q in task.qrels.query_ids
                    for grade in task.qrels.judged(q).values())
+
+
+def test_fixed_eval_batch_needs_every_negative():
+    """Three topics give a query two distractors, so at most four negatives."""
+    task, _ = make_imbalanced_source(seed=1, n_major_topics=2, n_rare_topics=1,
+                                     docs_per_topic=4, major_queries_per_topic=2,
+                                     rare_queries_per_topic=1)
+    with pytest.raises(ValueError, match="evaluation negatives, not 8"):
+        experiments._fixed_eval_batch(task, Featurizer(64, 0))

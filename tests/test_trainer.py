@@ -28,6 +28,7 @@ from robustdr.trainer import (
     _derived_rng,
     _TAG_BATCH,
     _TAG_KMEANS,
+    _draw_picks,
     bm25_negative_pools,
     mine_negatives,
     pretrain_coco,
@@ -39,6 +40,7 @@ from tests.oracles import (
     adam_reference,
     bm25_pools_reference,
     dense_moments,
+    draw_picks_reference,
     mined_pools_reference,
 )
 
@@ -539,8 +541,8 @@ class TestFinetune:
 
         (_, block), block_bytes = held(featurized)
         _, bm25_bytes = held(lambda: retrieval_eval.Bm25Index(task.corpus))
-        positives = sys.getsizeof(ft.store.positives) + sum(map(sys.getsizeof,
-                                                                ft.store.positives))
+        positives = sys.getsizeof(ft.store.positives.docs) + sys.getsizeof(
+            ft.store.positives.bounds)
         assert ft.store.block.indices.tobytes() == block.indices.tobytes()
         assert len(texts) * 250 > 32 * 1024
         assert ft_bytes - (block_bytes + bm25_bytes + positives) < 32 * 1024
@@ -652,11 +654,77 @@ class TestObjectReference:
             ft = self.assert_same_run(config, corpus, queries, qrels)
         assert all(record.n_fallback >= 1 for record in ft.episode_records)
         assert any("no non-positive documents" in rec.message for rec in caplog.records)
-        sizes = [pool.size for pool in ft.pools]
+        sizes = ft.pools.sizes().tolist()
+        assert len(ft.pools) == len(ft.queries)
         assert sizes[[q.id for q in ft.queries].index("qall")] == 0
         assert any(0 < size < config.negatives_per_query for size in sizes)
         rows, _ = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
         assert 0 < len(rows) < config.batch_size
+
+
+POOL_KINDS = ("empty", "one", "below", "equal", "above")
+
+
+@st.composite
+def draw_cases(draw):
+    """(k, positive counts, pool sizes, seed, warm-up draws) for `_draw_picks`: pools
+    of every size class against k, and 0-3 draws before that may leave the
+    generator holding the second 32-bit half of a 64-bit output."""
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    items = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(POOL_KINDS),
+                                    st.integers(0, 40)), min_size=1, max_size=24))
+    sizes = {"empty": lambda extra: 0, "one": lambda extra: 1,
+             "below": lambda extra: 1 + extra % (k - 1) if k > 1 else 0,
+             "equal": lambda extra: k, "above": lambda extra: k + 1 + extra}
+    n_pos = np.array([n for n, _, _ in items])
+    n_pool = np.array([sizes[kind](extra) for _, kind, extra in items])
+    return k, n_pos, n_pool, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3))
+
+
+class TestDrawPicks:
+    """`_draw_picks`, one `rng.integers` per batch, against `rng.integers` and
+    `rng.choice` per item: the same picks and the same generator state after."""
+
+    @staticmethod
+    def assert_same_draws(k, n_pos, n_pool, rng):
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = rng.bit_generator.state
+        got = _draw_picks(rng, n_pos, n_pool, k)
+        want = draw_picks_reference(twin, n_pos, n_pool, k)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @given(draw_cases())
+    def test_matches_per_item_calls(self, case):
+        k, n_pos, n_pool, seed, warm_up = case
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(warm_up):
+            rng.integers(7)
+        self.assert_same_draws(k, n_pos, n_pool, rng)
+
+    def test_buffered_half_word(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        rng.integers(7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        self.assert_same_draws(4, np.array([1, 2, 3, 1]), np.array([4, 0, 9, 2]), rng)
+
+    def test_pools_of_k_give_shuffled_permutations(self):
+        """With pools of exactly k, Floyd's repeat rule makes each item's picks a
+        permutation of its pool, and the shuffle leaves some of them unsorted."""
+        k = 8
+        rng = np.random.Generator(np.random.PCG64(0))
+        n_pos, n_pool = np.ones(32, dtype=np.intp), np.full(32, k)
+        _, picks = _draw_picks(rng, n_pos, n_pool, k)
+        assert all(sorted(row) == list(range(k)) for row in picks.tolist())
+        assert any(row != sorted(row) for row in picks.tolist())
+        self.assert_same_draws(k, n_pos, n_pool, rng)
+
+    def test_numpy_tail_shuffle_branch(self):
+        """A pool above 10,000 with k above 1/50 of it takes numpy's tail shuffle."""
+        rng = np.random.Generator(np.random.PCG64(5))
+        rng.integers(7)
+        self.assert_same_draws(201, np.array([2, 1, 3]), np.array([10001, 0, 300]), rng)
 
 
 class TestDegeneracyReductions:
