@@ -21,7 +21,7 @@ from .encoder import EmbeddingMatrix, Featurizer, Params, encode, score
 from .errors import BlobFileError, ConfigError, CorpusFormatError, InvariantError
 from .idro import alpha_weights, idro_loss, omega_update, r_matrix
 from .losses import Triplet, coco_loss, retrieval_loss
-from .trainer import Finetuner, RunConfig, pretrain_coco
+from .trainer import FeatureStore, Finetuner, RunConfig, pretrain_coco, training_store
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,7 @@ __all__ = [
     "CorpusFormatError",
     "Document",
     "EmbeddingMatrix",
+    "FeatureStore",
     "Featurizer",
     "Finetuner",
     "InvariantError",
@@ -55,4 +56,5 @@ __all__ = [
     "sample_span_pair",
     "score",
     "tokenize",
+    "training_store",
 ]

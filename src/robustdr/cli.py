@@ -176,7 +176,8 @@ def cmd_finetune(args) -> int:
     corpus, queries, qrels = _load_task(args)
 
     out = _out_dir(args)
-    finetuner = Finetuner(config, params, corpus, queries, qrels)
+    store = trainer.training_store(config, corpus, queries, qrels)
+    finetuner = Finetuner(config, params, store)
     while finetuner.episodes_done < config.episodes:
         episode = finetuner.run_episode().index
         weights = "encoder.ckpt" if episode == config.episodes else f"encoder_ep{episode}.ckpt"

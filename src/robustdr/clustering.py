@@ -37,22 +37,20 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 expanded; clamp tiny negatives from cancellation.
-    d = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ centroids.T)
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
+def _sq_dists(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # ||x - c||^2 expanded, with xx = sum(x * x, axis=1); clamp tiny negatives
+    # from cancellation.
+    d = xx[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids * centroids, axis=1)[None, :]
     return np.maximum(d, 0.0)
 
 
-def _kmeanspp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_seed(x: np.ndarray, xx: np.ndarray, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    closest = _sq_dists(x, centroids[:1]).ravel()
+    closest = _sq_dists(x, xx, centroids[:1]).ravel()
     for j in range(1, k):
         total = float(closest.sum())
         if total <= 0.0:
@@ -62,7 +60,7 @@ def _kmeanspp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             idx = int(np.searchsorted(np.cumsum(closest), r, side="right"))
             idx = min(idx, n - 1)
         centroids[j] = x[idx]
-        closest = np.minimum(closest, _sq_dists(x, centroids[j : j + 1]).ravel())
+        closest = np.minimum(closest, _sq_dists(x, xx, centroids[j : j + 1]).ravel())
     return centroids
 
 
@@ -78,6 +76,8 @@ def kmeans_fit(
     The objective (sum of squared distances to assigned centroids, under the
     configured metric) is checked to be non-increasing every iteration; empty
     clusters are repaired by reseeding to the point farthest from its centroid.
+    The points' squared norms are computed once per fit, and each centroid
+    sum adds its points in index order, one ``bincount`` per column.
     """
     n = len(embeddings)
     if n == 0:
@@ -91,13 +91,14 @@ def kmeans_fit(
     if normalize:
         x = _normalize_rows(x)
 
+    xx = np.sum(x * x, axis=1)
     rng = np.random.Generator(np.random.PCG64(seed))
-    centroids = _kmeanspp_seed(x, n_clusters, rng)
+    centroids = _kmeanspp_seed(x, xx, n_clusters, rng)
 
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iters):
-        dists = _sq_dists(x, centroids)
+        dists = _sq_dists(x, xx, centroids)
         new_labels = np.argmin(dists, axis=1)  # ties -> lowest cluster index
         point_d = dists[np.arange(n), new_labels]
 
@@ -124,8 +125,9 @@ def kmeans_fit(
             break
         labels = new_labels
 
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, x)
+        sums = np.empty_like(centroids)
+        for d in range(x.shape[1]):
+            sums[:, d] = np.bincount(labels, weights=x[:, d], minlength=n_clusters)
         counts = np.bincount(labels, minlength=n_clusters)
         centroids = sums / counts[:, None]
 
@@ -150,7 +152,7 @@ def assign(model: ClusterModel, embeddings: EmbeddingMatrix) -> dict[str, int]:
     x = embeddings.matrix.astype(np.float64, copy=True)
     if model.normalized:
         x = _normalize_rows(x)
-    labels = np.argmin(_sq_dists(x, model.centroids), axis=1)
+    labels = np.argmin(_sq_dists(x, np.sum(x * x, axis=1), model.centroids), axis=1)
     return {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
 
 

@@ -306,7 +306,8 @@ def grouped_backward(
 
     The items are sorted stably by group and their rows gathered in that
     order, so the count matrix holds each group's items contiguously in their
-    original order, and each group's gradient is one product of slices.
+    original order, and each group's gradient is one product of slices,
+    written straight into its row; only the rows of empty groups are zeroed.
     """
     items = _as_rows(params, items)
     n = len(items)
@@ -322,14 +323,17 @@ def grouped_backward(
     mark[idx] = True
     cols = np.flatnonzero(mark)
     where = np.cumsum(mark)[idx] - 1
-    x = np.zeros((n, cols.size))
-    x[np.repeat(np.arange(n), nnz), where] = counts
+    x = np.zeros(n * cols.size)
+    x[np.repeat(np.arange(n) * cols.size, nnz) + where] = counts
+    x = x.reshape(n, cols.size)
     eg = emb_grads[order]
     bounds = np.searchsorted(groups[order], np.arange(n_groups + 1)).tolist()
-    rows = np.zeros((n_groups, params.embed_dim * cols.size))
+    rows = np.empty((n_groups, params.embed_dim * cols.size))
     for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if a < b:
-            rows[g] = (eg[a:b].T @ x[a:b]).ravel()
+            np.matmul(eg[a:b].T, x[a:b], out=rows[g].reshape(params.embed_dim, cols.size))
+        else:
+            rows[g] = 0.0
     return cols, rows
 
 

@@ -10,11 +10,15 @@ Two runnable studies, shared by the acceptance suite and the scripts in
   source task whose rare query group holds 15% of the training mass, scored by
   final retrieval loss on the rare group and on all queries, against a fixed
   model-independent negative set.
+
+Each study featurizes its source task once, into one `trainer.FeatureStore`
+that every fine-tuning arm trains on; the store also ranks the task's
+queries by BM25 once per depth, for the arms' first-episode pools and for
+the fixed evaluation set.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +62,10 @@ def run_coco_directional(seed: int) -> dict:
     pretrained = trainer.pretrain_coco(config, [source.corpus, target.corpus]).params
     scratch = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
 
+    store = trainer.training_store(config, source.corpus, source.queries, source.qrels)
     results = {}
     for label, init in (("with_coco", pretrained), ("without_coco", scratch)):
-        ft = Finetuner(config, init.copy(), source.corpus, source.queries, source.qrels)
+        ft = Finetuner(config, init.copy(), store)
         ft.run()
         record, _ = retrieval_eval.evaluate(
             ft.params, featurizer, target.corpus, target.queries, target.qrels
@@ -116,55 +121,48 @@ class GroupLosses:
     average: float
 
 
-def _fixed_eval_batch(task, featurizer, n_negatives=8):
+def _fixed_eval_batch(store: trainer.FeatureStore, n_negatives: int = 8):
     """Model-independent evaluation triplets: first positive + fixed negatives.
 
     Negatives interleave cross-topic distractors (first documents of the other
-    topics, in corpus order) with BM25 candidates, so the measured loss tracks
-    how precisely a query points at its own topic rather than how it fares
-    against random documents. Returns one `losses.TripletRows` over a block
-    featurized once (query i is row i, then the corpus documents in order)
-    and the query ids; ValueError unless every query gets ``n_negatives``.
+    topics, in corpus order) with the store's BM25 top 50 minus the query's
+    positives, so the measured loss tracks how precisely a query points at its
+    own topic rather than how it fares against random documents. Returns one
+    `losses.TripletRows` over the store's rows and the query ids; ValueError
+    unless every query gets ``n_negatives``.
     """
-    index = retrieval_eval.Bm25Index(task.corpus)
-    queries = list(task.queries)
-    block = featurizer.block(itertools.chain((query.tokens for query in queries),
-                                             (doc.tokens for doc in task.corpus)))
-    row_of = {doc_id: len(queries) + j for j, doc_id in enumerate(index.ids)}
-    qids = [query.id for query in queries]
-    rankings = (
-        ranked
-        for picks in retrieval_eval.block_picks(index, [q.tokens for q in queries], k=50)
-        for ranked in retrieval_eval.ranked_lists(qids, index.ids, picks)
-    )
-    first_doc_of_topic = {}
-    for doc in task.corpus:
-        topic = doc.id.rsplit("-", 1)[0]
-        first_doc_of_topic.setdefault(topic, doc.id)
-    distractors_of: dict[str, list[str]] = {}
-    rows = np.empty((len(queries), 2 + n_negatives), dtype=np.intp)
-    for i, (query, ranking) in enumerate(zip(queries, rankings)):
-        positives = task.qrels.positives(query.id)
-        own_topic = query.id.rsplit("-", 1)[0]
-        distractors = distractors_of.get(own_topic)
-        if distractors is None:
-            distractors = distractors_of[own_topic] = [
-                d for t, d in first_doc_of_topic.items() if t != own_topic
-            ]
-        judged_positive = set(positives)
-        bm25_pool = [d for d in ranking.doc_ids() if d not in judged_positive]
-        pool: list[str] = []
-        for a, b in zip(distractors, bm25_pool + [None] * len(distractors)):
-            if len(pool) >= n_negatives:
-                break
-            pool.append(a)
-            if b is not None and b not in pool:
-                pool.append(b)
-        if len(pool) < n_negatives:
-            raise ValueError(f"query {query.id!r}: {len(pool)} evaluation negatives, "
-                             f"not {n_negatives}")
-        rows[i] = [i, row_of[positives[0]], *map(row_of.__getitem__, pool[:n_negatives])]
-    return losses.TripletRows(block, rows), qids
+    first_doc_of_topic: dict[str, int] = {}
+    for j, doc_id in enumerate(store.corpus.ids):
+        first_doc_of_topic.setdefault(doc_id.rsplit("-", 1)[0], j)
+    distractors_of: dict[str, list[int]] = {}
+    rows = np.empty((store.n_queries, 2 + n_negatives), dtype=np.intp)
+    for picks in store.bm25_picks(50):
+        bounds, cols = picks.bounds.tolist(), picks.cols.tolist()
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]), start=picks.start):
+            query, positives = store.queries[i], store.positives[i].tolist()
+            own_topic = query.id.rsplit("-", 1)[0]
+            distractors = distractors_of.get(own_topic)
+            if distractors is None:
+                distractors = distractors_of[own_topic] = [
+                    d for t, d in first_doc_of_topic.items() if t != own_topic
+                ]
+            judged_positive = set(positives)
+            bm25_pool = [d for d in cols[a:b] if d not in judged_positive]
+            pool: list[int] = []
+            for d, c in zip(distractors, bm25_pool + [None] * len(distractors)):
+                if len(pool) >= n_negatives:
+                    break
+                pool.append(d)
+                if c is not None and c not in pool:
+                    pool.append(c)
+            if len(pool) < n_negatives:
+                raise ValueError(f"query {query.id!r}: {len(pool)} evaluation negatives, "
+                                 f"not {n_negatives}")
+            rows[i, 0] = i
+            rows[i, 1] = positives[0]
+            rows[i, 2:] = pool[:n_negatives]
+    rows[:, 1:] += store.n_queries  # document positions -> store rows
+    return losses.TripletRows(store.block, rows), [query.id for query in store.queries]
 
 
 def _group_losses(params, batch, qids, groups) -> GroupLosses:
@@ -176,19 +174,20 @@ def _group_losses(params, batch, qids, groups) -> GroupLosses:
 def run_idro_directional(seed: int) -> dict[str, GroupLosses]:
     """Final rare-group and average retrieval loss for each weighting strategy.
 
-    All three strategies fine-tune the same pretrained checkpoint on the same
-    85/15-imbalanced source task and are scored on one fixed evaluation batch.
+    All three strategies fine-tune the same pretrained checkpoint on one
+    feature store of the same 85/15-imbalanced source task and are scored on
+    one fixed evaluation batch made from that store.
     """
     task, groups = synthetic.make_imbalanced_source(seed=_IMBALANCE_SEED)
-    base = idro_experiment_config(seed, "idro")
-    featurizer = Featurizer(base.feature_dim, base.hash_seed)
     pretrained = trainer.pretrain_coco(idro_pretrain_config(seed), [task.corpus]).params
-    eval_batch, eval_qids = _fixed_eval_batch(task, featurizer)
+    store = trainer.training_store(idro_experiment_config(seed, "idro"), task.corpus,
+                                   task.queries, task.qrels)
+    eval_batch, eval_qids = _fixed_eval_batch(store)
 
     results = {}
     for weighting in ("idro", "groupdro", "uniform"):
         config = idro_experiment_config(seed, weighting)
-        ft = Finetuner(config, pretrained.copy(), task.corpus, task.queries, task.qrels)
+        ft = Finetuner(config, pretrained.copy(), store)
         ft.run()
         results[weighting] = _group_losses(ft.params, eval_batch, eval_qids, groups)
     return results

@@ -2,12 +2,14 @@
 
 Stage one pretrains the encoder contrastively on span pairs drawn from one or
 more corpora; each batch draws its span pairs first, then featurizes them in
-one call. Stage two fine-tunes on labeled source data in episodes. Its texts
-are featurized once, into a `FeatureStore`: one feature block over the
-training queries, then the corpus documents. From then on the fine-tuner
-works in row ids: each query's positives, and each episode's negative pools,
-are lists of document positions held as one flat array plus bounds
-(`DocLists`), and a batch is an array of store rows. A batch's random draws
+one call. Stage two fine-tunes on labeled source data in episodes. Its input
+is a `FeatureStore` (`training_store`): the texts featurized once, one
+feature block over the training queries, then the corpus documents. The store
+also owns the corpus's BM25 index and the queries' BM25 top k per depth, made
+on first use, so fine-tuners that share a store share that ranking too. The
+fine-tuner works in row ids: each query's positives, and each episode's
+negative pools, are lists of document positions held as one flat array plus
+bounds (`DocLists`), and a batch is an array of store rows. A batch's random draws
 are two generator calls: ``rng.choice`` for the queries, then one
 ``rng.integers`` over every draw of every item (`_draw_picks`). That gives the
 picks, and leaves the generator as, one ``rng.integers`` and one ``rng.choice``
@@ -186,6 +188,10 @@ class Optimizer:
     each entry goes through the textbook operations in the textbook order, so
     ``flat`` and the moments equal those of dense Adam on the scattered
     gradient bit for bit.
+
+    Both read and write the weights through one flat index of the columns
+    they move, ``(arange(E)[:, None] * D + cols).ravel()``; Adam keeps that
+    index of ``live`` and rebuilds it only when ``live`` grows.
     """
 
     def __init__(self, config: RunConfig, params: Params):
@@ -193,29 +199,37 @@ class Optimizer:
         self.t = 0
         self.shape = (params.embed_dim, params.feature_dim)
         if self.kind == "adam":
-            self.live = np.empty(0, dtype=np.int64)
-            self.m_w, self.v_w = np.zeros((params.embed_dim, 0)), np.zeros((params.embed_dim, 0))
+            empty = np.zeros((params.embed_dim, 0))
+            self.set_live(np.empty(0, dtype=np.int64), empty, empty.copy())
+
+    def _flat_index(self, cols: np.ndarray) -> np.ndarray:
+        """The positions of ``W[:, cols]`` in the flat weights, row by row."""
+        embed_dim, feature_dim = self.shape
+        return (np.arange(embed_dim)[:, None] * feature_dim + cols).ravel()
+
+    def set_live(self, live: np.ndarray, m_w: np.ndarray, v_w: np.ndarray) -> None:
+        """Adam's live columns and its moments over them, and their flat index."""
+        self.live, self.m_w, self.v_w = live, m_w, v_w
+        self._live_at = self._flat_index(live)
 
     def step(self, flat: np.ndarray, cols: np.ndarray, row: np.ndarray, lr: float) -> None:
         self.t += 1
-        w = flat.reshape(self.shape)
-        grad_w = row.reshape(self.shape[0], cols.size)
         if self.kind == "sgd":
-            w[:, cols] -= lr * grad_w
+            flat[self._flat_index(cols)] -= lr * row.reshape(-1)
             return
         at = np.searchsorted(self.live, cols)
         new = at == self.live.size
         new[~new] = self.live[at[~new]] != cols[~new]
         if new.any():
-            self.live = np.insert(self.live, at[new], cols[new])
-            self.m_w = np.insert(self.m_w, at[new], 0.0, axis=1)
-            self.v_w = np.insert(self.v_w, at[new], 0.0, axis=1)
+            self.set_live(np.insert(self.live, at[new], cols[new]),
+                          np.insert(self.m_w, at[new], 0.0, axis=1),
+                          np.insert(self.v_w, at[new], 0.0, axis=1))
             at = np.searchsorted(self.live, cols)
         grad = np.zeros_like(self.m_w)
-        grad[:, at] = grad_w
-        live_w = w[:, self.live]
+        grad[:, at] = row.reshape(self.shape[0], cols.size)
+        live_w = flat[self._live_at].reshape(self.m_w.shape)
         live_w -= self._adam_step(self.m_w, self.v_w, grad, lr)
-        w[:, self.live] = live_w
+        flat[self._live_at] = live_w.reshape(-1)
 
     def _adam_step(
         self, m: np.ndarray, v: np.ndarray, grad: np.ndarray, lr: float
@@ -360,11 +374,14 @@ class FeatureStore:
     positives as document positions j, in qrels file order; a positive that
     is not in the corpus is a CorpusFormatError. The negative pools of
     `mine_negatives` and `bm25_negative_pools` are `DocLists` too, one list
-    per query.
+    per query. The store owns its corpus's BM25 index and its queries' BM25
+    top k per depth, each made on first use, so that the fine-tuners sharing
+    a store rank by BM25 once. Nothing else in it changes after it is built.
     """
 
     def __init__(self, featurizer: Featurizer, queries: Iterable[Query], corpus: Corpus,
                  qrels: QrelSet):
+        self.featurizer = featurizer
         self.queries = list(queries)
         self.corpus = corpus
         self.n_queries = len(self.queries)
@@ -383,6 +400,24 @@ class FeatureStore:
             np.fromiter((position[d] for ids in pos_ids for d in ids), np.intp, bounds[-1]),
             bounds,
         )
+        self._bm25: retrieval_eval.Bm25Index | None = None
+        self._bm25_picks: dict[int, list[retrieval_eval.Picks]] = {}
+
+    @property
+    def bm25(self) -> retrieval_eval.Bm25Index:
+        """The corpus's BM25 index, built on first use."""
+        if self._bm25 is None:
+            self._bm25 = retrieval_eval.Bm25Index(self.corpus)
+        return self._bm25
+
+    def bm25_picks(self, k: int) -> list[retrieval_eval.Picks]:
+        """The queries' BM25 top k, one `retrieval_eval.Picks` per block, ranked on
+        first use of each depth and kept."""
+        picks = self._bm25_picks.get(k)
+        if picks is None:
+            tokens = [query.tokens for query in self.queries]
+            picks = self._bm25_picks[k] = list(retrieval_eval.block_picks(self.bm25, tokens, k))
+        return picks
 
     def query_rows(self) -> FeatureRows:
         return FeatureRows(self.block, np.arange(self.n_queries))
@@ -395,6 +430,22 @@ class FeatureStore:
         doc_ids = self.corpus.ids
         return {query.id: [doc_ids[j] for j in pool.tolist()]
                 for query, pool in zip(self.queries, pools)}
+
+
+def training_store(config: RunConfig, corpus: Corpus, queries: QuerySet,
+                   qrels: QrelSet) -> FeatureStore:
+    """The `FeatureStore` a `Finetuner` trains on: the queries with a positive
+    judgment (each other query is dropped with a warning), then the corpus,
+    featurized as ``config`` sets. ValueError when no query is left."""
+    kept = []
+    for query in queries:
+        if qrels.positives(query.id):
+            kept.append(query)
+        else:
+            logger.warning("query %r has no positive judgments; dropped", query.id)
+    if not kept:
+        raise ValueError("no training queries with positive judgments")
+    return FeatureStore(Featurizer(config.feature_dim, config.hash_seed), kept, corpus, qrels)
 
 
 def _fallback_pool(
@@ -466,16 +517,15 @@ def mine_negatives(
 
 
 def bm25_negative_pools(
-    store: FeatureStore,
-    k: int,
-    rng: np.random.Generator | None = None,
-    index: retrieval_eval.Bm25Index | None = None,
+    store: FeatureStore, k: int, rng: np.random.Generator | None = None
 ) -> tuple[DocLists, int]:
-    """Warmup pools: BM25 top-k minus judged positives, with the same fallback."""
-    if index is None:
-        index = retrieval_eval.Bm25Index(store.corpus)
-    blocks = retrieval_eval.block_picks(index, [q.tokens for q in store.queries], k)
-    return _negative_pools(store, blocks, k, rng, "BM25")
+    """Warmup pools: BM25 top-k minus judged positives, with the same fallback.
+
+    The top k come from the store (`FeatureStore.bm25_picks`), ranked once per
+    depth; each call redoes only the positive mask and the fallback draws,
+    which take ``rng``.
+    """
+    return _negative_pools(store, store.bm25_picks(k), k, rng, "BM25")
 
 
 # numpy's `Generator.choice` without replacement shuffles the tail of a full
@@ -596,44 +646,36 @@ def write_training_log(rows: Iterable[LogRow], path: str | Path) -> None:
 class Finetuner:
     """Episode-based fine-tuning on labeled source data.
 
-    The training queries (those with a positive judgment) and the corpus are
-    featurized once, into ``store``; positives, negative pools and batches
-    are row ids of it. `omega` holds the robust weights, one per cluster of
-    the current cluster model. State at an episode boundary fully determines the continuation, so
-    saving and reloading it resumes bit-identically. That state is the
+    It trains on ``store``, a `FeatureStore` made with the config's
+    ``feature_dim`` and ``hash_seed`` (a ConfigError otherwise) whose queries
+    each have a positive judgment, as `training_store` makes it; positives,
+    negative pools and batches are row ids of it. The fine-tuner never
+    changes the store, so several may share one. `omega` holds the robust
+    weights, one per cluster of the current cluster model. State at an
+    episode boundary fully determines the continuation, so saving and reloading it resumes bit-identically. That state is the
     weights, kept in an encoder checkpoint, and the trainer state paired with
     it: the optimizer's step count, Adam's live columns with its moments over
     them, and the episode counter. The next episode refits the clusters from
     the weights and resets `omega` to uniform, so neither is saved.
     """
 
-    def __init__(
-        self,
-        config: RunConfig,
-        params: Params,
-        corpus: Corpus,
-        queries: QuerySet,
-        qrels: QrelSet,
-    ):
+    def __init__(self, config: RunConfig, params: Params, store: FeatureStore):
         config.validate()
         for name in ("feature_dim", "embed_dim"):
             if getattr(params, name) != getattr(config, name):
                 raise ConfigError(f"{name}: the encoder does not match the config")
+        for name, value in (("feature_dim", store.featurizer.dim),
+                            ("hash_seed", store.featurizer.seed)):
+            if value != getattr(config, name):
+                raise ConfigError(f"{name}: the feature store was featurized with {value}, "
+                                  f"the config has {getattr(config, name)}")
+        if not store.n_queries or not store.positives.sizes().all():
+            raise ValueError("the feature store needs queries that each have a positive "
+                             "judgment; see training_store")
         self.config = config
         self.params = params
-        self.featurizer = Featurizer(config.feature_dim, config.hash_seed)
-
-        kept = []
-        for query in queries:
-            if qrels.positives(query.id):
-                kept.append(query)
-            else:
-                logger.warning("query %r has no positive judgments; dropped", query.id)
-        if not kept:
-            raise ValueError("no training queries with positive judgments")
-        self.store = FeatureStore(self.featurizer, kept, corpus, qrels)
-        self.queries = self.store.queries
-        self.bm25 = retrieval_eval.Bm25Index(corpus)
+        self.store = store
+        self.queries = store.queries
 
         self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)
         self.optimizer = Optimizer(config, params)
@@ -661,9 +703,7 @@ class Finetuner:
     def _refresh_negatives(self, episode: int) -> tuple[str, int]:
         rng = _derived_rng(self.config.seed, _TAG_MINE, episode)
         if episode == 1:
-            self.pools, n_fallback = bm25_negative_pools(
-                self.store, self.config.mine_depth, rng, self.bm25
-            )
+            self.pools, n_fallback = bm25_negative_pools(self.store, self.config.mine_depth, rng)
             return "bm25", n_fallback
         self.pools, n_fallback = mine_negatives(
             self.params, self.store, self.config.mine_depth, rng
@@ -876,9 +916,9 @@ class Finetuner:
 
         self.params.flat[:] = flat
         if opt.kind == "adam":
-            opt.live = live.astype(np.int64)
-            opt.m_w = blocks["adam_m"].reshape(self.params.embed_dim, -1)
-            opt.v_w = blocks["adam_v"].reshape(self.params.embed_dim, -1)
+            opt.set_live(live.astype(np.int64),
+                         blocks["adam_m"].reshape(self.params.embed_dim, -1),
+                         blocks["adam_v"].reshape(self.params.embed_dim, -1))
         opt.t = meta["optimizer_t"]
         self.episodes_done = meta["episodes_done"]
 

@@ -418,6 +418,72 @@ def coco_top1_accuracy(params: Params, batch: SpanPairBatch) -> float:
     return hits / n2
 
 
+def _sq_dists_reference(x, centroids):
+    d = (
+        np.sum(x * x, axis=1)[:, None]
+        - 2.0 * (x @ centroids.T)
+        + np.sum(centroids * centroids, axis=1)[None, :]
+    )
+    return np.maximum(d, 0.0)
+
+
+def kmeans_fit_reference(embeddings, n_clusters, seed=0, max_iters=100, normalize=True,
+                         repairs=None):
+    """`clustering.kmeans_fit` with the points' squared norms recomputed on every
+    distance call and the centroid sums gathered by ``np.add.at``. Each empty
+    cluster it repairs is appended to ``repairs`` when a list is given."""
+    n = len(embeddings)
+    x = embeddings.matrix.astype(np.float64, copy=True)
+    if normalize:
+        x = clustering._normalize_rows(x)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centroids = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
+    centroids[0] = x[int(rng.integers(n))]
+    closest = _sq_dists_reference(x, centroids[:1]).ravel()
+    for j in range(1, n_clusters):
+        total = float(closest.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(closest), r, side="right")), n - 1)
+        centroids[j] = x[idx]
+        closest = np.minimum(closest, _sq_dists_reference(x, centroids[j : j + 1]).ravel())
+
+    labels = np.full(n, -1, dtype=np.int64)
+    history = []
+    for _ in range(max_iters):
+        dists = _sq_dists_reference(x, centroids)
+        new_labels = np.argmin(dists, axis=1)
+        point_d = dists[np.arange(n), new_labels]
+        while True:
+            counts = np.bincount(new_labels, minlength=n_clusters)
+            empty = np.flatnonzero(counts == 0)
+            if empty.size == 0:
+                break
+            k = int(empty[0])
+            if repairs is not None:
+                repairs.append(k)
+            movable = counts[new_labels] >= 2
+            far = int(np.argmax(np.where(movable, point_d, -1.0)))
+            centroids[k] = x[far]
+            new_labels[far] = k
+            point_d[far] = 0.0
+        objective = float(point_d.sum())
+        if history and objective > history[-1] * (1.0 + 1e-12) + 1e-12:
+            raise InvariantError("k-means objective increased between iterations")
+        history.append(objective)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, x)
+        centroids = sums / np.bincount(labels, minlength=n_clusters)[:, None]
+    assignment = {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
+    return clustering.ClusterModel(n_clusters, centroids, assignment, history[-1], normalize,
+                                   history)
+
+
 def draw_picks_reference(rng, n_pos, n_pool, k):
     """`trainer._draw_picks` one numpy call at a time: per item, ``rng.integers``
     for the positive, then, unless the pool is empty, ``rng.choice`` for its k
@@ -441,8 +507,9 @@ class ObjectFinetuner(trainer.Finetuner):
     the package's."""
 
     def __init__(self, config, params, corpus, queries, qrels):
-        super().__init__(config, params, corpus, queries, qrels)
+        super().__init__(config, params, trainer.training_store(config, corpus, queries, qrels))
         self.corpus, self.qrels = corpus, qrels
+        self.featurizer = encoder.Featurizer(config.feature_dim, config.hash_seed)
         self.positives = {q.id: list(qrels.positives(q.id)) for q in self.queries}
         self.query_fvs = self.featurizer.many(q.tokens for q in self.queries)
         self.doc_fvs = dict(zip(corpus.ids, self.featurizer.many(doc.tokens for doc in corpus)))

@@ -341,7 +341,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     """Cross-process reruns are bit-identical; checkpoint resume continues identically."""
     from robustdr.encoder import encode_many
     from robustdr.synthetic import make_imbalanced_source, write_task_dir
-    from robustdr.trainer import Finetuner
+    from robustdr.trainer import Finetuner, training_store
     from tests.test_trainer import tiny_config, tiny_task
 
     with criterion("criterion 8 (determinism and persistence)"):
@@ -363,14 +363,14 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         straight = Finetuner(
             config,
             Params.init_random(config.feature_dim, config.embed_dim, seed=5),
-            mini_task.corpus, mini_task.queries, mini_task.qrels,
+            training_store(config, mini_task.corpus, mini_task.queries, mini_task.qrels),
         )
         straight.run()
 
         partial = Finetuner(
             config,
             Params.init_random(config.feature_dim, config.embed_dim, seed=5),
-            mini_task.corpus, mini_task.queries, mini_task.qrels,
+            training_store(config, mini_task.corpus, mini_task.queries, mini_task.qrels),
         )
         partial.run_episode()
         partial.run_episode()
@@ -379,11 +379,11 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         resumed = Finetuner(
             config,
             Params.init_random(config.feature_dim, config.embed_dim, seed=5),
-            mini_task.corpus, mini_task.queries, mini_task.qrels,
+            training_store(config, mini_task.corpus, mini_task.queries, mini_task.qrels),
         )
         resumed.load_state(state_path)
         resumed.run()
-        doc_fvs = [resumed.featurizer(d.tokens) for d in mini_task.corpus]
+        doc_fvs = [resumed.store.featurizer(d.tokens) for d in mini_task.corpus]
         emb_straight = encode_many(straight.params, doc_fvs)
         emb_resumed = encode_many(resumed.params, doc_fvs)
         assert emb_straight.tobytes() == emb_resumed.tobytes()

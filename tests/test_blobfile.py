@@ -22,7 +22,7 @@ from robustdr import blobfile
 from robustdr.clustering import kmeans_fit, load_cluster_model, save_cluster_model
 from robustdr.encoder import EmbeddingMatrix, Params, load_checkpoint, save_checkpoint
 from robustdr.errors import BlobFileError
-from robustdr.trainer import Finetuner
+from robustdr.trainer import Finetuner, training_store
 from tests.test_trainer import tiny_config, tiny_task
 
 
@@ -41,7 +41,8 @@ class Format:
 
 def _finetuner(config, task):
     params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-    return Finetuner(config, params, task.corpus, task.queries, task.qrels)
+    store = training_store(config, task.corpus, task.queries, task.qrels)
+    return Finetuner(config, params, store)
 
 
 def _checkpoint(path):

@@ -174,7 +174,7 @@ class TestPipelineCommands:
         library run with the same config (plain ERM control)."""
         from robustdr.corpus import load_corpus, load_qrels, load_queries
         from robustdr.encoder import load_checkpoint
-        from robustdr.trainer import Finetuner, RunConfig
+        from robustdr.trainer import Finetuner, RunConfig, training_store
 
         out = tmp_path / "erm"
         assert main(finetune_args(task_dir, out, ("--weighting", "uniform"))) == 0
@@ -184,13 +184,13 @@ class TestPipelineCommands:
             json.loads((out / "resolved_config.json").read_text())["config"]
         )
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
-        control = Finetuner(
+        store = training_store(
             config,
-            params,
             load_corpus(task_dir / "corpus.jsonl"),
             load_queries(task_dir / "queries.jsonl"),
             load_qrels(task_dir / "qrels.tsv"),
         )
+        control = Finetuner(config, params, store)
         control.run()
         assert control.params.flat.tobytes() == cli_params.flat.tobytes()
 

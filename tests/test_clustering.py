@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from robustdr.clustering import (
     assign,
@@ -8,6 +10,8 @@ from robustdr.clustering import (
     save_cluster_model,
 )
 from robustdr.encoder import EmbeddingMatrix
+from robustdr.errors import InvariantError
+from tests.oracles import kmeans_fit_reference
 
 
 def embeddings_from(matrix, prefix="p"):
@@ -60,7 +64,8 @@ class TestKmeansFit:
         # same seeding, independent Lloyd loop
         from robustdr.clustering import _kmeanspp_seed
 
-        seeds = _kmeanspp_seed(x, 2, np.random.Generator(np.random.PCG64(3)))
+        seeding = np.random.Generator(np.random.PCG64(3))
+        seeds = _kmeanspp_seed(x, np.sum(x * x, axis=1), 2, seeding)
         _, oracle_objective = lloyd_oracle(x, seeds.copy())
         assert model.objective == pytest.approx(oracle_objective, rel=1e-10)
 
@@ -150,3 +155,61 @@ class TestSerialization:
         assert loaded.normalized == model.normalized
         np.testing.assert_array_equal(loaded.centroids, model.centroids)
         assert loaded.objective == model.objective
+
+
+def fit_or_error(fit, *args, **kwargs):
+    try:
+        return fit(*args, **kwargs)
+    except InvariantError as exc:
+        return exc
+
+
+def assert_same_fit(emb, k, seed, max_iters, normalize):
+    """`kmeans_fit` and its reference give the same bytes, or both refuse; returns
+    the empty clusters the reference repaired."""
+    repairs = []
+    got = fit_or_error(kmeans_fit, emb, k, seed=seed, max_iters=max_iters, normalize=normalize)
+    want = fit_or_error(kmeans_fit_reference, emb, k, seed=seed, max_iters=max_iters,
+                        normalize=normalize, repairs=repairs)
+    if isinstance(want, InvariantError):
+        assert isinstance(got, InvariantError)
+        return repairs
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.assignment == want.assignment
+    assert [v.hex() for v in got.objective_history] == [v.hex() for v in want.objective_history]
+    assert got.objective.hex() == want.objective.hex() and got.normalized == normalize
+    return repairs
+
+
+@st.composite
+def fit_cases(draw):
+    """Small point sets, often with repeated points (which leave k-means++ seeds
+    coinciding, so clusters go empty), in 1-4 dimensions."""
+    n = draw(st.integers(1, 24))
+    width = draw(st.integers(1, 4))
+    coarse = draw(st.booleans())
+    values = st.integers(-2, 2).map(float) if coarse else st.floats(-3.0, 3.0, width=32)
+    x = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width))).reshape(n, width)
+    return x, draw(st.integers(1, n)), draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 12))
+
+
+class TestReference:
+    """`kmeans_fit` byte for byte against the reference that recomputes the
+    squared norms per distance call and sums the centroids with ``np.add.at``."""
+
+    @given(fit_cases(), st.booleans())
+    def test_matches_reference(self, case, normalize):
+        x, k, seed, max_iters = case
+        assert_same_fit(embeddings_from(x), k, seed, max_iters, normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_empty_cluster_repairs_match(self, normalize):
+        """Repeated points: k-means++ seeds coinciding centroids, whose clusters
+        start empty and are repaired."""
+        x = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), [5, 3, 1], axis=0)
+        assert assert_same_fit(embeddings_from(x), 5, 0, 10, normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_task_sized_refit_matches(self, rng, normalize):
+        """A refit of the size of the imbalance study's: 1,059 queries of width 6, k = 20."""
+        assert_same_fit(embeddings_from(rng.normal(size=(1059, 6))), 20, 3, 24, normalize)

@@ -1,8 +1,10 @@
 import dataclasses
+from collections import Counter
+from unittest import mock
 
 import pytest
 
-from robustdr import experiments, retrieval_eval
+from robustdr import experiments, retrieval_eval, trainer
 from robustdr.corpus import QrelSet
 from robustdr.encoder import Featurizer, Params
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
@@ -37,7 +39,8 @@ def test_fixed_eval_batch_bytes_equal_reference(source):
         task = judged_negatives(task)
         groups = {q.id: "rare" if i % 5 == 0 else "major" for i, q in enumerate(task.queries)}
     dim = 4096
-    batch, qids = experiments._fixed_eval_batch(task, Featurizer(dim, 0))
+    store = trainer.FeatureStore(Featurizer(dim, 0), task.queries, task.corpus, task.qrels)
+    batch, qids = experiments._fixed_eval_batch(store)
     want_items, want_qids = fixed_eval_batch_reference(task, Featurizer(dim, 0))
     assert qids == want_qids and len(batch) == len(want_items)
     vectors = batch.block.vectors()
@@ -61,4 +64,49 @@ def test_fixed_eval_batch_needs_every_negative():
                                      docs_per_topic=4, major_queries_per_topic=2,
                                      rare_queries_per_topic=1)
     with pytest.raises(ValueError, match="evaluation negatives, not 8"):
-        experiments._fixed_eval_batch(task, Featurizer(64, 0))
+        experiments._fixed_eval_batch(
+            trainer.FeatureStore(Featurizer(64, 0), task.queries, task.corpus, task.qrels))
+
+
+def test_imbalance_study_prepares_the_task_once():
+    """One `run_idro_directional` call featurizes the task once, into one store,
+    and builds one BM25 index and one BM25 ranking per depth: 30 for the arms'
+    first-episode pools and 50 for the evaluation batch."""
+    task, groups = make_imbalanced_source(seed=experiments._IMBALANCE_SEED)
+    n_texts = len(task.queries) + len(task.corpus)
+    config = experiments.idro_experiment_config
+    counts = Counter()
+    store_init, index_init = trainer.FeatureStore.__init__, retrieval_eval.Bm25Index.__init__
+    block, block_picks = Featurizer.block, retrieval_eval.block_picks
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    def counted_block(self, token_lists):
+        token_lists = list(token_lists)
+        counts["task featurizations"] += len(token_lists) == n_texts
+        return block(self, token_lists)
+
+    def counted_picks(index, queries, k):
+        if isinstance(index, retrieval_eval.Bm25Index):
+            counts[f"BM25 rankings at {k}"] += 1
+        return block_picks(index, queries, k)
+
+    with (
+        mock.patch.object(experiments.synthetic, "make_imbalanced_source",
+                          lambda seed: (task, groups)),
+        mock.patch.object(experiments, "idro_experiment_config",
+                          lambda seed, weighting: config(seed, weighting).replace(
+                              episodes=2, steps_per_episode=2)),
+        mock.patch.object(trainer.FeatureStore, "__init__", counted("stores", store_init)),
+        mock.patch.object(retrieval_eval.Bm25Index, "__init__", counted("indexes", index_init)),
+        mock.patch.object(Featurizer, "block", counted_block),
+        mock.patch.object(retrieval_eval, "block_picks", counted_picks),
+    ):
+        results = experiments.run_idro_directional(0)
+    assert list(results) == ["idro", "groupdro", "uniform"]
+    assert counts == {"stores": 1, "task featurizations": 1, "indexes": 1,
+                      "BM25 rankings at 30": 1, "BM25 rankings at 50": 1}

@@ -33,6 +33,7 @@ from robustdr.trainer import (
     mine_negatives,
     pretrain_coco,
     scheduled_lr,
+    training_store,
 )
 from tests.oracles import (
     DenseOptimizer,
@@ -88,17 +89,25 @@ def mined_ids(params, featurizer, queries, corpus, qrels, k, rng=None):
     return store.pool_ids(pools), n_fallback
 
 
-def bm25_ids(queries, corpus, qrels, k, rng=None, index=None):
+def bm25_ids(queries, corpus, qrels, k, rng=None):
     """`bm25_negative_pools` on a store of the task, its pools as document ids."""
     store = FeatureStore(Featurizer(16, 0), queries, corpus, qrels)
-    pools, n_fallback = bm25_negative_pools(store, k, rng, index)
+    pools, n_fallback = bm25_negative_pools(store, k, rng)
     return store.pool_ids(pools), n_fallback
 
 
-def run_finetune(config, task, init_seed=5):
-    """A `Finetuner` after all its episodes."""
+def task_finetuner(config, task, init_seed=5, store=None):
+    """A `Finetuner` of the task from seeded initial weights, on its own store
+    unless one is given."""
     params = Params.init_random(config.feature_dim, config.embed_dim, seed=init_seed)
-    ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
+    if store is None:
+        store = training_store(config, task.corpus, task.queries, task.qrels)
+    return Finetuner(config, params, store)
+
+
+def run_finetune(config, task, init_seed=5, store=None):
+    """A `Finetuner` after all its episodes."""
+    ft = task_finetuner(config, task, init_seed, store)
     ft.run()
     return ft
 
@@ -183,12 +192,10 @@ class TestOptimizer:
 
         # one more step, on moments reloaded from a trainer state
         task = tiny_task()
-        writer = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
-                           task.queries, task.qrels)
+        writer = task_finetuner(config, task)
         writer.run_episode()
         writer.save_state(tmp_path / "state.bin", tmp_path / "state.ckpt")
-        ft = Finetuner(config, Params.init_random(512, 8, seed=5), task.corpus,
-                       task.queries, task.qrels)
+        ft = task_finetuner(config, task)
         ft.load_state(tmp_path / "state.bin")
         opt = ft.optimizer
         assert opt.live.tolist() == writer.optimizer.live.tolist()
@@ -424,15 +431,15 @@ class TestNegativePools:
         queries = QuerySet([Query.from_fields(f"q{i}", f"w{i % 97} w{i % 7}")
                             for i in range(n_queries)])
         qrels = QrelSet({(f"q{i}", f"d{i % n_docs}"): 1 for i in range(n_queries)})
-        index = retrieval_eval.Bm25Index(corpus)
         params = Params.init_random(512, 4, seed=0)
         store = FeatureStore(Featurizer(512, 0), queries, corpus, qrels)
+        assert store.bm25.n_docs == n_docs  # the index is built before tracing
         tracemalloc.start()
         try:
             if mined:
                 pools, _ = mine_negatives(params, store, k=30)
             else:
-                pools, _ = bm25_negative_pools(store, 30, index=index)
+                pools, _ = bm25_negative_pools(store, 30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -468,9 +475,52 @@ class TestFinetune:
         config = tiny_config(episodes=1, steps_per_episode=1)
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
-            ft = Finetuner(config, params, task.corpus, queries, task.qrels)
+            ft = Finetuner(config, params, training_store(config, task.corpus, queries,
+                                                          task.qrels))
         assert all(q.id != "orphan" for q in ft.queries)
         assert any("orphan" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("field", ["feature_dim", "hash_seed"])
+    def test_store_of_other_featurizer_rejected(self, field):
+        task, config = tiny_task(), tiny_config()
+        other = config.replace(**{field: getattr(config, field) + 1})
+        store = training_store(other, task.corpus, task.queries, task.qrels)
+        params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+        with pytest.raises(ConfigError, match=field):
+            Finetuner(config, params, store)
+
+    def test_store_query_without_positives_rejected(self):
+        """A store of every query, as `robustdr mine` makes it, is not a training store."""
+        task, config = tiny_task(), tiny_config()
+        queries = QuerySet(list(task.queries) + [Query.from_fields("orphan", "nothing here")])
+        store = FeatureStore(Featurizer(config.feature_dim, config.hash_seed), queries,
+                             task.corpus, task.qrels)
+        params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
+        with pytest.raises(ValueError, match="positive judgment"):
+            Finetuner(config, params, store)
+
+    def test_no_training_queries_rejected(self, caplog):
+        task, config = tiny_task(), tiny_config()
+        with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
+            with pytest.raises(ValueError, match="no training queries"):
+                training_store(config, task.corpus, task.queries, QrelSet({}))
+        assert sum("no positive judgments" in rec.message for rec in caplog.records) == len(
+            task.queries)
+
+    def test_arms_on_a_shared_store_match_arms_on_their_own(self):
+        """The three weightings run one after another on one store, as the
+        imbalance study runs them, give the weights, log rows and episode
+        records of each run on a store of its own."""
+        task = tiny_task()
+        config = tiny_config(episodes=3)
+        shared = training_store(config, task.corpus, task.queries, task.qrels)
+        for weighting in WEIGHTINGS:
+            arm = config.replace(weighting=weighting)
+            got, want = run_finetune(arm, task, store=shared), run_finetune(arm, task)
+            assert got.params.flat.tobytes() == want.params.flat.tobytes(), weighting
+            assert got.log_rows == want.log_rows, weighting
+            assert got.episode_records == want.episode_records, weighting
+            assert [r.negative_source for r in got.episode_records] == ["bm25", "self", "self"]
 
     @pytest.mark.parametrize("field", ["feature_dim", "embed_dim"])
     def test_encoder_shape_mismatch_rejected(self, field):
@@ -478,8 +528,8 @@ class TestFinetune:
         shape = {"feature_dim": config.feature_dim, "embed_dim": config.embed_dim}
         shape[field] += 1
         with pytest.raises(ConfigError, match=field):
-            Finetuner(config, Params.init_random(**shape, seed=5), task.corpus, task.queries,
-                      task.qrels)
+            Finetuner(config, Params.init_random(**shape, seed=5),
+                      training_store(config, task.corpus, task.queries, task.qrels))
 
     def test_positive_missing_from_corpus_rejected_before_training(self):
         task = tiny_task()
@@ -490,7 +540,8 @@ class TestFinetune:
         config = tiny_config()
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
         with pytest.raises(CorpusFormatError, match="no-such-doc"):
-            Finetuner(config, params, task.corpus, task.queries, QrelSet(grades))
+            Finetuner(config, params, training_store(config, task.corpus, task.queries,
+                                                     QrelSet(grades)))
 
     def test_default_size_step_peak_memory(self):
         """One default-size step allocates no parameter-sized vector: the gradient
@@ -498,7 +549,8 @@ class TestFinetune:
         source, _ = make_two_domain_benchmark(seed=experiments._BENCHMARK_SEED)
         config = RunConfig()
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=0)
-        ft = Finetuner(config, params, source.corpus, source.queries, source.qrels)
+        ft = Finetuner(config, params, training_store(config, source.corpus, source.queries,
+                                                      source.qrels))
         ft._refresh_clusters(1)
         ft._refresh_negatives(1)
         rows, clusters = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
@@ -513,10 +565,11 @@ class TestFinetune:
         assert peak < 2 * len(params) * 8
 
     def test_features_held_once(self):
-        """The fine-tuner holds its texts' features once, in its store: beyond a BM25
-        index, its positives and one feature block of the same texts (with the
-        featurizer's token cache), it keeps under 32 KiB, where one feature vector
-        object per text would add about 250 bytes each."""
+        """The fine-tuner holds its texts' features once, in its store: the store
+        build plus the `Finetuner` keep under 32 KiB beyond the positives and one
+        feature block of the same texts (with the featurizer's token cache),
+        where one feature vector object per text would add about 250 bytes each.
+        The store's BM25 index is built on first use, so none is held yet."""
         task, _ = make_imbalanced_source(seed=experiments._IMBALANCE_SEED)
         config = experiments.idro_experiment_config(0, "idro")
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=0)
@@ -531,8 +584,8 @@ class TestFinetune:
             finally:
                 tracemalloc.stop()
 
-        ft, ft_bytes = held(lambda: Finetuner(config, params, task.corpus, task.queries,
-                                              task.qrels))
+        ft, ft_bytes = held(lambda: Finetuner(
+            config, params, training_store(config, task.corpus, task.queries, task.qrels)))
         texts = [q.tokens for q in ft.queries] + [doc.tokens for doc in task.corpus]
 
         def featurized():
@@ -540,12 +593,11 @@ class TestFinetune:
             return featurizer, featurizer.block(texts)
 
         (_, block), block_bytes = held(featurized)
-        _, bm25_bytes = held(lambda: retrieval_eval.Bm25Index(task.corpus))
         positives = sys.getsizeof(ft.store.positives.docs) + sys.getsizeof(
             ft.store.positives.bounds)
         assert ft.store.block.indices.tobytes() == block.indices.tobytes()
         assert len(texts) * 250 > 32 * 1024
-        assert ft_bytes - (block_bytes + bm25_bytes + positives) < 32 * 1024
+        assert ft_bytes - (block_bytes + positives) < 32 * 1024
 
     def test_episode_boundary_cluster_contract(self):
         """Episode e's clusters are fit on embeddings from the params that ended e-1."""
@@ -555,13 +607,14 @@ class TestFinetune:
         config = tiny_config(episodes=2)
         task = tiny_task()
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-        ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
+        ft = Finetuner(config, params, training_store(config, task.corpus, task.queries,
+                                                      task.qrels))
         ft.run_episode()
         frozen = ft.params.copy()
         ft.run_episode()
         emb = EmbeddingMatrix(
             ids=tuple(q.id for q in ft.queries),
-            matrix=encode_many(frozen, ft.featurizer.many(q.tokens for q in ft.queries)),
+            matrix=encode_many(frozen, ft.store.featurizer.many(q.tokens for q in ft.queries)),
         )
         expected = kmeans_fit(
             emb,
@@ -582,15 +635,13 @@ class TestFinetune:
         ):
             straight = run_finetune(config, task)
 
-            params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-            ft = Finetuner(config, params, task.corpus, task.queries, task.qrels)
+            ft = task_finetuner(config, task)
             ft.run_episode()
             ft.run_episode()
             state_path = tmp_path / "state.bin"
             ft.save_state(state_path, tmp_path / "encoder_ep2.ckpt")
 
-            fresh_params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-            resumed = Finetuner(config, fresh_params, task.corpus, task.queries, task.qrels)
+            resumed = task_finetuner(config, task)
             resumed.load_state(state_path)
             assert resumed.episodes_done == 2
             resumed.run()
@@ -620,9 +671,11 @@ class TestObjectReference:
     @staticmethod
     def assert_same_run(config, corpus, queries, qrels):
         runs = []
-        for cls in (Finetuner, ObjectFinetuner):
+        for make in (lambda params: Finetuner(config, params, training_store(config, corpus,
+                                                                              queries, qrels)),
+                     lambda params: ObjectFinetuner(config, params, corpus, queries, qrels)):
             params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
-            ft = cls(config, params, corpus, queries, qrels)
+            ft = make(params)
             ft.run()
             runs.append(ft)
         got, want = runs
