@@ -40,6 +40,7 @@ Every run is fully determined by (config, seed, data).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import logging
@@ -400,15 +401,12 @@ class FeatureStore:
             np.fromiter((position[d] for ids in pos_ids for d in ids), np.intp, bounds[-1]),
             bounds,
         )
-        self._bm25: retrieval_eval.Bm25Index | None = None
         self._bm25_picks: dict[int, list[retrieval_eval.Picks]] = {}
 
-    @property
+    @functools.cached_property
     def bm25(self) -> retrieval_eval.Bm25Index:
         """The corpus's BM25 index, built on first use."""
-        if self._bm25 is None:
-            self._bm25 = retrieval_eval.Bm25Index(self.corpus)
-        return self._bm25
+        return retrieval_eval.Bm25Index(self.corpus)
 
     def bm25_picks(self, k: int) -> list[retrieval_eval.Picks]:
         """The queries' BM25 top k, one `retrieval_eval.Picks` per block, ranked on

@@ -596,6 +596,7 @@ class TestFinetune:
         positives = sys.getsizeof(ft.store.positives.docs) + sys.getsizeof(
             ft.store.positives.bounds)
         assert ft.store.block.indices.tobytes() == block.indices.tobytes()
+        assert "bm25" not in vars(ft.store)  # the index is built on first use
         assert len(texts) * 250 > 32 * 1024
         assert ft_bytes - (block_bytes + positives) < 32 * 1024
 
