@@ -17,10 +17,10 @@ from .corpus import (
     sample_span_pair,
     tokenize,
 )
-from .encoder import EmbeddingMatrix, Featurizer, Params, encode, score
+from .encoder import EmbeddingMatrix, FeatureRows, Featurizer, Params
 from .errors import BlobFileError, ConfigError, CorpusFormatError, InvariantError
 from .idro import alpha_weights, idro_loss, omega_update, r_matrix
-from .losses import Triplet, coco_loss, retrieval_loss
+from .losses import TripletRows, coco_loss, retrieval_loss
 from .trainer import FeatureStore, Finetuner, RunConfig, pretrain_coco, training_store
 
 __version__ = "0.1.0"
@@ -32,6 +32,7 @@ __all__ = [
     "CorpusFormatError",
     "Document",
     "EmbeddingMatrix",
+    "FeatureRows",
     "FeatureStore",
     "Featurizer",
     "Finetuner",
@@ -41,10 +42,9 @@ __all__ = [
     "Query",
     "QuerySet",
     "RunConfig",
-    "Triplet",
+    "TripletRows",
     "alpha_weights",
     "coco_loss",
-    "encode",
     "idro_loss",
     "load_corpus",
     "load_qrels",
@@ -54,7 +54,6 @@ __all__ = [
     "r_matrix",
     "retrieval_loss",
     "sample_span_pair",
-    "score",
     "tokenize",
     "training_store",
 ]

@@ -72,15 +72,13 @@ def diagnostics_report(
     for _ in range(n_pairs):
         doc = eligible[int(rng.integers(len(eligible)))]
         pairs.append(sample_span_pair(doc, span_len, rng))
-    firsts = featurizer.many(first for first, _ in pairs)
-    seconds = featurizer.many(second for _, second in pairs)
-    emb_first = encode_many(params, firsts)
-    emb_second = encode_many(params, seconds)
+    emb_first = encode_many(params, featurizer(first for first, _ in pairs).all_rows())
+    emb_second = encode_many(params, featurizer(second for _, second in pairs).all_rows())
     points = np.vstack([emb_first, emb_second])
     return {
         "alignment": alignment(emb_first, emb_second),
         "uniformity": uniformity(points),
-        "n_pairs": len(firsts),
+        "n_pairs": len(pairs),
         "n_points": int(points.shape[0]),
         "corpus_id": corpus_id,
     }

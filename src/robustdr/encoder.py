@@ -7,27 +7,25 @@ their embeddings, with no normalization. Forward and backward passes are
 exact and hand-derived.
 
 Texts are featurized into a `FeatureBlock`, one CSR block of feature ids and
-counts with a row per text, and the kernels work on `FeatureRows`, a block
-and the row id of each item; a row may repeat. One forward kernel,
-`encode_many`, embeds the items, each distinct row once; `encode` is its
-one-item case. One backward kernel, `grouped_backward`, returns the items'
-gradient per group of items (the robust weighting's clusters) on only the
-feature columns the items touch, from one count matrix; `embedding_backward`
-is its one-group case scattered into a dense vector. A list of
-`FeatureVector` objects is the edge form of the same items: the kernels stack
-it once into a block, one row per distinct object, and run the same code.
+counts with a row per text, by the one featurizing call, `Featurizer`'s
+``__call__``. Every kernel works on `FeatureRows`, a block and the row id of
+each item; a row may repeat. One forward kernel, `encode_many`, embeds the
+items, each distinct row once. One backward kernel, `grouped_backward`,
+returns the items' gradient per group of items (the robust weighting's
+clusters) on only the feature columns the items touch, from one count matrix;
+`embedding_backward` is its one-group case scattered into a dense vector.
 
-Both kernels equal, bit for bit, a loop with one ``W[:, fv.indices] @
-fv.counts`` per item and one masked copy of each group's rows per group (kept
-in the tests as the reference), whichever rows a batch names and however
-often. That rests on these layout conditions, each checked against the loop
-on OpenBLAS:
+Both kernels equal, bit for bit, a loop with one ``W[:, indices] @ counts``
+per item and one masked copy of each group's rows per group (kept in the
+tests as the reference), whichever rows a batch names and however often.
+That rests on these layout conditions, each checked against the loop on
+OpenBLAS:
 
 - each kernel gathers its rows' ids and counts from the block into fresh
   arrays in one fancy index, so an item's values do not depend on where its
   row sits in the block;
 - each item's gathered E x n weight block stays F-ordered, as
-  ``W[:, fv.indices]`` is, so a stacked ``np.matmul`` over a run of at most
+  ``W[:, indices]`` is, so a stacked ``np.matmul`` over a run of at most
   `_ROWS` distinct rows with the same count of nonzeros n makes the same BLAS
   gemv call per item (a C-ordered stacked gather differs in the last bits);
 - each group's rows of the count matrix and of the embedding gradients are
@@ -39,9 +37,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -55,18 +52,9 @@ CHECKPOINT_VERSION = 1
 _ROWS = 256
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
-    """Sparse hashed feature counts: sorted unique indices in [0, dim)."""
-
-    indices: np.ndarray
-    counts: np.ndarray
-    dim: int
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureBlock:
-    """Feature vectors stacked as one CSR block, one row per text.
+    """The hashed feature counts of a list of texts as one CSR block, one row per text.
 
     Row r's sorted unique feature ids in [0, dim) are
     ``indices[bounds[r]:bounds[r + 1]]``, and its counts sit at the same
@@ -81,13 +69,9 @@ class FeatureBlock:
     def __len__(self) -> int:
         return self.bounds.size - 1
 
-    def vectors(self) -> list[FeatureVector]:
-        """One `FeatureVector` per row, viewing the block's arrays."""
-        bounds = self.bounds.tolist()
-        return [
-            FeatureVector(indices=self.indices[a:b], counts=self.counts[a:b], dim=self.dim)
-            for a, b in zip(bounds, bounds[1:])
-        ]
+    def all_rows(self) -> "FeatureRows":
+        """Every row once, in order."""
+        return FeatureRows(self, np.arange(len(self)))
 
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The feature ids and counts of ``rows``, back to back in the order of
@@ -110,40 +94,14 @@ class FeatureRows:
     def __len__(self) -> int:
         return self.rows.size
 
-    @classmethod
-    def of(cls, fvs: Sequence[FeatureVector], dim: int) -> "FeatureRows":
-        """A list of feature vectors stacked once: one row per distinct object
-        (keyed on identity), in order of first appearance; ValueError unless
-        every vector has dimension ``dim``."""
-        other = set(map(attrgetter("dim"), fvs)) - {dim}
-        if other:
-            raise ValueError(f"feature dim {min(other)} does not match encoder feature dim {dim}")
-        distinct = {id(fv): fv for fv in fvs}
-        row_of = {key: row for row, key in enumerate(distinct)}
-        vectors = list(distinct.values())
-        indices = list(map(attrgetter("indices"), vectors))
-        bounds = np.zeros(len(vectors) + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, indices), np.intp, len(indices)), out=bounds[1:])
-        block = FeatureBlock(
-            indices=np.concatenate(indices or [np.empty(0, dtype=np.intp)]),
-            counts=np.concatenate(list(map(attrgetter("counts"), vectors)) or [np.empty(0)],
-                                  dtype=np.float64),
-            bounds=bounds,
-            dim=dim,
-        )
-        rows = np.fromiter(map(row_of.__getitem__, map(id, fvs)), np.intp, len(fvs))
-        return cls(block, rows)
-
 
 class Featurizer:
     """Deterministic seeded hashing of tokens into `dim` count buckets.
 
-    `block` featurizes a list of token lists at once into one `FeatureBlock`:
-    one cached bucket lookup per token, one sort of the (item, bucket) keys.
-    `many` returns its rows as `FeatureVector` views, and calling the
-    featurizer on one token list is the one-item case. Counts are small
-    integers, so they are exact in float64 and equal to a per-token tally bit
-    for bit.
+    Calling the featurizer on a list of token lists featurizes them at once
+    into one `FeatureBlock`, one row per token list: one cached bucket lookup
+    per token, one sort of the (item, bucket) keys. Counts are small integers,
+    so they are exact in float64 and equal to a per-token tally bit for bit.
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -164,18 +122,14 @@ class Featurizer:
             self._cache[token] = idx
         return idx
 
-    def __call__(self, tokens: Iterable[str]) -> FeatureVector:
-        return self.many([tokens])[0]
-
-    def many(self, token_lists: Iterable[Iterable[str]]) -> list[FeatureVector]:
-        """One `FeatureVector` per token list, in order."""
-        return self.block(token_lists).vectors()
-
-    def block(self, token_lists: Iterable[Iterable[str]]) -> FeatureBlock:
-        """One `FeatureBlock` row per token list, in order."""
+    def __call__(self, token_lists: Iterable[Iterable[str]]) -> FeatureBlock:
+        """One `FeatureBlock` row per token list, in order; TypeError for a bare
+        string, which is one text, not a token list."""
         tokens: list[str] = []
         lengths: list[int] = []
         for item in token_lists:
+            if isinstance(item, str):
+                raise TypeError("the featurizer takes a list of token lists, not of strings")
             start = len(tokens)
             tokens.extend(item)
             lengths.append(len(tokens) - start)
@@ -235,13 +189,9 @@ class Params:
         return self.flat.shape[0]
 
 
-def encode(params: Params, fv: FeatureVector) -> np.ndarray:
-    """Embed one feature vector: W @ x. The one-item case of `encode_many`."""
-    return encode_many(params, [fv])[0]
-
-
-def encode_many(params: Params, items: FeatureRows | Sequence[FeatureVector]) -> np.ndarray:
-    """One embedding row W @ x per item, for a `FeatureRows` or a list of feature vectors.
+def encode_many(params: Params, items: FeatureRows) -> np.ndarray:
+    """One embedding row W @ x per item of ``items``; ValueError unless its block
+    has the encoder's feature dimension.
 
     Each distinct row is encoded once and its embedding copied to every item
     that names it. The distinct rows are sorted stably by their count of
@@ -249,7 +199,7 @@ def encode_many(params: Params, items: FeatureRows | Sequence[FeatureVector]) ->
     stacked ``np.matmul`` of their gathered E x n weight blocks with their
     counts.
     """
-    items = _as_rows(params, items)
+    _check_dim(params, items)
     distinct, inverse = np.unique(items.rows, return_inverse=True)
     bounds = items.block.bounds
     order = np.argsort(bounds[distinct + 1] - bounds[distinct], kind="stable")
@@ -263,8 +213,8 @@ def encode_many(params: Params, items: FeatureRows | Sequence[FeatureVector]) ->
         n = int(nnz[a])
         span = slice(first[a], first[a] + (b - a) * n)
         # Rows of W.T gathered as (items, n, E), C-ordered, so each item's E x n
-        # block of the transpose is F-ordered like W[:, fv.indices], and np.matmul
-        # runs the same BLAS gemv per item as W[:, fv.indices] @ fv.counts.
+        # block of the transpose is F-ordered like W[:, indices], and np.matmul
+        # runs the same BLAS gemv per item as W[:, indices] @ counts.
         blocks = w_t[idx[span]].reshape(b - a, n, params.embed_dim).transpose(0, 2, 1)
         emb[a:b] = np.matmul(blocks, counts[span].reshape(b - a, n, 1))[..., 0]
     rank = np.empty(distinct.size, dtype=np.intp)
@@ -272,26 +222,15 @@ def encode_many(params: Params, items: FeatureRows | Sequence[FeatureVector]) ->
     return emb[rank[inverse]]
 
 
-def score(params: Params, q_features: FeatureVector, d_features: FeatureVector) -> float:
-    """Relevance score: dot product of the two embeddings."""
-    q_emb, d_emb = encode_many(params, [q_features, d_features])
-    return float(q_emb @ d_emb)
-
-
-def _as_rows(params: Params, items: FeatureRows | Sequence[FeatureVector]) -> FeatureRows:
-    """The kernels' items as a `FeatureRows`, a list of feature vectors stacked once;
-    ValueError unless the features have the encoder's dimension."""
-    if not isinstance(items, FeatureRows):
-        return FeatureRows.of(items, params.feature_dim)
+def _check_dim(params: Params, items: FeatureRows) -> None:
     if items.block.dim != params.feature_dim:
         raise ValueError(f"feature dim {items.block.dim} does not match encoder feature dim "
                          f"{params.feature_dim}")
-    return items
 
 
 def grouped_backward(
     params: Params,
-    items: FeatureRows | Sequence[FeatureVector],
+    items: FeatureRows,
     emb_grads: np.ndarray,
     groups: np.ndarray,
     n_groups: int,
@@ -309,7 +248,7 @@ def grouped_backward(
     original order, and each group's gradient is one product of slices,
     written straight into its row; only the rows of empty groups are zeroed.
     """
-    items = _as_rows(params, items)
+    _check_dim(params, items)
     n = len(items)
     emb_grads = np.asarray(emb_grads, dtype=np.float64)
     if emb_grads.shape != (n, params.embed_dim):
@@ -346,16 +285,15 @@ def scatter_grad(params: Params, cols: np.ndarray, row: np.ndarray) -> np.ndarra
     return grad
 
 
-def embedding_backward(
-    params: Params, fvs: Sequence[FeatureVector], emb_grads: np.ndarray
-) -> np.ndarray:
+def embedding_backward(params: Params, items: FeatureRows, emb_grads: np.ndarray) -> np.ndarray:
     """Chain per-item embedding gradients back to a flat parameter gradient.
 
-    `emb_grads[i]` is d(loss)/d(embedding of fvs[i]); items sharing buckets
+    `emb_grads[i]` is d(loss)/d(embedding of item i); items sharing buckets
     accumulate. The one-group case of `grouped_backward`, returned as a dense
     vector aligned with ``params.flat``.
     """
-    cols, rows = grouped_backward(params, fvs, emb_grads, np.zeros(len(fvs), dtype=np.intp), 1)
+    groups = np.zeros(len(items), dtype=np.intp)
+    cols, rows = grouped_backward(params, items, emb_grads, groups, 1)
     return scatter_grad(params, cols, rows[0])
 
 
@@ -383,10 +321,9 @@ class EmbeddingMatrix:
 def embed_items(params: Params, featurizer: Featurizer, items: Iterable) -> EmbeddingMatrix:
     """Embed anything carrying ``.id`` and ``.tokens`` (documents or queries)."""
     items = list(items)
-    block = featurizer.block(item.tokens for item in items)
     return EmbeddingMatrix(
         ids=tuple(item.id for item in items),
-        matrix=encode_many(params, FeatureRows(block, np.arange(len(block)))),
+        matrix=encode_many(params, featurizer(item.tokens for item in items).all_rows()),
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, retrieval_eval, synthetic, trainer
-from .encoder import Featurizer, Params
+from .encoder import Params
 from .trainer import Finetuner, RunConfig
 
 _BENCHMARK_SEED = 1000
@@ -57,7 +57,6 @@ def run_coco_directional(seed: int) -> dict:
     """Target nDCG@10 of fine-tuned-after-pretraining vs fine-tuned-from-scratch."""
     source, target = synthetic.make_two_domain_benchmark(seed=_BENCHMARK_SEED)
     config = coco_experiment_config(seed)
-    featurizer = Featurizer(config.feature_dim, config.hash_seed)
 
     pretrained = trainer.pretrain_coco(config, [source.corpus, target.corpus]).params
     scratch = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
@@ -68,7 +67,7 @@ def run_coco_directional(seed: int) -> dict:
         ft = Finetuner(config, init.copy(), store)
         ft.run()
         record, _ = retrieval_eval.evaluate(
-            ft.params, featurizer, target.corpus, target.queries, target.qrels
+            ft.params, store.featurizer, target.corpus, target.queries, target.qrels
         )
         results[label] = record.ndcg_at_10
     return results

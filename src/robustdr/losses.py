@@ -29,39 +29,22 @@ conditions, each checked against the loop on OpenBLAS:
   F-ordered and each group's rows contiguous and in item order (see
   `encoder`).
 
-A retrieval batch comes in one of two forms that run the same code. The
-trainer's is a `TripletRows`: a feature block and an (items, 2 + negatives)
-array of its row ids, each row of the array one item's query, positive and
-negatives; the kernels gather from the block directly and encode each
-distinct row once. A list of `Triplet` objects (tests, evaluation batches) is
-stacked once into a block, one row per distinct feature vector object, and
-may give its items different numbers of negatives. Either way both kernels
-take the same `encoder.FeatureRows` of the batch's slots.
+Both take their texts as rows of one feature block. A retrieval batch is a
+`TripletRows`: the block and an (items, 2 + negatives) array of its row ids,
+each row of the array one item's query, positive and negatives. A span-pair
+batch is an `encoder.FeatureRows` whose items 2p and 2p + 1 are pair p. The
+kernels gather from the block directly and encode each distinct row once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import encoder
-from .encoder import FeatureBlock, FeatureRows, FeatureVector, Params
+from .encoder import FeatureBlock, FeatureRows, Params
 from .errors import InvariantError
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """One training item: query, its positive document, and >= 1 negatives."""
-
-    query: FeatureVector
-    positive: FeatureVector
-    negatives: tuple[FeatureVector, ...]
-
-    def __post_init__(self):
-        if len(self.negatives) < 1:
-            raise ValueError("a triplet needs at least one negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +62,6 @@ class TripletRows:
 
     def __len__(self) -> int:
         return self.rows.shape[0]
-
-
-TripletBatch = Sequence[Triplet] | TripletRows
-SpanPairBatch = Sequence[tuple[FeatureVector, FeatureVector]]
 
 
 def _softmax_xent(scores: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +83,7 @@ def _softmax_xent(scores: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _retrieval(
     params: Params,
-    batch: TripletBatch,
+    batch: TripletRows,
     in_batch_negatives: bool,
     clusters: np.ndarray,
     with_grad: bool,
@@ -119,13 +98,10 @@ def _retrieval(
 
     # Slots [query, positive, negatives...] per item; the candidates are every
     # non-query slot of the item, then the positives of its cluster mates.
-    if isinstance(batch, TripletRows):
-        slots = FeatureRows(batch.block, batch.rows.ravel())
-        width = np.full(n, batch.rows.shape[1], dtype=np.intp)
-    else:
-        fvs = [fv for item in batch for fv in (item.query, item.positive, *item.negatives)]
-        slots = FeatureRows.of(fvs, params.feature_dim)
-        width = np.array([2 + len(item.negatives) for item in batch], dtype=np.intp)
+    slots = FeatureRows(batch.block, batch.rows.ravel())
+    # Per-item widths as an array, not a scalar: the scalar form moves the
+    # allocator's high-water mark of a default fine-tune up by about 8 MB.
+    width = np.full(n, batch.rows.shape[1], dtype=np.intp)
     q = np.cumsum(width) - width
     candidate = np.ones(len(slots), dtype=bool)
     candidate[q] = False
@@ -154,7 +130,8 @@ def _retrieval(
     if not with_grad:
         return per_item, None, None
     # One unbuffered add over all candidates, so each slot sums its terms in item
-    # order also when the items have different candidate counts.
+    # order also when the items have different candidate counts (clusters of
+    # different sizes, with in-batch negatives).
     np.add.at(emb_grads, cand, terms)
     cols, rows = encoder.grouped_backward(
         params, slots, emb_grads, np.repeat(group, width), present.size
@@ -163,7 +140,7 @@ def _retrieval(
 
 
 def retrieval_loss(
-    params: Params, batch: TripletBatch, in_batch_negatives: bool = False
+    params: Params, batch: TripletRows, in_batch_negatives: bool = False
 ) -> tuple[float, np.ndarray]:
     """Mean softmax loss of ranking each positive above its listed negatives.
 
@@ -177,7 +154,7 @@ def retrieval_loss(
 
 
 def retrieval_loss_grad(
-    params: Params, batch: TripletBatch, in_batch_negatives: bool = False
+    params: Params, batch: TripletRows, in_batch_negatives: bool = False
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Like `retrieval_loss`, plus the exact gradient of the batch mean."""
     if not len(batch):
@@ -189,7 +166,7 @@ def retrieval_loss_grad(
 
 def retrieval_cluster_grads(
     params: Params,
-    batch: TripletBatch,
+    batch: TripletRows,
     clusters: np.ndarray,
     in_batch_negatives: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,11 +183,12 @@ def retrieval_cluster_grads(
     return _retrieval(params, batch, in_batch_negatives, clusters, True)
 
 
-def _coco(params: Params, batch: SpanPairBatch, with_grad: bool):
-    n = len(batch)
+def _coco(params: Params, spans: FeatureRows, with_grad: bool):
+    if len(spans) % 2:
+        raise ValueError(f"a span-pair batch needs an even item count, not {len(spans)}")
+    n = len(spans) // 2
     if n < 2:
-        raise ValueError("span-pair batches need n >= 2 so in-batch negatives exist")
-    spans = FeatureRows.of([fv for pair in batch for fv in pair], params.feature_dim)
+        raise ValueError("span-pair batches need n >= 2 pairs so in-batch negatives exist")
     emb = encoder.encode_many(params, spans)
     # Row a holds span a's similarities to every other span, in `np.delete`
     # order; dropping column a puts either span of pair p's partner in column 2p.
@@ -229,25 +207,25 @@ def _coco(params: Params, batch: SpanPairBatch, with_grad: bool):
     return total, cols, rows[0]
 
 
-def coco_loss(params: Params, batch: SpanPairBatch) -> float:
+def coco_loss(params: Params, spans: FeatureRows) -> float:
     """Span-pair contrastive loss with in-batch negatives.
 
-    Each of the 2n spans acts as an anchor whose positive is its partner span;
-    the denominator sums exp-similarities to every other span in the batch
-    (partner included, anchor's own self-similarity excluded). The anchor
-    terms are summed and divided by the number of pairs n.
+    Items 2p and 2p + 1 of ``spans`` are pair p, and there are n >= 2 pairs (a
+    ValueError otherwise). Each of the 2n spans acts as an anchor whose
+    positive is its partner span; the denominator sums exp-similarities to
+    every other span in the batch (partner included, anchor's own
+    self-similarity excluded). The anchor terms are summed and divided by the
+    number of pairs n.
     """
-    total, _, _ = _coco(params, batch, with_grad=False)
+    total, _, _ = _coco(params, spans, with_grad=False)
     return total
 
 
-def coco_loss_grad(
-    params: Params, batch: SpanPairBatch
-) -> tuple[float, np.ndarray, np.ndarray]:
+def coco_loss_grad(params: Params, spans: FeatureRows) -> tuple[float, np.ndarray, np.ndarray]:
     """Like `coco_loss`, plus the exact parameter gradient on the columns the spans touch.
 
     Returns (loss, cols, row): the one-group case of `encoder.grouped_backward`,
     the sorted feature columns any span touches and the gradient row on them;
     `encoder.scatter_grad` gives its dense vector.
     """
-    return _coco(params, batch, with_grad=True)
+    return _coco(params, spans, with_grad=True)

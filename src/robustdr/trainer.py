@@ -2,9 +2,10 @@
 
 Stage one pretrains the encoder contrastively on span pairs drawn from one or
 more corpora; each batch draws its span pairs first, then featurizes them in
-one call. Stage two fine-tunes on labeled source data in episodes. Its input
-is a `FeatureStore` (`training_store`): the texts featurized once, one
-feature block over the training queries, then the corpus documents. The store
+one call into a fresh feature block, whose rows 2p and 2p + 1 are pair p.
+Stage two fine-tunes on labeled source data in episodes. Its input is a
+`FeatureStore` (`training_store`): the texts featurized once, one feature
+block over the training queries, then the corpus documents. The store
 also owns the corpus's BM25 index and the queries' BM25 top k per depth, made
 on first use, so fine-tuners that share a store share that ranking too. The
 fine-tuner works in row ids: each query's positives, and each episode's
@@ -56,7 +57,6 @@ from .corpus import Corpus, QrelSet, Query, QuerySet, sample_span_pair
 from .encoder import (
     EmbeddingMatrix,
     FeatureRows,
-    FeatureVector,
     Featurizer,
     Params,
     encode_many,
@@ -332,11 +332,11 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
 
 def _span_pair_batch(
     docs: Sequence, span_len: int, featurizer: Featurizer, rng: np.random.Generator
-) -> list[tuple[FeatureVector, FeatureVector]]:
-    """One span pair per document, drawn in order, then featurized in one call."""
+) -> FeatureRows:
+    """One span pair per document, drawn in order, then featurized in one call:
+    every row of a fresh block, whose rows 2p and 2p + 1 are document p's pair."""
     spans = [span for doc in docs for span in sample_span_pair(doc, span_len, rng)]
-    fvs = featurizer.many(spans)
-    return list(zip(fvs[0::2], fvs[1::2]))
+    return featurizer(spans).all_rows()
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +386,7 @@ class FeatureStore:
         self.queries = list(queries)
         self.corpus = corpus
         self.n_queries = len(self.queries)
-        self.block = featurizer.block(itertools.chain(
+        self.block = featurizer(itertools.chain(
             (query.tokens for query in self.queries), (doc.tokens for doc in corpus)))
         position = {doc_id: j for j, doc_id in enumerate(corpus.ids)}
         pos_ids = [qrels.positives(query.id) for query in self.queries]

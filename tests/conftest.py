@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
-from robustdr.encoder import Featurizer, Params
+from robustdr.encoder import FeatureRows, Featurizer, Params
 
 settings.register_profile(
     "repeatable",
@@ -44,9 +44,19 @@ def tiny_qrels():
     return QrelSet({("q1", "d1"): 2, ("q1", "d3"): 1, ("q2", "d2"): 1})
 
 
-def random_feature_vector(featurizer: Featurizer, rng, n_tokens=6):
-    tokens = [f"tok{int(rng.integers(40))}" for _ in range(int(rng.integers(1, n_tokens + 1)))]
-    return featurizer(tokens)
+def random_tokens(rng, n_tokens=6) -> list[str]:
+    """One random text of 1 to ``n_tokens`` tokens from a 40-word vocabulary."""
+    return [f"tok{int(rng.integers(40))}" for _ in range(int(rng.integers(1, n_tokens + 1)))]
+
+
+def random_rows(featurizer: Featurizer, rng, n: int) -> FeatureRows:
+    """``n`` random texts featurized into one block, one row each, in order."""
+    return featurizer([random_tokens(rng) for _ in range(n)]).all_rows()
+
+
+def rows_of(items: FeatureRows, *picks) -> FeatureRows:
+    """The items of ``items`` at ``picks``, as rows of the same block."""
+    return FeatureRows(items.block, items.rows[list(picks)])
 
 
 @pytest.fixture

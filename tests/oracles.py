@@ -3,16 +3,64 @@
 import heapq
 import math
 from collections import Counter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from robustdr import clustering, encoder, idro, losses, retrieval_eval, trainer
+from robustdr import clustering, encoder, idro, retrieval_eval, trainer
 from robustdr.corpus import QuerySet
-from robustdr.encoder import EmbeddingMatrix, FeatureVector, Params, embed_items
+from robustdr.encoder import EmbeddingMatrix, FeatureBlock, FeatureRows, Params, embed_items
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
-from robustdr.losses import SpanPairBatch, TripletBatch
+from robustdr.losses import TripletRows
 from robustdr.retrieval_eval import DenseIndex, RankedList
+
+
+@dataclass(frozen=True, slots=True)
+class FeatureVector:
+    """One text's sparse hashed feature counts, the references' item form: sorted
+    unique indices in [0, dim) and their counts."""
+
+    indices: np.ndarray
+    counts: np.ndarray
+    dim: int
+
+
+class Triplet(NamedTuple):
+    """One retrieval item of the references: query, positive and negatives."""
+
+    query: FeatureVector
+    positive: FeatureVector
+    negatives: tuple[FeatureVector, ...]
+
+
+def vectors(block: FeatureBlock) -> list[FeatureVector]:
+    """One `FeatureVector` per row of ``block``, viewing its arrays."""
+    bounds = block.bounds.tolist()
+    return [FeatureVector(block.indices[a:b], block.counts[a:b], block.dim)
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def item_vectors(items: FeatureRows) -> list[FeatureVector]:
+    """The `FeatureVector` of each item of ``items``, repeats included."""
+    rows = vectors(items.block)
+    return [rows[r] for r in items.rows.tolist()]
+
+
+def triplets(batch: TripletRows) -> list[Triplet]:
+    """The items of a `TripletRows` as `Triplet`s of `FeatureVector` views."""
+    rows = vectors(batch.block)
+    return [Triplet(rows[q], rows[p], tuple(rows[d] for d in negs))
+            for q, p, *negs in batch.rows.tolist()]
+
+
+def stack(fvs, dim: int) -> FeatureBlock:
+    """The feature vectors as one block, one row each, in order."""
+    bounds = np.zeros(len(fvs) + 1, dtype=np.intp)
+    np.cumsum([fv.indices.size for fv in fvs], out=bounds[1:])
+    return FeatureBlock(np.concatenate([fv.indices for fv in fvs] or [np.empty(0, np.int64)]),
+                        np.concatenate([fv.counts for fv in fvs] or [np.empty(0)]), bounds, dim)
 
 
 class OracleConvergenceError(RuntimeError):
@@ -102,7 +150,8 @@ def search_bm25_reference(corpus, query_tokens, k, k1=0.9, b=0.4):
 
 
 def featurize_reference(featurizer, tokens) -> FeatureVector:
-    """`Featurizer.__call__` one token at a time: a dict tally of float counts, then a sort."""
+    """One row of `Featurizer.__call__`, one token at a time: a dict tally of float
+    counts, then a sort."""
     counts: dict[int, float] = {}
     for token in tokens:
         idx = featurizer.bucket(token)
@@ -173,7 +222,8 @@ def mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng=Non
 
 
 def encode_item(params: Params, fv: FeatureVector) -> np.ndarray:
-    """`encoder.encode` on its own: the gathered E x n weight block times the counts."""
+    """One item of `encoder.encode_many` on its own: the gathered E x n weight block
+    times the counts."""
     if fv.dim != params.feature_dim:
         raise ValueError("feature dim does not match the encoder")
     return params.W[:, fv.indices] @ fv.counts
@@ -304,7 +354,7 @@ class DenseOptimizer:
 
 def loop_retrieval(
     params: Params,
-    batch: TripletBatch,
+    batch: list[Triplet],
     in_batch_negatives: bool,
     clusters: np.ndarray,
     with_grad: bool,
@@ -366,22 +416,22 @@ def loop_retrieval(
     return per_item, cols, rows
 
 
-def span_matrix(params: Params, batch: SpanPairBatch):
-    if len(batch) < 2:
-        raise ValueError("span-pair batches need n >= 2 so in-batch negatives exist")
-    spans = [fv for pair in batch for fv in pair]
+def span_matrix(params: Params, spans: list[FeatureVector]):
+    """The similarities of a span-pair batch, spans 2p and 2p + 1 pair p."""
+    if len(spans) % 2 or len(spans) < 4:
+        raise ValueError("span-pair batches need n >= 2 pairs so in-batch negatives exist")
     emb = encode_loop(params, spans)
     sims = emb @ emb.T
     if not np.all(np.isfinite(sims)):
         raise InvariantError("non-finite similarity in span-pair loss")
-    return spans, emb, sims
+    return emb, sims
 
 
-def loop_coco(params: Params, batch: SpanPairBatch, with_grad: bool):
+def loop_coco(params: Params, spans: list[FeatureVector], with_grad: bool):
     """`losses.coco_loss_grad` (with `with_grad`) anchor by anchor, with `np.delete`,
     on `encode_loop` embeddings and a `grouped_backward_loop` backward."""
-    spans, emb, sims = span_matrix(params, batch)
-    n = len(batch)
+    emb, sims = span_matrix(params, spans)
+    n = len(spans) // 2
     total = 0.0
     coeffs = np.zeros_like(sims) if with_grad else None
     for a in range(2 * n):
@@ -405,9 +455,9 @@ def loop_coco(params: Params, batch: SpanPairBatch, with_grad: bool):
     return total, encoder.scatter_grad(params, cols, rows[0])
 
 
-def coco_top1_accuracy(params: Params, batch: SpanPairBatch) -> float:
+def coco_top1_accuracy(params: Params, spans: list[FeatureVector]) -> float:
     """Fraction of anchors whose partner scores strictly above every other span."""
-    _, _, sims = span_matrix(params, batch)
+    _, sims = span_matrix(params, spans)
     n2 = sims.shape[0]
     hits = 0
     for a in range(n2):
@@ -500,7 +550,7 @@ def draw_picks_reference(rng, n_pos, n_pool, k):
 class ObjectFinetuner(trainer.Finetuner):
     """`trainer.Finetuner` on feature vector objects, as it ran before its feature
     store: a list of query vectors, a dict of document vectors, pools of document
-    ids from the per-query pool references, and `losses.Triplet` batches drawn with
+    ids from the per-query pool references, and `Triplet` batches drawn with
     the same random calls in the same order. Cluster refits encode item by item
     (`encode_loop`) and each step's losses and cluster gradients come from
     `loop_retrieval`; the episode loop, the optimizer and the weighting rules are
@@ -511,8 +561,9 @@ class ObjectFinetuner(trainer.Finetuner):
         self.corpus, self.qrels = corpus, qrels
         self.featurizer = encoder.Featurizer(config.feature_dim, config.hash_seed)
         self.positives = {q.id: list(qrels.positives(q.id)) for q in self.queries}
-        self.query_fvs = self.featurizer.many(q.tokens for q in self.queries)
-        self.doc_fvs = dict(zip(corpus.ids, self.featurizer.many(doc.tokens for doc in corpus)))
+        featurize = self.featurizer
+        self.query_fvs = vectors(featurize(q.tokens for q in self.queries))
+        self.doc_fvs = dict(zip(corpus.ids, vectors(featurize(doc.tokens for doc in corpus))))
 
     def _refresh_clusters(self, episode):
         ids = tuple(q.id for q in self.queries)
@@ -540,7 +591,7 @@ class ObjectFinetuner(trainer.Finetuner):
         n = len(self.queries)
         replace = cfg.batch_size > n
         chosen = rng.choice(n, size=cfg.batch_size, replace=replace)
-        triplets, clusters = [], []
+        items, clusters = [], []
         for qi in chosen:
             query = self.queries[int(qi)]
             pos_ids = self.positives[query.id]
@@ -551,16 +602,15 @@ class ObjectFinetuner(trainer.Finetuner):
             negs_idx = rng.choice(len(pool), size=cfg.negatives_per_query,
                                   replace=len(pool) < cfg.negatives_per_query)
             negatives = tuple(self.doc_fvs[pool[int(j)]] for j in negs_idx)
-            triplets.append(losses.Triplet(self.query_fvs[int(qi)], self.doc_fvs[pos_id],
-                                           negatives))
+            items.append(Triplet(self.query_fvs[int(qi)], self.doc_fvs[pos_id], negatives))
             clusters.append(self.cluster_model.assignment[query.id])
-        return triplets, np.array(clusters, dtype=np.int64)
+        return items, np.array(clusters, dtype=np.int64)
 
-    def _train_step(self, triplets, clusters, total_steps):
+    def _train_step(self, items, clusters, total_steps):
         cfg = self.config
         step = self.optimizer.t
         beta = cfg.beta if cfg.weighting == "idro" else 0.0
-        item_losses, cols, grads = loop_retrieval(self.params, triplets, cfg.in_batch_negatives,
+        item_losses, cols, grads = loop_retrieval(self.params, items, cfg.in_batch_negatives,
                                                   clusters, True)
         scalar, present, cluster_losses, alpha = idro.idro_loss(item_losses, clusters,
                                                                 self.omega, beta)
@@ -587,8 +637,8 @@ def fixed_eval_batch_reference(task, featurizer, n_negatives=8):
     candidate and the distractor list rebuilt per query."""
     index = retrieval_eval.Bm25Index(task.corpus)
     queries = list(task.queries)
-    doc_fvs = dict(zip(index.ids, featurizer.many(doc.tokens for doc in task.corpus)))
-    query_fvs = featurizer.many(query.tokens for query in queries)
+    doc_fvs = dict(zip(index.ids, vectors(featurizer(doc.tokens for doc in task.corpus))))
+    query_fvs = vectors(featurizer(query.tokens for query in queries))
     qids = [query.id for query in queries]
     first_doc_of_topic = {}
     for doc in task.corpus:
@@ -606,5 +656,5 @@ def fixed_eval_batch_reference(task, featurizer, n_negatives=8):
             if b is not None and b not in pool:
                 pool.append(b)
         negs = tuple(doc_fvs[d] for d in pool[:n_negatives])
-        items.append(losses.Triplet(query_fv, doc_fvs[positives[0]], negs))
+        items.append(Triplet(query_fv, doc_fvs[positives[0]], negs))
     return items, qids

@@ -24,7 +24,7 @@ from robustdr.diagnostics import alignment, uniformity
 from robustdr.encoder import EmbeddingMatrix, Featurizer, Params, scatter_grad
 from robustdr.retrieval_eval import Bm25Index, QrelSet, RankedList, ndcg_at_k, search_bm25
 from robustdr.textstats import classify_intent, intent_similarity, weighted_jaccard
-from tests.conftest import random_feature_vector
+from tests.conftest import random_rows
 from tests.oracles import omega_oracle
 
 
@@ -99,34 +99,25 @@ def test_criterion_2_gradient_exactness():
             # odd trials score each item against the batch's other positives too
             in_batch = i % 2 == 1
 
-            batch = [
-                losses.Triplet(
-                    random_feature_vector(featurizer, rng),
-                    random_feature_vector(featurizer, rng),
-                    tuple(
-                        random_feature_vector(featurizer, rng)
-                        for _ in range(int(rng.integers(1, 4)))
-                    ),
-                )
-                for _ in range(3)
-            ]
+            # 3 items of 1-3 negatives, each text its own row of one block
+            n_neg = int(rng.integers(1, 4))
+            items = random_rows(featurizer, rng, 3 * (2 + n_neg))
+            batch = losses.TripletRows(items.block, items.rows.reshape(3, 2 + n_neg))
             _, _, analytic = losses.retrieval_loss_grad(params, batch, in_batch)
             numeric = central_differences(
                 params, lambda p: losses.retrieval_loss(p, batch, in_batch)[0]
             )
             worst_retrieval = max(worst_retrieval, rel_err(analytic, numeric))
 
-            pairs = [
-                (random_feature_vector(featurizer, rng), random_feature_vector(featurizer, rng))
-                for _ in range(3)
-            ]
+            pairs = random_rows(featurizer, rng, 6)  # rows 2p and 2p + 1 are pair p
             _, cols, row = losses.coco_loss_grad(params, pairs)
             analytic = scatter_grad(params, cols, row)
             numeric = central_differences(params, lambda p: losses.coco_loss(p, pairs))
             worst_coco = max(worst_coco, rel_err(analytic, numeric))
 
             # cluster-weighted composite with the weights held fixed
-            cluster_batches = [batch[:2], batch[2:]]
+            cluster_batches = [losses.TripletRows(batch.block, batch.rows[part])
+                               for part in (slice(0, 2), slice(2, 3))]
             alpha = idro.alpha_weights(np.array([1.0, 2.5]), 0.25)
             omega = np.array([0.4, 0.6])
             weights = alpha * omega
@@ -383,7 +374,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         )
         resumed.load_state(state_path)
         resumed.run()
-        doc_fvs = [resumed.store.featurizer(d.tokens) for d in mini_task.corpus]
-        emb_straight = encode_many(straight.params, doc_fvs)
-        emb_resumed = encode_many(resumed.params, doc_fvs)
+        docs = resumed.store.featurizer(d.tokens for d in mini_task.corpus).all_rows()
+        emb_straight = encode_many(straight.params, docs)
+        emb_resumed = encode_many(resumed.params, docs)
         assert emb_straight.tobytes() == emb_resumed.tobytes()

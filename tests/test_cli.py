@@ -266,7 +266,7 @@ class TestPipelineCommands:
         docs = [Document.from_fields(f"d{i}", f"planted{i}") for i in range(4)]
         queries = [Query.from_fields(f"q{i}", f"planted{i}") for i in range(4)]
         featurizer = Featurizer(dim=512, seed=0)
-        assert len({featurizer([f"planted{i}"]).indices[0] for i in range(4)}) == 4
+        assert len(set(featurizer([[f"planted{i}"] for i in range(4)]).indices)) == 4
         data = tmp_path / "data"
         data.mkdir()
         save_corpus(Corpus(docs), data / "corpus.jsonl")

@@ -14,19 +14,25 @@ from robustdr.encoder import (
     FeatureBlock,
     FeatureRows,
     Featurizer,
-    FeatureVector,
     Params,
     embedding_backward,
-    encode,
     encode_many,
     grouped_backward,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 from robustdr.errors import BlobFileError, InvariantError
-from tests.conftest import random_feature_vector
-from tests.oracles import encode_item, encode_loop, featurize_reference, grouped_backward_loop
+from tests.conftest import random_rows, random_tokens, rows_of
+from tests.oracles import (
+    FeatureVector,
+    encode_item,
+    encode_loop,
+    featurize_reference,
+    grouped_backward_loop,
+    item_vectors,
+    stack,
+    vectors,
+)
 
 
 def dense_vector(fv):
@@ -37,19 +43,21 @@ def dense_vector(fv):
 
 class TestFeaturizer:
     def test_empty_tokens(self):
-        fv = Featurizer(dim=16, seed=0)([])
-        assert fv.indices.size == 0
+        block = Featurizer(dim=16, seed=0)([[]])
+        assert len(block) == 1
+        assert block.indices.size == 0
 
     def test_repeated_token_single_bucket(self):
-        fv = Featurizer(dim=16, seed=0)(["a", "a"])
-        assert fv.indices.size == 1
-        assert fv.counts[0] == 2.0
+        block = Featurizer(dim=16, seed=0)([["a", "a"]])
+        assert block.indices.size == 1
+        assert block.counts[0] == 2.0
 
     def test_deterministic_across_instances(self):
-        a = Featurizer(dim=1024, seed=5)(["alpha", "beta", "gamma"])
-        b = Featurizer(dim=1024, seed=5)(["alpha", "beta", "gamma"])
+        a = Featurizer(dim=1024, seed=5)([["alpha", "beta", "gamma"]])
+        b = Featurizer(dim=1024, seed=5)([["alpha", "beta", "gamma"]])
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.bounds, b.bounds)
 
     @given(
         st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "é", "f g"]), max_size=7),
@@ -58,14 +66,16 @@ class TestFeaturizer:
         st.integers(min_value=0, max_value=3),
     )
     def test_many_matches_per_token_reference(self, token_lists, dim, seed):
-        """Empty lists, bucket collisions at dim 1-3, and a cold then a warm cache."""
+        """Empty lists, bucket collisions at dim 1-3, and a cold then a warm cache;
+        every row of a block, and each text alone as a one-row block."""
         featurizer = Featurizer(dim=dim, seed=seed)
         for _ in range(2):
-            got = featurizer.many(iter(token_lists))
-            assert len(got) == len(token_lists)
-            for fv, tokens in zip(got, token_lists):
+            block = featurizer(iter(token_lists))
+            assert len(block) == len(token_lists)
+            for fv, tokens in zip(vectors(block), token_lists):
                 expected = featurize_reference(Featurizer(dim=dim, seed=seed), tokens)
-                for candidate in (fv, featurizer(iter(tokens))):
+                (alone,) = vectors(featurizer([iter(tokens)]))
+                for candidate in (fv, alone):
                     assert candidate.dim == dim
                     for name in ("indices", "counts"):
                         a, b = getattr(candidate, name), getattr(expected, name)
@@ -73,58 +83,69 @@ class TestFeaturizer:
 
     def test_seed_changes_buckets(self):
         tokens = [f"tok{i}" for i in range(64)]
-        a = Featurizer(dim=4096, seed=0)(tokens)
-        b = Featurizer(dim=4096, seed=1)(tokens)
+        a = Featurizer(dim=4096, seed=0)([tokens])
+        b = Featurizer(dim=4096, seed=1)([tokens])
         assert not np.array_equal(a.indices, b.indices)
+
+    def test_bare_string_rejected(self):
+        """A string is one text, not a token list; a list of them is refused, not
+        featurized character by character."""
+        with pytest.raises(TypeError, match="list of token lists"):
+            Featurizer(dim=16, seed=0)(["ab", "cd"])
 
 
 class TestEncode:
     def test_zero_features_zero_embedding(self):
         params = Params.init_random(32, 4, seed=0)
-        fv = Featurizer(dim=32, seed=0)([])
-        np.testing.assert_array_equal(encode(params, fv), np.zeros(4))
+        rows = Featurizer(dim=32, seed=0)([[]]).all_rows()
+        np.testing.assert_array_equal(encode_many(params, rows), np.zeros((1, 4)))
 
     def test_identity_projection(self):
         params = Params(feature_dim=4, embed_dim=4, flat=np.eye(4).ravel())
-        featurizer = Featurizer(dim=4, seed=0)
-        fv = featurizer(["k"])
+        block = Featurizer(dim=4, seed=0)([["k"]])
         expected = np.zeros(4)
-        expected[fv.indices[0]] = 1.0
-        np.testing.assert_array_equal(encode(params, fv), expected)
+        expected[block.indices[0]] = 1.0
+        np.testing.assert_array_equal(encode_many(params, block.all_rows())[0], expected)
 
     def test_matches_independent_matrix_multiply(self, rng):
         """Oracle: dense matrix product reimplementation, to 1e-12."""
         featurizer = Featurizer(dim=40, seed=2)
         params = Params.init_random(40, 5, seed=9)
         for _ in range(20):
-            fv = random_feature_vector(featurizer, rng)
-            np.testing.assert_allclose(encode(params, fv), params.W @ dense_vector(fv), atol=1e-12)
+            rows = random_rows(featurizer, rng, 1)
+            (fv,) = item_vectors(rows)
+            np.testing.assert_allclose(encode_many(params, rows)[0], params.W @ dense_vector(fv),
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("with_empty", [False, True])
     def test_encode_many_with_repeats_equals_per_item_encode(self, with_empty, rng):
         featurizer = Featurizer(dim=40, seed=2)
         params = Params.init_random(40, 5, seed=9)
-        distinct = [random_feature_vector(featurizer, rng) for _ in range(6)]
-        fvs = [distinct[int(i)] for i in rng.integers(6, size=30)]
-        fvs += [featurizer(["tok1", "tok2"]), featurizer(["tok3"])]  # equal content, new objects
+        texts = [random_tokens(rng) for _ in range(6)]
+        picks = rng.integers(6, size=30).tolist()
+        # rows 6 and 7 are new texts; rows 8 and 9 two token-free texts, equal
+        # content in distinct rows
+        block = featurizer([*texts, ["tok1", "tok2"], ["tok3"], [], []])
+        rows = [*picks, 6, 7]
         if with_empty:  # token-free texts, one of them repeated, among the rest
-            empty = featurizer([])
-            fvs = [empty, *fvs[:10], featurizer([]), *fvs[10:], empty]
-        expected = np.stack([encode_item(params, fv) for fv in fvs])
-        assert encode_many(params, fvs).tobytes() == expected.tobytes()
+            rows = [8, *rows[:10], 9, *rows[10:], 8]
+        items = FeatureRows(block, np.array(rows))
+        expected = np.stack([encode_item(params, fv) for fv in item_vectors(items)])
+        assert encode_many(params, items).tobytes() == expected.tobytes()
 
     def test_homogeneous_in_w_linear_config(self, rng):
         featurizer = Featurizer(dim=30, seed=1)
         params = Params.init_random(30, 4, seed=4)
-        fv = random_feature_vector(featurizer, rng)
+        rows = random_rows(featurizer, rng, 1)
         scaled = Params(30, 4, flat=3.5 * params.flat)
-        np.testing.assert_allclose(encode(scaled, fv), 3.5 * encode(params, fv), rtol=1e-12)
+        np.testing.assert_allclose(encode_many(scaled, rows), 3.5 * encode_many(params, rows),
+                                   rtol=1e-12)
 
     def test_dimension_mismatch(self):
         params = Params.init_random(32, 4, seed=0)
-        fv = Featurizer(dim=16, seed=0)(["a"])
+        rows = Featurizer(dim=16, seed=0)([["a"]]).all_rows()
         with pytest.raises(ValueError):
-            encode(params, fv)
+            encode_many(params, rows)
 
 
 def same_bytes(a, b):
@@ -133,93 +154,87 @@ def same_bytes(a, b):
 
 @st.composite
 def feature_batches(draw):
-    """An encoder and a list of feature vectors with 0-6 nonzeros each: new ones,
-    repeated objects and new objects equal to earlier ones. Each counts array is
-    a slice of its own buffer, 0-7 floats in, so its address varies over 64 bytes."""
+    """An encoder and a `FeatureRows` of 0-14 items with 0-6 nonzeros each: new
+    rows, repeated rows and new rows equal to earlier ones. The block holds an
+    unused row first, then each distinct row in reverse order of first
+    appearance, so an item's row is not its list position; its counts array is a
+    slice of its own buffer, 0-7 floats in, so its address varies over 64 bytes."""
     dim = draw(st.integers(1, 40))
     embed_dim = draw(st.sampled_from([1, 2, 3, 6, 48, 64]))
     params = Params.init_random(dim, embed_dim, seed=draw(st.integers(0, 2**16)))
     offset = draw(st.integers(0, 7))
     counts = st.integers(1, 4).map(float) | st.floats(0.25, 8.0)
-    fvs: list[FeatureVector] = []
+    stored: list[tuple[np.ndarray, list[float]]] = []
+    items: list[int] = []
     for _ in range(draw(st.integers(0, 14))):
-        kind = draw(st.sampled_from(["new", "repeat", "equal"])) if fvs else "new"
+        kind = draw(st.sampled_from(["new", "repeat", "equal"])) if items else "new"
         if kind == "repeat":
-            fvs.append(draw(st.sampled_from(fvs)))
+            items.append(draw(st.sampled_from(items)))
             continue
         if kind == "equal":
-            old = draw(st.sampled_from(fvs))
-            indices, values = old.indices.copy(), old.counts.tolist()
+            indices, values = stored[draw(st.sampled_from(items))]
+            indices, values = indices.copy(), list(values)
         else:
             nnz = draw(st.integers(0, min(dim, 6)))
             indices = np.array(sorted(draw(st.sets(st.integers(0, dim - 1), min_size=nnz,
                                                    max_size=nnz))), dtype=np.int64)
             values = draw(st.lists(counts, min_size=nnz, max_size=nnz))
-        buffer = np.zeros(offset + len(values))
-        buffer[offset:] = values
-        fvs.append(FeatureVector(indices=indices, counts=buffer[offset:], dim=dim))
-    return params, fvs
-
-
-def block_rows(fvs, dim):
-    """The vectors as a `FeatureRows` of one block that holds each distinct object
-    once, after an unused row and in reverse order of first appearance, so an
-    item's row is not its list position."""
-    stored = [FeatureVector(np.array([dim - 1]), np.array([3.0]), dim),
-              *list({id(fv): fv for fv in fvs}.values())[::-1]]
-    bounds = np.concatenate([[0], np.cumsum([fv.indices.size for fv in stored])])
-    block = FeatureBlock(np.concatenate([fv.indices for fv in stored]),
-                         np.concatenate([fv.counts for fv in stored]), bounds, dim)
-    row_of = {id(fv): row for row, fv in enumerate(stored)}
-    return FeatureRows(block, np.array([row_of[id(fv)] for fv in fvs], dtype=np.intp))
+        stored.append((indices, values))
+        items.append(len(stored) - 1)
+    in_block = [(np.array([dim - 1]), [3.0]), *stored[::-1]]
+    values = [value for _, row in in_block for value in row]
+    buffer = np.zeros(offset + len(values))
+    buffer[offset:] = values
+    block = FeatureBlock(np.concatenate([indices for indices, _ in in_block]), buffer[offset:],
+                         np.cumsum([0] + [indices.size for indices, _ in in_block]), dim)
+    # stored row i sits at block row len(stored) - i
+    return params, FeatureRows(block, len(stored) - np.array(items, dtype=np.intp))
 
 
 class TestKernelsAgainstOracles:
     """`encode_many` and `grouped_backward` byte for byte against the per-item
-    encode and the per-group mask-and-copy backward of `tests.oracles`, on a list
-    of feature vectors and on the same items as rows of a block."""
+    encode and the per-group mask-and-copy backward of `tests.oracles`, on the
+    items as rows of a block."""
 
     @given(feature_batches(), st.sampled_from([1, 2, 3, encoder._ROWS]))
     def test_encode_many_bytes_equal_item_loop(self, batch, rows_cap):
-        params, fvs = batch
+        params, items = batch
+        fvs = item_vectors(items)
         with mock.patch.object(encoder, "_ROWS", rows_cap):  # classes above the cap
-            got = encode_many(params, fvs)
-            from_rows = encode_many(params, block_rows(fvs, params.feature_dim))
+            got = encode_many(params, items)
         assert same_bytes(got, encode_loop(params, fvs))
-        assert same_bytes(from_rows, got)
-        for fv in fvs:
-            assert same_bytes(encode(params, fv), encode_item(params, fv))
-        if len(fvs) >= 2:
-            got = np.float64(score(params, fvs[0], fvs[1]))
-            assert same_bytes(got, encode_item(params, fvs[0]) @ encode_item(params, fvs[1]))
+        for i, fv in enumerate(fvs):  # each item as a one-row call
+            assert same_bytes(encode_many(params, rows_of(items, i))[0], encode_item(params, fv))
+        if len(fvs) >= 2:  # a relevance score: the dot product of a two-row call
+            q_emb, d_emb = encode_many(params, rows_of(items, 0, 1))
+            want = encode_item(params, fvs[0]) @ encode_item(params, fvs[1])
+            assert same_bytes(q_emb @ d_emb, want)
 
     def test_encode_many_class_above_the_row_cap(self, rng):
         params = Params.init_random(500, 64, seed=2)
         fvs = [FeatureVector(np.sort(rng.choice(500, 3, replace=False)),
                              rng.integers(1, 4, size=3).astype(np.float64), 500)
                for _ in range(2 * encoder._ROWS + 3)]
-        assert same_bytes(encode_many(params, fvs), encode_loop(params, fvs))
+        assert same_bytes(encode_many(params, stack(fvs, 500).all_rows()),
+                          encode_loop(params, fvs))
 
     @given(feature_batches(), st.data())
     def test_grouped_backward_bytes_equal_mask_loop(self, batch, data):
         """Unsorted groups, empty groups, and groups above the largest id present."""
-        params, fvs = batch
+        params, items = batch
         n_groups = data.draw(st.integers(1, 5))
-        groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1), min_size=len(fvs),
-                                             max_size=len(fvs))), dtype=np.intp)
+        groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1), min_size=len(items),
+                                             max_size=len(items))), dtype=np.intp)
         n_groups += data.draw(st.integers(0, 2))
         rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**16))))
-        emb_grads = rng.normal(size=(len(fvs), params.embed_dim))
-        got = grouped_backward(params, fvs, emb_grads, groups, n_groups)
-        want = grouped_backward_loop(params, fvs, emb_grads, groups, n_groups)
+        emb_grads = rng.normal(size=(len(items), params.embed_dim))
+        got = grouped_backward(params, items, emb_grads, groups, n_groups)
+        want = grouped_backward_loop(params, item_vectors(items), emb_grads, groups, n_groups)
         assert all(same_bytes(a, b) for a, b in zip(got, want))
-        from_rows = grouped_backward(params, block_rows(fvs, params.feature_dim), emb_grads,
-                                     groups, n_groups)
-        assert all(same_bytes(a, b) for a, b in zip(from_rows, want))
 
     def test_block_of_another_dimension_rejected(self):
         params = Params.init_random(32, 4, seed=0)
-        rows = FeatureRows(Featurizer(dim=16, seed=0).block([["a"]]), np.array([0, 0]))
+        rows = FeatureRows(Featurizer(dim=16, seed=0)([["a"]]), np.array([0, 0]))
         for call in (lambda: encode_many(params, rows),
                      lambda: grouped_backward(params, rows, np.zeros((2, 4)), np.zeros(2), 1)):
             with pytest.raises(ValueError, match="feature dim 16 does not match"):
@@ -227,42 +242,46 @@ class TestKernelsAgainstOracles:
 
 
 class TestScore:
+    """A relevance score is the dot product of the two embeddings of a two-row
+    `encode_many` call."""
+
     def test_self_score_is_squared_norm(self, small_encoder, rng):
         params, featurizer = small_encoder
-        fv = random_feature_vector(featurizer, rng)
-        emb = encode(params, fv)
-        assert score(params, fv, fv) == pytest.approx(float(emb @ emb), abs=1e-12)
+        rows = random_rows(featurizer, rng, 1)
+        (emb,) = encode_many(params, rows)
+        q_emb, d_emb = encode_many(params, rows_of(rows, 0, 0))
+        assert float(q_emb @ d_emb) == pytest.approx(float(emb @ emb), abs=1e-12)
 
     def test_orthogonal_embeddings(self):
         params = Params(feature_dim=4, embed_dim=4, flat=np.eye(4).ravel())
-        featurizer = Featurizer(dim=4, seed=0)
-        a, b = featurizer(["x"]), featurizer(["queue"])
-        if a.indices[0] != b.indices[0]:
-            assert score(params, a, b) == 0.0
+        block = Featurizer(dim=4, seed=0)([["x"], ["queue"]])
+        if block.indices[0] != block.indices[1]:
+            a, b = encode_many(params, block.all_rows())
+            assert float(a @ b) == 0.0
 
     def test_symmetry(self, small_encoder, rng):
         params, featurizer = small_encoder
         for _ in range(10):
-            a = random_feature_vector(featurizer, rng)
-            b = random_feature_vector(featurizer, rng)
-            assert score(params, a, b) == score(params, b, a)
+            rows = random_rows(featurizer, rng, 2)
+            a, b = encode_many(params, rows)
+            b_first, a_second = encode_many(params, rows_of(rows, 1, 0))
+            assert float(a @ b) == float(b_first @ a_second)
 
     def test_compositional_oracle(self, small_encoder, rng):
         params, featurizer = small_encoder
-        a = random_feature_vector(featurizer, rng)
-        b = random_feature_vector(featurizer, rng)
-        assert score(params, a, b) == pytest.approx(
-            float(encode(params, a) @ encode(params, b)), abs=1e-12
-        )
+        rows = random_rows(featurizer, rng, 2)
+        a, b = encode_many(params, rows)
+        (a_alone,), (b_alone,) = (encode_many(params, rows_of(rows, i)) for i in (0, 1))
+        assert float(a @ b) == pytest.approx(float(a_alone @ b_alone), abs=1e-12)
 
 
 class TestEmbeddingBackward:
-    def finite_difference(self, params, fvs, weights, step=1e-6):
-        """Numeric gradient of sum_i weights_i . encode(fvs_i)."""
+    def finite_difference(self, params, items, weights, step=1e-6):
+        """Numeric gradient of sum_i weights_i . (embedding of item i)."""
 
         def value(flat):
             p = Params(params.feature_dim, params.embed_dim, flat=flat)
-            return sum(float(w @ encode(p, fv)) for w, fv in zip(weights, fvs))
+            return sum(float(w @ emb) for w, emb in zip(weights, encode_many(p, items)))
 
         grad = np.zeros_like(params.flat)
         for j in range(len(params.flat)):
@@ -277,17 +296,18 @@ class TestEmbeddingBackward:
     def test_matches_finite_differences(self, repeats, rng):
         featurizer = Featurizer(dim=10, seed=3)
         params = Params.init_random(10, 3, seed=11)
-        fvs = [random_feature_vector(featurizer, rng) for _ in range(4)]
-        if repeats:  # the same objects again, with their own weights
-            fvs += [fvs[2], fvs[0], fvs[2]]
-        weights = [rng.normal(size=3) for _ in fvs]
-        analytic = embedding_backward(params, fvs, np.vstack(weights))
-        numeric = self.finite_difference(params, fvs, weights)
+        items = random_rows(featurizer, rng, 4)
+        if repeats:  # the same rows again, with their own weights
+            items = rows_of(items, 0, 1, 2, 3, 2, 0, 2)
+        weights = [rng.normal(size=3) for _ in range(len(items))]
+        analytic = embedding_backward(params, items, np.vstack(weights))
+        numeric = self.finite_difference(params, items, weights)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
     def test_empty_everything_zero(self, small_encoder):
-        params, _ = small_encoder
-        grad = embedding_backward(params, [], np.zeros((0, params.embed_dim)))
+        params, featurizer = small_encoder
+        items = featurizer([]).all_rows()
+        grad = embedding_backward(params, items, np.zeros((0, params.embed_dim)))
         np.testing.assert_array_equal(grad, np.zeros_like(params.flat))
 
 

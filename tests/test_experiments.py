@@ -2,13 +2,14 @@ import dataclasses
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from robustdr import experiments, retrieval_eval, trainer
+from robustdr import experiments, losses, retrieval_eval, trainer
 from robustdr.corpus import QrelSet
 from robustdr.encoder import Featurizer, Params
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
-from tests.oracles import fixed_eval_batch_reference
+from tests.oracles import fixed_eval_batch_reference, stack, vectors
 
 
 def same_bytes(a, b):
@@ -29,9 +30,9 @@ def judged_negatives(task):
 
 @pytest.mark.parametrize("source", ["imbalanced", "two-domain"])
 def test_fixed_eval_batch_bytes_equal_reference(source):
-    """The evaluation batch's rows and their group losses against `losses.Triplet`
-    objects from the per-candidate `grade` filter with the distractors rebuilt
-    per query."""
+    """The evaluation batch's rows and their group losses against reference
+    `Triplet`s from the per-candidate `grade` filter with the distractors rebuilt
+    per query, stacked into a block of their own, one row per slot."""
     if source == "imbalanced":
         task, groups = make_imbalanced_source(seed=experiments._IMBALANCE_SEED)
     else:
@@ -43,15 +44,17 @@ def test_fixed_eval_batch_bytes_equal_reference(source):
     batch, qids = experiments._fixed_eval_batch(store)
     want_items, want_qids = fixed_eval_batch_reference(task, Featurizer(dim, 0))
     assert qids == want_qids and len(batch) == len(want_items)
-    vectors = batch.block.vectors()
-    for row, want in zip(batch.rows.tolist(), want_items):
-        pairs = list(zip([vectors[r] for r in row],
-                         [want.query, want.positive, *want.negatives], strict=True))
+    rows = vectors(batch.block)
+    slots = [[want.query, want.positive, *want.negatives] for want in want_items]
+    for row, want in zip(batch.rows.tolist(), slots):
+        pairs = list(zip([rows[r] for r in row], want, strict=True))
         assert all(same_bytes(a.indices, b.indices) and same_bytes(a.counts, b.counts)
                    for a, b in pairs)
+    stacked = losses.TripletRows(stack([fv for item in slots for fv in item], dim),
+                                 np.arange(sum(map(len, slots))).reshape(len(slots), -1))
     params = Params.init_random(dim, 6, seed=0)
     got = experiments._group_losses(params, batch, qids, groups)
-    want = experiments._group_losses(params, want_items, want_qids, groups)
+    want = experiments._group_losses(params, stacked, want_qids, groups)
     assert (got.rare.hex(), got.average.hex()) == (want.rare.hex(), want.average.hex())
     if source == "two-domain":  # judged grade-0 candidates, which the filter keeps
         assert any(grade == 0 for q in task.qrels.query_ids
@@ -77,7 +80,7 @@ def test_imbalance_study_prepares_the_task_once():
     config = experiments.idro_experiment_config
     counts = Counter()
     store_init, index_init = trainer.FeatureStore.__init__, retrieval_eval.Bm25Index.__init__
-    block, block_picks = Featurizer.block, retrieval_eval.block_picks
+    featurize, block_picks = Featurizer.__call__, retrieval_eval.block_picks
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -85,10 +88,10 @@ def test_imbalance_study_prepares_the_task_once():
             return func(*args, **kwargs)
         return wrapper
 
-    def counted_block(self, token_lists):
+    def counted_featurize(self, token_lists):
         token_lists = list(token_lists)
         counts["task featurizations"] += len(token_lists) == n_texts
-        return block(self, token_lists)
+        return featurize(self, token_lists)
 
     def counted_picks(index, queries, k):
         if isinstance(index, retrieval_eval.Bm25Index):
@@ -103,7 +106,7 @@ def test_imbalance_study_prepares_the_task_once():
                               episodes=2, steps_per_episode=2)),
         mock.patch.object(trainer.FeatureStore, "__init__", counted("stores", store_init)),
         mock.patch.object(retrieval_eval.Bm25Index, "__init__", counted("indexes", index_init)),
-        mock.patch.object(Featurizer, "block", counted_block),
+        mock.patch.object(Featurizer, "__call__", counted_featurize),
         mock.patch.object(retrieval_eval, "block_picks", counted_picks),
     ):
         results = experiments.run_idro_directional(0)

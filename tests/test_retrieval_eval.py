@@ -337,7 +337,7 @@ class TestEvaluate:
         queries = QuerySet([Query.from_fields(f"q{i}", f"word{i}") for i in range(3)])
         qrels = QrelSet({(f"q{i}", f"d{i}"): 1 for i in range(3)})
         featurizer = Featurizer(dim=512, seed=0)
-        buckets = [featurizer([f"word{i}"]).indices[0] for i in range(6)]
+        buckets = featurizer([[f"word{i}"] for i in range(6)]).indices.tolist()
         assert len(set(buckets)) == 6, "fixture needs collision-free hashing"
         params = Params(feature_dim=512, embed_dim=512, flat=np.eye(512).ravel())
         record, rankings = evaluate(params, featurizer, corpus, queries, qrels)

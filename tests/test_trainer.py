@@ -282,7 +282,7 @@ class TestPretrain:
 
     def test_separable_corpus_learns_partner_retrieval(self):
         from robustdr.trainer import _span_pair_batch
-        from tests.oracles import coco_top1_accuracy
+        from tests.oracles import coco_top1_accuracy, item_vectors
 
         config = tiny_config(
             pretrain_epochs=6, batch_size=8, learning_rate=0.2, span_len=3
@@ -295,7 +295,29 @@ class TestPretrain:
         featurizer = Featurizer(config.feature_dim, config.hash_seed)
         rng = np.random.Generator(np.random.PCG64(99))
         batch = _span_pair_batch(list(corpus)[:12], 3, featurizer, rng)
-        assert coco_top1_accuracy(result.params, batch) > 0.9
+        assert coco_top1_accuracy(result.params, item_vectors(batch)) > 0.9
+
+    def test_span_pair_batch_rows_are_the_drawn_pairs(self):
+        """Items 2p and 2p + 1 of a span batch are the two spans that
+        `sample_span_pair` draws for document p from a generator of the same
+        seed, each featurized one token at a time; the block holds them alone."""
+        from robustdr.corpus import sample_span_pair
+        from robustdr.trainer import _span_pair_batch
+        from tests.oracles import featurize_reference, item_vectors
+
+        docs = list(tiny_task().corpus)
+        featurizer = Featurizer(64, 3)  # few buckets, so spans collide within a row
+        for seed in range(3):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            batch = _span_pair_batch(docs, 4, featurizer, rng)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            spans = [span for doc in docs for span in sample_span_pair(doc, 4, rng)]
+            assert len(batch.block) == len(batch) == 2 * len(docs)
+            for got, span in zip(item_vectors(batch), spans, strict=True):
+                want = featurize_reference(Featurizer(64, 3), span)
+                assert got.dim == want.dim == 64
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.counts.tobytes() == want.counts.tobytes()
 
     def test_deterministic_given_seed(self):
         config = tiny_config(pretrain_epochs=3)
@@ -590,7 +612,7 @@ class TestFinetune:
 
         def featurized():
             featurizer = Featurizer(config.feature_dim, config.hash_seed)
-            return featurizer, featurizer.block(texts)
+            return featurizer, featurizer(texts)
 
         (_, block), block_bytes = held(featurized)
         positives = sys.getsizeof(ft.store.positives.docs) + sys.getsizeof(
@@ -615,7 +637,8 @@ class TestFinetune:
         ft.run_episode()
         emb = EmbeddingMatrix(
             ids=tuple(q.id for q in ft.queries),
-            matrix=encode_many(frozen, ft.store.featurizer.many(q.tokens for q in ft.queries)),
+            matrix=encode_many(frozen,
+                               ft.store.featurizer(q.tokens for q in ft.queries).all_rows()),
         )
         expected = kmeans_fit(
             emb,
