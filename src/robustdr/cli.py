@@ -23,9 +23,11 @@ it holds the episode's cluster model, clusters_ep<n>.bin, and its weights: the
 checkpoint encoder_ep<n>.ckpt for n < N, and encoder.ckpt, the name every
 downstream command reads, for n = N (with no episodes, encoder.ckpt holds the
 initial weights). trainer_state.bin, rewritten each episode, holds the rest of
-the resumable state: the optimizer's step count and moments and the episode
-counter (a resumed episode refits its clusters). It names the checkpoint it
-pairs with and holds a digest of its weights (`Finetuner.save_state`).
+the resumable state: the optimizer's step count, Adam's moments over every
+feature column of the training texts (zero on those no step has touched yet)
+with those columns, and the episode counter (a resumed episode refits its
+clusters). It names the checkpoint it pairs with and holds a digest of its
+weights (`Finetuner.save_state`).
 training_log.tsv, rewritten each episode, and episodes.tsv hold the per-step
 and per-episode logs.
 """
@@ -179,18 +181,16 @@ def cmd_finetune(args) -> int:
     store = trainer.training_store(config, corpus, queries, qrels)
     finetuner = Finetuner(config, params, store)
     while finetuner.episodes_done < config.episodes:
-        episode = finetuner.run_episode().index
+        episode = finetuner.run_episode().episode
         weights = "encoder.ckpt" if episode == config.episodes else f"encoder_ep{episode}.ckpt"
         finetuner.save_state(out / "trainer_state.bin", out / weights)
         clustering.save_cluster_model(finetuner.cluster_model, out / f"clusters_ep{episode}.bin")
         trainer.write_training_log(finetuner.log_rows, out / "training_log.tsv")
     if config.episodes == 0:
         save_checkpoint(finetuner.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
-    blobfile.write_table(
-        out / "episodes.tsv",
-        ["episode", "negative_source", "kmeans_objective", "mean_loss", "n_steps", "n_fallback"],
-        map(dataclasses.astuple, finetuner.episode_records),
-    )
+    blobfile.write_table(out / "episodes.tsv",
+                         [f.name for f in dataclasses.fields(trainer.EpisodeRecord)],
+                         map(dataclasses.astuple, finetuner.episode_records))
     _record_run(out, "finetune", config,
                 {"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
                  "checkpoint": args.checkpoint})

@@ -33,9 +33,12 @@ losses and one gradient row per present cluster on the feature columns the
 batch touches. The per-cluster losses and rows are reweighted by the
 configured strategy and combined into one row on those columns, which the
 optimizer steps on directly; the robust-weight update over the present
-clusters follows. The robust weights ``omega`` are the only weighting state
-carried between steps; each cluster refresh resets them to uniform.
-Every run is fully determined by (config, seed, data).
+clusters follows. Both stages know before their first step every feature
+column a step can touch (the store's columns; the eligible documents'
+vocabulary), and Adam keeps its moments over that set from the start. The
+robust weights ``omega`` are the only weighting state carried between steps;
+each cluster refresh resets them to uniform. Every run is fully determined by
+(config, seed, data).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .errors import BlobFileError, ConfigError, CorpusFormatError
+from .errors import BlobFileError, ConfigError, CorpusFormatError, InvariantError
 
 logger = logging.getLogger(__name__)
 
@@ -182,36 +185,34 @@ class Optimizer:
     columns ``cols``; every other column of dW is zero. Gradient descent
     moves only ``W[:, cols]``.
 
-    Adam keeps its moments over ``live``, the sorted feature columns that have
-    ever had a gradient (a set that only grows). Outside ``live`` the moments
-    and the gradient are zero, so the textbook step there is
-    ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight keeps its bytes. Inside,
-    each entry goes through the textbook operations in the textbook order, so
-    ``flat`` and the moments equal those of dense Adam on the scattered
-    gradient bit for bit.
+    Adam keeps its moments over ``live``, the sorted feature columns the run
+    can touch, given when it is built and fixed from then on; a step on a
+    column outside them is an InvariantError. A column of ``live`` that no
+    step has touched yet has zero moments and a zero gradient, so its textbook
+    step is ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight keeps its bytes,
+    as it does outside ``live``. Each entry goes through the textbook
+    operations in the textbook order, so ``flat`` and the moments equal those
+    of dense Adam on the scattered gradient bit for bit.
 
     Both read and write the weights through one flat index of the columns
-    they move, ``(arange(E)[:, None] * D + cols).ravel()``; Adam keeps that
-    index of ``live`` and rebuilds it only when ``live`` grows.
+    they move, ``(arange(E)[:, None] * D + cols).ravel()``; Adam builds that
+    index of ``live`` once.
     """
 
-    def __init__(self, config: RunConfig, params: Params):
+    def __init__(self, config: RunConfig, params: Params, cols: np.ndarray):
         self.kind = config.optimizer
         self.t = 0
         self.shape = (params.embed_dim, params.feature_dim)
         if self.kind == "adam":
-            empty = np.zeros((params.embed_dim, 0))
-            self.set_live(np.empty(0, dtype=np.int64), empty, empty.copy())
+            self.live = np.asarray(cols, dtype=np.int64)
+            self.m_w = np.zeros((params.embed_dim, self.live.size))
+            self.v_w = np.zeros_like(self.m_w)
+            self._live_at = self._flat_index(self.live)
 
     def _flat_index(self, cols: np.ndarray) -> np.ndarray:
         """The positions of ``W[:, cols]`` in the flat weights, row by row."""
         embed_dim, feature_dim = self.shape
         return (np.arange(embed_dim)[:, None] * feature_dim + cols).ravel()
-
-    def set_live(self, live: np.ndarray, m_w: np.ndarray, v_w: np.ndarray) -> None:
-        """Adam's live columns and its moments over them, and their flat index."""
-        self.live, self.m_w, self.v_w = live, m_w, v_w
-        self._live_at = self._flat_index(live)
 
     def step(self, flat: np.ndarray, cols: np.ndarray, row: np.ndarray, lr: float) -> None:
         self.t += 1
@@ -219,13 +220,8 @@ class Optimizer:
             flat[self._flat_index(cols)] -= lr * row.reshape(-1)
             return
         at = np.searchsorted(self.live, cols)
-        new = at == self.live.size
-        new[~new] = self.live[at[~new]] != cols[~new]
-        if new.any():
-            self.set_live(np.insert(self.live, at[new], cols[new]),
-                          np.insert(self.m_w, at[new], 0.0, axis=1),
-                          np.insert(self.v_w, at[new], 0.0, axis=1))
-            at = np.searchsorted(self.live, cols)
+        if np.any(at == self.live.size) or np.any(self.live[at] != cols):
+            raise InvariantError("an Adam step touched a feature column outside its live set")
         grad = np.zeros_like(self.m_w)
         grad[:, at] = row.reshape(self.shape[0], cols.size)
         live_w = flat[self._live_at].reshape(self.m_w.shape)
@@ -304,7 +300,10 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
         )
     featurizer = Featurizer(config.feature_dim, config.hash_seed)
     params = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
-    optimizer = Optimizer(config, params)
+    # Every span is a window of an eligible document, so its columns are among
+    # those of the documents' vocabulary, featurized as one row.
+    vocab = featurizer([itertools.chain.from_iterable(doc.tokens for doc in docs)])
+    optimizer = Optimizer(config, params, vocab.indices)
 
     n = len(docs)
     full, rem = divmod(n, config.batch_size)
@@ -459,15 +458,13 @@ def _fallback_pool(
 
 def _negative_pools(
     store: FeatureStore, blocks: Iterable[retrieval_eval.Picks], k: int,
-    rng: np.random.Generator | None, source: str,
+    rng: np.random.Generator, source: str,
 ) -> tuple[DocLists, int]:
     """Each query's top k minus its judged positives, one block of queries at a time.
 
     A query whose top k are all positives falls back to seeded random
     non-positive corpus documents (logged), drawn from ``rng`` in query order.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
     n_docs = len(store.corpus)
     positives = store.positives
     pooled, sizes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
@@ -498,7 +495,7 @@ def _negative_pools(
 
 
 def mine_negatives(
-    params: Params, store: FeatureStore, k: int, rng: np.random.Generator | None = None
+    params: Params, store: FeatureStore, k: int, rng: np.random.Generator
 ) -> tuple[DocLists, int]:
     """Self-negative pools: top-k dense retrievals minus judged positives.
 
@@ -515,7 +512,7 @@ def mine_negatives(
 
 
 def bm25_negative_pools(
-    store: FeatureStore, k: int, rng: np.random.Generator | None = None
+    store: FeatureStore, k: int, rng: np.random.Generator
 ) -> tuple[DocLists, int]:
     """Warmup pools: BM25 top-k minus judged positives, with the same fallback.
 
@@ -608,7 +605,7 @@ def _draw_picks(
 
 @dataclass
 class EpisodeRecord:
-    index: int
+    episode: int
     negative_source: str
     kmeans_objective: float
     mean_loss: float
@@ -628,9 +625,9 @@ class LogRow:
 
 
 STATE_FORMAT = "robustdr-trainer-state"
-STATE_VERSION = 7
+STATE_VERSION = 8
 _STATE_FIELDS = {
-    "episodes_done": int, "optimizer_kind": str, "optimizer_t": int, "n_live": int,
+    "episodes_done": int, "optimizer_kind": str, "optimizer_t": int,
     "blocks": list, "checkpoint": str, "weights_sha256": str,
 }
 
@@ -649,12 +646,14 @@ class Finetuner:
     each have a positive judgment, as `training_store` makes it; positives,
     negative pools and batches are row ids of it. The fine-tuner never
     changes the store, so several may share one. `omega` holds the robust
-    weights, one per cluster of the current cluster model. State at an
-    episode boundary fully determines the continuation, so saving and reloading it resumes bit-identically. That state is the
-    weights, kept in an encoder checkpoint, and the trainer state paired with
-    it: the optimizer's step count, Adam's live columns with its moments over
-    them, and the episode counter. The next episode refits the clusters from
-    the weights and resets `omega` to uniform, so neither is saved.
+    weights, one per cluster of the current cluster model. Adam's live
+    columns are the store's feature columns, every column a step can touch.
+    State at an episode boundary fully determines the continuation, so saving
+    and reloading it resumes bit-identically. That state is the weights, kept
+    in an encoder checkpoint, and the trainer state paired with it: the
+    optimizer's step count, Adam's moments over its live columns, and the
+    episode counter. The next episode refits the clusters from the weights and
+    resets `omega` to uniform, so neither is saved.
     """
 
     def __init__(self, config: RunConfig, params: Params, store: FeatureStore):
@@ -676,7 +675,7 @@ class Finetuner:
         self.queries = store.queries
 
         self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)
-        self.optimizer = Optimizer(config, params)
+        self.optimizer = Optimizer(config, params, np.unique(store.block.indices))
         self.episodes_done = 0
         self.log_rows: list[LogRow] = []
         self.episode_records: list[EpisodeRecord] = []
@@ -793,7 +792,7 @@ class Finetuner:
                 continue
             step_losses.append(self._train_step(rows, clusters, total_steps))
         record = EpisodeRecord(
-            index=episode,
+            episode=episode,
             negative_source=source,
             kmeans_objective=self.cluster_model.objective,
             mean_loss=float(np.mean(step_losses)) if step_losses else float("nan"),
@@ -820,10 +819,11 @@ class Finetuner:
         the checkpoint by its file name and holds ``weights_sha256``, the
         SHA-256 of the weights, so `load_state` finds the pair and can tell a
         checkpoint of other weights. With Adam the blocks are ``live`` (its L
-        ascending column ids, exact as float64), ``adam_m`` and ``adam_v``
-        (E x L each, over those columns); with gradient descent there are
-        none. Each block is written from the array that holds it, without a
-        dense or joined copy. Bytes are reproducible.
+        ascending column ids, exact as float64, which `load_state` requires to
+        equal the loading run's), ``adam_m`` and ``adam_v`` (E x L each, over
+        those columns, zero on a column no step has touched); with gradient
+        descent there are none. Each block is written from the array that
+        holds it, without a dense or joined copy. Bytes are reproducible.
         """
         path, checkpoint = Path(path), Path(checkpoint)
         if checkpoint.resolve().parent != path.resolve().parent:
@@ -837,7 +837,6 @@ class Finetuner:
             "episodes_done": self.episodes_done,
             "optimizer_kind": opt.kind,
             "optimizer_t": opt.t,
-            "n_live": int(opt.live.size) if opt.kind == "adam" else 0,
             "blocks": [[name, int(arr.size)] for name, arr in blocks.items()],
             "checkpoint": checkpoint.name,
             "weights_sha256": _weights_sha256(self.params.flat),
@@ -856,14 +855,10 @@ class Finetuner:
         name = meta["checkpoint"]
         if name in ("", "..") or Path(name).name != name:
             raise ValueError(f"checkpoint {name!r} is not a bare file name")
-        adam = self.optimizer.kind == "adam"
-        n_live, most_live = meta["n_live"], self.params.feature_dim if adam else 0
-        if not 0 <= n_live <= most_live:
-            raise ValueError(f"n_live is {n_live}, this run allows 0 to {most_live} live columns")
         expected = []
-        if adam:
-            moments = self.params.embed_dim * n_live
-            expected += [["live", n_live], ["adam_m", moments], ["adam_v", moments]]
+        if self.optimizer.kind == "adam":
+            live, moments = self.optimizer.live.size, self.optimizer.m_w.size
+            expected += [["live", live], ["adam_m", moments], ["adam_v", moments]]
         if meta["blocks"] != expected:
             raise ValueError(f"blocks {meta['blocks']} do not match this run's {expected}")
         return [length for _, length in expected]
@@ -891,7 +886,8 @@ class Finetuner:
     def load_state(self, path: str | Path) -> None:
         """Adopt a `save_state` file and its paired checkpoint, all or nothing: every
         check of both files runs before any state changes, so a rejected pair
-        leaves this `Finetuner` as it was."""
+        leaves this `Finetuner` as it was. A state of Adam must hold this run's
+        live columns."""
         path = Path(path)
         meta, arrays = blobfile.read(
             path, STATE_FORMAT, STATE_VERSION, _STATE_FIELDS, self._state_lengths
@@ -899,24 +895,16 @@ class Finetuner:
         blocks = {name: arr for (name, _), arr in zip(meta["blocks"], arrays)}
         opt = self.optimizer
         if opt.kind == "adam":
-            live = blocks["live"]
-            if live.size and not (
-                live[0] >= 0 and live[-1] < self.params.feature_dim
-                and np.all(np.diff(live) > 0) and np.all(live == np.floor(live))
-            ):
-                raise BlobFileError(
-                    f"{path}: block live is not ascending column ids "
-                    f"in [0, {self.params.feature_dim})"
-                )
+            if not np.array_equal(blocks["live"], opt.live):
+                raise BlobFileError(f"{path}: block live is not this run's feature columns")
             if np.any(blocks["adam_v"] < 0):
                 raise BlobFileError(f"{path}: block adam_v holds a negative second moment")
         flat = self._paired_weights(path, meta)
 
         self.params.flat[:] = flat
         if opt.kind == "adam":
-            opt.set_live(live.astype(np.int64),
-                         blocks["adam_m"].reshape(self.params.embed_dim, -1),
-                         blocks["adam_v"].reshape(self.params.embed_dim, -1))
+            opt.m_w[:] = blocks["adam_m"].reshape(opt.m_w.shape)
+            opt.v_w[:] = blocks["adam_v"].reshape(opt.v_w.shape)
         opt.t = meta["optimizer_t"]
         self.episodes_done = meta["episodes_done"]
 

@@ -190,8 +190,6 @@ def fallback_pool_reference(qid, positives, corpus, depth, rng):
 def pools_reference(rankings, corpus, qrels, k, rng, source):
     """Negative pools one query at a time from (query id, ranked list) pairs, with the
     fallback of `trainer.mine_negatives`, as lists of document ids keyed by query id."""
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
     pools: dict[str, list[str]] = {}
     n_fallback = 0
     for qid, ranked in rankings:
@@ -206,13 +204,13 @@ def pools_reference(rankings, corpus, qrels, k, rng, source):
     return pools, n_fallback
 
 
-def bm25_pools_reference(queries, corpus, qrels, k, rng=None):
+def bm25_pools_reference(queries, corpus, qrels, k, rng):
     """`trainer.bm25_negative_pools` from per-query `search_bm25_reference` rankings."""
     rankings = ((q.id, search_bm25_reference(corpus, q.tokens, k)) for q in queries)
     return pools_reference(rankings, corpus, qrels, k, rng, "BM25")
 
 
-def mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng=None):
+def mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng):
     """`trainer.mine_negatives` from per-query `search_dense_heap` rankings."""
     index = DenseIndex(embed_items(params, featurizer, corpus))
     query_emb = embed_items(params, featurizer, queries)
@@ -336,9 +334,9 @@ def dense_moments(opt) -> tuple[np.ndarray, np.ndarray]:
 class DenseOptimizer:
     """`trainer.Optimizer` on dense vectors: each step scatters its row into a
     gradient as long as ``params.flat`` and takes the textbook step on every
-    parameter, with moments over all of them."""
+    parameter, with moments over all of them, whatever the run's ``cols``."""
 
-    def __init__(self, config, params: Params):
+    def __init__(self, config, params: Params, cols):
         self.kind, self.t, self.params = config.optimizer, 0, params
         self.m, self.v = np.zeros(len(params)), np.zeros(len(params))
 

@@ -181,11 +181,25 @@ def _write_state(path, fields, blocks):
     blobfile.write(path, fields.pop("format"), fields.pop("version"), fields, blocks.values())
 
 
-def _clusters_in_state_v6(path):
+def _live_subset(blocks, keep):
+    """Adam's blocks over the live columns where ``keep`` is true only."""
+    return {"live": blocks["live"][keep], **{name: blocks[name].reshape(8, -1)[:, keep].ravel()
+                                             for name in ("adam_m", "adam_v")}}
+
+
+def _grown_live_in_state_v7(path):
+    """A version-7 state of the 8 x 512 encoder: Adam's live columns grown step by
+    step, so only those a step had touched (a nonzero second moment), and counted
+    in an ``n_live`` header field."""
+    fields, blocks = _state_blocks(path)
+    blocks = _live_subset(blocks, blocks["adam_v"].reshape(8, -1).any(axis=0))
+    return {**fields, "n_live": blocks["live"].size}, blocks
+
+
+def _clusters_in_state_v6(fields, blocks):
     """A version-6 state of the 8 x 512 encoder: the robust weights in an ``omega``
     block and a cluster model, its fields in the header and its ``centroids`` as
     the last block."""
-    fields, blocks = _state_blocks(path)
     model = _cluster_model(8)
     fields.update(n_clusters=3, cluster_model={
         "n_clusters": 3, "width": 8, "normalized": model.normalized,
@@ -215,12 +229,15 @@ def _dense_moments_v4(fields, blocks):
                     "centroids": blocks["centroids"]}
 
 
-@pytest.mark.parametrize("version", [3, 4, 5, 6])
+@pytest.mark.parametrize("version", [3, 4, 5, 6, 7])
 def test_old_trainer_state_version_rejected(saved_state, tmp_path, version):
     """Version 3 also carried a step counter; version 4 held Adam's moments dense;
     version 5 held the weights, a second copy of those in the episode's checkpoint;
-    version 6 held ``omega`` and the cluster model, which the next episode refits."""
-    fields, blocks = _clusters_in_state_v6(saved_state)
+    version 6 held ``omega`` and the cluster model, which the next episode refits;
+    version 7 held Adam's moments over the columns touched so far only."""
+    fields, blocks = _grown_live_in_state_v7(saved_state)
+    if version <= 6:
+        fields, blocks = _clusters_in_state_v6(fields, blocks)
     if version <= 5:
         fields, blocks = _weights_in_state_v5(saved_state, fields, blocks)
     if version <= 4:
@@ -246,7 +263,7 @@ def _resaved(d, name, params, hash_seed=0):
     return name
 
 
-_NOT_ASCENDING_IDS = "block live is not ascending column ids"
+_NOT_THIS_RUNS_LIVE = "block live is not this run's feature columns"
 _PAIRED = "paired checkpoint {dir}/"
 # name: (an edit of the valid header fields and blocks, which may write files in
 # the probe's directory d, where the valid paired checkpoint lies; the error it
@@ -256,21 +273,23 @@ _CORRUPTIONS = {
                "block adam_v holds a negative second moment"),
     "optimizer_t": (lambda f, b, d: f.update(optimizer_t=-1), "optimizer_t is -1"),
     "live-unsorted": (lambda f, b, d: b.update(live=np.append(b["live"][1::-1], b["live"][2:])),
-                      _NOT_ASCENDING_IDS),
+                      _NOT_THIS_RUNS_LIVE),
     "live-duplicated": (lambda f, b, d: b.update(live=np.append(b["live"][0], b["live"][:-1])),
-                        _NOT_ASCENDING_IDS),
+                        _NOT_THIS_RUNS_LIVE),
     "live-non-integer": (lambda f, b, d: b.update(live=np.append(b["live"][0] + 0.5,
                                                                   b["live"][1:])),
-                         _NOT_ASCENDING_IDS),
+                         _NOT_THIS_RUNS_LIVE),
     "live-out-of-range": (lambda f, b, d: b.update(live=np.append(b["live"][:-1], 512.0)),
-                          _NOT_ASCENDING_IDS),
+                          _NOT_THIS_RUNS_LIVE),
     "live-negative": (lambda f, b, d: b.update(live=np.append(-1.0, b["live"][1:])),
-                      _NOT_ASCENDING_IDS),
+                      _NOT_THIS_RUNS_LIVE),
     "live-longer-than-feature_dim": (
         lambda f, b, d: b.update(live=np.arange(513.0), adam_m=np.zeros(8 * 513),
                                  adam_v=np.zeros(8 * 513)),
-        "n_live is 513",
+        "blocks [['live', 513], ['adam_m', 4104], ['adam_v', 4104]] do not match this run's",
     ),
+    "live-shifted-column": (lambda f, b, d: b.update(live=_shifted_column(b["live"])),
+                            _NOT_THIS_RUNS_LIVE),
     # tiny_config runs 2 episodes
     "episodes_done-negative": (lambda f, b, d: f.update(episodes_done=-1), "episodes_done is -1"),
     "episodes_done-past-episodes": (lambda f, b, d: f.update(episodes_done=3),
@@ -306,8 +325,8 @@ _CORRUPTIONS = {
 @pytest.mark.parametrize("name", _CORRUPTIONS)
 def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, name):
     """A negative second moment would reach a sqrt in the next step; a negative
-    step count, the bias correction. A ``live`` block must hold ascending column
-    ids of the encoder, and the episode counter must be an integer from 0 to the
+    step count, the bias correction. A ``live`` block must hold this run's
+    feature columns, and the episode counter must be an integer from 0 to the
     run's episodes. The paired checkpoint must
     be a file beside the state, of this run's encoder and of the weights the
     state's digest names. A rejected file changes nothing in the loading
@@ -316,16 +335,54 @@ def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, 
     shutil.copy(saved_state.with_name(fields["checkpoint"]), tmp_path)
     edit, message = _CORRUPTIONS[name]
     edit(fields, blocks, tmp_path)
-    fields["n_live"] = blocks["live"].size
-    probe = tmp_path / "corrupt.bin"
+    _assert_rejected_unchanged(tmp_path / "corrupt.bin", fields, blocks,
+                               message.format(dir=tmp_path))
+
+
+def _shifted_column(live):
+    """``live`` with one column moved up by one, into a gap, so it stays ascending."""
+    live = live.copy()
+    live[np.flatnonzero(np.diff(live) > 1)[0]] += 1
+    return live
+
+
+def _assert_rejected_unchanged(probe, fields, blocks, message):
+    """Loading the state of ``fields`` and ``blocks``, written to ``probe``, raises
+    ``message`` and leaves the loading `Finetuner` as it was built."""
     _write_state(probe, fields, blocks)
     loader = _finetuner(tiny_config(), tiny_task())
-    before = (loader.params.flat.tobytes(), loader.optimizer.t, loader.omega.tobytes())
-    message = message.format(dir=tmp_path)
+    opt = loader.optimizer
+
+    def state():
+        return (loader.params.flat.tobytes(), opt.t, loader.omega.tobytes(), opt.live.tobytes(),
+                opt.m_w.tobytes(), opt.v_w.tobytes(), loader.episodes_done)
+
+    before = state()
     with pytest.raises(BlobFileError, match=re.escape(f"{probe}: {message}")):
         loader.load_state(probe)
-    assert (loader.params.flat.tobytes(), loader.optimizer.t, loader.omega.tobytes()) == before
-    assert loader.optimizer.live.size == 0 and loader.cluster_model is None
+    assert state() == before
+    assert not opt.m_w.any() and loader.cluster_model is None
+
+
+@pytest.mark.parametrize("edit", ["grown-subset", "shifted-column"])
+def test_trainer_state_of_other_live_columns_rejected(saved_state, tmp_path, edit):
+    """Adam's live columns are the run's feature columns, fixed before its first
+    step. A state over other columns is rejected: a subset, such as a live set
+    grown every step held before the run had touched them all, or the run's
+    columns with one moved."""
+    fields, blocks = _state_blocks(saved_state)
+    shutil.copy(saved_state.with_name(fields["checkpoint"]), tmp_path)
+    live = blocks["live"]
+    if edit == "grown-subset":
+        blocks = _live_subset(blocks, np.arange(live.size) % 2 == 0)
+        n, m = blocks["live"].size, 8 * blocks["live"].size
+        message = (f"blocks [['live', {n}], ['adam_m', {m}], ['adam_v', {m}]] do not match "
+                   f"this run's [['live', {live.size}], ['adam_m', {8 * live.size}], "
+                   f"['adam_v', {8 * live.size}]]")
+    else:
+        blocks["live"] = _shifted_column(live)
+        message = _NOT_THIS_RUNS_LIVE
+    _assert_rejected_unchanged(tmp_path / "other_live.bin", fields, blocks, message)
 
 
 def test_trainer_state_payload_holds_only_live_moments(tmp_path):
@@ -372,8 +429,8 @@ def test_state_checkpoint_elsewhere_rejected(tmp_path):
     embed_dim=st.integers(1, 12),
     k_clusters=st.integers(1, 5),
 )
-# Only the feature count differs: every block of the weight-free state fits,
-# and the paired checkpoint's shape is what tells.
+# Only the feature count differs: the state's live columns, hashed into 512
+# features, are not this run's.
 @example(feature_dim=1024, embed_dim=8, k_clusters=3)
 def test_trainer_state_blocks_must_match_params(saved_state, feature_dim, embed_dim, k_clusters):
     config = tiny_config(feature_dim=feature_dim, embed_dim=embed_dim, k_clusters=k_clusters)

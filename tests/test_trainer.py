@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from robustdr import experiments, retrieval_eval, trainer
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr.encoder import Featurizer, Params, scatter_grad
-from robustdr.errors import ConfigError, CorpusFormatError
+from robustdr.errors import ConfigError, CorpusFormatError, InvariantError
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
 from robustdr.trainer import (
     ADAM_BETA1,
@@ -82,14 +82,14 @@ def tiny_config(**overrides):
     return RunConfig(**base).validate()
 
 
-def mined_ids(params, featurizer, queries, corpus, qrels, k, rng=None):
+def mined_ids(params, featurizer, queries, corpus, qrels, k, rng):
     """`mine_negatives` on a store of the task, its pools as document ids."""
     store = FeatureStore(featurizer, queries, corpus, qrels)
     pools, n_fallback = mine_negatives(params, store, k, rng)
     return store.pool_ids(pools), n_fallback
 
 
-def bm25_ids(queries, corpus, qrels, k, rng=None):
+def bm25_ids(queries, corpus, qrels, k, rng):
     """`bm25_negative_pools` on a store of the task, its pools as document ids."""
     store = FeatureStore(Featurizer(16, 0), queries, corpus, qrels)
     pools, n_fallback = bm25_negative_pools(store, k, rng)
@@ -172,7 +172,7 @@ class TestOptimizer:
         rng = np.random.Generator(np.random.PCG64(3))
         params = Params.init_random(512, 8, seed=3)
         init = params.copy()
-        opt = Optimizer(config, params)
+        opt = Optimizer(config, params, np.arange(256))  # the columns growing_steps draws
         ref = (params.flat.copy(), np.zeros(len(params)), np.zeros(len(params)))
         hp = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
         touched = set()
@@ -185,9 +185,9 @@ class TestOptimizer:
             assert params.flat.tobytes() == ref[0].tobytes()
             assert m.tobytes() == ref[1].tobytes()
             assert v.tobytes() == ref[2].tobytes()
-        assert opt.live.tolist() == sorted(touched)
-        never = np.setdiff1d(np.arange(512), opt.live)
-        assert never.size > 256
+        assert opt.live.tolist() == list(range(256))
+        never = np.setdiff1d(np.arange(512), sorted(touched))
+        assert never.size > 256 and np.isin(opt.live, never).any()
         assert params.W[:, never].tobytes() == init.W[:, never].tobytes()
 
         # one more step, on moments reloaded from a trainer state
@@ -203,7 +203,8 @@ class TestOptimizer:
         ft.save_state(tmp_path / "again" / "state.bin", tmp_path / "again" / "state.ckpt")
         for name in ("state.bin", "state.ckpt"):
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
-        cols, row = list(growing_steps(ft.params, rng, 2))[-1]
+        cols = np.sort(rng.choice(opt.live, size=opt.live.size // 2, replace=False))
+        row = rng.normal(size=ft.params.embed_dim * cols.size)
         m, v = dense_moments(opt)
         ref = adam_reference(ft.params.flat.copy(), m, v, scatter_grad(ft.params, cols, row),
                              0.01, opt.t + 1, *hp)
@@ -217,16 +218,59 @@ class TestOptimizer:
     def test_sgd_bytes_equal_dense_steps(self, every_column):
         rng = np.random.Generator(np.random.PCG64(4))
         params = Params.init_random(512, 8, seed=3)
-        opt = Optimizer(tiny_config(optimizer="sgd"), params)
+        # gradient descent keeps no columns, so none are given
+        opt = Optimizer(tiny_config(optimizer="sgd"), params, np.empty(0, dtype=np.int64))
         ref = params.flat.copy()
         steps = list(growing_steps(params, rng, 6))
-        if every_column:  # then rows over every column, so the live set spans the width
+        if every_column:  # then rows over every column, so the steps span the width
             steps += [(np.arange(512), rng.normal(size=8 * 512)) for _ in range(2)]
         for t, (cols, row) in enumerate(steps, start=1):
             lr = 0.05 / t
             opt.step(params.flat, cols, row, lr)
             ref -= lr * scatter_grad(params, cols, row)
             assert params.flat.tobytes() == ref.tobytes()
+
+    def test_finetuner_adam_starts_on_store_columns(self):
+        ft = task_finetuner(tiny_config(optimizer="adam"), tiny_task())
+        opt = ft.optimizer
+        assert opt.live.tolist() == sorted(set(ft.store.block.indices.tolist()))
+        assert opt.m_w.shape == opt.v_w.shape == (8, opt.live.size)
+        assert not opt.m_w.any() and not opt.v_w.any()
+
+    def test_pretrain_adam_starts_on_eligible_vocabulary(self, monkeypatch):
+        config = tiny_config(optimizer="adam", span_len=3, feature_dim=4096)
+        eligible = [Document.from_fields(f"d{i}", f"w{i} x{i} y{i} z{i} v{i} u{i} t{i}")
+                    for i in range(6)]
+        short = Document.from_fields("short", "lonely word")  # under 2 * span_len tokens
+        built = []
+
+        class Recorded(Optimizer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append((self.live.copy(), self.m_w.any() or self.v_w.any()))
+
+        monkeypatch.setattr(trainer, "Optimizer", Recorded)
+        pretrain_coco(config, [Corpus([*eligible[:3], short]), Corpus(eligible[3:])])
+        featurizer = Featurizer(config.feature_dim, config.hash_seed)
+        vocab = sorted(set(featurizer([doc.tokens for doc in eligible]).indices.tolist()))
+        assert [(live.tolist(), moved) for live, moved in built] == [(vocab, False)]
+        lonely = featurizer([short.tokens]).indices
+        assert not np.isin(lonely, vocab).any()
+
+    @pytest.mark.parametrize("cols", [[5, 6], [0], [10], [1, 5, 9, 11]])
+    def test_adam_step_outside_live_rejected(self, cols):
+        params = Params.init_random(16, 2, seed=1)
+        opt = Optimizer(tiny_config(optimizer="adam"), params, np.array([1, 5, 9]))
+        cols = np.array(cols)
+        row = np.ones(2 * cols.size)
+        before = params.flat.tobytes()
+        with pytest.raises(InvariantError, match="outside its live set"):
+            opt.step(params.flat, cols, row, 0.1)
+        assert params.flat.tobytes() == before
+        assert not opt.m_w.any() and not opt.v_w.any()
+        with pytest.raises(InvariantError, match="outside its live set"):
+            Optimizer(tiny_config(optimizer="adam"), params, np.empty(0, dtype=np.int64)).step(
+                params.flat, cols, row, 0.1)
 
     @pytest.mark.parametrize("overrides", [
         dict(weighting="idro"), dict(weighting="groupdro"), dict(weighting="uniform"),
@@ -357,7 +401,7 @@ class TestMineNegatives:
             for did in pool:
                 assert task.qrels.grade(qid, did) == 0
 
-    def test_top_distractor_lands_in_pool(self):
+    def test_top_distractor_lands_in_pool(self, rng):
         params, featurizer = self.identity_setup()
         corpus = Corpus(
             [
@@ -367,17 +411,18 @@ class TestMineNegatives:
         )
         queries = QuerySet([Query.from_fields("q", "apple")])
         qrels = QrelSet({("q", "positive"): 1})
-        pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=2)
+        pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=2, rng=rng)
         assert pools["q"] == ["distractor"]
         assert n_fallback == 0
 
-    def test_fallback_when_only_positives_retrieved(self, caplog):
+    def test_fallback_when_only_positives_retrieved(self, caplog, rng):
         params, featurizer = self.identity_setup()
         corpus = Corpus([Document.from_fields("only", "apple")])
         queries = QuerySet([Query.from_fields("q", "apple")])
         qrels = QrelSet({("q", "only"): 1})
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
-            pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=1)
+            pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=1,
+                                          rng=rng)
         assert n_fallback == 1
         assert pools["q"] == []
         assert any("random negatives" in rec.message for rec in caplog.records)
@@ -432,12 +477,12 @@ class TestNegativePools:
         assert got == mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_fallback_warns_in_query_order(self, caplog):
+    def test_fallback_warns_in_query_order(self, caplog, rng):
         corpus = Corpus([Document.from_fields("a", "apple"), Document.from_fields("b", "pear")])
         queries = QuerySet([Query.from_fields(q, "apple") for q in ("q2", "q1", "q3")])
         qrels = QrelSet({("q2", "a"): 1, ("q1", "a"): 1, ("q3", "b"): 1})
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
-            pools, n_fallback = bm25_ids(queries, corpus, qrels, k=1)
+            pools, n_fallback = bm25_ids(queries, corpus, qrels, k=1, rng=rng)
         assert n_fallback == 2
         assert pools == {"q2": ["b"], "q1": ["b"], "q3": ["a"]}
         warned = [rec.getMessage() for rec in caplog.records if "random negatives" in rec.message]
@@ -456,12 +501,13 @@ class TestNegativePools:
         params = Params.init_random(512, 4, seed=0)
         store = FeatureStore(Featurizer(512, 0), queries, corpus, qrels)
         assert store.bm25.n_docs == n_docs  # the index is built before tracing
+        rng = np.random.Generator(np.random.PCG64(0))
         tracemalloc.start()
         try:
             if mined:
-                pools, _ = mine_negatives(params, store, k=30)
+                pools, _ = mine_negatives(params, store, 30, rng)
             else:
-                pools, _ = bm25_negative_pools(store, 30)
+                pools, _ = bm25_negative_pools(store, 30, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -473,7 +519,7 @@ class TestFinetune:
     def test_runs_episodes_with_correct_negative_sources(self):
         result = run_finetune(tiny_config(episodes=3), tiny_task())
         assert [ep.negative_source for ep in result.episode_records] == ["bm25", "self", "self"]
-        assert result.episode_records[0].index == 1
+        assert result.episode_records[0].episode == 1
         assert len(result.log_rows) > 0
 
     def test_training_loss_trends_down(self):
