@@ -22,12 +22,13 @@ A finetune run directory holds each weight vector once. After episode n of N
 it holds the episode's cluster model, clusters_ep<n>.bin, and its weights: the
 checkpoint encoder_ep<n>.ckpt for n < N, and encoder.ckpt, the name every
 downstream command reads, for n = N (with no episodes, encoder.ckpt holds the
-initial weights). trainer_state.bin, rewritten each episode, holds the rest of
-the resumable state: the optimizer's step count, Adam's moments over every
-feature column of the training texts (zero on those no step has touched yet)
-with those columns, and the episode counter (a resumed episode refits its
-clusters). It names the checkpoint it pairs with and holds a digest of its
-weights (`Finetuner.save_state`).
+initial weights); a checkpoint holds the weights feature-major, as `Params`
+keeps them. trainer_state.bin, rewritten each episode, holds the rest of the
+resumable state: the optimizer's step count, Adam's moments over every
+feature column of the training texts (one row per column, zero on those no
+step has touched yet) with those columns, and the episode counter (a resumed
+episode refits its clusters). It names the checkpoint it pairs with and holds
+the CRC-32 of its weights (`Finetuner.save_state`).
 training_log.tsv, rewritten each episode, and episodes.tsv hold the per-step
 and per-episode logs.
 """

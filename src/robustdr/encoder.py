@@ -15,6 +15,10 @@ returns the items' gradient per group of items (the robust weighting's
 clusters) on only the feature columns the items touch, from one count matrix;
 `embedding_backward` is its one-group case scattered into a dense vector.
 
+The weights are stored feature-major: feature d's E weights are one
+contiguous row of ``W.T`` (`Params`), so every kernel and optimizer step that
+works one feature column at a time reads and writes contiguous rows.
+
 Both kernels equal, bit for bit, a loop with one ``W[:, indices] @ counts``
 per item and one masked copy of each group's rows per group (kept in the
 tests as the reference), whichever rows a batch names and however often.
@@ -46,10 +50,13 @@ from . import blobfile
 from .errors import InvariantError
 
 CHECKPOINT_FORMAT = "robustdr-encoder"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # The most items one stacked product of `encode_many` gathers weights for.
 _ROWS = 256
+# Embedding rows `Params.init_random` draws per chunk: eight float64 weights
+# fill one 64-byte cache line of a feature's row.
+_INIT_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +154,12 @@ class Featurizer:
 class Params:
     """Encoder weights, shared by both towers.
 
-    The flat float64 vector is the single source of truth; ``W`` (projection,
-    E x D) is a reshaped view into it, so in-place updates on ``flat`` are
-    visible everywhere.
+    The flat float64 vector is the single source of truth, stored
+    feature-major: feature d's E weights are ``flat[d * E:(d + 1) * E]``.
+    ``W`` (projection, E x D) is the view ``flat.reshape(D, E).T`` into it,
+    so ``W.T`` is C-contiguous, a column ``W[:, d]`` is one contiguous row of
+    it, and in-place updates on ``flat`` are visible everywhere. A checkpoint
+    holds ``flat`` in this order.
     """
 
     __slots__ = ("feature_dim", "embed_dim", "flat", "W")
@@ -167,7 +177,7 @@ class Params:
         if not np.all(np.isfinite(flat)):
             raise InvariantError("encoder parameters must be finite")
         self.flat = flat
-        self.W = self.flat.reshape(embed_dim, feature_dim)
+        self.W = self.flat.reshape(feature_dim, embed_dim).T
 
     @staticmethod
     def n_params(feature_dim: int, embed_dim: int) -> int:
@@ -177,10 +187,18 @@ class Params:
 
     @classmethod
     def init_random(cls, feature_dim: int, embed_dim: int, seed: int = 0) -> "Params":
-        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]: ``W`` equals
+        ``rng.uniform(-1, 1, E * D).reshape(E, D) / sqrt(D)`` bit for bit, drawn
+        `_INIT_ROWS` rows of ``W`` at a time, so no second full-size array is made."""
         rng = np.random.Generator(np.random.PCG64(seed))
-        w = rng.uniform(-1.0, 1.0, size=embed_dim * feature_dim) / np.sqrt(feature_dim)
-        return cls(feature_dim, embed_dim, flat=w)
+        flat = np.empty(cls.n_params(feature_dim, embed_dim))
+        w_t = flat.reshape(feature_dim, embed_dim)
+        scale = np.sqrt(feature_dim)
+        for e in range(0, embed_dim, _INIT_ROWS):
+            rows = rng.uniform(-1.0, 1.0, size=(min(_INIT_ROWS, embed_dim - e), feature_dim))
+            rows /= scale
+            w_t[:, e:e + rows.shape[0]] = rows.T
+        return cls(feature_dim, embed_dim, flat=flat)
 
     def copy(self) -> "Params":
         return Params(self.feature_dim, self.embed_dim, flat=self.flat.copy())
@@ -212,9 +230,9 @@ def encode_many(params: Params, items: FeatureRows) -> np.ndarray:
     for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
         n = int(nnz[a])
         span = slice(first[a], first[a] + (b - a) * n)
-        # Rows of W.T gathered as (items, n, E), C-ordered, so each item's E x n
-        # block of the transpose is F-ordered like W[:, indices], and np.matmul
-        # runs the same BLAS gemv per item as W[:, indices] @ counts.
+        # Contiguous rows of W.T gathered as (items, n, E), C-ordered, so each
+        # item's E x n block of the transpose is F-ordered like W[:, indices],
+        # and np.matmul runs the same BLAS gemv per item as W[:, indices] @ counts.
         blocks = w_t[idx[span]].reshape(b - a, n, params.embed_dim).transpose(0, 2, 1)
         emb[a:b] = np.matmul(blocks, counts[span].reshape(b - a, n, 1))[..., 0]
     rank = np.empty(distinct.size, dtype=np.intp)
@@ -279,9 +297,9 @@ def grouped_backward(
 def scatter_grad(params: Params, cols: np.ndarray, row: np.ndarray) -> np.ndarray:
     """The dense vector, aligned with ``params.flat``, of one `grouped_backward` row."""
     grad = np.zeros_like(params.flat)
-    grad.reshape(params.embed_dim, params.feature_dim)[:, cols] = row.reshape(
+    grad.reshape(params.feature_dim, params.embed_dim)[cols] = row.reshape(
         params.embed_dim, cols.size
-    )
+    ).T
     return grad
 
 
@@ -332,7 +350,9 @@ _CHECKPOINT_FIELDS = {"feature_dim": int, "embed_dim": int, "hidden": bool, "has
 
 
 def save_checkpoint(params: Params, path: str | Path, hash_seed: int = 0) -> None:
-    """Write a checkpoint (see `blobfile`): the encoder's shape, then its flat weights.
+    """Write a checkpoint (see `blobfile`): the encoder's shape, then its flat weights
+    as held, feature-major (version 2; a version-1 file, which held them
+    embedding-major, is rejected).
 
     The format's ``hidden`` header field is always false; a true one is rejected.
     """

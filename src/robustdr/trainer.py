@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import itertools
 import logging
 import sys
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -183,50 +183,44 @@ class Optimizer:
 
     A step's gradient is ``(cols, row)``: ``row`` holds dW on the feature
     columns ``cols``; every other column of dW is zero. Gradient descent
-    moves only ``W[:, cols]``.
+    moves only ``W[:, cols]``, which in the feature-major ``flat`` are the
+    rows ``cols`` of ``flat.reshape(D, E)``.
 
     Adam keeps its moments over ``live``, the sorted feature columns the run
-    can touch, given when it is built and fixed from then on; a step on a
-    column outside them is an InvariantError. A column of ``live`` that no
-    step has touched yet has zero moments and a zero gradient, so its textbook
-    step is ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight keeps its bytes,
-    as it does outside ``live``. Each entry goes through the textbook
-    operations in the textbook order, so ``flat`` and the moments equal those
-    of dense Adam on the scattered gradient bit for bit.
-
-    Both read and write the weights through one flat index of the columns
-    they move, ``(arange(E)[:, None] * D + cols).ravel()``; Adam builds that
-    index of ``live`` once.
+    can touch, given when it is built and fixed from then on, as L x E
+    arrays, one row per live column; a step on a column outside them is an
+    InvariantError. A column of ``live`` that no step has touched yet has zero
+    moments and a zero gradient, so its textbook step is
+    ``lr * 0 / (sqrt(0) + eps) = 0`` and the weight keeps its bytes, as it
+    does outside ``live``. Each entry goes through the textbook operations in
+    the textbook order, so ``flat`` and the moments equal those of dense Adam
+    on the scattered gradient bit for bit.
     """
 
     def __init__(self, config: RunConfig, params: Params, cols: np.ndarray):
         self.kind = config.optimizer
         self.t = 0
-        self.shape = (params.embed_dim, params.feature_dim)
+        self.shape = (params.feature_dim, params.embed_dim)
         if self.kind == "adam":
             self.live = np.asarray(cols, dtype=np.int64)
-            self.m_w = np.zeros((params.embed_dim, self.live.size))
+            self.m_w = np.zeros((self.live.size, params.embed_dim))
             self.v_w = np.zeros_like(self.m_w)
-            self._live_at = self._flat_index(self.live)
-
-    def _flat_index(self, cols: np.ndarray) -> np.ndarray:
-        """The positions of ``W[:, cols]`` in the flat weights, row by row."""
-        embed_dim, feature_dim = self.shape
-        return (np.arange(embed_dim)[:, None] * feature_dim + cols).ravel()
 
     def step(self, flat: np.ndarray, cols: np.ndarray, row: np.ndarray, lr: float) -> None:
         self.t += 1
+        w = flat.reshape(self.shape)
+        grad_w = row.reshape(self.shape[1], cols.size).T
         if self.kind == "sgd":
-            flat[self._flat_index(cols)] -= lr * row.reshape(-1)
+            w[cols] -= lr * grad_w
             return
         at = np.searchsorted(self.live, cols)
         if np.any(at == self.live.size) or np.any(self.live[at] != cols):
             raise InvariantError("an Adam step touched a feature column outside its live set")
         grad = np.zeros_like(self.m_w)
-        grad[:, at] = row.reshape(self.shape[0], cols.size)
-        live_w = flat[self._live_at].reshape(self.m_w.shape)
+        grad[at] = grad_w
+        live_w = w[self.live]
         live_w -= self._adam_step(self.m_w, self.v_w, grad, lr)
-        flat[self._live_at] = live_w.reshape(-1)
+        w[self.live] = live_w
 
     def _adam_step(
         self, m: np.ndarray, v: np.ndarray, grad: np.ndarray, lr: float
@@ -625,10 +619,10 @@ class LogRow:
 
 
 STATE_FORMAT = "robustdr-trainer-state"
-STATE_VERSION = 8
+STATE_VERSION = 9
 _STATE_FIELDS = {
     "episodes_done": int, "optimizer_kind": str, "optimizer_t": int,
-    "blocks": list, "checkpoint": str, "weights_sha256": str,
+    "blocks": list, "checkpoint": str, "weights_crc32": int,
 }
 
 
@@ -816,14 +810,15 @@ class Finetuner:
         The weights go to ``checkpoint``, an encoder checkpoint in the
         directory of ``path``, and the rest of the state to ``path``, a
         `blobfile` file whose header names its blocks. The header also names
-        the checkpoint by its file name and holds ``weights_sha256``, the
-        SHA-256 of the weights, so `load_state` finds the pair and can tell a
-        checkpoint of other weights. With Adam the blocks are ``live`` (its L
+        the checkpoint by its file name and holds ``weights_crc32``, the
+        CRC-32 of the weights' bytes, so `load_state` finds the pair and can
+        tell a checkpoint of other weights (a guard against a mismatched pair,
+        not against tampering). With Adam the blocks are ``live`` (its L
         ascending column ids, exact as float64, which `load_state` requires to
-        equal the loading run's), ``adam_m`` and ``adam_v`` (E x L each, over
-        those columns, zero on a column no step has touched); with gradient
-        descent there are none. Each block is written from the array that
-        holds it, without a dense or joined copy. Bytes are reproducible.
+        equal the loading run's), ``adam_m`` and ``adam_v`` (L x E each, one
+        row per live column, zero on a column no step has touched); with
+        gradient descent there are none. Each block is written from the array
+        that holds it, without a dense or joined copy. Bytes are reproducible.
         """
         path, checkpoint = Path(path), Path(checkpoint)
         if checkpoint.resolve().parent != path.resolve().parent:
@@ -839,7 +834,7 @@ class Finetuner:
             "optimizer_t": opt.t,
             "blocks": [[name, int(arr.size)] for name, arr in blocks.items()],
             "checkpoint": checkpoint.name,
-            "weights_sha256": _weights_sha256(self.params.flat),
+            "weights_crc32": _weights_crc32(self.params.flat),
         }
         blobfile.write(path, STATE_FORMAT, STATE_VERSION, fields, blocks.values())
 
@@ -878,9 +873,9 @@ class Finetuner:
             if header[name] != getattr(self.config, name):
                 raise BlobFileError(f"{prefix} {checkpoint} has {name} {header[name]}, "
                                     f"this run {getattr(self.config, name)}")
-        if _weights_sha256(params.flat) != meta["weights_sha256"]:
+        if _weights_crc32(params.flat) != meta["weights_crc32"]:
             raise BlobFileError(f"{prefix} {checkpoint} holds other weights than the state's "
-                                f"weights_sha256")
+                                f"weights_crc32")
         return params.flat
 
     def load_state(self, path: str | Path) -> None:
@@ -909,6 +904,6 @@ class Finetuner:
         self.episodes_done = meta["episodes_done"]
 
 
-def _weights_sha256(flat: np.ndarray) -> str:
-    """Hex SHA-256 of a weight vector's float64 bytes, hashed in place without a copy."""
-    return hashlib.sha256(memoryview(flat)).hexdigest()
+def _weights_crc32(flat: np.ndarray) -> int:
+    """CRC-32 of a weight vector's float64 bytes, computed in place without a copy."""
+    return zlib.crc32(memoryview(flat))

@@ -255,7 +255,7 @@ def grouped_backward_loop(params: Params, fvs, emb_grads, groups, n_groups):
 def dense_embedding_backward(params, fvs, emb_grads) -> np.ndarray:
     """Item-by-item dense backward: one outer product per item into a P-long vector."""
     grad = np.zeros_like(params.flat)
-    grad_w = grad.reshape(params.embed_dim, params.feature_dim)
+    grad_w = grad.reshape(params.feature_dim, params.embed_dim).T
     for fv, g_e in zip(fvs, emb_grads):
         if fv.indices.size:
             grad_w[:, fv.indices] += np.outer(g_e, fv.counts)
@@ -321,12 +321,12 @@ def adam_reference(flat, m, v, grad, lr, t, beta1, beta2, eps):
 
 def dense_moments(opt) -> tuple[np.ndarray, np.ndarray]:
     """Adam's ``m`` and ``v`` of a `trainer.Optimizer` as vectors aligned with
-    ``params.flat``: ``m_w``/``v_w`` scattered to the ``live`` columns, zero
-    elsewhere."""
+    ``params.flat``: the L x E ``m_w``/``v_w`` scattered to the rows ``live``
+    of the D x E feature-major layout, zero elsewhere."""
     out = []
     for block in (opt.m_w, opt.v_w):
         dense = np.zeros(opt.shape)
-        dense[:, opt.live] = block
+        dense[opt.live] = block
         out.append(dense.ravel())
     return out[0], out[1]
 

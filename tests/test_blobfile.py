@@ -5,6 +5,7 @@ reader: every malformed file must raise BlobFileError naming the path, never a
 raw KeyError or a silently wrong object.
 """
 
+import hashlib
 import json
 import re
 import shutil
@@ -182,17 +183,29 @@ def _write_state(path, fields, blocks):
 
 
 def _live_subset(blocks, keep):
-    """Adam's blocks over the live columns where ``keep`` is true only."""
-    return {"live": blocks["live"][keep], **{name: blocks[name].reshape(8, -1)[:, keep].ravel()
+    """Adam's L x 8 blocks over the live columns where ``keep`` is true only."""
+    return {"live": blocks["live"][keep], **{name: blocks[name].reshape(-1, 8)[keep].ravel()
                                              for name in ("adam_m", "adam_v")}}
 
 
-def _grown_live_in_state_v7(path):
+def _embedding_major_in_state_v8(path):
+    """A version-8 state of the 8 x 512 encoder: Adam's moments 8 x L, one row per
+    embedding dimension, and the SHA-256 of the paired weights held embedding-major."""
+    fields, blocks = _state_blocks(path)
+    params, _ = load_checkpoint(path.with_name(fields["checkpoint"]))
+    del fields["weights_crc32"]
+    fields["weights_sha256"] = hashlib.sha256(params.W.tobytes()).hexdigest()
+    return fields, {**blocks, **{name: blocks[name].reshape(-1, 8).T.ravel()
+                                 for name in ("adam_m", "adam_v")}}
+
+
+def _grown_live_in_state_v7(fields, blocks):
     """A version-7 state of the 8 x 512 encoder: Adam's live columns grown step by
     step, so only those a step had touched (a nonzero second moment), and counted
     in an ``n_live`` header field."""
-    fields, blocks = _state_blocks(path)
-    blocks = _live_subset(blocks, blocks["adam_v"].reshape(8, -1).any(axis=0))
+    keep = blocks["adam_v"].reshape(8, -1).any(axis=0)
+    blocks = {"live": blocks["live"][keep], **{name: blocks[name].reshape(8, -1)[:, keep].ravel()
+                                               for name in ("adam_m", "adam_v")}}
     return {**fields, "n_live": blocks["live"].size}, blocks
 
 
@@ -210,9 +223,9 @@ def _clusters_in_state_v6(fields, blocks):
 def _weights_in_state_v5(path, fields, blocks):
     """A version-5 state of the 8 x 512 encoder: the weights in a leading ``flat``
     block, no paired checkpoint."""
-    flat, _ = load_checkpoint(path.with_name(fields.pop("checkpoint")))
+    params, _ = load_checkpoint(path.with_name(fields.pop("checkpoint")))
     del fields["weights_sha256"]
-    return fields, {"flat": flat.flat, **blocks}
+    return fields, {"flat": params.W.ravel(), **blocks}
 
 
 def _dense_moments_v4(fields, blocks):
@@ -229,13 +242,16 @@ def _dense_moments_v4(fields, blocks):
                     "centroids": blocks["centroids"]}
 
 
-@pytest.mark.parametrize("version", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [3, 4, 5, 6, 7, 8])
 def test_old_trainer_state_version_rejected(saved_state, tmp_path, version):
     """Version 3 also carried a step counter; version 4 held Adam's moments dense;
     version 5 held the weights, a second copy of those in the episode's checkpoint;
     version 6 held ``omega`` and the cluster model, which the next episode refits;
-    version 7 held Adam's moments over the columns touched so far only."""
-    fields, blocks = _grown_live_in_state_v7(saved_state)
+    version 7 held Adam's moments over the columns touched so far only; version 8
+    held them embedding-major, paired with an embedding-major checkpoint by SHA-256."""
+    fields, blocks = _embedding_major_in_state_v8(saved_state)
+    if version <= 7:
+        fields, blocks = _grown_live_in_state_v7(fields, blocks)
     if version <= 6:
         fields, blocks = _clusters_in_state_v6(fields, blocks)
     if version <= 5:
@@ -301,7 +317,7 @@ _CORRUPTIONS = {
     "checkpoint-other-weights": (
         lambda f, b, d: f.update(checkpoint=_resaved(d, "other.ckpt",
                                                      Params.init_random(512, 8, seed=9))),
-        _PAIRED + "other.ckpt holds other weights than the state's weights_sha256",
+        _PAIRED + "other.ckpt holds other weights than the state's weights_crc32",
     ),
     "checkpoint-other-shape": (
         lambda f, b, d: f.update(checkpoint=_resaved(d, "other.ckpt",

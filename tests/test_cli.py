@@ -490,7 +490,8 @@ class TestExitCodes:
         ckpt = tmp_path / "enc.ckpt"
         save_checkpoint(Params.init_random(256, 8, seed=0), ckpt, hash_seed=0)
         full_header = ckpt.read_bytes().split(b"\n")[0] + b"\n"
-        for header in (b'{"format": "robustdr-encoder", "version": 1}\n', full_header):
+        fieldless = b'{"format": "robustdr-encoder", "version": %d}\n' % CHECKPOINT_VERSION
+        for header in (fieldless, full_header):
             ckpt.write_bytes(header)
             code = main([
                 "evaluate",
@@ -536,6 +537,24 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert str(ckpt) in err and "hidden layer" in err
+
+    def test_embedding_major_checkpoint_exits_3_naming_version(self, task_dir, tmp_path,
+                                                                capsys):
+        ckpt = tmp_path / "enc.ckpt"
+        params = Params.init_random(256, 8, seed=0)
+        fields = {"feature_dim": 256, "embed_dim": 8, "hidden": False, "hash_seed": 0,
+                  "dtype": "<f8", "n_params": 256 * 8}
+        blobfile.write(ckpt, CHECKPOINT_FORMAT, 1, fields, [params.W.ravel()])
+        code = main([
+            "evaluate",
+            "--checkpoint", str(ckpt),
+            "--corpus", str(task_dir / "corpus.jsonl"),
+            "--queries", str(task_dir / "queries.jsonl"),
+            "--qrels", str(task_dir / "qrels.tsv"),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 3
+        assert f"{ckpt}: unsupported {CHECKPOINT_FORMAT} version 1" in capsys.readouterr().err
 
     def test_dangling_qrels_exit_3_naming_doc(self, task_dir, tmp_path, capsys):
         lines = (task_dir / "qrels.tsv").read_text().splitlines()

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,37 @@ class TestFeaturizer:
         featurized character by character."""
         with pytest.raises(TypeError, match="list of token lists"):
             Featurizer(dim=16, seed=0)(["ab", "cd"])
+
+
+class TestParams:
+    @pytest.mark.parametrize("feature_dim,embed_dim", [(37, 13), (37, 1), (1, 9), (512, 64)])
+    def test_init_random_bytes_equal_one_embedding_major_draw(self, feature_dim, embed_dim):
+        """W is the seeded draw of all E x D weights in one call, W's rows in turn,
+        whether or not E is a multiple of the rows drawn at a time."""
+        rng = np.random.Generator(np.random.PCG64(11))
+        want = rng.uniform(-1.0, 1.0, size=embed_dim * feature_dim).reshape(
+            embed_dim, feature_dim) / np.sqrt(feature_dim)
+        got = Params.init_random(feature_dim, embed_dim, seed=11).W
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_weights_feature_major(self):
+        """Feature d's weights are one contiguous run of ``flat``, and W views it."""
+        params = Params.init_random(37, 13, seed=2)
+        assert params.W.T.flags.c_contiguous and np.shares_memory(params.W, params.flat)
+        assert params.flat[5 * 13:6 * 13].tobytes() == params.W[:, 5].tobytes()
+        params.flat[5 * 13] = 7.0
+        assert params.W[0, 5] == 7.0
+
+    def test_init_random_holds_one_weight_vector(self):
+        """The draw is transposed a chunk at a time, never as a second full-size array."""
+        Params.init_random(2, 2)  # numpy's first generator allocates for itself
+        tracemalloc.start()
+        try:
+            params = Params.init_random(4096, 64, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * len(params)
 
 
 class TestEncode:
@@ -341,12 +373,23 @@ class TestCheckpoint:
         header = path.read_bytes().split(b"\n", 1)[0]
         assert header == (b'{"dtype": "<f8", "embed_dim": 4, "feature_dim": 20, "format": '
                           b'"robustdr-encoder", "hash_seed": 0, "hidden": false, '
-                          b'"n_params": 80, "version": 1}')
+                          b'"n_params": 80, "version": 2}')
         # a checkpoint of the removed hidden layer: W, then an E x E matrix
         fields = {"feature_dim": 20, "embed_dim": 4, "hidden": True, "hash_seed": 0,
                   "dtype": "<f8", "n_params": 96}
         blobfile.write(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, [np.zeros(96)])
         with pytest.raises(BlobFileError, match=re.escape(str(path)) + ".*hidden layer"):
+            load_checkpoint(path)
+
+    def test_embedding_major_version_1_rejected(self, tmp_path):
+        """Version 1 held the weights embedding-major; no reader of that order is kept."""
+        params = Params.init_random(20, 4, seed=6)
+        fields = {"feature_dim": 20, "embed_dim": 4, "hidden": False, "hash_seed": 0,
+                  "dtype": "<f8", "n_params": 80}
+        path = tmp_path / "v1.ckpt"
+        blobfile.write(path, CHECKPOINT_FORMAT, 1, fields, [params.W.ravel()])
+        with pytest.raises(BlobFileError, match=re.escape(f"{path}: unsupported "
+                                                          f"{CHECKPOINT_FORMAT} version 1")):
             load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):

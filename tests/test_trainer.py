@@ -234,7 +234,7 @@ class TestOptimizer:
         ft = task_finetuner(tiny_config(optimizer="adam"), tiny_task())
         opt = ft.optimizer
         assert opt.live.tolist() == sorted(set(ft.store.block.indices.tolist()))
-        assert opt.m_w.shape == opt.v_w.shape == (8, opt.live.size)
+        assert opt.m_w.shape == opt.v_w.shape == (opt.live.size, 8)
         assert not opt.m_w.any() and not opt.v_w.any()
 
     def test_pretrain_adam_starts_on_eligible_vocabulary(self, monkeypatch):
