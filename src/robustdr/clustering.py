@@ -142,20 +142,6 @@ def kmeans_fit(
     )
 
 
-def assign(model: ClusterModel, embeddings: EmbeddingMatrix) -> dict[str, int]:
-    """Map each row to its nearest centroid; ties break to the lowest index."""
-    if embeddings.width != model.centroids.shape[1]:
-        raise ValueError(
-            f"embedding width {embeddings.width} does not match centroid width "
-            f"{model.centroids.shape[1]}"
-        )
-    x = embeddings.matrix.astype(np.float64, copy=True)
-    if model.normalized:
-        x = _normalize_rows(x)
-    labels = np.argmin(_sq_dists(x, np.sum(x * x, axis=1), model.centroids), axis=1)
-    return {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
-
-
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
     """Write the model's scalars and assignment in the header, its centroids as the one block."""
     fields = {"n_clusters": model.n_clusters, "width": int(model.centroids.shape[1]),

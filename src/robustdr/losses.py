@@ -19,9 +19,10 @@ conditions, each checked against the loop on OpenBLAS:
 - row-wise ``max``, ``exp`` and ``sum`` run over C-contiguous rows holding
   exactly the row's scores, so each row sum keeps the 1-D pairwise blocking:
   a span-pair row drops the anchor's self-similarity rather than padding it;
-- each embedding slot sums its gradient terms in item order, through one
-  unbuffered ``np.add.at`` over all candidates, also when the items have
-  different candidate counts;
+- every retrieval item has the same number of candidates, its positive and
+  its negatives, so one stacked pass scores all items; each embedding slot
+  takes exactly one gradient term, added to a zero-filled buffer as the loop
+  adds it;
 - the span-pair anchor terms are summed one after another (``np.cumsum``):
   ``np.sum`` is pairwise from 8 terms;
 - the embeddings and the per-group backward come from `encoder.encode_many`
@@ -81,106 +82,71 @@ def _softmax_xent(scores: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.n
     return m + np.log(denom) - scores[rows, pos], coeff
 
 
-def _retrieval(
-    params: Params,
-    batch: TripletRows,
-    in_batch_negatives: bool,
-    clusters: np.ndarray,
-    with_grad: bool,
-):
+def _retrieval(params: Params, batch: TripletRows, clusters: np.ndarray, with_grad: bool):
     """Per-item losses and, with `with_grad`, per-cluster gradients; see
     `retrieval_cluster_grads`."""
-    n = len(batch)
+    n, width = batch.rows.shape
     present, group = np.unique(np.asarray(clusters, dtype=np.int64), return_inverse=True)
     if group.shape != (n,):
         raise ValueError("clusters must hold one cluster id per item")
-    size = np.bincount(group)[group]
 
-    # Slots [query, positive, negatives...] per item; the candidates are every
-    # non-query slot of the item, then the positives of its cluster mates.
+    # Slots [query, positive, negatives...] per item; its candidates are every
+    # slot but the query, the positive first.
     slots = FeatureRows(batch.block, batch.rows.ravel())
-    # Per-item widths as an array, not a scalar: the scalar form moves the
-    # allocator's high-water mark of a default fine-tune up by about 8 MB.
-    width = np.full(n, batch.rows.shape[1], dtype=np.intp)
-    q = np.cumsum(width) - width
-    candidate = np.ones(len(slots), dtype=bool)
-    candidate[q] = False
-    slot, owner = np.flatnonzero(candidate), np.repeat(np.arange(n), width - 1)
-    if in_batch_negatives:
-        item, mate = np.nonzero((group[:, None] == group) & ~np.eye(n, dtype=bool))
-        slot, owner = np.concatenate([slot, q[mate] + 1]), np.concatenate([owner, item])
-    order = np.argsort(owner, kind="stable")
-    cand, count = slot[order], np.bincount(owner)
-    start = np.cumsum(count) - count
-
     emb = encoder.encode_many(params, slots)
-    emb_grads = np.zeros_like(emb)
-    terms = np.empty((cand.size, emb.shape[1]))
-    per_item = np.empty(n)
-    for c in np.unique(count):
-        items = np.flatnonzero(count == c)
-        flat = start[items, None] + np.arange(c)
-        cand_emb, q_emb = emb[cand[flat]], emb[q[items]]
-        scores = np.matmul(cand_emb, q_emb[:, :, None])[:, :, 0]
-        per_item[items], coeff = _softmax_xent(scores, np.zeros(items.size, dtype=np.intp))
-        coeff /= size[items, None]  # gradient of the cluster mean
-        emb_grads[q[items]] += np.matmul(coeff[:, None, :], cand_emb)[:, 0]
-        terms[flat] = coeff[:, :, None] * q_emb[:, None, :]
-
+    item_emb = emb.reshape(n, width, emb.shape[1])
+    cand_emb, q_emb = item_emb[:, 1:], item_emb[:, 0]
+    scores = np.matmul(cand_emb, q_emb[:, :, None])[:, :, 0]
+    per_item, coeff = _softmax_xent(scores, np.zeros(n, dtype=np.intp))
     if not with_grad:
         return per_item, None, None
-    # One unbuffered add over all candidates, so each slot sums its terms in item
-    # order also when the items have different candidate counts (clusters of
-    # different sizes, with in-batch negatives).
-    np.add.at(emb_grads, cand, terms)
+
+    coeff /= np.bincount(group)[group, None]  # gradient of the cluster mean
+    # Zero-filled, then added to: each slot holds 0.0 + its one term, as the loop has it.
+    emb_grads = np.zeros_like(item_emb)
+    emb_grads[:, 0] += np.matmul(coeff[:, None, :], cand_emb)[:, 0]
+    emb_grads[:, 1:] += coeff[:, :, None] * q_emb[:, None, :]
     cols, rows = encoder.grouped_backward(
-        params, slots, emb_grads, np.repeat(group, width), present.size
+        params, slots, emb_grads.reshape(emb.shape), np.repeat(group, width), present.size
     )
     return per_item, cols, rows
 
 
-def retrieval_loss(
-    params: Params, batch: TripletRows, in_batch_negatives: bool = False
-) -> tuple[float, np.ndarray]:
+def retrieval_loss(params: Params, batch: TripletRows) -> tuple[float, np.ndarray]:
     """Mean softmax loss of ranking each positive above its listed negatives.
 
-    Per item the loss is -log( exp(s+) / (exp(s+) + sum_k exp(s-_k)) ); with
-    `in_batch_negatives` the other items' positives join the denominator.
+    Per item the loss is -log( exp(s+) / (exp(s+) + sum_k exp(s-_k)) ).
     Returns (mean loss, per-item losses).
     """
     one_cluster = np.zeros(len(batch), dtype=np.int64)
-    per_item, _, _ = _retrieval(params, batch, in_batch_negatives, one_cluster, False)
+    per_item, _, _ = _retrieval(params, batch, one_cluster, False)
     return (float(np.mean(per_item)) if len(batch) else 0.0), per_item
 
 
 def retrieval_loss_grad(
-    params: Params, batch: TripletRows, in_batch_negatives: bool = False
+    params: Params, batch: TripletRows
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Like `retrieval_loss`, plus the exact gradient of the batch mean."""
     if not len(batch):
         return 0.0, np.empty(0, dtype=np.float64), np.zeros_like(params.flat)
     one_cluster = np.zeros(len(batch), dtype=np.int64)
-    per_item, cols, rows = _retrieval(params, batch, in_batch_negatives, one_cluster, True)
+    per_item, cols, rows = _retrieval(params, batch, one_cluster, True)
     return float(np.mean(per_item)), per_item, encoder.scatter_grad(params, cols, rows[0])
 
 
 def retrieval_cluster_grads(
-    params: Params,
-    batch: TripletRows,
-    clusters: np.ndarray,
-    in_batch_negatives: bool = False,
+    params: Params, batch: TripletRows, clusters: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-item losses and the gradient of each present cluster's mean loss.
 
     ``clusters[i]`` is item i's cluster. Each cluster is its own sub-batch: an
-    item's in-batch negatives are the positives of the other items of its
-    cluster, and its gradient coefficients are divided by its cluster's size.
-    Returns (per-item losses, the feature columns the batch touches, one
-    gradient row per present cluster in ascending id order); see
-    `encoder.grouped_backward` for the row layout and `encoder.scatter_grad`
-    for the dense vector of a row.
+    item's gradient coefficients are divided by its cluster's size. Returns
+    (per-item losses, the feature columns the batch touches, one gradient row
+    per present cluster in ascending id order); see `encoder.grouped_backward`
+    for the row layout and `encoder.scatter_grad` for the dense vector of a
+    row.
     """
-    return _retrieval(params, batch, in_batch_negatives, clusters, True)
+    return _retrieval(params, batch, clusters, True)
 
 
 def _coco(params: Params, spans: FeatureRows, with_grad: bool):

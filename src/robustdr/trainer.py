@@ -85,7 +85,7 @@ ADAM_EPS = 1e-8
 # Share of all steps over which the learning rate warms up linearly.
 WARMUP_FRAC = 0.1
 # The values each annotation admits; bool is an int but no int or float field takes one.
-_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -114,7 +114,6 @@ class RunConfig:
     beta: float = 0.25
     tau: float = 1.0
     groupdro_step_size: float = 0.1
-    in_batch_negatives: bool = False
     # optimizer
     optimizer: str = "adam"
     learning_rate: float = 0.05
@@ -125,9 +124,7 @@ class RunConfig:
 
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not isinstance(value, _FIELD_TYPES[field.type]) or (
-                isinstance(value, bool) and field.type != "bool"
-            ):
+            if not isinstance(value, _FIELD_TYPES[field.type]) or isinstance(value, bool):
                 bad(field.name, f"must be a {field.type}, not {value!r}")
         if self.weighting not in WEIGHTINGS:
             bad("weighting", f"must be one of {WEIGHTINGS}")
@@ -736,8 +733,7 @@ class Finetuner:
         beta = cfg.beta if cfg.weighting == "idro" else 0.0
 
         item_losses, cols, grads = losses.retrieval_cluster_grads(
-            self.params, losses.TripletRows(self.store.block, rows), clusters,
-            cfg.in_batch_negatives,
+            self.params, losses.TripletRows(self.store.block, rows), clusters
         )
         scalar, present, cluster_losses, alpha = idro.idro_loss(
             item_losses, clusters, self.omega, beta

@@ -262,7 +262,7 @@ def dense_embedding_backward(params, fvs, emb_grads) -> np.ndarray:
     return grad
 
 
-def dense_retrieval_loss_grad(params, batch, in_batch_negatives=False):
+def dense_retrieval_loss_grad(params, batch):
     """Per-item losses and the dense gradient of the batch mean, item by item."""
     n = len(batch)
     fvs, q_slots, cand_slots = [], [], []
@@ -275,9 +275,7 @@ def dense_retrieval_loss_grad(params, batch, in_batch_negatives=False):
     emb_grads = np.zeros_like(emb)
     per_item = np.empty(n)
     for i in range(n):
-        cand = list(cand_slots[i])
-        if in_batch_negatives:
-            cand.extend(cand_slots[j][0] for j in range(n) if j != i)
+        cand = cand_slots[i]
         scores = emb[cand] @ emb[q_slots[i]]
         m = float(np.max(scores))
         exps = np.exp(scores - m)
@@ -291,7 +289,7 @@ def dense_retrieval_loss_grad(params, batch, in_batch_negatives=False):
     return per_item, dense_embedding_backward(params, fvs, emb_grads)
 
 
-def per_cluster_reference(params, batch, clusters, in_batch_negatives=False):
+def per_cluster_reference(params, batch, clusters):
     """One dense loss and backward per present cluster, stacked K x P.
 
     Returns (per-item losses, present cluster ids ascending, dense gradient
@@ -303,9 +301,7 @@ def per_cluster_reference(params, batch, clusters, in_batch_negatives=False):
     grads = np.empty((len(present), len(params)))
     for row, c in enumerate(present):
         positions = [i for i, ci in enumerate(clusters) if ci == c]
-        per_item, grads[row] = dense_retrieval_loss_grad(
-            params, [batch[i] for i in positions], in_batch_negatives
-        )
+        per_item, grads[row] = dense_retrieval_loss_grad(params, [batch[i] for i in positions])
         item_losses[positions] = per_item
     return item_losses, np.array(present), grads
 
@@ -350,13 +346,7 @@ class DenseOptimizer:
         flat[:], self.m, self.v = adam_reference(flat, self.m, self.v, grad, lr, self.t, *hp)
 
 
-def loop_retrieval(
-    params: Params,
-    batch: list[Triplet],
-    in_batch_negatives: bool,
-    clusters: np.ndarray,
-    with_grad: bool,
-):
+def loop_retrieval(params: Params, batch: list[Triplet], clusters: np.ndarray, with_grad: bool):
     """`losses.retrieval_cluster_grads` (and, without `with_grad`, the per-item
     losses alone) item by item: one Python loop with its own softmax per item,
     on `encode_loop` embeddings and a `grouped_backward_loop` backward."""
@@ -388,10 +378,7 @@ def loop_retrieval(
 
     per_item = np.empty(n, dtype=np.float64)
     for i in range(n):
-        cand = [p_slots[i], *neg_slots[i]]
-        if in_batch_negatives:
-            cand.extend(p_slots[j] for j in members[group[i]] if j != i)
-        cand = np.array(cand, dtype=np.intp)
+        cand = np.array([p_slots[i], *neg_slots[i]], dtype=np.intp)
         scores = emb[cand] @ emb[q_slots[i]]
         if not np.all(np.isfinite(scores)):
             raise InvariantError("non-finite relevance score in retrieval loss")
@@ -473,6 +460,21 @@ def _sq_dists_reference(x, centroids):
         + np.sum(centroids * centroids, axis=1)[None, :]
     )
     return np.maximum(d, 0.0)
+
+
+def assign(model, embeddings):
+    """Map each row to its nearest centroid of a `clustering.ClusterModel`; ties
+    break to the lowest index."""
+    if embeddings.width != model.centroids.shape[1]:
+        raise ValueError(
+            f"embedding width {embeddings.width} does not match centroid width "
+            f"{model.centroids.shape[1]}"
+        )
+    x = embeddings.matrix.astype(np.float64, copy=True)
+    if model.normalized:
+        x = clustering._normalize_rows(x)
+    labels = np.argmin(_sq_dists_reference(x, model.centroids), axis=1)
+    return {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
 
 
 def kmeans_fit_reference(embeddings, n_clusters, seed=0, max_iters=100, normalize=True,
@@ -608,8 +610,7 @@ class ObjectFinetuner(trainer.Finetuner):
         cfg = self.config
         step = self.optimizer.t
         beta = cfg.beta if cfg.weighting == "idro" else 0.0
-        item_losses, cols, grads = loop_retrieval(self.params, items, cfg.in_batch_negatives,
-                                                  clusters, True)
+        item_losses, cols, grads = loop_retrieval(self.params, items, clusters, True)
         scalar, present, cluster_losses, alpha = idro.idro_loss(item_losses, clusters,
                                                                 self.omega, beta)
         omega_used = self.omega[present]

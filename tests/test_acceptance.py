@@ -96,16 +96,14 @@ def test_criterion_2_gradient_exactness():
         worst_retrieval = worst_coco = worst_idro = 0.0
         for i in range(20):
             params = Params.init_random(14, 3, seed=100 + i)
-            # odd trials score each item against the batch's other positives too
-            in_batch = i % 2 == 1
 
             # 3 items of 1-3 negatives, each text its own row of one block
             n_neg = int(rng.integers(1, 4))
             items = random_rows(featurizer, rng, 3 * (2 + n_neg))
             batch = losses.TripletRows(items.block, items.rows.reshape(3, 2 + n_neg))
-            _, _, analytic = losses.retrieval_loss_grad(params, batch, in_batch)
+            _, _, analytic = losses.retrieval_loss_grad(params, batch)
             numeric = central_differences(
-                params, lambda p: losses.retrieval_loss(p, batch, in_batch)[0]
+                params, lambda p: losses.retrieval_loss(p, batch)[0]
             )
             worst_retrieval = max(worst_retrieval, rel_err(analytic, numeric))
 
@@ -123,20 +121,18 @@ def test_criterion_2_gradient_exactness():
             weights = alpha * omega
 
             def composite(p):
-                vals = [losses.retrieval_loss(p, b, in_batch)[0] for b in cluster_batches]
+                vals = [losses.retrieval_loss(p, b)[0] for b in cluster_batches]
                 return float((weights * vals).sum() / weights.sum())
 
             grads = np.vstack(
-                [losses.retrieval_loss_grad(params, b, in_batch)[2] for b in cluster_batches]
+                [losses.retrieval_loss_grad(params, b)[2] for b in cluster_batches]
             )
             analytic = idro.combine_cluster_grads(grads, alpha, omega)
             numeric = central_differences(params, composite)
             worst_idro = max(worst_idro, rel_err(analytic, numeric))
 
             # the same composite from the one-pass per-cluster kernel
-            _, cols, rows = losses.retrieval_cluster_grads(
-                params, batch, np.array([4, 4, 9]), in_batch
-            )
+            _, cols, rows = losses.retrieval_cluster_grads(params, batch, np.array([4, 4, 9]))
             batched = scatter_grad(
                 params, cols, idro.combine_cluster_grads(rows, alpha, omega)
             )

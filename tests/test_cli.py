@@ -426,13 +426,14 @@ class TestExitCodes:
             ("seed", 1.5),
             ("learning_rate", "x"),
             ("tau", None),
-            ("in_batch_negatives", "no"),
-            ("in_batch_negatives", 1),
-            # the removed carryover and hidden-layer switches: any value is an unknown field
+            # the removed carryover, hidden-layer and in-batch negative switches: any
+            # value is an unknown field
             ("omega_carryover", "no"),
             ("omega_carryover", 1),
             ("hidden", "no"),
             ("hidden", 1),
+            ("in_batch_negatives", "no"),
+            ("in_batch_negatives", 1),
             ("feature_dim", True),
             # an integer beyond float64, as a JSON literal can give
             pytest.param("tau", 10**400, id="tau-huge-int"),
@@ -460,6 +461,14 @@ class TestExitCodes:
         config.write_text(json.dumps({"hidden": False}))
         assert main(finetune_args(task_dir, tmp_path / "x", ("--config", str(config)))) == 2
         assert "hidden: unknown config field" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "encoder.ckpt").exists()
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_removed_in_batch_field_exits_2(self, task_dir, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"in_batch_negatives": value}))
+        assert main(finetune_args(task_dir, tmp_path / "x", ("--config", str(config)))) == 2
+        assert "in_batch_negatives: unknown config field" in capsys.readouterr().err
         assert not (tmp_path / "x" / "encoder.ckpt").exists()
 
     def test_infinite_learning_rate_exits_2(self, task_dir, tmp_path, capsys):

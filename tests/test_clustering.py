@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robustdr.clustering import (
-    assign,
-    kmeans_fit,
-    load_cluster_model,
-    save_cluster_model,
-)
+from robustdr.clustering import kmeans_fit, load_cluster_model, save_cluster_model
 from robustdr.encoder import EmbeddingMatrix
 from robustdr.errors import InvariantError
-from tests.oracles import kmeans_fit_reference
+from tests.oracles import assign, kmeans_fit_reference
 
 
 def embeddings_from(matrix, prefix="p"):

@@ -154,27 +154,6 @@ class TestRetrievalLoss:
         with pytest.raises(InvariantError, match="non-finite relevance score"):
             retrieval_loss(params, batch)
 
-    def test_in_batch_negatives_add_terms(self, small_encoder, rng):
-        params, featurizer = small_encoder
-        batch = triplet_rows(featurizer, rng, 3)
-        plain, _ = retrieval_loss(params, batch, in_batch_negatives=False)
-        with_ib, per_item = retrieval_loss(params, batch, in_batch_negatives=True)
-        assert with_ib > plain
-        # oracle: extend each denominator with the other items' positives
-        items = triplets(batch)
-        for i, item in enumerate(items):
-            q = encode_item(params, item.query)
-            s_pos = float(q @ encode_item(params, item.positive))
-            cands = [s_pos]
-            cands += [float(q @ encode_item(params, n)) for n in item.negatives]
-            cands += [
-                float(q @ encode_item(params, other.positive))
-                for j, other in enumerate(items)
-                if j != i
-            ]
-            denom = sum(math.exp(s) for s in cands)
-            assert per_item[i] == pytest.approx(-math.log(math.exp(s_pos) / denom), abs=1e-10)
-
 
 class TestCocoLoss:
     def test_identical_spans_symmetric_case(self):
@@ -246,13 +225,14 @@ class TestCocoLoss:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("in_batch", [False, True])
-    def test_retrieval_gradient_matches_central_differences(self, in_batch, rng):
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_retrieval_gradient_matches_central_differences(self, wide, rng):
         featurizer = Featurizer(dim=12, seed=3)
         params = Params.init_random(12, 3, seed=21)
-        batch = triplet_rows(featurizer, rng, 3)
-        _, _, analytic = retrieval_loss_grad(params, batch, in_batch)
-        numeric = central_differences(params, lambda p: retrieval_loss(p, batch, in_batch)[0])
+        # wide rows hold 10 candidates, past the 8 terms where row sums turn pairwise
+        batch = triplet_rows(featurizer, rng, 3, n_neg=9 if wide else 2)
+        _, _, analytic = retrieval_loss_grad(params, batch)
+        numeric = central_differences(params, lambda p: retrieval_loss(p, batch)[0])
         assert relative_error(analytic, numeric) < 1e-4
 
     @pytest.mark.parametrize("shared_docs", [False, True])
@@ -312,10 +292,10 @@ def pooled_batch(featurizer, rng, pool, n, n_neg, fresh):
 class TestClusterGrads:
     """The one-pass per-cluster gradients against one dense loss+backward per cluster."""
 
-    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("fresh_docs", [False, True])
-    def test_matches_dense_per_cluster_reference(self, fresh_docs, in_batch):
-        rng = np.random.Generator(np.random.PCG64(31 + 2 * fresh_docs + in_batch))
+    def test_matches_dense_per_cluster_reference(self, fresh_docs, wide):
+        rng = np.random.Generator(np.random.PCG64(31 + 2 * fresh_docs + wide))
         featurizer = Featurizer(dim=64, seed=9)
         pool = [random_tokens(rng) for _ in range(12)]
         for trial in range(10):
@@ -323,15 +303,15 @@ class TestClusterGrads:
             k = trial % 5 + 1
             ids = rng.choice(9, size=k, replace=False)
             n = int(rng.integers(k, 13))
-            # 1-3 negatives per trial; documents drawn from a small pool, so they
-            # repeat within the batch, or with fresh_docs each a new text
-            batch = pooled_batch(featurizer, rng, pool, n, int(rng.integers(1, 4)), fresh_docs)
+            # 1-3 negatives per trial, or 8-12 in wide rows; documents drawn from a
+            # small pool, so they repeat within the batch, or with fresh_docs each a new text
+            n_neg = int(rng.integers(8, 13) if wide else rng.integers(1, 4))
+            batch = pooled_batch(featurizer, rng, pool, n, n_neg, fresh_docs)
             clusters = np.concatenate([ids, rng.choice(ids, size=n - k)])
             rng.shuffle(clusters)
 
-            losses, cols, rows = retrieval_cluster_grads(params, batch, clusters, in_batch)
-            ref_losses, present, dense = per_cluster_reference(params, triplets(batch), clusters,
-                                                               in_batch)
+            losses, cols, rows = retrieval_cluster_grads(params, batch, clusters)
+            ref_losses, present, dense = per_cluster_reference(params, triplets(batch), clusters)
             assert losses.tobytes() == ref_losses.tobytes()
             assert rows.shape[0] == present.size == k
             # relative to the whole stack: a cluster whose terms cancel has a zero gradient
@@ -353,21 +333,20 @@ class TestClusterGrads:
             rows = batch.rows
             extra = [rows[0, 0], rows[1, 2], rows[2, 1], rows[3, 3]]
             batch = TripletRows(batch.block, np.vstack([rows, extra]))
-        total, per_item, grad = retrieval_loss_grad(params, batch, in_batch_negatives=True)
-        ref_items, ref_grad = dense_retrieval_loss_grad(params, triplets(batch),
-                                                        in_batch_negatives=True)
+        total, per_item, grad = retrieval_loss_grad(params, batch)
+        ref_items, ref_grad = dense_retrieval_loss_grad(params, triplets(batch))
         assert per_item.tobytes() == ref_items.tobytes()
         assert total == float(np.mean(ref_items))
         assert max_rel(grad, ref_grad) < 1e-10
 
-    def test_in_batch_negatives_stay_within_cluster(self, small_encoder, rng):
+    def test_cluster_losses_equal_each_cluster_alone(self, small_encoder, rng):
         params, featurizer = small_encoder
         batch = triplet_rows(featurizer, rng, 4)
         clusters = np.array([3, 1, 3, 1])
-        losses, _, _ = retrieval_cluster_grads(params, batch, clusters, in_batch_negatives=True)
+        losses, _, _ = retrieval_cluster_grads(params, batch, clusters)
         for c in (1, 3):
             members = np.flatnonzero(clusters == c)
-            _, alone = retrieval_loss(params, pick(batch, members), True)
+            _, alone = retrieval_loss(params, pick(batch, members))
             assert losses[members].tobytes() == alone.tobytes()
 
 
@@ -383,52 +362,50 @@ class TestAgainstLoops:
     """The array losses against the item-by-item and anchor-by-anchor loops, byte for
     byte; the loops encode item by item and backpropagate group by group."""
 
-    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("fresh_docs", [False, True])
     @pytest.mark.parametrize("embed_dim", [1, 3, 6, 48, 64])
-    def test_retrieval_matches_item_loop(self, embed_dim, fresh_docs, in_batch):
-        rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, in_batch]))
+    def test_retrieval_matches_item_loop(self, embed_dim, fresh_docs, wide):
+        rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, wide]))
         featurizer = Featurizer(dim=97, seed=embed_dim)
         pool = [random_tokens(rng) for _ in range(10)]
-        unequal = 0
         for trial in range(25):
             params = Params.init_random(97, embed_dim, seed=trial)
             n = int(rng.integers(1, 15))
-            # 1-8 negatives per trial, drawn from a small pool, so rows repeat, or
-            # with fresh_docs each a new text
-            batch = pooled_batch(featurizer, rng, pool, n, int(rng.integers(1, 9)), fresh_docs)
+            # 1-8 negatives per trial, or in wide rows 8-40 (rows of 8 terms and
+            # more sum pairwise), drawn from a small pool, so rows repeat, or with
+            # fresh_docs each a new text
+            n_neg = int(rng.integers(8, 41) if wide else rng.integers(1, 9))
+            batch = pooled_batch(featurizer, rng, pool, n, n_neg, fresh_docs)
             clusters = rng.integers(5, 8, size=n)
-            # with in-batch negatives, the items of clusters of different sizes
-            # have different candidate counts
-            unequal += len(set(np.unique(clusters, return_counts=True)[1].tolist())) > 1
             for with_grad in (False, True):
-                got = _retrieval(params, batch, in_batch, clusters, with_grad)
-                want = loop_retrieval(params, triplets(batch), in_batch, clusters, with_grad)
+                got = _retrieval(params, batch, clusters, with_grad)
+                want = loop_retrieval(params, triplets(batch), clusters, with_grad)
                 for name, a, b in zip(("losses", "cols", "rows"), got, want):
                     assert same_bytes(a, b), (trial, with_grad, name)
-            got = retrieval_cluster_grads(params, batch, clusters, in_batch)
+            got = retrieval_cluster_grads(params, batch, clusters)
             assert all(same_bytes(a, b) for a, b in zip(got, want)), trial
-        if in_batch:  # items with different candidate counts took part
-            assert unequal >= 10
 
-    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("embed_dim", [1, 6, 64])
-    def test_row_batch_matches_item_loop(self, embed_dim, in_batch):
+    def test_row_batch_matches_item_loop(self, embed_dim, wide):
         """A `TripletRows` batch of a featurized block, queries and documents repeating
-        within a batch, against the item loop on the block's feature vectors."""
-        rng = np.random.Generator(np.random.PCG64([embed_dim, in_batch, 11]))
+        within a batch, against the item loop on the block's feature vectors; wide
+        rows hold 10-21 candidates."""
+        rng = np.random.Generator(np.random.PCG64([embed_dim, wide, 11]))
         words = [f"w{i}" for i in range(40)]
         texts = [rng.choice(words, size=int(rng.integers(0, 9))).tolist() for _ in range(30)]
         block = Featurizer(dim=97, seed=embed_dim)(texts)
         for trial in range(12):
             params = Params.init_random(97, embed_dim, seed=trial)
             n = int(rng.integers(1, 15))
-            rows = rng.integers(0, 8 if trial % 2 else 30, size=(n, 2 + int(rng.integers(1, 5))))
+            n_neg = int(rng.integers(9, 21) if wide else rng.integers(1, 5))
+            rows = rng.integers(0, 8 if trial % 2 else 30, size=(n, 2 + n_neg))
             batch = TripletRows(block, rows)
             clusters = rng.integers(5, 8, size=n)
             for with_grad in (False, True):
-                got = _retrieval(params, batch, in_batch, clusters, with_grad)
-                want = loop_retrieval(params, triplets(batch), in_batch, clusters, with_grad)
+                got = _retrieval(params, batch, clusters, with_grad)
+                want = loop_retrieval(params, triplets(batch), clusters, with_grad)
                 for name, a, b in zip(("losses", "cols", "rows"), got, want):
                     assert same_bytes(a, b), (trial, with_grad, name)
 
@@ -440,9 +417,9 @@ class TestAgainstLoops:
     def test_retrieval_empty_batch_matches_item_loop(self, small_encoder):
         params, featurizer = small_encoder
         for with_grad in (False, True):
-            got = _retrieval(params, empty_batch(featurizer), True, np.empty(0, dtype=np.int64),
+            got = _retrieval(params, empty_batch(featurizer), np.empty(0, dtype=np.int64),
                              with_grad)
-            want = loop_retrieval(params, [], True, np.empty(0, dtype=np.int64), with_grad)
+            want = loop_retrieval(params, [], np.empty(0, dtype=np.int64), with_grad)
             assert all(same_bytes(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("fresh_docs", [False, True])

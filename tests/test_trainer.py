@@ -146,14 +146,15 @@ class TestRunConfig:
     def test_values_checked_against_annotations(self):
         # an int is a float, but a bool is neither an int nor a float
         assert tiny_config(learning_rate=1, tau=2).learning_rate == 1
-        for field, value in [("in_batch_negatives", 0), ("batch_size", True), ("tau", False),
-                             ("weighting", None), ("seed", 3.0)]:
+        for field, value in [("batch_size", True), ("tau", False), ("weighting", None),
+                             ("seed", 3.0)]:
             with pytest.raises(ConfigError, match=field):
                 tiny_config(**{field: value})
-        # the removed carryover switch: any value is an unknown field
-        for value in (0, False):
-            with pytest.raises(ConfigError, match="omega_carryover: unknown config field"):
-                RunConfig.from_dict({"omega_carryover": value})
+        # the removed carryover and in-batch negative switches: any value is an unknown field
+        for field in ("omega_carryover", "in_batch_negatives"):
+            for value in (0, False, True):
+                with pytest.raises(ConfigError, match=f"{field}: unknown config field"):
+                    RunConfig.from_dict({field: value})
 
 
 def growing_steps(params, rng, n_steps):
@@ -274,10 +275,9 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("overrides", [
         dict(weighting="idro"), dict(weighting="groupdro"), dict(weighting="uniform"),
-        dict(weighting="idro", in_batch_negatives=True),
-        dict(weighting="groupdro", in_batch_negatives=True),
-        dict(weighting="uniform", in_batch_negatives=True),
-        dict(weighting="groupdro", in_batch_negatives=True, optimizer="sgd"),
+        dict(weighting="idro", optimizer="sgd"),
+        dict(weighting="groupdro", optimizer="sgd"),
+        dict(weighting="uniform", optimizer="sgd"),
     ], ids=lambda o: "-".join(str(v) for v in o.values()))
     def test_finetune_equals_dense_optimizer(self, monkeypatch, overrides):
         config, task = tiny_config(**overrides), tiny_task()
@@ -755,24 +755,25 @@ class TestObjectReference:
         assert got.episode_records == want.episode_records
         return got
 
-    @pytest.mark.parametrize("in_batch", [False, True])
+    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
-    def test_matches_object_finetuner(self, weighting, optimizer, in_batch):
+    def test_matches_object_finetuner(self, weighting, optimizer, wide):
+        """Wide rows hold 10 candidates, past the 8 terms where row sums turn pairwise."""
         task = tiny_task()
         config = tiny_config(episodes=3, weighting=weighting, optimizer=optimizer,
-                             in_batch_negatives=in_batch)
+                             negatives_per_query=9 if wide else 2)
         ft = self.assert_same_run(config, task.corpus, task.queries, task.qrels)
         assert len(ft.log_rows) > 0
 
-    @pytest.mark.parametrize("in_batch", [False, True])
-    def test_edge_cases_match_object_finetuner(self, in_batch, caplog):
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_edge_cases_match_object_finetuner(self, wide, caplog):
         """A batch larger than the query set, pools shorter than the negatives
         drawn, all-positive top-1s (fallback pools) and an empty pool (its items
-        skipped)."""
+        skipped); wide rows hold 10 candidates."""
         corpus, queries, qrels = edge_task()
-        config = tiny_config(episodes=3, batch_size=16, negatives_per_query=3, mine_depth=1,
-                             k_clusters=2, in_batch_negatives=in_batch)
+        config = tiny_config(episodes=3, batch_size=16, negatives_per_query=9 if wide else 3,
+                             mine_depth=1, k_clusters=2)
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
             ft = self.assert_same_run(config, corpus, queries, qrels)
         assert all(record.n_fallback >= 1 for record in ft.episode_records)
