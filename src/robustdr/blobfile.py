@@ -12,13 +12,14 @@ the expected blocks, holding only finite values; anything else raises
 (exit 3). A file whose first byte is not ``{`` is rejected before its header
 line is read. The payload's size is checked before it is read, and it is read
 into one array whose blocks are views. Writers go through `atomic_open`, so a
-reader never sees a half-written file; `write_table` writes the tab-separated
-text artifacts the same way.
+reader never sees a half-written file; `write_table` (and `write_records`, for
+dataclass rows) writes the tab-separated text artifacts the same way.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -61,6 +62,13 @@ def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Sequenc
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             fh.write("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def write_records(path: str | Path, cls: type, records: Iterable) -> None:
+    """`write_table` of dataclass records: ``cls``'s field names, then each record's
+    fields in that order, read straight off the record without copying it."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    write_table(path, names, ([getattr(r, name) for name in names] for r in records))
 
 
 def _is(value, kind) -> bool:

@@ -189,9 +189,8 @@ def cmd_finetune(args) -> int:
         trainer.write_training_log(finetuner.log_rows, out / "training_log.tsv")
     if config.episodes == 0:
         save_checkpoint(finetuner.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
-    blobfile.write_table(out / "episodes.tsv",
-                         [f.name for f in dataclasses.fields(trainer.EpisodeRecord)],
-                         map(dataclasses.astuple, finetuner.episode_records))
+    blobfile.write_records(out / "episodes.tsv", trainer.EpisodeRecord,
+                           finetuner.episode_records)
     _record_run(out, "finetune", config,
                 {"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
                  "checkpoint": args.checkpoint})

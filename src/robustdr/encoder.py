@@ -12,8 +12,8 @@ counts with a row per text, by the one featurizing call, `Featurizer`'s
 each item; a row may repeat. One forward kernel, `encode_many`, embeds the
 items, each distinct row once. One backward kernel, `grouped_backward`,
 returns the items' gradient per group of items (the robust weighting's
-clusters) on only the feature columns the items touch, from one count matrix;
-`embedding_backward` is its one-group case scattered into a dense vector.
+clusters) on only the feature columns the items touch, from one count block
+per group; `embedding_backward` is its one-group case scattered into a dense vector.
 
 The weights are stored feature-major: feature d's E weights are one
 contiguous row of ``W.T`` (`Params`), so every kernel and optimizer step that
@@ -32,9 +32,11 @@ OpenBLAS:
   ``W[:, indices]`` is, so a stacked ``np.matmul`` over a run of at most
   `_ROWS` distinct rows with the same count of nonzeros n makes the same BLAS
   gemv call per item (a C-ordered stacked gather differs in the last bits);
-- each group's rows of the count matrix and of the embedding gradients are
-  contiguous and keep the items' order (a stable sort by group), so each
-  group is the same gemm on the same operands as a masked copy.
+- each group's rows of the embedding gradients are contiguous and keep the
+  items' order (a stable sort by group), and its count block (its items x
+  the touched columns) is C-ordered in the same order, filled into a zeroed
+  buffer, so each group is the same gemm on operands of the same values,
+  shape and strides as a masked copy of a full count matrix.
 """
 
 from __future__ import annotations
@@ -262,9 +264,12 @@ def grouped_backward(
     weighted sums of rows equal those of the dense gradients.
 
     The items are sorted stably by group and their rows gathered in that
-    order, so the count matrix holds each group's items contiguously in their
-    original order, and each group's gradient is one product of slices,
-    written straight into its row; only the rows of empty groups are zeroed.
+    order, so each group's items are contiguous in their original order. A
+    group's gradient is one product, written straight into its row, of its
+    embedding gradients with its (items x columns) count block; the blocks
+    are filled in turn into one zeroed buffer sized to the largest group,
+    whose written entries are zeroed again after each product. Only the rows
+    of empty groups are zeroed.
     """
     _check_dim(params, items)
     n = len(items)
@@ -279,16 +284,22 @@ def grouped_backward(
     mark = np.zeros(params.feature_dim, dtype=bool)
     mark[idx] = True
     cols = np.flatnonzero(mark)
-    where = np.cumsum(mark)[idx] - 1
-    x = np.zeros(n * cols.size)
-    x[np.repeat(np.arange(n) * cols.size, nnz) + where] = counts
-    x = x.reshape(n, cols.size)
+    # Each entry's offset in its item's row of the count block, item by item.
+    at = np.repeat(np.arange(n) * cols.size, nnz) + np.cumsum(mark)[idx] - 1
+    ends = np.cumsum(nnz).tolist()
     eg = emb_grads[order]
-    bounds = np.searchsorted(groups[order], np.arange(n_groups + 1)).tolist()
+    bounds = np.searchsorted(groups[order], np.arange(n_groups + 1))
+    x = np.zeros(int(np.diff(bounds).max(initial=0)) * cols.size)
     rows = np.empty((n_groups, params.embed_dim * cols.size))
+    bounds = bounds.tolist()
     for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if a < b:
-            np.matmul(eg[a:b].T, x[a:b], out=rows[g].reshape(params.embed_dim, cols.size))
+            first, last = (ends[a - 1] if a else 0), ends[b - 1]
+            block_at = at[first:last] - a * cols.size
+            x[block_at] = counts[first:last]
+            np.matmul(eg[a:b].T, x[: (b - a) * cols.size].reshape(b - a, cols.size),
+                      out=rows[g].reshape(params.embed_dim, cols.size))
+            x[block_at] = 0.0
         else:
             rows[g] = 0.0
     return cols, rows

@@ -12,9 +12,13 @@ Two runnable studies, shared by the acceptance suite and the scripts in
   model-independent negative set.
 
 Each study featurizes its source task once, into one `trainer.FeatureStore`
-that every fine-tuning arm trains on; the store also ranks the task's
-queries by BM25 once per depth, for the arms' first-episode pools and for
-the fixed evaluation set.
+that every fine-tuning arm trains on. The store ranks the task's queries by
+BM25 once, at the deepest depth asked for; the imbalance study asks for 50
+first, for the fixed evaluation set's BM25 top 50 minus positives, and the
+arms' first-episode top 30 are prefixes of that ranking, masked once. Its
+arms start from the same pretrained weights, so the store fits episode 1's
+clusters once for all three; later episodes start from each arm's own
+weights and are fit per arm.
 """
 
 from __future__ import annotations
@@ -125,8 +129,9 @@ def _fixed_eval_batch(store: trainer.FeatureStore, n_negatives: int = 8):
 
     Negatives interleave cross-topic distractors (first documents of the other
     topics, in corpus order) with the store's BM25 top 50 minus the query's
-    positives, so the measured loss tracks how precisely a query points at its
-    own topic rather than how it fares against random documents. Returns one
+    positives (`trainer.FeatureStore.bm25_unjudged`), so the measured loss
+    tracks how precisely a query points at its own topic rather than how it
+    fares against random documents. Returns one
     `losses.TripletRows` over the store's rows and the query ids; ValueError
     unless every query gets ``n_negatives``.
     """
@@ -134,32 +139,30 @@ def _fixed_eval_batch(store: trainer.FeatureStore, n_negatives: int = 8):
     for j, doc_id in enumerate(store.corpus.ids):
         first_doc_of_topic.setdefault(doc_id.rsplit("-", 1)[0], j)
     distractors_of: dict[str, list[int]] = {}
+    unjudged = store.bm25_unjudged(50)
+    docs, bounds = unjudged.docs.tolist(), unjudged.bounds.tolist()
     rows = np.empty((store.n_queries, 2 + n_negatives), dtype=np.intp)
-    for picks in store.bm25_picks(50):
-        bounds, cols = picks.bounds.tolist(), picks.cols.tolist()
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]), start=picks.start):
-            query, positives = store.queries[i], store.positives[i].tolist()
-            own_topic = query.id.rsplit("-", 1)[0]
-            distractors = distractors_of.get(own_topic)
-            if distractors is None:
-                distractors = distractors_of[own_topic] = [
-                    d for t, d in first_doc_of_topic.items() if t != own_topic
-                ]
-            judged_positive = set(positives)
-            bm25_pool = [d for d in cols[a:b] if d not in judged_positive]
-            pool: list[int] = []
-            for d, c in zip(distractors, bm25_pool + [None] * len(distractors)):
-                if len(pool) >= n_negatives:
-                    break
-                pool.append(d)
-                if c is not None and c not in pool:
-                    pool.append(c)
-            if len(pool) < n_negatives:
-                raise ValueError(f"query {query.id!r}: {len(pool)} evaluation negatives, "
-                                 f"not {n_negatives}")
-            rows[i, 0] = i
-            rows[i, 1] = positives[0]
-            rows[i, 2:] = pool[:n_negatives]
+    rows[:, 0] = np.arange(store.n_queries)
+    rows[:, 1] = store.positives.docs[store.positives.bounds[:-1]]
+    for i, query in enumerate(store.queries):
+        bm25_pool = docs[bounds[i] : bounds[i + 1]]
+        own_topic = query.id.rsplit("-", 1)[0]
+        distractors = distractors_of.get(own_topic)
+        if distractors is None:
+            distractors = distractors_of[own_topic] = [
+                d for t, d in first_doc_of_topic.items() if t != own_topic
+            ]
+        pool: list[int] = []
+        for d, c in zip(distractors, bm25_pool + [None] * len(distractors)):
+            if len(pool) >= n_negatives:
+                break
+            pool.append(d)
+            if c is not None and c not in pool:
+                pool.append(c)
+        if len(pool) < n_negatives:
+            raise ValueError(f"query {query.id!r}: {len(pool)} evaluation negatives, "
+                             f"not {n_negatives}")
+        rows[i, 2:] = pool[:n_negatives]
     rows[:, 1:] += store.n_queries  # document positions -> store rows
     return losses.TripletRows(store.block, rows), [query.id for query in store.queries]
 

@@ -5,29 +5,34 @@ more corpora; each batch draws its span pairs first, then featurizes them in
 one call into a fresh feature block, whose rows 2p and 2p + 1 are pair p.
 Stage two fine-tunes on labeled source data in episodes. Its input is a
 `FeatureStore` (`training_store`): the texts featurized once, one feature
-block over the training queries, then the corpus documents. The store
-also owns the corpus's BM25 index and the queries' BM25 top k per depth, made
-on first use, so fine-tuners that share a store share that ranking too. The
-fine-tuner works in row ids: each query's positives, and each episode's
-negative pools, are lists of document positions held as one flat array plus
-bounds (`DocLists`), and a batch is an array of store rows. A batch's random draws
+block over the training queries, then the corpus documents. The store also
+keeps, for the fine-tuners that share it, what an episode start computes from
+the store alone or from the store and the weights, each made once: the BM25
+ranking of the queries, held at the deepest depth asked for (a top k is the
+prefix of a deeper top K, bit for bit), each depth's BM25 top k minus the
+judged positives, and the latest K-Means fit of the query embeddings per (k,
+seed, max_iters), taken again for embeddings of the same bytes. The fine-tuner
+works in row ids: each query's positives, and each episode's negative pools,
+are lists of document positions held as one flat array plus bounds
+(`DocLists`), and a batch is an array of store rows. A batch's random draws
 are two generator calls: ``rng.choice`` for the queries, then one
 ``rng.integers`` over every draw of every item (`_draw_picks`). That gives the
-picks, and leaves the generator as, one ``rng.integers`` and one ``rng.choice``
-per item would, bit for bit, by relying on how numpy draws: each bounded
-integer is a Lemire draw on the generator's 32-bit stream whose consumption
-depends on its bound alone, and a bound of 0 consumes nothing; ``choice``
-without replacement is Floyd's algorithm then a shuffle of the picks, or,
-for a population above 10,000 and a sample above 1/50 of it, a shuffle of
-the tail of a full permutation. `TestDrawPicks` in the tests checks that
-contract against the installed numpy. Each episode re-embeds the
-training queries from their rows, refreshes their K-Means clusters, refreshes
-the negative pools (lexical BM25 negatives for episode 1, self-mined dense
-negatives afterwards), then runs a minibatch loop. A pool refresh works on a
-block of queries at a time: it takes each query's top k from
-`retrieval_eval`'s block selector, then drops the query's judged positives
-through one mask per block, so a pool is the top k minus the positives, never
-refilled from below rank k. Each step is one forward and one backward over
+picks, and leaves the generator as, one ``rng.integers`` and one
+``rng.choice`` per item would, bit for bit, by relying on how numpy draws:
+each bounded integer is a Lemire draw on the generator's 32-bit stream whose
+consumption depends on its bound alone, and a bound of 0 consumes nothing;
+``choice`` without replacement is Floyd's algorithm then a shuffle of the
+picks, or, for a population above 10,000 and a sample above 1/50 of it, a
+shuffle of the tail of a full permutation. `TestDrawPicks` in the tests checks
+that contract against the installed numpy. Each episode re-embeds the training
+queries from their rows, refreshes their K-Means clusters, refreshes the
+negative pools (lexical BM25 negatives for episode 1, self-mined dense
+negatives afterwards), then runs a minibatch loop. A pool is a query's top k
+minus its judged positives, never refilled from below rank k: the top k of a
+block of queries at a time from `retrieval_eval`'s block selector, then one
+mask per block. A query left with an empty pool falls back to random negatives
+drawn from the episode's generator, the one step of a BM25 pool that each
+fine-tuner makes for itself. Each step is one forward and one backward over
 the whole batch, each cluster scored as its own sub-batch, giving per-item
 losses and one gradient row per present cluster on the feature columns the
 batch touches. The per-cluster losses and rows are reweighted by the
@@ -358,16 +363,31 @@ def _bounds(sizes: np.ndarray) -> np.ndarray:
 
 
 class FeatureStore:
-    """A task's texts featurized once, as rows of one `encoder.FeatureBlock`.
+    """A task's texts featurized once, as rows of one `encoder.FeatureBlock`,
+    and what episode starts compute from them alone or from them and the weights.
 
     Query i of ``queries`` is row i and document j of ``corpus`` (corpus
     order) is row ``n_queries + j``. ``positives`` lists each query's judged
     positives as document positions j, in qrels file order; a positive that
     is not in the corpus is a CorpusFormatError. The negative pools of
     `mine_negatives` and `bm25_negative_pools` are `DocLists` too, one list
-    per query. The store owns its corpus's BM25 index and its queries' BM25
-    top k per depth, each made on first use, so that the fine-tuners sharing
-    a store rank by BM25 once. Nothing else in it changes after it is built.
+    per query. Nothing of that changes after the store is built.
+
+    The store also computes, each on first use, and keeps for the fine-tuners
+    that share it:
+
+    * the corpus's BM25 index (`bm25`);
+    * the queries' BM25 top k per depth (`bm25_picks`). Only the deepest
+      ranking is held: a query's top k is the prefix of its top K for k <= K,
+      with the same ties at the boundary and the same score floats (see
+      `retrieval_eval`), so a shallower depth is sliced from it and a query
+      is ranked again only at a deeper depth;
+    * each depth's top k minus the judged positives (`bm25_unjudged`), so
+      that a warmup pool takes only its fallback draws per fine-tuner;
+    * the latest K-Means fit of the query embeddings per (k, seed, max_iters)
+      (`cluster_fit`). `clustering.kmeans_fit` is a pure function of the
+      embeddings and those three, so a fine-tuner whose weights embed the
+      queries to the same bytes takes the fit made for another.
     """
 
     def __init__(self, featurizer: Featurizer, queries: Iterable[Query], corpus: Corpus,
@@ -391,7 +411,11 @@ class FeatureStore:
             np.fromiter((position[d] for ids in pos_ids for d in ids), np.intp, bounds[-1]),
             bounds,
         )
-        self._bm25_picks: dict[int, list[retrieval_eval.Picks]] = {}
+        self._bm25_depth = 0
+        self._bm25_ranking: list[retrieval_eval.Picks] = []
+        self._bm25_unjudged: dict[int, DocLists] = {}
+        # (k, seed, max_iters) -> ((shape, bytes) of the embeddings, their fit)
+        self._fits: dict[tuple, tuple[tuple, clustering.ClusterModel]] = {}
 
     @functools.cached_property
     def bm25(self) -> retrieval_eval.Bm25Index:
@@ -399,13 +423,43 @@ class FeatureStore:
         return retrieval_eval.Bm25Index(self.corpus)
 
     def bm25_picks(self, k: int) -> list[retrieval_eval.Picks]:
-        """The queries' BM25 top k, one `retrieval_eval.Picks` per block, ranked on
-        first use of each depth and kept."""
-        picks = self._bm25_picks.get(k)
-        if picks is None:
+        """The queries' BM25 top k, one `retrieval_eval.Picks` per block: the first
+        k picks of each query in the deepest ranking held, ranked at k first
+        when that ranking is shallower."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k > self._bm25_depth:
             tokens = [query.tokens for query in self.queries]
-            picks = self._bm25_picks[k] = list(retrieval_eval.block_picks(self.bm25, tokens, k))
-        return picks
+            self._bm25_ranking = list(retrieval_eval.block_picks(self.bm25, tokens, k))
+            self._bm25_depth = k
+        if k == self._bm25_depth:
+            return self._bm25_ranking
+        return [_prefix(picks, k) for picks in self._bm25_ranking]
+
+    def bm25_unjudged(self, k: int) -> DocLists:
+        """Each query's BM25 top k minus its judged positives, best first, made on
+        first use of each depth and kept; an empty list is not refilled."""
+        lists = self._bm25_unjudged.get(k)
+        if lists is None:
+            lists = self._bm25_unjudged[k] = _unjudged(self, self.bm25_picks(k))
+            lists.docs.flags.writeable = lists.bounds.flags.writeable = False
+        return lists
+
+    def cluster_fit(self, embeddings: np.ndarray, k: int, seed: int,
+                    max_iters: int) -> clustering.ClusterModel:
+        """``clustering.kmeans_fit`` of the queries' embeddings (one row per query,
+        keyed by query id), made unless the latest fit with these ``k``, ``seed``
+        and ``max_iters`` was of embeddings with the same bytes, which is then
+        returned. The model may be shared by several fine-tuners, so no caller
+        may change it."""
+        key, data = (k, seed, max_iters), (embeddings.shape, embeddings.tobytes())
+        held = self._fits.get(key)
+        if held is not None and held[0] == data:
+            return held[1]
+        matrix = EmbeddingMatrix(ids=tuple(q.id for q in self.queries), matrix=embeddings)
+        model = clustering.kmeans_fit(matrix, k, seed=seed, max_iters=max_iters)
+        self._fits[key] = (data, model)
+        return model
 
     def query_rows(self) -> FeatureRows:
         return FeatureRows(self.block, np.arange(self.n_queries))
@@ -447,15 +501,16 @@ def _fallback_pool(
     return candidates[rng.choice(candidates.size, size=take, replace=False)]
 
 
-def _negative_pools(
-    store: FeatureStore, blocks: Iterable[retrieval_eval.Picks], k: int,
-    rng: np.random.Generator, source: str,
-) -> tuple[DocLists, int]:
-    """Each query's top k minus its judged positives, one block of queries at a time.
+def _prefix(picks: retrieval_eval.Picks, k: int) -> retrieval_eval.Picks:
+    """Each query's first k picks of a block's deeper `retrieval_eval.Picks`."""
+    sizes = np.minimum(np.diff(picks.bounds), k)
+    bounds = _bounds(sizes)
+    take = np.repeat(picks.bounds[:-1] - bounds[:-1], sizes) + np.arange(bounds[-1])
+    return retrieval_eval.Picks(picks.start, bounds, picks.cols[take], picks.scores[take])
 
-    A query whose top k are all positives falls back to seeded random
-    non-positive corpus documents (logged), drawn from ``rng`` in query order.
-    """
+
+def _unjudged(store: FeatureStore, blocks: Iterable[retrieval_eval.Picks]) -> DocLists:
+    """Each query's picks minus its judged positives, through one mask per block."""
     n_docs = len(store.corpus)
     positives = store.positives
     pooled, sizes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
@@ -469,19 +524,28 @@ def _negative_pools(
         kept = ~mask[rows, picks.cols]
         pooled.append(picks.cols[kept])
         sizes.append(np.bincount(rows[kept], minlength=m))
-    docs, sizes = np.concatenate(pooled), np.concatenate(sizes)
+    return DocLists(np.concatenate(pooled), _bounds(np.concatenate(sizes)))
+
+
+def _with_fallbacks(
+    store: FeatureStore, lists: DocLists, k: int, rng: np.random.Generator, source: str
+) -> tuple[DocLists, int]:
+    """The pools of `_unjudged` lists: an empty list (the query's top k are all
+    positives) falls back to seeded random non-positive corpus documents
+    (logged), drawn from ``rng`` in query order. ``lists`` is left as it is."""
+    sizes = lists.sizes()
     empty = np.flatnonzero(sizes == 0)
+    if not empty.size:
+        return lists, 0
     fallbacks = []
     for i in empty.tolist():
         qid = store.queries[i].id
         logger.warning("query %r: %s top-%d all positive; random negatives", qid, source, k)
-        fallbacks.append(_fallback_pool(qid, positives[i], n_docs, k, rng))
-    if fallbacks:
-        fallback_sizes = [pool.size for pool in fallbacks]
-        starts = np.cumsum(sizes) - sizes
-        docs = np.insert(docs, np.repeat(starts[empty], fallback_sizes),
-                         np.concatenate(fallbacks))
-        sizes[empty] = fallback_sizes
+        fallbacks.append(_fallback_pool(qid, store.positives[i], len(store.corpus), k, rng))
+    fallback_sizes = [pool.size for pool in fallbacks]
+    docs = np.insert(lists.docs, np.repeat(lists.bounds[empty], fallback_sizes),
+                     np.concatenate(fallbacks))
+    sizes[empty] = fallback_sizes
     return DocLists(docs, _bounds(sizes)), len(fallbacks)
 
 
@@ -499,7 +563,7 @@ def mine_negatives(
         EmbeddingMatrix(ids=store.corpus.ids, matrix=encode_many(params, store.doc_rows()))
     )
     blocks = retrieval_eval.block_picks(index, encode_many(params, store.query_rows()), k)
-    return _negative_pools(store, blocks, k, rng, "dense")
+    return _with_fallbacks(store, _unjudged(store, blocks), k, rng, "dense")
 
 
 def bm25_negative_pools(
@@ -507,11 +571,11 @@ def bm25_negative_pools(
 ) -> tuple[DocLists, int]:
     """Warmup pools: BM25 top-k minus judged positives, with the same fallback.
 
-    The top k come from the store (`FeatureStore.bm25_picks`), ranked once per
-    depth; each call redoes only the positive mask and the fallback draws,
-    which take ``rng``.
+    The top k minus the positives come from the store
+    (`FeatureStore.bm25_unjudged`), made once per depth; each call makes only
+    the fallback draws, which take ``rng``.
     """
-    return _negative_pools(store, store.bm25_picks(k), k, rng, "BM25")
+    return _with_fallbacks(store, store.bm25_unjudged(k), k, rng, "BM25")
 
 
 # numpy's `Generator.choice` without replacement shuffles the tail of a full
@@ -625,8 +689,7 @@ _STATE_FIELDS = {
 
 def write_training_log(rows: Iterable[LogRow], path: str | Path) -> None:
     """One line per log row, its fields in `LogRow` order under their names."""
-    blobfile.write_table(path, [f.name for f in dataclasses.fields(LogRow)],
-                         map(dataclasses.astuple, rows))
+    blobfile.write_records(path, LogRow, rows)
 
 
 class Finetuner:
@@ -635,8 +698,10 @@ class Finetuner:
     It trains on ``store``, a `FeatureStore` made with the config's
     ``feature_dim`` and ``hash_seed`` (a ConfigError otherwise) whose queries
     each have a positive judgment, as `training_store` makes it; positives,
-    negative pools and batches are row ids of it. The fine-tuner never
-    changes the store, so several may share one. `omega` holds the robust
+    negative pools and batches are row ids of it. The fine-tuner changes
+    nothing the store was built with, so several may share one; what the
+    store computes for one of them (its BM25 ranking and pools, its cluster
+    fits) it keeps for the others. `omega` holds the robust
     weights, one per cluster of the current cluster model. Adam's live
     columns are the store's feature columns, every column a step can touch.
     State at an episode boundary fully determines the continuation, so saving
@@ -675,17 +740,15 @@ class Finetuner:
     # -- episode machinery -------------------------------------------------
 
     def _refresh_clusters(self, episode: int) -> None:
-        ids = tuple(q.id for q in self.queries)
-        emb = EmbeddingMatrix(ids=ids, matrix=encode_many(self.params, self.store.query_rows()))
         k = min(self.config.k_clusters, len(self.queries))
-        self.cluster_model = clustering.kmeans_fit(
-            emb,
+        self.cluster_model = self.store.cluster_fit(
+            encode_many(self.params, self.store.query_rows()),
             k,
             seed=int(_derived_rng(self.config.seed, _TAG_KMEANS, episode).integers(2**31)),
             max_iters=self.config.kmeans_iters,
         )
-        self.query_clusters = np.array([self.cluster_model.assignment[qid] for qid in ids],
-                                       dtype=np.int64)
+        assignment = self.cluster_model.assignment
+        self.query_clusters = np.array([assignment[q.id] for q in self.queries], dtype=np.int64)
         self.omega = np.full(k, 1.0 / k)
 
     def _refresh_negatives(self, episode: int) -> tuple[str, int]:

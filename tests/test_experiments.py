@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from robustdr import experiments, losses, retrieval_eval, trainer
+from robustdr import clustering, experiments, losses, retrieval_eval, trainer
 from robustdr.corpus import QrelSet
 from robustdr.encoder import Featurizer, Params
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
@@ -73,13 +73,16 @@ def test_fixed_eval_batch_needs_every_negative():
 
 def test_imbalance_study_prepares_the_task_once():
     """One `run_idro_directional` call featurizes the task once, into one store,
-    and builds one BM25 index and one BM25 ranking per depth: 30 for the arms'
-    first-episode pools and 50 for the evaluation batch."""
+    and builds one BM25 index and one BM25 ranking, at 50 for the evaluation
+    batch, whose top 30 give the arms' first-episode pools. The arms start from
+    the same weights, so episode 1's clusters are fit once; each later episode
+    is fit per arm: 1 + 3 x (episodes - 1) fits."""
     task, groups = make_imbalanced_source(seed=experiments._IMBALANCE_SEED)
     n_texts = len(task.queries) + len(task.corpus)
     config = experiments.idro_experiment_config
     counts = Counter()
     store_init, index_init = trainer.FeatureStore.__init__, retrieval_eval.Bm25Index.__init__
+    kmeans_fit = clustering.kmeans_fit
     featurize, block_picks = Featurizer.__call__, retrieval_eval.block_picks
 
     def counted(key, func):
@@ -108,8 +111,9 @@ def test_imbalance_study_prepares_the_task_once():
         mock.patch.object(retrieval_eval.Bm25Index, "__init__", counted("indexes", index_init)),
         mock.patch.object(Featurizer, "__call__", counted_featurize),
         mock.patch.object(retrieval_eval, "block_picks", counted_picks),
+        mock.patch.object(clustering, "kmeans_fit", counted("k-means fits", kmeans_fit)),
     ):
         results = experiments.run_idro_directional(0)
     assert list(results) == ["idro", "groupdro", "uniform"]
     assert counts == {"stores": 1, "task featurizations": 1, "indexes": 1,
-                      "BM25 rankings at 30": 1, "BM25 rankings at 50": 1}
+                      "BM25 rankings at 50": 1, "k-means fits": 1 + 3 * (2 - 1)}

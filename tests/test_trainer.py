@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robustdr import experiments, retrieval_eval, trainer
+from robustdr import clustering, experiments, retrieval_eval, trainer
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
-from robustdr.encoder import Featurizer, Params, scatter_grad
+from robustdr.encoder import Featurizer, Params, encode_many, scatter_grad
 from robustdr.errors import ConfigError, CorpusFormatError, InvariantError
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
 from robustdr.trainer import (
@@ -784,6 +784,118 @@ class TestObjectReference:
         assert any(0 < size < config.negatives_per_query for size in sizes)
         rows, _ = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
         assert 0 < len(rows) < config.batch_size
+
+
+class TestStoreMemo:
+    """What a `FeatureStore` computes once for the fine-tuners sharing it equals
+    what each would compute on its own, bit for bit."""
+
+    @staticmethod
+    def same_bytes(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def counting(counts, key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_bm25_depths_sliced_from_the_deepest_ranking(self, block):
+        """The edge task's "plum" scores its two documents equal, a tie at the
+        boundary of its top 1, and "melon" and "pear" hit one document only."""
+        corpus, queries, qrels = edge_task()
+        counts = {"rankings": 0}
+        with mock.patch.object(retrieval_eval, "_BLOCK", block):
+            deep = FeatureStore(Featurizer(16, 0), queries, corpus, qrels)
+            with mock.patch.object(retrieval_eval, "block_picks", self.counting(
+                    counts, "rankings", retrieval_eval.block_picks)):
+                deep.bm25_picks(6)
+                sliced = {k: deep.bm25_picks(k) for k in (6, 5, 4, 3, 2, 1)}
+            assert counts == {"rankings": 1}
+            for k, got in sliced.items():
+                want = FeatureStore(Featurizer(16, 0), queries, corpus, qrels).bm25_picks(k)
+                assert len(got) == len(want) == -(-len(queries) // block)
+                for a, b in zip(got, want):
+                    assert a.start == b.start, k
+                    for name in ("bounds", "cols", "scores"):
+                        assert self.same_bytes(getattr(a, name), getattr(b, name)), (k, name)
+        top2 = [(p.scores[a:b].tolist(), b - a) for p in sliced[2]
+                for a, b in zip(p.bounds.tolist(), p.bounds[1:].tolist())]
+        assert any(n == 2 and scores[0] == scores[1] for scores, n in top2)
+        assert any(n == 1 for _, n in top2)
+
+    def test_second_bm25_pools_build_no_mask_and_draw_the_same_fallbacks(self, caplog):
+        """The queries "q2" and "q1" fall back; the second call on a store takes its
+        top k minus positives from the first and makes only the fallback draws."""
+        corpus = Corpus([Document.from_fields("a", "apple"), Document.from_fields("b", "pear")])
+        queries = QuerySet([Query.from_fields(q, "apple") for q in ("q2", "q1", "q3")])
+        qrels = QrelSet({("q2", "a"): 1, ("q1", "a"): 1, ("q3", "b"): 1})
+        shared = FeatureStore(Featurizer(16, 0), queries, corpus, qrels)
+        counts = {"masks": 0}
+        with mock.patch.object(trainer, "_unjudged",
+                               self.counting(counts, "masks", trainer._unjudged)):
+            bm25_negative_pools(shared, 1, np.random.Generator(np.random.PCG64(3)))
+            assert counts == {"masks": 1}
+            rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in (7, 7)]
+            got, got_fallbacks = bm25_negative_pools(shared, 1, rngs[0])
+            assert counts == {"masks": 1}
+        want, want_fallbacks = bm25_negative_pools(
+            FeatureStore(Featurizer(16, 0), queries, corpus, qrels), 1, rngs[1])
+        assert got_fallbacks == want_fallbacks == 2
+        assert self.same_bytes(got.docs, want.docs) and self.same_bytes(got.bounds, want.bounds)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_arms_on_one_store_share_the_first_fit(self):
+        """Two fine-tuners from equal weights fit episode 1's clusters once, and the
+        shared model equals a fresh fit byte for byte."""
+        task, config = tiny_task(), tiny_config()
+        store = training_store(config, task.corpus, task.queries, task.qrels)
+        counts = {"fits": 0}
+        with mock.patch.object(clustering, "kmeans_fit",
+                               self.counting(counts, "fits", clustering.kmeans_fit)):
+            arms = [task_finetuner(config.replace(weighting=w), task, store=store)
+                    for w in ("idro", "uniform")]
+            for ft in arms:
+                ft._refresh_clusters(1)
+        assert counts == {"fits": 1}
+        fresh = task_finetuner(config, task)
+        fresh._refresh_clusters(1)
+        for ft in arms:
+            got, want = ft.cluster_model, fresh.cluster_model
+            assert got.assignment == want.assignment
+            assert self.same_bytes(got.centroids, want.centroids)
+            assert [got.objective, *got.objective_history] == [want.objective,
+                                                                *want.objective_history]
+            assert ft.query_clusters.tobytes() == fresh.query_clusters.tobytes()
+
+    def test_other_weights_or_settings_get_their_own_fit(self):
+        """Each (k, seed, max_iters) keeps only its latest fit: weights A, then B,
+        then A again fit three times; a second seed keeps its own."""
+        task, config = tiny_task(), tiny_config()
+        store = training_store(config, task.corpus, task.queries, task.qrels)
+        embed = {s: encode_many(Params.init_random(config.feature_dim, config.embed_dim, seed=s),
+                                store.query_rows()) for s in (5, 6)}
+        counts = {"fits": 0}
+        with mock.patch.object(clustering, "kmeans_fit",
+                               self.counting(counts, "fits", clustering.kmeans_fit)):
+            first = store.cluster_fit(embed[5], 3, seed=1, max_iters=10)
+            other = store.cluster_fit(embed[6], 3, seed=1, max_iters=10)
+            assert counts == {"fits": 2} and other is not first
+            assert store.cluster_fit(embed[6], 3, seed=1, max_iters=10) is other
+            assert counts == {"fits": 2}
+            again = store.cluster_fit(embed[5], 3, seed=1, max_iters=10)
+            assert counts == {"fits": 3} and again is not first
+            assert again.assignment == first.assignment
+            for key in ((2, 1, 10), (3, 2, 10), (3, 1, 11)):
+                k, seed, iters = key
+                store.cluster_fit(embed[5], k, seed=seed, max_iters=iters)
+            assert counts == {"fits": 6}
+            for key in ((3, 1, 10), (2, 1, 10), (3, 2, 10), (3, 1, 11)):
+                k, seed, iters = key
+                store.cluster_fit(embed[5], k, seed=seed, max_iters=iters)
+            assert counts == {"fits": 6}
 
 
 POOL_KINDS = ("empty", "one", "below", "equal", "above")
