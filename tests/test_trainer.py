@@ -826,7 +826,7 @@ class TestStoreMemo:
         assert any(n == 2 and scores[0] == scores[1] for scores, n in top2)
         assert any(n == 1 for _, n in top2)
 
-    def test_second_bm25_pools_build_no_mask_and_draw_the_same_fallbacks(self, caplog):
+    def test_second_bm25_pools_build_no_mask_and_draw_the_same_fallbacks(self):
         """The queries "q2" and "q1" fall back; the second call on a store takes its
         top k minus positives from the first and makes only the fallback draws."""
         corpus = Corpus([Document.from_fields("a", "apple"), Document.from_fields("b", "pear")])
@@ -888,12 +888,10 @@ class TestStoreMemo:
             again = store.cluster_fit(embed[5], 3, seed=1, max_iters=10)
             assert counts == {"fits": 3} and again is not first
             assert again.assignment == first.assignment
-            for key in ((2, 1, 10), (3, 2, 10), (3, 1, 11)):
-                k, seed, iters = key
+            for k, seed, iters in ((2, 1, 10), (3, 2, 10), (3, 1, 11)):
                 store.cluster_fit(embed[5], k, seed=seed, max_iters=iters)
             assert counts == {"fits": 6}
-            for key in ((3, 1, 10), (2, 1, 10), (3, 2, 10), (3, 1, 11)):
-                k, seed, iters = key
+            for k, seed, iters in ((3, 1, 10), (2, 1, 10), (3, 2, 10), (3, 1, 11)):
                 store.cluster_fit(embed[5], k, seed=seed, max_iters=iters)
             assert counts == {"fits": 6}
 
