@@ -10,6 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
+from robustdr import blobfile
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark, write_task_dir
 
 
@@ -25,7 +26,8 @@ def main():
     write_task_dir(target, out / "target")
     imbalanced, groups = make_imbalanced_source(seed=args.seed + 1000)
     write_task_dir(imbalanced, out / "imbalanced")
-    (out / "imbalanced" / "groups.json").write_text(json.dumps(groups, sort_keys=True, indent=2))
+    with blobfile.atomic_open(out / "imbalanced" / "groups.json", "w") as fh:
+        fh.write(json.dumps(groups, sort_keys=True, indent=2))
     for bundle in (source, target, imbalanced):
         print(f"{bundle.name}: {len(bundle.corpus)} docs, {len(bundle.queries)} queries")
 

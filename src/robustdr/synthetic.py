@@ -16,6 +16,22 @@ topic and lexical search (BM25) ranks its relevant documents first. In the
 imbalanced task a query draws its topic words from a vocabulary of its own,
 disjoint from every document token, plus one word of its topic's documents,
 so relevance is learned mainly from the labels.
+
+Every task is a pure function of the seed, and its draws are those of a
+per-token loop: a document token is ``u = rng.random()``, then a function word
+``rng.integers(n_fw)`` if ``u < fw_rate``, else a topic word
+``rng.integers(n_vocab)``. `_token_draws` replays all of a task's document
+tokens at once from the generator's raw 64-bit words, bit for bit, picks and
+generator state after. It rests on how numpy's PCG64 draws:
+
+* ``random()`` takes one raw word ``w`` and returns ``(w >> 11) * 2**-53``;
+* ``integers(b)`` for ``2 <= b <= 2**32`` draws from the 32-bit stream, which
+  takes the low half of a fresh word and holds the high half for the next
+  32-bit draw (``bit_generator.state["has_uint32"]`` and ``["uinteger"]``);
+  ``random()`` and ``random_raw`` leave that half alone;
+* it maps a 32-bit ``x`` by Lemire's method to ``(x * b) >> 32``, and rejects
+  ``x`` and draws again when ``(x * b) mod 2**32 < (2**32 - b) % b``;
+* ``integers(1)`` consumes nothing, and ``integers(0)`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -41,20 +57,72 @@ def _topic_vocab(prefix: str, topic: int, size: int) -> list[str]:
     return [f"{prefix}t{topic}w{w}" for w in range(size)]
 
 
-def _make_doc_tokens(
-    vocab: list[str],
-    function_words: list[str],
-    doc_len: int,
-    fw_rate: float,
-    rng: np.random.Generator,
-) -> list[str]:
-    tokens = []
-    for _ in range(doc_len):
-        if rng.random() < fw_rate:
-            tokens.append(function_words[int(rng.integers(len(function_words)))])
-        else:
-            tokens.append(vocab[int(rng.integers(len(vocab)))])
-    return tokens
+_HALF = 0xFFFFFFFF  # the low 32 bits of a raw word
+
+
+def _token_draws(
+    rng: np.random.Generator, n: int, fw_rate: float, n_fw: int, n_vocab: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` document tokens' draws from a PCG64 ``rng``, bit for bit those of a loop.
+
+    Returns (whether each token is a function word, each token's pick); the
+    picks, and ``rng``'s state after, equal those of ``n`` loop iterations of
+    ``u = rng.random(); rng.integers(n_fw if u < fw_rate else n_vocab)``.
+
+    A run of tokens each of whose draws is one accepted 32-bit draw has a fixed
+    layout: every token takes one raw word for ``u``, and every other token,
+    alternating from the held half, a fresh word for its 32-bit draw. Each
+    round reads the raw words of such a run with ``random_raw`` and finds its
+    first irregular token: a bound outside [2, 2**32] or a rejected draw. The
+    generator is then rewound to that token and advanced past the regular run
+    only, and the irregular token is drawn with the scalar calls, so a bound of
+    0 raises numpy's ValueError at the same token as the loop.
+    """
+    bits = rng.bit_generator
+    is_fw = np.empty(n, dtype=bool)
+    picks = np.empty(n, dtype=np.int64)
+    # per kind of token (0 topic word, 1 function word): whether a draw below
+    # its bound is one Lemire draw on the 32-bit stream, and its threshold
+    kinds = (n_vocab, n_fw)
+    regular = np.array([2 <= b <= 2**32 for b in kinds])
+    bound = np.array([b if ok else 0 for b, ok in zip(kinds, regular)], dtype=np.uint64)
+    threshold = (2**32 - bound) % np.maximum(bound, 1)
+    done, span = 0, n
+    while done < n:
+        start = bits.state
+        held, half = start["has_uint32"], start["uinteger"]
+        take = min(n - done, span)
+        fresh = (held + np.arange(take)) % 2 == 0  # the token takes a fresh word
+        at = np.arange(take) + np.cumsum(fresh) - fresh  # each token's word for u
+        words = bits.random_raw(int(at[-1]) + 1 + int(fresh[-1]))
+        fw = (words[at] >> 11) * 2.0**-53 < fw_rate
+        # a fresh token's 32-bit draw is the low half of the word after its u,
+        # the next token's the high half of that word, just before its own u
+        word = words[at + np.where(fresh, 1, -1)]
+        x = np.where(fresh, word & _HALF, word >> 32)
+        if held:
+            x[0] = half
+        kind = fw.astype(np.intp)
+        scaled = x * bound[kind]
+        irregular = ~regular[kind] | ((scaled & _HALF) < threshold[kind])
+        run = int(np.argmax(irregular)) if irregular.any() else take
+        is_fw[done : done + run] = fw[:run]
+        picks[done : done + run] = scaled[:run] >> 32
+        last_fresh = np.flatnonzero(fresh[:run])
+        if last_fresh.size:
+            half = int(words[at[last_fresh[-1]] + 1] >> 32)
+        if run < take:  # rewind, then consume the regular run's words only
+            bits.state = start
+            bits.advance(int(at[run]))
+        bits.state = {**bits.state, "has_uint32": (held + run) % 2, "uinteger": half}
+        done += run
+        if run < take:
+            u = rng.random()
+            is_fw[done] = u < fw_rate
+            picks[done] = rng.integers(n_fw if u < fw_rate else n_vocab)
+            done += 1
+        span = max(16, 2 * run)
+    return is_fw, picks
 
 
 def _make_task(
@@ -78,18 +146,24 @@ def _make_task(
     set, queries use a per-topic vocabulary disjoint from every document
     token, so relevance can only be learned from the labels.
     """
+    # Documents are drawn back to back, topic by topic, with one vocabulary
+    # size, so one batch holds them all; one table maps each pick to its word:
+    # the function words, then every topic's vocabulary.
+    n_docs, n_fw = n_topics * docs_per_topic, len(function_words)
+    is_fw, picks = _token_draws(rng, n_docs * doc_len, fw_rate, n_fw, vocab_per_topic)
+    table = np.array(function_words + [w for topic in range(n_topics)
+                                       for w in _topic_vocab(prefix, topic, vocab_per_topic)],
+                     dtype=object)
+    topic_of = np.repeat(np.arange(n_topics), docs_per_topic * doc_len)
+    rows = np.where(is_fw, picks, n_fw + topic_of * vocab_per_topic + picks)
+    texts = iter(table[rows].reshape(n_docs, doc_len).tolist())
     docs = []
     queries = []
     grades: dict[tuple[str, str], int] = {}
     topic_doc_ids: list[list[str]] = []
     for topic in range(n_topics):
-        vocab = _topic_vocab(prefix, topic, vocab_per_topic)
-        ids = []
-        for d in range(docs_per_topic):
-            doc_id = f"{prefix}-t{topic}-d{d}"
-            tokens = _make_doc_tokens(vocab, function_words, doc_len, fw_rate, rng)
-            docs.append(Document.from_fields(doc_id, " ".join(tokens)))
-            ids.append(doc_id)
+        ids = [f"{prefix}-t{topic}-d{d}" for d in range(docs_per_topic)]
+        docs.extend(Document.from_fields(doc_id, " ".join(next(texts))) for doc_id in ids)
         topic_doc_ids.append(ids)
     for topic in range(n_topics):
         doc_vocab = _topic_vocab(prefix, topic, vocab_per_topic)

@@ -9,12 +9,13 @@ from typing import NamedTuple
 import numpy as np
 
 from robustdr import clustering, encoder, idro, retrieval_eval, trainer
-from robustdr.corpus import QuerySet
+from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr.encoder import EmbeddingMatrix, FeatureBlock, FeatureRows, Params, embed_items
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import TripletRows
 from robustdr.retrieval_eval import DenseIndex, RankedList
+from robustdr.synthetic import TaskBundle, _topic_vocab
 
 
 @dataclass(frozen=True, slots=True)
@@ -657,3 +658,66 @@ def fixed_eval_batch_reference(task, featurizer, n_negatives=8):
         negs = tuple(doc_fvs[d] for d in pool[:n_negatives])
         items.append(Triplet(query_fv, doc_fvs[positives[0]], negs))
     return items, qids
+
+
+def token_draws_reference(rng, n, fw_rate, n_fw, n_vocab):
+    """`synthetic._token_draws` one token at a time: ``rng.random()``, then
+    ``rng.integers`` below ``n_fw`` if it fell below ``fw_rate``, else below
+    ``n_vocab``."""
+    is_fw, picks = [], []
+    for _ in range(n):
+        u = rng.random()
+        is_fw.append(u < fw_rate)
+        picks.append(int(rng.integers(n_fw if u < fw_rate else n_vocab)))
+    return np.array(is_fw, dtype=bool), np.array(picks, dtype=np.int64)
+
+
+def make_doc_tokens_reference(vocab, function_words, doc_len, fw_rate, rng):
+    """One document's tokens, two scalar draws per token: ``rng.random()``, then a
+    function word with probability ``fw_rate``, else a word of ``vocab``."""
+    tokens = []
+    for _ in range(doc_len):
+        if rng.random() < fw_rate:
+            tokens.append(function_words[int(rng.integers(len(function_words)))])
+        else:
+            tokens.append(vocab[int(rng.integers(len(vocab)))])
+    return tokens
+
+
+def make_task_reference(
+    name, prefix, n_topics, docs_per_topic, queries_per_topic, function_words, rng,
+    vocab_per_topic=40, doc_len=30, query_len_range=(4, 7), fw_rate=0.3,
+    query_vocab_per_topic=None,
+):
+    """`synthetic._make_task` drawing each document's tokens in a per-token loop
+    (`make_doc_tokens_reference`), topic by topic, then the queries."""
+    docs = []
+    queries = []
+    grades = {}
+    topic_doc_ids = []
+    for topic in range(n_topics):
+        vocab = _topic_vocab(prefix, topic, vocab_per_topic)
+        ids = []
+        for d in range(docs_per_topic):
+            doc_id = f"{prefix}-t{topic}-d{d}"
+            tokens = make_doc_tokens_reference(vocab, function_words, doc_len, fw_rate, rng)
+            docs.append(Document.from_fields(doc_id, " ".join(tokens)))
+            ids.append(doc_id)
+        topic_doc_ids.append(ids)
+    for topic in range(n_topics):
+        doc_vocab = _topic_vocab(prefix, topic, vocab_per_topic)
+        if query_vocab_per_topic is None:
+            vocab = doc_vocab
+        else:
+            vocab = _topic_vocab(f"{prefix}qry", topic, query_vocab_per_topic)
+        for q in range(queries_per_topic):
+            qid = f"{prefix}-t{topic}-q{q}"
+            qlen = int(rng.integers(query_len_range[0], query_len_range[1] + 1))
+            tokens = [vocab[int(rng.integers(len(vocab)))] for _ in range(qlen)]
+            if query_vocab_per_topic is not None:
+                tokens.append(doc_vocab[int(rng.integers(len(doc_vocab)))])
+            tokens.append(function_words[int(rng.integers(len(function_words)))])
+            queries.append(Query.from_fields(qid, " ".join(tokens)))
+            for doc_id in topic_doc_ids[topic]:
+                grades[(qid, doc_id)] = 1
+    return TaskBundle(name, Corpus(docs), QuerySet(queries), QrelSet(grades))

@@ -1,5 +1,7 @@
-"""The experiment scripts' exit codes: 0 on PASS, 1 on FAIL."""
+"""The experiment scripts' exit codes: 0 on PASS, 1 on FAIL; the benchmark
+writer's files."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -8,6 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from robustdr import experiments
+from robustdr.corpus import load_corpus, load_qrels, load_queries
+from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -44,3 +48,25 @@ def test_coco_experiment_exit_code(monkeypatch, capsys, scratch_best, code):
     monkeypatch.setattr(experiments, "run_coco_directional", values.__getitem__)
     assert run_script("run_coco_experiment.py", monkeypatch) == code
     assert capsys.readouterr().out.rstrip().endswith("PASS" if code == 0 else "FAIL")
+
+
+def test_make_synthetic_benchmark_round_trips(monkeypatch, capsys, tmp_path):
+    """The three task directories and the group map read back as generated."""
+    monkeypatch.setattr(sys, "argv", ["make_synthetic_benchmark.py", f"--out={tmp_path}",
+                                      "--seed=7"])
+    runpy.run_path(str(SCRIPTS / "make_synthetic_benchmark.py"), run_name="__main__")
+    printed = capsys.readouterr().out.splitlines()
+    source, target = make_two_domain_benchmark(seed=7)
+    imbalanced, groups = make_imbalanced_source(seed=1007)
+    for name, task in (("source", source), ("target", target), ("imbalanced", imbalanced)):
+        corpus = load_corpus(tmp_path / name / "corpus.jsonl")
+        queries = load_queries(tmp_path / name / "queries.jsonl")
+        qrels = load_qrels(tmp_path / name / "qrels.tsv")
+        assert list(corpus) == list(task.corpus)
+        assert list(queries) == list(task.queries)
+        assert qrels.query_ids == task.qrels.query_ids
+        assert all(qrels.judged(qid) == task.qrels.judged(qid) for qid in qrels.query_ids)
+        assert f"{task.name}: {len(task.corpus)} docs, {len(task.queries)} queries" in printed
+    groups_json = tmp_path / "imbalanced" / "groups.json"
+    assert json.loads(groups_json.read_text(encoding="utf-8")) == groups
+    assert not list(tmp_path.rglob("*.tmp"))
