@@ -37,6 +37,7 @@ generator state after. It rests on how numpy's PCG64 draws:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -156,15 +157,13 @@ def _make_task(
                      dtype=object)
     topic_of = np.repeat(np.arange(n_topics), docs_per_topic * doc_len)
     rows = np.where(is_fw, picks, n_fw + topic_of * vocab_per_topic + picks)
-    texts = iter(table[rows].reshape(n_docs, doc_len).tolist())
-    docs = []
+    words = table[rows].tolist()
+    topic_doc_ids = [[f"{prefix}-t{topic}-d{d}" for d in range(docs_per_topic)]
+                     for topic in range(n_topics)]
+    docs = [Document.from_fields(doc_id, " ".join(words[i * doc_len : (i + 1) * doc_len]))
+            for i, doc_id in enumerate(chain.from_iterable(topic_doc_ids))]
     queries = []
     grades: dict[tuple[str, str], int] = {}
-    topic_doc_ids: list[list[str]] = []
-    for topic in range(n_topics):
-        ids = [f"{prefix}-t{topic}-d{d}" for d in range(docs_per_topic)]
-        docs.extend(Document.from_fields(doc_id, " ".join(next(texts))) for doc_id in ids)
-        topic_doc_ids.append(ids)
     for topic in range(n_topics):
         doc_vocab = _topic_vocab(prefix, topic, vocab_per_topic)
         if query_vocab_per_topic is None:
