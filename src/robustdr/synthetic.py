@@ -122,6 +122,8 @@ def _token_draws(
             is_fw[done] = u < fw_rate
             picks[done] = rng.integers(n_fw if u < fw_rate else n_vocab)
             done += 1
+        # read ahead at most twice the last run, so that frequent irregular
+        # tokens (a bound of 1) read O(n) words in all, not O(n**2)
         span = max(16, 2 * run)
     return is_fw, picks
 
