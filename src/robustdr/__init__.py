@@ -19,7 +19,7 @@ from .corpus import (
 )
 from .encoder import EmbeddingMatrix, FeatureRows, Featurizer, Params
 from .errors import BlobFileError, ConfigError, CorpusFormatError, InvariantError
-from .idro import alpha_weights, idro_loss, omega_update, r_matrix
+from .idro import ClusterLayout, alpha_weights, idro_loss, omega_update, r_matrix
 from .losses import TripletRows, coco_loss, retrieval_loss
 from .trainer import FeatureStore, Finetuner, RunConfig, pretrain_coco, training_store
 
@@ -27,6 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlobFileError",
+    "ClusterLayout",
     "ConfigError",
     "Corpus",
     "CorpusFormatError",

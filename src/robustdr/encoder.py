@@ -13,7 +13,10 @@ each item; a row may repeat. One forward kernel, `encode_many`, embeds the
 items, each distinct row once. One backward kernel, `grouped_backward`,
 returns the items' gradient per group of items (the robust weighting's
 clusters) on only the feature columns the items touch, from one count block
-per group; `embedding_backward` is its one-group case scattered into a dense vector.
+per group. Its caller hands it the items group by group, with the group
+bounds: a retrieval step takes them from the batch's one cluster layout
+(`idro.ClusterLayout`), so the kernel sorts nothing. `embedding_backward` is
+its one-group case scattered into a dense vector.
 
 The weights are stored feature-major: feature d's E weights are one
 contiguous row of ``W.T`` (`Params`), so every kernel and optimizer step that
@@ -31,12 +34,16 @@ OpenBLAS:
 - each item's gathered E x n weight block stays F-ordered, as
   ``W[:, indices]`` is, so a stacked ``np.matmul`` over a run of at most
   `_ROWS` distinct rows with the same count of nonzeros n makes the same BLAS
-  gemv call per item (a C-ordered stacked gather differs in the last bits);
-- each group's rows of the embedding gradients are contiguous and keep the
-  items' order (a stable sort by group), and its count block (its items x
-  the touched columns) is C-ordered in the same order, filled into a zeroed
-  buffer, so each group is the same gemm on operands of the same values,
-  shape and strides as a masked copy of a full count matrix.
+  gemv call per item (a C-ordered stacked gather differs in the last bits),
+  whether the run's weight rows are gathered on their own or, as they are,
+  sliced from one gather per chunk of `_ROWS` rows, and whether the product
+  is a fresh array or written in place;
+- each group's rows of the embedding gradients are contiguous, C-ordered and
+  in the items' order (the caller's group-by-group order keeps each group's
+  items in item order), and its count block (its items x the touched
+  columns) is C-ordered in the same order, filled into a zeroed buffer, so
+  each group is the same gemm on operands of the same values, shape and
+  strides as a masked copy of a full count matrix.
 """
 
 from __future__ import annotations
@@ -214,32 +221,45 @@ def encode_many(params: Params, items: FeatureRows) -> np.ndarray:
     has the encoder's feature dimension.
 
     Each distinct row is encoded once and its embedding copied to every item
-    that names it. The distinct rows are sorted stably by their count of
-    nonzeros n, and each run of at most `_ROWS` rows with the same n is one
-    stacked ``np.matmul`` of their gathered E x n weight blocks with their
-    counts.
+    that names it. One sort of the items by (count of nonzeros n, row id)
+    lists the distinct rows sorted stably by n. They are taken in chunks of
+    at most `_ROWS`: the weight rows of a chunk's features are gathered in
+    one ``take``, and each run of rows with the same n in the chunk is one
+    stacked ``np.matmul`` of their E x n weight blocks with their counts,
+    written in place.
     """
     _check_dim(params, items)
-    distinct, inverse = np.unique(items.rows, return_inverse=True)
-    bounds = items.block.bounds
-    order = np.argsort(bounds[distinct + 1] - bounds[distinct], kind="stable")
-    idx, counts, nnz = items.block.entries(distinct[order])
-    first = np.cumsum(nnz) - nnz
-    emb = np.empty((distinct.size, params.embed_dim), dtype=np.float64)
+    dim, block_rows = params.embed_dim, items.block.bounds
+    order = np.argsort((block_rows[items.rows + 1] - block_rows[items.rows]) * len(items.block)
+                       + items.rows)
+    ranked = items.rows[order]
+    new = np.ones(ranked.size, dtype=bool)  # an item opening its row's run
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    distinct = ranked[new]
+    m = distinct.size
+    idx, counts, nnz = items.block.entries(distinct)
+    first = [0, *np.cumsum(nnz).tolist()]  # each row's first entry, and the end
+    cuts = np.ones(m, dtype=bool)  # a row opening a run of its n, or a chunk
+    np.not_equal(nnz[1:], nnz[:-1], out=cuts[1:])
+    cuts[::_ROWS] = True
+    cuts = np.append(np.flatnonzero(cuts), m).tolist()
+    emb = np.empty((m, dim), dtype=np.float64)
     w_t = params.W.T
-    cuts = np.unique(np.concatenate([np.flatnonzero(np.diff(nnz)) + 1,
-                                     np.arange(0, distinct.size + 1, _ROWS), [distinct.size]]))
-    for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
+    for a, b in zip(cuts, cuts[1:]):
+        if a % _ROWS == 0:
+            chunk = first[a]
+            gathered = w_t.take(idx[chunk:first[min(a + _ROWS, m)]], axis=0)
         n = int(nnz[a])
-        span = slice(first[a], first[a] + (b - a) * n)
-        # Contiguous rows of W.T gathered as (items, n, E), C-ordered, so each
-        # item's E x n block of the transpose is F-ordered like W[:, indices],
-        # and np.matmul runs the same BLAS gemv per item as W[:, indices] @ counts.
-        blocks = w_t[idx[span]].reshape(b - a, n, params.embed_dim).transpose(0, 2, 1)
-        emb[a:b] = np.matmul(blocks, counts[span].reshape(b - a, n, 1))[..., 0]
-    rank = np.empty(distinct.size, dtype=np.intp)
-    rank[order] = np.arange(distinct.size)
-    return emb[rank[inverse]]
+        at = first[a] - chunk
+        # Contiguous rows of W.T as (items, n, E), C-ordered, so each item's E x n
+        # block of the transpose is F-ordered like W[:, indices], and np.matmul
+        # runs the same BLAS gemv per item as W[:, indices] @ counts.
+        blocks = gathered[at:at + (b - a) * n].reshape(b - a, n, dim).transpose(0, 2, 1)
+        np.matmul(blocks, counts[first[a]:first[b]].reshape(b - a, n, 1),
+                  out=emb[a:b].reshape(b - a, dim, 1))
+    slot = np.empty(ranked.size, dtype=np.intp)  # each item's distinct row
+    slot[order] = np.cumsum(new) - 1
+    return emb.take(slot, axis=0)
 
 
 def _check_dim(params: Params, items: FeatureRows) -> None:
@@ -252,20 +272,18 @@ def grouped_backward(
     params: Params,
     items: FeatureRows,
     emb_grads: np.ndarray,
-    groups: np.ndarray,
-    n_groups: int,
+    bounds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group parameter gradients on the feature columns the items touch.
 
-    `emb_grads[i]` is d(loss)/d(embedding of item i) and `groups[i]` in
-    [0, n_groups) is item i's group. Returns (cols, rows): the sorted feature
+    The items come group by group: group g is items ``bounds[g]:bounds[g + 1]``
+    (``bounds`` ascends from 0 to the item count), and `emb_grads[i]` is
+    d(loss)/d(embedding of item i). Returns (cols, rows): the sorted feature
     columns any item touches, and row g = vec dW[:, cols], the gradient of
     group g's items. Every other column of dW is zero, so inner products and
     weighted sums of rows equal those of the dense gradients.
 
-    The items are sorted stably by group and their rows gathered in that
-    order, so each group's items are contiguous in their original order. A
-    group's gradient is one product, written straight into its row, of its
+    A group's gradient is one product, written straight into its row, of its
     embedding gradients with its (items x columns) count block; the blocks
     are filled in turn into one zeroed buffer sized to the largest group,
     whose written entries are zeroed again after each product. Only the rows
@@ -273,33 +291,36 @@ def grouped_backward(
     """
     _check_dim(params, items)
     n = len(items)
-    emb_grads = np.asarray(emb_grads, dtype=np.float64)
+    emb_grads = np.ascontiguousarray(emb_grads, dtype=np.float64)
     if emb_grads.shape != (n, params.embed_dim):
         raise ValueError("emb_grads must be (n_items, embed_dim)")
-    groups = np.asarray(groups)
-    if groups.shape != (n,):
-        raise ValueError("groups must hold one group per item")
-    order = np.argsort(groups, kind="stable")
-    idx, counts, nnz = items.block.entries(items.rows[order])
+    bounds = np.asarray(bounds)
+    edges = bounds.tolist()
+    if (bounds.ndim != 1 or not edges or edges[0] != 0 or edges[-1] != n
+            or any(a > b for a, b in zip(edges, edges[1:]))):
+        raise ValueError("bounds must ascend from 0 to the item count")
+    idx, counts, nnz = items.block.entries(items.rows)
     mark = np.zeros(params.feature_dim, dtype=bool)
     mark[idx] = True
     cols = np.flatnonzero(mark)
-    # Each entry's offset in its item's row of the count block, item by item.
-    at = np.repeat(np.arange(n) * cols.size, nnz) + np.cumsum(mark)[idx] - 1
-    ends = np.cumsum(nnz).tolist()
-    eg = emb_grads[order]
-    bounds = np.searchsorted(groups[order], np.arange(n_groups + 1))
-    x = np.zeros(int(np.diff(bounds).max(initial=0)) * cols.size)
-    rows = np.empty((n_groups, params.embed_dim * cols.size))
-    bounds = bounds.tolist()
-    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+    where = np.empty(params.feature_dim, dtype=np.intp)
+    where[cols] = np.arange(cols.size)
+    sizes = np.diff(bounds)
+    # Each entry's offset in its group's count block: its item's row, then its column.
+    rank = np.arange(n) - np.repeat(bounds[:-1], sizes)
+    at = np.repeat(rank * cols.size, nnz) + where[idx]
+    offsets = np.zeros(n + 1, dtype=np.intp)  # each item's first entry, and the end
+    np.cumsum(nnz, out=offsets[1:])
+    entry_edges = offsets[bounds].tolist()
+    x = np.zeros(int(sizes.max(initial=0)) * cols.size)
+    rows = np.empty((sizes.size, params.embed_dim * cols.size))
+    for g, (a, b, first, last) in enumerate(zip(edges, edges[1:], entry_edges,
+                                                 entry_edges[1:])):
         if a < b:
-            first, last = (ends[a - 1] if a else 0), ends[b - 1]
-            block_at = at[first:last] - a * cols.size
-            x[block_at] = counts[first:last]
-            np.matmul(eg[a:b].T, x[: (b - a) * cols.size].reshape(b - a, cols.size),
+            x[at[first:last]] = counts[first:last]
+            np.matmul(emb_grads[a:b].T, x[: (b - a) * cols.size].reshape(b - a, cols.size),
                       out=rows[g].reshape(params.embed_dim, cols.size))
-            x[block_at] = 0.0
+            x[at[first:last]] = 0.0
         else:
             rows[g] = 0.0
     return cols, rows
@@ -321,8 +342,7 @@ def embedding_backward(params: Params, items: FeatureRows, emb_grads: np.ndarray
     accumulate. The one-group case of `grouped_backward`, returned as a dense
     vector aligned with ``params.flat``.
     """
-    groups = np.zeros(len(items), dtype=np.intp)
-    cols, rows = grouped_backward(params, items, emb_grads, groups, 1)
+    cols, rows = grouped_backward(params, items, emb_grads, [0, len(items)])
     return scatter_grad(params, cols, rows[0])
 
 

@@ -131,38 +131,44 @@ def _fixed_eval_batch(store: trainer.FeatureStore, n_negatives: int = 8):
     topics, in corpus order) with the store's BM25 top 50 minus the query's
     positives (`trainer.FeatureStore.bm25_unjudged`), so the measured loss
     tracks how precisely a query points at its own topic rather than how it
-    fares against random documents. Returns one
-    `losses.TripletRows` over the store's rows and the query ids; ValueError
-    unless every query gets ``n_negatives``.
+    fares against random documents. Round t of the interleave takes the
+    query's t-th distractor, then its t-th BM25 candidate unless the pool
+    already holds it, for as many rounds as the query has distractors, and its
+    negatives are the first ``n_negatives`` taken. A round takes one or two,
+    so the first ``n_negatives`` rounds of every query are laid out at once.
+    Returns one `losses.TripletRows` over the store's rows and the query ids;
+    ValueError unless every query gets ``n_negatives``.
     """
     first_doc_of_topic: dict[str, int] = {}
     for j, doc_id in enumerate(store.corpus.ids):
         first_doc_of_topic.setdefault(doc_id.rsplit("-", 1)[0], j)
-    distractors_of: dict[str, list[int]] = {}
+    topic_at = {topic: i for i, topic in enumerate(first_doc_of_topic)}
+    n_topics, n, t = len(topic_at), store.n_queries, np.arange(n_negatives)
+    # each query's own topic's place among the topics (n_topics for none)
+    own = np.fromiter((topic_at.get(query.id.rsplit("-", 1)[0], n_topics)
+                       for query in store.queries), np.intp, n)
+    in_round = t < (n_topics - (own < n_topics))[:, None]
+    firsts = np.full(n_topics + n_negatives + 1, -1, dtype=np.intp)
+    firsts[:n_topics] = list(first_doc_of_topic.values())
+    distractor = firsts[t + (t >= own[:, None])]
     unjudged = store.bm25_unjudged(50)
-    docs, bounds = unjudged.docs.tolist(), unjudged.bounds.tolist()
-    rows = np.empty((store.n_queries, 2 + n_negatives), dtype=np.intp)
-    rows[:, 0] = np.arange(store.n_queries)
+    has = t < unjudged.sizes()[:, None]
+    candidate = np.full((n, n_negatives), -1, dtype=np.intp)
+    candidate[has] = unjudged.docs[(unjudged.bounds[:-1, None] + t)[has]]
+    # A candidate is already held if it is a distractor of its round or of an
+    # earlier one; a query's BM25 candidates are distinct.
+    held = ((candidate[:, :, None] == distractor[:, None, :]) & (t <= t[:, None])).any(axis=2)
+    taken = np.stack([in_round, in_round & has & ~held], axis=2).reshape(n, 2 * n_negatives)
+    count = taken.sum(axis=1)
+    short = np.flatnonzero(count < n_negatives)
+    if short.size:
+        raise ValueError(f"query {store.queries[short[0]].id!r}: {count[short[0]]} evaluation "
+                         f"negatives, not {n_negatives}")
+    rows = np.empty((n, 2 + n_negatives), dtype=np.intp)
+    rows[:, 0] = np.arange(n)
     rows[:, 1] = store.positives.docs[store.positives.bounds[:-1]]
-    for i, query in enumerate(store.queries):
-        bm25_pool = docs[bounds[i] : bounds[i + 1]]
-        own_topic = query.id.rsplit("-", 1)[0]
-        distractors = distractors_of.get(own_topic)
-        if distractors is None:
-            distractors = distractors_of[own_topic] = [
-                d for t, d in first_doc_of_topic.items() if t != own_topic
-            ]
-        pool: list[int] = []
-        for d, c in zip(distractors, bm25_pool + [None] * len(distractors)):
-            if len(pool) >= n_negatives:
-                break
-            pool.append(d)
-            if c is not None and c not in pool:
-                pool.append(c)
-        if len(pool) < n_negatives:
-            raise ValueError(f"query {query.id!r}: {len(pool)} evaluation negatives, "
-                             f"not {n_negatives}")
-        rows[i, 2:] = pool[:n_negatives]
+    pool = np.stack([distractor, candidate], axis=2).reshape(n, 2 * n_negatives)
+    rows[:, 2:] = pool[taken & (np.cumsum(taken, axis=1) <= n_negatives)].reshape(n, n_negatives)
     rows[:, 1:] += store.n_queries  # document positions -> store rows
     return losses.TripletRows(store.block, rows), [query.id for query in store.queries]
 

@@ -13,11 +13,15 @@ upweights high-loss groups is also provided. Both updates share one
 mass-preserving exponentiated step.
 
 ``omega`` is the only state carried from step to step. Everything else is
-recomputed from each batch in present-cluster coordinates: `idro_loss` returns
-the ascending ids of the clusters present in the batch, and the cluster losses,
-``alpha``, the gradient rows and ``r`` are given over those ids in that order.
-The updates change the weights of the present clusters only; absent clusters
-keep theirs exactly.
+recomputed from each batch in present-cluster coordinates. A batch's
+`ClusterLayout`, made once per step from one stable sort of its items'
+cluster ids, holds the ascending ids of the clusters present in the batch,
+each item's group (its cluster's position among them), the group sizes and
+the items group by group; the loss (`losses.retrieval_cluster_grads`), the
+weighting (`idro_loss`) and the backward all read that one layout. The
+cluster losses, ``alpha``, the gradient rows and ``r`` are given over the
+present ids in ascending order. The updates change the weights of the present
+clusters only; absent clusters keep theirs exactly.
 
 The per-cluster gradients reach `r_matrix` and `combine_cluster_grads` as one
 row per present cluster restricted to the feature columns the batch touches
@@ -29,12 +33,51 @@ the batch rather than of the encoder.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantError
 
 _SIMPLEX_ATOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class ClusterLayout:
+    """A batch's items grouped by cluster, from one stable sort of their cluster ids.
+
+    ``present`` holds the ascending ids of the clusters with an item in the
+    batch, ``group[i]`` the position in ``present`` of item i's cluster, and
+    ``sizes`` each present cluster's item count. ``order`` lists the items
+    group by group, each group in item order, so group g is
+    ``order[bounds[g]:bounds[g + 1]]``. ``len`` counts the items.
+    """
+
+    present: np.ndarray
+    group: np.ndarray
+    sizes: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, item_clusters: np.ndarray) -> "ClusterLayout":
+        """The layout of a batch whose item i is in cluster ``item_clusters[i]``."""
+        ids = np.asarray(item_clusters, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ValueError("item clusters must be a 1-D array of cluster ids")
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        new = np.ones(ids.size, dtype=bool)  # an item opening its group, in group order
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        group = np.empty(ids.size, dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        starts = np.flatnonzero(new)
+        bounds = np.empty(starts.size + 1, dtype=np.intp)
+        bounds[:-1], bounds[-1] = starts, ids.size
+        return cls(ranked[new], group, bounds[1:] - bounds[:-1], order, bounds)
+
+    def __len__(self) -> int:
+        return self.group.size
 
 
 def alpha_weights(losses: np.ndarray, beta: float) -> np.ndarray:
@@ -129,29 +172,29 @@ def groupdro_update(
 
 
 def idro_loss(
-    item_losses: np.ndarray, item_clusters: np.ndarray, omega: np.ndarray, beta: float
+    item_losses: np.ndarray, clusters: ClusterLayout, omega: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Combine per-item losses into the cluster-weighted scalar objective.
 
-    Cluster losses are means over the cluster's batch members; clusters absent
-    from the batch take no part. Difficulty weights alpha are computed from
-    the present clusters' losses, and the scalar is
+    ``clusters`` is the batch's `ClusterLayout`. Cluster losses are means over
+    the cluster's batch members; clusters absent from the batch take no part.
+    Difficulty weights alpha are computed from the present clusters' losses,
+    and the scalar is
     sum_i alpha_i*omega_i*loss_i / sum_i alpha_i*omega_i  over the present
     clusters, so its scale does not depend on batch composition. Returns
     (scalar, present cluster ids ascending, their mean losses, their alpha).
     """
     item_losses = np.asarray(item_losses, dtype=np.float64)
-    item_clusters = np.asarray(item_clusters, dtype=np.int64)
     omega = np.asarray(omega, dtype=np.float64)
-    if item_losses.shape != item_clusters.shape:
-        raise ValueError("item_losses and item_clusters must align")
+    present = clusters.present
+    if item_losses.shape != clusters.group.shape:
+        raise ValueError("item_losses and the cluster layout must align")
     if item_losses.size == 0:
         raise ValueError("cannot weight an empty batch")
-    if np.any(item_clusters < 0) or np.any(item_clusters >= omega.shape[0]):
+    if present[0] < 0 or present[-1] >= omega.shape[0]:
         raise InvariantError("batch item mapped to an unknown cluster")
 
-    present, inverse, counts = np.unique(item_clusters, return_inverse=True, return_counts=True)
-    means = np.bincount(inverse, weights=item_losses) / counts
+    means = np.bincount(clusters.group, weights=item_losses) / clusters.sizes
     alpha = alpha_weights(means, beta)
     weights = alpha * omega[present]
     scalar = float((weights * means).sum() / weights.sum())

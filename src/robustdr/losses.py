@@ -35,6 +35,12 @@ Both take their texts as rows of one feature block. A retrieval batch is a
 each row of the array one item's query, positive and negatives. A span-pair
 batch is an `encoder.FeatureRows` whose items 2p and 2p + 1 are pair p. The
 kernels gather from the block directly and encode each distinct row once.
+
+The per-cluster retrieval gradients take the batch's `idro.ClusterLayout`,
+the one grouping of its items by cluster that the step's weighting reads
+too: its group sizes scale each item's coefficients to its cluster's mean,
+and its item order, each item's slots kept together, is the slot order the
+backward takes, with the group bounds scaled by the row width.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import numpy as np
 from . import encoder
 from .encoder import FeatureBlock, FeatureRows, Params
 from .errors import InvariantError
+from .idro import ClusterLayout
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,18 +89,16 @@ def _softmax_xent(scores: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.n
     return m + np.log(denom) - scores[rows, pos], coeff
 
 
-def _retrieval(params: Params, batch: TripletRows, clusters: np.ndarray, with_grad: bool):
+def _retrieval(params: Params, batch: TripletRows, clusters: ClusterLayout, with_grad: bool):
     """Per-item losses and, with `with_grad`, per-cluster gradients; see
     `retrieval_cluster_grads`."""
     n, width = batch.rows.shape
-    present, group = np.unique(np.asarray(clusters, dtype=np.int64), return_inverse=True)
-    if group.shape != (n,):
-        raise ValueError("clusters must hold one cluster id per item")
+    if len(clusters) != n:
+        raise ValueError("the cluster layout must hold one cluster per item")
 
     # Slots [query, positive, negatives...] per item; its candidates are every
     # slot but the query, the positive first.
-    slots = FeatureRows(batch.block, batch.rows.ravel())
-    emb = encoder.encode_many(params, slots)
+    emb = encoder.encode_many(params, FeatureRows(batch.block, batch.rows.ravel()))
     item_emb = emb.reshape(n, width, emb.shape[1])
     cand_emb, q_emb = item_emb[:, 1:], item_emb[:, 0]
     scores = np.matmul(cand_emb, q_emb[:, :, None])[:, :, 0]
@@ -101,15 +106,22 @@ def _retrieval(params: Params, batch: TripletRows, clusters: np.ndarray, with_gr
     if not with_grad:
         return per_item, None, None
 
-    coeff /= np.bincount(group)[group, None]  # gradient of the cluster mean
+    coeff /= clusters.sizes[clusters.group, None]  # gradient of the cluster mean
     # Zero-filled, then added to: each slot holds 0.0 + its one term, as the loop has it.
     emb_grads = np.zeros_like(item_emb)
     emb_grads[:, 0] += np.matmul(coeff[:, None, :], cand_emb)[:, 0]
     emb_grads[:, 1:] += coeff[:, :, None] * q_emb[:, None, :]
+    # The items' slots group by group, each group's in item order.
+    order = clusters.order
     cols, rows = encoder.grouped_backward(
-        params, slots, emb_grads.reshape(emb.shape), np.repeat(group, width), present.size
+        params, FeatureRows(batch.block, batch.rows[order].ravel()),
+        emb_grads[order].reshape(emb.shape), clusters.bounds * width,
     )
     return per_item, cols, rows
+
+
+def _one_cluster(n: int) -> ClusterLayout:
+    return ClusterLayout.of(np.zeros(n, dtype=np.int64))
 
 
 def retrieval_loss(params: Params, batch: TripletRows) -> tuple[float, np.ndarray]:
@@ -118,8 +130,7 @@ def retrieval_loss(params: Params, batch: TripletRows) -> tuple[float, np.ndarra
     Per item the loss is -log( exp(s+) / (exp(s+) + sum_k exp(s-_k)) ).
     Returns (mean loss, per-item losses).
     """
-    one_cluster = np.zeros(len(batch), dtype=np.int64)
-    per_item, _, _ = _retrieval(params, batch, one_cluster, False)
+    per_item, _, _ = _retrieval(params, batch, _one_cluster(len(batch)), False)
     return (float(np.mean(per_item)) if len(batch) else 0.0), per_item
 
 
@@ -129,22 +140,21 @@ def retrieval_loss_grad(
     """Like `retrieval_loss`, plus the exact gradient of the batch mean."""
     if not len(batch):
         return 0.0, np.empty(0, dtype=np.float64), np.zeros_like(params.flat)
-    one_cluster = np.zeros(len(batch), dtype=np.int64)
-    per_item, cols, rows = _retrieval(params, batch, one_cluster, True)
+    per_item, cols, rows = _retrieval(params, batch, _one_cluster(len(batch)), True)
     return float(np.mean(per_item)), per_item, encoder.scatter_grad(params, cols, rows[0])
 
 
 def retrieval_cluster_grads(
-    params: Params, batch: TripletRows, clusters: np.ndarray
+    params: Params, batch: TripletRows, clusters: ClusterLayout
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-item losses and the gradient of each present cluster's mean loss.
 
-    ``clusters[i]`` is item i's cluster. Each cluster is its own sub-batch: an
-    item's gradient coefficients are divided by its cluster's size. Returns
-    (per-item losses, the feature columns the batch touches, one gradient row
-    per present cluster in ascending id order); see `encoder.grouped_backward`
-    for the row layout and `encoder.scatter_grad` for the dense vector of a
-    row.
+    ``clusters`` is the batch's `idro.ClusterLayout`. Each cluster is its own
+    sub-batch: an item's gradient coefficients are divided by its cluster's
+    size. Returns (per-item losses, the feature columns the batch touches,
+    one gradient row per present cluster in ascending id order); see
+    `encoder.grouped_backward` for the row layout and `encoder.scatter_grad`
+    for the dense vector of a row.
     """
     return _retrieval(params, batch, clusters, True)
 
@@ -167,9 +177,7 @@ def _coco(params: Params, spans: FeatureRows, with_grad: bool):
     coeffs = np.zeros((2 * n, 2 * n))
     coeffs[off] = coeff.ravel() / n
     emb_grads = (coeffs + coeffs.T) @ emb
-    cols, rows = encoder.grouped_backward(
-        params, spans, emb_grads, np.zeros(2 * n, dtype=np.intp), 1
-    )
+    cols, rows = encoder.grouped_backward(params, spans, emb_grads, [0, 2 * n])
     return total, cols, rows[0]
 
 

@@ -141,13 +141,15 @@ def _make_task(
     query_len_range: tuple[int, int] = (4, 7),
     fw_rate: float = 0.3,
     query_vocab_per_topic: int | None = None,
-) -> TaskBundle:
-    """One topical retrieval task.
+) -> tuple[str, list[Document], list[Query], dict[tuple[str, str], int]]:
+    """One topical retrieval task as its name, documents, queries and judgments.
 
     By default queries draw from their topic's document vocabulary, so corpus
     co-occurrence carries the relevance signal. With `query_vocab_per_topic`
     set, queries use a per-topic vocabulary disjoint from every document
-    token, so relevance can only be learned from the labels.
+    token, so relevance can only be learned from the labels. Every generated
+    word is lowercase ``[0-9a-z]+``, so a text's tokens are its drawn words,
+    as `corpus.tokenize` would split their join, and are not split again.
     """
     # Documents are drawn back to back, topic by topic, with one vocabulary
     # size, so one batch holds them all; one table maps each pick to its word:
@@ -162,8 +164,10 @@ def _make_task(
     words = table[rows].tolist()
     topic_doc_ids = [[f"{prefix}-t{topic}-d{d}" for d in range(docs_per_topic)]
                      for topic in range(n_topics)]
-    docs = [Document.from_fields(doc_id, " ".join(words[i * doc_len : (i + 1) * doc_len]))
-            for i, doc_id in enumerate(chain.from_iterable(topic_doc_ids))]
+    docs = []
+    for i, doc_id in enumerate(chain.from_iterable(topic_doc_ids)):
+        tokens = tuple(words[i * doc_len : (i + 1) * doc_len])
+        docs.append(Document(doc_id, " ".join(tokens), tokens=tokens))
     queries = []
     grades: dict[tuple[str, str], int] = {}
     for topic in range(n_topics):
@@ -184,9 +188,14 @@ def _make_task(
             # one shared function word keeps lexical retrieval from seeing
             # only same-topic (all-relevant) candidates
             tokens.append(function_words[int(rng.integers(len(function_words)))])
-            queries.append(Query.from_fields(qid, " ".join(tokens)))
+            queries.append(Query(qid, " ".join(tokens), tuple(tokens)))
             for doc_id in topic_doc_ids[topic]:
                 grades[(qid, doc_id)] = 1
+    return name, docs, queries, grades
+
+
+def _bundle(name: str, docs: list[Document], queries: list[Query],
+            grades: dict[tuple[str, str], int]) -> TaskBundle:
     return TaskBundle(name, Corpus(docs), QuerySet(queries), QrelSet(grades))
 
 
@@ -213,7 +222,7 @@ def make_two_domain_benchmark(
         "target", "tgt", n_target_topics, docs_per_topic, target_queries_per_topic,
         function_words, rng,
     )
-    return source, target
+    return _bundle(*source), _bundle(*target)
 
 
 def make_imbalanced_source(
@@ -242,34 +251,24 @@ def make_imbalanced_source(
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     function_words = [f"fw{i}" for i in range(30)]
-    major = _make_task(
-        "major", "maj", n_major_topics, docs_per_topic, major_queries_per_topic,
-        function_words, rng, query_vocab_per_topic=query_vocab_per_topic,
-    )
-    rare_bundles = []
+    # The major topics, then each rare topic, drawn in turn from the one rng
+    # and joined in that order: one corpus, one query set, one set of judgments.
+    parts = [_make_task("major", "maj", n_major_topics, docs_per_topic,
+                        major_queries_per_topic, function_words, rng,
+                        query_vocab_per_topic=query_vocab_per_topic)]
     for t in range(n_rare_topics):
         vocab_size = rare_query_vocab_profile[t % len(rare_query_vocab_profile)]
-        rare_bundles.append(
-            _make_task(
-                f"rare{t}", f"rar{t}", 1, docs_per_topic, rare_queries_per_topic,
-                function_words, rng, query_vocab_per_topic=vocab_size,
-            )
-        )
-    docs = list(major.corpus)
-    queries = list(major.queries)
-    grades: dict[tuple[str, str], int] = {}
-    for bundle in [major] + rare_bundles:
-        if bundle is not major:
-            docs.extend(bundle.corpus)
-            queries.extend(bundle.queries)
-        for qid in bundle.queries.ids:
-            for did, grade in bundle.qrels.judged(qid).items():
-                grades[(qid, did)] = grade
-    groups = {qid: "major" for qid in major.queries.ids}
-    for bundle in rare_bundles:
-        groups.update({qid: "rare" for qid in bundle.queries.ids})
-    task = TaskBundle("imbalanced-source", Corpus(docs), QuerySet(queries), QrelSet(grades))
-    return task, groups
+        parts.append(_make_task(f"rare{t}", f"rar{t}", 1, docs_per_topic,
+                                rare_queries_per_topic, function_words, rng,
+                                query_vocab_per_topic=vocab_size))
+    docs, queries, grades, groups = [], [], {}, {}
+    for name, part_docs, part_queries, part_grades in parts:
+        docs.extend(part_docs)
+        queries.extend(part_queries)
+        grades.update(part_grades)
+        group = "major" if name == "major" else "rare"
+        groups.update((query.id, group) for query in part_queries)
+    return _bundle("imbalanced-source", docs, queries, grades), groups
 
 
 def write_task_dir(bundle: TaskBundle, out_dir: str | Path) -> None:

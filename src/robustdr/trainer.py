@@ -16,15 +16,18 @@ works in row ids: each query's positives, and each episode's negative pools,
 are lists of document positions held as one flat array plus bounds
 (`DocLists`), and a batch is an array of store rows. A batch's random draws
 are two generator calls: ``rng.choice`` for the queries, then one
-``rng.integers`` over every draw of every item (`_draw_picks`). That gives the
-picks, and leaves the generator as, one ``rng.integers`` and one
-``rng.choice`` per item would, bit for bit, by relying on how numpy draws:
-each bounded integer is a Lemire draw on the generator's 32-bit stream whose
-consumption depends on its bound alone, and a bound of 0 consumes nothing;
-``choice`` without replacement is Floyd's algorithm then a shuffle of the
-picks, or, for a population above 10,000 and a sample above 1/50 of it, a
-shuffle of the tail of a full permutation. `TestDrawPicks` in the tests checks
-that contract against the installed numpy. Each episode re-embeds the training
+``rng.integers`` over every draw of every item (`_draw_picks`), whose bounds
+sit in one (items, 2 x negatives) array, an item's draws in its row, padded
+with bounds of 0. That gives the picks, and leaves the generator as, one
+``rng.integers`` and one ``rng.choice`` per item would, bit for bit, by
+relying on how numpy draws: each bounded integer is a Lemire draw on the
+generator's 32-bit stream whose consumption depends on its bound alone, and a
+bound of 0 consumes nothing; ``choice`` without replacement is Floyd's
+algorithm then a shuffle of the picks, or, for a population above 10,000 and
+a sample above 1/50 of it, a shuffle of the tail of a full permutation.
+`TestDrawPicks` in the tests checks that contract against the installed numpy.
+The queries' positive counts are taken once per fine-tuner and the pool sizes
+once per episode. Each episode re-embeds the training
 queries from their rows, refreshes their K-Means clusters, refreshes the
 negative pools (lexical BM25 negatives for episode 1, self-mined dense
 negatives afterwards), then runs a minibatch loop. A pool is a query's top k
@@ -35,10 +38,13 @@ drawn from the episode's generator, the one step of a BM25 pool that each
 fine-tuner makes for itself. Each step is one forward and one backward over
 the whole batch, each cluster scored as its own sub-batch, giving per-item
 losses and one gradient row per present cluster on the feature columns the
-batch touches. The per-cluster losses and rows are reweighted by the
-configured strategy and combined into one row on those columns, which the
-optimizer steps on directly; the robust-weight update over the present
-clusters follows. Both stages know before their first step every feature
+batch touches. The step groups its items by cluster once (`idro.ClusterLayout`),
+and the loss, the weighting and the backward all read that layout. The
+per-cluster losses and rows are reweighted by the configured strategy and
+combined into one row on those columns, which the optimizer steps on
+directly; the robust-weight update over the present clusters follows. A step
+keeps its log as arrays; the `LogRow` objects are made when ``log_rows`` is
+read. Both stages know before their first step every feature
 column a step can touch (the store's columns; the eligible documents'
 vocabulary), and Adam keeps its moments over that set from the start. The
 robust weights ``omega`` are the only weighting state carried between steps;
@@ -213,14 +219,17 @@ class Optimizer:
         w = flat.reshape(self.shape)
         grad_w = row.reshape(self.shape[1], cols.size).T
         if self.kind == "sgd":
-            w[cols] -= lr * grad_w
+            # ``take`` gathers the rows faster than ``w[cols]`` does, to the same values
+            stepped = w.take(cols, axis=0)
+            stepped -= lr * grad_w
+            w[cols] = stepped
             return
         at = np.searchsorted(self.live, cols)
         if np.any(at == self.live.size) or np.any(self.live[at] != cols):
             raise InvariantError("an Adam step touched a feature column outside its live set")
         grad = np.zeros_like(self.m_w)
         grad[at] = grad_w
-        live_w = w[self.live]
+        live_w = w.take(self.live, axis=0)
         live_w -= self._adam_step(self.m_w, self.v_w, grad, lr)
         w[self.live] = live_w
 
@@ -604,58 +613,52 @@ def _draw_picks(
     k, Floyd's algorithm, one draw below each ``j = L - k .. L - 1`` inclusive,
     then a shuffle of its k picks, one draw below each ``i = k - 1 .. 1``; and
     for numpy's tail branch, one draw below each ``i = L - 1 .. max(L - k, 1)``
-    while shuffling ``arange(L)``, whose last k entries are the picks. A draw
-    consumes the generator's 32-bit stream by its bound alone (Lemire's
-    method; a bound of 0 consumes nothing), so one ``rng.integers`` over all
-    the bounds, item after item, draws the same values. Floyd's repeat rule,
-    the shuffles' swaps and the tail shuffle then run on the drawn values.
+    while shuffling ``arange(L)``, whose last k entries are the picks. That is
+    at most 2k draws per item, so item i's bounds fill row i of an (items, 2k)
+    array, padded with bounds of 0. A draw consumes the generator's 32-bit
+    stream by its bound alone (Lemire's method; a bound of 0 consumes nothing
+    and draws 0), so one ``rng.integers`` over that array, row after row,
+    draws the same values. Floyd's repeat rule, the shuffles' swaps and the
+    tail shuffle then run on the drawn values.
     """
     n_pos, n_pool = np.asarray(n_pos, dtype=np.intp), np.asarray(n_pool, dtype=np.intp)
     tail = (n_pool >= k) & (n_pool > _TAIL_POPULATION) & (k > n_pool // _TAIL_CUTOFF)
     f = np.flatnonzero((n_pool >= k) & ~tail)
     r = np.flatnonzero((n_pool > 0) & (n_pool < k))
-    t = np.flatnonzero(tail).tolist()
-    width = np.ones(n_pool.size, dtype=np.intp)  # each item's draws, positive included
-    width[f] += 2 * k - 1
-    width[r] += k
-    for i in t:
-        width[i] += n_pool[i] - max(n_pool[i] - k, 1)
-    start = np.cumsum(width) - width
-    bounds = np.empty(start[-1] + width[-1], dtype=np.int64)
-    bounds[start] = n_pos - 1
-    floyd_at = start[f, None] + 1 + np.arange(2 * k - 1)
+    bounds = np.zeros((n_pool.size, 2 * k), dtype=np.int64)
+    bounds[:, 0] = n_pos - 1
     j = n_pool[f, None] - k + np.arange(k)
-    bounds[floyd_at[:, :k]] = j
-    bounds[floyd_at[:, k:]] = np.arange(k - 1, 0, -1)
-    bounds[start[r, None] + 1 + np.arange(k)] = n_pool[r, None] - 1
-    for i in t:
-        bounds[start[i] + 1 : start[i] + width[i]] = np.arange(n_pool[i] - 1,
-                                                               n_pool[i] - width[i], -1)
+    bounds[f, 1:k + 1] = j
+    bounds[f, k + 1:] = np.arange(k - 1, 0, -1)
+    bounds[r, 1:k + 1] = n_pool[r, None] - 1
+    # each tail-branch item's shuffle positions, one draw below each
+    tail_at = {i: range(n_pool[i] - 1, max(n_pool[i] - k, 1) - 1, -1)
+               for i in np.flatnonzero(tail).tolist()}
+    for i, at in tail_at.items():
+        bounds[i, 1:1 + len(at)] = at
 
-    drawn = rng.integers(0, bounds + 1)
+    drawn = rng.integers(0, bounds, endpoint=True)
 
     neg = np.empty((n_pool.size, k), dtype=np.int64)
-    neg[r] = drawn[start[r, None] + 1 + np.arange(k)]
+    neg[r] = drawn[r, 1:k + 1]
     # Floyd: a draw that repeats an earlier pick of its item takes its j instead.
-    picks = drawn[floyd_at[:, :k]]
+    picks = drawn[f, 1:k + 1]
     for c in range(1, k):
-        repeat = (picks[:, :c] == picks[:, c, None]).any(axis=1)
-        picks[:, c] = np.where(repeat, j[:, c], picks[:, c])
+        np.copyto(picks[:, c], j[:, c], where=(picks[:, :c] == picks[:, c, None]).any(axis=1))
     # Then the shuffle: draw c swaps pick k - 1 - c with the pick it names.
     flat, first = picks.reshape(-1), np.arange(0, picks.size, k)
-    for c, swap in enumerate(drawn[floyd_at[:, k:]].T):
+    for c, swap in enumerate(drawn[f, k + 1:].T):
         at, to = first + (k - 1 - c), first + swap
         held = flat[to]
         flat[to] = flat[at]
         flat[at] = held
     neg[f] = picks
-    for i in t:
+    for i, positions in tail_at.items():
         perm = np.arange(n_pool[i])
-        for at, swap in zip(range(n_pool[i] - 1, 0, -1),
-                            drawn[start[i] + 1 : start[i] + width[i]].tolist()):
+        for at, swap in zip(positions, drawn[i, 1:1 + len(positions)].tolist()):
             perm[at], perm[swap] = perm[swap], perm[at]
         neg[i] = perm[n_pool[i] - k :]
-    return drawn[start], neg[n_pool > 0]
+    return drawn[:, 0], neg[n_pool > 0]
 
 
 @dataclass
@@ -733,7 +736,9 @@ class Finetuner:
         self.omega = np.full(config.k_clusters, 1.0 / config.k_clusters)
         self.optimizer = Optimizer(config, params, np.unique(store.block.indices))
         self.episodes_done = 0
-        self.log_rows: list[LogRow] = []
+        # (step, episode, present ids, cluster losses, alpha, omega used, scalar) per step
+        self._log: list[tuple] = []
+        self._pos_sizes = store.positives.sizes()
         self.episode_records: list[EpisodeRecord] = []
         self.cluster_model: clustering.ClusterModel | None = None
 
@@ -755,11 +760,14 @@ class Finetuner:
         rng = _derived_rng(self.config.seed, _TAG_MINE, episode)
         if episode == 1:
             self.pools, n_fallback = bm25_negative_pools(self.store, self.config.mine_depth, rng)
-            return "bm25", n_fallback
-        self.pools, n_fallback = mine_negatives(
-            self.params, self.store, self.config.mine_depth, rng
-        )
-        return "self", n_fallback
+            source = "bm25"
+        else:
+            self.pools, n_fallback = mine_negatives(
+                self.params, self.store, self.config.mine_depth, rng
+            )
+            source = "self"
+        self._pool_sizes = self.pools.sizes()
+        return source, n_fallback
 
     def _build_batch(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """An (items, 2 + negatives) array of store rows, each row one item's
@@ -772,13 +780,15 @@ class Finetuner:
         ``rng.integers`` (`_draw_picks`), which give the picks of, and leave
         ``rng`` as, one ``rng.integers(pos.size)`` and one ``rng.choice(pool.size,
         negatives_per_query, replace=pool.size < negatives_per_query)`` per item.
+        The positive and pool sizes are those taken when the run and the
+        episode's pools were made.
         """
         cfg = self.config
         n = len(self.queries)
         chosen = rng.choice(n, size=cfg.batch_size, replace=cfg.batch_size > n)
         positives, pools = self.store.positives, self.pools
-        pool_sizes = pools.sizes()[chosen]
-        pos_picks, neg_picks = _draw_picks(rng, positives.sizes()[chosen], pool_sizes,
+        pool_sizes = self._pool_sizes[chosen]
+        pos_picks, neg_picks = _draw_picks(rng, self._pos_sizes[chosen], pool_sizes,
                                            cfg.negatives_per_query)
         has_pool = pool_sizes > 0
         items = chosen[has_pool]
@@ -795,11 +805,12 @@ class Finetuner:
         # The uniform and groupdro strategies keep difficulty weights uniform.
         beta = cfg.beta if cfg.weighting == "idro" else 0.0
 
+        layout = idro.ClusterLayout.of(clusters)
         item_losses, cols, grads = losses.retrieval_cluster_grads(
-            self.params, losses.TripletRows(self.store.block, rows), clusters
+            self.params, losses.TripletRows(self.store.block, rows), layout
         )
         scalar, present, cluster_losses, alpha = idro.idro_loss(
-            item_losses, clusters, self.omega, beta
+            item_losses, layout, self.omega, beta
         )
         omega_used = self.omega[present]
         combined = idro.combine_cluster_grads(grads, alpha, omega_used)
@@ -813,22 +824,22 @@ class Finetuner:
             self.omega = idro.groupdro_update(
                 self.omega, cluster_losses, cfg.groupdro_step_size, present
             )
-
-        episode = self.episodes_done + 1
-        for c, loss, a, w in zip(present.tolist(), cluster_losses.tolist(), alpha.tolist(),
-                                 omega_used.tolist()):
-            self.log_rows.append(
-                LogRow(
-                    step=step,
-                    episode=episode,
-                    cluster=c,
-                    loss=loss,
-                    alpha=a,
-                    omega=w,
-                    total_loss=scalar,
-                )
-            )
+        self._log_step(step, present, cluster_losses, alpha, omega_used, scalar)
         return scalar
+
+    def _log_step(self, step: int, present: np.ndarray, cluster_losses: np.ndarray,
+                  alpha: np.ndarray, omega_used: np.ndarray, scalar: float) -> None:
+        """Keep a step's log as its arrays; `log_rows` makes the rows from them."""
+        self._log.append((step, self.episodes_done + 1, present, cluster_losses, alpha,
+                          omega_used, scalar))
+
+    @property
+    def log_rows(self) -> list[LogRow]:
+        """One `LogRow` per present cluster of every step run, step by step, each
+        step's clusters in ascending id order; built on each read."""
+        return [LogRow(step, episode, c, loss, a, w, scalar)
+                for step, episode, *arrays, scalar in self._log
+                for c, loss, a, w in zip(*(arr.tolist() for arr in arrays))]
 
     def run_episode(self) -> EpisodeRecord:
         cfg = self.config

@@ -9,13 +9,13 @@ from typing import NamedTuple
 import numpy as np
 
 from robustdr import clustering, encoder, idro, retrieval_eval, trainer
-from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
+from robustdr.corpus import Document, Query, QuerySet
 from robustdr.encoder import EmbeddingMatrix, FeatureBlock, FeatureRows, Params, embed_items
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import TripletRows
 from robustdr.retrieval_eval import DenseIndex, RankedList
-from robustdr.synthetic import TaskBundle, _topic_vocab
+from robustdr.synthetic import _topic_vocab
 
 
 @dataclass(frozen=True, slots=True)
@@ -612,8 +612,8 @@ class ObjectFinetuner(trainer.Finetuner):
         step = self.optimizer.t
         beta = cfg.beta if cfg.weighting == "idro" else 0.0
         item_losses, cols, grads = loop_retrieval(self.params, items, clusters, True)
-        scalar, present, cluster_losses, alpha = idro.idro_loss(item_losses, clusters,
-                                                                self.omega, beta)
+        scalar, present, cluster_losses, alpha = idro.idro_loss(
+            item_losses, idro.ClusterLayout.of(clusters), self.omega, beta)
         omega_used = self.omega[present]
         combined = idro.combine_cluster_grads(grads, alpha, omega_used)
         lr = trainer.scheduled_lr(cfg.learning_rate, step, total_steps, trainer.WARMUP_FRAC)
@@ -624,11 +624,7 @@ class ObjectFinetuner(trainer.Finetuner):
         elif cfg.weighting == "groupdro":
             self.omega = idro.groupdro_update(self.omega, cluster_losses,
                                               cfg.groupdro_step_size, present)
-        episode = self.episodes_done + 1
-        for c, loss, a, w in zip(present.tolist(), cluster_losses.tolist(), alpha.tolist(),
-                                 omega_used.tolist()):
-            self.log_rows.append(trainer.LogRow(step=step, episode=episode, cluster=c, loss=loss,
-                                                alpha=a, omega=w, total_loss=scalar))
+        self._log_step(step, present, cluster_losses, alpha, omega_used, scalar)
         return scalar
 
 
@@ -690,7 +686,9 @@ def make_task_reference(
     query_vocab_per_topic=None,
 ):
     """`synthetic._make_task` drawing each document's tokens in a per-token loop
-    (`make_doc_tokens_reference`), topic by topic, then the queries."""
+    (`make_doc_tokens_reference`), topic by topic, then the queries, and
+    tokenizing each joined text again (`Document.from_fields`,
+    `Query.from_fields`); the same parts: name, documents, queries, judgments."""
     docs = []
     queries = []
     grades = {}
@@ -720,4 +718,4 @@ def make_task_reference(
             queries.append(Query.from_fields(qid, " ".join(tokens)))
             for doc_id in topic_doc_ids[topic]:
                 grades[(qid, doc_id)] = 1
-    return TaskBundle(name, Corpus(docs), QuerySet(queries), QrelSet(grades))
+    return name, docs, queries, grades

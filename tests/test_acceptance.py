@@ -132,7 +132,8 @@ def test_criterion_2_gradient_exactness():
             worst_idro = max(worst_idro, rel_err(analytic, numeric))
 
             # the same composite from the one-pass per-cluster kernel
-            _, cols, rows = losses.retrieval_cluster_grads(params, batch, np.array([4, 4, 9]))
+            _, cols, rows = losses.retrieval_cluster_grads(
+                params, batch, idro.ClusterLayout.of(np.array([4, 4, 9])))
             batched = scatter_grad(
                 params, cols, idro.combine_cluster_grads(rows, alpha, omega)
             )

@@ -252,7 +252,8 @@ class TestKernelsAgainstOracles:
 
     @given(feature_batches(), st.data())
     def test_grouped_backward_bytes_equal_mask_loop(self, batch, data):
-        """Unsorted groups, empty groups, and groups above the largest id present."""
+        """Items drawn in any group order, taken group by group in item order;
+        empty groups, and groups above the largest id present."""
         params, items = batch
         n_groups = data.draw(st.integers(1, 5))
         groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1), min_size=len(items),
@@ -260,15 +261,25 @@ class TestKernelsAgainstOracles:
         n_groups += data.draw(st.integers(0, 2))
         rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**16))))
         emb_grads = rng.normal(size=(len(items), params.embed_dim))
-        got = grouped_backward(params, items, emb_grads, groups, n_groups)
+        order = np.argsort(groups, kind="stable")
+        bounds = np.searchsorted(groups[order], np.arange(n_groups + 1))
+        got = grouped_backward(params, FeatureRows(items.block, items.rows[order]),
+                               emb_grads[order], bounds)
         want = grouped_backward_loop(params, item_vectors(items), emb_grads, groups, n_groups)
         assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("bounds", [[0], [1, 2], [0, 1], [0, 2, 1, 2], [[0, 2]]])
+    def test_grouped_backward_bounds_checked(self, bounds):
+        params = Params.init_random(16, 4, seed=0)
+        rows = FeatureRows(Featurizer(dim=16, seed=0)([["a"]]), np.array([0, 0]))
+        with pytest.raises(ValueError, match="bounds must ascend"):
+            grouped_backward(params, rows, np.zeros((2, 4)), np.array(bounds))
 
     def test_block_of_another_dimension_rejected(self):
         params = Params.init_random(32, 4, seed=0)
         rows = FeatureRows(Featurizer(dim=16, seed=0)([["a"]]), np.array([0, 0]))
         for call in (lambda: encode_many(params, rows),
-                     lambda: grouped_backward(params, rows, np.zeros((2, 4)), np.zeros(2), 1)):
+                     lambda: grouped_backward(params, rows, np.zeros((2, 4)), [0, 2])):
             with pytest.raises(ValueError, match="feature dim 16 does not match"):
                 call()
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from robustdr.errors import InvariantError
 from robustdr.idro import (
+    ClusterLayout,
     alpha_weights,
     combine_cluster_grads,
     groupdro_update,
@@ -41,6 +44,24 @@ def random_instance(rng, k=None, p=None):
     tau = float(rng.uniform(0.5, 5.0))
     beta = float(rng.uniform(0.0, 1.0))
     return losses, grads, omega_prev, tau, beta
+
+
+class TestClusterLayout:
+    @given(st.lists(st.integers(-2, 6), max_size=40))
+    def test_one_sort_gives_unique_and_the_stable_order(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        layout = ClusterLayout.of(ids)
+        present, group, sizes = np.unique(ids, return_inverse=True, return_counts=True)
+        for got, want in ((layout.present, present), (layout.group, group),
+                          (layout.sizes, sizes)):
+            assert got.tolist() == want.tolist()
+        assert layout.order.tolist() == np.argsort(ids, kind="stable").tolist()
+        assert layout.bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
+        assert len(layout) == ids.size
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="1-D"):
+            ClusterLayout.of(np.zeros((2, 2), dtype=np.int64))
 
 
 class TestAlphaWeights:
@@ -241,7 +262,7 @@ class TestIdroLoss:
     def test_k1_reduces_to_plain_mean(self):
         item_losses = np.array([0.5, 1.5, 1.0])
         scalar, present, means, alpha = idro_loss(
-            item_losses, np.zeros(3, dtype=np.int64), np.ones(1), 0.25
+            item_losses, ClusterLayout.of(np.zeros(3, dtype=np.int64)), np.ones(1), 0.25
         )
         assert scalar == float(item_losses.mean())
         np.testing.assert_array_equal(present, [0])
@@ -250,13 +271,14 @@ class TestIdroLoss:
     def test_uniform_weights_mean_of_cluster_means(self):
         item_losses = np.array([1.0, 3.0, 5.0])
         clusters = np.array([0, 0, 1])
-        scalar, *_ = idro_loss(item_losses, clusters, np.full(2, 0.5), 0.0)
+        scalar, *_ = idro_loss(item_losses, ClusterLayout.of(clusters), np.full(2, 0.5), 0.0)
         assert scalar == pytest.approx((2.0 + 5.0) / 2.0, abs=1e-12)
 
     def test_hand_computed_weighting(self):
         item_losses = np.array([1.0, 3.0, 4.0])
         clusters = np.array([0, 0, 1])
-        scalar, present, means, alpha = idro_loss(item_losses, clusters, np.array([0.3, 0.7]), 0.25)
+        scalar, present, means, alpha = idro_loss(
+            item_losses, ClusterLayout.of(clusters), np.array([0.3, 0.7]), 0.25)
         l0, l1 = 2.0, 4.0
         a0 = l0**0.25 / (l0**0.25 + l1**0.25)
         a1 = l1**0.25 / (l0**0.25 + l1**0.25)
@@ -272,28 +294,32 @@ class TestIdroLoss:
         item_losses = np.array([3.0, 1.0, 2.0, 5.0])
         clusters = np.array([4, 1, 4, 1])
         omega = np.array([0.05, 0.2, 0.3, 0.05, 0.4])
-        scalar, present, means, alpha = idro_loss(item_losses, clusters, omega, 0.25)
+        scalar, present, means, alpha = idro_loss(item_losses, ClusterLayout.of(clusters),
+                                                  omega, 0.25)
         np.testing.assert_array_equal(present, [1, 4])
         np.testing.assert_array_equal(means, [3.0, 2.5])
         assert alpha.tobytes() == alpha_weights(means, 0.25).tobytes()
         moved = np.array([0.3, 0.2, 0.02, 0.08, 0.4])  # same weights on clusters 1 and 4
-        again = idro_loss(item_losses, clusters, moved, 0.25)
+        again = idro_loss(item_losses, ClusterLayout.of(clusters), moved, 0.25)
         assert again[0] == scalar
         for got, want in zip(again[1:], (present, means, alpha)):
             assert got.tobytes() == want.tobytes()
         # the same items relabelled as the only clusters give the same scalar
-        compact, *_ = idro_loss(item_losses, np.array([1, 0, 1, 0]), omega[[1, 4]] / 0.6, 0.25)
+        compact, *_ = idro_loss(item_losses, ClusterLayout.of(np.array([1, 0, 1, 0])),
+                               omega[[1, 4]] / 0.6, 0.25)
         assert compact == pytest.approx(scalar, rel=1e-12)
 
     def test_unknown_cluster_rejected(self):
         with pytest.raises(InvariantError):
-            idro_loss(np.array([1.0]), np.array([5]), np.full(2, 0.5), 0.25)
+            idro_loss(np.array([1.0]), ClusterLayout.of(np.array([5])), np.full(2, 0.5), 0.25)
 
     def test_batch_scale_independence(self):
         """The same cluster losses give the same scalar at any batch composition."""
         omega = np.array([0.6, 0.4])
-        skewed, *_ = idro_loss(np.array([2.0, 2.0, 2.0, 4.0]), np.array([0, 0, 0, 1]), omega, 0.25)
-        balanced, *_ = idro_loss(np.array([2.0, 4.0]), np.array([0, 1]), omega, 0.25)
+        skewed, *_ = idro_loss(np.array([2.0, 2.0, 2.0, 4.0]),
+                               ClusterLayout.of(np.array([0, 0, 0, 1])), omega, 0.25)
+        balanced, *_ = idro_loss(np.array([2.0, 4.0]), ClusterLayout.of(np.array([0, 1])),
+                                 omega, 0.25)
         assert skewed == pytest.approx(balanced, rel=1e-12)
 
 

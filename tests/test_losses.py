@@ -5,7 +5,7 @@ import pytest
 
 from robustdr.encoder import FeatureBlock, FeatureRows, Featurizer, Params, scatter_grad
 from robustdr.errors import InvariantError
-from robustdr.idro import combine_cluster_grads, r_matrix
+from robustdr.idro import ClusterLayout, combine_cluster_grads, r_matrix
 from robustdr.losses import (
     TripletRows,
     _retrieval,
@@ -310,7 +310,7 @@ class TestClusterGrads:
             clusters = np.concatenate([ids, rng.choice(ids, size=n - k)])
             rng.shuffle(clusters)
 
-            losses, cols, rows = retrieval_cluster_grads(params, batch, clusters)
+            losses, cols, rows = retrieval_cluster_grads(params, batch, ClusterLayout.of(clusters))
             ref_losses, present, dense = per_cluster_reference(params, triplets(batch), clusters)
             assert losses.tobytes() == ref_losses.tobytes()
             assert rows.shape[0] == present.size == k
@@ -343,7 +343,7 @@ class TestClusterGrads:
         params, featurizer = small_encoder
         batch = triplet_rows(featurizer, rng, 4)
         clusters = np.array([3, 1, 3, 1])
-        losses, _, _ = retrieval_cluster_grads(params, batch, clusters)
+        losses, _, _ = retrieval_cluster_grads(params, batch, ClusterLayout.of(clusters))
         for c in (1, 3):
             members = np.flatnonzero(clusters == c)
             _, alone = retrieval_loss(params, pick(batch, members))
@@ -379,11 +379,11 @@ class TestAgainstLoops:
             batch = pooled_batch(featurizer, rng, pool, n, n_neg, fresh_docs)
             clusters = rng.integers(5, 8, size=n)
             for with_grad in (False, True):
-                got = _retrieval(params, batch, clusters, with_grad)
+                got = _retrieval(params, batch, ClusterLayout.of(clusters), with_grad)
                 want = loop_retrieval(params, triplets(batch), clusters, with_grad)
                 for name, a, b in zip(("losses", "cols", "rows"), got, want):
                     assert same_bytes(a, b), (trial, with_grad, name)
-            got = retrieval_cluster_grads(params, batch, clusters)
+            got = retrieval_cluster_grads(params, batch, ClusterLayout.of(clusters))
             assert all(same_bytes(a, b) for a, b in zip(got, want)), trial
 
     @pytest.mark.parametrize("wide", [False, True])
@@ -404,7 +404,7 @@ class TestAgainstLoops:
             batch = TripletRows(block, rows)
             clusters = rng.integers(5, 8, size=n)
             for with_grad in (False, True):
-                got = _retrieval(params, batch, clusters, with_grad)
+                got = _retrieval(params, batch, ClusterLayout.of(clusters), with_grad)
                 want = loop_retrieval(params, triplets(batch), clusters, with_grad)
                 for name, a, b in zip(("losses", "cols", "rows"), got, want):
                     assert same_bytes(a, b), (trial, with_grad, name)
@@ -417,8 +417,8 @@ class TestAgainstLoops:
     def test_retrieval_empty_batch_matches_item_loop(self, small_encoder):
         params, featurizer = small_encoder
         for with_grad in (False, True):
-            got = _retrieval(params, empty_batch(featurizer), np.empty(0, dtype=np.int64),
-                             with_grad)
+            got = _retrieval(params, empty_batch(featurizer),
+                             ClusterLayout.of(np.empty(0, dtype=np.int64)), with_grad)
             want = loop_retrieval(params, [], np.empty(0, dtype=np.int64), with_grad)
             assert all(same_bytes(a, b) for a, b in zip(got, want))
 

@@ -4,6 +4,7 @@ import robustdr
 
 PUBLIC = [
     "BlobFileError",
+    "ClusterLayout",
     "ConfigError",
     "Corpus",
     "CorpusFormatError",

@@ -3,6 +3,7 @@ import logging
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -537,6 +538,18 @@ class TestFinetune:
         assert a.params.flat.tobytes() == b.params.flat.tobytes()
         assert a.log_rows == b.log_rows
 
+    def test_log_rows_built_on_read(self):
+        """Training keeps each step's log as arrays; reading ``log_rows`` builds the
+        rows, equal on every read."""
+        ft = task_finetuner(tiny_config(), tiny_task())
+        made = []
+        with mock.patch.object(trainer, "LogRow", lambda *fields: made.append(fields)):
+            ft.run()
+        assert not made
+        rows = ft.log_rows
+        assert rows and all(type(row) is trainer.LogRow for row in rows)
+        assert ft.log_rows == rows and ft.log_rows is not rows
+
     def test_queries_without_positives_dropped(self, caplog):
         task = tiny_task()
         queries = QuerySet(list(task.queries) + [Query.from_fields("orphan", "nothing here")])
@@ -785,6 +798,23 @@ class TestObjectReference:
         rows, _ = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
         assert 0 < len(rows) < config.batch_size
 
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_imbalance_study_shape_matches_object_finetuner(self, weighting):
+        """The imbalance study's model and batch (4096 x 6, K = 20, B = 64, four
+        negatives, SGD) for 2 episodes x 3 steps, on a reduced imbalanced task:
+        each batch holds many present clusters and several nnz classes."""
+        task, _ = make_imbalanced_source(seed=experiments._IMBALANCE_SEED, n_major_topics=6,
+                                         n_rare_topics=3, docs_per_topic=6,
+                                         major_queries_per_topic=10, rare_queries_per_topic=10)
+        config = experiments.idro_experiment_config(0, weighting).replace(episodes=2,
+                                                                          steps_per_episode=3)
+        ft = self.assert_same_run(config, task.corpus, task.queries, task.qrels)
+        clusters_per_step = Counter(row.step for row in ft.log_rows)
+        assert len(clusters_per_step) == 6 and min(clusters_per_step.values()) >= 12
+        rows, _ = ft._build_batch(_derived_rng(config.seed, _TAG_BATCH, 1))
+        bounds = ft.store.block.bounds
+        assert len(rows) == 64 and np.unique(np.diff(bounds)[np.unique(rows)]).size >= 5
+
 
 class TestStoreMemo:
     """What a `FeatureStore` computes once for the fine-tuners sharing it equals
@@ -959,6 +989,47 @@ class TestDrawPicks:
         rng = np.random.Generator(np.random.PCG64(5))
         rng.integers(7)
         self.assert_same_draws(201, np.array([2, 1, 3]), np.array([10001, 0, 300]), rng)
+
+    def test_zero_bound_padding(self):
+        """One (items, 2k) bound array holds every item's draws, each row padded
+        with bounds of 0: a positive alone (empty pool), Floyd on a pool of k
+        (its first bound is 0) and above, a pool below k (with replacement), and
+        numpy's tail branch; drawn from a held 32-bit half."""
+        k = 201
+        n_pos = np.array([1, 3, 2, 1, 4, 2])
+        n_pool = np.array([0, k, 300, 5, 10001, 0])
+        rng = np.random.Generator(np.random.PCG64(17))
+        rng.integers(7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = rng.bit_generator.state
+
+        class Recorder:
+            """The generator, recording the inclusive bounds of each ``integers`` call."""
+
+            def __init__(self):
+                self.calls = []
+
+            def integers(self, low, high, endpoint=False):
+                self.calls.append(np.asarray(high) - (0 if endpoint else 1))
+                return rng.integers(low, high, endpoint=endpoint)
+
+        recorder = Recorder()
+        got = _draw_picks(recorder, n_pos, n_pool, k)
+        want = draw_picks_reference(twin, n_pos, n_pool, k)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        (bounds,) = recorder.calls
+        assert bounds.shape == (n_pool.size, 2 * k)
+        assert (bounds[:, 0] == n_pos - 1).all()
+        def floyd(size):  # one draw below each j, then the shuffle's
+            return [*range(size - k, size), *range(k - 1, 0, -1)]
+
+        expected_draws = {0: [], 1: floyd(k), 2: floyd(300), 3: [4] * k,
+                          4: list(range(10000, 10000 - k, -1)), 5: []}
+        for i, draws in expected_draws.items():
+            assert bounds[i, 1:].tolist() == draws + [0] * (2 * k - 1 - len(draws)), i
 
 
 class TestDegeneracyReductions:
