@@ -8,8 +8,8 @@ overriding the one before:
 2. the JSON object of `--config`, where the command takes one;
 3. the flags, each named after the config field it sets (`--k` sets
    `k_clusters` in finetune and `mine_depth` in mine);
-4. the header of `--checkpoint`, which fixes `feature_dim`, `embed_dim` and
-   `hash_seed`. A config-file or flag value that differs from the checkpoint's
+4. the encoder of `--checkpoint`, whose shape fixes `feature_dim` and
+   `embed_dim`. A config-file or flag value that differs from the checkpoint's
    is a config error naming the field.
 
 Every run writes that config, with the input paths, to resolved_config.json:
@@ -22,13 +22,14 @@ A finetune run directory holds each weight vector once. After episode n of N
 it holds the episode's cluster model, clusters_ep<n>.bin, and its weights: the
 checkpoint encoder_ep<n>.ckpt for n < N, and encoder.ckpt, the name every
 downstream command reads, for n = N (with no episodes, encoder.ckpt holds the
-initial weights); a checkpoint holds the weights feature-major, as `Params`
-keeps them. trainer_state.bin, rewritten each episode, holds the rest of the
-resumable state: the optimizer's step count, Adam's moments over every
-feature column of the training texts (one row per column, zero on those no
-step has touched yet) with those columns, and the episode counter (a resumed
-episode refits its clusters). It names the checkpoint it pairs with and holds
-the CRC-32 of its weights (`Finetuner.save_state`).
+initial weights); a checkpoint's header holds only the encoder's shape,
+feature_dim and embed_dim, and its payload the weights feature-major, as
+`Params` keeps them. trainer_state.bin, rewritten each episode, holds the
+rest of the resumable state: the optimizer's step count, Adam's moments over
+every feature column of the training texts (one row per column, zero on those
+no step has touched yet) with those columns, and the episode counter (a
+resumed episode refits its clusters). It names the checkpoint it pairs with
+and holds the CRC-32 of its weights (`Finetuner.save_state`).
 training_log.tsv, rewritten each episode, and episodes.tsv hold the per-step
 and per-episode logs.
 """
@@ -126,13 +127,13 @@ def _load_config(args, fixed: dict | None = None) -> RunConfig:
 def _load_encoder(args) -> tuple[Params, Featurizer, RunConfig]:
     """(params, featurizer, config): from --checkpoint when given, else seeded random."""
     if args.checkpoint:
-        params, header = load_checkpoint(_require_file(Path(args.checkpoint)))
-        encoder = ("feature_dim", "embed_dim", "hash_seed")
-        config = _load_config(args, {name: header[name] for name in encoder})
+        params = load_checkpoint(_require_file(Path(args.checkpoint)))
+        config = _load_config(args, {"feature_dim": params.feature_dim,
+                                     "embed_dim": params.embed_dim})
     else:
         config = _load_config(args)
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
-    return params, Featurizer(config.feature_dim, config.hash_seed), config
+    return params, Featurizer(config.feature_dim), config
 
 
 def _record_run(out: Path, command: str, config: RunConfig, inputs: dict) -> None:
@@ -167,7 +168,7 @@ def cmd_pretrain(args) -> int:
     corpora = [load_corpus(_require_file(Path(p))) for p in args.corpus]
     result = trainer.pretrain_coco(config, corpora)
     out = _out_dir(args)
-    save_checkpoint(result.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
+    save_checkpoint(result.params, out / "encoder.ckpt")
     blobfile.write_table(out / "pretrain_log.tsv", ["epoch", "mean_loss"],
                          enumerate(result.epoch_losses, start=1))
     _record_run(out, "pretrain", config, {"corpus": list(args.corpus)})
@@ -188,7 +189,7 @@ def cmd_finetune(args) -> int:
         clustering.save_cluster_model(finetuner.cluster_model, out / f"clusters_ep{episode}.bin")
         trainer.write_training_log(finetuner.log_rows, out / "training_log.tsv")
     if config.episodes == 0:
-        save_checkpoint(finetuner.params, out / "encoder.ckpt", hash_seed=config.hash_seed)
+        save_checkpoint(finetuner.params, out / "encoder.ckpt")
     blobfile.write_records(out / "episodes.tsv", trainer.EpisodeRecord,
                            finetuner.episode_records)
     _record_run(out, "finetune", config,
@@ -225,6 +226,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"pairs: must be >= 1, not {args.pairs}")
     params, featurizer, config = _load_encoder(args)
     corpus = load_corpus(_require_file(Path(args.corpus)))
     report = diagnostics.diagnostics_report(

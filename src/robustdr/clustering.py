@@ -32,7 +32,8 @@ class ClusterModel:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d float64 array over its L2 norm; zero rows stay zero."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return x / np.where(norms > 0.0, norms, 1.0)
 
@@ -89,7 +90,7 @@ def kmeans_fit(
 
     x = embeddings.matrix.astype(np.float64, copy=True)
     if normalize:
-        x = _normalize_rows(x)
+        x = normalize_rows(x)
 
     xx = np.sum(x * x, axis=1)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -11,16 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clustering import normalize_rows
 from .corpus import Corpus, sample_span_pair
 from .encoder import Featurizer, Params, encode_many
-
-
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-d embedding array")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms > 0.0, norms, 1.0)
 
 
 def alignment(x: np.ndarray, x_pos: np.ndarray) -> float:
@@ -31,14 +24,17 @@ def alignment(x: np.ndarray, x_pos: np.ndarray) -> float:
         raise ValueError("paired embedding arrays must have identical shapes")
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need at least one positive pair")
-    a = _normalize_rows(x)
-    b = _normalize_rows(x_pos)
+    a = normalize_rows(x)
+    b = normalize_rows(x_pos)
     return float(np.mean(np.sum((a - b) ** 2, axis=1)))
 
 
 def uniformity(sample: np.ndarray) -> float:
     """log mean of exp(-2 * squared distance) over distinct unordered pairs."""
-    x = _normalize_rows(sample)
+    x = np.asarray(sample, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-d embedding array")
+    x = normalize_rows(x)
     n = x.shape[0]
     if n < 2:
         raise ValueError("uniformity needs at least two embeddings")

@@ -59,7 +59,7 @@ from . import blobfile
 from .errors import InvariantError
 
 CHECKPOINT_FORMAT = "robustdr-encoder"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # The most items one stacked product of `encode_many` gathers weights for.
 _ROWS = 256
@@ -112,7 +112,8 @@ class FeatureRows:
 
 
 class Featurizer:
-    """Deterministic seeded hashing of tokens into `dim` count buckets.
+    """Feature hashing of tokens into `dim` count buckets: a token's bucket is its
+    unsalted 8-byte BLAKE2b digest, read little-endian, modulo `dim`.
 
     Calling the featurizer on a list of token lists featurizes them at once
     into one `FeatureBlock`, one row per token list: one cached bucket lookup
@@ -120,20 +121,16 @@ class Featurizer:
     so they are exact in float64 and equal to a per-token tally bit for bit.
     """
 
-    def __init__(self, dim: int, seed: int = 0):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("feature dimension must be >= 1")
         self.dim = dim
-        self.seed = seed
-        self._salt = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
         self._cache: dict[str, int] = {}
 
     def bucket(self, token: str) -> int:
         idx = self._cache.get(token)
         if idx is None:
-            digest = hashlib.blake2b(
-                token.encode("utf-8"), digest_size=8, salt=self._salt
-            ).digest()
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
             idx = int.from_bytes(digest, "little") % self.dim
             self._cache[token] = idx
         return idx
@@ -376,35 +373,22 @@ def embed_items(params: Params, featurizer: Featurizer, items: Iterable) -> Embe
     )
 
 
-_CHECKPOINT_FIELDS = {"feature_dim": int, "embed_dim": int, "hidden": bool, "hash_seed": int,
-                      "dtype": str, "n_params": int}
+_CHECKPOINT_FIELDS = {"feature_dim": int, "embed_dim": int}
 
 
-def save_checkpoint(params: Params, path: str | Path, hash_seed: int = 0) -> None:
-    """Write a checkpoint (see `blobfile`): the encoder's shape, then its flat weights
-    as held, feature-major (version 2; a version-1 file, which held them
-    embedding-major, is rejected).
-
-    The format's ``hidden`` header field is always false; a true one is rejected.
-    """
-    fields = {"feature_dim": params.feature_dim, "embed_dim": params.embed_dim,
-              "hidden": False, "hash_seed": hash_seed, "dtype": "<f8",
-              "n_params": len(params)}
+def save_checkpoint(params: Params, path: str | Path) -> None:
+    """Write a checkpoint (see `blobfile`): a header of the encoder's shape,
+    ``feature_dim`` and ``embed_dim``, then its flat weights as held,
+    feature-major (version 3; an earlier version is rejected)."""
+    fields = {"feature_dim": params.feature_dim, "embed_dim": params.embed_dim}
     blobfile.write(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, [params.flat])
 
 
-def _checkpoint_lengths(header: dict) -> list[int]:
-    if header["hidden"]:
-        raise ValueError("a checkpoint with a hidden layer is not supported")
-    n = Params.n_params(header["feature_dim"], header["embed_dim"])
-    if header["dtype"] != "<f8" or header["n_params"] != n:
-        raise ValueError(f"dtype and n_params must be '<f8' and {n} for these dimensions")
-    return [n]
-
-
-def load_checkpoint(path: str | Path) -> tuple[Params, dict]:
-    """Bit-exact reload of a checkpoint. Returns (params, header)."""
+def load_checkpoint(path: str | Path) -> Params:
+    """Bit-exact reload of a checkpoint; its one block holds
+    ``feature_dim * embed_dim`` weights."""
     header, (flat,) = blobfile.read(
-        path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _CHECKPOINT_FIELDS, _checkpoint_lengths
+        path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _CHECKPOINT_FIELDS,
+        lambda h: [Params.n_params(h["feature_dim"], h["embed_dim"])],
     )
-    return Params(header["feature_dim"], header["embed_dim"], flat=flat), header
+    return Params(header["feature_dim"], header["embed_dim"], flat=flat)

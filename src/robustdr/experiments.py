@@ -38,7 +38,6 @@ _IMBALANCE_SEED = 2000
 def coco_experiment_config(seed: int) -> RunConfig:
     return RunConfig(
         seed=seed,
-        hash_seed=0,
         feature_dim=4096,
         embed_dim=48,
         span_len=6,
@@ -80,7 +79,6 @@ def run_coco_directional(seed: int) -> dict:
 def idro_pretrain_config(seed: int) -> RunConfig:
     return RunConfig(
         seed=seed,
-        hash_seed=0,
         feature_dim=4096,
         embed_dim=6,
         span_len=6,
@@ -97,7 +95,6 @@ def idro_experiment_config(seed: int, weighting: str) -> RunConfig:
     # keeps per-group progress proportional to the weighted gradient mass.
     return RunConfig(
         seed=seed,
-        hash_seed=0,
         feature_dim=4096,
         embed_dim=6,
         span_len=6,

@@ -54,6 +54,15 @@ class TaskBundle:
     qrels: QrelSet
 
 
+# Words per topic's document vocabulary, tokens per document, the inclusive
+# range of a query's topic-word count, and the share of function words among
+# document tokens, the same for every task.
+VOCAB_PER_TOPIC = 40
+DOC_LEN = 30
+QUERY_LEN_RANGE = (4, 7)
+FW_RATE = 0.3
+
+
 def _topic_vocab(prefix: str, topic: int, size: int) -> list[str]:
     return [f"{prefix}t{topic}w{w}" for w in range(size)]
 
@@ -136,10 +145,6 @@ def _make_task(
     queries_per_topic: int,
     function_words: list[str],
     rng: np.random.Generator,
-    vocab_per_topic: int = 40,
-    doc_len: int = 30,
-    query_len_range: tuple[int, int] = (4, 7),
-    fw_rate: float = 0.3,
     query_vocab_per_topic: int | None = None,
 ) -> tuple[str, list[Document], list[Query], dict[tuple[str, str], int]]:
     """One topical retrieval task as its name, documents, queries and judgments.
@@ -155,30 +160,30 @@ def _make_task(
     # size, so one batch holds them all; one table maps each pick to its word:
     # the function words, then every topic's vocabulary.
     n_docs, n_fw = n_topics * docs_per_topic, len(function_words)
-    is_fw, picks = _token_draws(rng, n_docs * doc_len, fw_rate, n_fw, vocab_per_topic)
+    is_fw, picks = _token_draws(rng, n_docs * DOC_LEN, FW_RATE, n_fw, VOCAB_PER_TOPIC)
     table = np.array(function_words + [w for topic in range(n_topics)
-                                       for w in _topic_vocab(prefix, topic, vocab_per_topic)],
+                                       for w in _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)],
                      dtype=object)
-    topic_of = np.repeat(np.arange(n_topics), docs_per_topic * doc_len)
-    rows = np.where(is_fw, picks, n_fw + topic_of * vocab_per_topic + picks)
+    topic_of = np.repeat(np.arange(n_topics), docs_per_topic * DOC_LEN)
+    rows = np.where(is_fw, picks, n_fw + topic_of * VOCAB_PER_TOPIC + picks)
     words = table[rows].tolist()
     topic_doc_ids = [[f"{prefix}-t{topic}-d{d}" for d in range(docs_per_topic)]
                      for topic in range(n_topics)]
     docs = []
     for i, doc_id in enumerate(chain.from_iterable(topic_doc_ids)):
-        tokens = tuple(words[i * doc_len : (i + 1) * doc_len])
+        tokens = tuple(words[i * DOC_LEN : (i + 1) * DOC_LEN])
         docs.append(Document(doc_id, " ".join(tokens), tokens=tokens))
     queries = []
     grades: dict[tuple[str, str], int] = {}
     for topic in range(n_topics):
-        doc_vocab = _topic_vocab(prefix, topic, vocab_per_topic)
+        doc_vocab = _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)
         if query_vocab_per_topic is None:
             vocab = doc_vocab
         else:
             vocab = _topic_vocab(f"{prefix}qry", topic, query_vocab_per_topic)
         for q in range(queries_per_topic):
             qid = f"{prefix}-t{topic}-q{q}"
-            qlen = int(rng.integers(query_len_range[0], query_len_range[1] + 1))
+            qlen = int(rng.integers(QUERY_LEN_RANGE[0], QUERY_LEN_RANGE[1] + 1))
             tokens = [vocab[int(rng.integers(len(vocab)))] for _ in range(qlen)]
             if query_vocab_per_topic is not None:
                 # one in-topic document word: queries still resemble their

@@ -104,7 +104,6 @@ class RunConfig:
     """All run hyperparameters in one serializable record."""
 
     seed: int = 0
-    hash_seed: int = 0
     # encoder
     feature_dim: int = 2**15
     embed_dim: int = 64
@@ -145,7 +144,7 @@ class RunConfig:
                      "negatives_per_query", "mine_depth", "k_clusters", "kmeans_iters"):
             if getattr(self, name) < 1:
                 bad(name, "must be >= 1")
-        for name in ("pretrain_epochs", "episodes", "steps_per_episode"):
+        for name in ("seed", "pretrain_epochs", "episodes", "steps_per_episode"):
             if getattr(self, name) < 0:
                 bad(name, "must be >= 0")
         for name in ("learning_rate", "beta", "groupdro_step_size"):
@@ -257,11 +256,11 @@ class Optimizer:
         return step
 
 
-def scheduled_lr(base: float, step_idx: int, total_steps: int, warmup_frac: float) -> float:
-    """Linear warmup over the first `warmup_frac` of steps, then linear decay."""
+def scheduled_lr(base: float, step_idx: int, total_steps: int) -> float:
+    """Linear warmup over the first `WARMUP_FRAC` of steps, then linear decay."""
     if total_steps <= 0:
         return base
-    warm = int(round(total_steps * warmup_frac))
+    warm = int(round(total_steps * WARMUP_FRAC))
     if warm > 0 and step_idx < warm:
         return base * (step_idx + 1) / warm
     remaining = total_steps - warm
@@ -303,7 +302,7 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
         raise ValueError(
             "pretraining needs at least two documents long enough for two disjoint spans"
         )
-    featurizer = Featurizer(config.feature_dim, config.hash_seed)
+    featurizer = Featurizer(config.feature_dim)
     params = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
     # Every span is a window of an eligible document, so its columns are among
     # those of the documents' vocabulary, featurized as one row.
@@ -326,7 +325,7 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
             batch = _span_pair_batch([docs[int(i)] for i in chunk], config.span_len,
                                      featurizer, rng)
             loss, cols, row = losses.coco_loss_grad(params, batch)
-            lr = scheduled_lr(config.learning_rate, step_idx, total_steps, WARMUP_FRAC)
+            lr = scheduled_lr(config.learning_rate, step_idx, total_steps)
             optimizer.step(params.flat, cols, row, lr)
             losses_this_epoch.append(loss)
             step_idx += 1
@@ -496,7 +495,7 @@ def training_store(config: RunConfig, corpus: Corpus, queries: QuerySet,
             logger.warning("query %r has no positive judgments; dropped", query.id)
     if not kept:
         raise ValueError("no training queries with positive judgments")
-    return FeatureStore(Featurizer(config.feature_dim, config.hash_seed), kept, corpus, qrels)
+    return FeatureStore(Featurizer(config.feature_dim), kept, corpus, qrels)
 
 
 def _fallback_pool(
@@ -699,7 +698,7 @@ class Finetuner:
     """Episode-based fine-tuning on labeled source data.
 
     It trains on ``store``, a `FeatureStore` made with the config's
-    ``feature_dim`` and ``hash_seed`` (a ConfigError otherwise) whose queries
+    ``feature_dim`` (a ConfigError otherwise) whose queries
     each have a positive judgment, as `training_store` makes it; positives,
     negative pools and batches are row ids of it. The fine-tuner changes
     nothing the store was built with, so several may share one; what the
@@ -720,11 +719,9 @@ class Finetuner:
         for name in ("feature_dim", "embed_dim"):
             if getattr(params, name) != getattr(config, name):
                 raise ConfigError(f"{name}: the encoder does not match the config")
-        for name, value in (("feature_dim", store.featurizer.dim),
-                            ("hash_seed", store.featurizer.seed)):
-            if value != getattr(config, name):
-                raise ConfigError(f"{name}: the feature store was featurized with {value}, "
-                                  f"the config has {getattr(config, name)}")
+        if store.featurizer.dim != config.feature_dim:
+            raise ConfigError(f"feature_dim: the feature store was featurized with "
+                              f"{store.featurizer.dim}, the config has {config.feature_dim}")
         if not store.n_queries or not store.positives.sizes().all():
             raise ValueError("the feature store needs queries that each have a positive "
                              "judgment; see training_store")
@@ -814,7 +811,7 @@ class Finetuner:
         )
         omega_used = self.omega[present]
         combined = idro.combine_cluster_grads(grads, alpha, omega_used)
-        lr = scheduled_lr(cfg.learning_rate, step, total_steps, WARMUP_FRAC)
+        lr = scheduled_lr(cfg.learning_rate, step, total_steps)
         self.optimizer.step(self.params.flat, cols, combined, lr)
 
         if cfg.weighting == "idro":
@@ -893,7 +890,7 @@ class Finetuner:
         path, checkpoint = Path(path), Path(checkpoint)
         if checkpoint.resolve().parent != path.resolve().parent:
             raise ValueError(f"{checkpoint}: the checkpoint must sit next to the state {path}")
-        save_checkpoint(self.params, checkpoint, hash_seed=self.config.hash_seed)
+        save_checkpoint(self.params, checkpoint)
         opt = self.optimizer
         blocks = {}
         if opt.kind == "adam":
@@ -936,13 +933,14 @@ class Finetuner:
         if not checkpoint.is_file():
             raise BlobFileError(f"{prefix} {checkpoint} is missing")
         try:
-            params, header = load_checkpoint(checkpoint)
+            params = load_checkpoint(checkpoint)
         except BlobFileError as exc:
             raise BlobFileError(f"{prefix} {exc}") from None
-        for name in ("feature_dim", "embed_dim", "hash_seed"):
-            if header[name] != getattr(self.config, name):
-                raise BlobFileError(f"{prefix} {checkpoint} has {name} {header[name]}, "
-                                    f"this run {getattr(self.config, name)}")
+        for name in ("feature_dim", "embed_dim"):
+            if getattr(params, name) != getattr(self.config, name):
+                raise BlobFileError(f"{prefix} {checkpoint} has {name} "
+                                    f"{getattr(params, name)}, this run "
+                                    f"{getattr(self.config, name)}")
         if _weights_crc32(params.flat) != meta["weights_crc32"]:
             raise BlobFileError(f"{prefix} {checkpoint} holds other weights than the state's "
                                 f"weights_crc32")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from robustdr import blobfile
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
-from robustdr.encoder import FeatureRows, Featurizer, Params
+from robustdr.encoder import CHECKPOINT_FORMAT, FeatureRows, Featurizer, Params
 
 settings.register_profile(
     "repeatable",
@@ -62,6 +63,15 @@ def rows_of(items: FeatureRows, *picks) -> FeatureRows:
 @pytest.fixture
 def small_encoder():
     """A small random encoder plus its featurizer, for loss/gradient tests."""
-    featurizer = Featurizer(dim=48, seed=7)
+    featurizer = Featurizer(dim=48)
     params = Params.init_random(feature_dim=48, embed_dim=6, seed=3)
     return params, featurizer
+
+
+def save_version_2_checkpoint(params: Params, path) -> None:
+    """``params`` as a version-2 checkpoint held them: the same feature-major
+    payload, under a header that also named the hash seed (always 0), a hidden
+    layer (always false), the dtype and the weight count."""
+    fields = {"feature_dim": params.feature_dim, "embed_dim": params.embed_dim,
+              "hash_seed": 0, "hidden": False, "dtype": "<f8", "n_params": len(params)}
+    blobfile.write(path, CHECKPOINT_FORMAT, 2, fields, [params.flat])

@@ -15,7 +15,7 @@ from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import TripletRows
 from robustdr.retrieval_eval import DenseIndex, RankedList
-from robustdr.synthetic import _topic_vocab
+from robustdr.synthetic import DOC_LEN, FW_RATE, QUERY_LEN_RANGE, VOCAB_PER_TOPIC, _topic_vocab
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,7 +473,7 @@ def assign(model, embeddings):
         )
     x = embeddings.matrix.astype(np.float64, copy=True)
     if model.normalized:
-        x = clustering._normalize_rows(x)
+        x = clustering.normalize_rows(x)
     labels = np.argmin(_sq_dists_reference(x, model.centroids), axis=1)
     return {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
 
@@ -486,7 +486,7 @@ def kmeans_fit_reference(embeddings, n_clusters, seed=0, max_iters=100, normaliz
     n = len(embeddings)
     x = embeddings.matrix.astype(np.float64, copy=True)
     if normalize:
-        x = clustering._normalize_rows(x)
+        x = clustering.normalize_rows(x)
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
     centroids[0] = x[int(rng.integers(n))]
@@ -560,7 +560,7 @@ class ObjectFinetuner(trainer.Finetuner):
     def __init__(self, config, params, corpus, queries, qrels):
         super().__init__(config, params, trainer.training_store(config, corpus, queries, qrels))
         self.corpus, self.qrels = corpus, qrels
-        self.featurizer = encoder.Featurizer(config.feature_dim, config.hash_seed)
+        self.featurizer = encoder.Featurizer(config.feature_dim)
         self.positives = {q.id: list(qrels.positives(q.id)) for q in self.queries}
         featurize = self.featurizer
         self.query_fvs = vectors(featurize(q.tokens for q in self.queries))
@@ -616,7 +616,7 @@ class ObjectFinetuner(trainer.Finetuner):
             item_losses, idro.ClusterLayout.of(clusters), self.omega, beta)
         omega_used = self.omega[present]
         combined = idro.combine_cluster_grads(grads, alpha, omega_used)
-        lr = trainer.scheduled_lr(cfg.learning_rate, step, total_steps, trainer.WARMUP_FRAC)
+        lr = trainer.scheduled_lr(cfg.learning_rate, step, total_steps)
         self.optimizer.step(self.params.flat, cols, combined, lr)
         if cfg.weighting == "idro":
             r = idro.r_matrix(cluster_losses, grads, beta)
@@ -682,7 +682,6 @@ def make_doc_tokens_reference(vocab, function_words, doc_len, fw_rate, rng):
 
 def make_task_reference(
     name, prefix, n_topics, docs_per_topic, queries_per_topic, function_words, rng,
-    vocab_per_topic=40, doc_len=30, query_len_range=(4, 7), fw_rate=0.3,
     query_vocab_per_topic=None,
 ):
     """`synthetic._make_task` drawing each document's tokens in a per-token loop
@@ -694,23 +693,23 @@ def make_task_reference(
     grades = {}
     topic_doc_ids = []
     for topic in range(n_topics):
-        vocab = _topic_vocab(prefix, topic, vocab_per_topic)
+        vocab = _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)
         ids = []
         for d in range(docs_per_topic):
             doc_id = f"{prefix}-t{topic}-d{d}"
-            tokens = make_doc_tokens_reference(vocab, function_words, doc_len, fw_rate, rng)
+            tokens = make_doc_tokens_reference(vocab, function_words, DOC_LEN, FW_RATE, rng)
             docs.append(Document.from_fields(doc_id, " ".join(tokens)))
             ids.append(doc_id)
         topic_doc_ids.append(ids)
     for topic in range(n_topics):
-        doc_vocab = _topic_vocab(prefix, topic, vocab_per_topic)
+        doc_vocab = _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)
         if query_vocab_per_topic is None:
             vocab = doc_vocab
         else:
             vocab = _topic_vocab(f"{prefix}qry", topic, query_vocab_per_topic)
         for q in range(queries_per_topic):
             qid = f"{prefix}-t{topic}-q{q}"
-            qlen = int(rng.integers(query_len_range[0], query_len_range[1] + 1))
+            qlen = int(rng.integers(QUERY_LEN_RANGE[0], QUERY_LEN_RANGE[1] + 1))
             tokens = [vocab[int(rng.integers(len(vocab)))] for _ in range(qlen)]
             if query_vocab_per_topic is not None:
                 tokens.append(doc_vocab[int(rng.integers(len(doc_vocab)))])

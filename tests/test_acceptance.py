@@ -91,11 +91,15 @@ def test_criterion_2_gradient_exactness():
     with criterion("criterion 2 (analytic gradients vs finite differences)"):
         start = time.monotonic()
         rng = np.random.Generator(np.random.PCG64(7))
-        featurizer = Featurizer(dim=14, seed=5)
+        # 13 buckets for a 40-word vocabulary, so texts collide. At 14, 15 or 19
+        # buckets some batch has a gradient entry of exactly zero, where central
+        # differences read one rounding step of the loss over 2 * step (5.6e-12),
+        # which rel_err's 1e-8 floor turns into 5.5e-4.
+        featurizer = Featurizer(dim=13)
 
         worst_retrieval = worst_coco = worst_idro = 0.0
         for i in range(20):
-            params = Params.init_random(14, 3, seed=100 + i)
+            params = Params.init_random(13, 3, seed=100 + i)
 
             # 3 items of 1-3 negatives, each text its own row of one block
             n_neg = int(rng.integers(1, 4))

@@ -24,6 +24,7 @@ from robustdr.clustering import kmeans_fit, load_cluster_model, save_cluster_mod
 from robustdr.encoder import EmbeddingMatrix, Params, load_checkpoint, save_checkpoint
 from robustdr.errors import BlobFileError
 from robustdr.trainer import Finetuner, training_store
+from tests.conftest import save_version_2_checkpoint
 from tests.test_trainer import tiny_config, tiny_task
 
 
@@ -47,7 +48,7 @@ def _finetuner(config, task):
 
 
 def _checkpoint(path):
-    save_checkpoint(Params.init_random(20, 4, seed=6), path, hash_seed=3)
+    save_checkpoint(Params.init_random(20, 4, seed=6), path)
     return load_checkpoint
 
 
@@ -192,7 +193,7 @@ def _embedding_major_in_state_v8(path):
     """A version-8 state of the 8 x 512 encoder: Adam's moments 8 x L, one row per
     embedding dimension, and the SHA-256 of the paired weights held embedding-major."""
     fields, blocks = _state_blocks(path)
-    params, _ = load_checkpoint(path.with_name(fields["checkpoint"]))
+    params = load_checkpoint(path.with_name(fields["checkpoint"]))
     del fields["weights_crc32"]
     fields["weights_sha256"] = hashlib.sha256(params.W.tobytes()).hexdigest()
     return fields, {**blocks, **{name: blocks[name].reshape(-1, 8).T.ravel()
@@ -223,7 +224,7 @@ def _clusters_in_state_v6(fields, blocks):
 def _weights_in_state_v5(path, fields, blocks):
     """A version-5 state of the 8 x 512 encoder: the weights in a leading ``flat``
     block, no paired checkpoint."""
-    params, _ = load_checkpoint(path.with_name(fields.pop("checkpoint")))
+    params = load_checkpoint(path.with_name(fields.pop("checkpoint")))
     del fields["weights_sha256"]
     return fields, {"flat": params.W.ravel(), **blocks}
 
@@ -273,9 +274,9 @@ def _negated_first_positive(arr):
     return arr
 
 
-def _resaved(d, name, params, hash_seed=0):
-    """The file name of ``params`` saved as a checkpoint in directory ``d``."""
-    save_checkpoint(params, d / name, hash_seed=hash_seed)
+def _resaved(d, name, params, save=save_checkpoint):
+    """The file name of ``params`` saved by ``save`` as a checkpoint in directory ``d``."""
+    save(params, d / name)
     return name
 
 
@@ -324,10 +325,10 @@ _CORRUPTIONS = {
                                                      Params.init_random(256, 8, seed=9))),
         _PAIRED + "other.ckpt has feature_dim 256, this run 512",
     ),
-    "checkpoint-other-hash_seed": (  # the same weights
+    "checkpoint-version-2": (  # the same weights, as the previous format held them
         lambda f, b, d: f.update(checkpoint=_resaved(
-            d, "other.ckpt", load_checkpoint(d / f["checkpoint"])[0], hash_seed=1)),
-        _PAIRED + "other.ckpt has hash_seed 1, this run 0",
+            d, "other.ckpt", load_checkpoint(d / f["checkpoint"]), save_version_2_checkpoint)),
+        _PAIRED + "other.ckpt: unsupported robustdr-encoder version 2",
     ),
     "checkpoint-parent-dir": (lambda f, b, d: f.update(checkpoint="../x.ckpt"),
                               "checkpoint '../x.ckpt' is not a bare file name"),
@@ -343,9 +344,9 @@ def test_trainer_state_negative_moment_or_count_rejected(saved_state, tmp_path, 
     """A negative second moment would reach a sqrt in the next step; a negative
     step count, the bias correction. A ``live`` block must hold this run's
     feature columns, and the episode counter must be an integer from 0 to the
-    run's episodes. The paired checkpoint must
-    be a file beside the state, of this run's encoder and of the weights the
-    state's digest names. A rejected file changes nothing in the loading
+    run's episodes. The paired checkpoint must be a file beside the state, of
+    the current checkpoint version, of this run's encoder and of the weights
+    the state's digest names. A rejected file changes nothing in the loading
     `Finetuner`."""
     fields, blocks = _state_blocks(saved_state)
     shutil.copy(saved_state.with_name(fields["checkpoint"]), tmp_path)
@@ -475,10 +476,10 @@ def test_trainer_state_of_hidden_layer_rejected(saved_state, tmp_path):
 def test_read_holds_the_payload_once(tmp_path):
     """A load reads the payload into one array and makes its blocks views of it."""
     params = Params.init_random(4096, 64, seed=6)
-    save_checkpoint(params, tmp_path / "w.ckpt", hash_seed=0)
+    save_checkpoint(params, tmp_path / "w.ckpt")
     tracemalloc.start()
     try:
-        loaded, _ = load_checkpoint(tmp_path / "w.ckpt")
+        loaded = load_checkpoint(tmp_path / "w.ckpt")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -19,6 +19,7 @@ from robustdr.encoder import (
 )
 from robustdr.trainer import STATE_VERSION
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark, write_task_dir
+from tests.conftest import save_version_2_checkpoint
 from tests.oracles import mined_pools_reference
 
 
@@ -178,7 +179,7 @@ class TestPipelineCommands:
 
         out = tmp_path / "erm"
         assert main(finetune_args(task_dir, out, ("--weighting", "uniform"))) == 0
-        cli_params, _ = load_checkpoint(out / "encoder.ckpt")
+        cli_params = load_checkpoint(out / "encoder.ckpt")
 
         config = RunConfig.from_dict(
             json.loads((out / "resolved_config.json").read_text())["config"]
@@ -200,7 +201,7 @@ class TestPipelineCommands:
         args = finetune_args(task_dir, tmp_path / "ft")
         args[args.index("--episodes") + 1] = "0"
         assert main(args) == 0
-        save_checkpoint(Params.init_random(256, 8, seed=7), tmp_path / "init.ckpt", hash_seed=0)
+        save_checkpoint(Params.init_random(256, 8, seed=7), tmp_path / "init.ckpt")
         assert (tmp_path / "ft" / "encoder.ckpt").read_bytes() == (
             tmp_path / "init.ckpt").read_bytes()
         assert sorted(p.name for p in (tmp_path / "ft").iterdir()) == [
@@ -208,7 +209,7 @@ class TestPipelineCommands:
 
     def test_mine_writes_pools(self, task_dir, tmp_path):
         ckpt = tmp_path / "enc.ckpt"
-        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt, hash_seed=0)
+        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt)
         out = tmp_path / "mine"
         code = main([
             "mine",
@@ -229,12 +230,12 @@ class TestPipelineCommands:
         """negatives.json against per-query dense rankings and pools, fallbacks included."""
         ckpt = tmp_path / "enc.ckpt"
         params = Params.init_random(256, 8, seed=0)
-        save_checkpoint(params, ckpt, hash_seed=0)
+        save_checkpoint(params, ckpt)
         out = tmp_path / "mine"
         assert main(["mine", f"--checkpoint={ckpt}", *task_flags(task_dir), f"--k={k}",
                      f"--out={out}", "--seed=1"]) == 0
         pools, n_fallback = mined_pools_reference(
-            params, Featurizer(256, 0), load_queries(task_dir / "queries.jsonl"),
+            params, Featurizer(256), load_queries(task_dir / "queries.jsonl"),
             load_corpus(task_dir / "corpus.jsonl"), load_qrels(task_dir / "qrels.tsv"), k,
             np.random.Generator(np.random.PCG64(1)),
         )
@@ -244,7 +245,7 @@ class TestPipelineCommands:
 
     def test_diagnose_writes_report(self, task_dir, tmp_path):
         ckpt = tmp_path / "enc.ckpt"
-        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt, hash_seed=0)
+        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt)
         out = tmp_path / "diag"
         code = main([
             "diagnose",
@@ -265,7 +266,7 @@ class TestPipelineCommands:
 
         docs = [Document.from_fields(f"d{i}", f"planted{i}") for i in range(4)]
         queries = [Query.from_fields(f"q{i}", f"planted{i}") for i in range(4)]
-        featurizer = Featurizer(dim=512, seed=0)
+        featurizer = Featurizer(dim=512)
         assert len(set(featurizer([[f"planted{i}"] for i in range(4)]).indices)) == 4
         data = tmp_path / "data"
         data.mkdir()
@@ -276,9 +277,7 @@ class TestPipelineCommands:
             + "".join(f"q{i}\td{i}\t1\n" for i in range(4))
         )
         ckpt = tmp_path / "identity.ckpt"
-        save_checkpoint(
-            Params(feature_dim=512, embed_dim=512, flat=np.eye(512).ravel()), ckpt, hash_seed=0
-        )
+        save_checkpoint(Params(feature_dim=512, embed_dim=512, flat=np.eye(512).ravel()), ckpt)
         out = tmp_path / "ev"
         code = main([
             "evaluate",
@@ -303,7 +302,7 @@ class TestConfigLayers:
     @pytest.fixture
     def ckpt(self, tmp_path):
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(Params.init_random(256, 8, seed=0), path, hash_seed=5)
+        save_checkpoint(Params.init_random(256, 8, seed=0), path)
         return path
 
     @pytest.mark.parametrize("command", ["finetune", "evaluate", "mine", "diagnose"])
@@ -318,9 +317,9 @@ class TestConfigLayers:
             argv += task_flags(task_dir)
         assert main(argv) == 0
         config = json.loads((out / "resolved_config.json").read_text())["config"]
-        assert {k: config[k] for k in ("feature_dim", "embed_dim", "hash_seed")} == {
-            "feature_dim": 256, "embed_dim": 8, "hash_seed": 5}
-        assert "hidden" not in config
+        assert {k: config[k] for k in ("feature_dim", "embed_dim")} == {
+            "feature_dim": 256, "embed_dim": 8}
+        assert "hidden" not in config and "hash_seed" not in config
 
     def test_flag_conflicting_with_checkpoint_exits_2(self, task_dir, tmp_path, ckpt, capsys):
         args = finetune_args(task_dir, tmp_path / "x", ("--checkpoint", str(ckpt)))
@@ -463,6 +462,37 @@ class TestExitCodes:
         assert "hidden: unknown config field" in capsys.readouterr().err
         assert not (tmp_path / "x" / "encoder.ckpt").exists()
 
+    def test_removed_hash_seed_field_exits_2(self, task_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hash_seed": 0}))
+        assert main(finetune_args(task_dir, tmp_path / "x", ("--config", str(config)))) == 2
+        assert "hash_seed: unknown config field" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "encoder.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_negative_seed_exits_2(self, task_dir, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        if command == "pretrain":
+            argv = ["pretrain", "--corpus", str(task_dir / "corpus.jsonl"), "--out", str(out),
+                    "--span-len", "3", "--feature-dim", "256", "--embed-dim", "8"]
+        else:
+            argv = finetune_args(task_dir, out)
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+        assert not (out / "encoder.ckpt").exists()
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_diagnose_pairs_below_1_exit_2(self, task_dir, tmp_path, capsys, pairs):
+        ckpt = tmp_path / "enc.ckpt"
+        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt)
+        out = tmp_path / "diag"
+        code = main(["diagnose", "--checkpoint", str(ckpt),
+                     "--corpus", str(task_dir / "corpus.jsonl"), "--pairs", str(pairs),
+                     "--span-len", "3", "--out", str(out)])
+        assert code == 2
+        assert "pairs: must be >= 1" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+
     @pytest.mark.parametrize("value", [False, True])
     def test_removed_in_batch_field_exits_2(self, task_dir, tmp_path, capsys, value):
         config = tmp_path / "config.json"
@@ -497,7 +527,7 @@ class TestExitCodes:
 
     def test_malformed_checkpoint_exits_3_naming_path(self, task_dir, tmp_path, capsys):
         ckpt = tmp_path / "enc.ckpt"
-        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt, hash_seed=0)
+        save_checkpoint(Params.init_random(256, 8, seed=0), ckpt)
         full_header = ckpt.read_bytes().split(b"\n")[0] + b"\n"
         fieldless = b'{"format": "robustdr-encoder", "version": %d}\n' % CHECKPOINT_VERSION
         for header in (fieldless, full_header):
@@ -517,7 +547,7 @@ class TestExitCodes:
         ckpt = tmp_path / "enc.ckpt"
         params = Params.init_random(256, 8, seed=0)
         params.flat[17] = np.nan
-        save_checkpoint(params, ckpt, hash_seed=0)
+        save_checkpoint(params, ckpt)
         code = main([
             "evaluate",
             "--checkpoint", str(ckpt),
@@ -530,11 +560,11 @@ class TestExitCodes:
         assert str(ckpt) in capsys.readouterr().err
 
     def test_hidden_layer_checkpoint_exits_3_naming_path(self, task_dir, tmp_path, capsys):
+        """A checkpoint of the removed hidden layer was of version 2 at the latest."""
         ckpt = tmp_path / "enc.ckpt"
         fields = {"feature_dim": 256, "embed_dim": 8, "hidden": True, "hash_seed": 0,
                   "dtype": "<f8", "n_params": 256 * 8 + 8 * 8}
-        blobfile.write(ckpt, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields,
-                       [np.zeros(fields["n_params"])])
+        blobfile.write(ckpt, CHECKPOINT_FORMAT, 2, fields, [np.zeros(fields["n_params"])])
         code = main([
             "evaluate",
             "--checkpoint", str(ckpt),
@@ -544,8 +574,21 @@ class TestExitCodes:
             "--out", str(tmp_path / "ev"),
         ])
         assert code == 3
-        err = capsys.readouterr().err
-        assert str(ckpt) in err and "hidden layer" in err
+        assert f"{ckpt}: unsupported {CHECKPOINT_FORMAT} version 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    def test_version_2_checkpoint_exits_3_naming_path(self, task_dir, tmp_path, capsys,
+                                                      command):
+        ckpt = tmp_path / "enc.ckpt"
+        save_version_2_checkpoint(Params.init_random(256, 8, seed=0), ckpt)
+        out = tmp_path / "x"
+        if command == "finetune":
+            argv = finetune_args(task_dir, out, ("--checkpoint", str(ckpt)))
+        else:
+            argv = ["evaluate", f"--checkpoint={ckpt}", *task_flags(task_dir), f"--out={out}"]
+        assert main(argv) == 3
+        assert f"{ckpt}: unsupported {CHECKPOINT_FORMAT} version 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_embedding_major_checkpoint_exits_3_naming_version(self, task_dir, tmp_path,
                                                                 capsys):

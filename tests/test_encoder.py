@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from robustdr import blobfile, encoder
 from robustdr.encoder import (
     CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
     EmbeddingMatrix,
     FeatureBlock,
     FeatureRows,
@@ -44,18 +43,18 @@ def dense_vector(fv):
 
 class TestFeaturizer:
     def test_empty_tokens(self):
-        block = Featurizer(dim=16, seed=0)([[]])
+        block = Featurizer(dim=16)([[]])
         assert len(block) == 1
         assert block.indices.size == 0
 
     def test_repeated_token_single_bucket(self):
-        block = Featurizer(dim=16, seed=0)([["a", "a"]])
+        block = Featurizer(dim=16)([["a", "a"]])
         assert block.indices.size == 1
         assert block.counts[0] == 2.0
 
     def test_deterministic_across_instances(self):
-        a = Featurizer(dim=1024, seed=5)([["alpha", "beta", "gamma"]])
-        b = Featurizer(dim=1024, seed=5)([["alpha", "beta", "gamma"]])
+        a = Featurizer(dim=1024)([["alpha", "beta", "gamma"]])
+        b = Featurizer(dim=1024)([["alpha", "beta", "gamma"]])
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.bounds, b.bounds)
@@ -64,17 +63,16 @@ class TestFeaturizer:
         st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "é", "f g"]), max_size=7),
                  max_size=6),
         st.integers(min_value=1, max_value=3) | st.just(4096),
-        st.integers(min_value=0, max_value=3),
     )
-    def test_many_matches_per_token_reference(self, token_lists, dim, seed):
+    def test_many_matches_per_token_reference(self, token_lists, dim):
         """Empty lists, bucket collisions at dim 1-3, and a cold then a warm cache;
         every row of a block, and each text alone as a one-row block."""
-        featurizer = Featurizer(dim=dim, seed=seed)
+        featurizer = Featurizer(dim=dim)
         for _ in range(2):
             block = featurizer(iter(token_lists))
             assert len(block) == len(token_lists)
             for fv, tokens in zip(vectors(block), token_lists):
-                expected = featurize_reference(Featurizer(dim=dim, seed=seed), tokens)
+                expected = featurize_reference(Featurizer(dim=dim), tokens)
                 (alone,) = vectors(featurizer([iter(tokens)]))
                 for candidate in (fv, alone):
                     assert candidate.dim == dim
@@ -82,17 +80,24 @@ class TestFeaturizer:
                         a, b = getattr(candidate, name), getattr(expected, name)
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_seed_changes_buckets(self):
-        tokens = [f"tok{i}" for i in range(64)]
-        a = Featurizer(dim=4096, seed=0)([tokens])
-        b = Featurizer(dim=4096, seed=1)([tokens])
-        assert not np.array_equal(a.indices, b.indices)
+    @pytest.mark.parametrize("dim,buckets", [
+        (4096, [2824, 1908, 50, 702, 2548, 1764]),
+        (2**15, [19208, 18292, 24626, 29374, 6644, 9956]),
+    ])
+    def test_pinned_buckets(self, dim, buckets):
+        """Literal buckets, as the salted hash of the earlier featurizer gave them
+        with its only salt, eight zero bytes; any drift of the hash fails here."""
+        tokens = ["fw0", "srct0w0", "majt3w7", "naïve", "日本語", ""]
+        featurizer = Featurizer(dim=dim)
+        assert [featurizer.bucket(token) for token in tokens] == buckets
+        block = featurizer([[token] for token in tokens])
+        assert block.indices.tolist() == buckets
 
     def test_bare_string_rejected(self):
         """A string is one text, not a token list; a list of them is refused, not
         featurized character by character."""
         with pytest.raises(TypeError, match="list of token lists"):
-            Featurizer(dim=16, seed=0)(["ab", "cd"])
+            Featurizer(dim=16)(["ab", "cd"])
 
 
 class TestParams:
@@ -129,19 +134,19 @@ class TestParams:
 class TestEncode:
     def test_zero_features_zero_embedding(self):
         params = Params.init_random(32, 4, seed=0)
-        rows = Featurizer(dim=32, seed=0)([[]]).all_rows()
+        rows = Featurizer(dim=32)([[]]).all_rows()
         np.testing.assert_array_equal(encode_many(params, rows), np.zeros((1, 4)))
 
     def test_identity_projection(self):
         params = Params(feature_dim=4, embed_dim=4, flat=np.eye(4).ravel())
-        block = Featurizer(dim=4, seed=0)([["k"]])
+        block = Featurizer(dim=4)([["k"]])
         expected = np.zeros(4)
         expected[block.indices[0]] = 1.0
         np.testing.assert_array_equal(encode_many(params, block.all_rows())[0], expected)
 
     def test_matches_independent_matrix_multiply(self, rng):
         """Oracle: dense matrix product reimplementation, to 1e-12."""
-        featurizer = Featurizer(dim=40, seed=2)
+        featurizer = Featurizer(dim=40)
         params = Params.init_random(40, 5, seed=9)
         for _ in range(20):
             rows = random_rows(featurizer, rng, 1)
@@ -151,7 +156,7 @@ class TestEncode:
 
     @pytest.mark.parametrize("with_empty", [False, True])
     def test_encode_many_with_repeats_equals_per_item_encode(self, with_empty, rng):
-        featurizer = Featurizer(dim=40, seed=2)
+        featurizer = Featurizer(dim=40)
         params = Params.init_random(40, 5, seed=9)
         texts = [random_tokens(rng) for _ in range(6)]
         picks = rng.integers(6, size=30).tolist()
@@ -166,7 +171,7 @@ class TestEncode:
         assert encode_many(params, items).tobytes() == expected.tobytes()
 
     def test_homogeneous_in_w_linear_config(self, rng):
-        featurizer = Featurizer(dim=30, seed=1)
+        featurizer = Featurizer(dim=30)
         params = Params.init_random(30, 4, seed=4)
         rows = random_rows(featurizer, rng, 1)
         scaled = Params(30, 4, flat=3.5 * params.flat)
@@ -175,7 +180,7 @@ class TestEncode:
 
     def test_dimension_mismatch(self):
         params = Params.init_random(32, 4, seed=0)
-        rows = Featurizer(dim=16, seed=0)([["a"]]).all_rows()
+        rows = Featurizer(dim=16)([["a"]]).all_rows()
         with pytest.raises(ValueError):
             encode_many(params, rows)
 
@@ -271,13 +276,13 @@ class TestKernelsAgainstOracles:
     @pytest.mark.parametrize("bounds", [[0], [1, 2], [0, 1], [0, 2, 1, 2], [[0, 2]]])
     def test_grouped_backward_bounds_checked(self, bounds):
         params = Params.init_random(16, 4, seed=0)
-        rows = FeatureRows(Featurizer(dim=16, seed=0)([["a"]]), np.array([0, 0]))
+        rows = FeatureRows(Featurizer(dim=16)([["a"]]), np.array([0, 0]))
         with pytest.raises(ValueError, match="bounds must ascend"):
             grouped_backward(params, rows, np.zeros((2, 4)), np.array(bounds))
 
     def test_block_of_another_dimension_rejected(self):
         params = Params.init_random(32, 4, seed=0)
-        rows = FeatureRows(Featurizer(dim=16, seed=0)([["a"]]), np.array([0, 0]))
+        rows = FeatureRows(Featurizer(dim=16)([["a"]]), np.array([0, 0]))
         for call in (lambda: encode_many(params, rows),
                      lambda: grouped_backward(params, rows, np.zeros((2, 4)), [0, 2])):
             with pytest.raises(ValueError, match="feature dim 16 does not match"):
@@ -297,7 +302,7 @@ class TestScore:
 
     def test_orthogonal_embeddings(self):
         params = Params(feature_dim=4, embed_dim=4, flat=np.eye(4).ravel())
-        block = Featurizer(dim=4, seed=0)([["x"], ["queue"]])
+        block = Featurizer(dim=4)([["x"], ["queue"]])
         if block.indices[0] != block.indices[1]:
             a, b = encode_many(params, block.all_rows())
             assert float(a @ b) == 0.0
@@ -337,7 +342,7 @@ class TestEmbeddingBackward:
 
     @pytest.mark.parametrize("repeats", [False, True])
     def test_matches_finite_differences(self, repeats, rng):
-        featurizer = Featurizer(dim=10, seed=3)
+        featurizer = Featurizer(dim=10)
         params = Params.init_random(10, 3, seed=11)
         items = random_rows(featurizer, rng, 4)
         if repeats:  # the same rows again, with their own weights
@@ -372,31 +377,35 @@ class TestCheckpoint:
             params.flat[:6] = [-0.0, 5e-324, -2.2250738585072014e-308,
                                1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(params, path, hash_seed=42)
-        loaded, header = load_checkpoint(path)
-        assert header["hash_seed"] == 42
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert (loaded.feature_dim, loaded.embed_dim) == (20, 4)
         np.testing.assert_array_equal(loaded.flat, params.flat)
         assert loaded.flat.tobytes() == params.flat.tobytes()
 
-    def test_hidden_layer_checkpoint_rejected(self, tmp_path):
+    def test_header_is_the_encoder_shape(self, tmp_path):
         path = tmp_path / "enc.ckpt"
         save_checkpoint(Params.init_random(20, 4, seed=6), path)
         header = path.read_bytes().split(b"\n", 1)[0]
-        assert header == (b'{"dtype": "<f8", "embed_dim": 4, "feature_dim": 20, "format": '
-                          b'"robustdr-encoder", "hash_seed": 0, "hidden": false, '
-                          b'"n_params": 80, "version": 2}')
-        # a checkpoint of the removed hidden layer: W, then an E x E matrix
+        assert header == (b'{"embed_dim": 4, "feature_dim": 20, "format": "robustdr-encoder", '
+                          b'"version": 3}')
+
+    def test_hidden_layer_checkpoint_rejected(self, tmp_path):
+        """A checkpoint of the removed hidden layer (W, then an E x E matrix) could
+        only be of version 2 or earlier, and is rejected by its version."""
+        path = tmp_path / "enc.ckpt"
         fields = {"feature_dim": 20, "embed_dim": 4, "hidden": True, "hash_seed": 0,
                   "dtype": "<f8", "n_params": 96}
-        blobfile.write(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, [np.zeros(96)])
-        with pytest.raises(BlobFileError, match=re.escape(str(path)) + ".*hidden layer"):
+        blobfile.write(path, CHECKPOINT_FORMAT, 2, fields, [np.zeros(96)])
+        with pytest.raises(BlobFileError, match=re.escape(f"{path}: unsupported "
+                                                          f"{CHECKPOINT_FORMAT} version 2")):
             load_checkpoint(path)
 
     def test_embedding_major_version_1_rejected(self, tmp_path):
         """Version 1 held the weights embedding-major; no reader of that order is kept."""
         params = Params.init_random(20, 4, seed=6)
         fields = {"feature_dim": 20, "embed_dim": 4, "hidden": False, "hash_seed": 0,
-                  "dtype": "<f8", "n_params": 80}
+                  "dtype": "<f8", "n_params": 80}  # as version 1 held them
         path = tmp_path / "v1.ckpt"
         blobfile.write(path, CHECKPOINT_FORMAT, 1, fields, [params.W.ravel()])
         with pytest.raises(BlobFileError, match=re.escape(f"{path}: unsupported "

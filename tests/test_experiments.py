@@ -40,9 +40,9 @@ def test_fixed_eval_batch_bytes_equal_reference(source):
         task = judged_negatives(task)
         groups = {q.id: "rare" if i % 5 == 0 else "major" for i, q in enumerate(task.queries)}
     dim = 4096
-    store = trainer.FeatureStore(Featurizer(dim, 0), task.queries, task.corpus, task.qrels)
+    store = trainer.FeatureStore(Featurizer(dim), task.queries, task.corpus, task.qrels)
     batch, qids = experiments._fixed_eval_batch(store)
-    want_items, want_qids = fixed_eval_batch_reference(task, Featurizer(dim, 0))
+    want_items, want_qids = fixed_eval_batch_reference(task, Featurizer(dim))
     assert qids == want_qids and len(batch) == len(want_items)
     rows = vectors(batch.block)
     slots = [[want.query, want.positive, *want.negatives] for want in want_items]
@@ -68,7 +68,7 @@ def test_fixed_eval_batch_needs_every_negative():
                                      rare_queries_per_topic=1)
     with pytest.raises(ValueError, match="evaluation negatives, not 8"):
         experiments._fixed_eval_batch(
-            trainer.FeatureStore(Featurizer(64, 0), task.queries, task.corpus, task.qrels))
+            trainer.FeatureStore(Featurizer(64), task.queries, task.corpus, task.qrels))
 
 
 def test_imbalance_study_prepares_the_task_once():

@@ -89,7 +89,7 @@ def relative_error(analytic, numeric):
 class TestRetrievalLoss:
     def test_equal_scores_single_negative_is_ln2(self):
         params = Params(feature_dim=4, embed_dim=2, flat=np.zeros(8))
-        block = Featurizer(dim=4, seed=0)([["a"], ["b"], ["c"]])
+        block = Featurizer(dim=4)([["a"], ["b"], ["c"]])
         total, per_item = retrieval_loss(params, TripletRows(block, np.array([[0, 1, 2]])))
         assert total == pytest.approx(math.log(2.0), abs=1e-12)
         assert per_item[0] == pytest.approx(math.log(2.0), abs=1e-12)
@@ -97,7 +97,7 @@ class TestRetrievalLoss:
     def test_large_margin_drives_loss_to_zero(self):
         # A positive sharing the query's bucket scores ~||e||^2 >> 0 while the
         # negative stays orthogonal, so the loss collapses toward 0.
-        block = Featurizer(dim=8, seed=0)([["shared"] * 8, ["elsewhere"], ["different"]])
+        block = Featurizer(dim=8)([["shared"] * 8, ["elsewhere"], ["different"]])
         neg = 2 if block.indices[1] == block.indices[0] else 1  # one bucket per row
         params = Params(feature_dim=8, embed_dim=1, flat=np.ones(8))
         total, _ = retrieval_loss(params, TripletRows(block, np.array([[0, 0, neg]])))
@@ -157,14 +157,14 @@ class TestRetrievalLoss:
 
 class TestCocoLoss:
     def test_identical_spans_symmetric_case(self):
-        block = Featurizer(dim=4, seed=0)([["same"]])
+        block = Featurizer(dim=4)([["same"]])
         params = Params(feature_dim=4, embed_dim=2, flat=np.full(8, 0.3))
         spans = FeatureRows(block, np.zeros(4, dtype=np.intp))  # two pairs of one row
         # every anchor sees 3 identical non-anchor spans -> each term -log(1/3)
         assert coco_loss(params, spans) == pytest.approx(4 * math.log(3.0) / 2, abs=1e-12)
 
     def test_dominant_partner_drives_term_to_zero(self):
-        block = Featurizer(dim=8, seed=0)([["aa"] * 6, ["bb"]])
+        block = Featurizer(dim=8)([["aa"] * 6, ["bb"]])
         flat = np.zeros(8)
         flat[block.indices[0]] = 1.5
         params = Params(feature_dim=8, embed_dim=1, flat=flat)
@@ -194,7 +194,7 @@ class TestCocoLoss:
                        (2, "n >= 2 pairs"), (0, "n >= 2 pairs")):
             with pytest.raises(ValueError, match=why):
                 loss(params, rows_of(spans, *range(n)))
-        other = Featurizer(dim=params.feature_dim + 1, seed=7)
+        other = Featurizer(dim=params.feature_dim + 1)
         foreign = other([random_tokens(rng) for _ in range(4)]).all_rows()
         with pytest.raises(ValueError, match="does not match encoder feature dim"):
             loss(params, foreign)
@@ -227,7 +227,7 @@ class TestCocoLoss:
 class TestGradients:
     @pytest.mark.parametrize("wide", [False, True])
     def test_retrieval_gradient_matches_central_differences(self, wide, rng):
-        featurizer = Featurizer(dim=12, seed=3)
+        featurizer = Featurizer(dim=12)
         params = Params.init_random(12, 3, seed=21)
         # wide rows hold 10 candidates, past the 8 terms where row sums turn pairwise
         batch = triplet_rows(featurizer, rng, 3, n_neg=9 if wide else 2)
@@ -237,7 +237,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("shared_docs", [False, True])
     def test_coco_gradient_matches_central_differences(self, shared_docs, rng):
-        featurizer = Featurizer(dim=12, seed=4)
+        featurizer = Featurizer(dim=12)
         params = Params.init_random(12, 3, seed=22)
         spans = random_rows(featurizer, rng, 6 + 2 * shared_docs)
         if shared_docs:  # a later pair reuses an earlier pair's rows
@@ -296,7 +296,7 @@ class TestClusterGrads:
     @pytest.mark.parametrize("fresh_docs", [False, True])
     def test_matches_dense_per_cluster_reference(self, fresh_docs, wide):
         rng = np.random.Generator(np.random.PCG64(31 + 2 * fresh_docs + wide))
-        featurizer = Featurizer(dim=64, seed=9)
+        featurizer = Featurizer(dim=64)
         pool = [random_tokens(rng) for _ in range(12)]
         for trial in range(10):
             params = Params.init_random(64, 5, seed=trial)
@@ -326,7 +326,7 @@ class TestClusterGrads:
 
     @pytest.mark.parametrize("shared_docs", [False, True])
     def test_one_cluster_is_retrieval_loss_grad(self, shared_docs, rng):
-        featurizer = Featurizer(dim=40, seed=2)
+        featurizer = Featurizer(dim=40)
         params = Params.init_random(40, 4, seed=8)
         batch = triplet_rows(featurizer, rng, 5)
         if shared_docs:  # one item's positive is another's negative, and a query repeats
@@ -358,6 +358,19 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# The vocabulary `random_tokens` draws from.
+_TOKENS = [f"tok{i}" for i in range(40)]
+
+
+def colliding_featurizer(embed_dim, words):
+    """A featurizer whose dimension, 96 + ``embed_dim``, differs per embedding
+    width, so each width meets its own bucket collisions; at least two of
+    ``words`` share a bucket."""
+    featurizer = Featurizer(dim=96 + embed_dim)
+    assert len({featurizer.bucket(word) for word in words}) < len(words)
+    return featurizer
+
+
 class TestAgainstLoops:
     """The array losses against the item-by-item and anchor-by-anchor loops, byte for
     byte; the loops encode item by item and backpropagate group by group."""
@@ -367,10 +380,10 @@ class TestAgainstLoops:
     @pytest.mark.parametrize("embed_dim", [1, 3, 6, 48, 64])
     def test_retrieval_matches_item_loop(self, embed_dim, fresh_docs, wide):
         rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, wide]))
-        featurizer = Featurizer(dim=97, seed=embed_dim)
+        featurizer = colliding_featurizer(embed_dim, _TOKENS)
         pool = [random_tokens(rng) for _ in range(10)]
         for trial in range(25):
-            params = Params.init_random(97, embed_dim, seed=trial)
+            params = Params.init_random(featurizer.dim, embed_dim, seed=trial)
             n = int(rng.integers(1, 15))
             # 1-8 negatives per trial, or in wide rows 8-40 (rows of 8 terms and
             # more sum pairwise), drawn from a small pool, so rows repeat, or with
@@ -395,9 +408,9 @@ class TestAgainstLoops:
         rng = np.random.Generator(np.random.PCG64([embed_dim, wide, 11]))
         words = [f"w{i}" for i in range(40)]
         texts = [rng.choice(words, size=int(rng.integers(0, 9))).tolist() for _ in range(30)]
-        block = Featurizer(dim=97, seed=embed_dim)(texts)
+        block = colliding_featurizer(embed_dim, words)(texts)
         for trial in range(12):
-            params = Params.init_random(97, embed_dim, seed=trial)
+            params = Params.init_random(block.dim, embed_dim, seed=trial)
             n = int(rng.integers(1, 15))
             n_neg = int(rng.integers(9, 21) if wide else rng.integers(1, 5))
             rows = rng.integers(0, 8 if trial % 2 else 30, size=(n, 2 + n_neg))
@@ -410,7 +423,7 @@ class TestAgainstLoops:
                     assert same_bytes(a, b), (trial, with_grad, name)
 
     def test_row_batch_needs_a_negative(self):
-        block = Featurizer(dim=8, seed=0)([["a"], ["b"]])
+        block = Featurizer(dim=8)([["a"], ["b"]])
         with pytest.raises(ValueError, match="at least one negative"):
             TripletRows(block, np.array([[0, 1]]))
 
@@ -426,12 +439,12 @@ class TestAgainstLoops:
     @pytest.mark.parametrize("embed_dim", [1, 3, 6, 48, 64])
     def test_coco_matches_anchor_loop(self, embed_dim, fresh_docs):
         rng = np.random.Generator(np.random.PCG64([embed_dim, fresh_docs, 7]))
-        featurizer = Featurizer(dim=97, seed=embed_dim)
+        featurizer = colliding_featurizer(embed_dim, _TOKENS)
         pool = [random_tokens(rng) for _ in range(10)]
         # rows of 2n - 1 >= 8 terms and sums of 2n >= 16 anchor terms are
         # where pairwise and sequential summation part
         for trial, n in enumerate([2, 3, 4, 8, 9, 16, 33, 40, *rng.integers(2, 41, size=8)]):
-            params = Params.init_random(97, embed_dim, seed=trial)
+            params = Params.init_random(featurizer.dim, embed_dim, seed=trial)
             # each pair a new text and a pool text (rows repeat) or a new one
             texts = list(pool)
             rows = [row for _ in range(int(n)) for row in (draw_doc(texts, rng, 10, True),

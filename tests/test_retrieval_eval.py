@@ -177,7 +177,7 @@ class TestBlocks:
         queries = QuerySet([Query.from_fields(f"q{i}", f"w{i % 97} w{i % 7}")
                             for i in range(n_queries)])
         params = Params.init_random(512, 4, seed=0)
-        featurizer = Featurizer(512, 0)
+        featurizer = Featurizer(512)
         tracemalloc.start()
         try:
             count = sum(1 for _ in rank_all(params, featurizer, corpus, queries, k))
@@ -336,7 +336,7 @@ class TestEvaluate:
         corpus = Corpus(docs)
         queries = QuerySet([Query.from_fields(f"q{i}", f"word{i}") for i in range(3)])
         qrels = QrelSet({(f"q{i}", f"d{i}"): 1 for i in range(3)})
-        featurizer = Featurizer(dim=512, seed=0)
+        featurizer = Featurizer(dim=512)
         buckets = featurizer([[f"word{i}"] for i in range(6)]).indices.tolist()
         assert len(set(buckets)) == 6, "fixture needs collision-free hashing"
         params = Params(feature_dim=512, embed_dim=512, flat=np.eye(512).ravel())
@@ -351,7 +351,7 @@ class TestEvaluate:
         docs = [Document.from_fields("d0", "alpha")]
         queries = QuerySet([Query.from_fields("q0", "alpha"), Query.from_fields("q1", "beta")])
         qrels = QrelSet({("q0", "d0"): 1})
-        featurizer = Featurizer(dim=16, seed=0)
+        featurizer = Featurizer(dim=16)
         params = Params.init_random(16, 4, seed=0)
         record, _ = evaluate(params, featurizer, Corpus(docs), queries, qrels)
         assert record.n_evaluated == 1
@@ -365,7 +365,7 @@ class TestEvaluate:
         corpus = Corpus(docs)
         queries = QuerySet([Query.from_fields(f"q{i}", f"qq{i}") for i in range(n_queries)])
         qrels = QrelSet({(f"q{i}", f"d{int(rng.integers(n_docs))}"): 1 for i in range(n_queries)})
-        featurizer = Featurizer(dim=2048, seed=1)
+        featurizer = Featurizer(dim=2048)
         params = Params.init_random(2048, 8, seed=int(rng.integers(2**31)))
         record, _ = evaluate(params, featurizer, corpus, queries, qrels)
 
