@@ -2,18 +2,21 @@
 
 A file is one JSON object on the first line (UTF-8, sorted keys, ended by a
 newline), whose ``format`` and ``version`` name the layout, then float64 blocks
-in little-endian order (``<f8``), back to back, with nothing after them. The
-blocks carry no lengths: a reader passes the lengths it expects, derived from
-what it already knows (encoder dimensions, cluster count times width, its own
-parameter count). `read` accepts only a JSON-object header with the expected
-format and version and every required field, and a payload exactly as long as
-the expected blocks, holding only finite values; anything else raises
-`BlobFileError` naming the path, which the CLI reports as a data error
-(exit 3). A file whose first byte is not ``{`` is rejected before its header
-line is read. The payload's size is checked before it is read, and it is read
-into one array whose blocks are views. Writers go through `atomic_open`, so a
-reader never sees a half-written file; `write_table` (and `write_records`, for
-dataclass rows) writes the tab-separated text artifacts the same way.
+in little-endian order (``<f8``), back to back, with nothing after them. A
+header does not grow with the data: it holds scalars, and a trainer state's
+names and lengths of its blocks. Its line, newline included, is at most
+`_HEADER_LIMIT` bytes: `write` refuses a longer one, and `read` reads no more
+of the first line than that. The blocks carry no lengths: a reader passes the
+lengths it expects, derived from what it already knows (encoder dimensions,
+cluster count times width, its own parameter count). `read` accepts only a
+JSON-object header with the expected format and version and every required
+field, and a payload exactly as long as the expected blocks, holding only
+finite values; anything else raises `BlobFileError` naming the path, which the
+CLI reports as a data error (exit 3). The payload's size is checked before it
+is read, and it is read into one array whose blocks are views. Writers go
+through `atomic_open`, so a reader never sees a half-written file;
+`write_table` (and `write_records`, for dataclass rows) writes the
+tab-separated text artifacts the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BlobFileError, ConfigError
+
+# The most bytes a header line, newline included, may take.
+_HEADER_LIMIT = 4096
 
 
 @contextlib.contextmanager
@@ -47,9 +53,12 @@ def atomic_open(path: str | Path, mode: str = "wb"):
 
 def write(path: str | Path, fmt: str, version: int, fields: dict, blocks: Iterable) -> None:
     """Write the header line, then each block in turn, without joining them."""
+    line = json.dumps({"format": fmt, "version": version, **fields}, sort_keys=True)
+    line = line.encode("utf-8") + b"\n"
+    if len(line) > _HEADER_LIMIT:
+        raise ValueError(f"a {fmt} header of {len(line)} bytes is over {_HEADER_LIMIT}")
     with atomic_open(path) as fh:
-        header = {"format": fmt, "version": version, **fields}
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(line)
         for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
@@ -90,16 +99,15 @@ def read(
     """Checked read; returns (header, float64 blocks). ``lengths(header)`` gives the
     block lengths, raising ValueError or (passed through) ConfigError on a mismatch."""
     with Path(path).open("rb") as fh:
-        # Every header starts with "{"; a file that does not is rejected before its
-        # first line, which may be as long as the file, is read.
-        line = fh.readline() if fh.peek(1)[:1] == b"{" else b""
+        line = fh.readline(_HEADER_LIMIT)
         try:
             try:
-                header = json.loads(line)
+                header = json.loads(line) if line.endswith(b"\n") else None
             except ValueError:
                 header = None
             if not isinstance(header, dict):
-                raise ValueError("the first line is not a JSON object")
+                raise ValueError(
+                    f"the first line is not a JSON object of at most {_HEADER_LIMIT} bytes")
             if header.get("format") != fmt:
                 raise ValueError(f"not a {fmt} file")
             if not _is(header.get("version"), int) or header["version"] != version:

@@ -19,7 +19,10 @@ reproducible. Exit codes: 0 success, 2 usage/config error, 3 data error,
 4 internal invariant violation.
 
 A finetune run directory holds each weight vector once. After episode n of N
-it holds the episode's cluster model, clusters_ep<n>.bin, and its weights: the
+it holds the episode's cluster model and its weights. The cluster model,
+clusters_ep<n>.bin, holds a header of scalars, then the K centroids, then each
+training query's cluster id, in query-file order less the queries dropped for
+having no positive (`clustering.save_cluster_model`). The weights are the
 checkpoint encoder_ep<n>.ckpt for n < N, and encoder.ckpt, the name every
 downstream command reads, for n = N (with no episodes, encoder.ckpt holds the
 initial weights); a checkpoint's header holds only the encoder's shape,

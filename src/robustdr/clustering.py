@@ -1,35 +1,31 @@
-"""K-Means over query embeddings, refreshed at episode boundaries.
+"""Spherical K-Means over query embeddings, refreshed at episode boundaries.
 
-Embeddings are L2-normalized before clustering by default (dot-product
-similarity is unbounded under centroid updates, so clustering runs as squared
-Euclidean on the unit sphere); retrieval scoring elsewhere stays unnormalized.
-``kmeans_fit(normalize=False)`` runs raw-Euclidean K-Means instead, for
-sensitivity checks.
+Embeddings are L2-normalized before clustering (dot-product similarity is
+unbounded under centroid updates, so clustering runs as squared Euclidean on
+the unit sphere); retrieval scoring elsewhere stays unnormalized. A fit is
+arrays from end to end: the centroids, and each point's cluster in row order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import blobfile
-from .encoder import EmbeddingMatrix
-from .errors import InvariantError
+from .errors import BlobFileError, InvariantError
 
 CLUSTER_FORMAT = "robustdr-clusters"
-CLUSTER_VERSION = 1
+CLUSTER_VERSION = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterModel:
-    n_clusters: int
     centroids: np.ndarray  # [K, E]
-    assignment: dict[str, int]
+    labels: np.ndarray  # [N] int64, row i's cluster; read-only
     objective: float
-    normalized: bool
-    objective_history: list[float] = field(default_factory=list)
+    objective_history: tuple[float, ...]
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -65,22 +61,23 @@ def _kmeanspp_seed(x: np.ndarray, xx: np.ndarray, k: int,
     return centroids
 
 
-def kmeans_fit(
-    embeddings: EmbeddingMatrix,
-    n_clusters: int,
-    seed: int = 0,
-    max_iters: int = 100,
-    normalize: bool = True,
-) -> ClusterModel:
-    """Lloyd iterations from k-means++ seeding; deterministic given the seed.
+def kmeans_fit(x: np.ndarray, n_clusters: int, seed: int = 0,
+               max_iters: int = 100) -> ClusterModel:
+    """Lloyd iterations on the L2-normalized rows of ``x`` (one point per row),
+    from k-means++ seeding; deterministic given the seed.
 
-    The objective (sum of squared distances to assigned centroids, under the
-    configured metric) is checked to be non-increasing every iteration; empty
-    clusters are repaired by reseeding to the point farthest from its centroid.
-    The points' squared norms are computed once per fit, and each centroid
-    sum adds its points in index order, one ``bincount`` per column.
+    The objective (sum of squared distances to assigned centroids) is checked to
+    be non-increasing every iteration; empty clusters are repaired by reseeding
+    to the point farthest from its centroid. The points' squared norms are
+    computed once per fit, and each centroid sum adds its points in index order,
+    one ``bincount`` per column. A non-finite point is an InvariantError.
     """
-    n = len(embeddings)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("k-means needs a 2-d array, one row per point")
+    if not np.all(np.isfinite(x)):
+        raise InvariantError("embeddings must be finite")
+    n = len(x)
     if n == 0:
         raise ValueError("cannot cluster an empty embedding matrix")
     if n_clusters < 1:
@@ -88,10 +85,7 @@ def kmeans_fit(
     if n < n_clusters:
         raise ValueError(f"need at least {n_clusters} points for {n_clusters} clusters, got {n}")
 
-    x = embeddings.matrix.astype(np.float64, copy=True)
-    if normalize:
-        x = normalize_rows(x)
-
+    x = normalize_rows(x)
     xx = np.sum(x * x, axis=1)
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _kmeanspp_seed(x, xx, n_clusters, rng)
@@ -132,40 +126,39 @@ def kmeans_fit(
         counts = np.bincount(labels, minlength=n_clusters)
         centroids = sums / counts[:, None]
 
-    assignment = {doc_id: int(label) for doc_id, label in zip(embeddings.ids, labels)}
-    return ClusterModel(
-        n_clusters=n_clusters,
-        centroids=centroids,
-        assignment=assignment,
-        objective=history[-1],
-        normalized=normalize,
-        objective_history=history,
-    )
+    labels.flags.writeable = False
+    return ClusterModel(centroids, labels, history[-1], tuple(history))
 
 
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
-    """Write the model's scalars and assignment in the header, its centroids as the one block."""
-    fields = {"n_clusters": model.n_clusters, "width": int(model.centroids.shape[1]),
-              "normalized": model.normalized, "objective": model.objective,
-              "assignment": model.assignment}
-    blobfile.write(path, CLUSTER_FORMAT, CLUSTER_VERSION, fields, [model.centroids])
+    """Write the model's scalars in the header, then two blocks: its centroids,
+    and its labels as float64, which holds every label exactly."""
+    k, width = model.centroids.shape
+    fields = {"n_clusters": k, "width": width, "n_points": len(model.labels),
+              "objective": model.objective}
+    blobfile.write(path, CLUSTER_FORMAT, CLUSTER_VERSION, fields,
+                   [model.centroids, model.labels])
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
-    def centroid_length(fields: dict) -> list[int]:
-        k = fields["n_clusters"]
-        if k < 1 or fields["width"] < 1:
-            raise ValueError("n_clusters and width must be >= 1")
-        if not all(type(c) is int and 0 <= c < k for c in fields["assignment"].values()):
-            raise ValueError(f"assignment names a cluster outside [0, {k})")
-        return [k * fields["width"]]
+    """Read a `save_cluster_model` file, whose labels must each be a cluster id in
+    ``[0, n_clusters)``; the file holds no objective history, so it loads empty."""
+    def block_lengths(fields: dict) -> list[int]:
+        k, width, n = fields["n_clusters"], fields["width"], fields["n_points"]
+        if k < 1 or width < 1 or n < k:
+            raise ValueError("n_clusters and width must be >= 1, and n_points >= n_clusters")
+        return [k * width, n]
 
-    fields, (centroids,) = blobfile.read(
+    fields, (centroids, labels) = blobfile.read(
         path, CLUSTER_FORMAT, CLUSTER_VERSION,
-        {"n_clusters": int, "width": int, "normalized": bool, "objective": (int, float),
-         "assignment": dict},
-        centroid_length,
+        {"n_clusters": int, "width": int, "n_points": int, "objective": (int, float)},
+        block_lengths,
     )
     k = fields["n_clusters"]
-    return ClusterModel(k, centroids.reshape(k, fields["width"]), fields["assignment"],
-                        float(fields["objective"]), fields["normalized"])
+    if not np.all((labels >= 0) & (labels < k) & (labels == np.floor(labels))):
+        raise BlobFileError(f"{path}: block 1 holds a label that is not a cluster id "
+                            f"in [0, {k})")
+    labels = labels.astype(np.int64)
+    labels.flags.writeable = False
+    return ClusterModel(centroids.reshape(k, fields["width"]), labels,
+                        float(fields["objective"]), ())

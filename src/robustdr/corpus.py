@@ -179,9 +179,6 @@ class QrelSet:
     def query_ids(self) -> tuple[str, ...]:
         return tuple(self._by_query)
 
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self._by_query.get(query_id, {}).get(doc_id, 0)
-
     def judged(self, query_id: str) -> dict[str, int]:
         """Judged documents for a query, in file order."""
         return dict(self._by_query.get(query_id, {}))

@@ -359,10 +359,6 @@ class EmbeddingMatrix:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def width(self) -> int:
-        return self.matrix.shape[1]
-
 
 def embed_items(params: Params, featurizer: Featurizer, items: Iterable) -> EmbeddingMatrix:
     """Embed anything carrying ``.id`` and ``.tokens`` (documents or queries)."""

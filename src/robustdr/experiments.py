@@ -53,7 +53,7 @@ def coco_experiment_config(seed: int) -> RunConfig:
         beta=0.25,
         tau=5e5,
         learning_rate=0.1,
-    ).validate()
+    )
 
 
 def run_coco_directional(seed: int) -> dict:
@@ -85,7 +85,7 @@ def idro_pretrain_config(seed: int) -> RunConfig:
         pretrain_epochs=2,
         batch_size=32,
         learning_rate=0.1,
-    ).validate()
+    )
 
 
 def idro_experiment_config(seed: int, weighting: str) -> RunConfig:
@@ -112,7 +112,7 @@ def idro_experiment_config(seed: int, weighting: str) -> RunConfig:
         groupdro_step_size=0.2,
         optimizer="sgd",
         learning_rate=0.05,
-    ).validate()
+    )
 
 
 @dataclass(frozen=True)

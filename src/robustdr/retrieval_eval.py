@@ -48,9 +48,6 @@ class RankedList:
     query_id: str
     results: tuple[tuple[str, float], ...]  # (doc id, score), scores non-increasing
 
-    def doc_ids(self) -> tuple[str, ...]:
-        return tuple(doc_id for doc_id, _ in self.results)
-
 
 class Picks(NamedTuple):
     """The top k of a block of queries: query ``start + i`` picks the docs at

@@ -99,9 +99,10 @@ WARMUP_FRAC = 0.1
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """All run hyperparameters in one serializable record."""
+    """All run hyperparameters in one serializable record, checked when it is built
+    (a ConfigError naming the first bad field) and never changed after."""
 
     seed: int = 0
     # encoder
@@ -128,7 +129,10 @@ class RunConfig:
     optimizer: str = "adam"
     learning_rate: float = 0.05
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         def bad(name, why):
             raise ConfigError(f"{name}: {why}")
 
@@ -162,7 +166,6 @@ class RunConfig:
             bad("tau", "is an integer too large for a float")
         if self.groupdro_step_size < 0:
             bad("groupdro_step_size", "must be >= 0")
-        return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -176,13 +179,12 @@ class RunConfig:
                 raise ConfigError(f"{key}: unknown config field")
             kwargs[key] = value
         try:
-            config = cls(**kwargs)
+            return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-        return config.validate()
 
     def replace(self, **changes) -> "RunConfig":
-        return dataclasses.replace(self, **changes).validate()
+        return dataclasses.replace(self, **changes)
 
 
 class Optimizer:
@@ -292,7 +294,6 @@ def pretrain_coco(config: RunConfig, corpora: Sequence[Corpus]) -> PretrainResul
     Each span pair's negatives are the other pairs of its batch, so a batch needs
     at least two documents: a ``batch_size`` below 2 is a ConfigError.
     """
-    config.validate()
     if config.batch_size < 2:
         raise ConfigError("batch_size: span-pair pretraining needs at least 2 per batch")
     if not corpora:
@@ -455,17 +456,15 @@ class FeatureStore:
 
     def cluster_fit(self, embeddings: np.ndarray, k: int, seed: int,
                     max_iters: int) -> clustering.ClusterModel:
-        """``clustering.kmeans_fit`` of the queries' embeddings (one row per query,
-        keyed by query id), made unless the latest fit with these ``k``, ``seed``
-        and ``max_iters`` was of embeddings with the same bytes, which is then
-        returned. The model may be shared by several fine-tuners, so no caller
-        may change it."""
+        """``clustering.kmeans_fit`` of the queries' embeddings (one row per query),
+        made unless the latest fit with these ``k``, ``seed`` and ``max_iters``
+        was of embeddings with the same bytes, which is then returned. The model
+        may be shared by several fine-tuners, so its labels are read-only."""
         key, data = (k, seed, max_iters), (embeddings.shape, embeddings.tobytes())
         held = self._fits.get(key)
         if held is not None and held[0] == data:
             return held[1]
-        matrix = EmbeddingMatrix(ids=tuple(q.id for q in self.queries), matrix=embeddings)
-        model = clustering.kmeans_fit(matrix, k, seed=seed, max_iters=max_iters)
+        model = clustering.kmeans_fit(embeddings, k, seed=seed, max_iters=max_iters)
         self._fits[key] = (data, model)
         return model
 
@@ -715,7 +714,6 @@ class Finetuner:
     """
 
     def __init__(self, config: RunConfig, params: Params, store: FeatureStore):
-        config.validate()
         for name in ("feature_dim", "embed_dim"):
             if getattr(params, name) != getattr(config, name):
                 raise ConfigError(f"{name}: the encoder does not match the config")
@@ -749,8 +747,7 @@ class Finetuner:
             seed=int(_derived_rng(self.config.seed, _TAG_KMEANS, episode).integers(2**31)),
             max_iters=self.config.kmeans_iters,
         )
-        assignment = self.cluster_model.assignment
-        self.query_clusters = np.array([assignment[q.id] for q in self.queries], dtype=np.int64)
+        self.query_clusters = self.cluster_model.labels
         self.omega = np.full(k, 1.0 / k)
 
     def _refresh_negatives(self, episode: int) -> tuple[str, int]:

@@ -10,7 +10,7 @@ import numpy as np
 
 from robustdr import clustering, encoder, idro, retrieval_eval, trainer
 from robustdr.corpus import Document, Query, QuerySet
-from robustdr.encoder import EmbeddingMatrix, FeatureBlock, FeatureRows, Params, embed_items
+from robustdr.encoder import FeatureBlock, FeatureRows, Params, embed_items
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import TripletRows
@@ -195,7 +195,7 @@ def pools_reference(rankings, corpus, qrels, k, rng, source):
     n_fallback = 0
     for qid, ranked in rankings:
         positives = set(qrels.positives(qid))
-        pool = _filter_pool(ranked.doc_ids(), positives, k)
+        pool = _filter_pool([doc_id for doc_id, _ in ranked.results], positives, k)
         if not pool:
             trainer.logger.warning("query %r: %s top-%d all positive; random negatives",
                                    qid, source, k)
@@ -463,30 +463,24 @@ def _sq_dists_reference(x, centroids):
     return np.maximum(d, 0.0)
 
 
-def assign(model, embeddings):
-    """Map each row to its nearest centroid of a `clustering.ClusterModel`; ties
-    break to the lowest index."""
-    if embeddings.width != model.centroids.shape[1]:
+def assign(model, x):
+    """The nearest centroid of a `clustering.ClusterModel` to each L2-normalized
+    row of ``x``, as the fit assigns them; ties break to the lowest index."""
+    if x.shape[1] != model.centroids.shape[1]:
         raise ValueError(
-            f"embedding width {embeddings.width} does not match centroid width "
+            f"embedding width {x.shape[1]} does not match centroid width "
             f"{model.centroids.shape[1]}"
         )
-    x = embeddings.matrix.astype(np.float64, copy=True)
-    if model.normalized:
-        x = clustering.normalize_rows(x)
-    labels = np.argmin(_sq_dists_reference(x, model.centroids), axis=1)
-    return {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
+    x = clustering.normalize_rows(np.asarray(x, dtype=np.float64))
+    return np.argmin(_sq_dists_reference(x, model.centroids), axis=1)
 
 
-def kmeans_fit_reference(embeddings, n_clusters, seed=0, max_iters=100, normalize=True,
-                         repairs=None):
+def kmeans_fit_reference(x, n_clusters, seed=0, max_iters=100, repairs=None):
     """`clustering.kmeans_fit` with the points' squared norms recomputed on every
     distance call and the centroid sums gathered by ``np.add.at``. Each empty
     cluster it repairs is appended to ``repairs`` when a list is given."""
-    n = len(embeddings)
-    x = embeddings.matrix.astype(np.float64, copy=True)
-    if normalize:
-        x = clustering.normalize_rows(x)
+    n = len(x)
+    x = clustering.normalize_rows(np.asarray(x, dtype=np.float64))
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
     centroids[0] = x[int(rng.integers(n))]
@@ -530,9 +524,7 @@ def kmeans_fit_reference(embeddings, n_clusters, seed=0, max_iters=100, normaliz
         sums = np.zeros_like(centroids)
         np.add.at(sums, labels, x)
         centroids = sums / np.bincount(labels, minlength=n_clusters)[:, None]
-    assignment = {item_id: int(label) for item_id, label in zip(embeddings.ids, labels)}
-    return clustering.ClusterModel(n_clusters, centroids, assignment, history[-1], normalize,
-                                   history)
+    return clustering.ClusterModel(centroids, labels, history[-1], tuple(history))
 
 
 def draw_picks_reference(rng, n_pos, n_pool, k):
@@ -567,13 +559,11 @@ class ObjectFinetuner(trainer.Finetuner):
         self.doc_fvs = dict(zip(corpus.ids, vectors(featurize(doc.tokens for doc in corpus))))
 
     def _refresh_clusters(self, episode):
-        ids = tuple(q.id for q in self.queries)
-        emb = EmbeddingMatrix(ids=ids, matrix=encode_loop(self.params, self.query_fvs))
         k = min(self.config.k_clusters, len(self.queries))
         seed = int(trainer._derived_rng(self.config.seed, trainer._TAG_KMEANS, episode)
                    .integers(2**31))
-        self.cluster_model = clustering.kmeans_fit(emb, k, seed=seed,
-                                                   max_iters=self.config.kmeans_iters)
+        self.cluster_model = clustering.kmeans_fit(encode_loop(self.params, self.query_fvs), k,
+                                                   seed=seed, max_iters=self.config.kmeans_iters)
         self.omega = np.full(k, 1.0 / k)
 
     def _refresh_negatives(self, episode):
@@ -604,7 +594,7 @@ class ObjectFinetuner(trainer.Finetuner):
                                   replace=len(pool) < cfg.negatives_per_query)
             negatives = tuple(self.doc_fvs[pool[int(j)]] for j in negs_idx)
             items.append(Triplet(self.query_fvs[int(qi)], self.doc_fvs[pos_id], negatives))
-            clusters.append(self.cluster_model.assignment[query.id])
+            clusters.append(self.cluster_model.labels[int(qi)])
         return items, np.array(clusters, dtype=np.int64)
 
     def _train_step(self, items, clusters, total_steps):
@@ -629,7 +619,7 @@ class ObjectFinetuner(trainer.Finetuner):
 
 
 def fixed_eval_batch_reference(task, featurizer, n_negatives=8):
-    """`experiments._fixed_eval_batch` with one `QrelSet.grade` call per BM25
+    """`experiments._fixed_eval_batch` with one judgment lookup per BM25
     candidate and the distractor list rebuilt per query."""
     index = retrieval_eval.Bm25Index(task.corpus)
     queries = list(task.queries)
@@ -645,7 +635,8 @@ def fixed_eval_batch_reference(task, featurizer, n_negatives=8):
         positives = task.qrels.positives(query.id)
         own_topic = query.id.rsplit("-", 1)[0]
         distractors = [d for t, d in first_doc_of_topic.items() if t != own_topic]
-        bm25_pool = [d for d in ranking.doc_ids() if task.qrels.grade(query.id, d) <= 0]
+        judged = task.qrels.judged(query.id)
+        bm25_pool = [d for d, _ in ranking.results if judged.get(d, 0) <= 0]
         pool: list[str] = []
         for a, b in zip(distractors, bm25_pool + [None] * len(distractors)):
             pool.append(a)

@@ -21,7 +21,7 @@ from robustdr import idro, losses
 from robustdr.clustering import kmeans_fit
 from robustdr.corpus import Query
 from robustdr.diagnostics import alignment, uniformity
-from robustdr.encoder import EmbeddingMatrix, Featurizer, Params, scatter_grad
+from robustdr.encoder import Featurizer, Params, scatter_grad
 from robustdr.retrieval_eval import Bm25Index, QrelSet, RankedList, ndcg_at_k, search_bm25
 from robustdr.textstats import classify_intent, intent_similarity, weighted_jaccard
 from tests.conftest import random_rows
@@ -229,21 +229,13 @@ def test_criterion_5_kmeans():
             n = int(rng.integers(12, 60))
             width = int(rng.integers(2, 6))
             k = int(rng.integers(2, min(8, n)))
-            matrix = rng.normal(size=(n, width))
-            emb = EmbeddingMatrix(
-                ids=tuple(f"p{i}" for i in range(n)), matrix=matrix
-            )
-            model = kmeans_fit(emb, k, seed=trial, normalize=False)
+            model = kmeans_fit(rng.normal(size=(n, width)), k, seed=trial)
             history = np.array(model.objective_history)
             assert np.all(np.diff(history) <= 1e-9 * np.maximum(history[:-1], 1.0))
 
         blob_a = rng.normal(size=(25, 4)) * 0.05 + np.array([4.0, 0, 0, 0])
         blob_b = rng.normal(size=(25, 4)) * 0.05 - np.array([4.0, 0, 0, 0])
-        emb = EmbeddingMatrix(
-            ids=tuple(f"p{i}" for i in range(50)), matrix=np.vstack([blob_a, blob_b])
-        )
-        model = kmeans_fit(emb, 2, seed=0, normalize=False)
-        labels = np.array([model.assignment[f"p{i}"] for i in range(50)])
+        labels = kmeans_fit(np.vstack([blob_a, blob_b]), 2, seed=0).labels
         truth = np.array([0] * 25 + [1] * 25)
         agreement = max(
             float(np.mean(labels == truth)), float(np.mean(labels == 1 - truth))
@@ -288,11 +280,11 @@ def test_criterion_7_directional_idro_experiment():
         assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
 
-def _run_pipeline(workdir, task_dir, hash_seed_env):
+def _run_pipeline(workdir, task_dir, pythonhashseed):
     """pretrain -> finetune -> evaluate via the CLI in a fresh process."""
     src = os.path.dirname(os.path.dirname(robustdr.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed_env, PYTHONPATH=pythonpath)
+    env = dict(os.environ, PYTHONHASHSEED=pythonhashseed, PYTHONPATH=pythonpath)
     def run(args):
         proc = subprocess.run(
             [sys.executable, "-m", "robustdr.cli", *args],
@@ -344,8 +336,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         )
         task_dir = tmp_path / "task"
         write_task_dir(task, task_dir)
-        first = _run_pipeline(tmp_path / "run1", task_dir, hash_seed_env="1")
-        second = _run_pipeline(tmp_path / "run2", task_dir, hash_seed_env="31337")
+        first = _run_pipeline(tmp_path / "run1", task_dir, pythonhashseed="1")
+        second = _run_pipeline(tmp_path / "run2", task_dir, pythonhashseed="31337")
         for name in first:
             assert first[name] == second[name], f"{name} differs between reruns"
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from robustdr import blobfile
 from robustdr.clustering import kmeans_fit, load_cluster_model, save_cluster_model
-from robustdr.encoder import EmbeddingMatrix, Params, load_checkpoint, save_checkpoint
+from robustdr.encoder import Params, load_checkpoint, save_checkpoint
 from robustdr.errors import BlobFileError
 from robustdr.trainer import Finetuner, training_store
 from tests.conftest import save_version_2_checkpoint
@@ -54,8 +54,7 @@ def _checkpoint(path):
 
 def _cluster_model(width):
     rng = np.random.Generator(np.random.PCG64(0))
-    ids = tuple(f"q{i}" for i in range(12))
-    return kmeans_fit(EmbeddingMatrix(ids=ids, matrix=rng.normal(size=(12, width))), 3, seed=1)
+    return kmeans_fit(rng.normal(size=(12, width)), 3, seed=1)
 
 
 def _clusters(path):
@@ -216,8 +215,8 @@ def _clusters_in_state_v6(fields, blocks):
     the last block."""
     model = _cluster_model(8)
     fields.update(n_clusters=3, cluster_model={
-        "n_clusters": 3, "width": 8, "normalized": model.normalized,
-        "objective": model.objective, "assignment": model.assignment})
+        "n_clusters": 3, "width": 8, "normalized": True, "objective": model.objective,
+        "assignment": {f"q{i}": int(c) for i, c in enumerate(model.labels)}})
     return fields, {**blocks, "omega": np.full(3, 1 / 3), "centroids": model.centroids.ravel()}
 
 
@@ -485,6 +484,35 @@ def test_read_holds_the_payload_once(tmp_path):
         tracemalloc.stop()
     assert loaded.flat.tobytes() == params.flat.tobytes()
     assert peak < 1.25 * 8 * len(params)
+
+
+def test_long_first_line_rejected_within_the_header_limit(tmp_path):
+    """A 32-MiB first line that opens like a header is refused after 4096 bytes of it,
+    not read whole."""
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(b"{" + b"x" * ((32 << 20) - 1))
+    tracemalloc.start()
+    try:
+        message = f"{path}: the first line is not a JSON object of at most 4096 bytes"
+        with pytest.raises(BlobFileError, match=re.escape(message)):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_header_over_the_limit_not_written(tmp_path):
+    """A header line of 4096 bytes, newline included, is written and read back; one
+    byte more, which the reader would refuse, is not written."""
+    pad = 4096 - len(json.dumps({"format": "probe", "pad": "", "version": 1}) + "\n")
+    blobfile.write(tmp_path / "fits.bin", "probe", 1, {"pad": "p" * pad}, [])
+    assert len((tmp_path / "fits.bin").read_bytes()) == 4096
+    header, _ = blobfile.read(tmp_path / "fits.bin", "probe", 1, {"pad": str}, lambda h: [])
+    assert header["pad"] == "p" * pad
+    with pytest.raises(ValueError, match="header of 4097 bytes is over 4096"):
+        blobfile.write(tmp_path / "over.bin", "probe", 1, {"pad": "p" * (pad + 1)}, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fits.bin"]
 
 
 def test_header_without_brace_rejected_before_reading_the_line(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -169,6 +170,45 @@ class TestPipelineCommands:
         metrics = json.loads((ev_out / "metrics.json").read_text())
         assert 0.0 <= metrics["ndcg@10"] <= 1.0
         assert (ev_out / "run.trec").exists()
+
+    @pytest.mark.parametrize("queries_per_topic", [4, 60])
+    def test_cluster_files_label_the_training_queries_in_file_order(self, tmp_path,
+                                                                   queries_per_topic):
+        """Each clusters_ep<n>.bin holds one cluster id per query with a positive, in
+        query-file order: the fit of the encoder that began episode n, refit here.
+        Its header line is the same few scalars at any query count."""
+        from robustdr.clustering import kmeans_fit, load_cluster_model
+        from robustdr.corpus import Query, QuerySet
+        from robustdr.encoder import encode_many, load_checkpoint
+        from robustdr.trainer import _TAG_KMEANS, RunConfig, _derived_rng
+
+        task, _ = make_imbalanced_source(
+            seed=4, n_major_topics=2, n_rare_topics=1, docs_per_topic=4,
+            major_queries_per_topic=queries_per_topic, rare_queries_per_topic=2,
+            query_vocab_per_topic=6, rare_query_vocab_profile=(6,))
+        queries = list(task.queries)
+        orphan = Query.from_fields("orphan", "a query nobody judged")
+        task = dataclasses.replace(task, queries=QuerySet([queries[0], orphan, *queries[1:]]))
+        write_task_dir(task, tmp_path / "task")
+        out = tmp_path / "ft"
+        assert main(finetune_args(tmp_path / "task", out)) == 0
+
+        config = RunConfig.from_dict(
+            json.loads((out / "resolved_config.json").read_text())["config"])
+        rows = Featurizer(config.feature_dim)(q.tokens for q in queries).all_rows()
+        starts = [Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed),
+                  load_checkpoint(out / "encoder_ep1.ckpt")]
+        for episode, start in enumerate(starts, start=1):
+            path = out / f"clusters_ep{episode}.bin"
+            model = load_cluster_model(path)
+            k = len(model.centroids)
+            assert model.labels.shape == (len(queries),)
+            assert 0 <= model.labels.min() and model.labels.max() < k
+            assert len(path.read_bytes().partition(b"\n")[0]) < 200
+            seed = int(_derived_rng(config.seed, _TAG_KMEANS, episode).integers(2**31))
+            want = kmeans_fit(encode_many(start, rows), k, seed=seed,
+                              max_iters=config.kmeans_iters)
+            assert model.labels.tobytes() == want.labels.tobytes()
 
     def test_uniform_k1_cli_matches_scripted_erm_control(self, task_dir, tmp_path):
         """The CLI run with uniform weighting and one cluster equals a direct

@@ -1,19 +1,21 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robustdr.clustering import kmeans_fit, load_cluster_model, save_cluster_model
-from robustdr.encoder import EmbeddingMatrix
-from robustdr.errors import InvariantError
+from robustdr import blobfile
+from robustdr.clustering import (
+    CLUSTER_FORMAT,
+    kmeans_fit,
+    load_cluster_model,
+    normalize_rows,
+    save_cluster_model,
+)
+from robustdr.errors import BlobFileError, InvariantError
 from tests.oracles import assign, kmeans_fit_reference
-
-
-def embeddings_from(matrix, prefix="p"):
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return EmbeddingMatrix(
-        ids=tuple(f"{prefix}{i}" for i in range(matrix.shape[0])), matrix=matrix
-    )
 
 
 def lloyd_oracle(x, centroids, iters=100):
@@ -35,24 +37,22 @@ def lloyd_oracle(x, centroids, iters=100):
 
 class TestKmeansFit:
     def test_k1_centroid_is_mean(self, rng):
-        x = rng.normal(size=(12, 3))
-        emb = embeddings_from(x)
-        model = kmeans_fit(emb, 1, seed=0, normalize=False)
+        x = normalize_rows(rng.normal(size=(12, 3)))
+        model = kmeans_fit(x, 1, seed=0)
         np.testing.assert_allclose(model.centroids[0], x.mean(axis=0), atol=1e-12)
 
     def test_k_equals_n_zero_objective(self, rng):
-        x = rng.normal(size=(6, 2))
-        model = kmeans_fit(embeddings_from(x), 6, seed=1, normalize=False)
+        x = normalize_rows(rng.normal(size=(6, 2)))
+        model = kmeans_fit(x, 6, seed=1)
         assert model.objective == pytest.approx(0.0, abs=1e-20)
-        assert sorted(model.assignment.values()) == list(range(6))
+        assert sorted(model.labels.tolist()) == list(range(6))
 
     def test_two_blobs_recovered_and_match_oracle(self, rng):
         a = rng.normal(size=(20, 4)) * 0.05 + np.array([5.0, 0, 0, 0])
         b = rng.normal(size=(20, 4)) * 0.05 + np.array([-5.0, 0, 0, 0])
-        x = np.vstack([a, b])
-        emb = embeddings_from(x)
-        model = kmeans_fit(emb, 2, seed=3, normalize=False)
-        labels = np.array([model.assignment[i] for i in emb.ids])
+        x = normalize_rows(np.vstack([a, b]))
+        model = kmeans_fit(x, 2, seed=3)
+        labels = model.labels
         assert len(set(labels[:20])) == 1
         assert len(set(labels[20:])) == 1
         assert labels[0] != labels[20]
@@ -66,90 +66,125 @@ class TestKmeansFit:
 
     def test_monotone_objective_history(self, rng):
         for trial in range(20):
-            x = rng.normal(size=(40, 3))
-            model = kmeans_fit(embeddings_from(x), 5, seed=trial, normalize=False)
+            x = normalize_rows(rng.normal(size=(40, 3)))
+            model = kmeans_fit(x, 5, seed=trial)
             history = np.array(model.objective_history)
             assert np.all(np.diff(history) <= 1e-9 * np.maximum(history[:-1], 1.0))
 
     def test_deterministic_given_seed(self, rng):
         x = rng.normal(size=(30, 4))
-        emb = embeddings_from(x)
-        a = kmeans_fit(emb, 4, seed=9)
-        b = kmeans_fit(emb, 4, seed=9)
-        assert a.assignment == b.assignment
+        a = kmeans_fit(x, 4, seed=9)
+        b = kmeans_fit(x, 4, seed=9)
+        np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
     def test_errors(self, rng):
-        emb = embeddings_from(rng.normal(size=(3, 2)))
+        x = rng.normal(size=(3, 2))
         with pytest.raises(ValueError):
-            kmeans_fit(emb, 4, seed=0)
+            kmeans_fit(x, 4, seed=0)
         with pytest.raises(ValueError):
-            kmeans_fit(emb, 0, seed=0)
+            kmeans_fit(x, 0, seed=0)
+        with pytest.raises(ValueError, match="2-d"):
+            kmeans_fit(x[0], 1, seed=0)
+        with pytest.raises(InvariantError, match="finite"):
+            kmeans_fit(np.array([[np.inf, 0.0], [1.0, 0.0]]), 1, seed=0)
 
     def test_duplicate_points_no_empty_clusters(self):
         x = np.zeros((5, 2))
-        model = kmeans_fit(embeddings_from(x), 3, seed=0, normalize=False)
-        counts = np.bincount(list(model.assignment.values()), minlength=3)
+        model = kmeans_fit(x, 3, seed=0)
+        counts = np.bincount(model.labels, minlength=3)
         assert np.all(counts >= 1)
+
+    def test_model_is_frozen_with_read_only_labels(self, rng):
+        """A fit may be shared by several fine-tuners, so none can change it."""
+        x = rng.normal(size=(10, 3))
+        model = kmeans_fit(x, 3, seed=2)
+        assert [f.name for f in dataclasses.fields(model)] == [
+            "centroids", "labels", "objective", "objective_history"]
+        assert model.labels.dtype == np.int64 and model.labels.shape == (10,)
+        with pytest.raises(ValueError, match="read-only"):
+            model.labels[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.labels = np.zeros(10, dtype=np.int64)
 
 
 class TestAssign:
     def test_point_on_centroid(self, rng):
-        x = rng.normal(size=(10, 3))
-        model = kmeans_fit(embeddings_from(x), 3, seed=2, normalize=False)
-        probe = embeddings_from(model.centroids[1][None, :], prefix="probe")
-        assert assign(model, probe)["probe0"] == 1
+        x = normalize_rows(rng.normal(size=(10, 3)))
+        model = kmeans_fit(x, 3, seed=2)
+        assert assign(model, model.centroids[1][None, :]).tolist() == [1]
 
     def test_equidistant_tie_breaks_low_index(self):
         centroids = np.array([[5.0, 9.0], [1.0, 0.0], [-1.0, 0.0], [4.0, 4.0], [0.0, 1.0], [0.0, -1.0]])
-        model = kmeans_fit(embeddings_from(centroids), 6, seed=0, normalize=False)
+        model = kmeans_fit(centroids, 6, seed=0)
         # re-index the model so centroid order is known
-        model.centroids = centroids
-        probe = embeddings_from(np.array([[0.0, 0.0]]), prefix="tie")
+        model = dataclasses.replace(model, centroids=centroids)
         # equidistant from centroids 1, 2, 4, 5 -> lowest index wins
-        assert assign(model, probe)["tie0"] == 1
+        assert assign(model, np.array([[0.0, 0.0]])).tolist() == [1]
 
     def test_matches_exhaustive_scan(self, rng):
-        x = rng.normal(size=(25, 3))
-        model = kmeans_fit(embeddings_from(x), 4, seed=5, normalize=False)
-        probes = rng.normal(size=(40, 3))
-        emb = embeddings_from(probes, prefix="probe")
-        got = assign(model, emb)
+        model = kmeans_fit(normalize_rows(rng.normal(size=(25, 3))), 4, seed=5)
+        probes = normalize_rows(rng.normal(size=(40, 3)))
+        got = assign(model, probes)
         for i, point in enumerate(probes):
             dists = [float(((point - c) ** 2).sum()) for c in model.centroids]
-            assert got[f"probe{i}"] == int(np.argmin(dists))
+            assert got[i] == int(np.argmin(dists))
 
     def test_width_mismatch(self, rng):
-        model = kmeans_fit(embeddings_from(rng.normal(size=(6, 3))), 2, seed=0)
+        model = kmeans_fit(rng.normal(size=(6, 3)), 2, seed=0)
         with pytest.raises(ValueError):
-            assign(model, embeddings_from(rng.normal(size=(2, 5))))
+            assign(model, rng.normal(size=(2, 5)))
 
 
 class TestNormalization:
     def test_spherical_default_ignores_magnitude(self, rng):
         directions = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
         scales = np.array([1.0, 100.0, 1.0, 100.0])[:, None]
-        model = kmeans_fit(embeddings_from(directions * scales), 2, seed=4, normalize=True)
-        a = model.assignment
-        assert a["p0"] == a["p1"] and a["p2"] == a["p3"] and a["p0"] != a["p2"]
-
-    def test_raw_flag_respects_magnitude(self):
-        x = np.array([[1.0, 0.0], [100.0, 0.0], [0.0, 1.0], [0.0, 100.0]])
-        model = kmeans_fit(embeddings_from(x), 2, seed=4, normalize=False)
-        a = model.assignment
-        assert a["p1"] != a["p0"] or a["p3"] != a["p2"]
+        a = kmeans_fit(directions * scales, 2, seed=4).labels
+        assert a[0] == a[1] and a[2] == a[3] and a[0] != a[2]
 
 
 class TestSerialization:
     def test_roundtrip(self, rng, tmp_path):
-        model = kmeans_fit(embeddings_from(rng.normal(size=(10, 3))), 3, seed=7)
+        model = kmeans_fit(rng.normal(size=(10, 3)), 3, seed=7)
         path = tmp_path / "clusters.bin"
         save_cluster_model(model, path)
         loaded = load_cluster_model(path)
-        assert loaded.assignment == model.assignment
-        assert loaded.normalized == model.normalized
+        assert loaded.labels.tobytes() == model.labels.tobytes()
+        assert not loaded.labels.flags.writeable
         np.testing.assert_array_equal(loaded.centroids, model.centroids)
         assert loaded.objective == model.objective
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_header_holds_scalars_only(self, rng, tmp_path, n):
+        """The header's size does not grow with the number of points."""
+        path = tmp_path / "clusters.bin"
+        save_cluster_model(kmeans_fit(rng.normal(size=(n, 3)), 3, seed=7), path)
+        line = path.read_bytes().partition(b"\n")[0]
+        assert sorted(json.loads(line)) == sorted(
+            ["format", "version", "n_clusters", "width", "n_points", "objective"])
+        assert len(line) < 200
+
+    @pytest.mark.parametrize("label", [-1.0, 3.0, 0.5, 1e300])
+    def test_label_outside_the_clusters_rejected(self, rng, tmp_path, label):
+        model = kmeans_fit(rng.normal(size=(10, 3)), 3, seed=7)
+        path = tmp_path / "clusters.bin"
+        fields = {"n_clusters": 3, "width": 3, "n_points": 10, "objective": model.objective}
+        labels = model.labels.astype(np.float64)
+        labels[4] = label
+        blobfile.write(path, CLUSTER_FORMAT, 2, fields, [model.centroids, labels])
+        with pytest.raises(BlobFileError, match=f"{path}: block 1 .* not a cluster id"):
+            load_cluster_model(path)
+
+    def test_version_1_rejected(self, rng, tmp_path):
+        """Version 1 held no labels block and a dict of labels by query id in its header."""
+        model = kmeans_fit(rng.normal(size=(10, 3)), 3, seed=7)
+        path = tmp_path / "clusters.bin"
+        fields = {"n_clusters": 3, "width": 3, "normalized": True, "objective": model.objective,
+                  "assignment": {f"q{i}": int(c) for i, c in enumerate(model.labels)}}
+        blobfile.write(path, CLUSTER_FORMAT, 1, fields, [model.centroids])
+        with pytest.raises(BlobFileError, match=f"{path}: unsupported {CLUSTER_FORMAT} version 1"):
+            load_cluster_model(path)
 
 
 def fit_or_error(fit, *args, **kwargs):
@@ -159,20 +194,20 @@ def fit_or_error(fit, *args, **kwargs):
         return exc
 
 
-def assert_same_fit(emb, k, seed, max_iters, normalize):
+def assert_same_fit(x, k, seed, max_iters):
     """`kmeans_fit` and its reference give the same bytes, or both refuse; returns
     the empty clusters the reference repaired."""
     repairs = []
-    got = fit_or_error(kmeans_fit, emb, k, seed=seed, max_iters=max_iters, normalize=normalize)
-    want = fit_or_error(kmeans_fit_reference, emb, k, seed=seed, max_iters=max_iters,
-                        normalize=normalize, repairs=repairs)
+    got = fit_or_error(kmeans_fit, x, k, seed=seed, max_iters=max_iters)
+    want = fit_or_error(kmeans_fit_reference, x, k, seed=seed, max_iters=max_iters,
+                        repairs=repairs)
     if isinstance(want, InvariantError):
         assert isinstance(got, InvariantError)
         return repairs
     assert got.centroids.tobytes() == want.centroids.tobytes()
-    assert got.assignment == want.assignment
+    assert got.labels.tobytes() == want.labels.tobytes()
     assert [v.hex() for v in got.objective_history] == [v.hex() for v in want.objective_history]
-    assert got.objective.hex() == want.objective.hex() and got.normalized == normalize
+    assert got.objective.hex() == want.objective.hex()
     return repairs
 
 
@@ -192,19 +227,17 @@ class TestReference:
     """`kmeans_fit` byte for byte against the reference that recomputes the
     squared norms per distance call and sums the centroids with ``np.add.at``."""
 
-    @given(fit_cases(), st.booleans())
-    def test_matches_reference(self, case, normalize):
+    @given(fit_cases())
+    def test_matches_reference(self, case):
         x, k, seed, max_iters = case
-        assert_same_fit(embeddings_from(x), k, seed, max_iters, normalize)
+        assert_same_fit(x, k, seed, max_iters)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_empty_cluster_repairs_match(self, normalize):
+    def test_empty_cluster_repairs_match(self):
         """Repeated points: k-means++ seeds coinciding centroids, whose clusters
         start empty and are repaired."""
         x = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), [5, 3, 1], axis=0)
-        assert assert_same_fit(embeddings_from(x), 5, 0, 10, normalize)
+        assert assert_same_fit(x, 5, 0, 10)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_task_sized_refit_matches(self, rng, normalize):
+    def test_task_sized_refit_matches(self, rng):
         """A refit of the size of the imbalance study's: 1,059 queries of width 6, k = 20."""
-        assert_same_fit(embeddings_from(rng.normal(size=(1059, 6))), 20, 3, 24, normalize)
+        assert_same_fit(rng.normal(size=(1059, 6)), 20, 3, 24)

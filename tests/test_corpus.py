@@ -123,7 +123,7 @@ class TestLoadQrels:
         path = tmp_path / "qrels.tsv"
         write_lines(path, ["q1\td1\t2"])
         qrels = load_qrels(path)
-        assert qrels.grade("q1", "d1") == 2
+        assert qrels.judged("q1").get("d1", 0) == 2
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "qrels.tsv"
@@ -141,7 +141,7 @@ class TestLoadQrels:
                                                         "integer"):
                 load_qrels(path)
         write_lines(path, ["q1\td1\t 2\r"])  # a CRLF line's CR, as int() reads it
-        assert load_qrels(path).grade("q1", "d1") == 2
+        assert load_qrels(path).judged("q1").get("d1", 0) == 2
 
     def test_positives_in_file_order_computed_once(self, tmp_path):
         path = tmp_path / "qrels.tsv"

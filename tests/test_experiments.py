@@ -20,10 +20,10 @@ def judged_negatives(task):
     """The task with each query's top 25 BM25 documents judged: grade 0 unless
     positive, so that filtering by grade differs from filtering by judgment."""
     index = retrieval_eval.Bm25Index(task.corpus)
-    grades = {(q, d): task.qrels.grade(q, d) for q in task.qrels.query_ids
-              for d in task.qrels.judged(q)}
+    grades = {(q, d): grade for q in task.qrels.query_ids
+              for d, grade in task.qrels.judged(q).items()}
     for query in task.queries:
-        for doc_id in retrieval_eval.search_bm25(index, query.tokens, 25).doc_ids():
+        for doc_id, _ in retrieval_eval.search_bm25(index, query.tokens, 25).results:
             grades.setdefault((query.id, doc_id), 0)
     return dataclasses.replace(task, qrels=QrelSet(grades))
 

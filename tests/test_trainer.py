@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -79,7 +80,7 @@ def tiny_config(**overrides):
         learning_rate=0.05,
     )
     base.update(overrides)
-    return RunConfig(**base).validate()
+    return RunConfig(**base)
 
 
 def mined_ids(params, featurizer, queries, corpus, qrels, k, rng):
@@ -121,6 +122,16 @@ class TestRunConfig:
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="mystery_knob"):
             RunConfig.from_dict({"mystery_knob": 3})
+
+    def test_checked_when_built_and_never_changed(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            RunConfig(batch_size=0)
+        config = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.batch_size = 0
+        with pytest.raises(ConfigError, match="k_clusters"):
+            config.replace(k_clusters=0)
+        assert config == RunConfig()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -404,7 +415,7 @@ class TestMineNegatives:
                              rng=rng)
         for qid, pool in pools.items():
             for did in pool:
-                assert task.qrels.grade(qid, did) == 0
+                assert task.qrels.judged(qid).get(did, 0) == 0
 
     def test_top_distractor_lands_in_pool(self, rng):
         params, featurizer = self.identity_setup()
@@ -688,7 +699,7 @@ class TestFinetune:
     def test_episode_boundary_cluster_contract(self):
         """Episode e's clusters are fit on embeddings from the params that ended e-1."""
         from robustdr.clustering import kmeans_fit
-        from robustdr.encoder import EmbeddingMatrix, encode_many
+        from robustdr.encoder import encode_many
 
         config = tiny_config(episodes=2)
         task = tiny_task()
@@ -698,18 +709,15 @@ class TestFinetune:
         ft.run_episode()
         frozen = ft.params.copy()
         ft.run_episode()
-        emb = EmbeddingMatrix(
-            ids=tuple(q.id for q in ft.queries),
-            matrix=encode_many(frozen,
-                               ft.store.featurizer(q.tokens for q in ft.queries).all_rows()),
-        )
+        emb = encode_many(frozen, ft.store.featurizer(q.tokens for q in ft.queries).all_rows())
         expected = kmeans_fit(
             emb,
             min(config.k_clusters, len(ft.queries)),
             seed=int(_derived_rng(config.seed, _TAG_KMEANS, 2).integers(2**31)),
             max_iters=config.kmeans_iters,
         )
-        assert ft.cluster_model.assignment == expected.assignment
+        assert ft.cluster_model.labels.tobytes() == expected.labels.tobytes()
+        assert ft.query_clusters is ft.cluster_model.labels
 
     def test_resume_is_bit_identical(self, tmp_path):
         task = tiny_task()
@@ -898,7 +906,7 @@ class TestStoreMemo:
         fresh._refresh_clusters(1)
         for ft in arms:
             got, want = ft.cluster_model, fresh.cluster_model
-            assert got.assignment == want.assignment
+            assert self.same_bytes(got.labels, want.labels)
             assert self.same_bytes(got.centroids, want.centroids)
             assert [got.objective, *got.objective_history] == [want.objective,
                                                                 *want.objective_history]
@@ -921,7 +929,7 @@ class TestStoreMemo:
             assert counts == {"fits": 2}
             again = store.cluster_fit(embed[5], 3, seed=1, max_iters=10)
             assert counts == {"fits": 3} and again is not first
-            assert again.assignment == first.assignment
+            assert self.same_bytes(again.labels, first.labels)
             for k, seed, iters in ((2, 1, 10), (3, 2, 10), (3, 1, 11)):
                 store.cluster_fit(embed[5], k, seed=seed, max_iters=iters)
             assert counts == {"fits": 6}
