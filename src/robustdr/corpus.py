@@ -162,14 +162,22 @@ def save_queries(queries: QuerySet, path: str | Path) -> None:
 
 
 class QrelSet:
-    """Graded relevance judgments keyed by (query id, document id)."""
+    """Graded relevance judgments: each query id's judged document ids, each
+    with its grade, in the order they were given.
 
-    def __init__(self, grades: dict[tuple[str, str], int]):
+    Built from ``{query_id: {doc_id: grade}}``, the form it stores; each inner
+    dict is copied, and a query with no judged document is left out.
+    """
+
+    def __init__(self, judgments: dict[str, dict[str, int]]):
         self._by_query: dict[str, dict[str, int]] = {}
-        for (qid, did), grade in grades.items():
-            if grade < 0:
+        for qid, docs in judgments.items():
+            if not docs:
+                continue
+            if min(docs.values()) < 0:
+                did = next(did for did, grade in docs.items() if grade < 0)
                 raise CorpusFormatError(f"negative relevance grade for ({qid!r}, {did!r})")
-            self._by_query.setdefault(qid, {})[did] = int(grade)
+            self._by_query[qid] = dict(docs)
         self._positives: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
@@ -211,7 +219,7 @@ def load_qrels(path: str | Path) -> QrelSet:
     ignored, as ``int`` ignores it.
     """
     path = Path(path)
-    grades: dict[tuple[str, str], int] = {}
+    judgments: dict[str, dict[str, int]] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -230,8 +238,8 @@ def load_qrels(path: str | Path) -> QrelSet:
             grade = int(score)
             if grade < 0:
                 raise CorpusFormatError(f"{path}: line {lineno}: negative relevance score")
-            grades[(qid, did)] = grade
-    return QrelSet(grades)
+            judgments.setdefault(qid, {})[did] = grade
+    return QrelSet(judgments)
 
 
 def _sample_disjoint_starts(

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import blobfile
 from .corpus import Corpus, Document, QrelSet, Query, QuerySet, save_corpus, save_queries
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,86 @@ def _token_draws(
     return is_fw, picks
 
 
+def _query_draws(
+    rng: np.random.Generator, n: int, n_vocab: int, tail: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` queries' draws from a PCG64 ``rng``, bit for bit those of a loop.
+
+    Returns (each query's length, every query's picks back to back: its
+    ``length`` words, then one per bound of ``tail``); they, and ``rng``'s state
+    after, equal those of ``n`` loop iterations of ``length =
+    rng.integers(lo, hi + 1)`` over ``QUERY_LEN_RANGE``, ``length`` times
+    ``rng.integers(n_vocab)``, then ``rng.integers(b)`` for each ``b`` in
+    ``tail``. Every bound is at most 2**32.
+
+    A query's first draw fixes how many follow, so the bounds are found by one
+    walk over the 32-bit stream, read ahead from a saved state: for each kind of
+    draw and each stream position, the position after a draw of that kind
+    there, its first value from that position on that Lemire's method accepts
+    (none for a bound of 0 or 1). Composing these gives, for every position,
+    where a query starting there ends; the walk follows that from position 0.
+    The generator is then rewound and all the bounds drawn in one
+    ``rng.integers(0, bounds)`` call, which draws each element as the scalar
+    call does; a bound of 0 is drawn by the scalar call instead, which raises
+    numpy's ValueError at the same draw as the loop.
+    """
+    lo, hi = QUERY_LEN_RANGE
+    kinds = (hi - lo + 1, n_vocab, *tail)
+    bits = rng.bit_generator
+    start = bits.state
+    size = n * (1 + hi + len(tail))  # at most the draws of n queries without a rejection
+    while True:
+        # the 32-bit stream: the held half, then each raw word's low and high half
+        words = bits.random_raw((size + 1) // 2)
+        bits.state = start
+        x = np.column_stack([words & _HALF, words >> 32]).ravel()
+        if start["has_uint32"]:
+            x = np.append(np.uint64(start["uinteger"]), x)
+        x = x[:size]
+        # after[k][p]: the position after a draw of kind k from position p, past
+        # the first value there on that the bound accepts; size + 1 stands for
+        # past the read-ahead
+        after = []
+        for b in kinds:
+            if b < 2:  # a bound of 1 draws nothing (and one of 0 raises below)
+                after.append(np.arange(size + 2))
+                continue
+            taken = np.flatnonzero((x * np.uint64(b) & _HALF) >= (2**32 - b) % b)
+            after.append(np.append(taken + 1, size + 1)[np.searchsorted(taken,
+                                                                        np.arange(size + 2))])
+        # the length a query starting at each position draws, then where it ends
+        x = np.append(x, np.uint64(0))
+        length = lo + (x[after[0] - 1] * np.uint64(kinds[0]) >> 32).astype(np.intp)
+        reach = [after[0]]
+        for _ in range(hi):
+            reach.append(after[1][reach[-1]])
+        end = np.stack(reach)[length, np.arange(size + 2)]
+        for step in after[2:]:
+            end = step[end]
+        firsts, at, end = [], 0, end.tolist()
+        for _ in range(n):
+            firsts.append(at)
+            at = end[at]
+        if at <= size:
+            break
+        size *= 2
+    lengths = length[firsts]
+    counts = 1 + lengths + len(tail)
+    first = np.cumsum(counts) - counts  # each query's length draw among all draws
+    bounds = np.full(int(counts.sum()), n_vocab, dtype=np.int64)
+    bounds[first] = kinds[0]
+    for i, b in enumerate(tail):
+        bounds[first + 1 + lengths + i] = b
+    zero = np.flatnonzero(bounds == 0)
+    if zero.size:
+        rng.integers(0, bounds[: zero[0]])
+        rng.integers(0)
+    draws = rng.integers(0, bounds)
+    if not np.array_equal(draws[first] + lo, lengths):
+        raise InvariantError("the query-length walk disagrees with numpy's draws")
+    return lengths, np.delete(draws, first)
+
+
 def _make_task(
     name: str,
     prefix: str,
@@ -146,7 +227,7 @@ def _make_task(
     function_words: list[str],
     rng: np.random.Generator,
     query_vocab_per_topic: int | None = None,
-) -> tuple[str, list[Document], list[Query], dict[tuple[str, str], int]]:
+) -> tuple[str, list[Document], list[Query], dict[str, dict[str, int]]]:
     """One topical retrieval task as its name, documents, queries and judgments.
 
     By default queries draw from their topic's document vocabulary, so corpus
@@ -155,53 +236,64 @@ def _make_task(
     token, so relevance can only be learned from the labels. Every generated
     word is lowercase ``[0-9a-z]+``, so a text's tokens are its drawn words,
     as `corpus.tokenize` would split their join, and are not split again.
+
+    All documents' tokens are drawn first (`_token_draws`), then all queries'
+    (`_query_draws`); one table maps each pick to its word: the function words,
+    every topic's document vocabulary, then every topic's query vocabulary.
+    The judgments map each query id to its topic's documents, each graded 1.
     """
-    # Documents are drawn back to back, topic by topic, with one vocabulary
-    # size, so one batch holds them all; one table maps each pick to its word:
-    # the function words, then every topic's vocabulary.
     n_docs, n_fw = n_topics * docs_per_topic, len(function_words)
     is_fw, picks = _token_draws(rng, n_docs * DOC_LEN, FW_RATE, n_fw, VOCAB_PER_TOPIC)
-    table = np.array(function_words + [w for topic in range(n_topics)
-                                       for w in _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)],
-                     dtype=object)
+    table = function_words + [w for topic in range(n_topics)
+                              for w in _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)]
     topic_of = np.repeat(np.arange(n_topics), docs_per_topic * DOC_LEN)
     rows = np.where(is_fw, picks, n_fw + topic_of * VOCAB_PER_TOPIC + picks)
-    words = table[rows].tolist()
     topic_doc_ids = [[f"{prefix}-t{topic}-d{d}" for d in range(docs_per_topic)]
                      for topic in range(n_topics)]
+    # a query's words: `length` from its vocabulary, then, with a query
+    # vocabulary of its own, one in-topic document word, so that queries still
+    # resemble their domain lexically and embedding-space clustering sees
+    # topics before any label supervision; last one shared function word,
+    # which keeps lexical retrieval from seeing only same-topic
+    # (all-relevant) candidates
+    query_topic = np.repeat(np.arange(n_topics), queries_per_topic)
+    doc_base = n_fw + query_topic * VOCAB_PER_TOPIC
+    if query_vocab_per_topic is None:
+        n_vocab, vocab_base, tail = VOCAB_PER_TOPIC, doc_base, [(n_fw, 0)]
+    else:
+        n_vocab = query_vocab_per_topic
+        vocab_base = len(table) + query_topic * n_vocab
+        tail = [(VOCAB_PER_TOPIC, doc_base), (n_fw, 0)]
+        table += [w for topic in range(n_topics)
+                  for w in _topic_vocab(f"{prefix}qry", topic, query_vocab_per_topic)]
+    lengths, query_picks = _query_draws(rng, len(query_topic), n_vocab,
+                                        tuple(bound for bound, _ in tail))
+    counts = lengths + len(tail)
+    ends = np.cumsum(counts)
+    base = np.repeat(vocab_base, counts)
+    for i, (_, tail_base) in enumerate(tail):
+        base[ends - len(tail) + i] = tail_base
+    words = np.array(table, dtype=object)[np.concatenate([rows, base + query_picks])].tolist()
     docs = []
     for i, doc_id in enumerate(chain.from_iterable(topic_doc_ids)):
         tokens = tuple(words[i * DOC_LEN : (i + 1) * DOC_LEN])
         docs.append(Document(doc_id, " ".join(tokens), tokens=tokens))
-    queries = []
-    grades: dict[tuple[str, str], int] = {}
+    queries, judgments = [], {}
+    at, ends = n_docs * DOC_LEN, iter((ends + n_docs * DOC_LEN).tolist())
     for topic in range(n_topics):
-        doc_vocab = _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)
-        if query_vocab_per_topic is None:
-            vocab = doc_vocab
-        else:
-            vocab = _topic_vocab(f"{prefix}qry", topic, query_vocab_per_topic)
+        judged = dict.fromkeys(topic_doc_ids[topic], 1)
         for q in range(queries_per_topic):
-            qid = f"{prefix}-t{topic}-q{q}"
-            qlen = int(rng.integers(QUERY_LEN_RANGE[0], QUERY_LEN_RANGE[1] + 1))
-            tokens = [vocab[int(rng.integers(len(vocab)))] for _ in range(qlen)]
-            if query_vocab_per_topic is not None:
-                # one in-topic document word: queries still resemble their
-                # domain lexically, so embedding-space clustering sees topics
-                # before any label supervision
-                tokens.append(doc_vocab[int(rng.integers(len(doc_vocab)))])
-            # one shared function word keeps lexical retrieval from seeing
-            # only same-topic (all-relevant) candidates
-            tokens.append(function_words[int(rng.integers(len(function_words)))])
-            queries.append(Query(qid, " ".join(tokens), tuple(tokens)))
-            for doc_id in topic_doc_ids[topic]:
-                grades[(qid, doc_id)] = 1
-    return name, docs, queries, grades
+            qid, end = f"{prefix}-t{topic}-q{q}", next(ends)
+            tokens = tuple(words[at:end])
+            queries.append(Query(qid, " ".join(tokens), tokens))
+            judgments[qid] = judged
+            at = end
+    return name, docs, queries, judgments
 
 
 def _bundle(name: str, docs: list[Document], queries: list[Query],
-            grades: dict[tuple[str, str], int]) -> TaskBundle:
-    return TaskBundle(name, Corpus(docs), QuerySet(queries), QrelSet(grades))
+            judgments: dict[str, dict[str, int]]) -> TaskBundle:
+    return TaskBundle(name, Corpus(docs), QuerySet(queries), QrelSet(judgments))
 
 
 def make_two_domain_benchmark(
@@ -266,14 +358,14 @@ def make_imbalanced_source(
         parts.append(_make_task(f"rare{t}", f"rar{t}", 1, docs_per_topic,
                                 rare_queries_per_topic, function_words, rng,
                                 query_vocab_per_topic=vocab_size))
-    docs, queries, grades, groups = [], [], {}, {}
-    for name, part_docs, part_queries, part_grades in parts:
+    docs, queries, judgments, groups = [], [], {}, {}
+    for name, part_docs, part_queries, part_judgments in parts:
         docs.extend(part_docs)
         queries.extend(part_queries)
-        grades.update(part_grades)
+        judgments.update(part_judgments)
         group = "major" if name == "major" else "rare"
         groups.update((query.id, group) for query in part_queries)
-    return _bundle("imbalanced-source", docs, queries, grades), groups
+    return _bundle("imbalanced-source", docs, queries, judgments), groups
 
 
 def write_task_dir(bundle: TaskBundle, out_dir: str | Path) -> None:

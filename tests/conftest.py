@@ -42,7 +42,7 @@ def tiny_queries():
 
 @pytest.fixture
 def tiny_qrels():
-    return QrelSet({("q1", "d1"): 2, ("q1", "d3"): 1, ("q2", "d2"): 1})
+    return QrelSet({"q1": {"d1": 2, "d3": 1}, "q2": {"d2": 1}})
 
 
 def random_tokens(rng, n_tokens=6) -> list[str]:

@@ -659,6 +659,19 @@ def token_draws_reference(rng, n, fw_rate, n_fw, n_vocab):
     return np.array(is_fw, dtype=bool), np.array(picks, dtype=np.int64)
 
 
+def query_draws_reference(rng, n, n_vocab, tail):
+    """`synthetic._query_draws` one draw at a time: each query's length in
+    `QUERY_LEN_RANGE`, that many draws below ``n_vocab``, then one below each
+    bound of ``tail``."""
+    lengths, picks = [], []
+    for _ in range(n):
+        length = int(rng.integers(QUERY_LEN_RANGE[0], QUERY_LEN_RANGE[1] + 1))
+        lengths.append(length)
+        picks.extend(int(rng.integers(n_vocab)) for _ in range(length))
+        picks.extend(int(rng.integers(b)) for b in tail)
+    return np.array(lengths, dtype=np.intp), np.array(picks, dtype=np.int64)
+
+
 def make_doc_tokens_reference(vocab, function_words, doc_len, fw_rate, rng):
     """One document's tokens, two scalar draws per token: ``rng.random()``, then a
     function word with probability ``fw_rate``, else a word of ``vocab``."""
@@ -678,10 +691,11 @@ def make_task_reference(
     """`synthetic._make_task` drawing each document's tokens in a per-token loop
     (`make_doc_tokens_reference`), topic by topic, then the queries, and
     tokenizing each joined text again (`Document.from_fields`,
-    `Query.from_fields`); the same parts: name, documents, queries, judgments."""
+    `Query.from_fields`); the same parts: name, documents, queries, judgments
+    (each query's topic documents, graded 1, one pair at a time)."""
     docs = []
     queries = []
-    grades = {}
+    judgments = {}
     topic_doc_ids = []
     for topic in range(n_topics):
         vocab = _topic_vocab(prefix, topic, VOCAB_PER_TOPIC)
@@ -706,6 +720,7 @@ def make_task_reference(
                 tokens.append(doc_vocab[int(rng.integers(len(doc_vocab)))])
             tokens.append(function_words[int(rng.integers(len(function_words)))])
             queries.append(Query.from_fields(qid, " ".join(tokens)))
+            judged = judgments.setdefault(qid, {})
             for doc_id in topic_doc_ids[topic]:
-                grades[(qid, doc_id)] = 1
-    return name, docs, queries, grades
+                judged[doc_id] = 1
+    return name, docs, queries, judgments

@@ -200,7 +200,7 @@ def test_criterion_4_formula_oracles():
         antipodal = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert abs(uniformity(antipodal) - (-8.0)) < 1e-9
 
-        qrels = QrelSet({("q", "rel"): 1})
+        qrels = QrelSet({"q": {"rel": 1}})
         ranked = RankedList("q", (("other", 9.0), ("rel", 8.0)))
         assert abs(ndcg_at_k(ranked, qrels, k=10) - 1.0 / math.log2(3.0)) < 1e-9
 

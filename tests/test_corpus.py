@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from robustdr.corpus import (
     Corpus,
     Document,
+    QrelSet,
     _sample_disjoint_starts,
     load_corpus,
     load_qrels,
@@ -151,12 +152,35 @@ class TestLoadQrels:
         assert qrels.positives("q1") is qrels.positives("q1")
         assert qrels.positives("q2") == () and qrels.positives("unknown") == ()
 
+    def test_repeated_pair_keeps_its_first_place(self, tmp_path):
+        """A later line for a judged pair sets its grade at the first line's
+        place; queries come in the order of their first line."""
+        path = tmp_path / "qrels.tsv"
+        write_lines(path, ["q2\td1\t1", "q1\td3\t1", "q2\td2\t2", "q1\td1\t1",
+                           "q2\td1\t3", "q1\td3\t0"])
+        qrels = load_qrels(path)
+        assert qrels.query_ids == ("q2", "q1")
+        assert list(qrels.judged("q2").items()) == [("d1", 3), ("d2", 2)]
+        assert list(qrels.judged("q1").items()) == [("d3", 0), ("d1", 1)]
+        assert qrels.positives("q1") == ("d1",)
+        assert len(qrels) == 4
+
     def test_validate_against_flags_dangling(self, tmp_path, tiny_corpus, tiny_queries):
         path = tmp_path / "qrels.tsv"
         write_lines(path, ["q1\tmissing-doc\t1"])
         qrels = load_qrels(path)
         with pytest.raises(CorpusFormatError, match="missing-doc"):
             qrels.validate_against(tiny_queries, tiny_corpus)
+
+
+class TestQrelSet:
+    def test_negative_grade_rejected(self):
+        with pytest.raises(CorpusFormatError, match="\\('q2', 'd2'\\)"):
+            QrelSet({"q1": {"d1": 0}, "q2": {"d1": 1, "d2": -1}})
+
+    def test_query_without_judgments_left_out(self):
+        qrels = QrelSet({"q1": {}, "q2": {"d1": 1}})
+        assert qrels.query_ids == ("q2",) and len(qrels) == 1
 
 
 class TestSpanPair:

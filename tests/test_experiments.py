@@ -20,12 +20,12 @@ def judged_negatives(task):
     """The task with each query's top 25 BM25 documents judged: grade 0 unless
     positive, so that filtering by grade differs from filtering by judgment."""
     index = retrieval_eval.Bm25Index(task.corpus)
-    grades = {(q, d): grade for q in task.qrels.query_ids
-              for d, grade in task.qrels.judged(q).items()}
+    judgments = {q: task.qrels.judged(q) for q in task.qrels.query_ids}
     for query in task.queries:
+        judged = judgments.setdefault(query.id, {})
         for doc_id, _ in retrieval_eval.search_bm25(index, query.tokens, 25).results:
-            grades.setdefault((query.id, doc_id), 0)
-    return dataclasses.replace(task, qrels=QrelSet(grades))
+            judged.setdefault(doc_id, 0)
+    return dataclasses.replace(task, qrels=QrelSet(judgments))
 
 
 @pytest.mark.parametrize("source", ["imbalanced", "two-domain"])

@@ -285,34 +285,34 @@ class TestBm25:
 
 class TestNdcg:
     def test_perfect_ranking(self):
-        qrels = QrelSet({("q", "a"): 2, ("q", "b"): 1})
+        qrels = QrelSet({"q": {"a": 2, "b": 1}})
         ranked = RankedList("q", (("a", 9.0), ("b", 8.0), ("c", 7.0)))
         assert ndcg_at_k(ranked, qrels, k=10) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_relevant_at_rank_two(self):
-        qrels = QrelSet({("q", "rel"): 1})
+        qrels = QrelSet({"q": {"rel": 1}})
         ranked = RankedList("q", (("other", 9.0), ("rel", 8.0)))
         assert ndcg_at_k(ranked, qrels, k=10) == pytest.approx(1 / math.log2(3.0), abs=1e-9)
         assert ndcg_at_k(ranked, qrels, k=10) == pytest.approx(0.63093, abs=1e-5)
 
     def test_relevant_below_cutoff(self):
-        qrels = QrelSet({("q", "rel"): 1})
+        qrels = QrelSet({"q": {"rel": 1}})
         results = tuple((f"filler{i}", 100.0 - i) for i in range(10)) + (("rel", 1.0),)
         assert ndcg_at_k(RankedList("q", results), qrels, k=10) == 0.0
 
     def test_unjudged_query_undefined(self):
-        qrels = QrelSet({("other", "a"): 1})
+        qrels = QrelSet({"other": {"a": 1}})
         assert ndcg_at_k(RankedList("q", (("a", 1.0),)), qrels, k=10) is None
 
     def test_graded_gains(self):
-        qrels = QrelSet({("q", "a"): 3, ("q", "b"): 1})
+        qrels = QrelSet({"q": {"a": 3, "b": 1}})
         ranked = RankedList("q", (("b", 2.0), ("a", 1.0)))
         dcg = (2**1 - 1) / math.log2(2) + (2**3 - 1) / math.log2(3)
         idcg = (2**3 - 1) / math.log2(2) + (2**1 - 1) / math.log2(3)
         assert ndcg_at_k(ranked, qrels, k=10) == pytest.approx(dcg / idcg, abs=1e-12)
 
     def test_invariant_to_permuting_equal_score_equal_grade(self):
-        qrels = QrelSet({("q", "a"): 1, ("q", "b"): 1, ("q", "c"): 0})
+        qrels = QrelSet({"q": {"a": 1, "b": 1, "c": 0}})
         one = RankedList("q", (("a", 5.0), ("b", 5.0), ("c", 1.0)))
         two = RankedList("q", (("b", 5.0), ("a", 5.0), ("c", 1.0)))
         assert ndcg_at_k(one, qrels) == ndcg_at_k(two, qrels)
@@ -320,13 +320,13 @@ class TestNdcg:
 
 class TestRecall:
     def test_basic(self):
-        qrels = QrelSet({("q", "a"): 1, ("q", "b"): 2, ("q", "c"): 1})
+        qrels = QrelSet({"q": {"a": 1, "b": 2, "c": 1}})
         ranked = RankedList("q", (("a", 3.0), ("x", 2.0), ("b", 1.0)))
         assert recall_at_k(ranked, qrels, k=2) == pytest.approx(1 / 3)
         assert recall_at_k(ranked, qrels, k=3) == pytest.approx(2 / 3)
 
     def test_no_positives_undefined(self):
-        qrels = QrelSet({("q", "a"): 0})
+        qrels = QrelSet({"q": {"a": 0}})
         assert recall_at_k(RankedList("q", (("a", 1.0),)), qrels, k=5) is None
 
 
@@ -335,7 +335,7 @@ class TestEvaluate:
         docs = [Document.from_fields(f"d{i}", f"word{i}") for i in range(6)]
         corpus = Corpus(docs)
         queries = QuerySet([Query.from_fields(f"q{i}", f"word{i}") for i in range(3)])
-        qrels = QrelSet({(f"q{i}", f"d{i}"): 1 for i in range(3)})
+        qrels = QrelSet({f"q{i}": {f"d{i}": 1} for i in range(3)})
         featurizer = Featurizer(dim=512)
         buckets = featurizer([[f"word{i}"] for i in range(6)]).indices.tolist()
         assert len(set(buckets)) == 6, "fixture needs collision-free hashing"
@@ -350,7 +350,7 @@ class TestEvaluate:
     def test_unjudged_queries_skipped_and_counted(self):
         docs = [Document.from_fields("d0", "alpha")]
         queries = QuerySet([Query.from_fields("q0", "alpha"), Query.from_fields("q1", "beta")])
-        qrels = QrelSet({("q0", "d0"): 1})
+        qrels = QrelSet({"q0": {"d0": 1}})
         featurizer = Featurizer(dim=16)
         params = Params.init_random(16, 4, seed=0)
         record, _ = evaluate(params, featurizer, Corpus(docs), queries, qrels)
@@ -364,7 +364,7 @@ class TestEvaluate:
         docs = [Document.from_fields(f"d{i}", f"w{i}") for i in range(n_docs)]
         corpus = Corpus(docs)
         queries = QuerySet([Query.from_fields(f"q{i}", f"qq{i}") for i in range(n_queries)])
-        qrels = QrelSet({(f"q{i}", f"d{int(rng.integers(n_docs))}"): 1 for i in range(n_queries)})
+        qrels = QrelSet({f"q{i}": {f"d{int(rng.integers(n_docs))}": 1} for i in range(n_queries)})
         featurizer = Featurizer(dim=2048)
         params = Params.init_random(2048, 8, seed=int(rng.integers(2**31)))
         record, _ = evaluate(params, featurizer, corpus, queries, qrels)

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from robustdr import synthetic
 from robustdr.corpus import load_corpus, load_qrels, load_queries
 from robustdr.synthetic import (
+    TaskBundle,
+    _query_draws,
     _token_draws,
     make_imbalanced_source,
     make_two_domain_benchmark,
     write_task_dir,
 )
-from tests.oracles import make_task_reference, token_draws_reference
+from tests.oracles import make_task_reference, query_draws_reference, token_draws_reference
 
 
 def task_fields(bundle):
@@ -85,9 +87,7 @@ class TestWriteTaskDir:
         corpus = load_corpus(tmp_path / "corpus.jsonl")
         queries = load_queries(tmp_path / "queries.jsonl")
         qrels = load_qrels(tmp_path / "qrels.tsv")
-        assert corpus.ids == task.corpus.ids
-        assert queries.ids == task.queries.ids
-        assert len(qrels) == len(task.qrels)
+        assert task_fields(TaskBundle(task.name, corpus, queries, qrels)) == task_fields(task)
         qrels.validate_against(queries, corpus)
 
 
@@ -180,6 +180,68 @@ class TestTokenDraws:
         self.assert_same_draws(seeded(16, 1), 300, fw_rate, n_fw, n_vocab)
 
 
+@st.composite
+def query_cases(draw):
+    """(count, n_vocab, tail, seed, warm-up draws) for `_query_draws`."""
+    n = draw(st.one_of(st.integers(0, 40), st.sampled_from([257, 1001])))
+    tail = tuple(draw(st.lists(st.sampled_from(BOUNDS), max_size=2)))
+    return (n, draw(st.sampled_from(BOUNDS)), tail, draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 3)))
+
+
+class TestQueryDraws:
+    """`_query_draws`, one walk and one bulk draw per task, against the scalar
+    draws of each query: the same lengths and picks and the same generator
+    state after."""
+
+    @staticmethod
+    def assert_same_draws(rng, n, n_vocab, tail):
+        twin = twin_of(rng)
+        got = _query_draws(rng, n, n_vocab, tail)
+        want = query_draws_reference(twin, n, n_vocab, tail)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @given(query_cases())
+    def test_matches_scalar_draws(self, case):
+        n, n_vocab, tail, seed, warm_up = case
+        self.assert_same_draws(seeded(seed, warm_up), n, n_vocab, tail)
+
+    @pytest.mark.parametrize("warm_up", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 3001])
+    def test_counts_from_either_half(self, n, warm_up):
+        rng = seeded(21, warm_up)
+        assert rng.bit_generator.state["has_uint32"] == warm_up
+        self.assert_same_draws(rng, n, 10, (40, 30))
+
+    @pytest.mark.parametrize("warm_up", [0, 1])
+    @pytest.mark.parametrize("n_vocab,tail", [(1, (50,)), (10, (40, 1)), (1, (1,)),
+                                              (1, (1, 1))])
+    def test_one_word_vocabularies_draw_nothing(self, n_vocab, tail, warm_up):
+        self.assert_same_draws(seeded(22, warm_up), 501, n_vocab, tail)
+
+    @pytest.mark.parametrize("warm_up", [0, 1])
+    @pytest.mark.parametrize("n_vocab,tail", [(3 * 2**30, (50,)), (24, (2**31 + 1,)),
+                                              (2**31 + 1, (3 * 2**30, 2**31 + 1)),
+                                              (2**32, (2**32, 3))])
+    def test_rejection_heavy_bounds(self, n_vocab, tail, warm_up):
+        self.assert_same_draws(seeded(23, warm_up), 2001, n_vocab, tail)
+
+    @pytest.mark.parametrize("warm_up", [0, 1])
+    @pytest.mark.parametrize("n_vocab,tail", [(0, (40, 30)), (10, (0, 30)), (10, (40, 0)),
+                                              (0, (0,))])
+    def test_zero_bound_raises_at_the_same_draw(self, n_vocab, tail, warm_up):
+        rng = seeded(24, warm_up)
+        twin = twin_of(rng)
+        with pytest.raises(ValueError) as got:
+            _query_draws(rng, 50, n_vocab, tail)
+        with pytest.raises(ValueError) as want:
+            query_draws_reference(twin, 50, n_vocab, tail)
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def generated(make, make_task, **sizes):
     """``make(**sizes)`` with ``make_task`` as `synthetic._make_task`, and the
     state its generator is left in."""
@@ -236,3 +298,19 @@ class TestLoopReference:
             n_rare_topics=1 + seed % 3, docs_per_topic=1 + seed % 5,
             major_queries_per_topic=1 + seed % 3, rare_queries_per_topic=1 + seed % 2,
         )
+
+    @pytest.mark.parametrize("vocab", [1, 2])
+    def test_small_query_vocabularies(self, vocab):
+        assert_generators_match(
+            make_imbalanced_source, seed=3, n_major_topics=2, n_rare_topics=2,
+            docs_per_topic=2, major_queries_per_topic=3, rare_queries_per_topic=3,
+            query_vocab_per_topic=vocab, rare_query_vocab_profile=(vocab,),
+        )
+
+    def test_empty_query_vocabulary_raises_as_the_loop(self):
+        errors = []
+        for make_task in (synthetic._make_task, make_task_reference):
+            with pytest.raises(ValueError) as error:
+                generated(make_imbalanced_source, make_task, seed=4, query_vocab_per_topic=0)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]

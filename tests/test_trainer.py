@@ -426,7 +426,7 @@ class TestMineNegatives:
             ]
         )
         queries = QuerySet([Query.from_fields("q", "apple")])
-        qrels = QrelSet({("q", "positive"): 1})
+        qrels = QrelSet({"q": {"positive": 1}})
         pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=2, rng=rng)
         assert pools["q"] == ["distractor"]
         assert n_fallback == 0
@@ -435,7 +435,7 @@ class TestMineNegatives:
         params, featurizer = self.identity_setup()
         corpus = Corpus([Document.from_fields("only", "apple")])
         queries = QuerySet([Query.from_fields("q", "apple")])
-        qrels = QrelSet({("q", "only"): 1})
+        qrels = QrelSet({"q": {"only": 1}})
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
             pools, n_fallback = mined_ids(params, featurizer, queries, corpus, qrels, k=1,
                                           rng=rng)
@@ -457,14 +457,14 @@ def pool_task(data):
             st.one_of(words, st.just("yak")), max_size=5))))
         for i in range(n_queries)
     ])
-    grades = {}
+    judgments = {}
     for q in range(n_queries):
         positives = ids if data.draw(st.booleans()) else data.draw(
             st.lists(st.sampled_from(ids), max_size=3))
-        grades.update({(f"q{q}", d): 1 for d in positives})
+        judgments[f"q{q}"] = dict.fromkeys(positives, 1)
     k = data.draw(st.integers(min_value=1, max_value=len(texts) + 2))
     block = data.draw(st.integers(min_value=1, max_value=4))
-    return corpus, queries, QrelSet(grades), k, block
+    return corpus, queries, QrelSet(judgments), k, block
 
 
 class TestNegativePools:
@@ -496,7 +496,7 @@ class TestNegativePools:
     def test_fallback_warns_in_query_order(self, caplog, rng):
         corpus = Corpus([Document.from_fields("a", "apple"), Document.from_fields("b", "pear")])
         queries = QuerySet([Query.from_fields(q, "apple") for q in ("q2", "q1", "q3")])
-        qrels = QrelSet({("q2", "a"): 1, ("q1", "a"): 1, ("q3", "b"): 1})
+        qrels = QrelSet({"q2": {"a": 1}, "q1": {"a": 1}, "q3": {"b": 1}})
         with caplog.at_level(logging.WARNING, logger="robustdr.trainer"):
             pools, n_fallback = bm25_ids(queries, corpus, qrels, k=1, rng=rng)
         assert n_fallback == 2
@@ -513,7 +513,7 @@ class TestNegativePools:
                          for i in range(n_docs)])
         queries = QuerySet([Query.from_fields(f"q{i}", f"w{i % 97} w{i % 7}")
                             for i in range(n_queries)])
-        qrels = QrelSet({(f"q{i}", f"d{i % n_docs}"): 1 for i in range(n_queries)})
+        qrels = QrelSet({f"q{i}": {f"d{i % n_docs}": 1} for i in range(n_queries)})
         params = Params.init_random(512, 4, seed=0)
         store = FeatureStore(Featurizer(512), queries, corpus, qrels)
         assert store.bm25.n_docs == n_docs  # the index is built before tracing
@@ -630,14 +630,13 @@ class TestFinetune:
     def test_positive_missing_from_corpus_rejected_before_training(self):
         task = tiny_task()
         qid = next(q.id for q in task.queries if task.qrels.positives(q.id))
-        grades = {(q, d): g for q in task.qrels.query_ids if q != qid
-                  for d, g in task.qrels.judged(q).items()}
-        grades[(qid, "no-such-doc")] = 1
+        judgments = {q: task.qrels.judged(q) for q in task.qrels.query_ids if q != qid}
+        judgments[qid] = {"no-such-doc": 1}
         config = tiny_config()
         params = Params.init_random(config.feature_dim, config.embed_dim, seed=5)
         with pytest.raises(CorpusFormatError, match="no-such-doc"):
             Finetuner(config, params, training_store(config, task.corpus, task.queries,
-                                                     QrelSet(grades)))
+                                                     QrelSet(judgments)))
 
     def test_default_size_step_peak_memory(self):
         """One default-size step allocates no parameter-sized vector: the gradient
@@ -755,7 +754,7 @@ def edge_task():
                "qc": ("grape fig", ["c0"]), "qd": ("kiwi lime", ["a1"]), "qe": ("pear", ["a0"])}
     corpus = Corpus([Document.from_fields(d, text) for d, text in docs.items()])
     query_set = QuerySet([Query.from_fields(q, text) for q, (text, _) in queries.items()])
-    qrels = QrelSet({(q, d): 1 for q, (_, pos) in queries.items() for d in pos})
+    qrels = QrelSet({q: dict.fromkeys(pos, 1) for q, (_, pos) in queries.items()})
     return corpus, query_set, qrels
 
 
@@ -873,7 +872,7 @@ class TestStoreMemo:
         top k minus positives from the first and makes only the fallback draws."""
         corpus = Corpus([Document.from_fields("a", "apple"), Document.from_fields("b", "pear")])
         queries = QuerySet([Query.from_fields(q, "apple") for q in ("q2", "q1", "q3")])
-        qrels = QrelSet({("q2", "a"): 1, ("q1", "a"): 1, ("q3", "b"): 1})
+        qrels = QrelSet({"q2": {"a": 1}, "q1": {"a": 1}, "q3": {"b": 1}})
         shared = FeatureStore(Featurizer(16), queries, corpus, qrels)
         counts = {"masks": 0}
         with mock.patch.object(trainer, "_unjudged",
