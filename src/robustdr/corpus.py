@@ -4,6 +4,9 @@ Corpus and query files are JSONL (one object per line, ``_id``/``text`` plus an
 optional ``title`` on documents); relevance judgments are tab-separated
 ``query-id<TAB>corpus-id<TAB>score`` with an optional header line. Handles are
 immutable after load and preserve file order as their iteration order.
+Judgments are held by query, ``{query_id: {doc_id: grade}}``: queries in the
+order of their first line, each query's documents in the order of theirs; a
+later line for the same pair replaces the grade and keeps the first place.
 """
 
 from __future__ import annotations
@@ -165,8 +168,10 @@ class QrelSet:
     """Graded relevance judgments: each query id's judged document ids, each
     with its grade, in the order they were given.
 
-    Built from ``{query_id: {doc_id: grade}}``, the form it stores; each inner
-    dict is copied, and a query with no judged document is left out.
+    Built from ``{query_id: {doc_id: grade}}``, the form it stores, so a pair
+    is judged once (`load_qrels` keeps a repeated line's first place and its
+    last grade). Each inner dict is copied; a query with no judged document is
+    left out, and a negative grade is a CorpusFormatError.
     """
 
     def __init__(self, judgments: dict[str, dict[str, int]]):
@@ -213,6 +218,9 @@ class QrelSet:
 
 def load_qrels(path: str | Path) -> QrelSet:
     """Load TSV qrels. A first line whose third column is literally 'score' is a header.
+
+    A later line for a judged (query, document) pair sets its grade at the
+    first line's place.
 
     Every other score is ASCII decimal digits with an optional minus sign (then
     rejected as negative); whitespace around it, such as a CRLF line's CR, is

@@ -18,11 +18,16 @@ disjoint from every document token, plus one word of its topic's documents,
 so relevance is learned mainly from the labels.
 
 Every task is a pure function of the seed, and its draws are those of a
-per-token loop: a document token is ``u = rng.random()``, then a function word
-``rng.integers(n_fw)`` if ``u < fw_rate``, else a topic word
-``rng.integers(n_vocab)``. `_token_draws` replays all of a task's document
-tokens at once from the generator's raw 64-bit words, bit for bit, picks and
-generator state after. It rests on how numpy's PCG64 draws:
+per-token loop, all its documents first, then all its queries. A document
+token is ``u = rng.random()``, then a function word ``rng.integers(n_fw)`` if
+``u < fw_rate``, else a topic word ``rng.integers(n_vocab)``. A query is its
+length ``rng.integers(4, 8)``, that many vocabulary words, with a query
+vocabulary of its own one word of its topic's documents, then a function
+word. `_token_draws` replays all of a task's document tokens at once from the
+generator's raw 64-bit words; `_query_draws` walks a read-ahead of the 32-bit
+stream to find every query draw's bound, then draws them all in one
+``rng.integers(0, bounds)`` call. Both are bit for bit the loop's, picks and
+generator state after. They rest on how numpy's PCG64 draws:
 
 * ``random()`` takes one raw word ``w`` and returns ``(w >> 11) * 2**-53``;
 * ``integers(b)`` for ``2 <= b <= 2**32`` draws from the 32-bit stream, which
@@ -31,7 +36,10 @@ generator state after. It rests on how numpy's PCG64 draws:
   ``random()`` and ``random_raw`` leave that half alone;
 * it maps a 32-bit ``x`` by Lemire's method to ``(x * b) >> 32``, and rejects
   ``x`` and draws again when ``(x * b) mod 2**32 < (2**32 - b) % b``;
-* ``integers(1)`` consumes nothing, and ``integers(0)`` raises ValueError.
+* ``integers(1)`` consumes nothing, and ``integers(0)`` raises ValueError;
+* ``integers(0, bounds)`` with an array of bounds draws each element as the
+  scalar call with that bound does, in order, but checks every bound before
+  drawing any.
 """
 
 from __future__ import annotations
@@ -150,16 +158,20 @@ def _query_draws(
     ``rng.integers(n_vocab)``, then ``rng.integers(b)`` for each ``b`` in
     ``tail``. Every bound is at most 2**32.
 
-    A query's first draw fixes how many follow, so the bounds are found by one
-    walk over the 32-bit stream, read ahead from a saved state: for each kind of
-    draw and each stream position, the position after a draw of that kind
-    there, its first value from that position on that Lemire's method accepts
-    (none for a bound of 0 or 1). Composing these gives, for every position,
-    where a query starting there ends; the walk follows that from position 0.
-    The generator is then rewound and all the bounds drawn in one
-    ``rng.integers(0, bounds)`` call, which draws each element as the scalar
-    call does; a bound of 0 is drawn by the scalar call instead, which raises
-    numpy's ValueError at the same draw as the loop.
+    A query's first draw fixes how many follow, so one walk over a read-ahead
+    of the 32-bit stream, from a saved state, finds every bound. For each kind
+    of draw it maps each stream position to the position after a draw of that
+    kind starting there: past the first value from there on that Lemire's
+    method accepts, or the same position for a bound of 0 or 1, which takes no
+    value. Composing the maps gives where a query starting at each position
+    ends, and the walk follows that chain from position 0; a read-ahead too
+    short for the chain is doubled. The generator is then rewound and every
+    bound drawn in one ``rng.integers(0, bounds)`` call, which draws each
+    element as the scalar call does, so the values and the state after are the
+    loop's; the lengths it draws are checked against the walk's. A bound of 0,
+    which the array call refuses before drawing anything, ends the draws with
+    the scalar call, which raises numpy's ValueError at the same draw as the
+    loop.
     """
     lo, hi = QUERY_LEN_RANGE
     kinds = (hi - lo + 1, n_vocab, *tail)
@@ -174,18 +186,18 @@ def _query_draws(
         if start["has_uint32"]:
             x = np.append(np.uint64(start["uinteger"]), x)
         x = x[:size]
-        # after[k][p]: the position after a draw of kind k from position p, past
-        # the first value there on that the bound accepts; size + 1 stands for
-        # past the read-ahead
+        # after[k][p]: the position after a draw of kind k from position p;
+        # size + 1 stands for past the read-ahead
         after = []
         for b in kinds:
-            if b < 2:  # a bound of 1 draws nothing (and one of 0 raises below)
+            if b < 2:
                 after.append(np.arange(size + 2))
                 continue
             taken = np.flatnonzero((x * np.uint64(b) & _HALF) >= (2**32 - b) % b)
             after.append(np.append(taken + 1, size + 1)[np.searchsorted(taken,
                                                                         np.arange(size + 2))])
-        # the length a query starting at each position draws, then where it ends
+        # the length a query starting at each position draws, then where it
+        # ends (a pad value stands for the one past the read-ahead)
         x = np.append(x, np.uint64(0))
         length = lo + (x[after[0] - 1] * np.uint64(kinds[0]) >> 32).astype(np.intp)
         reach = [after[0]]
