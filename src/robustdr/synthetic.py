@@ -188,14 +188,14 @@ def _query_draws(
         x = x[:size]
         # after[k][p]: the position after a draw of kind k from position p;
         # size + 1 stands for past the read-ahead
+        positions = np.arange(size + 2)
         after = []
         for b in kinds:
             if b < 2:
-                after.append(np.arange(size + 2))
+                after.append(positions)
                 continue
             taken = np.flatnonzero((x * np.uint64(b) & _HALF) >= (2**32 - b) % b)
-            after.append(np.append(taken + 1, size + 1)[np.searchsorted(taken,
-                                                                        np.arange(size + 2))])
+            after.append(np.append(taken + 1, size + 1)[np.searchsorted(taken, positions)])
         # the length a query starting at each position draws, then where it
         # ends (a pad value stands for the one past the read-ahead)
         x = np.append(x, np.uint64(0))
@@ -203,7 +203,7 @@ def _query_draws(
         reach = [after[0]]
         for _ in range(hi):
             reach.append(after[1][reach[-1]])
-        end = np.stack(reach)[length, np.arange(size + 2)]
+        end = np.stack(reach)[length, positions]
         for step in after[2:]:
             end = step[end]
         firsts, at, end = [], 0, end.tolist()
