@@ -17,7 +17,7 @@ from .corpus import (
     sample_span_pair,
     tokenize,
 )
-from .encoder import EmbeddingMatrix, FeatureRows, Featurizer, Params
+from .encoder import FeatureRows, Featurizer, Params
 from .errors import BlobFileError, ConfigError, CorpusFormatError, InvariantError
 from .idro import ClusterLayout, alpha_weights, idro_loss, omega_update, r_matrix
 from .losses import TripletRows, coco_loss, retrieval_loss
@@ -32,7 +32,6 @@ __all__ = [
     "Corpus",
     "CorpusFormatError",
     "Document",
-    "EmbeddingMatrix",
     "FeatureRows",
     "FeatureStore",
     "Featurizer",

@@ -218,7 +218,8 @@ def cmd_mine(args) -> int:
 def cmd_evaluate(args) -> int:
     params, featurizer, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
-    record, rankings = retrieval_eval.evaluate(params, featurizer, corpus, queries, qrels)
+    store = trainer.FeatureStore(featurizer, queries, corpus, qrels)
+    record, rankings = retrieval_eval.evaluate(params, store)
     out = _out_dir(args)
     _write_record(out / "metrics", record.to_dict())
     retrieval_eval.write_trec_run(rankings, out / "run.trec", tag=args.tag)

@@ -170,16 +170,13 @@ class Params:
 
     __slots__ = ("feature_dim", "embed_dim", "flat", "W")
 
-    def __init__(self, feature_dim: int, embed_dim: int, flat: np.ndarray | None = None):
+    def __init__(self, feature_dim: int, embed_dim: int, flat: np.ndarray):
         n = self.n_params(feature_dim, embed_dim)
         self.feature_dim = feature_dim
         self.embed_dim = embed_dim
-        if flat is None:
-            flat = np.zeros(n, dtype=np.float64)
-        else:
-            flat = np.ascontiguousarray(flat, dtype=np.float64)
-            if flat.shape != (n,):
-                raise ValueError(f"flat parameter vector must have length {n}")
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != (n,):
+            raise ValueError(f"flat parameter vector must have length {n}")
         if not np.all(np.isfinite(flat)):
             raise InvariantError("encoder parameters must be finite")
         self.flat = flat
@@ -341,32 +338,6 @@ def embedding_backward(params: Params, items: FeatureRows, emb_grads: np.ndarray
     """
     cols, rows = grouped_backward(params, items, emb_grads, [0, len(items)])
     return scatter_grad(params, cols, rows[0])
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Dense row-per-item embeddings with aligned item ids."""
-
-    ids: tuple[str, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.ids):
-            raise ValueError("embedding matrix must have one row per id")
-        if not np.all(np.isfinite(self.matrix)):
-            raise InvariantError("embeddings must be finite")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def embed_items(params: Params, featurizer: Featurizer, items: Iterable) -> EmbeddingMatrix:
-    """Embed anything carrying ``.id`` and ``.tokens`` (documents or queries)."""
-    items = list(items)
-    return EmbeddingMatrix(
-        ids=tuple(item.id for item in items),
-        matrix=encode_many(params, featurizer(item.tokens for item in items).all_rows()),
-    )
 
 
 _CHECKPOINT_FIELDS = {"feature_dim": int, "embed_dim": int}

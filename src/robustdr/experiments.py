@@ -18,7 +18,10 @@ first, for the fixed evaluation set's BM25 top 50 minus positives, and the
 arms' first-episode top 30 are prefixes of that ranking, masked once. Its
 arms start from the same pretrained weights, so the store fits episode 1's
 clusters once for all three; later episodes start from each arm's own
-weights and are fit per arm.
+weights and are fit per arm. The pretraining study also featurizes its
+target task once, into a second store made with the source store's
+featurizer, and scores each arm's target nDCG@10 on it
+(`retrieval_eval.evaluate`).
 """
 
 from __future__ import annotations
@@ -65,13 +68,13 @@ def run_coco_directional(seed: int) -> dict:
     scratch = Params.init_random(config.feature_dim, config.embed_dim, seed=config.seed)
 
     store = trainer.training_store(config, source.corpus, source.queries, source.qrels)
+    target_store = trainer.FeatureStore(store.featurizer, target.queries, target.corpus,
+                                        target.qrels)
     results = {}
     for label, init in (("with_coco", pretrained), ("without_coco", scratch)):
         ft = Finetuner(config, init.copy(), store)
         ft.run()
-        record, _ = retrieval_eval.evaluate(
-            ft.params, store.featurizer, target.corpus, target.queries, target.qrels
-        )
+        record, _ = retrieval_eval.evaluate(ft.params, target_store)
         results[label] = record.ndcg_at_10
     return results
 

@@ -20,6 +20,13 @@ distinct-token terms in first-occurrence order, each term rounded as
 scores and ranking are the same in a block as alone, bit for bit. The block
 size bounds the memory of a pass over many queries to a few block-sized
 arrays.
+
+Every dense ranking of a task starts from its `trainer.FeatureStore`, the
+task's texts featurized once: `dense_picks` embeds the store's document rows
+into a `DenseIndex` and ranks its query rows against it. Self-negative mining
+(`trainer.mine_negatives`) and evaluation (`rank_all`, `evaluate`) both take
+that path, and `evaluate` judges the rankings by the qrels the store was
+built from.
 """
 
 from __future__ import annotations
@@ -27,14 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import blobfile
-from .corpus import Corpus, QrelSet, QuerySet
-from .encoder import EmbeddingMatrix, Featurizer, Params, embed_items
+from .corpus import Corpus, QrelSet
+from .encoder import Params, encode_many
 from .errors import InvariantError
+
+if TYPE_CHECKING:
+    from .trainer import FeatureStore
 
 # BM25's term-frequency saturation and length normalization.
 BM25_K1 = 0.9
@@ -116,22 +126,29 @@ def ranked_lists(
 
 
 class DenseIndex:
-    """Immutable exhaustive index over corpus embeddings."""
+    """Immutable exhaustive index over corpus embeddings: row i of ``matrix``
+    embeds the document ``ids[i]``. A matrix without one row per id, or an
+    empty index, is a ValueError; a non-finite embedding an InvariantError."""
 
-    def __init__(self, embeddings: EmbeddingMatrix):
-        if len(embeddings) == 0:
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+            raise ValueError("embedding matrix must have one row per id")
+        if not np.all(np.isfinite(matrix)):
+            raise InvariantError("embeddings must be finite")
+        if not len(ids):
             raise ValueError("cannot build a dense index from zero embeddings")
-        self.embeddings = embeddings
-        self.order = _id_order(embeddings.ids)
+        self.ids = tuple(ids)
+        self.matrix = matrix
+        self.order = _id_order(self.ids)
 
     def __len__(self) -> int:
-        return len(self.embeddings)
+        return len(self.ids)
 
     def negated_scores(self, query_embs: np.ndarray) -> np.ndarray:
         """Negated dot products of a block of query embeddings, one GEMV per query."""
         neg = np.empty((len(query_embs), len(self)))
         for i, query_emb in enumerate(query_embs):
-            neg[i] = self.embeddings.matrix @ query_emb
+            neg[i] = self.matrix @ query_emb
         if not np.all(np.isfinite(neg)):
             raise InvariantError("non-finite dense retrieval score")
         return np.negative(neg, out=neg)
@@ -141,7 +158,7 @@ def search_dense(index: DenseIndex, query_emb: np.ndarray, k: int, query_id: str
     """Exact top-k by dot product via a full scan."""
     query_embs = np.asarray(query_emb, dtype=np.float64)[None, :]
     picks = next(block_picks(index, query_embs, k))
-    return next(ranked_lists((query_id,), index.embeddings.ids, picks))
+    return next(ranked_lists((query_id,), index.ids, picks))
 
 
 class Bm25Index:
@@ -269,45 +286,43 @@ class MetricsRecord:
         }
 
 
-def rank_all(
-    params: Params,
-    featurizer: Featurizer,
-    corpus: Corpus,
-    queries: QuerySet,
-    k: int,
-) -> Iterator[RankedList]:
-    """Dense-rank every query against the full corpus, yielding one ranking at a time.
+def dense_picks(params: Params, store: FeatureStore, k: int) -> Iterator[Picks]:
+    """The dense top k of every query of a `trainer.FeatureStore`, one `Picks`
+    per block: its document rows embedded into a `DenseIndex`, then its query
+    rows embedded and ranked against it."""
+    index = DenseIndex(store.corpus.ids, encode_many(params, store.doc_rows()))
+    return block_picks(index, encode_many(params, store.query_rows()), k)
+
+
+def rank_all(params: Params, store: FeatureStore, k: int) -> Iterator[RankedList]:
+    """Dense-rank every query of a `trainer.FeatureStore` against its corpus,
+    yielding one ranking at a time.
 
     Scores are computed one block of queries at a time, as the rankings are consumed.
     """
-    index = DenseIndex(embed_items(params, featurizer, corpus))
-    query_emb = embed_items(params, featurizer, queries)
+    query_ids = [query.id for query in store.queries]
     return (
         ranked
-        for picks in block_picks(index, query_emb.matrix, k)
-        for ranked in ranked_lists(query_emb.ids, index.embeddings.ids, picks)
+        for picks in dense_picks(params, store, k)
+        for ranked in ranked_lists(query_ids, store.corpus.ids, picks)
     )
 
 
-def evaluate(
-    params: Params,
-    featurizer: Featurizer,
-    corpus: Corpus,
-    queries: QuerySet,
-    qrels: QrelSet,
-) -> tuple[MetricsRecord, list[RankedList]]:
-    """Mean nDCG@10 and recall@{10,100} over queries with >= 1 positive judgment.
+def evaluate(params: Params, store: FeatureStore) -> tuple[MetricsRecord, list[RankedList]]:
+    """Mean nDCG@10 and recall@{10,100} of a `trainer.FeatureStore`'s queries
+    with >= 1 positive judgment, ranked by `rank_all` and judged by the store's
+    own qrels.
 
     Queries without positive judgments are skipped and counted. Also returns
     the per-query rankings (depth 100) for run-file output.
     """
-    rankings = rank_all(params, featurizer, corpus, queries, k=100)
+    qrels = store.qrels
     ndcgs: list[float] = []
     r10s: list[float] = []
     r100s: list[float] = []
     skipped = 0
     kept: list[RankedList] = []
-    for ranked in rankings:
+    for ranked in rank_all(params, store, k=100):
         if not qrels.positives(ranked.query_id):
             skipped += 1
             continue

@@ -5,13 +5,16 @@ more corpora; each batch draws its span pairs first, then featurizes them in
 one call into a fresh feature block, whose rows 2p and 2p + 1 are pair p.
 Stage two fine-tunes on labeled source data in episodes. Its input is a
 `FeatureStore` (`training_store`): the texts featurized once, one feature
-block over the training queries, then the corpus documents. The store also
-keeps, for the fine-tuners that share it, what an episode start computes from
-the store alone or from the store and the weights, each made once: the BM25
-ranking of the queries, held at the deepest depth asked for (a top k is the
-prefix of a deeper top K, bit for bit), each depth's BM25 top k minus the
-judged positives, and the latest K-Means fit of the query embeddings per (k,
-seed, max_iters), taken again for embeddings of the same bytes. The fine-tuner
+block over the training queries, then the corpus documents, with the qrels
+the store was built from. A store is the one input of every dense ranking:
+fine-tuning, self-negative mining (`mine_negatives`) and evaluation
+(`retrieval_eval.evaluate`) all embed its rows. The store also keeps, for the
+fine-tuners that share it, what an episode start computes from the store
+alone or from the store and the weights, each made once: the BM25 ranking of
+the queries, held at the deepest depth asked for (a top k is the prefix of a
+deeper top K, bit for bit), each depth's BM25 top k minus the judged
+positives, and the latest K-Means fit of the query embeddings per (k, seed,
+max_iters), taken again for embeddings of the same bytes. The fine-tuner
 works in row ids: each query's positives, and each episode's negative pools,
 are lists of document positions held as one flat array plus bounds
 (`DocLists`), and a batch is an array of store rows. A batch's random draws
@@ -69,7 +72,6 @@ import numpy as np
 from . import blobfile, clustering, idro, losses, retrieval_eval
 from .corpus import Corpus, QrelSet, Query, QuerySet, sample_span_pair
 from .encoder import (
-    EmbeddingMatrix,
     FeatureRows,
     Featurizer,
     Params,
@@ -375,12 +377,16 @@ class FeatureStore:
     """A task's texts featurized once, as rows of one `encoder.FeatureBlock`,
     and what episode starts compute from them alone or from them and the weights.
 
+    The store serves fine-tuning, self-negative mining and evaluation: every
+    dense ranking of the task embeds its rows (`retrieval_eval.dense_picks`).
     Query i of ``queries`` is row i and document j of ``corpus`` (corpus
-    order) is row ``n_queries + j``. ``positives`` lists each query's judged
-    positives as document positions j, in qrels file order; a positive that
-    is not in the corpus is a CorpusFormatError. The negative pools of
-    `mine_negatives` and `bm25_negative_pools` are `DocLists` too, one list
-    per query. Nothing of that changes after the store is built.
+    order) is row ``n_queries + j``. ``qrels`` is the `QrelSet` the store was
+    built from, by which `retrieval_eval.evaluate` judges its rankings.
+    ``positives`` lists each query's judged positives as document positions
+    j, in qrels file order; a positive that is not in the corpus is a
+    CorpusFormatError. The negative pools of `mine_negatives` and
+    `bm25_negative_pools` are `DocLists` too, one list per query. Nothing of
+    that changes after the store is built.
 
     The store also computes, each on first use, and keeps for the fine-tuners
     that share it:
@@ -404,6 +410,7 @@ class FeatureStore:
         self.featurizer = featurizer
         self.queries = list(queries)
         self.corpus = corpus
+        self.qrels = qrels
         self.n_queries = len(self.queries)
         self.block = featurizer(itertools.chain(
             (query.tokens for query in self.queries), (doc.tokens for doc in corpus)))
@@ -561,15 +568,13 @@ def mine_negatives(
 ) -> tuple[DocLists, int]:
     """Self-negative pools: top-k dense retrievals minus judged positives.
 
-    The store's documents and queries are encoded from their stored rows. A
-    query whose retrievals are all positives falls back to seeded random
-    non-positive corpus documents (logged). Returns (the pools, one list of
-    document positions per query, and the fallback count).
+    The store's queries are ranked by `retrieval_eval.dense_picks`, which
+    embeds their rows and the documents' rows. A query whose retrievals are
+    all positives falls back to seeded random non-positive corpus documents
+    (logged). Returns (the pools, one list of document positions per query,
+    and the fallback count).
     """
-    index = retrieval_eval.DenseIndex(
-        EmbeddingMatrix(ids=store.corpus.ids, matrix=encode_many(params, store.doc_rows()))
-    )
-    blocks = retrieval_eval.block_picks(index, encode_many(params, store.query_rows()), k)
+    blocks = retrieval_eval.dense_picks(params, store, k)
     return _with_fallbacks(store, _unjudged(store, blocks), k, rng, "dense")
 
 

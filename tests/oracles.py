@@ -10,7 +10,7 @@ import numpy as np
 
 from robustdr import clustering, encoder, idro, retrieval_eval, trainer
 from robustdr.corpus import Document, Query, QuerySet
-from robustdr.encoder import FeatureBlock, FeatureRows, Params, embed_items
+from robustdr.encoder import FeatureBlock, FeatureRows, Params
 from robustdr.errors import InvariantError
 from robustdr.idro import r_matrix
 from robustdr.losses import TripletRows
@@ -119,8 +119,8 @@ def search_dense_heap(
     """Same contract as `search_dense`, selected with a bounded heap instead."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = index.embeddings.matrix @ np.asarray(query_emb, dtype=np.float64)
-    ids = index.embeddings.ids
+    scores = index.matrix @ np.asarray(query_emb, dtype=np.float64)
+    ids = index.ids
     top = heapq.nsmallest(k, range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return RankedList(query_id, tuple((ids[i], float(scores[i])) for i in top))
 
@@ -211,12 +211,19 @@ def bm25_pools_reference(queries, corpus, qrels, k, rng):
     return pools_reference(rankings, corpus, qrels, k, rng, "BM25")
 
 
+def embed_reference(params, featurizer, items):
+    """The ids of texts (anything with ``.id`` and ``.tokens``) and their
+    `encode_loop` embeddings, each text featurized on its own."""
+    items = list(items)
+    fvs = [featurize_reference(featurizer, item.tokens) for item in items]
+    return tuple(item.id for item in items), encode_loop(params, fvs)
+
+
 def mined_pools_reference(params, featurizer, queries, corpus, qrels, k, rng):
     """`trainer.mine_negatives` from per-query `search_dense_heap` rankings."""
-    index = DenseIndex(embed_items(params, featurizer, corpus))
-    query_emb = embed_items(params, featurizer, queries)
-    rankings = ((qid, search_dense_heap(index, emb, k)) for qid, emb in
-                zip(query_emb.ids, query_emb.matrix))
+    index = DenseIndex(*embed_reference(params, featurizer, corpus))
+    rankings = ((qid, search_dense_heap(index, emb, k))
+                for qid, emb in zip(*embed_reference(params, featurizer, queries)))
     return pools_reference(rankings, corpus, qrels, k, rng, "dense")
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from robustdr import blobfile, encoder
 from robustdr.encoder import (
     CHECKPOINT_FORMAT,
-    EmbeddingMatrix,
     FeatureBlock,
     FeatureRows,
     Featurizer,
@@ -21,7 +20,7 @@ from robustdr.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from robustdr.errors import BlobFileError, InvariantError
+from robustdr.errors import BlobFileError
 from tests.conftest import random_rows, random_tokens, rows_of
 from tests.oracles import (
     FeatureVector,
@@ -357,16 +356,6 @@ class TestEmbeddingBackward:
         items = featurizer([]).all_rows()
         grad = embedding_backward(params, items, np.zeros((0, params.embed_dim)))
         np.testing.assert_array_equal(grad, np.zeros_like(params.flat))
-
-
-class TestEmbeddingMatrix:
-    def test_row_id_mismatch(self):
-        with pytest.raises(ValueError):
-            EmbeddingMatrix(ids=("a",), matrix=np.zeros((2, 3)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvariantError):
-            EmbeddingMatrix(ids=("a",), matrix=np.array([[np.inf, 0.0]]))
 
 
 class TestCheckpoint:

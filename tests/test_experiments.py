@@ -117,3 +117,42 @@ def test_imbalance_study_prepares_the_task_once():
     assert list(results) == ["idro", "groupdro", "uniform"]
     assert counts == {"stores": 1, "task featurizations": 1, "indexes": 1,
                       "BM25 rankings at 50": 1, "k-means fits": 1 + 3 * (2 - 1)}
+
+
+def test_coco_study_featurizes_each_task_once():
+    """One `run_coco_directional` call featurizes the source task into one store
+    and the target task once, into a second store made with the first one's
+    featurizer, on which both arms are scored: 2 stores, 1 featurizer call over
+    the target's texts and 2 evaluations."""
+    source, target = make_two_domain_benchmark(seed=experiments._BENCHMARK_SEED)
+    n_target = len(target.queries) + len(target.corpus)
+    assert n_target == 1150
+    config = experiments.coco_experiment_config
+    counts = Counter()
+    store_init, featurize, evaluate = (trainer.FeatureStore.__init__, Featurizer.__call__,
+                                       retrieval_eval.evaluate)
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    def counted_featurize(self, token_lists):
+        token_lists = list(token_lists)
+        counts["target featurizations"] += len(token_lists) == n_target
+        return featurize(self, token_lists)
+
+    with (
+        mock.patch.object(experiments.synthetic, "make_two_domain_benchmark",
+                          lambda seed: (source, target)),
+        mock.patch.object(experiments, "coco_experiment_config",
+                          lambda seed: config(seed).replace(
+                              pretrain_epochs=1, episodes=2, steps_per_episode=2)),
+        mock.patch.object(trainer.FeatureStore, "__init__", counted("stores", store_init)),
+        mock.patch.object(Featurizer, "__call__", counted_featurize),
+        mock.patch.object(retrieval_eval, "evaluate", counted("evaluations", evaluate)),
+    ):
+        results = experiments.run_coco_directional(0)
+    assert list(results) == ["with_coco", "without_coco"]
+    assert counts == {"stores": 2, "target featurizations": 1, "evaluations": 2}

@@ -9,7 +9,6 @@ PUBLIC = [
     "Corpus",
     "CorpusFormatError",
     "Document",
-    "EmbeddingMatrix",
     "FeatureRows",
     "FeatureStore",
     "Featurizer",
@@ -45,10 +44,13 @@ def test_all_is_pinned_and_resolves():
 
 def test_object_form_is_gone():
     """Texts enter the package as rows of a feature block only: no feature vector
-    objects, triplet objects, or one-text encode and score."""
-    for name in ("Triplet", "FeatureVector", "encode", "score"):
+    objects, triplet objects, one-text encode and score, or embedding path
+    beside the feature store."""
+    for name in ("Triplet", "FeatureVector", "encode", "score", "EmbeddingMatrix",
+                 "embed_items"):
         assert not hasattr(robustdr, name), name
-    for module, names in ((robustdr.encoder, ("FeatureVector", "encode", "score")),
+    for module, names in ((robustdr.encoder, ("FeatureVector", "encode", "score",
+                                              "EmbeddingMatrix", "embed_items")),
                           (robustdr.losses, ("Triplet", "TripletBatch", "SpanPairBatch"))):
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"

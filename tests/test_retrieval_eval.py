@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from robustdr import retrieval_eval
 
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
-from robustdr.encoder import EmbeddingMatrix, Featurizer, Params
+from robustdr.encoder import Featurizer, Params
 from robustdr.errors import InvariantError
 from robustdr.retrieval_eval import (
     Bm25Index,
@@ -28,7 +28,8 @@ from robustdr.retrieval_eval import (
     search_dense,
     write_trec_run,
 )
-from tests.oracles import search_bm25_reference, search_dense_heap
+from robustdr.trainer import FeatureStore
+from tests.oracles import embed_reference, search_bm25_reference, search_dense_heap
 
 # Integer values and both signed zeros, so that scores tie, also across -0.0 and 0.0.
 TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
@@ -37,7 +38,7 @@ TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
 def index_from(matrix, ids=None):
     matrix = np.asarray(matrix, dtype=np.float64)
     ids = ids or tuple(f"d{i}" for i in range(matrix.shape[0]))
-    return DenseIndex(EmbeddingMatrix(ids=tuple(ids), matrix=matrix))
+    return DenseIndex(ids, matrix)
 
 
 def exact(results):
@@ -116,7 +117,17 @@ class TestSearchDense:
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError):
-            DenseIndex(EmbeddingMatrix(ids=(), matrix=np.zeros((0, 3))))
+            DenseIndex(ids=(), matrix=np.zeros((0, 3)))
+
+
+class TestDenseIndex:
+    def test_row_id_mismatch(self):
+        with pytest.raises(ValueError):
+            DenseIndex(ids=("a",), matrix=np.zeros((2, 3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvariantError):
+            DenseIndex(ids=("a",), matrix=np.array([[np.inf, 0.0]]))
 
 
 class TestBlocks:
@@ -151,8 +162,7 @@ class TestBlocks:
         k = data.draw(st.integers(min_value=1, max_value=n + 2))
         block = data.draw(st.integers(min_value=1, max_value=4))
         qids = tuple(f"q{i}" for i in range(len(queries)))
-        got = block_rankings(lambda: block_picks(index, queries, k), qids,
-                             index.embeddings.ids, block)
+        got = block_rankings(lambda: block_picks(index, queries, k), qids, index.ids, block)
         for ranked, qid, query in zip(got, qids, queries):
             expected = search_dense_heap(index, query, k, query_id=qid)
             assert ranked.query_id == qid
@@ -180,7 +190,8 @@ class TestBlocks:
         featurizer = Featurizer(512)
         tracemalloc.start()
         try:
-            count = sum(1 for _ in rank_all(params, featurizer, corpus, queries, k))
+            store = FeatureStore(featurizer, queries, corpus, QrelSet({}))
+            count = sum(1 for _ in rank_all(params, store, k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -340,7 +351,7 @@ class TestEvaluate:
         buckets = featurizer([[f"word{i}"] for i in range(6)]).indices.tolist()
         assert len(set(buckets)) == 6, "fixture needs collision-free hashing"
         params = Params(feature_dim=512, embed_dim=512, flat=np.eye(512).ravel())
-        record, rankings = evaluate(params, featurizer, corpus, queries, qrels)
+        record, rankings = evaluate(params, FeatureStore(featurizer, queries, corpus, qrels))
         assert record.ndcg_at_10 == 1.0
         assert record.recall_at_10 == 1.0
         assert record.n_evaluated == 3
@@ -353,7 +364,7 @@ class TestEvaluate:
         qrels = QrelSet({"q0": {"d0": 1}})
         featurizer = Featurizer(dim=16)
         params = Params.init_random(16, 4, seed=0)
-        record, _ = evaluate(params, featurizer, Corpus(docs), queries, qrels)
+        record, _ = evaluate(params, FeatureStore(featurizer, queries, Corpus(docs), qrels))
         assert record.n_evaluated == 1
         assert record.n_skipped == 1
 
@@ -367,7 +378,7 @@ class TestEvaluate:
         qrels = QrelSet({f"q{i}": {f"d{int(rng.integers(n_docs))}": 1} for i in range(n_queries)})
         featurizer = Featurizer(dim=2048)
         params = Params.init_random(2048, 8, seed=int(rng.integers(2**31)))
-        record, _ = evaluate(params, featurizer, corpus, queries, qrels)
+        record, _ = evaluate(params, FeatureStore(featurizer, queries, corpus, qrels))
 
         # expectation under a uniform random permutation, by enumeration:
         # the relevant doc lands at each rank with probability 1/n
@@ -380,6 +391,37 @@ class TestEvaluate:
 
         sigma = math.sqrt(expected * (1 - expected) / n_queries)  # loose bound
         assert abs(record.ndcg_at_10 - expected) < 6 * max(sigma, 0.01)
+
+    @given(st.data(), st.integers(min_value=1, max_value=3))
+    def test_rankings_match_heap_reference(self, data, width):
+        """Every judged query's ranking is its `search_dense_heap` ranking over
+        `encode_loop` embeddings: small-integer weights and repeated documents
+        tie scores, ids past d9 do not sort numerically, and the one query
+        without judgments is skipped and counted."""
+        words = st.sampled_from(["ant", "bee", "cat", "dog", "eel"])
+        texts = data.draw(st.lists(st.lists(words, max_size=4), min_size=9, max_size=12))
+        texts += data.draw(st.lists(st.sampled_from(texts), min_size=2, max_size=4))
+        ids = shuffled_ids(data, len(texts))
+        corpus = Corpus([Document.from_fields(i, " ".join(t)) for i, t in zip(ids, texts)])
+        query_texts = data.draw(st.lists(st.lists(words, max_size=4), min_size=2, max_size=6))
+        qids = [f"q{i}" for i in range(len(query_texts))]
+        queries = QuerySet([Query.from_fields(q, " ".join(t)) for q, t in zip(qids, query_texts)])
+        unjudged = qids[data.draw(st.integers(min_value=0, max_value=len(qids) - 1))]
+        doc = st.sampled_from(ids)
+        qrels = QrelSet({q: {data.draw(doc): 1} for q in qids if q != unjudged})
+        dim = 8
+        flat = data.draw(st.lists(TIE_VALUES, min_size=dim * width, max_size=dim * width))
+        params = Params(dim, width, flat=np.array(flat))
+        featurizer = Featurizer(dim)
+        record, rankings = evaluate(params, FeatureStore(featurizer, queries, corpus, qrels))
+        index = DenseIndex(*embed_reference(params, featurizer, corpus))
+        expected = [search_dense_heap(index, emb, 100, query_id=qid)
+                    for qid, emb in zip(*embed_reference(params, featurizer, queries))
+                    if qid != unjudged]
+        assert [r.query_id for r in rankings] == [r.query_id for r in expected]
+        for got, want in zip(rankings, expected):
+            assert typed(got.results) == typed(want.results)
+        assert (record.n_evaluated, record.n_skipped) == (len(qids) - 1, 1)
 
 
 class TestTrecRun:
