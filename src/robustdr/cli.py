@@ -12,11 +12,14 @@ overriding the one before:
    `embed_dim`. A config-file or flag value that differs from the checkpoint's
    is a config error naming the field.
 
-Every run writes that config, with the input paths, to resolved_config.json:
-the config the run used, sufficient to reproduce it exactly. Wall-clock
-timestamps live only in a run_meta.json sidecar so artifact bytes are
-reproducible. Exit codes: 0 success, 2 usage/config error, 3 data error,
-4 internal invariant violation.
+`main` refuses an `--out` that is, or lies under, something other than a
+directory before the command reads any input; the command makes `--out` when it
+first writes. `main` then writes the config the command returns, with the
+command's `RUN_INPUTS` paths, to resolved_config.json: the config the run used,
+sufficient to reproduce it exactly. Wall-clock timestamps live only in a
+run_meta.json sidecar so artifact bytes are reproducible. Exit codes: 0 success,
+2 usage/config error or an unreadable or unwritable path, 3 data error, 4
+internal invariant violation.
 
 A finetune run directory holds each weight vector once. After episode n of N
 it holds the episode's cluster model and its weights. The cluster model,
@@ -52,7 +55,7 @@ import numpy as np
 from . import blobfile, clustering, diagnostics, retrieval_eval, textstats, trainer
 from .corpus import load_corpus, load_qrels, load_queries
 from .encoder import Featurizer, Params, load_checkpoint, save_checkpoint
-from .errors import ConfigError, CorpusFormatError, InvariantError
+from .errors import ConfigError, InvariantError
 from .trainer import Finetuner, RunConfig
 
 logger = logging.getLogger("robustdr")
@@ -62,11 +65,22 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
+# the flags whose paths a run records as its inputs, where the command takes them
+RUN_INPUTS = ("checkpoint", "corpus", "queries", "qrels", "source_dir", "target_dir")
+
 
 def _require_file(path: Path) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"required file not found: {path}")
     return path
+
+
+def _check_out(out: Path) -> None:
+    """A ConfigError unless `out`, or its nearest existing ancestor, is a directory."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out: {out} is not a directory" if existing == out
+                          else f"out: {out} lies under {existing}, which is not a directory")
 
 
 def _out_dir(args) -> Path:
@@ -139,34 +153,19 @@ def _load_encoder(args) -> tuple[Params, Featurizer, RunConfig]:
     return params, Featurizer(config.feature_dim), config
 
 
-def _record_run(out: Path, command: str, config: RunConfig, inputs: dict) -> None:
-    _write_json(
-        out / "resolved_config.json",
-        {"command": command, "config": config.to_dict(), "inputs": inputs},
-    )
-    _write_json(out / "run_meta.json", {"command": command, "timestamp": time.time()})
-
-
-def cmd_analyze_shift(args) -> int:
-    source_dir = Path(args.source_dir)
-    target_dir = Path(args.target_dir)
-    datasets = {}
-    for side, base in (("source", source_dir), ("target", target_dir)):
-        corpus = load_corpus(_require_file(base / "corpus.jsonl"))
-        queries = load_queries(_require_file(base / "queries.jsonl"))
-        datasets[side] = (corpus, queries)
+def cmd_analyze_shift(args) -> RunConfig:
+    source, target = Path(args.source_dir), Path(args.target_dir)
     report = textstats.shift_report(
-        datasets["source"][0], datasets["source"][1],
-        datasets["target"][0], datasets["target"][1],
+        load_corpus(_require_file(source / "corpus.jsonl")),
+        load_queries(_require_file(source / "queries.jsonl")),
+        load_corpus(_require_file(target / "corpus.jsonl")),
+        load_queries(_require_file(target / "queries.jsonl")),
     )
-    out = _out_dir(args)
-    _write_record(out / "shift_report", dataclasses.asdict(report))
-    _record_run(out, "analyze-shift", _load_config(args),
-                {"source_dir": str(source_dir), "target_dir": str(target_dir)})
-    return EXIT_OK
+    _write_record(_out_dir(args) / "shift_report", dataclasses.asdict(report))
+    return RunConfig()
 
 
-def cmd_pretrain(args) -> int:
+def cmd_pretrain(args) -> RunConfig:
     config = _load_config(args)
     corpora = [load_corpus(_require_file(Path(p))) for p in args.corpus]
     result = trainer.pretrain_coco(config, corpora)
@@ -174,11 +173,10 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(result.params, out / "encoder.ckpt")
     blobfile.write_table(out / "pretrain_log.tsv", ["epoch", "mean_loss"],
                          enumerate(result.epoch_losses, start=1))
-    _record_run(out, "pretrain", config, {"corpus": list(args.corpus)})
-    return EXIT_OK
+    return config
 
 
-def cmd_finetune(args) -> int:
+def cmd_finetune(args) -> RunConfig:
     params, _, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
 
@@ -195,13 +193,10 @@ def cmd_finetune(args) -> int:
         save_checkpoint(finetuner.params, out / "encoder.ckpt")
     blobfile.write_records(out / "episodes.tsv", trainer.EpisodeRecord,
                            finetuner.episode_records)
-    _record_run(out, "finetune", config,
-                {"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
-                 "checkpoint": args.checkpoint})
-    return EXIT_OK
+    return config
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> RunConfig:
     params, featurizer, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -209,27 +204,21 @@ def cmd_mine(args) -> int:
     pools, n_fallback = trainer.mine_negatives(params, store, config.mine_depth, rng)
     out = _out_dir(args)
     _write_json(out / "negatives.json", {"pools": store.pool_ids(pools), "n_fallback": n_fallback})
-    _record_run(out, "mine", config,
-                {"checkpoint": args.checkpoint, "corpus": args.corpus,
-                 "queries": args.queries, "qrels": args.qrels})
-    return EXIT_OK
+    return config
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> RunConfig:
     params, featurizer, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
     store = trainer.FeatureStore(featurizer, queries, corpus, qrels)
     record, rankings = retrieval_eval.evaluate(params, store)
     out = _out_dir(args)
-    _write_record(out / "metrics", record.to_dict())
     retrieval_eval.write_trec_run(rankings, out / "run.trec", tag=args.tag)
-    _record_run(out, "evaluate", config,
-                {"checkpoint": args.checkpoint, "corpus": args.corpus,
-                 "queries": args.queries, "qrels": args.qrels})
-    return EXIT_OK
+    _write_record(out / "metrics", record.to_dict())
+    return config
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> RunConfig:
     if args.pairs < 1:
         raise ConfigError(f"pairs: must be >= 1, not {args.pairs}")
     params, featurizer, config = _load_encoder(args)
@@ -239,10 +228,8 @@ def cmd_diagnose(args) -> int:
         n_pairs=args.pairs, span_len=config.span_len, seed=config.seed,
         corpus_id=args.corpus,
     )
-    out = _out_dir(args)
-    _write_json(out / "diagnostics.json", report)
-    _record_run(out, "diagnose", config, {"checkpoint": args.checkpoint, "corpus": args.corpus})
-    return EXIT_OK
+    _write_json(_out_dir(args) / "diagnostics.json", report)
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,23 +306,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
-        return args.func(args)
+        _check_out(out)
+        config = args.func(args)
+        inputs = {name: getattr(args, name) for name in RUN_INPUTS if hasattr(args, name)}
+        _write_json(out / "resolved_config.json",
+                    {"command": args.command, "config": config.to_dict(), "inputs": inputs})
+        _write_json(out / "run_meta.json", {"command": args.command, "timestamp": time.time()})
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CorpusFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except ValueError as exc:  # CorpusFormatError and BlobFileError among them
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -100,8 +100,6 @@ def idro_experiment_config(seed: int, weighting: str) -> RunConfig:
         seed=seed,
         feature_dim=4096,
         embed_dim=6,
-        span_len=6,
-        pretrain_epochs=2,
         episodes=3,
         steps_per_episode=100,
         batch_size=64,

@@ -41,7 +41,7 @@ import numpy as np
 from . import blobfile
 from .corpus import Corpus, QrelSet
 from .encoder import Params, encode_many
-from .errors import InvariantError
+from .errors import CorpusFormatError, InvariantError
 
 if TYPE_CHECKING:
     from .trainer import FeatureStore
@@ -342,9 +342,21 @@ def evaluate(params: Params, store: FeatureStore) -> tuple[MetricsRecord, list[R
     return record, kept
 
 
+def _run_field(item_id: str) -> str:
+    if item_id.split() != [item_id]:
+        raise CorpusFormatError(f"id {item_id!r} holds whitespace; a TREC run line "
+                                "needs it as one field")
+    return item_id
+
+
 def write_trec_run(rankings: Iterable[RankedList], path: str | Path, tag: str = "robustdr") -> None:
-    """TREC run-file lines: `qid Q0 docid rank score tag`."""
+    """TREC run-file lines: `qid Q0 docid rank score tag`. An id that holds
+    whitespace is a CorpusFormatError naming it, and nothing is written."""
+    checked: set[str] = set()
     with blobfile.atomic_open(path, "w") as fh:
         for ranked in rankings:
+            query_id = _run_field(ranked.query_id)
             for rank, (doc_id, score) in enumerate(ranked.results, start=1):
-                fh.write(f"{ranked.query_id} Q0 {doc_id} {rank} {score!r} {tag}\n")
+                if doc_id not in checked:
+                    checked.add(_run_field(doc_id))
+                fh.write(f"{query_id} Q0 {doc_id} {rank} {score!r} {tag}\n")

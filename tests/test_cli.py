@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import robustdr
-from robustdr import blobfile, experiments
+from robustdr import blobfile, cli, diagnostics, experiments, retrieval_eval, textstats, trainer
 from robustdr.cli import main
 from robustdr.corpus import load_corpus, load_qrels, load_queries, save_corpus, save_queries
 from robustdr.encoder import (
@@ -18,7 +18,8 @@ from robustdr.encoder import (
     Params,
     save_checkpoint,
 )
-from robustdr.trainer import STATE_VERSION
+from robustdr.errors import InvariantError
+from robustdr.trainer import STATE_VERSION, RunConfig
 from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark, write_task_dir
 from tests.conftest import save_version_2_checkpoint
 from tests.oracles import mined_pools_reference
@@ -39,6 +40,13 @@ def task_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("task")
     write_task_dir(task, base)
     return base
+
+
+@pytest.fixture
+def ckpt(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(Params.init_random(256, 8, seed=0), path)
+    return path
 
 
 def finetune_args(task_dir, out, extra=()):
@@ -339,12 +347,6 @@ def task_flags(task_dir):
 class TestConfigLayers:
     """Defaults <- config file <- flags <- checkpoint, recorded as the run used it."""
 
-    @pytest.fixture
-    def ckpt(self, tmp_path):
-        path = tmp_path / "enc.ckpt"
-        save_checkpoint(Params.init_random(256, 8, seed=0), path)
-        return path
-
     @pytest.mark.parametrize("command", ["finetune", "evaluate", "mine", "diagnose"])
     def test_record_holds_the_checkpoint_encoder(self, task_dir, tmp_path, ckpt, command):
         out = tmp_path / command
@@ -403,6 +405,83 @@ class TestConfigLayers:
         with pytest.raises(SystemExit) as err:
             main([command, *inputs, *flag, f"--out={tmp_path / 'x'}"])
         assert err.value.code == 2
+
+
+class TestRunLifecycle:
+    """`main` checks --out before the command runs and records the run after it."""
+
+    COMMANDS = ["analyze-shift", "pretrain", "finetune", "mine", "evaluate", "diagnose"]
+    WORK = {"analyze-shift": (textstats, "shift_report"), "pretrain": (trainer, "pretrain_coco"),
+            "finetune": (trainer, "training_store"), "mine": (trainer, "mine_negatives"),
+            "evaluate": (retrieval_eval, "evaluate"),
+            "diagnose": (diagnostics, "diagnostics_report")}
+
+    @staticmethod
+    def argv(command, task_dir, ckpt, out):
+        corpus = f"--corpus={task_dir / 'corpus.jsonl'}"
+        sized = ["--feature-dim=256", "--embed-dim=8", "--batch-size=4"]
+        return [command, f"--out={out}", *{
+            "analyze-shift": [f"--source-dir={task_dir}", f"--target-dir={task_dir}"],
+            "pretrain": [corpus, corpus, "--epochs=1", "--span-len=3", *sized],
+            "finetune": [*task_flags(task_dir), *sized, "--episodes=1", "--steps=2",
+                         "--negatives=2", "--k=2"],
+            "mine": [f"--checkpoint={ckpt}", *task_flags(task_dir), "--k=3"],
+            "evaluate": [f"--checkpoint={ckpt}", *task_flags(task_dir)],
+            "diagnose": [f"--checkpoint={ckpt}", corpus, "--pairs=8", "--span-len=3"],
+        }[command]]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_not_a_directory_exits_2_before_any_input_is_read(
+        self, task_dir, tmp_path, ckpt, capsys, monkeypatch, command, under
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called before --out was checked")
+
+        monkeypatch.setattr(cli, "_require_file", refuse)
+        monkeypatch.setattr(*self.WORK[command], refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "run" if under else taken
+        assert main(self.argv(command, task_dir, ckpt, out)) == 2
+        assert str(out) in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_record_pins_command_and_inputs(self, task_dir, tmp_path, ckpt, command):
+        out = tmp_path / "run"
+        assert main(self.argv(command, task_dir, ckpt, out)) == 0
+        record = json.loads((out / "resolved_config.json").read_text())
+        task = {kind: str(task_dir / name) for kind, name in
+                (("corpus", "corpus.jsonl"), ("queries", "queries.jsonl"), ("qrels", "qrels.tsv"))}
+        want = {
+            "analyze-shift": {"source_dir": str(task_dir), "target_dir": str(task_dir)},
+            "pretrain": {"corpus": [task["corpus"], task["corpus"]]},
+            "finetune": {"checkpoint": None, **task},
+            "mine": {"checkpoint": str(ckpt), **task},
+            "evaluate": {"checkpoint": str(ckpt), **task},
+            "diagnose": {"checkpoint": str(ckpt), "corpus": task["corpus"]},
+        }[command]
+        assert (record["command"], record["inputs"]) == (command, want)
+        if command == "analyze-shift":
+            assert record["config"] == RunConfig().to_dict()
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert (sorted(meta), meta["command"]) == (["command", "timestamp"], command)
+
+    def test_invariant_error_exits_4(self, task_dir, tmp_path, ckpt, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("planted")
+
+        monkeypatch.setattr(retrieval_eval, "evaluate", broken)
+        assert main(self.argv("evaluate", task_dir, ckpt, tmp_path / "ev")) == 4
+        assert "internal error: planted" in capsys.readouterr().err
+
+    def test_unwritable_artifact_exits_2_naming_it(self, task_dir, tmp_path, ckpt, capsys):
+        out = tmp_path / "ev"
+        (out / "run.trec" / "taken").mkdir(parents=True)
+        assert main(self.argv("evaluate", task_dir, ckpt, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "run.trec") in err
 
 
 class TestParser:
@@ -658,6 +737,23 @@ class TestExitCodes:
         args[args.index("--qrels") + 1] = str(qrels)
         assert main(args) == 3
         assert "no-such-doc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["doc", "query"])
+    def test_id_holding_whitespace_exits_3_naming_it(self, tmp_path, ckpt, capsys, kind):
+        """A TREC run line holds six whitespace-separated fields."""
+        from robustdr.corpus import Corpus, Document, Query, QuerySet
+
+        doc_id, query_id = ("doc one", "q1") if kind == "doc" else ("d1", "q one")
+        data = tmp_path / "data"
+        data.mkdir()
+        save_corpus(Corpus([Document.from_fields(doc_id, "alpha beta"),
+                            Document.from_fields("d2", "gamma delta")]), data / "corpus.jsonl")
+        save_queries(QuerySet([Query.from_fields(query_id, "alpha")]), data / "queries.jsonl")
+        (data / "qrels.tsv").write_text(f"query-id\tcorpus-id\tscore\n{query_id}\t{doc_id}\t1\n")
+        out = tmp_path / "ev"
+        assert main(["evaluate", f"--checkpoint={ckpt}", *task_flags(data), f"--out={out}"]) == 3
+        assert repr(doc_id if kind == "doc" else query_id) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_unknown_flag_exits_2(self, task_dir, tmp_path):
         with pytest.raises(SystemExit) as err:

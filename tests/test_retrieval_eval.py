@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +12,7 @@ from robustdr import retrieval_eval
 
 from robustdr.corpus import Corpus, Document, QrelSet, Query, QuerySet
 from robustdr.encoder import Featurizer, Params
-from robustdr.errors import InvariantError
+from robustdr.errors import CorpusFormatError, InvariantError
 from robustdr.retrieval_eval import (
     Bm25Index,
     DenseIndex,
@@ -432,3 +433,14 @@ class TestTrecRun:
         lines = path.read_text().strip().split("\n")
         assert lines[0].split() == ["q1", "Q0", "d2", "1", "1.5", "testtag"]
         assert lines[1].split() == ["q1", "Q0", "d1", "2", "0.5", "testtag"]
+
+    @pytest.mark.parametrize("query_id,doc_id,bad", [
+        ("q 2", "d1", "q 2"), ("q2", "doc one", "doc one"), ("q2", "d\t1", "d\t1"),
+        ("q2", "d1\n", "d1\n"),
+    ])
+    def test_id_holding_whitespace_refused_naming_it(self, tmp_path, query_id, doc_id, bad):
+        rankings = [RankedList("q1", (("d1", 2.0),)),
+                    RankedList(query_id, (("d1", 1.0), (doc_id, 0.5)))]
+        with pytest.raises(CorpusFormatError, match=re.escape(repr(bad))):
+            write_trec_run(rankings, tmp_path / "run.trec")
+        assert list(tmp_path.iterdir()) == []
