@@ -39,16 +39,16 @@ _HEADER_LIMIT = 4096
 @contextlib.contextmanager
 def atomic_open(path: str | Path, mode: str = "wb"):
     """Open a temporary sibling of ``path``; rename it over ``path`` on success,
-    delete it if the body raises."""
+    delete it if the body or the rename raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
+        tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    tmp.replace(path)
 
 
 def write(path: str | Path, fmt: str, version: int, fields: dict, blocks: Iterable) -> None:

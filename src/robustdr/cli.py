@@ -208,6 +208,8 @@ def cmd_mine(args) -> RunConfig:
 
 
 def cmd_evaluate(args) -> RunConfig:
+    if args.tag.split() != [args.tag]:
+        raise ConfigError(f"tag: {args.tag!r} is not one whitespace-free field")
     params, featurizer, config = _load_encoder(args)
     corpus, queries, qrels = _load_task(args)
     store = trainer.FeatureStore(featurizer, queries, corpus, qrels)

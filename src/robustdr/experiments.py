@@ -1,7 +1,7 @@
 """Desk-scale directional experiments.
 
-Two runnable studies, shared by the acceptance suite and the scripts in
-``scripts/``:
+Two runnable studies, shared by the acceptance suite and
+``scripts/run_study.py``:
 
 * corpus-adaptive pretraining: fine-tuning after span-contrastive pretraining
   on the (source + target) corpora versus fine-tuning from random init, scored
@@ -11,16 +11,19 @@ Two runnable studies, shared by the acceptance suite and the scripts in
   final retrieval loss on the rare group and on all queries, against a fixed
   model-independent negative set.
 
-Each study featurizes its source task once, into one `trainer.FeatureStore`
-that every fine-tuning arm trains on. The store ranks the task's queries by
-BM25 once, at the deepest depth asked for; the imbalance study asks for 50
-first, for the fixed evaluation set's BM25 top 50 minus positives, and the
-arms' first-episode top 30 are prefixes of that ranking, masked once. Its
-arms start from the same pretrained weights, so the store fits episode 1's
-clusters once for all three; later episodes start from each arm's own
-weights and are fit per arm. The pretraining study also featurizes its
-target task once, into a second store made with the source store's
-featurizer, and scores each arm's target nDCG@10 on it
+Both run their arms through one loop, `_fine_tune_arms`: in order, each arm
+fine-tunes a copy of its initial weights with its own `RunConfig` on the
+study's one `trainer.FeatureStore`, its source task featurized once, and the
+study's score function scores the result. A study looks up `synthetic.make_*`
+and its config functions when called, so a caller may patch them. The store
+ranks the task's queries by BM25 once, at the deepest depth asked for; the
+imbalance study asks for 50 first, for the fixed evaluation set's BM25 top 50
+minus positives, and the arms' first-episode top 30 are prefixes of that
+ranking, masked once. Its arms start from the same pretrained weights, so the
+store fits episode 1's clusters once for all three; later episodes start from
+each arm's own weights and are fit per arm. The pretraining study also
+featurizes its target task once, into a second store made with the source
+store's featurizer, and scores each arm's target nDCG@10 on it
 (`retrieval_eval.evaluate`).
 """
 
@@ -59,6 +62,17 @@ def coco_experiment_config(seed: int) -> RunConfig:
     )
 
 
+def _fine_tune_arms(store: trainer.FeatureStore, arms, score) -> dict:
+    """``{label: score(weights)}`` for each ``(label, config, init)`` of ``arms``,
+    in order, where weights are a copy of ``init`` fine-tuned on ``store``."""
+    results = {}
+    for label, config, init in arms:
+        ft = Finetuner(config, init.copy(), store)
+        ft.run()
+        results[label] = score(ft.params)
+    return results
+
+
 def run_coco_directional(seed: int) -> dict:
     """Target nDCG@10 of fine-tuned-after-pretraining vs fine-tuned-from-scratch."""
     source, target = synthetic.make_two_domain_benchmark(seed=_BENCHMARK_SEED)
@@ -70,13 +84,9 @@ def run_coco_directional(seed: int) -> dict:
     store = trainer.training_store(config, source.corpus, source.queries, source.qrels)
     target_store = trainer.FeatureStore(store.featurizer, target.queries, target.corpus,
                                         target.qrels)
-    results = {}
-    for label, init in (("with_coco", pretrained), ("without_coco", scratch)):
-        ft = Finetuner(config, init.copy(), store)
-        ft.run()
-        record, _ = retrieval_eval.evaluate(ft.params, target_store)
-        results[label] = record.ndcg_at_10
-    return results
+    return _fine_tune_arms(
+        store, (("with_coco", config, pretrained), ("without_coco", config, scratch)),
+        lambda params: retrieval_eval.evaluate(params, target_store)[0].ndcg_at_10)
 
 
 def idro_pretrain_config(seed: int) -> RunConfig:
@@ -190,10 +200,7 @@ def run_idro_directional(seed: int) -> dict[str, GroupLosses]:
                                    task.queries, task.qrels)
     eval_batch, eval_qids = _fixed_eval_batch(store)
 
-    results = {}
-    for weighting in ("idro", "groupdro", "uniform"):
-        config = idro_experiment_config(seed, weighting)
-        ft = Finetuner(config, pretrained.copy(), store)
-        ft.run()
-        results[weighting] = _group_losses(ft.params, eval_batch, eval_qids, groups)
-    return results
+    return _fine_tune_arms(
+        store, ((weighting, idro_experiment_config(seed, weighting), pretrained)
+                for weighting in ("idro", "groupdro", "uniform")),
+        lambda params: _group_losses(params, eval_batch, eval_qids, groups))

@@ -351,7 +351,10 @@ def _run_field(item_id: str) -> str:
 
 def write_trec_run(rankings: Iterable[RankedList], path: str | Path, tag: str = "robustdr") -> None:
     """TREC run-file lines: `qid Q0 docid rank score tag`. An id that holds
-    whitespace is a CorpusFormatError naming it, and nothing is written."""
+    whitespace is a CorpusFormatError naming it, a tag that is not one
+    whitespace-free field a ValueError naming it, and nothing is written."""
+    if tag.split() != [tag]:
+        raise ValueError(f"tag {tag!r} is not one whitespace-free field of a TREC run line")
     checked: set[str] = set()
     with blobfile.atomic_open(path, "w") as fh:
         for ranked in rankings:

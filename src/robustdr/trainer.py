@@ -267,10 +267,7 @@ def scheduled_lr(base: float, step_idx: int, total_steps: int) -> float:
     warm = int(round(total_steps * WARMUP_FRAC))
     if warm > 0 and step_idx < warm:
         return base * (step_idx + 1) / warm
-    remaining = total_steps - warm
-    if remaining <= 0:
-        return base
-    return base * (total_steps - step_idx) / remaining
+    return base * (total_steps - step_idx) / (total_steps - warm)
 
 
 def _derived_rng(seed: int, tag: int, index: int) -> np.random.Generator:

@@ -530,16 +530,24 @@ def test_header_without_brace_rejected_before_reading_the_line(tmp_path):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("existing", [False, True, "directory"])
 def test_atomic_open_failed_write_leaves_nothing_behind(tmp_path, existing):
+    """A write whose body raises, or whose rename fails because the target is a
+    non-empty directory, leaves the target as it was and no temporary file."""
     target = tmp_path / "x.tsv"
-    if existing:
+    if existing == "directory":
+        (target / "kept").mkdir(parents=True)
+    elif existing:
         target.write_text("old\n")
-    with pytest.raises(RuntimeError, match="writer failed"):
+    with pytest.raises(IsADirectoryError if existing == "directory" else RuntimeError,
+                       match="x.tsv" if existing == "directory" else "writer failed"):
         with blobfile.atomic_open(target, "w") as fh:
             fh.write("new\n")
-            raise RuntimeError("writer failed")
+            if existing != "directory":
+                raise RuntimeError("writer failed")
     assert not (tmp_path / "x.tsv.tmp").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == (["x.tsv"] if existing else [])
-    if existing:
+    if existing == "directory":
+        assert [p.name for p in target.iterdir()] == ["kept"]
+    elif existing:
         assert target.read_text() == "old\n"

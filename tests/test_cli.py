@@ -482,6 +482,21 @@ class TestRunLifecycle:
         assert main(self.argv("evaluate", task_dir, ckpt, out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out / "run.trec") in err
+        assert sorted(p.name for p in out.iterdir()) == ["run.trec"]
+
+    @pytest.mark.parametrize("tag", ["my run", "", "tab\there"])
+    def test_tag_not_one_field_exits_2_before_any_input_is_read(
+        self, task_dir, tmp_path, ckpt, capsys, monkeypatch, tag
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called before --tag was checked")
+
+        monkeypatch.setattr(cli, "_require_file", refuse)
+        monkeypatch.setattr(cli, "_load_encoder", refuse)
+        out = tmp_path / "ev"
+        assert main([*self.argv("evaluate", task_dir, ckpt, out), f"--tag={tag}"]) == 2
+        assert f"tag: {tag!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

@@ -444,3 +444,10 @@ class TestTrecRun:
         with pytest.raises(CorpusFormatError, match=re.escape(repr(bad))):
             write_trec_run(rankings, tmp_path / "run.trec")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tag", ["my run", "", " tag", "tag\n"])
+    def test_tag_not_one_field_refused_naming_it(self, tmp_path, tag):
+        rankings = [RankedList("q1", (("d1", 2.0),))]
+        with pytest.raises(ValueError, match=re.escape(repr(tag))):
+            write_trec_run(rankings, tmp_path / "run.trec", tag=tag)
+        assert list(tmp_path.iterdir()) == []

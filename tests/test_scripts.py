@@ -1,5 +1,5 @@
-"""The experiment scripts' exit codes: 0 on PASS, 1 on FAIL; the benchmark
-writer's files."""
+"""The study script's exit codes: 0 on PASS, 1 on FAIL, and its printed values;
+the benchmark writer's files."""
 
 import json
 import runpy
@@ -16,10 +16,10 @@ from robustdr.synthetic import make_imbalanced_source, make_two_domain_benchmark
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, monkeypatch):
-    monkeypatch.setattr(sys, "argv", [name, "--seeds", "0", "1"])
+def run_study(study, monkeypatch, seeds=("0", "1")):
+    monkeypatch.setattr(sys, "argv", ["run_study.py", study, "--seeds", *seeds])
     with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+        runpy.run_path(str(SCRIPTS / "run_study.py"), run_name="__main__")
     return exit_info.value.code
 
 
@@ -37,7 +37,7 @@ def idro_values(idro_rare):
 @pytest.mark.parametrize("idro_rare,code", [(0.5, 0), (0.6, 1)])
 def test_idro_experiment_exit_code(monkeypatch, capsys, idro_rare, code):
     monkeypatch.setattr(experiments, "run_idro_directional", idro_values(idro_rare))
-    assert run_script("run_idro_experiment.py", monkeypatch) == code
+    assert run_study("idro", monkeypatch) == code
     assert capsys.readouterr().out.rstrip().endswith("PASS" if code == 0 else "FAIL")
 
 
@@ -46,8 +46,19 @@ def test_coco_experiment_exit_code(monkeypatch, capsys, scratch_best, code):
     values = {0: {"with_coco": 0.45, "without_coco": 0.2},
               1: {"with_coco": 0.6, "without_coco": scratch_best}}
     monkeypatch.setattr(experiments, "run_coco_directional", values.__getitem__)
-    assert run_script("run_coco_experiment.py", monkeypatch) == code
+    assert run_study("coco", monkeypatch) == code
     assert capsys.readouterr().out.rstrip().endswith("PASS" if code == 0 else "FAIL")
+
+
+def test_idro_study_prints_the_experiments_values(monkeypatch, capsys):
+    """Unmocked, one seed: each arm's printed values are `run_idro_directional`'s
+    at the printed precision, and the study passes."""
+    assert run_study("idro", monkeypatch, seeds=["0"]) == 0
+    lines = capsys.readouterr().out.rstrip().splitlines()
+    assert lines[-1].endswith("PASS")
+    want = "  ".join(f"{arm}: rare={value.rare:.4f} avg={value.average:.4f}"
+                     for arm, value in experiments.run_idro_directional(0).items())
+    assert lines[0] == f"seed 0  {want}"
 
 
 def test_make_synthetic_benchmark_round_trips(monkeypatch, capsys, tmp_path):

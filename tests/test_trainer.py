@@ -324,6 +324,13 @@ class TestScheduledLr:
         assert lrs[0] == pytest.approx(2.0)
         assert lrs[-1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("total_steps", range(1, 201))
+    def test_every_rate_positive_and_at_most_base(self, total_steps):
+        """Warm-up, a tenth of the steps rounded, is always shorter than the run,
+        so the decay never divides by zero."""
+        lrs = [scheduled_lr(0.3, s, total_steps) for s in range(total_steps)]
+        assert all(0.0 < lr <= 0.3 for lr in lrs)
+
 
 class TestPretrain:
     def separable_corpus(self, n_docs=24, reps=12):
